@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tensor::{gemm, init};
+use tensor::{gemm, init, GatherScratch, Matrix};
 
 const BATCH: usize = 32;
 const DIM: usize = 256;
@@ -25,13 +25,16 @@ fn bench_tile_sizes(c: &mut Criterion) {
     for &tile in &[8usize, 16, 32, 64] {
         let grid = TileGrid::new(DIM, DIM, tile).expect("valid grid");
         let pattern = TilePattern::new(dp, 0, tile).expect("valid pattern");
-        let kept = pattern.kept_tiles(&grid);
+        let mut scratch = GatherScratch::default();
+        scratch
+            .resolve_tiles(&pattern.kept_tiles(&grid), tile, DIM, DIM)
+            .expect("tiles in bounds");
+        let mut out = Matrix::default();
         group.bench_with_input(BenchmarkId::from_parameter(tile), &tile, |b, _| {
             b.iter(|| {
-                black_box(
-                    gemm::tile_compact_gemm(black_box(&x), black_box(&w), &kept, tile)
-                        .expect("tiles in bounds"),
-                )
+                gemm::gather_gemm_into(black_box(&x), black_box(&w), &mut scratch, &mut out)
+                    .expect("shapes agree");
+                black_box(&mut out);
             })
         });
     }

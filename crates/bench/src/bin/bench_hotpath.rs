@@ -39,8 +39,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use tensor::{
-    blocked_gemm, gemm_a_bt, gemm_bias_act, init, pool, row_compact_gemm, simd, tile_compact_gemm,
-    Activation, Matrix, SimdLevel,
+    blocked_gemm, gather_gemm_into, gemm_a_bt, gemm_bias_act, init, pool, row_compact_gemm, simd,
+    Activation, GatherScratch, Matrix, SimdLevel,
 };
 
 /// The seed repository's cache-blocked GEMM, kept verbatim as the baseline
@@ -225,8 +225,13 @@ fn main() {
     let tiles_per_row = cfg.n.div_ceil(tile);
     let tiles_per_col = cfg.k.div_ceil(tile);
     let kept_tiles: Vec<usize> = (0..tiles_per_row * tiles_per_col).step_by(2).collect();
+    let (mut scratch, mut out) = (GatherScratch::default(), Matrix::default());
     let tile_secs = bench(cfg.reps, || {
-        std::hint::black_box(tile_compact_gemm(&a, &b, &kept_tiles, tile).unwrap());
+        scratch
+            .resolve_tiles(&kept_tiles, tile, cfg.k, cfg.n)
+            .unwrap();
+        gather_gemm_into(&a, &b, &mut scratch, &mut out).unwrap();
+        std::hint::black_box(&out);
     });
     eprintln!(
         "row-compact dp=2       {:>10.3} ms ({:.2}x dense)",

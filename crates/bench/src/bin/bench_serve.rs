@@ -402,6 +402,7 @@ fn run_overload(cfg: &Config, config: ServeConfig, models: Vec<ModelSpec>) -> Ov
                 _ => stats.background_rejected += 1,
             },
             Err(AdmissionError::Shed { .. }) => unreachable!("submit never returns Shed"),
+            Err(AdmissionError::Invalid { .. }) => unreachable!("the flood names catalog models"),
             Ok(rx) => match rx.recv().expect("admitted job must be answered") {
                 Ok(result) => {
                     stats.completed += 1;
@@ -414,8 +415,8 @@ fn run_overload(cfg: &Config, config: ServeConfig, models: Vec<ModelSpec>) -> Ov
                     QosClass::Interactive => stats.interactive_shed += 1,
                     _ => stats.background_shed += 1,
                 },
-                Err(AdmissionError::Rejected { .. }) => {
-                    unreachable!("reply channels never carry Rejected")
+                Err(AdmissionError::Rejected { .. } | AdmissionError::Invalid { .. }) => {
+                    unreachable!("reply channels carry only Shed")
                 }
             },
         }

@@ -389,10 +389,21 @@ fn main() {
     // over the rate-matched Bernoulli baseline on every device shape, and
     // the sparse-tensor-core preset must realise the hardware 2:4 win (the
     // tensor-core pricing beats the same plan's gather pricing). The
-    // row/tile rows are informational baselines — tile hovers near 1.0x on
-    // the compute-rich presets by design.
+    // simulated row/tile rows are informational baselines — tile hovers
+    // near 1.0x on the compute-rich presets by design. On full runs the tile
+    // and block rows, which run through the packed gather core, must also
+    // beat the Bernoulli epoch as measured (smoke shapes are too small to
+    // time).
     if std::env::var("BENCH_ASSERT").is_ok_and(|v| v != "0") {
         let mut failures = Vec::new();
+        for (variant, _, cpu_speedup, _) in rows.iter().filter(|_| !smoke) {
+            if matches!(variant.key, "tile" | "block_16" | "block_32") && *cpu_speedup <= 1.0 {
+                failures.push(format!(
+                    "{} measured CPU speedup {cpu_speedup:.2}x <= 1.0x vs the Bernoulli epoch",
+                    variant.key
+                ));
+            }
+        }
         for (variant, _, _, sims) in &rows {
             if !variant.key.starts_with("nm_") && !variant.key.starts_with("block_") {
                 continue;

@@ -14,8 +14,8 @@
 //! * [`BlockUnit`] — structured unit dropout (SDropout, arXiv:2411.01238):
 //!   output neurons are grouped into contiguous blocks of `block` units and
 //!   whole blocks are dropped with an independent Bernoulli draw, so the
-//!   surviving columns form contiguous runs a kernel can stream without any
-//!   gather.
+//!   surviving columns form contiguous runs a GPU kernel can fetch as
+//!   coalesced strips (the CPU executor packs them like any kept columns).
 //!
 //! Both schemes drop whole output neurons (like RDP), so they shrink the
 //! next layer's input as well, and both resolve to a [`DropoutPlan`] whose

@@ -6,30 +6,24 @@
 //! crate that maps plan fields to kernels — and both the forward and the
 //! backward pass dispatch on that classification:
 //!
-//! * [`ExecPath::Gather`] — scattered kept output neurons (the Row-based
-//!   Dropout Pattern, and N:M structured sparsity with the group structure
-//!   validated): the column-gather compacted kernels of `tensor::gemm`
-//!   compute only surviving neurons, scaled by the plan's inverted-dropout
-//!   factor;
-//! * [`ExecPath::Blocks`] — contiguous kept output-neuron blocks
-//!   (block-structured unit dropout): the block-compacted kernels stream
-//!   whole column strips with no gather at all;
-//! * [`ExecPath::Tiles`] — kept weight tiles of the Tile-based Dropout
-//!   Pattern ([`tensor::tile_compact_gemm`]);
-//! * [`ExecPath::CrsK`] — K-dimension sampled GEMM (column-row sampling):
-//!   only the kept inner products run and the `K/k` estimator scale corrects
-//!   the raw product before the bias;
-//! * [`ExecPath::GatherCrs`] — the composed gather-N × gather-K call: the
-//!   dropout plan compacts output neurons while CRS compacts the inner
-//!   dimension in the **same** kernel, so the two speedups multiply;
-//! * [`ExecPath::Dense`] — dense GEMM, with
-//!   [`DropoutPlan::apply_mask`] applying the conventional Bernoulli mask
-//!   (a no-op for the identity plan) — the baseline of the paper,
-//!   Fig. 1(a).
+//! * [`ExecPath::Gather`] — every compacting scheme runs through the one
+//!   gather core of `tensor::gemm`: the plan's kept set resolves into the
+//!   layer's [`GatherScratch`] as dense (kept-K × kept-N) sub-GEMMs —
+//!   scattered kept output neurons (the Row-based Dropout Pattern, N:M
+//!   structured sparsity with the group structure validated), contiguous
+//!   kept blocks expanded to their columns (block-structured unit dropout),
+//!   the kept weight tiles of the Tile-based Dropout Pattern grouped by the
+//!   strips each tile row keeps, and the K-dimension sampled GEMM
+//!   (column-row sampling) alone or composed with a kept-neuron set so the
+//!   two speedups multiply. The [`GatherEpilogue`] carries the scales and
+//!   what dropped columns hold;
+//! * [`ExecPath::Dense`] — dense GEMM, with the conventional Bernoulli
+//!   column mask folded into the epilogue (no mask for the identity plan) —
+//!   the baseline of the paper, Fig. 1(a).
 //!
 //! The layer never inspects *which* scheme produced the plan: a new pattern
-//! family only needs to populate the plan fields it uses and, if it implies
-//! a new kernel shape, add one `ExecPath` arm here.
+//! family only needs to populate the plan fields it uses and resolve them
+//! into gather classes here.
 //!
 //! Because dropped outputs are exactly zero and ReLU is positively
 //! homogeneous, applying the pattern to the pre-activation `Z` is
@@ -37,106 +31,73 @@
 //! output" formulation the paper starts from.
 
 use crate::optimizer::Sgd;
-use approx_dropout::{Activation, DropoutPlan, TileGrid};
+use approx_dropout::{Activation, DropoutPlan};
 use rand::Rng;
-use tensor::{
-    gemm, init, pool, simd, GatherColsScratch, GatherKScratch, Matrix, RowCompactScratch,
-};
+use tensor::{gemm, init, GatherEpilogue, GatherScratch, GemmError, Matrix};
 
 /// The execution strategy a [`DropoutPlan`] implies for a fully connected
-/// layer — the per-variant dispatch extracted into one place so forward and
-/// backward can never disagree and a new scheme family is one new arm.
-enum ExecPath<'p> {
-    /// Dense GEMM with no mask at all (the identity plan).
+/// layer — classified once per forward pass and kept for the matching
+/// backward pass, so the two can never disagree.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum ExecPath {
+    /// Dense GEMM; a Bernoulli (or divergent) plan's per-neuron column mask
+    /// rides in the epilogue.
+    #[default]
     Dense,
-    /// Dense GEMM whose per-output-neuron Bernoulli (or divergent) column
-    /// mask rides in the epilogue: the fused forward folds
-    /// `mask[j] · scale` into the write-back, the unfused forward applies it
-    /// as a separate pass.
-    DenseMasked {
-        /// Per-output-neuron 0/1 mask (1 = kept).
-        mask: &'p [f32],
-    },
-    /// Column-gather compaction over scattered kept output neurons; `nm`
-    /// carries the `(n, m)` group parameters when the plan is an N:M plan
-    /// (validated by the kernel).
-    Gather {
-        /// Kept output-neuron indices, ascending.
-        kept: &'p [usize],
-        /// `(n, m)` for N:M plans, `None` for row plans.
-        nm: Option<(usize, usize)>,
-    },
-    /// Contiguous block-strip compaction of block-structured unit dropout.
-    Blocks {
-        /// Kept block indices, ascending.
-        kept: &'p [usize],
-        /// Block width in neurons.
-        block: usize,
-    },
-    /// 2-D tile compaction of the Tile-based Dropout Pattern.
-    Tiles {
-        /// Kept tile indices, ascending.
-        kept: &'p [usize],
-        /// The tile grid the indices resolve against.
-        grid: &'p TileGrid,
-    },
-    /// K-dimension sampled GEMM (CRS): only the kept inner-product indices
-    /// run; the output stays full-width dense.
-    CrsK {
-        /// Kept inner-dimension indices, ascending.
-        kept_k: &'p [usize],
-        /// The `K/k` unbiasedness scale correcting the raw product.
-        crs_scale: f32,
-    },
-    /// Composed gather-N × gather-K: the dropout plan's kept output neurons
-    /// and the CRS kept inner indices compact both GEMM dimensions in one
-    /// kernel call.
-    GatherCrs {
-        /// Kept output-neuron indices, ascending.
-        kept: &'p [usize],
-        /// Kept inner-dimension indices, ascending.
-        kept_k: &'p [usize],
-        /// The `K/k` unbiasedness scale correcting the raw product.
-        crs_scale: f32,
-    },
+    /// The gather core over the classes resolved into the layer's
+    /// [`GatherScratch`], finished by this epilogue.
+    Gather(GatherEpilogue),
 }
 
-/// Classifies a plan into its execution path.
-fn exec_path(plan: &DropoutPlan) -> ExecPath<'_> {
+/// Classifies a plan, resolving any compaction into `gather` for a weight of
+/// shape `(k, n)`.
+fn exec_path(
+    plan: &DropoutPlan,
+    (k, n): (usize, usize),
+    gather: &mut GatherScratch,
+) -> Result<ExecPath, GemmError> {
+    let scale = plan.scale();
     // CRS is orthogonal to the output-neuron families, so it is classified
     // first: a plan carrying both a kept-row set and a kept-K selection is
-    // the composed double-compaction call.
+    // the composed double compaction. The K/k estimator scale corrects the
+    // raw product *before* the bias, so the bias is never inflated.
     if let Some(selection) = plan.crs_selection() {
-        let kept_k = selection.kept_indices();
-        let crs_scale = selection.scale();
-        if let Some(kept) = plan.compact_rows() {
-            return ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            };
-        }
-        return ExecPath::CrsK { kept_k, crs_scale };
-    }
-    if let Some(kept) = plan.compact_rows() {
-        return ExecPath::Gather { kept, nm: None };
-    }
-    if let Some((kept, n, m)) = plan.nm_lanes() {
-        return ExecPath::Gather {
-            kept,
-            nm: Some((n, m)),
+        let (kept_k, pre) = (selection.kept_indices(), selection.scale());
+        let epilogue = match plan.compact_rows() {
+            Some(kept) => {
+                gather.resolve_nk(kept_k, kept);
+                GatherEpilogue::Neurons { pre, post: scale }
+            }
+            None => {
+                gather.resolve_k(kept_k);
+                GatherEpilogue::Synapses { pre }
+            }
         };
+        return Ok(ExecPath::Gather(epilogue));
+    }
+    let neurons = ExecPath::Gather(GatherEpilogue::Neurons {
+        pre: 1.0,
+        post: scale,
+    });
+    if let Some(kept) = plan.compact_rows() {
+        gather.resolve_cols(kept);
+        return Ok(neurons);
+    }
+    if let Some((kept, lanes, group)) = plan.nm_lanes() {
+        gather.resolve_nm(kept, lanes, group, n)?;
+        return Ok(neurons);
     }
     if let Some((kept, block, _)) = plan.kept_unit_blocks() {
-        return ExecPath::Blocks { kept, block };
+        gather.resolve_blocks(kept, block, n)?;
+        return Ok(neurons);
     }
     if let Some((kept, grid)) = plan.kept_tiles() {
-        return ExecPath::Tiles { kept, grid };
+        // Dropped synapses leave every neuron alive: the bias reaches all
+        // columns.
+        gather.resolve_tiles(kept, grid.tile(), k, n)?;
+        return Ok(ExecPath::Gather(GatherEpilogue::Synapses { pre: scale }));
     }
-    if let Some(mask) = plan.bernoulli_mask() {
-        return ExecPath::DenseMasked { mask };
-    }
-    ExecPath::Dense
+    Ok(ExecPath::Dense)
 }
 
 /// A fully connected layer with weights `(in_features × out_features)` and a
@@ -162,18 +123,16 @@ struct Workspace {
     input: Matrix,
     /// Cached dropout plan (kept-index / mask buffers reused).
     plan: DropoutPlan,
+    /// The forward pass's classification of `plan`.
+    path: ExecPath,
     /// `true` between a forward pass and the matching backward pass.
     armed: bool,
-    /// Masked / scaled output-gradient buffer (dense and tile paths).
+    /// Masked / scaled output-gradient buffer of the dense path.
     grad: Matrix,
-    /// Packing buffers for the column-gather compacted forward GEMM (row
-    /// and N:M paths).
-    row_scratch: RowCompactScratch,
-    /// Gather buffers for the column-gather compacted backward pass.
-    gather_scratch: GatherColsScratch,
-    /// Gather buffers for the K-dimension sampled (CRS) kernels, forward
-    /// and backward, pure and composed.
-    crs_scratch: GatherKScratch,
+    /// The gather core's resolved classes and packing buffers. The forward
+    /// pass packs the weight panels; the backward pass reuses them for its
+    /// `dX` product until [`Linear::step`] changes the weights.
+    gather: GatherScratch,
 }
 
 impl Linear {
@@ -239,6 +198,11 @@ impl Linear {
         &self.weight_grad
     }
 
+    /// Borrows the most recent bias gradient (for tests and diagnostics).
+    pub fn bias_grad(&self) -> &Matrix {
+        &self.bias_grad
+    }
+
     /// Number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.weight.len() + self.bias.len()
@@ -261,144 +225,24 @@ impl Linear {
         self.bias_grad.map_inplace(|v| v * factor);
     }
 
-    /// Forward pass executing the given dropout plan; caches what the
-    /// backward pass needs.
+    /// Forward pass executing the given dropout plan, without an activation;
+    /// caches what the backward pass needs. Allocates the returned output —
+    /// the training hot paths use [`Linear::forward_act_into`], of which
+    /// this is the [`Activation::Identity`] case.
     ///
     /// # Panics
     ///
     /// Panics if `input.cols() != in_features()`.
     pub fn forward(&mut self, input: &Matrix, plan: &DropoutPlan) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.in_features(),
-            "input width must match in_features"
-        );
-        let output = match exec_path(plan) {
-            ExecPath::Gather { kept, nm } => {
-                let mut z = Matrix::default();
-                match nm {
-                    Some((n, m)) => gemm::nm_compact_gemm_into(
-                        input,
-                        &self.weight,
-                        kept,
-                        n,
-                        m,
-                        &mut self.ws.row_scratch,
-                        &mut z,
-                    ),
-                    None => gemm::row_compact_gemm_into(
-                        input,
-                        &self.weight,
-                        kept,
-                        &mut self.ws.row_scratch,
-                        &mut z,
-                    ),
-                }
-                .expect("kept indices come from the plan and are in bounds");
-                let scale = plan.scale();
-                let bias = self.bias.row(0);
-                for i in 0..z.rows() {
-                    let row = z.row_mut(i);
-                    for &j in kept {
-                        row[j] = (row[j] + bias[j]) * scale;
-                    }
-                }
-                z
-            }
-            ExecPath::Blocks { kept, block } => {
-                let mut z = Matrix::default();
-                gemm::block_compact_gemm_into(input, &self.weight, kept, block, &mut z)
-                    .expect("kept blocks come from the plan and are in bounds");
-                let scale = plan.scale();
-                let bias = self.bias.row(0);
-                let n = self.weight.cols();
-                for i in 0..z.rows() {
-                    let row = z.row_mut(i);
-                    for &b in kept {
-                        for j in (b * block)..((b + 1) * block).min(n) {
-                            row[j] = (row[j] + bias[j]) * scale;
-                        }
-                    }
-                }
-                z
-            }
-            ExecPath::Tiles { kept, grid } => {
-                let mut z = Matrix::default();
-                gemm::tile_compact_gemm_into(input, &self.weight, kept, grid.tile(), &mut z)
-                    .expect("kept tiles come from the plan and are in bounds");
-                let scale = plan.scale();
-                z.map_inplace(|v| v * scale);
-                z.add_row_broadcast_inplace(&self.bias)
-                    .expect("bias width matches output");
-                z
-            }
-            ExecPath::CrsK { kept_k, crs_scale } => {
-                let mut z = Matrix::default();
-                gemm::gather_k_gemm_into(
-                    input,
-                    &self.weight,
-                    kept_k,
-                    &mut self.ws.crs_scratch,
-                    &mut z,
-                )
-                .expect("kept inner indices come from the plan and are in bounds");
-                // The K/k estimator scale corrects the raw sampled product
-                // *before* the bias, so the bias is never inflated. Same
-                // vectorised epilogue as the fused kernel, so the two paths
-                // stay bitwise identical.
-                let bias = self.bias.row(0);
-                for i in 0..z.rows() {
-                    simd::scale_add_bias(z.row_mut(i), crs_scale, bias);
-                }
-                z
-            }
-            ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            } => {
-                let mut z = Matrix::default();
-                gemm::gather_nk_gemm_into(
-                    input,
-                    &self.weight,
-                    kept_k,
-                    kept,
-                    &mut self.ws.crs_scratch,
-                    &mut z,
-                )
-                .expect("kept indices come from the plan and are in bounds");
-                let scale = plan.scale();
-                let bias = self.bias.row(0);
-                for i in 0..z.rows() {
-                    let row = z.row_mut(i);
-                    for &j in kept {
-                        row[j] = (row[j] * crs_scale + bias[j]) * scale;
-                    }
-                }
-                z
-            }
-            ExecPath::Dense | ExecPath::DenseMasked { .. } => {
-                let mut z = self.dense_forward(input);
-                plan.apply_mask(&mut z);
-                z
-            }
-        };
-        // Cache by copying into the warmed workspace buffers: no fresh heap
-        // allocation once shapes have stabilised.
-        self.ws.input.clone_from(input);
-        self.ws.plan.clone_from(plan);
-        self.ws.armed = true;
-        output
+        let mut out = Matrix::default();
+        self.forward_act_into(input, plan, Activation::Identity, &mut out);
+        out
     }
 
     /// Fused whole-layer forward pass: executes the plan, the bias add and
-    /// `act` as **one** fused kernel per layer (`tensor`'s
-    /// `*_bias_act_into` family), writing into the caller-owned `out` buffer
-    /// so the per-iteration output allocation of [`Linear::forward`]
-    /// disappears as well. Caches exactly what [`Linear::backward`] needs —
-    /// fused and unfused forwards are interchangeable in front of the same
-    /// backward pass, and their outputs are bitwise identical once the
-    /// caller of the unfused path applies `act` elementwise.
+    /// `act` as **one** fused kernel per layer, writing into the
+    /// caller-owned `out` buffer. Caches exactly what [`Linear::backward`]
+    /// needs.
     ///
     /// # Panics
     ///
@@ -415,107 +259,38 @@ impl Linear {
             self.in_features(),
             "input width must match in_features"
         );
-        let scale = plan.scale();
-        match exec_path(plan) {
-            ExecPath::Gather { kept, nm } => match nm {
-                Some((n, m)) => gemm::nm_compact_gemm_bias_act_into(
+        let path = exec_path(plan, self.weight.shape(), &mut self.ws.gather)
+            .expect("the plan resolves against the layer it was sampled for");
+        match path {
+            ExecPath::Gather(epilogue) => gemm::gather_gemm_bias_act_into(
+                input,
+                &self.weight,
+                &self.bias,
+                epilogue,
+                act,
+                &mut self.ws.gather,
+                out,
+            ),
+            ExecPath::Dense => match plan.bernoulli_mask() {
+                Some(mask) => gemm::gemm_bias_act_masked_into(
                     input,
                     &self.weight,
-                    kept,
-                    n,
-                    m,
                     &self.bias,
-                    scale,
+                    mask,
+                    plan.scale(),
                     act,
-                    &mut self.ws.row_scratch,
                     out,
                 ),
-                None => gemm::gather_cols_gemm_bias_act_into(
-                    input,
-                    &self.weight,
-                    kept,
-                    &self.bias,
-                    scale,
-                    act,
-                    &mut self.ws.row_scratch,
-                    out,
-                ),
-            }
-            .expect("kept indices come from the plan and are in bounds"),
-            ExecPath::Blocks { kept, block } => gemm::block_compact_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept,
-                block,
-                &self.bias,
-                scale,
-                act,
-                out,
-            )
-            .expect("kept blocks come from the plan and are in bounds"),
-            ExecPath::Tiles { kept, grid } => gemm::tile_compact_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept,
-                grid.tile(),
-                &self.bias,
-                scale,
-                act,
-                out,
-            )
-            .expect("kept tiles come from the plan and are in bounds"),
-            ExecPath::CrsK { kept_k, crs_scale } => gemm::gather_k_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept_k,
-                &self.bias,
-                crs_scale,
-                act,
-                &mut self.ws.crs_scratch,
-                out,
-            )
-            .expect("kept inner indices come from the plan and are in bounds"),
-            ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            } => gemm::gather_nk_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept_k,
-                kept,
-                &self.bias,
-                crs_scale,
-                scale,
-                act,
-                &mut self.ws.crs_scratch,
-                out,
-            )
-            .expect("kept indices come from the plan and are in bounds"),
-            ExecPath::DenseMasked { mask } => gemm::gemm_bias_act_masked_into(
-                input,
-                &self.weight,
-                &self.bias,
-                mask,
-                scale,
-                act,
-                out,
-            )
-            .expect("mask length comes from the plan and matches"),
-            ExecPath::Dense => gemm::gemm_bias_act_into(input, &self.weight, &self.bias, act, out)
-                .expect("inner dimensions must agree"),
+                None => gemm::gemm_bias_act_into(input, &self.weight, &self.bias, act, out),
+            },
         }
+        .expect("shapes agree and kept indices come from the plan");
+        // Cache by copying into the warmed workspace buffers: no fresh heap
+        // allocation once shapes have stabilised.
         self.ws.input.clone_from(input);
         self.ws.plan.clone_from(plan);
+        self.ws.path = path;
         self.ws.armed = true;
-    }
-
-    fn dense_forward(&self, input: &Matrix) -> Matrix {
-        let mut z = Matrix::default();
-        gemm::blocked_gemm_into(input, &self.weight, &mut z).expect("inner dimensions must agree");
-        z.add_row_broadcast_inplace(&self.bias)
-            .expect("bias width matches output");
-        z
     }
 
     /// Inference-time forward pass: a dense `X·W + b` with no dropout and no
@@ -530,7 +305,11 @@ impl Linear {
             self.in_features(),
             "input width must match in_features"
         );
-        self.dense_forward(input)
+        let mut z = Matrix::default();
+        gemm::blocked_gemm_into(input, &self.weight, &mut z).expect("inner dimensions must agree");
+        z.add_row_broadcast_inplace(&self.bias)
+            .expect("bias width matches output");
+        z
     }
 
     /// Backward pass: consumes the gradient w.r.t. this layer's output and
@@ -553,8 +332,7 @@ impl Linear {
 
     /// Like [`Linear::backward`] but writing the input gradient into the
     /// caller-owned `dx` buffer (resized in place, allocation reused once
-    /// warmed) — the backward counterpart of [`Linear::forward_act_into`],
-    /// closing the last per-iteration allocation of the backward pass.
+    /// warmed) — the backward counterpart of [`Linear::forward_act_into`].
     ///
     /// # Panics
     ///
@@ -571,158 +349,44 @@ impl Linear {
             self.out_features(),
             "output width mismatch"
         );
-        let (in_features, out_features) = self.weight.shape();
-        let batch = grad_output.rows();
-
-        match exec_path(&ws.plan) {
-            ExecPath::Gather { kept, .. } => {
-                let scale = ws.plan.scale();
-                // Fused backward pair: the scaled kept gradient columns are
-                // gathered once and reused for both products —
-                // dW = Xᵀ·(scale·G[:, kept]) scattered into the kept columns
-                // (dropped columns stay exactly zero; the dense zero-masked
-                // gradient matrix of the seed implementation is never
-                // materialised) and dX = (scale·G[:, kept]) · W[:, kept]ᵀ.
-                gemm::gather_cols_backward_into(
+        match ws.path {
+            ExecPath::Gather(epilogue) => {
+                // dW = Xᵀ·(s·G) and dX = (s·G)·Wᵀ over the resolved classes
+                // only: dropped entries of dW stay exactly zero, and the dX
+                // product reuses the forward pass's packed weight panels.
+                gemm::gather_backward_into(
                     &ws.input,
                     grad_output,
                     &self.weight,
-                    kept,
-                    scale,
-                    &mut ws.gather_scratch,
+                    epilogue.grad_scale(),
+                    &mut ws.gather,
                     &mut self.weight_grad,
                     dx,
                 )
                 .expect("shapes agree and kept indices come from the plan");
-                // Bias gradient: column sums of the scaled kept gradient.
-                self.bias_grad.resize(1, out_features);
-                let acc = self.bias_grad.row_mut(0);
-                for i in 0..batch {
-                    let row = grad_output.row(i);
-                    for &j in kept {
-                        acc[j] += row[j] * scale;
-                    }
-                }
-            }
-            ExecPath::Blocks { kept, block } => {
-                let scale = ws.plan.scale();
-                gemm::block_compact_gemm_at_b_into(
-                    &ws.input,
-                    grad_output,
-                    kept,
-                    block,
-                    scale,
-                    &mut self.weight_grad,
-                )
-                .expect("batch dimensions agree");
-                self.bias_grad.resize(1, out_features);
-                let acc = self.bias_grad.row_mut(0);
-                for i in 0..batch {
-                    let row = grad_output.row(i);
-                    for &b in kept {
-                        for j in (b * block)..((b + 1) * block).min(out_features) {
-                            acc[j] += row[j] * scale;
-                        }
-                    }
-                }
-                gemm::block_compact_gemm_a_bt_into(
-                    grad_output,
-                    &self.weight,
-                    kept,
-                    block,
-                    scale,
-                    dx,
-                )
-                .expect("inner dimensions agree");
-            }
-            ExecPath::Tiles { kept, grid } => {
-                let scale = ws.plan.scale();
-                ws.grad.clone_from(grad_output);
-                ws.grad.map_inplace(|v| v * scale);
-                // dW = (Xᵀ·g) with dropped tiles zeroed by iterating the tile
-                // bounds directly over the gradient — no `(rows × cols)` mask
-                // matrix is ever allocated.
-                gemm::gemm_at_b_into(&ws.input, &ws.grad, &mut self.weight_grad)
-                    .expect("batch dimensions agree");
-                zero_dropped_tiles(&mut self.weight_grad, kept, grid);
-                grad_output.sum_rows_into(&mut self.bias_grad);
-                // dX = g · (W ⊙ M)ᵀ accumulated tile-by-tile: only kept tiles
-                // contribute, Wᵀ is never materialised, and the batch dimension
-                // splits across the pool like every other gradient product.
-                let bounds: Vec<_> = kept.iter().map(|&t| grid.tile_bounds(t)).collect();
-                let grad = &ws.grad;
-                let weight = &self.weight;
-                // Zeroing resize: the tile loop below accumulates into the
-                // buffer, so stale contents must be cleared (allocation
-                // reused once warmed).
-                dx.resize(batch, in_features);
-                pool::run_row_chunks(batch, in_features, dx.as_mut_slice(), |rows, chunk| {
-                    for (local, i) in rows.enumerate() {
-                        let grow = grad.row(i);
-                        let dxrow = &mut chunk[local * in_features..(local + 1) * in_features];
-                        for (rr, cc) in &bounds {
-                            let gslice = &grow[cc.clone()];
-                            for p in rr.clone() {
-                                dxrow[p] += gemm::dot(gslice, &weight.row(p)[cc.clone()]);
+                match epilogue {
+                    // Dropped neurons get no bias gradient; kept ones scale
+                    // by the dropout factor only (the bias sits outside any
+                    // sampled product).
+                    GatherEpilogue::Neurons { post, .. } => {
+                        self.bias_grad.resize(1, grad_output.cols());
+                        let acc = self.bias_grad.row_mut(0);
+                        let kept = ws.gather.kept_cols();
+                        for i in 0..grad_output.rows() {
+                            let row = grad_output.row(i);
+                            for &j in kept {
+                                acc[j] += row[j] * post;
                             }
                         }
                     }
-                });
-            }
-            ExecPath::CrsK { kept_k, crs_scale } => {
-                // Sampled backward: both transposed products run at the
-                // reduced inner dimension; dropped weight rows and input
-                // gradient columns stay exactly zero and the K/k estimator
-                // scale rides in the scatter.
-                gemm::gather_k_backward_into(
-                    &ws.input,
-                    grad_output,
-                    &self.weight,
-                    kept_k,
-                    crs_scale,
-                    &mut ws.crs_scratch,
-                    &mut self.weight_grad,
-                    dx,
-                )
-                .expect("shapes agree and kept inner indices come from the plan");
-                // The bias is added after the scaled product, so its gradient
-                // is the plain column sum — the estimator never touches it.
-                grad_output.sum_rows_into(&mut self.bias_grad);
-            }
-            ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            } => {
-                // Composed backward: one gathered gradient panel drives both
-                // double-compacted products, scaled by the product of the
-                // K/k estimator scale and the inverted-dropout scale.
-                let scale = crs_scale * ws.plan.scale();
-                gemm::gather_nk_backward_into(
-                    &ws.input,
-                    grad_output,
-                    &self.weight,
-                    kept_k,
-                    kept,
-                    scale,
-                    &mut ws.crs_scratch,
-                    &mut self.weight_grad,
-                    dx,
-                )
-                .expect("shapes agree and kept indices come from the plan");
-                // Bias gradient: the kept columns scale by the dropout factor
-                // only (the bias sits outside the sampled product).
-                let row_scale = ws.plan.scale();
-                self.bias_grad.resize(1, out_features);
-                let acc = self.bias_grad.row_mut(0);
-                for i in 0..batch {
-                    let row = grad_output.row(i);
-                    for &j in kept {
-                        acc[j] += row[j] * row_scale;
+                    // The bias is added after the scaled product and reaches
+                    // every neuron: plain column sums.
+                    GatherEpilogue::Synapses { .. } => {
+                        grad_output.sum_rows_into(&mut self.bias_grad);
                     }
                 }
             }
-            ExecPath::Dense | ExecPath::DenseMasked { .. } => {
+            ExecPath::Dense => {
                 // Dense (identity or Bernoulli-masked) path: the gradient
                 // flows only through kept neurons, scaled like the forward
                 // pass — a no-op when the plan is the identity.
@@ -737,7 +401,8 @@ impl Linear {
         self.ws = ws;
     }
 
-    /// Applies one SGD step using the stored gradients.
+    /// Applies one SGD step using the stored gradients. The weights change,
+    /// so the weight panels packed by the last forward pass go stale.
     pub fn step(&mut self, sgd: &Sgd) {
         sgd.update(
             &mut self.weight,
@@ -745,33 +410,14 @@ impl Linear {
             &mut self.weight_velocity,
         );
         sgd.update(&mut self.bias, &self.bias_grad, &mut self.bias_velocity);
+        self.ws.gather.invalidate_panels();
     }
 }
 
-/// Zeroes every *dropped* tile of `dw` by iterating tile bounds directly —
-/// the allocation-free replacement for materialising a full 0/1 tile mask
-/// and taking a Hadamard product. `kept` must be ascending, which is how
-/// every [`DropoutPlan`] resolves its kept-tile list.
-fn zero_dropped_tiles(dw: &mut Matrix, kept: &[usize], grid: &TileGrid) {
-    debug_assert!(kept.windows(2).all(|w| w[0] < w[1]), "kept tiles sorted");
-    let mut kept_iter = kept.iter().peekable();
-    for t in 0..grid.total_tiles() {
-        if kept_iter.peek() == Some(&&t) {
-            kept_iter.next();
-            continue;
-        }
-        let (rr, cc) = grid.tile_bounds(t);
-        for r in rr {
-            dw.row_mut(r)[cc.clone()].fill(0.0);
-        }
-    }
-}
-
-/// Full 0/1 tile mask over the weight matrix — retained as a *reference*
-/// formulation for the equivalence tests below; the production backward pass
-/// uses [`zero_dropped_tiles`] instead.
+/// Full 0/1 tile mask over the weight matrix — the reference formulation for
+/// the equivalence tests below.
 #[cfg(test)]
-fn tile_mask(kept: &[usize], grid: &TileGrid) -> Matrix {
+fn tile_mask(kept: &[usize], grid: &approx_dropout::TileGrid) -> Matrix {
     let (rows, cols) = grid.weight_shape();
     let mut mask = Matrix::zeros(rows, cols);
     for &t in kept {
@@ -788,7 +434,7 @@ fn tile_mask(kept: &[usize], grid: &TileGrid) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approx_dropout::{LayerShape, RowPattern, SampledPattern, TilePattern};
+    use approx_dropout::{LayerShape, RowPattern, SampledPattern, TileGrid, TilePattern};
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -319,8 +319,8 @@ impl EncoderBlock {
     /// The multiplier applied to raw `QKᵀ` scores: `1/√head_dim`, with the
     /// plan scale the Q and K projections put on their kept lanes divided
     /// back out so the scores stay unbiased. On the head-drop path both
-    /// projections run the block-compacted kernel whose kept-head columns
-    /// carry the full inverted-dropout scale (squared in `QKᵀ`); on the N:M
+    /// projections gather only the kept-head columns, which carry the full
+    /// inverted-dropout scale (squared in `QKᵀ`); on the N:M
     /// projection path the kept lanes average one factor of the scale.
     fn score_multiplier(&self, path: AttnPath, g: Geom) -> f32 {
         let inv_sqrt = 1.0 / (g.head_dim as f32).sqrt();
@@ -341,11 +341,11 @@ impl EncoderBlock {
         let path = attn_path(&self.attn_plan, g);
         self.resolve_heads(path, g);
         let dense = DropoutPlan::none(LayerShape::new(d, d));
-        // Q/K/V execute the attention plan on both structured paths: N:M
-        // lanes ride the gather kernel, and whole-head drop runs the
-        // block-compacted kernel so dropped heads' projection columns are
-        // never computed (the kept columns carry the inverted-dropout
-        // scale). Only the fallback multiplier path projects densely.
+        // Q/K/V execute the attention plan on both structured paths through
+        // the column gather: N:M lanes, or whole heads as contiguous column
+        // blocks, so dropped heads' projection columns are never computed
+        // (the kept columns carry the inverted-dropout scale). Only the
+        // fallback multiplier path projects densely.
         let qkv_plan: &DropoutPlan = match path {
             AttnPath::Projection | AttnPath::HeadDrop => &self.attn_plan,
             AttnPath::Multiplier => &dense,

@@ -1,9 +1,11 @@
 //! Typed admission outcomes: overload produces answers, not backlog.
 //!
-//! With a bounded [`crate::ShardedQueue`], submitting a job can fail in
-//! two ways, both of which the serving layer reports explicitly instead of
-//! silently enqueueing into an ever-growing queue:
+//! Submitting a job can fail in three ways, each of which the serving
+//! layer reports explicitly instead of silently enqueueing:
 //!
+//! * [`AdmissionError::Invalid`] — the job names no model of the catalog,
+//!   so no worker could ever run it; [`crate::Client::submit`] returns this
+//!   immediately and nothing reaches a worker.
 //! * [`AdmissionError::Rejected`] — the shard is full and the incoming job
 //!   is the cheapest-to-retry work in sight; [`crate::Client::submit`]
 //!   returns this immediately, so the tenant can back off and retry.
@@ -22,6 +24,14 @@ use std::fmt;
 /// Why a job was not served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionError {
+    /// The job can never be served as specified: its `model` index is
+    /// outside the server's catalog. It was never enqueued.
+    Invalid {
+        /// The requested model index.
+        model: usize,
+        /// Number of models in the catalog.
+        catalog: usize,
+    },
     /// The target shard was at its bound and no queued job was cheaper to
     /// shed than the incoming one; the job was never enqueued.
     Rejected {
@@ -39,6 +49,10 @@ pub enum AdmissionError {
 impl fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            AdmissionError::Invalid { model, catalog } => write!(
+                f,
+                "invalid: model {model} is not in the {catalog}-model catalog"
+            ),
             AdmissionError::Rejected { bound } => write!(
                 f,
                 "rejected: queue shard at its {bound}-job bound held no cheaper work"
@@ -68,5 +82,10 @@ mod tests {
             by: QosClass::Interactive,
         };
         assert!(shed.to_string().contains("interactive"));
+        let invalid = AdmissionError::Invalid {
+            model: 3,
+            catalog: 1,
+        };
+        assert!(invalid.to_string().contains("model 3"));
     }
 }

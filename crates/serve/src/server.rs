@@ -212,8 +212,17 @@ impl Client {
     /// job (that victim's receiver yields [`AdmissionError::Shed`]), or
     /// bounce off a shard full of work at least as valuable — then nothing
     /// is enqueued and the [`AdmissionError::Rejected`] comes back
-    /// directly so the tenant can back off.
+    /// directly so the tenant can back off. A job naming no catalog model
+    /// is refused with [`AdmissionError::Invalid`] before it reaches a
+    /// worker.
     pub fn submit(&self, spec: JobSpec) -> Result<Receiver<JobReply>, AdmissionError> {
+        let catalog = self.shared.catalog.len();
+        if spec.model >= catalog {
+            return Err(AdmissionError::Invalid {
+                model: spec.model,
+                catalog,
+            });
+        }
         let now = Instant::now();
         self.shared.tracker.observe(spec.batch_key(), now);
         let (reply, result) = channel();

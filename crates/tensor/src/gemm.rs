@@ -4,14 +4,18 @@
 //! The paper's central observation is that conventional dropout cannot shrink
 //! the GEMM because the dropped positions are irregular; the Row-based and
 //! Tile-based patterns make the dropped positions *predictable*, so the kernel
-//! can build compact operand matrices and multiply those instead. The CPU
-//! equivalents here are [`row_compact_gemm`] and [`tile_compact_gemm`]; they
-//! are validated against the dense kernels by unit and property tests.
+//! can build compact operand matrices and multiply those instead. On the CPU
+//! every compacting scheme runs through one gather core ([`GatherScratch`],
+//! [`gather_gemm_bias_act_into`], [`gather_backward_into`]): its kept set
+//! resolves into a few dense (kept-K × kept-N) sub-GEMMs whose operands are
+//! packed once and fed to the same tuned micro-kernel as the dense path. The
+//! compacted kernels are validated against the dense kernels by unit and
+//! property tests.
 //!
 //! # Kernel architecture
 //!
 //! Every production kernel is built from slice-based packed micro-kernels
-//! ([`axpy`], [`axpy4`], [`dot`]) that dispatch through [`crate::simd`] to
+//! (`axpy`, `axpy4`, `dot`) that dispatch through [`crate::simd`] to
 //! runtime-detected vector kernels (AVX2/AVX-512/NEON, scalar fallback —
 //! bitwise identical at every level, see the `simd` module docs): the
 //! inner loops never touch the bounds-checked `(i, j)` `Index` operator and
@@ -94,12 +98,11 @@ fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3:
 }
 
 /// Dot product with eight independent accumulator lanes so the reduction
-/// vectorises; the building block of [`gemm_a_bt`], public because the
-/// tile-compacted backward pass accumulates per-tile slices with it.
-/// Dispatches to the active [`crate::simd`] kernel, which preserves the
-/// 8-lane accumulation order bitwise.
+/// vectorises; the building block of [`gemm_a_bt`]. Dispatches to the active
+/// [`crate::simd`] kernel, which preserves the 8-lane accumulation order
+/// bitwise.
 #[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
+fn dot(x: &[f32], y: &[f32]) -> f32 {
     simd::dot(x, y)
 }
 
@@ -358,18 +361,281 @@ pub fn gemm_a_bt(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
 }
 
 // ---------------------------------------------------------------------------
-// Compacted kernels
+// Compacted kernels: one gather-GEMM core
 // ---------------------------------------------------------------------------
 
-/// Reusable packing buffers for the column-gather compacted GEMMs
-/// ([`gather_cols_gemm_into`] and its [`row_compact_gemm_into`] /
-/// [`nm_compact_gemm_into`] wrappers): the compact weight panel and the
-/// compact product, recycled across training iterations so the hot path
-/// performs no per-call allocations once warmed up.
+/// One dense sub-GEMM of a compacted product, `A[:, k] · W[k, n]`: its
+/// inner (K) indices and output (N) columns as ranges into
+/// [`GatherScratch`]'s index buffers. `None` means every index in order, so
+/// that axis needs no gather at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct GatherClass {
+    k: Option<Range<usize>>,
+    n: Option<Range<usize>>,
+}
+
+/// The gather core's resolved compaction and every buffer it packs into.
+///
+/// Every compacting scheme runs through one core: its kept set resolves
+/// into one or more disjoint *classes*, each a dense (kept-K × kept-N)
+/// sub-GEMM whose operands are packed into dense panels for the tuned
+/// micro-kernel ([`blocked_gemm_into`]):
+///
+/// * [`GatherScratch::resolve_cols`] — scattered kept output neurons (the
+///   Row-based Dropout Pattern), one class over the full K;
+///   [`GatherScratch::resolve_nm`] validates the N:M group structure first;
+/// * [`GatherScratch::resolve_blocks`] — contiguous kept blocks of neurons,
+///   expanded to their columns: the same single full-K class;
+/// * [`GatherScratch::resolve_k`] / [`GatherScratch::resolve_nk`] —
+///   K-dimension sampling (CRS), alone or composed with kept neurons;
+/// * [`GatherScratch::resolve_tiles`] — the Tile-based Dropout Pattern:
+///   tile rows that keep the same strips form one class, so a TDP plan is
+///   at most `dp` sub-GEMMs, a single full-K column gather whenever `dp`
+///   divides the tiles per row, and the plain dense GEMM when every tile
+///   is kept.
+///
+/// The forward pass ([`gather_gemm_into`], [`gather_gemm_bias_act_into`])
+/// packs each class's weight panel; [`gather_backward_into`] reuses those
+/// panels for its `dX` product until [`GatherScratch::invalidate_panels`]
+/// (or a new `resolve_*`) marks them stale — call it whenever the weights
+/// change between the forward and the backward pass. All buffers are
+/// recycled across calls, so a warmed hot path performs no allocations.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct RowCompactScratch {
-    pack: Matrix,
+pub struct GatherScratch {
+    classes: Vec<GatherClass>,
+    k_idx: Vec<usize>,
+    n_idx: Vec<usize>,
+    /// Tile grouping: the representative tile row of each class, and the
+    /// class of every tile row (`usize::MAX` when it keeps no tile).
+    reps: Vec<usize>,
+    row_class: Vec<usize>,
+    /// Packed `W[k, n]` panel per class (unused for a class gathering
+    /// neither axis, which multiplies `W` itself).
+    panels: Vec<Matrix>,
+    panels_ready: bool,
+    a_kept: Matrix,
+    g_kept: Matrix,
     product: Matrix,
+}
+
+impl GatherScratch {
+    fn reset(&mut self) {
+        self.classes.clear();
+        self.k_idx.clear();
+        self.n_idx.clear();
+        self.panels_ready = false;
+    }
+
+    /// One class over every inner index and the `kept_cols` output
+    /// columns: the row-pattern (and any scattered-neuron) compaction.
+    pub fn resolve_cols(&mut self, kept_cols: &[usize]) {
+        self.reset();
+        self.n_idx.extend_from_slice(kept_cols);
+        self.classes.push(GatherClass {
+            k: None,
+            n: Some(0..kept_cols.len()),
+        });
+    }
+
+    /// [`GatherScratch::resolve_cols`] for N:M structured sparsity, after
+    /// validating that `kept_cols` keeps exactly `min(n, group)` ascending
+    /// lanes of every `m`-wide group of the `out_features` columns (the
+    /// structure a sparse-tensor-core kernel relies on).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GemmError`] if `kept_cols` lacks the `n`-of-`m` group
+    /// structure.
+    pub fn resolve_nm(
+        &mut self,
+        kept_cols: &[usize],
+        n: usize,
+        m: usize,
+        out_features: usize,
+    ) -> Result<(), GemmError> {
+        check_nm_structure(kept_cols, n, m, out_features)?;
+        self.resolve_cols(kept_cols);
+        Ok(())
+    }
+
+    /// One class over every inner index and the columns of the kept
+    /// `block`-wide groups of the `n` output columns (structured unit
+    /// dropout; the last block may be ragged).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GemmError`] if `block == 0`, a block index is out of
+    /// bounds, or `kept_blocks` is not strictly ascending.
+    pub fn resolve_blocks(
+        &mut self,
+        kept_blocks: &[usize],
+        block: usize,
+        n: usize,
+    ) -> Result<(), GemmError> {
+        if block == 0 {
+            return Err(GemmError::new("block width must be positive"));
+        }
+        let total = n.div_ceil(block);
+        if let Some(&bad) = kept_blocks.iter().find(|&&b| b >= total) {
+            return Err(GemmError::new(format!(
+                "block index {bad} out of bounds for {total} blocks of width {block}"
+            )));
+        }
+        check_ascending(kept_blocks, "kept blocks")?;
+        self.reset();
+        for &b in kept_blocks {
+            self.n_idx.extend(b * block..((b + 1) * block).min(n));
+        }
+        self.classes.push(GatherClass {
+            k: None,
+            n: Some(0..self.n_idx.len()),
+        });
+        Ok(())
+    }
+
+    /// One class over the `kept_k` inner indices and every output column:
+    /// the K-dimension sampled (CRS) product.
+    pub fn resolve_k(&mut self, kept_k: &[usize]) {
+        self.reset();
+        self.k_idx.extend_from_slice(kept_k);
+        self.classes.push(GatherClass {
+            k: Some(0..kept_k.len()),
+            n: None,
+        });
+    }
+
+    /// One class over the `kept_k` inner indices and the `kept_cols` output
+    /// columns: CRS composed with an output-neuron pattern, compacting both
+    /// GEMM dimensions at once.
+    pub fn resolve_nk(&mut self, kept_k: &[usize], kept_cols: &[usize]) {
+        self.reset();
+        self.k_idx.extend_from_slice(kept_k);
+        self.n_idx.extend_from_slice(kept_cols);
+        self.classes.push(GatherClass {
+            k: Some(0..kept_k.len()),
+            n: Some(0..kept_cols.len()),
+        });
+    }
+
+    /// Resolves the kept tiles of a `k × n` weight's `tile × tile` grid
+    /// (row-major linear indices, ascending) into classes: tile rows keeping
+    /// the same strips share one (kept-K × kept-N) sub-GEMM, and an axis a
+    /// class covers entirely needs no gather.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GemmError`] if `tile == 0`, a tile index is outside the
+    /// grid, or `kept_tiles` is not strictly ascending.
+    pub fn resolve_tiles(
+        &mut self,
+        kept_tiles: &[usize],
+        tile: usize,
+        k: usize,
+        n: usize,
+    ) -> Result<(), GemmError> {
+        if tile == 0 {
+            return Err(GemmError::new("tile size must be positive"));
+        }
+        let (per_row, per_col) = (n.div_ceil(tile), k.div_ceil(tile));
+        if let Some(&bad) = kept_tiles.iter().find(|&&t| t >= per_row * per_col) {
+            return Err(GemmError::new(format!(
+                "tile index {bad} out of bounds for a {per_col}x{per_row} tile grid"
+            )));
+        }
+        check_ascending(kept_tiles, "kept tiles")?;
+        self.reset();
+        // The kept tiles of tile row `r`, as a range of the ascending list,
+        // and whether two tile rows keep the same strips.
+        let row_tiles = |r: usize| {
+            let lo = kept_tiles.partition_point(|&t| t < r * per_row);
+            lo..kept_tiles.partition_point(|&t| t < (r + 1) * per_row)
+        };
+        let same_strips = |r1: usize, r2: usize| {
+            let (s1, s2) = (&kept_tiles[row_tiles(r1)], &kept_tiles[row_tiles(r2)]);
+            s1.len() == s2.len()
+                && s1
+                    .iter()
+                    .zip(s2)
+                    .all(|(&t1, &t2)| t1 - r1 * per_row == t2 - r2 * per_row)
+        };
+        self.reps.clear();
+        self.row_class.clear();
+        for r in 0..per_col {
+            let class = if row_tiles(r).is_empty() {
+                usize::MAX
+            } else if let Some(c) = self.reps.iter().position(|&rep| same_strips(rep, r)) {
+                c
+            } else {
+                self.reps.push(r);
+                self.reps.len() - 1
+            };
+            self.row_class.push(class);
+        }
+        for (c, &rep) in self.reps.iter().enumerate() {
+            let (k0, n0) = (self.k_idx.len(), self.n_idx.len());
+            for (r, _) in self
+                .row_class
+                .iter()
+                .enumerate()
+                .filter(|&(_, &rc)| rc == c)
+            {
+                self.k_idx.extend(r * tile..((r + 1) * tile).min(k));
+            }
+            for &t in &kept_tiles[row_tiles(rep)] {
+                let strip = t - rep * per_row;
+                self.n_idx.extend(strip * tile..((strip + 1) * tile).min(n));
+            }
+            // An axis covered entirely is every index in order: no gather.
+            let k_range = if self.k_idx.len() - k0 == k {
+                self.k_idx.truncate(k0);
+                None
+            } else {
+                Some(k0..self.k_idx.len())
+            };
+            let n_range = if self.n_idx.len() - n0 == n {
+                self.n_idx.truncate(n0);
+                None
+            } else {
+                Some(n0..self.n_idx.len())
+            };
+            self.classes.push(GatherClass {
+                k: k_range,
+                n: n_range,
+            });
+        }
+        Ok(())
+    }
+
+    /// Marks the weight panels packed by the last forward pass stale, so
+    /// the next [`gather_backward_into`] repacks them from its `w`. Call it
+    /// whenever the weights change in between (an optimiser step).
+    pub fn invalidate_panels(&mut self) {
+        self.panels_ready = false;
+    }
+
+    /// The output columns of the first resolved class: the kept neurons of
+    /// a single output-column gather (`resolve_cols`, `resolve_nm`,
+    /// `resolve_blocks`, `resolve_nk`); empty when that class computes
+    /// every column.
+    pub fn kept_cols(&self) -> &[usize] {
+        match self.classes.first() {
+            Some(GatherClass { n: Some(r), .. }) => &self.n_idx[r.clone()],
+            _ => &[],
+        }
+    }
+
+    /// Validates the resolved indices against a `k × n` weight operand.
+    fn check_fits(&self, k: usize, n: usize) -> Result<(), GemmError> {
+        check_kept_k(&self.k_idx, k)?;
+        check_kept_cols(&self.n_idx, n)
+    }
+}
+
+fn check_ascending(kept: &[usize], what: &str) -> Result<(), GemmError> {
+    if kept.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(GemmError::new(format!("{what} must be strictly ascending")));
+    }
+    Ok(())
 }
 
 fn check_kept_cols(kept: &[usize], n: usize) -> Result<(), GemmError> {
@@ -390,106 +656,6 @@ fn check_kept_k(kept_k: &[usize], k: usize) -> Result<(), GemmError> {
         )));
     }
     Ok(())
-}
-
-/// Packs the `kept` columns of `src` into the dense panel `dst`
-/// (`src.rows() × kept.len()`) — the shared scalar gather step of both
-/// compacted families (output-column gather and K-dimension gather alike).
-fn pack_cols(src: &Matrix, kept: &[usize], dst: &mut Matrix) {
-    let rows = src.rows();
-    dst.resize_for_overwrite(rows, kept.len());
-    for r in 0..rows {
-        let srow = src.row(r);
-        let drow = dst.row_mut(r);
-        for (c, &j) in kept.iter().enumerate() {
-            drow[c] = srow[j];
-        }
-    }
-}
-
-/// Packs the `kept` rows of `src` into the dense panel
-/// `dst` (`kept.len() × src.cols()`) — the K-dimension gather of the sampled
-/// weight operand, contiguous row copies with no strided access.
-fn pack_rows(src: &Matrix, kept: &[usize], dst: &mut Matrix) {
-    dst.resize_for_overwrite(kept.len(), src.cols());
-    for (r, &p) in kept.iter().enumerate() {
-        dst.row_mut(r).copy_from_slice(src.row(p));
-    }
-}
-
-/// Packs the `kept_k × kept_cols` sub-grid of `w` into a dense panel — the
-/// double-gathered weight operand of the composed gather-N × gather-K
-/// kernels.
-fn pack_rows_cols(w: &Matrix, kept_k: &[usize], kept_cols: &[usize], dst: &mut Matrix) {
-    dst.resize_for_overwrite(kept_k.len(), kept_cols.len());
-    for (r, &p) in kept_k.iter().enumerate() {
-        let srow = w.row(p);
-        let drow = dst.row_mut(r);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            drow[c] = srow[j];
-        }
-    }
-}
-
-/// Column-gather compacted GEMM: the shared execution core of every scheme
-/// that drops whole output neurons at scattered positions (the Row-based
-/// Dropout Pattern and N:M structured sparsity).
-///
-/// Computes `C = A * W` where only the output columns listed in `kept_cols`
-/// participate: the surviving columns of `W` are packed into a dense panel,
-/// a small `M × K × |kept|` GEMM runs, and the compact product is scattered
-/// back into the full-size zero output — steps 1–3 of the paper's
-/// Fig. 3(a), generalised to an arbitrary kept set.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept
-/// index is out of bounds.
-pub fn gather_cols_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_kept_cols(kept_cols, n)?;
-    // Pack only the kept columns of W into a dense panel (step 1: fetch
-    // only surviving synapses), …
-    pack_cols(w, kept_cols, &mut scratch.pack);
-    // … run the small GEMM (step 2), …
-    blocked_gemm_into(a, &scratch.pack, &mut scratch.product)?;
-    // … and scatter back into the full-size zero output (step 3).
-    let m = a.rows();
-    out.resize(m, n);
-    for i in 0..m {
-        let src = scratch.product.row(i);
-        let dst = out.row_mut(i);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
-        }
-    }
-    Ok(())
-}
-
-/// Row-compacted GEMM used by the Row-based Dropout Pattern, writing into
-/// `out` and packing through caller-owned `scratch`.
-///
-/// See [`row_compact_gemm`] for the semantics.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept index
-/// is out of bounds.
-pub fn row_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_output_rows: &[usize],
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    gather_cols_gemm_into(a, w, kept_output_rows, scratch, out)
 }
 
 /// Validates that `kept_cols` has the N:M group structure: exactly
@@ -537,56 +703,49 @@ fn check_nm_structure(
     Ok(())
 }
 
-/// Group-compacted GEMM for N:M structured sparsity, writing into `out`.
-///
-/// Validates that `kept_cols` keeps exactly `n` lanes of every `m`-wide
-/// output group (the structure a sparse-tensor-core kernel relies on) and
-/// executes through the shared column-gather core
-/// ([`gather_cols_gemm_into`]).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or `kept_cols`
-/// does not have the `n`-of-`m` group structure.
-pub fn nm_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    n: usize,
-    m: usize,
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_nm_structure(kept_cols, n, m, w.cols())?;
-    gather_cols_gemm_into(a, w, kept_cols, scratch, out)
+/// Packs the `kept` columns of `src` into the dense panel `dst`
+/// (`src.rows() × kept.len()`) — the scalar gather step shared by the
+/// output-column and K-dimension gathers alike.
+fn pack_cols(src: &Matrix, kept: &[usize], dst: &mut Matrix) {
+    let rows = src.rows();
+    dst.resize_for_overwrite(rows, kept.len());
+    for r in 0..rows {
+        let srow = src.row(r);
+        let drow = dst.row_mut(r);
+        for (c, &j) in kept.iter().enumerate() {
+            drow[c] = srow[j];
+        }
+    }
 }
 
-/// Allocating variant of [`nm_compact_gemm_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the same conditions.
-pub fn nm_compact_gemm(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    n: usize,
-    m: usize,
-) -> Result<Matrix, GemmError> {
-    let mut scratch = RowCompactScratch::default();
-    let mut out = Matrix::zeros(0, 0);
-    nm_compact_gemm_into(a, w, kept_cols, n, m, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Reusable gather buffers for the backward passes of the column-gather
-/// compacted schemes: the gathered (and gradient-scaled) output-gradient
-/// panel, the gathered weight panel and the compact weight-gradient product.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GatherColsScratch {
-    g_kept: Matrix,
-    w_kept: Matrix,
-    compact: Matrix,
+/// Packs a class's weight operand `W[k, n]` into `panel` and returns it, or
+/// returns `w` itself when the class gathers neither axis.
+fn pack_panel<'a>(
+    w: &'a Matrix,
+    k: Option<&[usize]>,
+    n: Option<&[usize]>,
+    panel: &'a mut Matrix,
+) -> &'a Matrix {
+    match (k, n) {
+        (None, None) => return w,
+        (None, Some(n)) => pack_cols(w, n, panel),
+        (Some(k), None) => {
+            panel.resize_for_overwrite(k.len(), w.cols());
+            for (r, &p) in k.iter().enumerate() {
+                panel.row_mut(r).copy_from_slice(w.row(p));
+            }
+        }
+        (Some(k), Some(n)) => {
+            panel.resize_for_overwrite(k.len(), n.len());
+            for (r, &p) in k.iter().enumerate() {
+                let (srow, drow) = (w.row(p), panel.row_mut(r));
+                for (c, &j) in n.iter().enumerate() {
+                    drow[c] = srow[j];
+                }
+            }
+        }
+    }
+    panel
 }
 
 /// Gathers the kept columns of `g`, scaled by `scale`, into `dst`.
@@ -602,378 +761,264 @@ fn gather_scaled_cols(g: &Matrix, kept_cols: &[usize], scale: f32, dst: &mut Mat
     }
 }
 
-/// Weight-gradient form of the column-gather compacted backward pass:
-/// `dW = Xᵀ · (scale · G[:, kept])`, scattered into the kept columns of
-/// `out` (shape `x.cols() × g.cols()`); dropped columns stay exactly zero.
+/// `dst[rows[r], cols[c]] = src[r, c] · scale`, where `None` means every
+/// index in order and no scale means a plain copy — the write-back of a
+/// compact product into its full-size output.
+fn scatter_into(
+    src: &Matrix,
+    rows: Option<&[usize]>,
+    cols: Option<&[usize]>,
+    scale: Option<f32>,
+    dst: &mut Matrix,
+) {
+    for r in 0..src.rows() {
+        let s = src.row(r);
+        let d = dst.row_mut(rows.map_or(r, |rows| rows[r]));
+        match (cols, scale) {
+            (Some(cols), None) => {
+                for (c, &j) in cols.iter().enumerate() {
+                    d[j] = s[c];
+                }
+            }
+            (Some(cols), Some(k)) => {
+                for (c, &j) in cols.iter().enumerate() {
+                    d[j] = s[c] * k;
+                }
+            }
+            (None, None) => d.copy_from_slice(s),
+            (None, Some(k)) => {
+                for (dv, &sv) in d.iter_mut().zip(s) {
+                    *dv = sv * k;
+                }
+            }
+        }
+    }
+}
+
+/// One class's dense sub-GEMM `dst = A[:, k] · W[k, n]`, packing both
+/// operands (`a_kept` and the class's weight `panel`).
+fn class_gemm(
+    a: &Matrix,
+    w: &Matrix,
+    k: Option<&[usize]>,
+    n: Option<&[usize]>,
+    a_kept: &mut Matrix,
+    panel: &mut Matrix,
+    dst: &mut Matrix,
+) -> Result<(), GemmError> {
+    let a_src = match k {
+        Some(k) => {
+            pack_cols(a, k, a_kept);
+            &*a_kept
+        }
+        None => a,
+    };
+    blocked_gemm_into(a_src, pack_panel(w, k, n, panel), dst)
+}
+
+/// Raw compacted product of the classes resolved in `scratch`:
+/// `C = Σ_class A[:, k] · W[k, n]`, each class's compact product scattered
+/// into (and, across classes, accumulated in) its output columns; columns
+/// no class computes are exactly zero. Packs every class's weight panel for
+/// a following [`gather_backward_into`].
 ///
-/// With activations `X` of shape `(batch, in)` and the full-width output
-/// gradient `G` of shape `(batch, out)` this is the weight gradient of a
-/// row- or N:M-compacted layer without ever materialising the dense
-/// zero-masked gradient.
+/// A single class gathering no output column writes straight into `out`, so
+/// resolving every inner index in order is bitwise [`blocked_gemm_into`].
 ///
 /// # Errors
 ///
-/// Returns a [`GemmError`] if the batch dimensions disagree or any kept
-/// index is out of bounds.
-pub fn gather_cols_gemm_at_b_into(
-    x: &Matrix,
-    g: &Matrix,
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherColsScratch,
+/// Returns a [`GemmError`] if the inner dimensions disagree or a resolved
+/// index is out of bounds for `a` and `w`.
+pub fn gather_gemm_into(
+    a: &Matrix,
+    w: &Matrix,
+    scratch: &mut GatherScratch,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    at_b_from_gathered(x, g.cols(), kept_cols, scratch, out)
-}
-
-/// `dW` tail of the gather backward given an already-gathered (and scaled)
-/// gradient panel in `scratch.g_kept`: compact product + scatter into the
-/// kept columns of `out`.
-fn at_b_from_gathered(
-    x: &Matrix,
-    n: usize,
-    kept_cols: &[usize],
-    scratch: &mut GatherColsScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    let GatherColsScratch {
-        g_kept, compact, ..
+    check_inner(a, w)?;
+    scratch.check_fits(w.rows(), w.cols())?;
+    let GatherScratch {
+        classes,
+        k_idx,
+        n_idx,
+        panels,
+        panels_ready,
+        a_kept,
+        product,
+        ..
     } = scratch;
-    gemm_at_b_into(x, g_kept, compact)?;
-    let k = x.cols();
-    out.resize(k, n);
-    for r in 0..k {
-        let src = compact.row(r);
-        let dst = out.row_mut(r);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
+    if panels.len() < classes.len() {
+        panels.resize_with(classes.len(), Matrix::default);
+    }
+    let single = classes.len() == 1;
+    if !(single && classes[0].n.is_none()) {
+        out.resize(a.rows(), w.cols());
+    }
+    for (class, panel) in classes.iter().zip(panels.iter_mut()) {
+        let k = class.k.clone().map(|r| &k_idx[r]);
+        let n = class.n.clone().map(|r| &n_idx[r]);
+        if single && n.is_none() {
+            class_gemm(a, w, k, n, a_kept, panel, out)?;
+            continue;
+        }
+        class_gemm(a, w, k, n, a_kept, panel, product)?;
+        if single {
+            scatter_into(product, None, n, None, out);
+            continue;
+        }
+        // Several classes share output columns: accumulate.
+        for i in 0..product.rows() {
+            let (src, dst) = (product.row(i), out.row_mut(i));
+            match n {
+                Some(n) => {
+                    for (c, &j) in n.iter().enumerate() {
+                        dst[j] += src[c];
+                    }
+                }
+                None => {
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d += s;
+                    }
+                }
+            }
         }
     }
+    *panels_ready = true;
     Ok(())
 }
 
-/// `dX` tail of the gather backward given an already-gathered (and scaled)
-/// gradient panel in `scratch.g_kept`: gather the kept weight columns and
-/// multiply.
-fn a_bt_from_gathered(
-    w: &Matrix,
-    kept_cols: &[usize],
-    scratch: &mut GatherColsScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    let GatherColsScratch { g_kept, w_kept, .. } = scratch;
-    pack_cols(w, kept_cols, w_kept);
-    gemm_a_bt_into(g_kept, w_kept, out)
+/// How the fused gather epilogue finishes the compacted product `v`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GatherEpilogue {
+    /// Dropped output neurons (row, N:M, block, and their CRS
+    /// compositions): kept column `j` becomes `act((v · pre + bias[j]) ·
+    /// post)` and every other column `act(0)`. Needs a single
+    /// output-column class.
+    Neurons {
+        /// Scale of the raw product before the bias (the CRS `K/k`
+        /// estimator; 1 without CRS).
+        pre: f32,
+        /// Inverted-dropout scale of the kept neurons.
+        post: f32,
+    },
+    /// Dropped synapses or inner products (tile, CRS): every column becomes
+    /// `act(v · pre + bias[j])`, so the bias survives where no kept synapse
+    /// feeds a neuron.
+    Synapses {
+        /// Scale of the raw product before the bias.
+        pre: f32,
+    },
 }
 
-/// Input-gradient form of the column-gather compacted backward pass:
-/// `dX = (scale · G[:, kept]) · W[:, kept]ᵀ` — only the synapses feeding
-/// kept output neurons contribute, and neither transpose is materialised.
+impl GatherEpilogue {
+    /// The factor the backward pass scales the output gradient by: every
+    /// scale the forward product went through.
+    pub fn grad_scale(self) -> f32 {
+        match self {
+            GatherEpilogue::Neurons { pre, post } => pre * post,
+            GatherEpilogue::Synapses { pre } => pre,
+        }
+    }
+}
+
+/// Fused whole-layer form of [`gather_gemm_into`]: the compacted product of
+/// the classes resolved in `scratch` with the bias add, scales and
+/// activation of `epilogue` in the write-back.
 ///
 /// # Errors
 ///
-/// Returns a [`GemmError`] if `g.cols() != w.cols()` or any kept index is
-/// out of bounds.
-pub fn gather_cols_gemm_a_bt_into(
-    g: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherColsScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    a_bt_from_gathered(w, kept_cols, scratch, out)
-}
-
-/// Fused backward pair of the column-gather compacted schemes: gathers the
-/// scaled kept gradient columns **once** and reuses the panel for both
-/// transposed-operand products,
-/// `dW = Xᵀ·(scale·G[:, kept])` (scattered into `dw_out`, dropped columns
-/// zero) and `dX = (scale·G[:, kept]) · W[:, kept]ᵀ` (into `dx_out`).
-///
-/// Equivalent to calling [`gather_cols_gemm_at_b_into`] then
-/// [`gather_cols_gemm_a_bt_into`], minus the second gather pass — this is
-/// the entry point the training hot path uses.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions of `x` and `g` disagree,
-/// `g.cols() != w.cols()`, or any kept index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a GEMM pair: 4 operands, 1 scale, scratch, 2 outputs
-pub fn gather_cols_backward_into(
-    x: &Matrix,
-    g: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherColsScratch,
-    dw_out: &mut Matrix,
-    dx_out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    at_b_from_gathered(x, g.cols(), kept_cols, scratch, dw_out)?;
-    a_bt_from_gathered(w, kept_cols, scratch, dx_out)
-}
-
-// ---------------------------------------------------------------------------
-// K-dimension gather (sampled-GEMM / CRS) kernels
-// ---------------------------------------------------------------------------
-
-/// Reusable gather buffers for the K-dimension sampled (CRS) kernels: the
-/// gathered activation-column panel, the gathered weight-row panel, the
-/// gathered (and gradient-scaled) output-gradient panel of the composed
-/// backward, and the compact product — recycled across iterations so the hot
-/// path performs no per-call allocations once warmed up.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GatherKScratch {
-    a_kept: Matrix,
-    w_kept: Matrix,
-    g_kept: Matrix,
-    compact: Matrix,
-}
-
-/// K-dimension sampled GEMM (column-row sampling, CRS): computes the **raw**
-/// sampled product `C = A[:, kept_k] · W[kept_k, :]` — only the inner
-/// products listed in `kept_k` participate. The kept columns of `A` and rows
-/// of `W` are packed into dense panels that route through the same blocked
-/// SIMD core as the dense kernel, so `kept_k == 0..K` (in order) is bitwise
-/// identical to [`blocked_gemm_into`].
-///
-/// The `K/k` unbiasedness scale is **not** applied here: the output is the
-/// raw sampled product and callers fold the scale into their epilogue (see
-/// [`gather_k_gemm_bias_act_into`]), which keeps the degeneracy bitwise and
-/// the scale placement identical between fused and unfused paths.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept
-/// inner index is out of bounds.
-pub fn gather_k_gemm_into(
+/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is not a
+/// `1 × w.cols()` row vector, a resolved index is out of bounds, or a
+/// [`GatherEpilogue::Neurons`] epilogue meets anything but a single
+/// output-column class.
+pub fn gather_gemm_bias_act_into(
     a: &Matrix,
     w: &Matrix,
-    kept_k: &[usize],
-    scratch: &mut GatherKScratch,
+    bias: &Matrix,
+    epilogue: GatherEpilogue,
+    act: Activation,
+    scratch: &mut GatherScratch,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
     check_inner(a, w)?;
-    check_kept_k(kept_k, a.cols())?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows(w, kept_k, &mut scratch.w_kept);
-    blocked_gemm_into(&scratch.a_kept, &scratch.w_kept, out)
-}
-
-/// Allocating variant of [`gather_k_gemm_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the same conditions.
-pub fn gather_k_gemm(a: &Matrix, w: &Matrix, kept_k: &[usize]) -> Result<Matrix, GemmError> {
-    let mut scratch = GatherKScratch::default();
-    let mut out = Matrix::zeros(0, 0);
-    gather_k_gemm_into(a, w, kept_k, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Composed gather-N × gather-K GEMM: the raw sampled product restricted to
-/// the kept output columns,
-/// `C[:, kept_cols] = A[:, kept_k] · W[kept_k, kept_cols]`, with dropped
-/// output columns exactly zero. One kernel call compacts **both** GEMM
-/// dimensions — the dropout pattern shrinks N while CRS shrinks K, so the
-/// two speedups multiply.
-///
-/// Like [`gather_k_gemm_into`] the output is unscaled; the composed epilogue
-/// applies both the `K/k` estimator scale and the inverted-dropout scale.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept
-/// index (inner or output) is out of bounds.
-pub fn gather_nk_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    kept_cols: &[usize],
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_kept_k(kept_k, a.cols())?;
-    check_kept_cols(kept_cols, n)?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows_cols(w, kept_k, kept_cols, &mut scratch.w_kept);
-    blocked_gemm_into(&scratch.a_kept, &scratch.w_kept, &mut scratch.compact)?;
-    let m = a.rows();
-    out.resize(m, n);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
-        let dst = out.row_mut(i);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
+    check_bias(bias, w.cols())?;
+    let brow = bias.row(0);
+    match epilogue {
+        GatherEpilogue::Synapses { pre } => {
+            gather_gemm_into(a, w, scratch, out)?;
+            for i in 0..out.rows() {
+                let row = out.row_mut(i);
+                simd::scale_add_bias(row, pre, brow);
+                act.apply_slice(row);
+            }
+        }
+        GatherEpilogue::Neurons { pre, post } => {
+            let (k, n) = match scratch.classes.as_slice() {
+                [GatherClass { k, n: Some(n) }] => (k.clone(), n.clone()),
+                _ => {
+                    return Err(GemmError::new(
+                        "a neuron epilogue needs a single output-column class",
+                    ))
+                }
+            };
+            scratch.check_fits(w.rows(), w.cols())?;
+            let GatherScratch {
+                k_idx,
+                n_idx,
+                panels,
+                panels_ready,
+                a_kept,
+                product,
+                ..
+            } = scratch;
+            if panels.is_empty() {
+                panels.push(Matrix::default());
+            }
+            let (k, kept) = (k.map(|r| &k_idx[r]), &n_idx[n]);
+            class_gemm(a, w, k, Some(kept), a_kept, &mut panels[0], product)?;
+            *panels_ready = true;
+            // Scatter with the whole epilogue fused into the write-back:
+            // kept columns take their activated scaled-bias pre-activation,
+            // and dropped columns, whose pre-activation is exactly zero, the
+            // constant `act(0)` — no activation pass over them.
+            let dropped = act.apply(0.0);
+            out.resize_for_overwrite(a.rows(), w.cols());
+            for i in 0..out.rows() {
+                let (src, dst) = (product.row(i), out.row_mut(i));
+                dst.fill(dropped);
+                for (c, &j) in kept.iter().enumerate() {
+                    dst[j] = act.apply((src[c] * pre + brow[j]) * post);
+                }
+            }
         }
     }
     Ok(())
 }
 
-/// Weight-gradient form of the K-sampled backward pass:
-/// `dW[kept_k, :] = scale · X[:, kept_k]ᵀ · G`, scattered into the kept rows
-/// of `out` (shape `x.cols() × g.cols()`); dropped weight rows stay exactly
-/// zero — the synapses whose inner products were skipped receive no update,
-/// and `scale` carries the `K/k` estimator correction.
+/// Backward pair of the gather core over the classes resolved in
+/// `scratch`: `dW[k, n] = scale · X[:, k]ᵀ · G[:, n]` and
+/// `dX[:, k] = scale · G[:, n] · W[k, n]ᵀ` per class, every entry no class
+/// covers exactly zero. Classes partition the inner indices, so each output
+/// entry comes from exactly one compact product.
+///
+/// The scale rides in the gradient gather when a class compacts the output
+/// columns, and in the scatter otherwise. The `dX` product reuses the
+/// weight panels the preceding forward pass packed on this scratch unless
+/// they were invalidated (see [`GatherScratch`]); `w` must then be the
+/// weight that forward pass saw.
 ///
 /// # Errors
 ///
-/// Returns a [`GemmError`] if the batch dimensions disagree or any kept
-/// inner index is out of bounds.
-pub fn gather_k_gemm_at_b_into(
-    x: &Matrix,
-    g: &Matrix,
-    kept_k: &[usize],
-    scale: f32,
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    check_kept_k(kept_k, x.cols())?;
-    pack_cols(x, kept_k, &mut scratch.a_kept);
-    gemm_at_b_into(&scratch.a_kept, g, &mut scratch.compact)?;
-    let (k, n) = (x.cols(), g.cols());
-    out.resize(k, n);
-    for (r, &p) in kept_k.iter().enumerate() {
-        let src = scratch.compact.row(r);
-        let dst = out.row_mut(p);
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = s * scale;
-        }
-    }
-    Ok(())
-}
-
-/// Input-gradient form of the K-sampled backward pass:
-/// `dX[:, kept_k] = scale · G · W[kept_k, :]ᵀ`, scattered into the kept
-/// columns of `out` (shape `g.rows() × w.rows()`); dropped input features
-/// receive exactly zero gradient.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if `g.cols() != w.cols()` or any kept inner index
-/// is out of bounds.
-pub fn gather_k_gemm_a_bt_into(
-    g: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    scale: f32,
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    check_kept_k(kept_k, w.rows())?;
-    pack_rows(w, kept_k, &mut scratch.w_kept);
-    gemm_a_bt_into(g, &scratch.w_kept, &mut scratch.compact)?;
-    let (m, k) = (g.rows(), w.rows());
-    out.resize(m, k);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
-        let dst = out.row_mut(i);
-        for (c, &p) in kept_k.iter().enumerate() {
-            dst[p] = src[c] * scale;
-        }
-    }
-    Ok(())
-}
-
-/// Backward pair of the K-sampled scheme: both transposed-operand products
-/// through one scratch —
-/// `dW[kept_k, :] = scale·X[:, kept_k]ᵀ·G` and
-/// `dX[:, kept_k] = scale·G·W[kept_k, :]ᵀ`. This is the entry point the
-/// training hot path uses.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the conditions of
-/// [`gather_k_gemm_at_b_into`] and [`gather_k_gemm_a_bt_into`].
-#[allow(clippy::too_many_arguments)] // a GEMM pair: 4 operands, 1 scale, scratch, 2 outputs
-pub fn gather_k_backward_into(
+/// Returns a [`GemmError`] if the batch dimensions of `x` and `g`, the
+/// output widths of `g` and `w`, or the inner dimensions of `x` and `w`
+/// disagree, or a resolved index is out of bounds.
+#[allow(clippy::too_many_arguments)] // a GEMM pair: 3 operands, 1 scale, scratch, 2 outputs
+pub fn gather_backward_into(
     x: &Matrix,
     g: &Matrix,
     w: &Matrix,
-    kept_k: &[usize],
     scale: f32,
-    scratch: &mut GatherKScratch,
-    dw_out: &mut Matrix,
-    dx_out: &mut Matrix,
-) -> Result<(), GemmError> {
-    gather_k_gemm_at_b_into(x, g, kept_k, scale, scratch, dw_out)?;
-    gather_k_gemm_a_bt_into(g, w, kept_k, scale, scratch, dx_out)
-}
-
-/// Backward pair of the composed gather-N × gather-K scheme: gathers the
-/// scaled kept gradient columns **once** and reuses the panel for both
-/// double-compacted products —
-/// `dW[kept_k, kept_cols] = X[:, kept_k]ᵀ · (scale·G[:, kept_cols])`
-/// (all other entries of `dw_out` exactly zero) and
-/// `dX[:, kept_k] = (scale·G[:, kept_cols]) · W[kept_k, kept_cols]ᵀ`.
-/// `scale` carries the product of the `K/k` estimator scale and the
-/// inverted-dropout scale.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions of `x` and `g` disagree,
-/// `g.cols() != w.cols()`, or any kept index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a GEMM pair: 4 operands, 2 kept sets, 1 scale, scratch, 2 outputs
-pub fn gather_nk_backward_into(
-    x: &Matrix,
-    g: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherKScratch,
+    scratch: &mut GatherScratch,
     dw_out: &mut Matrix,
     dx_out: &mut Matrix,
 ) -> Result<(), GemmError> {
@@ -991,35 +1036,72 @@ pub fn gather_nk_backward_into(
             w.shape()
         )));
     }
-    check_kept_k(kept_k, x.cols())?;
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    // dW: compact product over both kept sets, scattered into the kept
-    // (row, column) grid of the full-size zero weight gradient.
-    pack_cols(x, kept_k, &mut scratch.a_kept);
-    gemm_at_b_into(&scratch.a_kept, &scratch.g_kept, &mut scratch.compact)?;
-    let (k, n) = (x.cols(), g.cols());
-    dw_out.resize(k, n);
-    for (r, &p) in kept_k.iter().enumerate() {
-        let src = scratch.compact.row(r);
-        let dst = dw_out.row_mut(p);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
+    check_inner(x, w)?;
+    scratch.check_fits(w.rows(), w.cols())?;
+    let GatherScratch {
+        classes,
+        k_idx,
+        n_idx,
+        panels,
+        panels_ready,
+        a_kept,
+        g_kept,
+        product,
+        ..
+    } = scratch;
+    let reuse = *panels_ready;
+    if panels.len() < classes.len() {
+        panels.resize_with(classes.len(), Matrix::default);
+    }
+    let single = classes.len() == 1;
+    let dense = single && classes[0].k.is_none() && classes[0].n.is_none();
+    if !dense {
+        dw_out.resize(w.rows(), w.cols());
+    }
+    if !(single && classes[0].k.is_none()) {
+        dx_out.resize(g.rows(), w.rows());
+    }
+    for (class, panel) in classes.iter().zip(panels.iter_mut()) {
+        let k = class.k.clone().map(|r| &k_idx[r]);
+        let n = class.n.clone().map(|r| &n_idx[r]);
+        let (g_src, post) = match n {
+            Some(n) => {
+                gather_scaled_cols(g, n, scale, g_kept);
+                (&*g_kept, None)
+            }
+            None => (g, Some(scale)),
+        };
+        let x_src = match k {
+            Some(k) => {
+                pack_cols(x, k, a_kept);
+                &*a_kept
+            }
+            None => x,
+        };
+        let w_src = match (k, n) {
+            (None, None) => w,
+            _ if reuse => &*panel,
+            _ => pack_panel(w, k, n, panel),
+        };
+        if dense {
+            gemm_at_b_into(x, g, dw_out)?;
+            gemm_a_bt_into(g, w, dx_out)?;
+            if scale != 1.0 {
+                dw_out.map_inplace(|v| v * scale);
+                dx_out.map_inplace(|v| v * scale);
+            }
+            continue;
+        }
+        gemm_at_b_into(x_src, g_src, product)?;
+        scatter_into(product, k, n, post, dw_out);
+        if single && k.is_none() {
+            gemm_a_bt_into(g_src, w_src, dx_out)?;
+        } else {
+            gemm_a_bt_into(g_src, w_src, product)?;
+            scatter_into(product, None, k, post, dx_out);
         }
     }
-    // dX: the same gathered gradient panel against the double-gathered
-    // weight panel, scattered into the kept inner columns.
-    pack_rows_cols(w, kept_k, kept_cols, &mut scratch.w_kept);
-    gemm_a_bt_into(&scratch.g_kept, &scratch.w_kept, &mut scratch.compact)?;
-    let m = g.rows();
-    dx_out.resize(m, k);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
-        let dst = dx_out.row_mut(i);
-        for (c, &p) in kept_k.iter().enumerate() {
-            dst[p] = src[c];
-        }
-    }
+    *panels_ready = true;
     Ok(())
 }
 
@@ -1046,376 +1128,11 @@ pub fn row_compact_gemm(
     w: &Matrix,
     kept_output_rows: &[usize],
 ) -> Result<Matrix, GemmError> {
-    let mut scratch = RowCompactScratch::default();
+    let mut scratch = GatherScratch::default();
+    scratch.resolve_cols(kept_output_rows);
     let mut out = Matrix::zeros(0, 0);
-    row_compact_gemm_into(a, w, kept_output_rows, &mut scratch, &mut out)?;
+    gather_gemm_into(a, w, &mut scratch, &mut out)?;
     Ok(out)
-}
-
-/// Half-open `(weight_rows, weight_cols)` region covered by one kept tile.
-type TileBounds = (Range<usize>, Range<usize>);
-
-/// Resolves the kept tiles of a grid into `(row_range, col_range)` bounds.
-fn tile_bounds_list(
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-) -> Result<Vec<TileBounds>, GemmError> {
-    if tile == 0 {
-        return Err(GemmError::new("tile size must be positive"));
-    }
-    let tiles_per_row = w.cols().div_ceil(tile);
-    let tiles_per_col = w.rows().div_ceil(tile);
-    let total_tiles = tiles_per_row * tiles_per_col;
-    if let Some(&bad) = kept_tiles.iter().find(|&&t| t >= total_tiles) {
-        return Err(GemmError::new(format!(
-            "tile index {bad} out of bounds for a {tiles_per_col}x{tiles_per_row} tile grid"
-        )));
-    }
-    Ok(kept_tiles
-        .iter()
-        .map(|&t| {
-            let tile_row = t / tiles_per_row; // which block of W rows (input features)
-            let tile_col = t % tiles_per_row; // which block of W cols (output features)
-            let k_start = tile_row * tile;
-            let k_end = (k_start + tile).min(w.rows());
-            let j_start = tile_col * tile;
-            let j_end = (j_start + tile).min(w.cols());
-            (k_start..k_end, j_start..j_end)
-        })
-        .collect())
-}
-
-/// Per-row-chunk kernel for the tile-compacted GEMM: each output row visits
-/// only the kept tiles, accumulating `tile`-wide slice panels.
-fn tile_rows_kernel(
-    a: &Matrix,
-    w: &Matrix,
-    bounds: &[(Range<usize>, Range<usize>)],
-    rows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let n = w.cols();
-    for (local, i) in rows.enumerate() {
-        let arow = a.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for (kr, jr) in bounds {
-            let cslice = &mut crow[jr.clone()];
-            let apanel = &arow[kr.clone()];
-            let mut quads = apanel.chunks_exact(4);
-            let mut p = kr.start;
-            for quad in &mut quads {
-                axpy4(
-                    cslice,
-                    [quad[0], quad[1], quad[2], quad[3]],
-                    &w.row(p)[jr.clone()],
-                    &w.row(p + 1)[jr.clone()],
-                    &w.row(p + 2)[jr.clone()],
-                    &w.row(p + 3)[jr.clone()],
-                );
-                p += 4;
-            }
-            for &alpha in quads.remainder() {
-                axpy(cslice, alpha, &w.row(p)[jr.clone()]);
-                p += 1;
-            }
-        }
-    }
-}
-
-/// Tile-compacted GEMM used by the Tile-based Dropout Pattern, writing into
-/// `out`.
-///
-/// See [`tile_compact_gemm`] for the semantics.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `tile == 0`, or
-/// a tile index is outside the tile grid.
-pub fn tile_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let bounds = tile_bounds_list(w, kept_tiles, tile)?;
-    let m = a.rows();
-    let n = w.cols();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        tile_rows_kernel(a, w, &bounds, rows, chunk);
-    });
-    Ok(())
-}
-
-/// Tile-compacted GEMM used by the Tile-based Dropout Pattern.
-///
-/// `kept_tiles` lists the linear indices (row-major over the tile grid of the
-/// weight matrix `W`, tile size `tile × tile`) that are *kept*; every other
-/// tile of `W` is treated as zero. Only the kept tiles contribute to the
-/// product, which is what the GPU kernel achieves by fetching only those
-/// tiles into shared memory.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `tile == 0`, or a
-/// tile index is outside the tile grid.
-pub fn tile_compact_gemm(
-    a: &Matrix,
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-) -> Result<Matrix, GemmError> {
-    let mut out = Matrix::zeros(0, 0);
-    tile_compact_gemm_into(a, w, kept_tiles, tile, &mut out)?;
-    Ok(out)
-}
-
-/// Resolves kept block indices into clipped half-open output-column ranges
-/// of a `block`-wide grid over `n` output columns.
-fn block_col_ranges(
-    n: usize,
-    kept_blocks: &[usize],
-    block: usize,
-) -> Result<Vec<Range<usize>>, GemmError> {
-    if block == 0 {
-        return Err(GemmError::new("block width must be positive"));
-    }
-    let total = n.div_ceil(block);
-    if let Some(&bad) = kept_blocks.iter().find(|&&b| b >= total) {
-        return Err(GemmError::new(format!(
-            "block index {bad} out of bounds for {total} blocks of width {block}"
-        )));
-    }
-    Ok(kept_blocks
-        .iter()
-        .map(|&b| (b * block)..((b + 1) * block).min(n))
-        .collect())
-}
-
-/// Per-row-chunk kernel for the block-compacted GEMM: each output row
-/// streams the full K panel of `A` once per kept block, accumulating into
-/// the block's contiguous output slice — no gather, no pack, pure slice
-/// panels (the CPU analogue of perfectly coalesced column-strip fetches).
-fn block_rows_kernel(
-    a: &Matrix,
-    w: &Matrix,
-    ranges: &[Range<usize>],
-    rows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let n = w.cols();
-    for (local, i) in rows.enumerate() {
-        let arow = a.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for jr in ranges {
-            let cslice = &mut crow[jr.clone()];
-            let mut quads = arow.chunks_exact(4);
-            let mut p = 0;
-            for quad in &mut quads {
-                axpy4(
-                    cslice,
-                    [quad[0], quad[1], quad[2], quad[3]],
-                    &w.row(p)[jr.clone()],
-                    &w.row(p + 1)[jr.clone()],
-                    &w.row(p + 2)[jr.clone()],
-                    &w.row(p + 3)[jr.clone()],
-                );
-                p += 4;
-            }
-            for &alpha in quads.remainder() {
-                axpy(cslice, alpha, &w.row(p)[jr.clone()]);
-                p += 1;
-            }
-        }
-    }
-}
-
-/// Block-compacted GEMM for structured unit dropout, writing into `out`.
-///
-/// `kept_blocks` lists the surviving contiguous `block`-wide groups of
-/// output columns; only those column strips of `W` participate and the rest
-/// of the `(batch, out_features)` output stays zero. Because the strips are
-/// contiguous, the kernel streams slice panels directly — no gather or
-/// packing step at all, which is what makes block dropout the
-/// hardware-cheapest member of the structured family.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `block == 0`,
-/// or a block index is out of bounds.
-pub fn block_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let ranges = block_col_ranges(w.cols(), kept_blocks, block)?;
-    let m = a.rows();
-    let n = w.cols();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        block_rows_kernel(a, w, &ranges, rows, chunk);
-    });
-    Ok(())
-}
-
-/// Allocating variant of [`block_compact_gemm_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the same conditions.
-pub fn block_compact_gemm(
-    a: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-) -> Result<Matrix, GemmError> {
-    let mut out = Matrix::zeros(0, 0);
-    block_compact_gemm_into(a, w, kept_blocks, block, &mut out)?;
-    Ok(out)
-}
-
-/// Per-row-chunk kernel for the block-compacted `C = Xᵀ · (scale·G)`: the
-/// chunk covers rows `p` of `C` and only the kept column strips are
-/// accumulated.
-fn block_at_b_rows_kernel(
-    x: &Matrix,
-    g: &Matrix,
-    ranges: &[Range<usize>],
-    scale: f32,
-    prows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let batch = x.rows();
-    let n = g.cols();
-    let mut i = 0;
-    while i + 4 <= batch {
-        let (x0, x1, x2, x3) = (x.row(i), x.row(i + 1), x.row(i + 2), x.row(i + 3));
-        let (g0, g1, g2, g3) = (g.row(i), g.row(i + 1), g.row(i + 2), g.row(i + 3));
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            let alpha = [x0[p] * scale, x1[p] * scale, x2[p] * scale, x3[p] * scale];
-            for jr in ranges {
-                axpy4(
-                    &mut crow[jr.clone()],
-                    alpha,
-                    &g0[jr.clone()],
-                    &g1[jr.clone()],
-                    &g2[jr.clone()],
-                    &g3[jr.clone()],
-                );
-            }
-        }
-        i += 4;
-    }
-    while i < batch {
-        let xrow = x.row(i);
-        let grow = g.row(i);
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            let alpha = xrow[p] * scale;
-            for jr in ranges {
-                axpy(&mut crow[jr.clone()], alpha, &grow[jr.clone()]);
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Weight-gradient form of the block-compacted backward pass:
-/// `dW = Xᵀ · (scale · G)` restricted to the kept `block`-wide column
-/// strips of `out` (shape `x.cols() × g.cols()`); dropped strips stay
-/// exactly zero and no transpose or mask matrix is materialised.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions disagree, `block == 0`,
-/// or a block index is out of bounds.
-pub fn block_compact_gemm_at_b_into(
-    x: &Matrix,
-    g: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    scale: f32,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    let ranges = block_col_ranges(g.cols(), kept_blocks, block)?;
-    let (k, n) = (x.cols(), g.cols());
-    out.resize(k, n);
-    pool::run_row_chunks(k, n, out.as_mut_slice(), |prows, chunk| {
-        block_at_b_rows_kernel(x, g, &ranges, scale, prows, chunk);
-    });
-    Ok(())
-}
-
-/// Per-row-chunk kernel for the block-compacted `C = (scale·G) · Wᵀ`: row
-/// `i` of `C` accumulates per-block dot products against the kept column
-/// strips of `W`.
-fn block_a_bt_rows_kernel(
-    g: &Matrix,
-    w: &Matrix,
-    ranges: &[Range<usize>],
-    scale: f32,
-    rows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let n = w.rows();
-    for (local, i) in rows.enumerate() {
-        let grow = g.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for (p, cj) in crow.iter_mut().enumerate() {
-            let wrow = w.row(p);
-            let mut acc = 0.0;
-            for jr in ranges {
-                acc += dot(&grow[jr.clone()], &wrow[jr.clone()]);
-            }
-            *cj = acc * scale;
-        }
-    }
-}
-
-/// Input-gradient form of the block-compacted backward pass:
-/// `dX = (scale · G) · Wᵀ` where only the kept `block`-wide column strips
-/// of `W` contribute — the synapses of dropped blocks are skipped entirely.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if `g.cols() != w.cols()`, `block == 0`, or a
-/// block index is out of bounds.
-pub fn block_compact_gemm_a_bt_into(
-    g: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    scale: f32,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    let ranges = block_col_ranges(g.cols(), kept_blocks, block)?;
-    let (m, n) = (g.rows(), w.rows());
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        block_a_bt_rows_kernel(g, w, &ranges, scale, rows, chunk);
-    });
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1589,272 +1306,12 @@ pub fn gemm_bias_act_masked_into(
     Ok(())
 }
 
-/// Fused column-gather whole-layer kernel: the compacted GEMM of
-/// [`gather_cols_gemm_into`] with the bias add, inverted-dropout scale and
-/// activation folded into the scatter step —
-/// `C[:, j] = act((A·W[:, kept] + bias[j]) · scale)` for kept columns `j`
-/// and `act(0)` for dropped columns (exactly what the unfused
-/// compact → bias/scale → activation chain produces, since the dropped
-/// pre-activations are zero).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is not a
-/// `1 × w.cols()` row vector, or any kept index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a whole layer: 3 operands + plan params + scratch + out
-pub fn gather_cols_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    check_kept_cols(kept_cols, n)?;
-    // Pack the kept columns and run the small GEMM exactly like the unfused
-    // kernel …
-    pack_cols(w, kept_cols, &mut scratch.pack);
-    blocked_gemm_into(a, &scratch.pack, &mut scratch.product)?;
-    // … then scatter with the whole epilogue fused into the write-back: the
-    // scaled-bias pre-activations land in the kept columns of a zeroed row
-    // (dropped pre-activations are exactly zero) and the activation runs
-    // vectorised over the full row — `act(0)` in the dropped columns, same
-    // as the unfused chain.
-    let m = a.rows();
-    let brow = bias.row(0);
-    out.resize_for_overwrite(m, n);
-    for i in 0..m {
-        let src = scratch.product.row(i);
-        let dst = out.row_mut(i);
-        dst.fill(0.0);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = (src[c] + brow[j]) * scale;
-        }
-        act.apply_slice(dst);
-    }
-    Ok(())
-}
-
-/// Fused N:M whole-layer kernel: validates the `n`-of-`m` group structure and
-/// executes through [`gather_cols_gemm_bias_act_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, or `kept_cols` does not have the `n`-of-`m` group structure.
-#[allow(clippy::too_many_arguments)]
-pub fn nm_compact_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    n: usize,
-    m: usize,
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_nm_structure(kept_cols, n, m, w.cols())?;
-    gather_cols_gemm_bias_act_into(a, w, kept_cols, bias, scale, act, scratch, out)
-}
-
-/// Fused K-sampled whole-layer kernel: the sampled GEMM of
-/// [`gather_k_gemm_into`] with the `K/k` estimator scale, bias add and
-/// activation folded into the write-back —
-/// `C = act(crs_scale · A[:, kept_k]·W[kept_k, :] + bias)`. The scale
-/// corrects the **raw product before the bias**, so the bias itself is never
-/// inflated by the estimator; `kept_k == 0..K` with `crs_scale == 1` is
-/// bitwise identical to [`gemm_bias_act_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is not a
-/// `1 × w.cols()` row vector, or any kept inner index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a whole layer: 3 operands + plan params + scratch + out
-pub fn gather_k_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    bias: &Matrix,
-    crs_scale: f32,
-    act: Activation,
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    check_kept_k(kept_k, a.cols())?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows(w, kept_k, &mut scratch.w_kept);
-    let m = a.rows();
-    out.resize(m, n);
-    let bl = tune::blocking(m, kept_k.len(), n);
-    let (a_kept, w_kept) = (&scratch.a_kept, &scratch.w_kept);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a_kept, w_kept, rows, chunk, bl);
-        let brow = bias.row(0);
-        for row in chunk.chunks_exact_mut(n) {
-            simd::scale_add_bias(row, crs_scale, brow);
-            act.apply_slice(row);
-        }
-    });
-    Ok(())
-}
-
-/// Fused composed gather-N × gather-K whole-layer kernel: the
-/// double-compacted GEMM of [`gather_nk_gemm_into`] with both scales, the
-/// bias add and the activation fused into the scatter —
-/// `C[:, j] = act((crs_scale · p + bias[j]) · row_scale)` for kept output
-/// columns `j` (with `p` the compact sampled product) and `act(0)` for
-/// dropped columns, exactly what the unfused compact → epilogue chain
-/// produces.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, or any kept index (inner or output) is out of bounds.
-#[allow(clippy::too_many_arguments)] // a whole layer: 3 operands + plan params + scratch + out
-pub fn gather_nk_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    kept_cols: &[usize],
-    bias: &Matrix,
-    crs_scale: f32,
-    row_scale: f32,
-    act: Activation,
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    check_kept_k(kept_k, a.cols())?;
-    check_kept_cols(kept_cols, n)?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows_cols(w, kept_k, kept_cols, &mut scratch.w_kept);
-    blocked_gemm_into(&scratch.a_kept, &scratch.w_kept, &mut scratch.compact)?;
-    let m = a.rows();
-    let brow = bias.row(0);
-    out.resize_for_overwrite(m, n);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
-        let dst = out.row_mut(i);
-        dst.fill(0.0);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = (src[c] * crs_scale + brow[j]) * row_scale;
-        }
-        act.apply_slice(dst);
-    }
-    Ok(())
-}
-
-/// Fused block-compacted whole-layer kernel: the contiguous column strips of
-/// [`block_compact_gemm_into`] with `act((v + bias[j]) · scale)` applied in
-/// the write-back for kept strips and `act(0)` filled elsewhere.
-///
-/// `kept_blocks` must be ascending (which is how every `DropoutPlan`
-/// resolves its kept-block list); unsorted lists are rejected.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, `block == 0`, a block index is out of bounds, or
-/// `kept_blocks` is not strictly ascending.
-#[allow(clippy::too_many_arguments)]
-pub fn block_compact_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    if kept_blocks.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(GemmError::new(
-            "kept blocks must be strictly ascending for the fused kernel",
-        ));
-    }
-    let ranges = block_col_ranges(n, kept_blocks, block)?;
-    let m = a.rows();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        block_rows_kernel(a, w, &ranges, rows, chunk);
-        let brow = bias.row(0);
-        for row in chunk.chunks_exact_mut(n) {
-            // Scaled-bias pre-activations over the kept strips, exact zero
-            // over the complement (the ranges are ascending so one forward
-            // walk covers both), then one vectorised activation pass over
-            // the whole row — `act(0)` in dropped strips, same as the
-            // unfused chain.
-            let mut cursor = 0;
-            for jr in &ranges {
-                row[cursor..jr.start].fill(0.0);
-                simd::add_bias_scale(&mut row[jr.clone()], &brow[jr.clone()], scale);
-                cursor = jr.end;
-            }
-            row[cursor..].fill(0.0);
-            act.apply_slice(row);
-        }
-    });
-    Ok(())
-}
-
-/// Fused tile-compacted whole-layer kernel: the kept-tile GEMM of
-/// [`tile_compact_gemm_into`] with the tile path's epilogue
-/// (`act(v · scale + bias[j])` over **every** output column — the tile
-/// pattern adds bias to dropped columns too, matching the unfused
-/// scale → bias broadcast → activation chain bitwise).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, `tile == 0`, or a tile index is outside the tile grid.
-#[allow(clippy::too_many_arguments)]
-pub fn tile_compact_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    let bounds = tile_bounds_list(w, kept_tiles, tile)?;
-    let m = a.rows();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        tile_rows_kernel(a, w, &bounds, rows, chunk);
-        let brow = bias.row(0);
-        for row in chunk.chunks_exact_mut(n) {
-            simd::scale_add_bias(row, scale, brow);
-            act.apply_slice(row);
-        }
-    });
-    Ok(())
-}
-
 /// Reference implementation of tile dropout through explicit masking.
 ///
 /// Builds the full masked weight matrix (kept tiles preserved, dropped tiles
 /// zeroed) and multiplies densely — the slow path that conventional dropout
-/// is stuck with. Used to validate [`tile_compact_gemm`].
+/// is stuck with. Used to validate the gather core's tile classes
+/// ([`GatherScratch::resolve_tiles`]).
 ///
 /// # Errors
 ///
@@ -1891,6 +1348,59 @@ mod tests {
 
     fn random_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
         init::uniform(rng, r, c, -1.0, 1.0)
+    }
+
+    /// Raw gather-core product over the classes `resolve` sets up.
+    fn gather(
+        a: &Matrix,
+        w: &Matrix,
+        resolve: impl FnOnce(&mut GatherScratch) -> Result<(), GemmError>,
+    ) -> Result<Matrix, GemmError> {
+        let mut scratch = GatherScratch::default();
+        resolve(&mut scratch)?;
+        let mut out = Matrix::zeros(0, 0);
+        gather_gemm_into(a, w, &mut scratch, &mut out)?;
+        Ok(out)
+    }
+
+    fn tile_gather(
+        a: &Matrix,
+        w: &Matrix,
+        kept: &[usize],
+        tile: usize,
+    ) -> Result<Matrix, GemmError> {
+        gather(a, w, |s| s.resolve_tiles(kept, tile, w.rows(), w.cols()))
+    }
+
+    fn block_gather(
+        a: &Matrix,
+        w: &Matrix,
+        blocks: &[usize],
+        block: usize,
+    ) -> Result<Matrix, GemmError> {
+        gather(a, w, |s| s.resolve_blocks(blocks, block, w.cols()))
+    }
+
+    fn nm_gather(
+        a: &Matrix,
+        w: &Matrix,
+        kept: &[usize],
+        n: usize,
+        m: usize,
+    ) -> Result<Matrix, GemmError> {
+        gather(a, w, |s| s.resolve_nm(kept, n, m, w.cols()))
+    }
+
+    fn k_gather(a: &Matrix, w: &Matrix, kept_k: &[usize]) -> Result<Matrix, GemmError> {
+        gather(a, w, |s| {
+            s.resolve_k(kept_k);
+            Ok(())
+        })
+    }
+
+    /// The output-neuron epilogue without a CRS scale.
+    fn neurons(post: f32) -> GatherEpilogue {
+        GatherEpilogue::Neurons { pre: 1.0, post }
     }
 
     #[test]
@@ -2068,14 +1578,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let a = random_matrix(&mut rng, 6, 10);
         let w = random_matrix(&mut rng, 10, 8);
-        let mut scratch = RowCompactScratch::default();
+        let mut scratch = GatherScratch::default();
         let mut out = Matrix::zeros(0, 0);
-        row_compact_gemm_into(&a, &w, &[0, 2, 4, 6], &mut scratch, &mut out).unwrap();
-        let pack_ptr = scratch.pack.as_slice().as_ptr();
+        scratch.resolve_cols(&[0, 2, 4, 6]);
+        gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
+        let pack_ptr = scratch.panels[0].as_slice().as_ptr();
         let out_ptr = out.as_slice().as_ptr();
         // Second call with the same kept-count: every buffer is reused.
-        row_compact_gemm_into(&a, &w, &[1, 3, 5, 7], &mut scratch, &mut out).unwrap();
-        assert_eq!(pack_ptr, scratch.pack.as_slice().as_ptr());
+        scratch.resolve_cols(&[1, 3, 5, 7]);
+        gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
+        assert_eq!(pack_ptr, scratch.panels[0].as_slice().as_ptr());
         assert_eq!(out_ptr, out.as_slice().as_ptr());
     }
 
@@ -2086,7 +1598,7 @@ mod tests {
         let w = random_matrix(&mut rng, 12, 10);
         let tile = 4;
         let kept = vec![0, 2, 5, 7];
-        let compact = tile_compact_gemm(&a, &w, &kept, tile).unwrap();
+        let compact = tile_gather(&a, &w, &kept, tile).unwrap();
         let reference = tile_masked_gemm_reference(&a, &w, &kept, tile).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2102,7 +1614,7 @@ mod tests {
         let w = random_matrix(&mut rng, 8, 8);
         let tile = 4;
         let all: Vec<usize> = (0..4).collect();
-        let compact = tile_compact_gemm(&a, &w, &all, tile).unwrap();
+        let compact = tile_gather(&a, &w, &all, tile).unwrap();
         let dense = naive_gemm(&a, &w).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2115,7 +1627,7 @@ mod tests {
     fn tile_compact_rejects_zero_tile_size() {
         let a = Matrix::zeros(4, 4);
         let w = Matrix::zeros(4, 4);
-        assert!(tile_compact_gemm(&a, &w, &[0], 0).is_err());
+        assert!(tile_gather(&a, &w, &[0], 0).is_err());
     }
 
     #[test]
@@ -2123,7 +1635,7 @@ mod tests {
         let a = Matrix::zeros(4, 4);
         let w = Matrix::zeros(4, 4);
         // 4x4 weight with tile 4 has exactly one tile (index 0).
-        assert!(tile_compact_gemm(&a, &w, &[1], 4).is_err());
+        assert!(tile_gather(&a, &w, &[1], 4).is_err());
     }
 
     #[test]
@@ -2133,7 +1645,7 @@ mod tests {
         let w = random_matrix(&mut rng, 7, 9);
         let tile = 4; // 2x3 tile grid with ragged edges
         let kept = vec![0, 3, 5];
-        let compact = tile_compact_gemm(&a, &w, &kept, tile).unwrap();
+        let compact = tile_gather(&a, &w, &kept, tile).unwrap();
         let reference = tile_masked_gemm_reference(&a, &w, &kept, tile).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2142,8 +1654,36 @@ mod tests {
         ));
     }
 
-    /// Dense column-multiplier reference for the gather/block kernels: zero
-    /// the dropped columns of `w`, multiply naively.
+    #[test]
+    fn tile_classes_group_rows_that_keep_the_same_strips() {
+        // The MLP's first layer at tile 32: 25 tile rows (the last ragged)
+        // of 8 strips. TDP keeps tiles t ≡ bias (mod dp), so tile row r keeps
+        // strips c ≡ bias − 8r (mod dp): at most dp distinct strip sets, one
+        // when dp divides 8.
+        let (k, n, tile, total) = (784, 256, 32, 25 * 8);
+        let mut scratch = GatherScratch::default();
+        for dp in 1..=8 {
+            for bias in 0..dp {
+                let kept: Vec<usize> = (bias..total).step_by(dp).collect();
+                scratch.resolve_tiles(&kept, tile, k, n).unwrap();
+                let classes = &scratch.classes;
+                assert!(classes.len() <= dp, "dp {dp} bias {bias}");
+                if 8 % dp == 0 {
+                    assert_eq!(classes.len(), 1, "dp {dp}: one column gather");
+                    assert!(classes[0].k.is_none(), "dp {dp}: over the full K");
+                    assert_eq!(classes[0].n.is_none(), dp == 1, "dense only at dp 1");
+                }
+                // The classes partition the inner indices.
+                let mut ks = scratch.k_idx.clone();
+                ks.sort_unstable();
+                ks.dedup();
+                assert_eq!(ks.len(), scratch.k_idx.len(), "dp {dp} bias {bias}");
+            }
+        }
+    }
+
+    /// Dense column-multiplier reference for the column gathers (rows, N:M,
+    /// blocks): zero the dropped columns of `w`, multiply naively.
     fn col_masked_reference(a: &Matrix, w: &Matrix, kept: &[usize]) -> Matrix {
         let mut masked = w.clone();
         for j in 0..w.cols() {
@@ -2163,7 +1703,7 @@ mod tests {
         let w = random_matrix(&mut rng, 9, 8);
         // 2:4 over 8 columns: lanes {1,3} and {4,6}.
         let kept = vec![1, 3, 4, 6];
-        let compact = nm_compact_gemm(&a, &w, &kept, 2, 4).unwrap();
+        let compact = nm_gather(&a, &w, &kept, 2, 4).unwrap();
         let reference = col_masked_reference(&a, &w, &kept);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2177,13 +1717,13 @@ mod tests {
         let a = Matrix::zeros(2, 4);
         let w = Matrix::zeros(4, 8);
         // Three lanes in the first group of four.
-        assert!(nm_compact_gemm(&a, &w, &[0, 1, 2, 4, 6], 2, 4).is_err());
+        assert!(nm_gather(&a, &w, &[0, 1, 2, 4, 6], 2, 4).is_err());
         // Unsorted lanes inside a group.
-        assert!(nm_compact_gemm(&a, &w, &[3, 1, 4, 6], 2, 4).is_err());
+        assert!(nm_gather(&a, &w, &[3, 1, 4, 6], 2, 4).is_err());
         // Lane past the output width.
-        assert!(nm_compact_gemm(&a, &w, &[1, 3, 4, 8], 2, 4).is_err());
+        assert!(nm_gather(&a, &w, &[1, 3, 4, 8], 2, 4).is_err());
         // Correct structure passes.
-        assert!(nm_compact_gemm(&a, &w, &[0, 1, 4, 5], 2, 4).is_ok());
+        assert!(nm_gather(&a, &w, &[0, 1, 4, 5], 2, 4).is_ok());
     }
 
     #[test]
@@ -2193,7 +1733,7 @@ mod tests {
         let w = random_matrix(&mut rng, 5, 10);
         // 3:4 over 10 columns: tail group {8, 9} keeps min(3, 2) = 2 lanes.
         let kept = vec![0, 2, 3, 5, 6, 7, 8, 9];
-        let compact = nm_compact_gemm(&a, &w, &kept, 3, 4).unwrap();
+        let compact = nm_gather(&a, &w, &kept, 3, 4).unwrap();
         let reference = col_masked_reference(&a, &w, &kept);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2210,7 +1750,7 @@ mod tests {
         let w = random_matrix(&mut rng, 5, 9); // (in, out)
         let kept = vec![0, 3, 4, 8];
         let scale = 2.25f32;
-        let mut scratch = GatherColsScratch::default();
+        let mut scratch = GatherScratch::default();
 
         // dW reference: Xᵀ · (scale · G ⊙ column mask).
         let mut g_masked = Matrix::zeros(7, 9);
@@ -2220,8 +1760,9 @@ mod tests {
             }
         }
         let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
-        let mut dw = Matrix::zeros(0, 0);
-        gather_cols_gemm_at_b_into(&x, &g, &kept, scale, &mut scratch, &mut dw).unwrap();
+        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        scratch.resolve_cols(&kept);
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
         assert_eq!(dw.shape(), (5, 9));
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
@@ -2232,8 +1773,6 @@ mod tests {
         // dX reference: (scale · G ⊙ mask) · Wᵀ with dropped columns of W
         // contributing nothing.
         let dx_ref = naive_gemm(&g_masked, &w.transpose()).unwrap();
-        let mut dx = Matrix::zeros(0, 0);
-        gather_cols_gemm_a_bt_into(&g, &w, &kept, scale, &mut scratch, &mut dx).unwrap();
         assert_eq!(dx.shape(), (7, 5));
         assert!(crate::approx_eq_slice(
             dx.as_slice(),
@@ -2251,75 +1790,51 @@ mod tests {
         let kept = vec![1, 2, 6, 9];
         let scale = 3.0f32;
 
-        let mut s1 = GatherColsScratch::default();
+        // Without a forward pass the pair packs W[:, kept] itself …
+        let mut s1 = GatherScratch::default();
+        s1.resolve_cols(&kept);
         let mut dw_ref = Matrix::zeros(0, 0);
         let mut dx_ref = Matrix::zeros(0, 0);
-        gather_cols_gemm_at_b_into(&x, &g, &kept, scale, &mut s1, &mut dw_ref).unwrap();
-        gather_cols_gemm_a_bt_into(&g, &w, &kept, scale, &mut s1, &mut dx_ref).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut s1, &mut dw_ref, &mut dx_ref).unwrap();
 
-        let mut s2 = GatherColsScratch::default();
+        // … while after a forward pass the backward reuses its panel.
+        let mut s2 = GatherScratch::default();
+        s2.resolve_cols(&kept);
+        let mut y = Matrix::zeros(0, 0);
+        gather_gemm_into(&x, &w, &mut s2, &mut y).unwrap();
         let mut dw = Matrix::zeros(0, 0);
         let mut dx = Matrix::zeros(0, 0);
-        gather_cols_backward_into(&x, &g, &w, &kept, scale, &mut s2, &mut dw, &mut dx).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut s2, &mut dw, &mut dx).unwrap();
         assert_eq!(dw, dw_ref);
         assert_eq!(dx, dx_ref);
 
         // Shape mismatches are rejected up front.
-        assert!(gather_cols_backward_into(
-            &Matrix::zeros(5, 4),
-            &g,
-            &w,
-            &kept,
-            scale,
-            &mut s2,
-            &mut dw,
-            &mut dx
-        )
-        .is_err());
-        assert!(gather_cols_backward_into(
-            &x,
-            &g,
-            &Matrix::zeros(4, 9),
-            &kept,
-            scale,
-            &mut s2,
-            &mut dw,
-            &mut dx
-        )
-        .is_err());
+        let bad_x = Matrix::zeros(5, 4);
+        assert!(gather_backward_into(&bad_x, &g, &w, scale, &mut s2, &mut dw, &mut dx).is_err());
+        let bad_w = Matrix::zeros(4, 9);
+        assert!(gather_backward_into(&x, &g, &bad_w, scale, &mut s2, &mut dw, &mut dx).is_err());
     }
 
     #[test]
     fn gather_backward_rejects_bad_shapes() {
-        let mut scratch = GatherColsScratch::default();
-        let mut out = Matrix::zeros(0, 0);
-        assert!(gather_cols_gemm_at_b_into(
-            &Matrix::zeros(3, 4),
-            &Matrix::zeros(2, 5),
-            &[0],
-            1.0,
-            &mut scratch,
-            &mut out
-        )
-        .is_err());
-        assert!(gather_cols_gemm_a_bt_into(
-            &Matrix::zeros(3, 5),
-            &Matrix::zeros(4, 6),
-            &[0],
-            1.0,
-            &mut scratch,
-            &mut out
-        )
-        .is_err());
-        assert!(gather_cols_gemm_a_bt_into(
-            &Matrix::zeros(3, 5),
-            &Matrix::zeros(4, 5),
-            &[5],
-            1.0,
-            &mut scratch,
-            &mut out
-        )
-        .is_err());
+        let mut scratch = GatherScratch::default();
+        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut backward = |x: &Matrix, g: &Matrix, w: &Matrix, kept: &[usize]| {
+            scratch.resolve_cols(kept);
+            gather_backward_into(x, g, w, 1.0, &mut scratch, &mut dw, &mut dx)
+        };
+        // Batch, output-width and inner-dimension mismatches.
+        let (x, g, w) = (
+            Matrix::zeros(3, 4),
+            Matrix::zeros(3, 5),
+            Matrix::zeros(4, 5),
+        );
+        assert!(backward(&x, &Matrix::zeros(2, 5), &w, &[0]).is_err());
+        assert!(backward(&x, &g, &Matrix::zeros(4, 6), &[0]).is_err());
+        assert!(backward(&Matrix::zeros(3, 3), &g, &w, &[0]).is_err());
+        // A kept column past the output width.
+        assert!(backward(&x, &g, &w, &[5]).is_err());
+        assert!(backward(&x, &g, &w, &[4]).is_ok());
     }
 
     #[test]
@@ -2329,7 +1844,7 @@ mod tests {
         let w = random_matrix(&mut rng, 7, 10); // 3 blocks of 4 (last ragged)
         let kept_blocks = vec![0, 2];
         let kept_cols: Vec<usize> = (0..4).chain(8..10).collect();
-        let compact = block_compact_gemm(&a, &w, &kept_blocks, 4).unwrap();
+        let compact = block_gather(&a, &w, &kept_blocks, 4).unwrap();
         let reference = col_masked_reference(&a, &w, &kept_cols);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2343,7 +1858,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(63);
         let a = random_matrix(&mut rng, 6, 8);
         let w = random_matrix(&mut rng, 8, 12);
-        let compact = block_compact_gemm(&a, &w, &[0, 1, 2], 4).unwrap();
+        let compact = block_gather(&a, &w, &[0, 1, 2], 4).unwrap();
         let dense = naive_gemm(&a, &w).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2356,8 +1871,9 @@ mod tests {
     fn block_compact_rejects_bad_parameters() {
         let a = Matrix::zeros(2, 4);
         let w = Matrix::zeros(4, 8);
-        assert!(block_compact_gemm(&a, &w, &[0], 0).is_err());
-        assert!(block_compact_gemm(&a, &w, &[2], 4).is_err()); // 2 blocks only
+        assert!(block_gather(&a, &w, &[0], 0).is_err());
+        assert!(block_gather(&a, &w, &[2], 4).is_err()); // 2 blocks only
+        assert!(block_gather(&a, &w, &[1, 1], 4).is_err()); // repeated block
     }
 
     #[test]
@@ -2378,8 +1894,10 @@ mod tests {
         }
 
         let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
-        let mut dw = Matrix::zeros(0, 0);
-        block_compact_gemm_at_b_into(&x, &g, &kept_blocks, 4, scale, &mut dw).unwrap();
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_blocks(&kept_blocks, 4, 11).unwrap();
+        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
         assert_eq!(dw.shape(), (5, 11));
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
@@ -2388,8 +1906,6 @@ mod tests {
         ));
 
         let dx_ref = naive_gemm(&g_masked, &w.transpose()).unwrap();
-        let mut dx = Matrix::zeros(0, 0);
-        block_compact_gemm_a_bt_into(&g, &w, &kept_blocks, 4, scale, &mut dx).unwrap();
         assert_eq!(dx.shape(), (6, 5));
         assert!(crate::approx_eq_slice(
             dx.as_slice(),
@@ -2403,9 +1919,12 @@ mod tests {
         // Batch sizes off the 4-row panel exercise the scalar tail of the
         // unrolled at_b kernel.
         let mut rng = StdRng::seed_from_u64(71);
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_blocks(&[0], 4, 8).unwrap();
         for batch in [1usize, 2, 3, 5] {
             let x = random_matrix(&mut rng, batch, 4);
             let g = random_matrix(&mut rng, batch, 8);
+            let w = random_matrix(&mut rng, 4, 8);
             let mut g_masked = Matrix::zeros(batch, 8);
             for i in 0..batch {
                 for j in 0..4 {
@@ -2413,8 +1932,8 @@ mod tests {
                 }
             }
             let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
-            let mut dw = Matrix::zeros(0, 0);
-            block_compact_gemm_at_b_into(&x, &g, &[0], 4, 1.0, &mut dw).unwrap();
+            let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            gather_backward_into(&x, &g, &w, 1.0, &mut scratch, &mut dw, &mut dx).unwrap();
             assert!(
                 crate::approx_eq_slice(dw.as_slice(), dw_ref.as_slice(), 1e-4),
                 "batch {batch}"
@@ -2487,19 +2006,11 @@ mod tests {
                 }
             }
             reference.map_inplace(|v| act.apply(v));
-            let mut scratch = RowCompactScratch::default();
+            let mut scratch = GatherScratch::default();
+            scratch.resolve_cols(&kept);
             let mut fused = Matrix::zeros(0, 0);
-            gather_cols_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept,
-                &bias,
-                scale,
-                act,
-                &mut scratch,
-                &mut fused,
-            )
-            .unwrap();
+            gather_gemm_bias_act_into(&a, &w, &bias, neurons(scale), act, &mut scratch, &mut fused)
+                .unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2511,48 +2022,27 @@ mod tests {
         let w = random_matrix(&mut rng, 6, 8);
         let bias = random_matrix(&mut rng, 1, 8);
         let kept = vec![1usize, 3, 4, 6]; // 2:4 over 8 columns
-        let mut scratch = RowCompactScratch::default();
+        let relu = Activation::Relu;
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_nm(&kept, 2, 4, 8).unwrap();
         let mut fused = Matrix::zeros(0, 0);
-        nm_compact_gemm_bias_act_into(
-            &a,
-            &w,
-            &kept,
-            2,
-            4,
-            &bias,
-            2.0,
-            Activation::Relu,
-            &mut scratch,
-            &mut fused,
-        )
-        .unwrap();
+        gather_gemm_bias_act_into(&a, &w, &bias, neurons(2.0), relu, &mut scratch, &mut fused)
+            .unwrap();
+        scratch.resolve_cols(&kept);
         let mut reference = Matrix::zeros(0, 0);
-        gather_cols_gemm_bias_act_into(
+        gather_gemm_bias_act_into(
             &a,
             &w,
-            &kept,
             &bias,
-            2.0,
-            Activation::Relu,
+            neurons(2.0),
+            relu,
             &mut scratch,
             &mut reference,
         )
         .unwrap();
         assert_eq!(fused, reference);
         // Malformed group structure is rejected.
-        assert!(nm_compact_gemm_bias_act_into(
-            &a,
-            &w,
-            &[0, 1, 2, 4],
-            2,
-            4,
-            &bias,
-            2.0,
-            Activation::Relu,
-            &mut scratch,
-            &mut fused,
-        )
-        .is_err());
+        assert!(scratch.resolve_nm(&[0, 1, 2, 4], 2, 4, 8).is_err());
     }
 
     #[test]
@@ -2564,7 +2054,7 @@ mod tests {
         let kept_blocks = vec![0usize, 2];
         let scale = 2.0f32;
         for act in ACTIVATIONS {
-            let mut reference = block_compact_gemm(&a, &w, &kept_blocks, 4).unwrap();
+            let mut reference = block_gather(&a, &w, &kept_blocks, 4).unwrap();
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
                 for &b in &kept_blocks {
@@ -2574,33 +2064,21 @@ mod tests {
                 }
             }
             reference.map_inplace(|v| act.apply(v));
+            let mut scratch = GatherScratch::default();
+            scratch.resolve_blocks(&kept_blocks, 4, 11).unwrap();
+            let epilogue = GatherEpilogue::Neurons {
+                pre: 1.0,
+                post: scale,
+            };
             let mut fused = Matrix::zeros(0, 0);
-            block_compact_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept_blocks,
-                4,
-                &bias,
-                scale,
-                act,
-                &mut fused,
-            )
-            .unwrap();
+            gather_gemm_bias_act_into(&a, &w, &bias, epilogue, act, &mut scratch, &mut fused)
+                .unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
-        // Unsorted kept lists are rejected (the complement walk needs order).
-        let mut out = Matrix::zeros(0, 0);
-        assert!(block_compact_gemm_bias_act_into(
-            &a,
-            &w,
-            &[2, 0],
-            4,
-            &bias,
-            scale,
-            Activation::Relu,
-            &mut out
-        )
-        .is_err());
+        // Unsorted kept lists are rejected (each column is kept once).
+        assert!(GatherScratch::default()
+            .resolve_blocks(&[2, 0], 4, 11)
+            .is_err());
     }
 
     #[test]
@@ -2614,12 +2092,15 @@ mod tests {
         for act in ACTIVATIONS {
             // Unfused tile chain: compacted GEMM, scale, bias broadcast over
             // every column, then the activation.
-            let mut reference = tile_compact_gemm(&a, &w, &kept, 4).unwrap();
+            let mut reference = tile_gather(&a, &w, &kept, 4).unwrap();
             reference.map_inplace(|v| v * scale);
             reference.add_row_broadcast_inplace(&bias).unwrap();
             reference.map_inplace(|v| act.apply(v));
+            let mut scratch = GatherScratch::default();
+            scratch.resolve_tiles(&kept, 4, 8, 9).unwrap();
+            let epilogue = GatherEpilogue::Synapses { pre: scale };
             let mut fused = Matrix::zeros(0, 0);
-            tile_compact_gemm_bias_act_into(&a, &w, &kept, 4, &bias, scale, act, &mut fused)
+            gather_gemm_bias_act_into(&a, &w, &bias, epilogue, act, &mut scratch, &mut fused)
                 .unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
@@ -2642,14 +2123,15 @@ mod tests {
             &mut out
         )
         .is_err());
-        let mut scratch = RowCompactScratch::default();
-        assert!(gather_cols_gemm_bias_act_into(
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_cols(&[0]);
+        let relu = Activation::Relu;
+        assert!(gather_gemm_bias_act_into(
             &a,
             &w,
-            &[0],
             &bad_bias,
-            1.0,
-            Activation::Relu,
+            neurons(1.0),
+            relu,
             &mut scratch,
             &mut out
         )
@@ -2664,19 +2146,12 @@ mod tests {
         let a = Matrix::ones(2, 3);
         let w = Matrix::ones(3, 4);
         let bias = Matrix::zeros(1, 4);
-        let mut scratch = RowCompactScratch::default();
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_cols(&[1]);
         let mut out = Matrix::zeros(0, 0);
-        gather_cols_gemm_bias_act_into(
-            &a,
-            &w,
-            &[1],
-            &bias,
-            1.0,
-            Activation::Sigmoid,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        let sigmoid = Activation::Sigmoid;
+        gather_gemm_bias_act_into(&a, &w, &bias, neurons(1.0), sigmoid, &mut scratch, &mut out)
+            .unwrap();
         assert_eq!(out[(0, 0)], 0.5);
         assert!((out[(0, 1)] - Activation::Sigmoid.apply(3.0)).abs() < 1e-6);
     }
@@ -2712,7 +2187,7 @@ mod tests {
         let a = random_matrix(&mut rng, 9, 14);
         let w = random_matrix(&mut rng, 14, 11);
         let kept_k = vec![0, 2, 3, 7, 8, 12, 13];
-        let sampled = gather_k_gemm(&a, &w, &kept_k).unwrap();
+        let sampled = k_gather(&a, &w, &kept_k).unwrap();
         let reference = k_masked_reference(&a, &w, &kept_k);
         assert_eq!(sampled.shape(), (9, 11));
         assert!(crate::approx_eq_slice(
@@ -2731,7 +2206,7 @@ mod tests {
         let a = random_matrix(&mut rng, 13, 22);
         let w = random_matrix(&mut rng, 22, 17);
         let all: Vec<usize> = (0..22).collect();
-        let sampled = gather_k_gemm(&a, &w, &all).unwrap();
+        let sampled = k_gather(&a, &w, &all).unwrap();
         let dense = blocked_gemm(&a, &w).unwrap();
         assert_eq!(sampled, dense);
     }
@@ -2743,10 +2218,12 @@ mod tests {
         let w = random_matrix(&mut rng, 18, 12);
         let bias = random_matrix(&mut rng, 1, 12);
         let all: Vec<usize> = (0..18).collect();
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_k(&all);
+        let epilogue = GatherEpilogue::Synapses { pre: 1.0 };
         for act in ACTIVATIONS {
             let mut sampled = Matrix::zeros(0, 0);
-            gather_k_gemm_bias_act_into(&a, &w, &all, &bias, 1.0, act, &mut scratch, &mut sampled)
+            gather_gemm_bias_act_into(&a, &w, &bias, epilogue, act, &mut scratch, &mut sampled)
                 .unwrap();
             let dense = gemm_bias_act(&a, &w, &bias, act).unwrap();
             assert_eq!(sampled, dense, "{act:?}");
@@ -2761,27 +2238,20 @@ mod tests {
         let bias = random_matrix(&mut rng, 1, 10);
         let kept_k = vec![1, 2, 5, 6, 9, 11, 14];
         let crs_scale = 15.0f32 / 7.0;
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_k(&kept_k);
+        let epilogue = GatherEpilogue::Synapses { pre: crs_scale };
         for act in ACTIVATIONS {
             let mut reference = Matrix::zeros(0, 0);
-            gather_k_gemm_into(&a, &w, &kept_k, &mut scratch, &mut reference).unwrap();
+            gather_gemm_into(&a, &w, &mut scratch, &mut reference).unwrap();
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
                 crate::simd::scale_add_bias(row, crs_scale, bias.row(0));
                 act.apply_slice(row);
             }
             let mut fused = Matrix::zeros(0, 0);
-            gather_k_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept_k,
-                &bias,
-                crs_scale,
-                act,
-                &mut scratch,
-                &mut fused,
-            )
-            .unwrap();
+            gather_gemm_bias_act_into(&a, &w, &bias, epilogue, act, &mut scratch, &mut fused)
+                .unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2796,10 +2266,15 @@ mod tests {
         let kept_cols = vec![1, 2, 5, 8];
         let crs_scale = 2.0f32;
         let row_scale = 1.8f32;
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_nk(&kept_k, &kept_cols);
+        let epilogue = GatherEpilogue::Neurons {
+            pre: crs_scale,
+            post: row_scale,
+        };
         for act in ACTIVATIONS {
             let mut reference = Matrix::zeros(0, 0);
-            gather_nk_gemm_into(&a, &w, &kept_k, &kept_cols, &mut scratch, &mut reference).unwrap();
+            gather_gemm_into(&a, &w, &mut scratch, &mut reference).unwrap();
             let brow = bias.row(0);
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
@@ -2809,19 +2284,8 @@ mod tests {
                 act.apply_slice(row);
             }
             let mut fused = Matrix::zeros(0, 0);
-            gather_nk_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept_k,
-                &kept_cols,
-                &bias,
-                crs_scale,
-                row_scale,
-                act,
-                &mut scratch,
-                &mut fused,
-            )
-            .unwrap();
+            gather_gemm_bias_act_into(&a, &w, &bias, epilogue, act, &mut scratch, &mut fused)
+                .unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2831,21 +2295,16 @@ mod tests {
         let a = Matrix::ones(2, 4);
         let w = Matrix::ones(4, 3);
         let bias = Matrix::zeros(1, 3);
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
+        scratch.resolve_nk(&[0, 2], &[1]);
+        let epilogue = GatherEpilogue::Neurons {
+            pre: 2.0,
+            post: 1.0,
+        };
+        let sigmoid = Activation::Sigmoid;
         let mut out = Matrix::zeros(0, 0);
-        gather_nk_gemm_bias_act_into(
-            &a,
-            &w,
-            &[0, 2],
-            &[1],
-            &bias,
-            2.0,
-            1.0,
-            Activation::Sigmoid,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        gather_gemm_bias_act_into(&a, &w, &bias, epilogue, sigmoid, &mut scratch, &mut out)
+            .unwrap();
         assert_eq!(out[(0, 0)], 0.5);
         assert!((out[(0, 1)] - Activation::Sigmoid.apply(4.0)).abs() < 1e-6);
     }
@@ -2877,9 +2336,10 @@ mod tests {
         let mut dx_ref = naive_gemm(&g, &w_masked.transpose()).unwrap();
         dx_ref.map_inplace(|v| v * scale);
 
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
         let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        gather_k_backward_into(&x, &g, &w, &kept_k, scale, &mut scratch, &mut dw, &mut dx).unwrap();
+        scratch.resolve_k(&kept_k);
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
         assert_eq!(dw.shape(), (13, 10));
         assert_eq!(dx.shape(), (8, 13));
         assert!(crate::approx_eq_slice(
@@ -2937,20 +2397,10 @@ mod tests {
         let mut dx_ref = naive_gemm(&g_masked, &w_masked.transpose()).unwrap();
         dx_ref.map_inplace(|v| v * scale);
 
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
         let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        gather_nk_backward_into(
-            &x,
-            &g,
-            &w,
-            &kept_k,
-            &kept_cols,
-            scale,
-            &mut scratch,
-            &mut dw,
-            &mut dx,
-        )
-        .unwrap();
+        scratch.resolve_nk(&kept_k, &kept_cols);
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
             dw_ref.as_slice(),
@@ -2971,16 +2421,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(105);
         let a = random_matrix(&mut rng, 6, 16);
         let w = random_matrix(&mut rng, 16, 8);
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
         let mut out = Matrix::zeros(0, 0);
-        gather_k_gemm_into(&a, &w, &[0, 2, 4, 6, 8, 10], &mut scratch, &mut out).unwrap();
+        scratch.resolve_k(&[0, 2, 4, 6, 8, 10]);
+        gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
         let a_ptr = scratch.a_kept.as_slice().as_ptr();
-        let w_ptr = scratch.w_kept.as_slice().as_ptr();
+        let w_ptr = scratch.panels[0].as_slice().as_ptr();
         let out_ptr = out.as_slice().as_ptr();
         // Second call with the same kept-count: every buffer is reused.
-        gather_k_gemm_into(&a, &w, &[1, 3, 5, 7, 9, 11], &mut scratch, &mut out).unwrap();
+        scratch.resolve_k(&[1, 3, 5, 7, 9, 11]);
+        gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
         assert_eq!(a_ptr, scratch.a_kept.as_slice().as_ptr());
-        assert_eq!(w_ptr, scratch.w_kept.as_slice().as_ptr());
+        assert_eq!(w_ptr, scratch.panels[0].as_slice().as_ptr());
         assert_eq!(out_ptr, out.as_slice().as_ptr());
     }
 
@@ -2988,7 +2440,7 @@ mod tests {
     fn gather_k_with_no_indices_is_zero() {
         let a = Matrix::ones(3, 5);
         let w = Matrix::ones(5, 4);
-        let c = gather_k_gemm(&a, &w, &[]).unwrap();
+        let c = k_gather(&a, &w, &[]).unwrap();
         assert_eq!(c.shape(), (3, 4));
         assert_eq!(c.sum(), 0.0);
     }
@@ -2998,12 +2450,15 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let w = Matrix::zeros(3, 4);
         let g = Matrix::zeros(2, 4);
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = GatherScratch::default();
         let mut out = Matrix::zeros(0, 0);
-        assert!(gather_k_gemm(&a, &w, &[3]).is_err());
-        assert!(gather_k_gemm_at_b_into(&a, &g, &[3], 1.0, &mut scratch, &mut out).is_err());
-        assert!(gather_k_gemm_a_bt_into(&g, &w, &[3], 1.0, &mut scratch, &mut out).is_err());
-        assert!(gather_nk_gemm_into(&a, &w, &[3], &[0], &mut scratch, &mut out).is_err());
-        assert!(gather_nk_gemm_into(&a, &w, &[0], &[4], &mut scratch, &mut out).is_err());
+        let mut dx = Matrix::zeros(0, 0);
+        assert!(k_gather(&a, &w, &[3]).is_err());
+        scratch.resolve_k(&[3]);
+        assert!(gather_backward_into(&a, &g, &w, 1.0, &mut scratch, &mut out, &mut dx).is_err());
+        scratch.resolve_nk(&[3], &[0]);
+        assert!(gather_gemm_into(&a, &w, &mut scratch, &mut out).is_err());
+        scratch.resolve_nk(&[0], &[4]);
+        assert!(gather_gemm_into(&a, &w, &mut scratch, &mut out).is_err());
     }
 }

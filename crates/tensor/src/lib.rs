@@ -7,8 +7,11 @@
 //! * [`Matrix`] — a row-major, `f32` dense matrix with the elementwise and
 //!   reduction operations a small training framework needs.
 //! * [`gemm`] — naive and cache-blocked matrix multiplication, plus the
-//!   *compacted* GEMM variants that actually skip dropped rows / tiles, which
-//!   is what Row-based and Tile-based Dropout Patterns do on the GPU.
+//!   *compacted* GEMM that actually skips dropped rows / tiles, which is
+//!   what Row-based and Tile-based Dropout Patterns do on the GPU: one
+//!   gather core packs the kept operands of every compacting scheme (rows,
+//!   N:M, blocks, tiles, CRS) into dense sub-GEMMs for the tuned
+//!   micro-kernel.
 //! * [`init`] — weight initialisation helpers (uniform, Xavier/Glorot,
 //!   Gaussian via Box–Muller) so the crate has no dependency beyond `rand`.
 //! * [`pool`] — a hand-rolled thread pool that splits the batch (row)
@@ -42,17 +45,10 @@ pub mod simd;
 pub mod tune;
 
 pub use gemm::{
-    block_compact_gemm, block_compact_gemm_a_bt_into, block_compact_gemm_at_b_into,
-    block_compact_gemm_bias_act_into, block_compact_gemm_into, blocked_gemm, blocked_gemm_into,
-    gather_cols_backward_into, gather_cols_gemm_a_bt_into, gather_cols_gemm_at_b_into,
-    gather_cols_gemm_bias_act_into, gather_cols_gemm_into, gather_k_backward_into, gather_k_gemm,
-    gather_k_gemm_a_bt_into, gather_k_gemm_at_b_into, gather_k_gemm_bias_act_into,
-    gather_k_gemm_into, gather_nk_backward_into, gather_nk_gemm_bias_act_into, gather_nk_gemm_into,
-    gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_at_b_into, gemm_bias_act, gemm_bias_act_into,
-    gemm_bias_act_masked_into, naive_gemm, nm_compact_gemm, nm_compact_gemm_bias_act_into,
-    nm_compact_gemm_into, row_compact_gemm, row_compact_gemm_into, tile_compact_gemm,
-    tile_compact_gemm_bias_act_into, tile_compact_gemm_into, Activation, GatherColsScratch,
-    GatherKScratch, GemmError, RowCompactScratch,
+    blocked_gemm, blocked_gemm_into, gather_backward_into, gather_gemm_bias_act_into,
+    gather_gemm_into, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_at_b_into, gemm_bias_act,
+    gemm_bias_act_into, gemm_bias_act_masked_into, naive_gemm, row_compact_gemm, Activation,
+    GatherEpilogue, GatherScratch, GemmError,
 };
 pub use init::{gaussian, uniform, xavier_uniform};
 pub use matrix::{Matrix, ShapeError};

@@ -7,13 +7,12 @@ use approx_dropout::{
     scheme, DropoutPlan, DropoutRate, DropoutScheme, LayerShape, PlanCache, PlanKey, RowPattern,
     TilePattern,
 };
-use nn::{Linear, Mlp, MlpConfig, TransformerLm, TransformerLmConfig};
+use nn::{Linear, Mlp, MlpConfig, Sgd, TransformerLm, TransformerLmConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::{
-    block_compact_gemm, block_compact_gemm_a_bt_into, block_compact_gemm_at_b_into, blocked_gemm,
-    gather_k_backward_into, gather_k_gemm_bias_act_into, gather_k_gemm_into, gemm_a_bt, gemm_at_b,
-    init, pool, row_compact_gemm, tile_compact_gemm, GatherKScratch, Matrix,
+    blocked_gemm, gather_backward_into, gather_gemm_bias_act_into, gather_gemm_into, gemm_a_bt,
+    gemm_at_b, init, pool, row_compact_gemm, Activation, GatherEpilogue, GatherScratch, Matrix,
 };
 
 /// All global-pool mutation lives in this single test: the pool is
@@ -27,39 +26,32 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
     let b = init::uniform(&mut rng, 53, 41, -1.0, 1.0);
     let g = init::uniform(&mut rng, 67, 41, -1.0, 1.0); // shares a's batch dim
     let w2 = init::uniform(&mut rng, 41, 53, -1.0, 1.0);
-    let g2 = init::uniform(&mut rng, 53, 53, -1.0, 1.0); // shares b's batch dim and w2's width
     let kept_cols: Vec<usize> = (1..53).step_by(3).collect();
-    let kept_tiles = vec![0, 2, 5, 7, 11]; // 12-tile grid for 41x53 @ tile 16
-
-    let kept_blocks = vec![0, 2, 3]; // 4-block grid for 53 cols @ block 16
     let kept_k: Vec<usize> = (0..53).step_by(2).collect(); // K-gather over a·b's inner dim
     let bias = init::uniform(&mut rng, 1, 41, -0.5, 0.5);
+    let crs_scale = 53.0 / kept_k.len() as f32;
     let run_kernels = || {
-        let mut block_dw = Matrix::zeros(0, 0);
-        block_compact_gemm_at_b_into(&b, &g2, &kept_blocks, 16, 2.0, &mut block_dw).unwrap();
-        let mut block_dx = Matrix::zeros(0, 0);
-        block_compact_gemm_a_bt_into(&g2, &w2, &kept_blocks, 16, 2.0, &mut block_dx).unwrap();
-        let mut crs_scratch = GatherKScratch::default();
+        let mut crs_scratch = GatherScratch::default();
+        crs_scratch.resolve_k(&kept_k);
+        let epilogue = GatherEpilogue::Synapses { pre: crs_scale };
         let mut crs_fwd = Matrix::zeros(0, 0);
-        gather_k_gemm_bias_act_into(
+        gather_gemm_bias_act_into(
             &a,
             &b,
-            &kept_k,
             &bias,
-            53.0 / kept_k.len() as f32,
-            tensor::Activation::Relu,
+            epilogue,
+            Activation::Relu,
             &mut crs_scratch,
             &mut crs_fwd,
         )
         .unwrap();
         let mut crs_dw = Matrix::zeros(0, 0);
         let mut crs_dx = Matrix::zeros(0, 0);
-        gather_k_backward_into(
+        gather_backward_into(
             &a,
             &g,
             &b,
-            &kept_k,
-            53.0 / kept_k.len() as f32,
+            crs_scale,
             &mut crs_scratch,
             &mut crs_dw,
             &mut crs_dx,
@@ -70,13 +62,10 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
             gemm_at_b(&a, &g).unwrap(),
             gemm_a_bt(&a, &w2).unwrap(),
             row_compact_gemm(&b, &w2, &kept_cols).unwrap(),
-            tile_compact_gemm(&b, &w2, &kept_tiles, 16).unwrap(),
-            block_compact_gemm(&b, &w2, &kept_blocks, 16).unwrap(),
-            block_dw,
-            block_dx,
             crs_fwd,
             crs_dw,
             crs_dx,
+            gather_layer_outputs(),
         )
     };
     pool::set_threads(1);
@@ -91,28 +80,13 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
     assert_eq!(serial.3, parallel.3, "row-compact must be thread-invariant");
     assert_eq!(
         serial.4, parallel.4,
-        "tile-compact must be thread-invariant"
-    );
-    assert_eq!(
-        serial.5, parallel.5,
-        "block-compact must be thread-invariant"
-    );
-    assert_eq!(
-        serial.6, parallel.6,
-        "block-compact AᵀB must be thread-invariant"
-    );
-    assert_eq!(
-        serial.7, parallel.7,
-        "block-compact ABᵀ must be thread-invariant"
-    );
-    assert_eq!(
-        serial.8, parallel.8,
         "fused K-gather GEMM must be thread-invariant"
     );
-    assert_eq!(serial.9, parallel.9, "K-gather dW must be thread-invariant");
+    assert_eq!(serial.5, parallel.5, "K-gather dW must be thread-invariant");
+    assert_eq!(serial.6, parallel.6, "K-gather dX must be thread-invariant");
     assert_eq!(
-        serial.10, parallel.10,
-        "K-gather dX must be thread-invariant"
+        serial.7, parallel.7,
+        "block and tile layers must be thread-invariant"
     );
 
     // Whole-model check: a same-seed training trajectory (batch wide enough
@@ -145,6 +119,40 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
         );
     }
     pool::set_threads(1);
+}
+
+/// Block and tile plans through `Linear` at a pool-engaging batch: the
+/// forward output, `dX`, `dW` and bias gradient of the gather core, then the
+/// same after an SGD step (fresh weight panels). The tile plans group their
+/// rows into two and five classes of the 7x6 grid at tile 8.
+fn gather_layer_outputs() -> Vec<Matrix> {
+    let mut rng = StdRng::seed_from_u64(5);
+    let x = init::uniform(&mut rng, 67, 53, -1.0, 1.0);
+    let dy = init::uniform(&mut rng, 67, 41, -1.0, 1.0);
+    let shape = LayerShape::new(53, 41);
+    let mut block = scheme::block_unit(DropoutRate::new(0.5).unwrap(), 16).unwrap();
+    let plans = [
+        block.plan(&mut rng, shape),
+        TilePattern::new(4, 1, 8).unwrap().plan(&mut rng, shape),
+        TilePattern::new(5, 2, 8).unwrap().plan(&mut rng, shape),
+    ];
+    let mut outputs = Vec::new();
+    for plan in &plans {
+        let mut layer = Linear::new(&mut StdRng::seed_from_u64(6), 53, 41);
+        for _ in 0..2 {
+            let mut y = Matrix::default();
+            layer.forward_act_into(&x, plan, Activation::Relu, &mut y);
+            let dx = layer.backward(&dy);
+            outputs.extend([
+                y,
+                dx,
+                layer.weight_grad().clone(),
+                layer.bias_grad().clone(),
+            ]);
+            layer.step(&Sgd::new(0.1, 0.9));
+        }
+    }
+    outputs
 }
 
 /// The structured-attention variants whose kernels the transformer
@@ -439,7 +447,7 @@ fn backward_into_matches_backward_and_recycles_dx_buffer() {
     }
 }
 
-/// The K-gather scratch type rides the same recycling contract as the other
+/// The gather scratch rides the same recycling contract as the other
 /// workspaces: once warmed for a shape, repeated calls with a *different*
 /// kept set of the same size move no output allocation.
 #[test]
@@ -451,20 +459,22 @@ fn gather_k_output_buffers_are_recycled_across_kept_sets() {
     let kept_a: Vec<usize> = (0..24).step_by(2).collect();
     let kept_b: Vec<usize> = (1..24).step_by(2).collect();
 
-    let mut scratch = GatherKScratch::default();
+    let mut scratch = GatherScratch::default();
     let mut out = Matrix::default();
-    gather_k_gemm_into(&a, &w, &kept_a, &mut scratch, &mut out).unwrap();
+    scratch.resolve_k(&kept_a);
+    gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
     let mut dw = Matrix::default();
     let mut dx = Matrix::default();
-    gather_k_backward_into(&a, &g, &w, &kept_a, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
+    gather_backward_into(&a, &g, &w, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
     let (out_ptr, dw_ptr, dx_ptr) = (
         out.as_slice().as_ptr(),
         dw.as_slice().as_ptr(),
         dx.as_slice().as_ptr(),
     );
 
-    gather_k_gemm_into(&a, &w, &kept_b, &mut scratch, &mut out).unwrap();
-    gather_k_backward_into(&a, &g, &w, &kept_b, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
+    scratch.resolve_k(&kept_b);
+    gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
+    gather_backward_into(&a, &g, &w, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
     assert_eq!(
         out_ptr,
         out.as_slice().as_ptr(),

@@ -116,7 +116,8 @@ fn row_compact_gemm_matches_masked_dense() {
     });
 }
 
-/// Tile-compacted GEMM equals the explicitly masked dense reference.
+/// The gather core's tile classes reproduce the explicitly masked dense
+/// reference for every period and bias.
 #[test]
 fn tile_compact_gemm_matches_masked_dense() {
     for_each_case(5, |seed, rng| {
@@ -125,12 +126,16 @@ fn tile_compact_gemm_matches_masked_dense() {
         let n = rng.gen_range(2usize..14);
         let tile = rng.gen_range(1usize..6);
         let dp = rng.gen_range(1usize..5);
+        let bias = rng.gen_range(0..dp);
         let a = init::uniform(rng, m, k, -1.0, 1.0);
         let w = init::uniform(rng, k, n, -1.0, 1.0);
         let grid = TileGrid::new(k, n, tile).unwrap();
-        let pattern = TilePattern::new(dp, 0, tile).unwrap();
+        let pattern = TilePattern::new(dp, bias, tile).unwrap();
         let kept = pattern.kept_tiles(&grid);
-        let compact = gemm::tile_compact_gemm(&a, &w, &kept, tile).unwrap();
+        let mut scratch = gemm::GatherScratch::default();
+        scratch.resolve_tiles(&kept, tile, k, n).unwrap();
+        let mut compact = Matrix::default();
+        gemm::gather_gemm_into(&a, &w, &mut scratch, &mut compact).unwrap();
         let reference = gemm::tile_masked_gemm_reference(&a, &w, &kept, tile).unwrap();
         assert!(
             approx_random_dropout::tensor::approx_eq_slice(

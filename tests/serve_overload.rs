@@ -266,14 +266,15 @@ fn bounded_server_never_drops_interactive_jobs() {
         match outcome {
             Err(AdmissionError::Rejected { .. }) => flood_lost += 1,
             Err(AdmissionError::Shed { .. }) => unreachable!("submit never returns Shed"),
+            Err(AdmissionError::Invalid { .. }) => unreachable!("every job names model 0"),
             Ok(rx) => match rx.recv().expect("worker answers every admitted job") {
                 Ok(_) => {}
                 Err(AdmissionError::Shed { by }) => {
                     assert_eq!(by, QosClass::Interactive, "only interactive arrivals evict");
                     flood_lost += 1;
                 }
-                Err(AdmissionError::Rejected { .. }) => {
-                    unreachable!("reply channels never carry Rejected")
+                Err(AdmissionError::Rejected { .. } | AdmissionError::Invalid { .. }) => {
+                    unreachable!("reply channels carry only Shed")
                 }
             },
         }
@@ -288,4 +289,34 @@ fn bounded_server_never_drops_interactive_jobs() {
         flood_lost,
         "the report must account for every lost flood job"
     );
+}
+
+/// A job naming a model outside the catalog is refused at the door with a
+/// typed error instead of panicking its worker: the next valid job is still
+/// answered and shutdown still returns a report.
+#[test]
+fn unknown_model_is_rejected_at_admission() {
+    let config = ServeConfig::builder()
+        .workers(1)
+        .build()
+        .expect("test config is valid");
+    let server = Server::start(config, tiny_catalog());
+    let client = server.client();
+    let bad = JobSpec {
+        model: 1,
+        ..job(1, 0, JobKind::Train, QosClass::Batch)
+    };
+    match client.submit(bad) {
+        Err(AdmissionError::Invalid { model, catalog }) => assert_eq!((model, catalog), (1, 1)),
+        other => panic!("an unknown model must be refused, got {other:?}"),
+    }
+    let reply = client
+        .submit(job(1, 1, JobKind::Train, QosClass::Batch))
+        .expect("a valid job is admitted")
+        .recv()
+        .expect("the worker is alive and answers")
+        .expect("the job is served");
+    assert!(reply.value.is_finite());
+    let report = server.shutdown();
+    assert_eq!(report.jobs, 1);
 }
