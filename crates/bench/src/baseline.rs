@@ -1,16 +1,14 @@
-//! Committed-baseline perf-regression checking for the bench binaries.
+//! The committed bench baselines and the `--check-baseline` gate.
 //!
 //! The repository commits the JSON emitted by `bench_hotpath`,
-//! `bench_structured` and `bench_serve` (`BENCH_HOTPATH.json` /
-//! `BENCH_STRUCTURED.json` / `BENCH_SERVE.json`) as
-//! the perf trajectory. The `--check-baseline` mode of those binaries runs
-//! this module: every **speedup** leaf of the committed baseline is compared
-//! against the same leaf of the fresh run, and a drop of more than the
-//! tolerance fails the run — turning CI from a smoke runner into a
-//! perf-regression gate. Deterministic simulated ratios (`sim_*`) are gated
-//! at the base tolerance (default 15%, override with `BENCH_TOLERANCE`),
-//! measured CPU wall-clock ratios at twice that (shared runners swing real
-//! measurements by 10–20% with no code change).
+//! `bench_structured`, `bench_serve` and `bench_transformer`
+//! (`BENCH_HOTPATH.json` / `BENCH_STRUCTURED.json` / `BENCH_SERVE.json` /
+//! `BENCH_TRANSFORMER.json`) as the perf trajectory. Their
+//! `--check-baseline` mode runs `check`: every number of the committed
+//! file must still be declared by the fresh run, and every gated value
+//! (a simulated or measured ratio, see [`crate::scorecard`]) must stay
+//! within its kind's tolerance of the committed one. That turns CI from a
+//! smoke runner into a perf-regression gate.
 //!
 //! Only ratios are compared, never absolute seconds or thread-scaling
 //! factors: ratios are the part of a bench result that transfers between
@@ -19,6 +17,7 @@
 //! has no crates.io access, so the JSON reader below is a minimal in-house
 //! parser covering exactly the subset the bench binaries emit.
 
+use crate::scorecard::Scorecard;
 use std::collections::BTreeMap;
 
 /// Flattened leaves of a JSON document: numbers keyed by `a.b.c` paths
@@ -219,179 +218,89 @@ impl Parser<'_> {
     }
 }
 
-/// `true` when a dotted path names a performance *ratio* the baseline gate
-/// protects: speedup leaves only. Absolute seconds never transfer between
-/// machines, and thread-*scaling* leaves depend on the runner's core
-/// topology (a 1-core container legitimately records ~1.0 where a CI runner
-/// records ~1.5), so both are recorded for inspection but not gated —
-/// gating them would fail CI on unchanged code whenever the hardware class
-/// shifts.
-pub fn is_ratio_key(path: &str) -> bool {
-    let leaf = path.rsplit('.').next().unwrap_or(path);
-    leaf.contains("speedup")
-}
-
-/// Result of one baseline comparison.
+/// What one `--check-baseline` comparison found.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct BaselineReport {
-    /// Ratio leaves found in the baseline and compared.
-    pub checked: usize,
-    /// Human-readable regression descriptions (empty ⇒ the gate passes).
-    pub failures: Vec<String>,
-    /// Ratio leaves deliberately not compared, with the reason (currently
-    /// only `simd.*` ratios across an ISA change).
-    pub skipped: Vec<String>,
+pub(crate) struct Verdict {
+    /// Gated values compared against the baseline.
+    pub(crate) checked: usize,
+    /// Gated values deliberately not compared, with the reason (only
+    /// `simd.*` ratios across an ISA change).
+    pub(crate) skipped: Vec<String>,
+    /// One line per value that regressed, went missing or is not finite,
+    /// or the one reason the two runs cannot be compared at all. Empty
+    /// when the gate passes.
+    pub(crate) failures: Vec<String>,
 }
 
-impl BaselineReport {
-    /// `true` when no ratio regressed beyond tolerance.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// The tolerance applied to one ratio leaf given the base `tolerance`:
-/// simulated ratios (`sim_*` leaves) come from the deterministic timing
-/// model and are gated at the base tolerance, while measured CPU wall-clock
-/// ratios get twice that — shared CI runners swing real measurements by
-/// 10–20% run to run with no code change, and a gate that cries wolf gets
-/// turned off.
-pub fn key_tolerance(path: &str, tolerance: f64) -> f64 {
-    let leaf = path.rsplit('.').next().unwrap_or(path);
-    if leaf.starts_with("sim_") {
-        tolerance
-    } else {
-        2.0 * tolerance
-    }
-}
-
-/// Compares every ratio leaf of the committed `baseline` JSON against the
-/// `fresh` run: a fresh ratio below `baseline · (1 − key_tolerance)` (or
-/// missing entirely) is a failure. Both documents must record the same
-/// `mode` (comparing a smoke run against a full baseline would be
-/// meaningless).
+/// Compares the fresh run `fresh` against the `committed` baseline JSON.
 ///
-/// # Errors
-///
-/// Returns an error if either document fails to parse or the modes differ.
-pub fn compare_ratios(
-    baseline: &str,
-    fresh: &str,
-    tolerance: f64,
-) -> Result<BaselineReport, String> {
-    let base = parse_leaves(baseline).map_err(|e| format!("baseline JSON: {e}"))?;
-    let new = parse_leaves(fresh).map_err(|e| format!("fresh JSON: {e}"))?;
-    if base.strings.get("mode") != new.strings.get("mode") {
-        return Err(format!(
-            "bench mode mismatch: baseline {:?} vs fresh run {:?} — compare like with like",
-            base.strings.get("mode"),
-            new.strings.get("mode")
+/// * Both runs must record the same `mode`: a smoke run against a full
+///   baseline compares nothing meaningful.
+/// * Every number of the baseline must still be declared by the fresh run,
+///   whatever its kind.
+/// * Every gated value must be finite and may not drop below the baseline
+///   by more than its `Kind::tolerance`; improvements always pass.
+/// * `simd.*` ratios only transfer between machines with the same vector
+///   ISA, so they are skipped, with a note, when the recorded `simd.isa`
+///   strings differ. Every other ratio still gates.
+pub(crate) fn check(committed: &str, fresh: &Scorecard) -> Verdict {
+    let mut verdict = Verdict::default();
+    let base = match parse_leaves(committed) {
+        Ok(base) => base,
+        Err(err) => {
+            verdict.failures.push(format!("baseline JSON: {err}"));
+            return verdict;
+        }
+    };
+    let base_mode = base.strings.get("mode").map(String::as_str);
+    if base_mode != Some(fresh.mode()) {
+        verdict.failures.push(format!(
+            "bench mode mismatch: baseline {base_mode:?} vs fresh run {:?} — compare like with like",
+            fresh.mode()
         ));
+        return verdict;
     }
-    // SIMD-vs-scalar ratios only transfer between machines with the same
-    // detected ISA: a baseline recorded on an AVX-512 box against a fresh
-    // run on an AVX2 (or NEON) runner would gate apples against oranges, so
-    // those leaves are skipped — with a note, never silently — when the
-    // recorded `simd.isa` strings differ. Every other ratio still gates.
-    let isa_skip = match (base.strings.get("simd.isa"), new.strings.get("simd.isa")) {
-        (Some(b), Some(f)) if b != f => Some((b.clone(), f.clone())),
+    let isa_change = match (base.strings.get("simd.isa"), fresh.text_at("simd.isa")) {
+        (Some(b), Some(f)) if b != f => Some((b.as_str(), f)),
         _ => None,
     };
-    let mut report = BaselineReport::default();
-    for (path, &b) in base.numbers.iter().filter(|(p, _)| is_ratio_key(p)) {
-        if let Some((base_isa, fresh_isa)) = &isa_skip {
-            if path.starts_with("simd.") {
-                report.skipped.push(format!(
-                    "{path}: skipped (baseline ISA {base_isa:?} vs fresh run {fresh_isa:?})"
-                ));
-                continue;
-            }
-        }
-        report.checked += 1;
-        let tol = key_tolerance(path, tolerance);
-        match new.numbers.get(path) {
-            None => report.failures.push(format!(
+    for (path, &b) in &base.numbers {
+        let Some(value) = fresh.value(path) else {
+            verdict.failures.push(format!(
                 "{path}: present in baseline but missing from the fresh run"
-            )),
-            Some(&f) if f < b * (1.0 - tol) => report.failures.push(format!(
+            ));
+            continue;
+        };
+        let Some(tolerance) = value.kind.tolerance() else {
+            continue;
+        };
+        if let Some((base_isa, fresh_isa)) = isa_change.filter(|_| path.starts_with("simd.")) {
+            verdict.skipped.push(format!(
+                "{path}: skipped (baseline ISA {base_isa:?} vs fresh run {fresh_isa:?})"
+            ));
+            continue;
+        }
+        verdict.checked += 1;
+        let f = value.value;
+        if !f.is_finite() {
+            verdict
+                .failures
+                .push(format!("{path}: {f} in the fresh run (baseline {b:.3})"));
+        } else if f < b * (1.0 - tolerance) {
+            verdict.failures.push(format!(
                 "{path}: regressed to {f:.3} from baseline {b:.3} ({:+.1}% > {:.0}% tolerance)",
                 (f / b - 1.0) * 100.0,
-                tol * 100.0
-            )),
-            Some(_) => {}
+                tolerance * 100.0
+            ));
         }
     }
-    Ok(report)
-}
-
-/// The tolerance the `--check-baseline` mode applies: `BENCH_TOLERANCE`
-/// (a fraction, e.g. `0.15`) or 15% by default.
-pub fn tolerance_from_env() -> f64 {
-    std::env::var("BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|t| (0.0..1.0).contains(t))
-        .unwrap_or(0.15)
-}
-
-/// Reads the committed baseline for the bench binaries' `--check-baseline`
-/// mode, terminating the process when it is missing. Must be called
-/// **before** the fresh result is written: the baseline and output paths
-/// default to the same committed file.
-pub fn read_baseline_or_exit(baseline_path: &str, label: &str) -> String {
-    match std::fs::read_to_string(baseline_path) {
-        Ok(content) => content,
-        Err(err) => {
-            eprintln!("{label}: cannot read committed baseline {baseline_path}: {err}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Driver for the bench binaries' `--check-baseline` mode: compares
-/// `fresh_json` against the already-read committed `baseline` content
-/// (see [`read_baseline_or_exit`]) and terminates the process with a
-/// non-zero status when a ratio regressed. Prints the verdict either way.
-/// `baseline_path` is only used for messages.
-pub fn enforce_baseline(baseline: &str, baseline_path: &str, fresh_json: &str, label: &str) {
-    let tolerance = tolerance_from_env();
-    match compare_ratios(baseline, fresh_json, tolerance) {
-        Ok(report) if report.passed() => {
-            for note in &report.skipped {
-                eprintln!("{label}: note: {note}");
-            }
-            eprintln!(
-                "{label}: baseline check passed ({} ratios within tolerance of {baseline_path}; \
-                 base {:.0}%, measured CPU ratios {:.0}%)",
-                report.checked,
-                tolerance * 100.0,
-                tolerance * 200.0
-            );
-        }
-        Ok(report) => {
-            for note in &report.skipped {
-                eprintln!("{label}: note: {note}");
-            }
-            eprintln!(
-                "{label}: baseline check FAILED ({}/{} ratios regressed beyond tolerance):",
-                report.failures.len(),
-                report.checked,
-            );
-            for failure in &report.failures {
-                eprintln!("  - {failure}");
-            }
-            std::process::exit(1);
-        }
-        Err(err) => {
-            eprintln!("{label}: baseline check error: {err}");
-            std::process::exit(1);
-        }
-    }
+    verdict
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scorecard::Kind;
 
     const BASELINE: &str = r#"{
       "mode": "full",
@@ -400,8 +309,31 @@ mod tests {
       "row_compact": { "secs": 0.003, "speedup_vs_dense_1t": 1.7 }
     }"#;
 
-    fn fresh(speedup: f64) -> String {
-        BASELINE.replace("6.0", &format!("{speedup:.3}"))
+    /// A hot-path-shaped run: the seed speedup and the row ratio are
+    /// measured CPU ratios; shape, seconds and scaling are recorded.
+    fn run(smoke: bool, isa: Option<&str>, seed_speedup: f64, row_speedup: f64) -> Scorecard {
+        let mut card = Scorecard::new("bench_test", smoke);
+        if let Some(isa) = isa {
+            card.section("simd", |card| {
+                card.text("isa", isa);
+                card.cpu_ratio("dense_speedup", seed_speedup);
+            });
+        }
+        card.section("dense_gemm", |card| {
+            card.counts("shape", &[256, 512, 512]);
+            card.cpu_ratio("single_thread_speedup_vs_seed", seed_speedup);
+            card.recorded("scaling_2_threads", 1.4, 3);
+            card.map("packed_secs_by_threads", &[(1, 0.005)], 6);
+        });
+        card.section("row_compact", |card| {
+            card.secs("secs", 0.003);
+            card.cpu_ratio("speedup_vs_dense_1t", row_speedup);
+        });
+        card
+    }
+
+    fn full(seed_speedup: f64) -> Scorecard {
+        run(false, None, seed_speedup, 1.7)
     }
 
     #[test]
@@ -415,123 +347,121 @@ mod tests {
     }
 
     #[test]
-    fn ratio_keys_cover_speedups_but_not_seconds_or_scaling() {
-        assert!(is_ratio_key("dense_gemm.single_thread_speedup_vs_seed"));
-        assert!(is_ratio_key("variants.row.sim_speedup_gtx_1080ti"));
-        assert!(is_ratio_key("fused_forward.speedup"));
-        // Thread scaling depends on the runner's core topology; recorded
-        // but never gated.
-        assert!(!is_ratio_key("dense_gemm.scaling_2_threads"));
-        assert!(!is_ratio_key("row_compact.secs"));
-        assert!(!is_ratio_key("dense_gemm.shape.0"));
-        assert!(!is_ratio_key("available_parallelism"));
-    }
-
-    #[test]
     fn identical_runs_pass_the_gate() {
-        let report = compare_ratios(BASELINE, BASELINE, 0.15).unwrap();
-        assert!(report.passed());
-        // speedup_vs_seed and speedup_vs_dense_1t; scaling_2_threads is
-        // deliberately not gated.
-        assert_eq!(report.checked, 2);
+        let verdict = check(&full(6.0).json(), &full(6.0));
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+        // The two CPU ratios; shape, seconds and scaling_2_threads are
+        // recorded, not gated.
+        assert_eq!(verdict.checked, 2);
     }
 
     #[test]
     fn small_dips_within_tolerance_pass() {
-        // 6.0 -> 5.4 is a 10% dip, inside the 15% tolerance.
-        let report = compare_ratios(BASELINE, &fresh(5.4), 0.15).unwrap();
-        assert!(report.passed(), "{:?}", report.failures);
+        // 6.0 -> 5.4 is a 10% dip, inside every tolerance.
+        let verdict = check(&full(6.0).json(), &full(5.4));
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
     }
 
     #[test]
     fn regressions_beyond_tolerance_fail_demonstrably() {
-        // 6.0 -> 3.0 is a 50% drop, past even the doubled measured-CPU
-        // tolerance: the gate must fire.
-        let report = compare_ratios(BASELINE, &fresh(3.0), 0.15).unwrap();
-        assert!(!report.passed());
-        assert_eq!(report.failures.len(), 1);
+        // 6.0 -> 3.0 is a 50% drop, past even the measured-CPU tolerance:
+        // the gate must fire.
+        let verdict = check(&full(6.0).json(), &full(3.0));
+        assert_eq!(verdict.failures.len(), 1);
         assert!(
-            report.failures[0].contains("single_thread_speedup_vs_seed"),
+            verdict.failures[0].contains("single_thread_speedup_vs_seed"),
             "{}",
-            report.failures[0]
+            verdict.failures[0]
         );
     }
 
     #[test]
     fn simulated_ratios_are_gated_tighter_than_measured_ones() {
-        assert_eq!(
-            key_tolerance("variants.row.sim_speedup_gtx_1080ti", 0.15),
-            0.15
-        );
-        assert_eq!(
-            key_tolerance("fused_forward.sim_iteration_speedup_server_hbm", 0.15),
-            0.15
-        );
-        assert_eq!(key_tolerance("row_compact.speedup_vs_dense_1t", 0.15), 0.30);
-        // A 20% dip passes on a measured CPU ratio (within the doubled
-        // tolerance) …
-        let report = compare_ratios(BASELINE, &fresh(4.8), 0.15).unwrap();
-        assert!(report.passed(), "{:?}", report.failures);
-        // … but the same dip on a simulated ratio fails.
-        let sim_base = BASELINE.replace("single_thread_speedup_vs_seed", "sim_speedup_vs_seed");
-        let sim_fresh = sim_base.replace("6.0", "4.800");
-        let report = compare_ratios(&sim_base, &sim_fresh, 0.15).unwrap();
-        assert!(!report.passed());
+        assert_eq!(Kind::SimRatio.tolerance(), Some(0.15));
+        assert_eq!(Kind::CpuRatio.tolerance(), Some(0.30));
+        assert_eq!(Kind::Recorded.tolerance(), None);
+        // A 20% dip passes on a measured CPU ratio…
+        let verdict = check(&full(6.0).json(), &full(4.8));
+        assert!(verdict.failures.is_empty(), "{:?}", verdict.failures);
+        // …but the same dip on a simulated ratio fails.
+        let sim = |speedup: f64| {
+            let mut card = Scorecard::new("bench_test", false);
+            card.sim_ratio("sim_iteration_speedup_gtx_1080ti", speedup);
+            card
+        };
+        let verdict = check(&sim(6.0).json(), &sim(4.8));
+        assert_eq!(verdict.failures.len(), 1);
     }
 
     #[test]
     fn improvements_never_fail() {
-        let report = compare_ratios(BASELINE, &fresh(9.0), 0.15).unwrap();
-        assert!(report.passed());
+        let verdict = check(&full(6.0).json(), &full(9.0));
+        assert!(verdict.failures.is_empty());
     }
 
     #[test]
     fn missing_ratio_keys_fail() {
-        let pruned = BASELINE.replace("\"single_thread_speedup_vs_seed\": 6.0, ", "");
-        let report = compare_ratios(BASELINE, &pruned, 0.15).unwrap();
-        assert!(!report.passed());
-        assert!(report.failures[0].contains("missing"));
+        // Whatever its kind, a value of the committed file that the fresh
+        // run no longer declares fails the gate.
+        let with_extra = |declare: fn(&mut Scorecard)| {
+            let mut card = full(6.0);
+            declare(&mut card);
+            card
+        };
+        for extra in [
+            with_extra(|card| {
+                card.cpu_ratio("fused_speedup", 1.1);
+            }),
+            with_extra(|card| {
+                card.secs("fused_secs", 0.01);
+            }),
+        ] {
+            let verdict = check(&extra.json(), &full(6.0));
+            assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+            assert!(verdict.failures[0].starts_with("fused_"));
+            assert!(verdict.failures[0].contains("missing"));
+            // A value only the fresh run declares is new, not missing.
+            assert!(check(&full(6.0).json(), &extra).failures.is_empty());
+        }
     }
 
     #[test]
     fn simd_ratios_skip_across_an_isa_change_but_still_gate_same_isa() {
-        let with_simd = |isa: &str, speedup: f64| {
-            BASELINE.replace(
-                "\"mode\": \"full\",",
-                &format!(
-                    "\"mode\": \"full\",\n  \"simd\": {{ \"isa\": \"{isa}\", \
-                     \"dense_speedup\": {speedup:.3} }},"
-                ),
-            )
-        };
+        let with_simd = |isa: &str, speedup: f64| run(false, Some(isa), speedup, 1.7);
         // Same ISA: the simd ratio gates like any other measured ratio
-        // (8.0 -> 2.0 is far past the doubled tolerance).
-        let report =
-            compare_ratios(&with_simd("avx2", 8.0), &with_simd("avx2", 2.0), 0.15).unwrap();
-        assert!(!report.passed());
-        assert!(report.skipped.is_empty());
+        // (8.0 -> 2.0 is far past the tolerance).
+        let verdict = check(&with_simd("avx2", 8.0).json(), &with_simd("avx2", 2.0));
+        assert!(verdict
+            .failures
+            .iter()
+            .any(|f| f.contains("simd.dense_speedup")));
+        assert!(verdict.skipped.is_empty());
         // Different ISA: the simd ratio is skipped with a note — the two
         // vectorisation wins are not comparable — while every other ratio
         // still gates.
-        let report =
-            compare_ratios(&with_simd("avx2", 8.0), &with_simd("neon", 2.0), 0.15).unwrap();
-        assert!(report.passed(), "{:?}", report.failures);
-        assert_eq!(report.skipped.len(), 1);
-        assert!(report.skipped[0].contains("simd.dense_speedup"));
-        assert_eq!(report.checked, 2);
+        let base = run(false, Some("avx2"), 8.0, 1.7).json();
+        let verdict = check(&base, &run(false, Some("neon"), 2.0, 0.5));
+        assert_eq!(verdict.skipped.len(), 1);
+        assert!(verdict.skipped[0].contains("simd.dense_speedup"));
+        assert_eq!(verdict.checked, 2);
+        assert_eq!(verdict.failures.len(), 2, "{:?}", verdict.failures);
+        assert!(verdict.failures.iter().all(|f| !f.starts_with("simd.")));
     }
 
     #[test]
     fn mode_mismatch_is_an_error_not_a_pass() {
-        let smoke = BASELINE.replace("\"full\"", "\"smoke\"");
-        assert!(compare_ratios(BASELINE, &smoke, 0.15).is_err());
+        let verdict = check(&full(6.0).json(), &run(true, None, 6.0, 1.7));
+        assert_eq!(verdict.failures.len(), 1);
+        assert!(verdict.failures[0].contains("mode mismatch"));
     }
 
     #[test]
     fn malformed_json_is_reported() {
         assert!(parse_leaves("{ \"a\": }").is_err());
         assert!(parse_leaves("{ \"a\": 1 } trailing").is_err());
-        assert!(compare_ratios("not json", BASELINE, 0.15).is_err());
+        let verdict = check("not json", &full(6.0));
+        assert_eq!(verdict.failures.len(), 1);
+        assert!(verdict.failures[0].starts_with("baseline JSON"));
     }
 
     #[test]
@@ -547,19 +477,10 @@ mod tests {
             let content = std::fs::read_to_string(&full).expect("committed bench JSON exists");
             let leaves = parse_leaves(&content).expect("committed bench JSON parses");
             assert!(
-                leaves.numbers.keys().any(|k| is_ratio_key(k)),
-                "{path} has no ratio leaves to gate on"
+                !leaves.numbers.is_empty(),
+                "{path} has no values to gate on"
             );
             assert!(leaves.strings.contains_key("mode"));
-        }
-    }
-
-    #[test]
-    fn env_tolerance_defaults_sanely() {
-        // Not asserting on the env var itself (process-global), only the
-        // default path.
-        if std::env::var("BENCH_TOLERANCE").is_err() {
-            assert_eq!(tolerance_from_env(), 0.15);
         }
     }
 }

@@ -26,20 +26,19 @@
 //! extending the perf trajectory started by `BENCH_HOTPATH.json`. Run
 //! `cargo run --release -p bench --bin bench_structured` for the full
 //! shapes, or pass `--smoke` (CI) for tiny shapes that finish in seconds.
-//! Pass `--check-baseline` to additionally compare every speedup ratio of
-//! this run against the committed `BENCH_STRUCTURED.json` and fail on a
-//! regression beyond the tolerance (`BENCH_TOLERANCE`, default 15%).
+//! `BENCH_STRUCTURED_OUT` redirects the JSON. Pass `--check-baseline` to
+//! compare every ratio of this run against the committed
+//! `BENCH_STRUCTURED.json` (see `bench::scorecard`).
 
 use approx_dropout::{scheme, DropoutRate, DropoutScheme};
+use bench::scorecard::Scorecard;
 use gpu_sim::{GpuConfig, MlpSpec, NetworkTimingModel};
 use nn::{Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 use tensor::{init, pool};
 
 struct Config {
-    mode: &'static str,
     input_dim: usize,
     hidden: usize,
     batch: usize,
@@ -49,7 +48,6 @@ struct Config {
 }
 
 const FULL: Config = Config {
-    mode: "full",
     input_dim: 512,
     hidden: 512,
     batch: 256,
@@ -59,7 +57,6 @@ const FULL: Config = Config {
 };
 
 const SMOKE: Config = Config {
-    mode: "smoke",
     input_dim: 64,
     hidden: 64,
     batch: 48,
@@ -128,19 +125,6 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
-/// Best-of-`reps` wall-clock seconds for one invocation of `f` (after one
-/// warm-up call).
-fn bench(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Wall-clock seconds of one MLP training epoch under `dropout`.
 fn cpu_epoch_secs(cfg: &Config, dropout: Box<dyn DropoutScheme>) -> f64 {
     let mut rng = StdRng::seed_from_u64(0x57A7);
@@ -156,7 +140,7 @@ fn cpu_epoch_secs(cfg: &Config, dropout: Box<dyn DropoutScheme>) -> f64 {
     let labels: Vec<usize> = (0..cfg.batch).map(|i| i % 10).collect();
     let mut mlp = Mlp::new(&config, &mut rng);
     let mut train_rng = StdRng::seed_from_u64(7);
-    bench(cfg.reps, || {
+    bench::best_of(cfg.reps, || {
         for _ in 0..cfg.batches {
             std::hint::black_box(mlp.train_batch(&inputs, &labels, &mut train_rng));
         }
@@ -164,8 +148,7 @@ fn cpu_epoch_secs(cfg: &Config, dropout: Box<dyn DropoutScheme>) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = bench::smoke_flag();
     let cfg = if smoke { SMOKE } else { FULL };
     // Shared startup: `--threads N` overrides the pool width
     // (TENSOR_THREADS is the fallback, a conflicting pair is a hard
@@ -320,157 +303,93 @@ fn main() {
         crs_rows.push((variant, cpu_secs, cpu_speedup, sims));
     }
 
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let variant_json: Vec<String> = rows
-        .iter()
-        .map(|(variant, cpu_secs, cpu_speedup, sims)| {
-            let sim_fields: Vec<String> = sims
-                .iter()
-                .map(|(device, speedup)| format!("\"sim_speedup_{device}\": {speedup:.3}"))
-                .collect();
-            format!(
-                "    \"{key}\": {{\n      \"params\": \"{params}\",\n      \"nominal_rate\": {rate:.2},\n      \"cpu_secs\": {cpu_secs:.6},\n      \"cpu_speedup_vs_bernoulli\": {cpu_speedup:.3},\n      {sim}\n    }}",
-                key = variant.key,
-                params = variant.params,
-                rate = variant.rate,
-                sim = sim_fields.join(",\n      "),
-            )
-        })
-        .collect();
-
-    let crs_json: Vec<String> = crs_rows
-        .iter()
-        .map(|(variant, cpu_secs, cpu_speedup, sims)| {
-            let sim_fields: Vec<String> = sims
-                .iter()
-                .map(|(device, speedup)| format!("\"sim_speedup_{device}\": {speedup:.3}"))
-                .collect();
-            format!(
-                "    \"{key}\": {{\n      \"params\": \"{params}\",\n      \"cpu_secs\": {cpu_secs:.6},\n      \"cpu_speedup_vs_dense\": {cpu_speedup:.3},\n      {sim}\n    }}",
-                key = variant.key,
-                params = variant.params,
-                sim = sim_fields.join(",\n      "),
-            )
-        })
-        .collect();
-
-    let json = format!(
-        "{{\n  \"mode\": \"{mode}\",\n  \"available_parallelism\": {cores},\n  \"tensor_threads\": {threads},\n  \"cpu_epoch\": {{\n    \"batch\": {batch},\n    \"batches\": {batches},\n    \"hidden\": [{hid}, {hid}],\n    \"bernoulli_secs\": {bern:.6},\n    \"dense_secs\": {dense:.6}\n  }},\n  \"simulated_network\": \"paper MLP 784x2048x2048x10, batch 128\",\n  \"tensor_core_2_4\": {{\n    \"device\": \"sparse_tensor_core\",\n    \"sim_speedup_vs_gather_pricing\": {tc_vs_gather:.3},\n    \"sim_speedup_vs_bernoulli\": {tc_vs_bernoulli:.3}\n  }},\n  \"variants\": {{\n{variants}\n  }},\n  \"crs\": {{\n{crs}\n  }}\n}}\n",
-        mode = cfg.mode,
-        threads = pool::threads(),
-        batch = cfg.batch,
-        batches = cfg.batches,
-        hid = cfg.hidden,
-        bern = bernoulli_secs,
-        dense = dense_secs,
-        variants = variant_json.join(",\n"),
-        crs = crs_json.join(",\n"),
-    );
-
-    let out_path = std::env::var("BENCH_STRUCTURED_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_STRUCTURED.json", env!("CARGO_MANIFEST_DIR")));
-    // In --check-baseline mode the committed file is the baseline; read it
-    // before the fresh result overwrites it, and write the fresh JSON
-    // before enforcing so the CI artifact carries the regressed run too.
-    let check_baseline = std::env::args().any(|a| a == "--check-baseline");
-    let baseline_path = std::env::var("BENCH_STRUCTURED_BASELINE")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_STRUCTURED.json", env!("CARGO_MANIFEST_DIR")));
-    let baseline = check_baseline
-        .then(|| bench::baseline::read_baseline_or_exit(&baseline_path, "bench_structured"));
-    std::fs::write(&out_path, &json).expect("writing BENCH_STRUCTURED.json failed");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
-    if let Some(baseline) = baseline {
-        bench::baseline::enforce_baseline(&baseline, &baseline_path, &json, "bench_structured");
-    }
-
-    // Regression gates, opt-in via BENCH_ASSERT=1 (CI): every scheme of the
-    // structured family (N:M and block-unit) must keep a simulated speedup
-    // over the rate-matched Bernoulli baseline on every device shape, and
-    // the sparse-tensor-core preset must realise the hardware 2:4 win (the
-    // tensor-core pricing beats the same plan's gather pricing). The
-    // simulated row/tile rows are informational baselines — tile hovers
-    // near 1.0x on the compute-rich presets by design. On full runs the tile
-    // and block rows, which run through the packed gather core, must also
-    // beat the Bernoulli epoch as measured (smoke shapes are too small to
-    // time).
-    if std::env::var("BENCH_ASSERT").is_ok_and(|v| v != "0") {
-        let mut failures = Vec::new();
-        for (variant, _, cpu_speedup, _) in rows.iter().filter(|_| !smoke) {
-            if matches!(variant.key, "tile" | "block_16" | "block_32") && *cpu_speedup <= 1.0 {
-                failures.push(format!(
-                    "{} measured CPU speedup {cpu_speedup:.2}x <= 1.0x vs the Bernoulli epoch",
-                    variant.key
-                ));
-            }
-        }
-        for (variant, _, _, sims) in &rows {
-            if !variant.key.starts_with("nm_") && !variant.key.starts_with("block_") {
-                continue;
-            }
-            for (device, speedup) in sims {
-                if *speedup <= 1.0 {
-                    failures.push(format!(
-                        "{} simulated speedup {speedup:.2}x <= 1.0x on {device}",
-                        variant.key
-                    ));
+    let mut card = Scorecard::new("bench_structured", smoke);
+    card.count("tensor_threads", pool::threads());
+    card.section("cpu_epoch", |card| {
+        card.count("batch", cfg.batch);
+        card.count("batches", cfg.batches);
+        card.counts("hidden", &[cfg.hidden, cfg.hidden]);
+        card.secs("bernoulli_secs", bernoulli_secs);
+        card.secs("dense_secs", dense_secs);
+    });
+    card.text("simulated_network", "paper MLP 784x2048x2048x10, batch 128");
+    // The sparse-tensor-core preset must realise the hardware 2:4 win: the
+    // tensor-core pricing beats the same plan's gather pricing. The
+    // vs-bernoulli value is the nm_2_4 variant's sparse-preset speedup,
+    // floored under "variants".
+    card.section("tensor_core_2_4", |card| {
+        card.text("device", "sparse_tensor_core");
+        card.sim_ratio("sim_speedup_vs_gather_pricing", tc_vs_gather)
+            .above(1.0);
+        card.sim_ratio("sim_speedup_vs_bernoulli", tc_vs_bernoulli);
+    });
+    // Every scheme of the structured family (N:M and block-unit) keeps a
+    // simulated speedup over the rate-matched Bernoulli baseline on every
+    // device shape. The simulated row/tile rows are informational — tile
+    // hovers near 1.0x on the compute-rich presets by design. The tile and
+    // block rows run through the packed gather core and must also beat
+    // the Bernoulli epoch as measured (full runs: smoke shapes are too
+    // small to time).
+    card.section("variants", |card| {
+        for (variant, cpu_secs, cpu_speedup, sims) in &rows {
+            let structured = variant.key.starts_with("nm_") || variant.key.starts_with("block_");
+            let gathered = matches!(variant.key, "tile" | "block_16" | "block_32");
+            card.section(variant.key, |card| {
+                card.text("params", &variant.params);
+                card.recorded("nominal_rate", variant.rate, 2);
+                card.secs("cpu_secs", *cpu_secs);
+                card.cpu_ratio("cpu_speedup_vs_bernoulli", *cpu_speedup)
+                    .above(1.0)
+                    .full_only()
+                    .when(gathered);
+                for (device, speedup) in sims {
+                    card.sim_ratio(&format!("sim_speedup_{device}"), *speedup)
+                        .above(1.0)
+                        .when(structured);
                 }
-            }
+            });
         }
-        // (The vs-bernoulli leaf is the nm_2_4 variant's sparse-preset
-        // speedup, already gated by the loop above.)
-        if tc_vs_gather <= 1.0 {
-            failures.push(format!(
-                "tensor-core 2:4 pricing {tc_vs_gather:.3}x <= 1.0x vs its own gather pricing"
-            ));
-        }
-        // CRS gates: every sampled-GEMM row must keep a simulated win over
-        // the dense baseline on every device, the k/K = 1/2 row must show a
-        // *measured* CPU win over the dense epoch, and the composed row×CRS
-        // entry must beat both of its axes alone on every device.
-        for (variant, _, cpu_speedup, sims) in &crs_rows {
-            if !variant.key.starts_with("crs_") && variant.key != "row_crs" {
-                continue;
-            }
-            for (device, speedup) in sims {
-                if *speedup <= 1.0 {
-                    failures.push(format!(
-                        "{} simulated speedup {speedup:.2}x <= 1.0x vs dense on {device}",
-                        variant.key
-                    ));
+    });
+    // CRS: every sampled-GEMM row (and the composed row×CRS) keeps a
+    // simulated win over the dense baseline on every device, and the
+    // k/K = 1/2 row shows a measured CPU win over the dense epoch.
+    card.section("crs", |card| {
+        for (variant, cpu_secs, cpu_speedup, sims) in &crs_rows {
+            let sampled = variant.key.starts_with("crs_") || variant.key == "row_crs";
+            card.section(variant.key, |card| {
+                card.text("params", &variant.params);
+                card.secs("cpu_secs", *cpu_secs);
+                card.cpu_ratio("cpu_speedup_vs_dense", *cpu_speedup)
+                    .above(1.0)
+                    .when(variant.key == "crs_0_50");
+                for (device, speedup) in sims {
+                    card.sim_ratio(&format!("sim_speedup_{device}"), *speedup)
+                        .above(1.0)
+                        .when(sampled);
                 }
-            }
-            if variant.key == "crs_0_50" && *cpu_speedup <= 1.0 {
-                failures.push(format!(
-                    "crs_0_50 measured CPU speedup {cpu_speedup:.2}x <= 1.0x vs the dense epoch"
-                ));
-            }
+            });
         }
-        let crs_sims = |key: &str| -> &[(&str, f64)] {
-            crs_rows
-                .iter()
-                .find(|(variant, ..)| variant.key == key)
-                .map(|(_, _, _, sims)| sims.as_slice())
-                .expect("crs section rows are always benchmarked")
-        };
-        for ((d_composed, s_composed), ((_, s_crs), (_, s_row))) in crs_sims("row_crs")
+    });
+    // The composed row×CRS entry must beat both of its axes alone on every
+    // device.
+    let crs_sims = |key: &str| -> &[(&str, f64)] {
+        crs_rows
             .iter()
-            .zip(crs_sims("crs_0_50").iter().zip(crs_sims("row_only")))
-        {
-            if s_composed <= s_crs || s_composed <= s_row {
-                failures.push(format!(
-                    "composed row_crs {s_composed:.2}x must exceed both axes alone \
-                     (crs {s_crs:.2}x, row {s_row:.2}x) on {d_composed}"
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            eprintln!("BENCH_ASSERT failures:");
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("BENCH_ASSERT passed");
+            .find(|(variant, ..)| variant.key == key)
+            .map(|(_, _, _, sims)| sims.as_slice())
+            .expect("crs section rows are always benchmarked")
+    };
+    for ((device, composed), ((_, crs), (_, row))) in crs_sims("row_crs")
+        .iter()
+        .zip(crs_sims("crs_0_50").iter().zip(crs_sims("row_only")))
+    {
+        card.require(
+            composed > crs && composed > row,
+            format!(
+                "composed row_crs {composed:.2}x must exceed both axes alone \
+                 (crs {crs:.2}x, row {row:.2}x) on {device}"
+            ),
+        );
     }
+    card.finish();
 }

@@ -22,10 +22,12 @@
 //! Results land in `BENCH_TRANSFORMER.json` at the repository root. Run
 //! `cargo run --release -p bench --bin bench_transformer` for the full
 //! shapes, or pass `--smoke` (CI) for tiny shapes that finish in seconds.
-//! Pass `--check-baseline` to compare every speedup ratio against the
-//! committed `BENCH_TRANSFORMER.json` (`BENCH_TOLERANCE`, default 15%).
+//! `BENCH_TRANSFORMER_OUT` redirects the JSON. Pass `--check-baseline` to
+//! compare every ratio against the committed `BENCH_TRANSFORMER.json` (see
+//! `bench::scorecard`).
 
 use approx_dropout::{scheme, DropoutRate, DropoutScheme};
+use bench::scorecard::Scorecard;
 use data::{CorpusConfig, SyntheticCorpus};
 use gpu_sim::{GpuConfig, NetworkTimingModel, TransformerSpec};
 use nn::transformer::{TransformerLm, TransformerLmConfig};
@@ -38,7 +40,6 @@ use tensor::pool;
 const LAYERS: usize = 2;
 
 struct Config {
-    mode: &'static str,
     vocab: usize,
     model_dim: usize,
     heads: usize,
@@ -50,7 +51,6 @@ struct Config {
 }
 
 const FULL: Config = Config {
-    mode: "full",
     vocab: 800,
     model_dim: 64,
     heads: 4,
@@ -62,7 +62,6 @@ const FULL: Config = Config {
 };
 
 const SMOKE: Config = Config {
-    mode: "smoke",
     vocab: 120,
     model_dim: 32,
     heads: 4,
@@ -199,8 +198,7 @@ fn positions(attn: &dyn DropoutScheme, ffn: &dyn DropoutScheme) -> Vec<Box<dyn D
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = bench::smoke_flag();
     let cfg = if smoke { SMOKE } else { FULL };
     bench::init_bench("bench_transformer");
 
@@ -251,108 +249,53 @@ fn main() {
         .map(|(_, secs, ..)| *secs)
         .expect("the conventional variant is always benchmarked");
 
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let variant_json: Vec<String> = rows
-        .iter()
-        .map(|(variant, cpu_secs, ppl, acc, sims)| {
-            let sim_fields: Vec<String> = sims
-                .iter()
-                .map(|(device, speedup)| format!("\"sim_speedup_{device}\": {speedup:.3}"))
-                .collect();
-            format!(
-                "    \"{key}\": {{\n      \"params\": \"{params}\",\n      \"nominal_rate\": {rate:.2},\n      \"perplexity\": {ppl:.4},\n      \"accuracy\": {acc:.4},\n      \"cpu_secs\": {cpu_secs:.6},\n      \"cpu_speedup_vs_bernoulli\": {cpu_speedup:.3},\n      {sim}\n    }}",
-                key = variant.key,
-                params = variant.params,
-                rate = variant.rate,
-                cpu_speedup = bernoulli_secs / cpu_secs,
-                sim = sim_fields.join(",\n      "),
-            )
-        })
-        .collect();
-
-    let json = format!(
-        "{{\n  \"mode\": \"{mode}\",\n  \"available_parallelism\": {cores},\n  \"tensor_threads\": {threads},\n  \"simulated_network\": \"transformer encoder {d}x{h}h ff{ff} x{layers}, batch {sb}, seq {ss}, vocab {sv}\",\n  \"corpus\": {{\n    \"vocab\": {vocab},\n    \"batch\": {batch},\n    \"seq_len\": {seq},\n    \"iterations\": {iters}\n  }},\n  \"scaled_model\": {{\n    \"model_dim\": {md},\n    \"heads\": {heads},\n    \"ff_dim\": {ffd},\n    \"layers\": {layers}\n  }},\n  \"dense\": {{\n    \"cpu_secs\": {dsecs:.6},\n    \"perplexity\": {dppl:.4},\n    \"accuracy\": {dacc:.4}\n  }},\n  \"curve\": {{\n{variants}\n  }}\n}}\n",
-        mode = cfg.mode,
-        threads = pool::threads(),
-        d = spec.model_dim,
-        h = spec.heads,
-        ff = spec.ff_dim,
-        layers = LAYERS,
-        sb = spec.batch,
-        ss = spec.seq_len,
-        sv = spec.vocab,
-        vocab = cfg.vocab,
-        batch = cfg.batch,
-        seq = cfg.seq_len,
-        iters = cfg.iterations,
-        md = cfg.model_dim,
-        heads = cfg.heads,
-        ffd = cfg.ff_dim,
-        dsecs = dense_secs,
-        dppl = dense_ppl,
-        dacc = dense_acc,
-        variants = variant_json.join(",\n"),
+    let mut card = Scorecard::new("bench_transformer", smoke);
+    card.count("tensor_threads", pool::threads());
+    card.text(
+        "simulated_network",
+        &format!(
+            "transformer encoder {}x{}h ff{} x{LAYERS}, batch {}, seq {}, vocab {}",
+            spec.model_dim, spec.heads, spec.ff_dim, spec.batch, spec.seq_len, spec.vocab
+        ),
     );
-
-    let out_path = std::env::var("BENCH_TRANSFORMER_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_TRANSFORMER.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
+    card.section("corpus", |card| {
+        card.count("vocab", cfg.vocab);
+        card.count("batch", cfg.batch);
+        card.count("seq_len", cfg.seq_len);
+        card.count("iterations", cfg.iterations);
     });
-    // In --check-baseline mode the committed file is the baseline; read it
-    // before the fresh result overwrites it, and write the fresh JSON
-    // before enforcing so the CI artifact carries the regressed run too.
-    let check_baseline = std::env::args().any(|a| a == "--check-baseline");
-    let baseline_path = std::env::var("BENCH_TRANSFORMER_BASELINE").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_TRANSFORMER.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
+    card.section("scaled_model", |card| {
+        card.count("model_dim", cfg.model_dim);
+        card.count("heads", cfg.heads);
+        card.count("ff_dim", cfg.ff_dim);
+        card.count("layers", LAYERS);
     });
-    let baseline = check_baseline
-        .then(|| bench::baseline::read_baseline_or_exit(&baseline_path, "bench_transformer"));
-    std::fs::write(&out_path, &json).expect("writing BENCH_TRANSFORMER.json failed");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
-    if let Some(baseline) = baseline {
-        bench::baseline::enforce_baseline(&baseline, &baseline_path, &json, "bench_transformer");
-    }
-
-    // Regression gates, opt-in via BENCH_ASSERT=1 (CI): every structured
-    // attention variant — whole-head drop at both rates, 2:4 on the
-    // projections, row dropout on the FFN — must keep a simulated speedup
-    // over its rate-matched conventional baseline on every device preset,
-    // and every training run must end at a finite perplexity (the
-    // convergence half of the curve).
-    if std::env::var("BENCH_ASSERT").is_ok_and(|v| v != "0") {
-        let mut failures = Vec::new();
-        for (variant, _, ppl, _, sims) in &rows {
-            if !ppl.is_finite() {
-                failures.push(format!("{} perplexity is not finite", variant.key));
-            }
-            if variant.key == "bernoulli_0_25" {
-                continue;
-            }
-            for (device, speedup) in sims {
-                if *speedup <= 1.0 {
-                    failures.push(format!(
-                        "{} simulated speedup {speedup:.2}x <= 1.0x on {device}",
-                        variant.key
-                    ));
+    // Every training run must end at a finite perplexity (the convergence
+    // half of the curve), and every structured attention variant —
+    // whole-head drop at both rates, 2:4 on the projections, row dropout on
+    // the FFN — must keep a simulated speedup over its rate-matched
+    // conventional baseline on every device preset.
+    card.section("dense", |card| {
+        card.secs("cpu_secs", dense_secs);
+        card.recorded("perplexity", dense_ppl, 4).finite();
+        card.recorded("accuracy", dense_acc, 4);
+    });
+    card.section("curve", |card| {
+        for (variant, cpu_secs, ppl, acc, sims) in &rows {
+            card.section(variant.key, |card| {
+                card.text("params", &variant.params);
+                card.recorded("nominal_rate", variant.rate, 2);
+                card.recorded("perplexity", *ppl, 4).finite();
+                card.recorded("accuracy", *acc, 4);
+                card.secs("cpu_secs", *cpu_secs);
+                card.cpu_ratio("cpu_speedup_vs_bernoulli", bernoulli_secs / cpu_secs);
+                for (device, speedup) in sims {
+                    card.sim_ratio(&format!("sim_speedup_{device}"), *speedup)
+                        .above(1.0)
+                        .when(variant.key != "bernoulli_0_25");
                 }
-            }
+            });
         }
-        if !dense_ppl.is_finite() {
-            failures.push("dense perplexity is not finite".to_string());
-        }
-        if !failures.is_empty() {
-            eprintln!("BENCH_ASSERT failures:");
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("BENCH_ASSERT passed");
-    }
+    });
+    card.finish();
 }

@@ -1,7 +1,7 @@
 //! Shared experiment plumbing for the per-table / per-figure binaries.
 //!
 //! Every binary in `src/bin/` reproduces one table or figure of the paper.
-//! They share three ingredients, provided here:
+//! They share these ingredients, provided here:
 //!
 //! * [`Method::scheme`] — one `DropoutScheme` constructor per evaluated
 //!   method. The **same** scheme type drives both the GPU timing model (at
@@ -14,10 +14,14 @@
 //!   conventional dropout), which is what EXPERIMENTS.md records.
 //! * [`Report`] — a plain-text table printer so each binary emits rows in
 //!   the same format as the corresponding table of the paper.
-//! * [`baseline`] — the committed-baseline perf-regression gate behind the
-//!   bench binaries' `--check-baseline` mode.
+//! * [`scorecard::Scorecard`] — the typed JSON report of the gated bench
+//!   binaries: each value declared as a simulated ratio, a measured CPU
+//!   ratio or a recorded value, with its floor beside it; and
+//!   [`baseline`], the committed-baseline gate behind their
+//!   `--check-baseline` mode.
 
 pub mod baseline;
+pub mod scorecard;
 
 use approx_dropout::{DropoutScheme, SchemeSpec};
 use data::{CorpusConfig, MnistConfig, SyntheticCorpus, SyntheticMnist};
@@ -29,6 +33,30 @@ use rand::SeedableRng;
 /// Fixed RNG seed shared by every timing expectation so tables are
 /// reproducible run to run.
 pub const TIMING_SEED: u64 = 0x5EED;
+
+/// `true` when `--smoke` was passed: the bench binaries' tiny CI shapes.
+pub fn smoke_flag() -> bool {
+    std::env::args().any(|a| a == "--smoke")
+}
+
+/// Best-of-`reps` wall-clock seconds for one invocation of `f` (after one
+/// warm-up call), which filters scheduler noise better than a mean.
+pub fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = std::time::Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Cores the machine reports. Thread scaling is bounded by them, so the
+/// bench reports record them to make a flat scaling curve interpretable.
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
 
 /// Parses the `--threads N` (or `--threads=N`) flag the bench binaries
 /// share, so the pool width is settable per invocation without the

@@ -80,12 +80,6 @@ pub struct Mlp {
     hidden: Vec<HiddenBlock>,
     output: Linear,
     sgd: Sgd,
-    /// `true` (the default): each hidden layer runs as **one** fused
-    /// GEMM+bias+ReLU kernel ([`Linear::forward_act_into`]); `false` falls
-    /// back to the separate GEMM → bias → ReLU chain (kept for benchmarking
-    /// the fusion win and for equivalence tests — both paths are bitwise
-    /// identical).
-    fused: bool,
     /// Softmax cross-entropy scratch recycled across training iterations.
     xent: CrossEntropyScratch,
     /// Recycled logits buffer: lent to the fused forward pass and returned
@@ -147,23 +141,10 @@ impl Mlp {
             hidden,
             output,
             sgd: Sgd::new(config.learning_rate, config.momentum),
-            fused: true,
             xent: CrossEntropyScratch::default(),
             logits_ws: Matrix::default(),
             grad_ws: (Matrix::default(), Matrix::default()),
         }
-    }
-
-    /// Selects between the fused whole-layer forward (the default) and the
-    /// separate GEMM → bias → ReLU chain. Both are bitwise identical; the
-    /// unfused path exists so the fusion win can be measured and tested.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
-    /// `true` when hidden layers run as fused whole-layer kernels.
-    pub fn fused(&self) -> bool {
-        self.fused
     }
 
     /// Number of hidden layers.
@@ -261,9 +242,8 @@ impl Mlp {
 
     /// Forward pass with a dropout plan sampled per layer for this iteration
     /// (training mode). Plans and activations are resolved into per-block
-    /// scratch buffers, so no input or plan is cloned along the way; in the
-    /// default fused mode each hidden layer is exactly one
-    /// GEMM+bias+ReLU kernel call.
+    /// scratch buffers, so no input or plan is cloned along the way; each
+    /// hidden layer is exactly one fused GEMM+bias+ReLU kernel call.
     pub fn forward_train<R: Rng>(&mut self, inputs: &Matrix, rng: &mut R) -> Matrix {
         self.forward_train_inner(inputs, PlanSource::Sample(rng))
     }
@@ -311,18 +291,13 @@ impl Mlp {
                 }
                 PlanSource::Inject(plans) => block.plan.clone_from(&plans[l]),
             }
-            if self.fused {
-                // One fused whole-layer kernel, written straight into the
-                // recycled activation buffer.
-                let mut activation = std::mem::take(&mut block.activation);
-                block
-                    .linear
-                    .forward_act_into(x, &block.plan, Activation::Relu, &mut activation);
-                block.activation = activation;
-            } else {
-                let z = block.linear.forward(x, &block.plan);
-                ops::relu_into(&z, &mut block.activation);
-            }
+            // One fused whole-layer kernel, written straight into the
+            // recycled activation buffer.
+            let mut activation = std::mem::take(&mut block.activation);
+            block
+                .linear
+                .forward_act_into(x, &block.plan, Activation::Relu, &mut activation);
+            block.activation = activation;
             block.armed = true;
         }
         let x: &Matrix = match self.hidden.last() {
@@ -331,16 +306,12 @@ impl Mlp {
         };
         let out_shape = LayerShape::new(self.output.in_features(), self.output.out_features());
         let out_plan = DropoutPlan::none(out_shape);
-        if self.fused {
-            // Borrow the recycled logits buffer (train_batch returns it
-            // after the loss; external callers simply keep the matrix).
-            let mut logits = std::mem::take(&mut self.logits_ws);
-            self.output
-                .forward_act_into(x, &out_plan, Activation::Identity, &mut logits);
-            logits
-        } else {
-            self.output.forward(x, &out_plan)
-        }
+        // Borrow the recycled logits buffer (train_batch returns it after
+        // the loss; external callers simply keep the matrix).
+        let mut logits = std::mem::take(&mut self.logits_ws);
+        self.output
+            .forward_act_into(x, &out_plan, Activation::Identity, &mut logits);
+        logits
     }
 
     /// Inference forward pass: dense GEMMs, no dropout, no caching.
