@@ -340,8 +340,10 @@ fn main() {
 
     // 5. Simulated fused-vs-unfused iteration on the paper's MLP, both
     //    device presets: the timing model prices the same sampled plans
-    //    with and without KernelSchedule::Fused (launch overhead once per
-    //    layer). Deterministic, so the floors arm in every mode.
+    //    with each layer's activation as a separate elementwise kernel and,
+    //    under with_fusion(true), as the fused epilogue of its GEMM launch
+    //    (launch overhead once per layer). Deterministic, so the floors arm
+    //    in every mode.
     let sim_scheme = scheme::row(DropoutRate::new(0.5).unwrap(), 16).unwrap();
     card.section("fused_forward", |card| {
         for (device_key, gpu) in [

@@ -202,7 +202,7 @@ mod tests {
             assert!(selection.kept_indices().iter().all(|&p| p < 24));
             assert_eq!(plan.crs_scale(), 2.0);
             assert_eq!(
-                *plan.kernel_schedule(),
+                plan.kernel_schedule(),
                 KernelSchedule::CrsCompact {
                     kept_k: 12,
                     total_k: 24
@@ -269,7 +269,7 @@ mod tests {
         assert_eq!(selection.kept_indices().len(), 10);
         // …and the schedule is the composed launch.
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::RowCrsCompact {
                 kept_n: rows.len(),
                 total_n: 32,
@@ -285,7 +285,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let plan = composed.plan(&mut rng, LayerShape::new(16, 8));
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::CrsCompact {
                 kept_k: 8,
                 total_k: 16

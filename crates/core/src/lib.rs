@@ -66,7 +66,7 @@ pub use bernoulli::BernoulliDropout;
 pub use crs::CrsSampling;
 pub use error::DropoutError;
 pub use pattern::{DropoutPattern, PatternKind, RowPattern, SampledPattern, TileGrid, TilePattern};
-pub use plan::{CrsSelection, DropoutPlan, FusedBody, KernelSchedule, LayerShape};
+pub use plan::{CrsSelection, DropoutPlan, KernelSchedule, LayerShape};
 pub use plan_cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use rate::DropoutRate;
 pub use sampler::{ApproxDropoutBuilder, ApproxDropoutLayer, PatternSampler};

@@ -8,13 +8,17 @@
 //! the GPU timing model in `gpu_sim` — reads the *same* plan object, so
 //! training numerics and speedup figures can never drift apart.
 //!
-//! A plan is produced by [`crate::DropoutScheme::plan`] and exposes:
+//! A plan is produced by [`crate::DropoutScheme::plan`]. It stores one
+//! sampled output-side decision (nothing dropped, a Bernoulli mask, a row
+//! pattern, a tile pattern, or N:M / block units) beside an optional CRS
+//! inner-dimension selection, and every view below is derived from those
+//! two:
 //!
 //! * [`DropoutPlan::compact_rows`] — kept output neurons for a row-compacted
 //!   GEMM (`None` when the GEMM is dense),
 //! * [`DropoutPlan::kept_tiles`] — kept weight tiles for a tile-compacted
 //!   GEMM,
-//! * [`DropoutPlan::mask_activations`] / [`DropoutPlan::apply_mask`] — the
+//! * [`DropoutPlan::bernoulli_mask`] / [`DropoutPlan::apply_mask`] — the
 //!   post-GEMM Bernoulli mask of the conventional baseline,
 //! * [`DropoutPlan::column_multiplier`] — the per-output-unit multiplier the
 //!   LSTM applies between stacked layers,
@@ -25,7 +29,7 @@
 
 use crate::pattern::{SampledPattern, TileGrid};
 use crate::structured::{StructuredKind, StructuredUnits};
-use tensor::{Activation, Matrix};
+use tensor::Matrix;
 
 /// Shape of the layer a plan is resolved against: the weight matrix is
 /// `in_features × out_features` and dropout acts on the output units.
@@ -57,6 +61,11 @@ impl LayerShape {
 /// Device-independent description of the kernel launches a [`DropoutPlan`]
 /// implies for one layer's GEMMs — the contract between a sampled plan and
 /// the `gpu_sim` timing model.
+///
+/// A schedule describes the GEMM only. Whether the layer's bias/activation
+/// epilogue runs as its own elementwise kernel or inside the GEMM launch is
+/// a property of the executor, which `gpu_sim::price_fc_schedule` takes as
+/// a separate argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelSchedule {
     /// Dense GEMM, no dropout kernels at all.
@@ -128,113 +137,6 @@ pub enum KernelSchedule {
         /// Inner dimension of the full GEMM.
         total_k: usize,
     },
-    /// Fused whole-layer launch: the GEMM runs `body`'s compaction and the
-    /// bias add + activation execute in the kernel's write-back loop — one
-    /// launch per layer instead of the GEMM → bias/activation elementwise
-    /// chain, so launch overhead and the extra pass over the activation
-    /// matrix are paid once, not per epilogue kernel.
-    Fused {
-        /// Compaction of the GEMM body (mirrors the stand-alone variants).
-        body: FusedBody,
-        /// Activation fused into the epilogue.
-        activation: Activation,
-    },
-}
-
-/// GEMM-body compaction of a fused whole-layer launch
-/// ([`KernelSchedule::Fused`]) — a carbon copy of the stand-alone
-/// [`KernelSchedule`] variants, flattened so the schedule stays `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FusedBody {
-    /// Dense GEMM body.
-    Dense,
-    /// Dense GEMM body whose Bernoulli column mask is folded into the fused
-    /// epilogue; the mask-*generation* kernel still runs separately.
-    DenseWithMask,
-    /// Dense GEMM body with naive in-kernel `if (kept)` skipping.
-    DenseDivergent {
-        /// Dropout rate determining how many warps diverge.
-        rate: f64,
-    },
-    /// Row-compacted body over `kept` of `total` output neurons.
-    RowCompact {
-        /// Output neurons actually computed.
-        kept: usize,
-        /// Output neurons of the full layer.
-        total: usize,
-    },
-    /// Tile-compacted body over `kept` of `total` weight tiles.
-    TileCompact {
-        /// Weight tiles participating in the GEMM.
-        kept: usize,
-        /// Tiles in the full weight grid.
-        total: usize,
-    },
-    /// Group-compacted body under N:M structured sparsity.
-    NmCompact {
-        /// Kept lanes per group.
-        n: usize,
-        /// Group size.
-        m: usize,
-    },
-    /// Block-compacted body over `kept` of `total` `block`-wide strips.
-    BlockCompact {
-        /// Blocks participating in the GEMM.
-        kept: usize,
-        /// Blocks the layer's outputs split into.
-        total: usize,
-        /// Block width in neurons.
-        block: usize,
-    },
-    /// CRS-sampled body over `kept_k` of `total_k` inner products.
-    CrsCompact {
-        /// Inner-dimension indices actually multiplied.
-        kept_k: usize,
-        /// Inner dimension of the full GEMM.
-        total_k: usize,
-    },
-    /// Composed row-dropout × CRS body.
-    RowCrsCompact {
-        /// Output neurons actually computed.
-        kept_n: usize,
-        /// Output neurons of the full layer.
-        total_n: usize,
-        /// Inner-dimension indices actually multiplied.
-        kept_k: usize,
-        /// Inner dimension of the full GEMM.
-        total_k: usize,
-    },
-}
-
-impl FusedBody {
-    /// The stand-alone (unfused) schedule this body corresponds to.
-    pub fn schedule(self) -> KernelSchedule {
-        match self {
-            FusedBody::Dense => KernelSchedule::Dense,
-            FusedBody::DenseWithMask => KernelSchedule::DenseWithMask,
-            FusedBody::DenseDivergent { rate } => KernelSchedule::DenseDivergent { rate },
-            FusedBody::RowCompact { kept, total } => KernelSchedule::RowCompact { kept, total },
-            FusedBody::TileCompact { kept, total } => KernelSchedule::TileCompact { kept, total },
-            FusedBody::NmCompact { n, m } => KernelSchedule::NmCompact { n, m },
-            FusedBody::BlockCompact { kept, total, block } => {
-                KernelSchedule::BlockCompact { kept, total, block }
-            }
-            FusedBody::CrsCompact { kept_k, total_k } => {
-                KernelSchedule::CrsCompact { kept_k, total_k }
-            }
-            FusedBody::RowCrsCompact {
-                kept_n,
-                total_n,
-                kept_k,
-                total_k,
-            } => KernelSchedule::RowCrsCompact {
-                kept_n,
-                total_n,
-                kept_k,
-                total_k,
-            },
-        }
-    }
 }
 
 impl KernelSchedule {
@@ -274,7 +176,6 @@ impl KernelSchedule {
                 .kept_fraction()
                     * KernelSchedule::CrsCompact { kept_k, total_k }.kept_fraction()
             }
-            KernelSchedule::Fused { body, .. } => body.schedule().kept_fraction(),
             _ => 1.0,
         }
     }
@@ -283,70 +184,7 @@ impl KernelSchedule {
     /// masked layer folds the mask *multiply* into its epilogue but still
     /// launches the mask-generation kernel.)
     pub fn needs_mask_kernel(&self) -> bool {
-        matches!(
-            self,
-            KernelSchedule::DenseWithMask
-                | KernelSchedule::Fused {
-                    body: FusedBody::DenseWithMask,
-                    ..
-                }
-        )
-    }
-
-    /// `true` when the GEMM operands are compacted before launch.
-    pub fn is_compacted(&self) -> bool {
-        match *self {
-            KernelSchedule::RowCompact { .. }
-            | KernelSchedule::TileCompact { .. }
-            | KernelSchedule::NmCompact { .. }
-            | KernelSchedule::BlockCompact { .. }
-            | KernelSchedule::CrsCompact { .. }
-            | KernelSchedule::RowCrsCompact { .. } => true,
-            KernelSchedule::Fused { body, .. } => body.schedule().is_compacted(),
-            _ => false,
-        }
-    }
-
-    /// The fused whole-layer form of this schedule with `activation` in the
-    /// epilogue. An already-fused schedule keeps its body and only swaps the
-    /// activation. This is how an executor (or the timing model) declares
-    /// that a layer's bias/activation epilogue rides inside the GEMM launch.
-    pub fn fused(self, activation: Activation) -> KernelSchedule {
-        let body = match self {
-            KernelSchedule::Dense => FusedBody::Dense,
-            KernelSchedule::DenseWithMask => FusedBody::DenseWithMask,
-            KernelSchedule::DenseDivergent { rate } => FusedBody::DenseDivergent { rate },
-            KernelSchedule::RowCompact { kept, total } => FusedBody::RowCompact { kept, total },
-            KernelSchedule::TileCompact { kept, total } => FusedBody::TileCompact { kept, total },
-            KernelSchedule::NmCompact { n, m } => FusedBody::NmCompact { n, m },
-            KernelSchedule::BlockCompact { kept, total, block } => {
-                FusedBody::BlockCompact { kept, total, block }
-            }
-            KernelSchedule::CrsCompact { kept_k, total_k } => {
-                FusedBody::CrsCompact { kept_k, total_k }
-            }
-            KernelSchedule::RowCrsCompact {
-                kept_n,
-                total_n,
-                kept_k,
-                total_k,
-            } => FusedBody::RowCrsCompact {
-                kept_n,
-                total_n,
-                kept_k,
-                total_k,
-            },
-            KernelSchedule::Fused { body, .. } => body,
-        };
-        KernelSchedule::Fused { body, activation }
-    }
-
-    /// The stand-alone form of this schedule (identity for non-fused ones).
-    pub fn unfused(self) -> KernelSchedule {
-        match self {
-            KernelSchedule::Fused { body, .. } => body.schedule(),
-            other => other,
-        }
+        matches!(self, KernelSchedule::DenseWithMask)
     }
 }
 
@@ -387,6 +225,12 @@ impl CrsSelection {
             kept: Vec::new(),
             total: 0,
         }
+    }
+
+    /// Empties the selection, keeping the kept-index vector's capacity.
+    fn clear(&mut self) {
+        self.kept.clear();
+        self.total = 0;
     }
 
     /// Re-resolves the selection in place, recycling the kept-index vector:
@@ -432,6 +276,56 @@ impl CrsSelection {
     }
 }
 
+/// The sampled output-side decision of a plan: which output units survive.
+/// A plan holds exactly one, so two families can never coexist and
+/// [`DropoutPlan::kernel_schedule`] can never disagree with the kept set.
+#[derive(Debug, PartialEq)]
+enum Decision {
+    /// Nothing dropped.
+    Dense,
+    /// Per-output-neuron 0/1 mask (1 = kept) applied after a dense GEMM by
+    /// mask kernels (Fig. 1(a)).
+    Mask(Vec<f32>),
+    /// The same mask, applied by the naive in-kernel `if (kept)` skip of
+    /// Fig. 1(b) instead of mask kernels.
+    Divergent(Vec<f32>),
+    /// Row pattern over the output neurons.
+    Rows(SampledPattern),
+    /// Tile pattern and the weight grid it was resolved against.
+    Tiles(SampledPattern, TileGrid),
+    /// N:M lanes or unit blocks.
+    Units(StructuredUnits),
+}
+
+impl Clone for Decision {
+    fn clone(&self) -> Self {
+        match self {
+            Decision::Dense => Decision::Dense,
+            Decision::Mask(mask) => Decision::Mask(mask.clone()),
+            Decision::Divergent(mask) => Decision::Divergent(mask.clone()),
+            Decision::Rows(pattern) => Decision::Rows(pattern.clone()),
+            Decision::Tiles(pattern, grid) => Decision::Tiles(pattern.clone(), *grid),
+            Decision::Units(units) => Decision::Units(units.clone()),
+        }
+    }
+
+    /// Reuses the kept-index / mask buffer whenever both sides hold the same
+    /// family.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Decision::Mask(dst), Decision::Mask(src))
+            | (Decision::Divergent(dst), Decision::Divergent(src)) => dst.clone_from(src),
+            (Decision::Rows(dst), Decision::Rows(src)) => dst.clone_from(src),
+            (Decision::Tiles(dst, grid), Decision::Tiles(src, src_grid)) => {
+                dst.clone_from(src);
+                *grid = *src_grid;
+            }
+            (Decision::Units(dst), Decision::Units(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
+}
+
 /// The concrete dropout decision for one iteration of one layer, produced by
 /// [`crate::DropoutScheme::plan`] before any GEMM runs.
 ///
@@ -445,23 +339,16 @@ pub struct DropoutPlan {
     /// Inverted-dropout multiplier for kept units (1.0 when nothing is
     /// dropped).
     scale: f32,
-    /// Sampled row pattern (kept output neurons), if this is a row plan.
-    rows: Option<SampledPattern>,
-    /// Sampled tile pattern and the weight grid it was resolved against, if
-    /// this is a tile plan.
-    tiles: Option<(SampledPattern, TileGrid)>,
-    /// Per-output-neuron 0/1 Bernoulli mask (1 = kept), if this is a
-    /// conventional plan.
-    mask: Option<Vec<f32>>,
-    /// Sampled structured-sparsity decision (N:M lanes or unit blocks), if
-    /// this is a structured plan.
-    structured: Option<StructuredUnits>,
-    /// Sampled inner-dimension (CRS) selection, if this plan's GEMM is
-    /// K-sampled. Orthogonal to the output-neuron families above and may
-    /// coexist with `rows` (the composed row × CRS launch).
-    crs: Option<CrsSelection>,
-    schedule: KernelSchedule,
     nominal_rate: f64,
+    /// The sampled output-side decision.
+    decision: Decision,
+    /// Sampled inner-dimension (CRS) selection. Orthogonal to the output
+    /// decision and composable with a dense or row one (the composed
+    /// row × CRS launch). Empty unless `k_sampled` is set; resets clear it
+    /// but keep its buffer, so re-sampling it never allocates.
+    crs: CrsSelection,
+    /// Whether the plan's GEMM is K-sampled by `crs`.
+    k_sampled: bool,
 }
 
 impl Clone for DropoutPlan {
@@ -469,13 +356,10 @@ impl Clone for DropoutPlan {
         Self {
             shape: self.shape,
             scale: self.scale,
-            rows: self.rows.clone(),
-            tiles: self.tiles.clone(),
-            mask: self.mask.clone(),
-            structured: self.structured.clone(),
-            crs: self.crs.clone(),
-            schedule: self.schedule,
             nominal_rate: self.nominal_rate,
+            decision: self.decision.clone(),
+            crs: self.crs.clone(),
+            k_sampled: self.k_sampled,
         }
     }
 
@@ -485,31 +369,10 @@ impl Clone for DropoutPlan {
     fn clone_from(&mut self, source: &Self) {
         self.shape = source.shape;
         self.scale = source.scale;
-        self.schedule = source.schedule;
         self.nominal_rate = source.nominal_rate;
-        match (&mut self.rows, &source.rows) {
-            (Some(dst), Some(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-        match (&mut self.tiles, &source.tiles) {
-            (Some((dst, dst_grid)), Some((src, src_grid))) => {
-                dst.clone_from(src);
-                *dst_grid = *src_grid;
-            }
-            (dst, src) => *dst = src.clone(),
-        }
-        match (&mut self.mask, &source.mask) {
-            (Some(dst), Some(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-        match (&mut self.structured, &source.structured) {
-            (Some(dst), Some(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-        match (&mut self.crs, &source.crs) {
-            (Some(dst), Some(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
+        self.decision.clone_from(&source.decision);
+        self.crs.clone_from(&source.crs);
+        self.k_sampled = source.k_sampled;
     }
 }
 
@@ -527,13 +390,10 @@ impl DropoutPlan {
         Self {
             shape,
             scale: 1.0,
-            rows: None,
-            tiles: None,
-            mask: None,
-            structured: None,
-            crs: None,
-            schedule: KernelSchedule::Dense,
             nominal_rate: 0.0,
+            decision: Decision::Dense,
+            crs: CrsSelection::empty(),
+            k_sampled: false,
         }
     }
 
@@ -544,22 +404,9 @@ impl DropoutPlan {
     ///
     /// Panics if the mask length does not match `shape.out_features`.
     pub fn bernoulli(shape: LayerShape, mask: Vec<f32>, scale: f32, nominal_rate: f64) -> Self {
-        assert_eq!(
-            mask.len(),
-            shape.out_features,
-            "mask length must match out_features"
-        );
-        Self {
-            shape,
-            scale,
-            rows: None,
-            tiles: None,
-            mask: Some(mask),
-            structured: None,
-            crs: None,
-            schedule: KernelSchedule::DenseWithMask,
-            nominal_rate,
-        }
+        let mut plan = Self::none(shape);
+        plan.reset_bernoulli_with(shape, scale, nominal_rate, |buf| *buf = mask);
+        plan
     }
 
     /// Like [`DropoutPlan::bernoulli`] but scheduling the naive in-kernel
@@ -570,48 +417,30 @@ impl DropoutPlan {
     ///
     /// Panics if the mask length does not match `shape.out_features`.
     pub fn divergent(shape: LayerShape, mask: Vec<f32>, scale: f32, nominal_rate: f64) -> Self {
-        let mut plan = Self::bernoulli(shape, mask, scale, nominal_rate);
-        plan.schedule = KernelSchedule::DenseDivergent { rate: nominal_rate };
+        let mut plan = Self::none(shape);
+        plan.reset_divergent_with(shape, scale, nominal_rate, |buf| *buf = mask);
         plan
     }
 
     /// A row-pattern plan: compacted GEMM over the pattern's kept output
     /// neurons, kept outputs scaled by `dp`.
     pub fn row(shape: LayerShape, pattern: SampledPattern) -> Self {
-        let schedule = KernelSchedule::RowCompact {
-            kept: pattern.kept_indices().len(),
-            total: pattern.unit_count(),
-        };
         Self {
-            shape,
             scale: pattern.inverted_scale(),
             nominal_rate: pattern.nominal_rate().value(),
-            rows: Some(pattern),
-            tiles: None,
-            mask: None,
-            structured: None,
-            crs: None,
-            schedule,
+            decision: Decision::Rows(pattern),
+            ..Self::none(shape)
         }
     }
 
     /// A tile-pattern plan: compacted GEMM over the pattern's kept weight
     /// tiles, the product scaled by `dp`.
     pub fn tile(shape: LayerShape, pattern: SampledPattern, grid: TileGrid) -> Self {
-        let schedule = KernelSchedule::TileCompact {
-            kept: pattern.kept_indices().len(),
-            total: grid.total_tiles(),
-        };
         Self {
-            shape,
             scale: pattern.inverted_scale(),
             nominal_rate: pattern.nominal_rate().value(),
-            rows: None,
-            tiles: Some((pattern, grid)),
-            mask: None,
-            structured: None,
-            crs: None,
-            schedule,
+            decision: Decision::Tiles(pattern, grid),
+            ..Self::none(shape)
         }
     }
 
@@ -639,45 +468,44 @@ impl DropoutPlan {
         plan
     }
 
-    /// Extracts whichever sampled-pattern buffer the plan currently holds so
-    /// a `reset_*` call can recycle its kept-index vector.
+    /// Re-resolves the plan's dropout fields to `decision` and clears any
+    /// CRS selection (keeping its buffer for the next one).
+    fn set(&mut self, shape: LayerShape, scale: f32, nominal_rate: f64, decision: Decision) {
+        self.shape = shape;
+        self.scale = scale;
+        self.nominal_rate = nominal_rate;
+        self.decision = decision;
+        self.crs.clear();
+        self.k_sampled = false;
+    }
+
+    /// Takes the current decision out of the plan so a `reset_*` call can
+    /// recycle its buffer.
+    fn take_decision(&mut self) -> Decision {
+        std::mem::replace(&mut self.decision, Decision::Dense)
+    }
+
+    /// The sampled-pattern buffer of a row or tile decision, or a new one.
     fn take_pattern_buffer(&mut self) -> SampledPattern {
-        if let Some(pattern) = self.rows.take() {
-            pattern
-        } else if let Some((pattern, _)) = self.tiles.take() {
-            pattern
-        } else {
-            SampledPattern::empty()
+        match self.take_decision() {
+            Decision::Rows(pattern) | Decision::Tiles(pattern, _) => pattern,
+            _ => SampledPattern::empty(),
         }
     }
 
-    /// Extracts whichever structured-units buffer the plan currently holds
-    /// so a `reset_nm_with` / `reset_block_unit_with` call can recycle its
-    /// kept-index vector.
-    fn take_structured_buffer(&mut self) -> StructuredUnits {
-        self.structured
-            .take()
-            .unwrap_or_else(StructuredUnits::empty)
-    }
-
-    /// Extracts the CRS-selection buffer (if any) so a `reset_crs_with` /
-    /// `attach_crs_with` call can recycle its kept-index vector.
-    fn take_crs_buffer(&mut self) -> CrsSelection {
-        self.crs.take().unwrap_or_else(CrsSelection::empty)
+    /// The structured-units buffer of an N:M or block decision, or a new
+    /// one.
+    fn take_units_buffer(&mut self) -> StructuredUnits {
+        match self.take_decision() {
+            Decision::Units(units) => units,
+            _ => StructuredUnits::empty(),
+        }
     }
 
     /// Re-resolves this plan in place as the identity (dense GEMM, nothing
     /// dropped).
     pub fn reset_none(&mut self, shape: LayerShape) {
-        self.shape = shape;
-        self.scale = 1.0;
-        self.rows = None;
-        self.tiles = None;
-        self.mask = None;
-        self.structured = None;
-        self.crs = None;
-        self.schedule = KernelSchedule::Dense;
-        self.nominal_rate = 0.0;
+        self.set(shape, 1.0, 0.0, Decision::Dense);
     }
 
     /// Re-resolves this plan in place as a conventional-dropout plan,
@@ -694,23 +522,7 @@ impl DropoutPlan {
         nominal_rate: f64,
         fill: impl FnOnce(&mut Vec<f32>),
     ) {
-        let mut mask = self.mask.take().unwrap_or_default();
-        mask.clear();
-        fill(&mut mask);
-        assert_eq!(
-            mask.len(),
-            shape.out_features,
-            "mask length must match out_features"
-        );
-        self.shape = shape;
-        self.scale = scale;
-        self.rows = None;
-        self.tiles = None;
-        self.mask = Some(mask);
-        self.structured = None;
-        self.crs = None;
-        self.schedule = KernelSchedule::DenseWithMask;
-        self.nominal_rate = nominal_rate;
+        self.reset_mask_with(shape, scale, nominal_rate, Decision::Mask, fill);
     }
 
     /// Like [`DropoutPlan::reset_bernoulli_with`] but scheduling the naive
@@ -726,8 +538,29 @@ impl DropoutPlan {
         nominal_rate: f64,
         fill: impl FnOnce(&mut Vec<f32>),
     ) {
-        self.reset_bernoulli_with(shape, scale, nominal_rate, fill);
-        self.schedule = KernelSchedule::DenseDivergent { rate: nominal_rate };
+        self.reset_mask_with(shape, scale, nominal_rate, Decision::Divergent, fill);
+    }
+
+    fn reset_mask_with(
+        &mut self,
+        shape: LayerShape,
+        scale: f32,
+        nominal_rate: f64,
+        decision: fn(Vec<f32>) -> Decision,
+        fill: impl FnOnce(&mut Vec<f32>),
+    ) {
+        let mut mask = match self.take_decision() {
+            Decision::Mask(mask) | Decision::Divergent(mask) => mask,
+            _ => Vec::new(),
+        };
+        mask.clear();
+        fill(&mut mask);
+        assert_eq!(
+            mask.len(),
+            shape.out_features,
+            "mask length must match out_features"
+        );
+        self.set(shape, scale, nominal_rate, decision(mask));
     }
 
     /// Re-resolves this plan in place as a row plan for `pattern`, recycling
@@ -736,18 +569,12 @@ impl DropoutPlan {
     pub fn reset_row(&mut self, shape: LayerShape, pattern: crate::pattern::RowPattern) {
         let mut sampled = self.take_pattern_buffer();
         sampled.resolve_row(pattern, shape.out_features);
-        self.schedule = KernelSchedule::RowCompact {
-            kept: sampled.kept_indices().len(),
-            total: sampled.unit_count(),
-        };
-        self.scale = sampled.inverted_scale();
-        self.nominal_rate = sampled.nominal_rate().value();
-        self.shape = shape;
-        self.rows = Some(sampled);
-        self.tiles = None;
-        self.mask = None;
-        self.structured = None;
-        self.crs = None;
+        self.set(
+            shape,
+            sampled.inverted_scale(),
+            sampled.nominal_rate().value(),
+            Decision::Rows(sampled),
+        );
     }
 
     /// Re-resolves this plan in place as a tile plan for `pattern` on `grid`,
@@ -761,18 +588,12 @@ impl DropoutPlan {
     ) {
         let mut sampled = self.take_pattern_buffer();
         sampled.resolve_tile_units(pattern, grid.total_tiles());
-        self.schedule = KernelSchedule::TileCompact {
-            kept: sampled.kept_indices().len(),
-            total: grid.total_tiles(),
-        };
-        self.scale = sampled.inverted_scale();
-        self.nominal_rate = sampled.nominal_rate().value();
-        self.shape = shape;
-        self.rows = None;
-        self.tiles = Some((sampled, grid));
-        self.mask = None;
-        self.structured = None;
-        self.crs = None;
+        self.set(
+            shape,
+            sampled.inverted_scale(),
+            sampled.nominal_rate().value(),
+            Decision::Tiles(sampled, grid),
+        );
     }
 
     /// Re-resolves this plan in place as an N:M plan, recycling the
@@ -787,17 +608,10 @@ impl DropoutPlan {
         m: usize,
         fill: impl FnOnce(&mut Vec<usize>),
     ) {
-        let mut units = self.take_structured_buffer();
+        let mut units = self.take_units_buffer();
         units.resolve_nm(n, m, shape.out_features, fill);
-        self.schedule = KernelSchedule::NmCompact { n, m };
-        self.scale = m as f32 / n as f32;
-        self.nominal_rate = 1.0 - n as f64 / m as f64;
-        self.shape = shape;
-        self.rows = None;
-        self.tiles = None;
-        self.mask = None;
-        self.structured = Some(units);
-        self.crs = None;
+        let (scale, nominal_rate) = (m as f32 / n as f32, 1.0 - n as f64 / m as f64);
+        self.set(shape, scale, nominal_rate, Decision::Units(units));
     }
 
     /// Re-resolves this plan in place as a block-unit plan, recycling the
@@ -813,21 +627,9 @@ impl DropoutPlan {
         nominal_rate: f64,
         fill: impl FnOnce(&mut Vec<usize>),
     ) {
-        let mut units = self.take_structured_buffer();
+        let mut units = self.take_units_buffer();
         units.resolve_block(block, shape.out_features, fill);
-        let (kept, total) = match units.kind() {
-            StructuredKind::Block { total, .. } => (units.kept_indices().len(), total),
-            StructuredKind::Nm { .. } => unreachable!("resolve_block sets the block kind"),
-        };
-        self.schedule = KernelSchedule::BlockCompact { kept, total, block };
-        self.scale = scale;
-        self.nominal_rate = nominal_rate;
-        self.shape = shape;
-        self.rows = None;
-        self.tiles = None;
-        self.mask = None;
-        self.structured = Some(units);
-        self.crs = None;
+        self.set(shape, scale, nominal_rate, Decision::Units(units));
     }
 
     /// Re-resolves this plan in place as a pure CRS-sampling plan: dense
@@ -845,24 +647,16 @@ impl DropoutPlan {
         total_k: usize,
         fill: impl FnOnce(&mut Vec<usize>),
     ) {
-        let mut selection = self.take_crs_buffer();
-        selection.resolve(total_k, fill);
-        let kept_k = selection.kept_indices().len();
-        self.shape = shape;
-        self.scale = 1.0;
+        self.reset_none(shape);
+        self.attach_crs_with(total_k, fill);
         // CRS drops no neurons; the nominal rate records the fraction of
         // inner products skipped, which is what the pricing model needs.
+        let kept_k = self.crs.kept.len();
         self.nominal_rate = if total_k == 0 {
             0.0
         } else {
             1.0 - kept_k as f64 / total_k as f64
         };
-        self.rows = None;
-        self.tiles = None;
-        self.mask = None;
-        self.structured = None;
-        self.crs = Some(selection);
-        self.schedule = KernelSchedule::CrsCompact { kept_k, total_k };
     }
 
     /// Attaches a CRS inner-dimension selection to an already-resolved plan,
@@ -876,22 +670,15 @@ impl DropoutPlan {
     ///
     /// Panics if `fill` keeps nothing while `total_k > 0`, or if the plan's
     /// schedule is neither dense nor row-compacted (CRS does not compose
-    /// with the mask, tile, N:M or block families).
+    /// with the mask, tile, N:M or block families, nor with itself).
     pub fn attach_crs_with(&mut self, total_k: usize, fill: impl FnOnce(&mut Vec<usize>)) {
-        let mut selection = self.take_crs_buffer();
-        selection.resolve(total_k, fill);
-        let kept_k = selection.kept_indices().len();
-        self.schedule = match self.schedule {
-            KernelSchedule::Dense => KernelSchedule::CrsCompact { kept_k, total_k },
-            KernelSchedule::RowCompact { kept, total } => KernelSchedule::RowCrsCompact {
-                kept_n: kept,
-                total_n: total,
-                kept_k,
-                total_k,
-            },
-            other => panic!("CRS composes with dense or row-compacted plans, not {other:?}"),
-        };
-        self.crs = Some(selection);
+        assert!(
+            !self.k_sampled && matches!(self.decision, Decision::Dense | Decision::Rows(_)),
+            "CRS composes with dense or row-compacted plans, not {:?}",
+            self.kernel_schedule()
+        );
+        self.crs.resolve(total_k, fill);
+        self.k_sampled = true;
     }
 
     /// The layer shape this plan was resolved against.
@@ -909,77 +696,116 @@ impl DropoutPlan {
         self.nominal_rate
     }
 
-    /// The kernel launches this plan implies on a GPU.
-    pub fn kernel_schedule(&self) -> &KernelSchedule {
-        &self.schedule
+    /// The kernel launches this plan implies on a GPU, derived from the
+    /// sampled decision and, for a dense or row decision, the CRS selection
+    /// (no other decision can carry one).
+    pub fn kernel_schedule(&self) -> KernelSchedule {
+        let crs = self.crs_selection().map(|s| (s.kept.len(), s.total));
+        match &self.decision {
+            Decision::Dense => match crs {
+                None => KernelSchedule::Dense,
+                Some((kept_k, total_k)) => KernelSchedule::CrsCompact { kept_k, total_k },
+            },
+            Decision::Mask(_) => KernelSchedule::DenseWithMask,
+            Decision::Divergent(_) => KernelSchedule::DenseDivergent {
+                rate: self.nominal_rate,
+            },
+            Decision::Rows(pattern) => {
+                let (kept, total) = (pattern.kept_indices().len(), pattern.unit_count());
+                match crs {
+                    None => KernelSchedule::RowCompact { kept, total },
+                    Some((kept_k, total_k)) => KernelSchedule::RowCrsCompact {
+                        kept_n: kept,
+                        total_n: total,
+                        kept_k,
+                        total_k,
+                    },
+                }
+            }
+            Decision::Tiles(pattern, grid) => KernelSchedule::TileCompact {
+                kept: pattern.kept_indices().len(),
+                total: grid.total_tiles(),
+            },
+            Decision::Units(units) => match units.kind() {
+                StructuredKind::Nm { n, m } => KernelSchedule::NmCompact { n, m },
+                StructuredKind::Block { block, total } => KernelSchedule::BlockCompact {
+                    kept: units.kept_indices().len(),
+                    total,
+                    block,
+                },
+            },
+        }
     }
 
     /// Kept output neurons for a row-compacted GEMM; `None` when the GEMM is
     /// dense or tile-compacted.
     pub fn compact_rows(&self) -> Option<&[usize]> {
-        self.rows.as_ref().map(|p| p.kept_indices())
+        match &self.decision {
+            Decision::Rows(pattern) => Some(pattern.kept_indices()),
+            _ => None,
+        }
     }
 
     /// Kept weight tiles and the grid they index into, for a tile-compacted
     /// GEMM; `None` otherwise.
     pub fn kept_tiles(&self) -> Option<(&[usize], &TileGrid)> {
-        self.tiles
-            .as_ref()
-            .map(|(p, grid)| (p.kept_indices(), grid))
+        match &self.decision {
+            Decision::Tiles(pattern, grid) => Some((pattern.kept_indices(), grid)),
+            _ => None,
+        }
     }
 
     /// The per-output-neuron Bernoulli mask (1 = kept), if this plan applies
     /// one after a dense GEMM.
     pub fn bernoulli_mask(&self) -> Option<&[f32]> {
-        self.mask.as_deref()
+        match &self.decision {
+            Decision::Mask(mask) | Decision::Divergent(mask) => Some(mask),
+            _ => None,
+        }
     }
 
     /// Kept output lanes and the `(n, m)` group parameters, if this is an
     /// N:M structured-sparsity plan.
     pub fn nm_lanes(&self) -> Option<(&[usize], usize, usize)> {
-        match &self.structured {
-            Some(units) => match units.kind() {
+        match &self.decision {
+            Decision::Units(units) => match units.kind() {
                 StructuredKind::Nm { n, m } => Some((units.kept_indices(), n, m)),
                 StructuredKind::Block { .. } => None,
             },
-            None => None,
+            _ => None,
         }
     }
 
     /// Kept block indices, the block width and the total block count, if
     /// this is a block-unit plan.
     pub fn kept_unit_blocks(&self) -> Option<(&[usize], usize, usize)> {
-        match &self.structured {
-            Some(units) => match units.kind() {
+        match &self.decision {
+            Decision::Units(units) => match units.kind() {
                 StructuredKind::Block { block, total } => {
                     Some((units.kept_indices(), block, total))
                 }
                 StructuredKind::Nm { .. } => None,
             },
-            None => None,
+            _ => None,
         }
     }
 
     /// The sampled inner-dimension (CRS) selection, if this plan's GEMM is
     /// K-sampled.
     pub fn crs_selection(&self) -> Option<&CrsSelection> {
-        self.crs.as_ref()
+        self.k_sampled.then_some(&self.crs)
     }
 
     /// The `K/k` unbiasedness multiplier the kernel applies to the sampled
     /// GEMM product before the bias (1.0 when the plan is not CRS-sampled
     /// or keeps every inner index).
     pub fn crs_scale(&self) -> f32 {
-        self.crs.as_ref().map_or(1.0, CrsSelection::scale)
+        self.crs_selection().map_or(1.0, CrsSelection::scale)
     }
 
     /// `true` when the plan performs no approximation at all.
     pub fn is_identity(&self) -> bool {
-        self.rows.is_none()
-            && self.tiles.is_none()
-            && self.mask.is_none()
-            && self.structured.is_none()
-            && self.crs.is_none()
+        matches!(self.decision, Decision::Dense) && !self.k_sampled
     }
 
     /// Per-output-column multiplier implementing this plan on an activation
@@ -998,76 +824,74 @@ impl DropoutPlan {
     /// inter-layer dropout can be recycled instead of reallocated.
     pub fn column_multiplier_into(&self, n_cols: usize, out: &mut Vec<f32>) {
         out.clear();
-        if let Some(mask) = &self.mask {
-            // Columns the mask does not cover are untouched (multiplier 1.0),
-            // *not* rescaled: the inverted-dropout scale compensates for
-            // masked columns only.
-            out.extend((0..n_cols).map(|j| mask.get(j).map_or(1.0, |&m| m * self.scale)));
-            return;
-        }
-        if let Some(pattern) = &self.rows {
-            out.resize(n_cols, 0.0);
-            for &j in pattern.kept_indices() {
-                if j < n_cols {
-                    out[j] = self.scale;
+        match &self.decision {
+            Decision::Dense => out.resize(n_cols, 1.0),
+            Decision::Mask(mask) | Decision::Divergent(mask) => {
+                // Columns the mask does not cover are untouched (multiplier
+                // 1.0), *not* rescaled: the inverted-dropout scale
+                // compensates for masked columns only.
+                out.extend((0..n_cols).map(|j| mask.get(j).map_or(1.0, |&m| m * self.scale)));
+            }
+            Decision::Rows(pattern) => {
+                out.resize(n_cols, 0.0);
+                for &j in pattern.kept_indices() {
+                    if j < n_cols {
+                        out[j] = self.scale;
+                    }
+                }
+                for m in out.iter_mut().skip(pattern.unit_count()) {
+                    *m = 1.0;
                 }
             }
-            for m in out.iter_mut().skip(pattern.unit_count()) {
-                *m = 1.0;
-            }
-            return;
-        }
-        if let Some((pattern, grid)) = &self.tiles {
-            out.resize(n_cols, 0.0);
-            for &t in pattern.kept_indices() {
-                if t < grid.total_tiles() {
-                    let (_, cols) = grid.tile_bounds(t);
-                    for c in cols {
-                        if c < n_cols {
-                            out[c] = self.scale;
+            Decision::Tiles(pattern, grid) => {
+                out.resize(n_cols, 0.0);
+                for &t in pattern.kept_indices() {
+                    if t < grid.total_tiles() {
+                        let (_, cols) = grid.tile_bounds(t);
+                        for c in cols {
+                            if c < n_cols {
+                                out[c] = self.scale;
+                            }
                         }
                     }
                 }
+                let (_, covered_cols) = grid.weight_shape();
+                for m in out.iter_mut().skip(covered_cols) {
+                    *m = 1.0;
+                }
             }
-            let (_, covered_cols) = grid.weight_shape();
-            for m in out.iter_mut().skip(covered_cols) {
-                *m = 1.0;
-            }
-            return;
-        }
-        if let Some(units) = &self.structured {
-            out.resize(n_cols, 0.0);
-            match units.kind() {
-                StructuredKind::Nm { .. } => {
-                    for &j in units.kept_indices() {
-                        if j < n_cols {
-                            out[j] = self.scale;
+            Decision::Units(units) => {
+                out.resize(n_cols, 0.0);
+                match units.kind() {
+                    StructuredKind::Nm { .. } => {
+                        for &j in units.kept_indices() {
+                            if j < n_cols {
+                                out[j] = self.scale;
+                            }
+                        }
+                    }
+                    StructuredKind::Block { block, .. } => {
+                        for &b in units.kept_indices() {
+                            let start = (b * block).min(n_cols);
+                            let end = (b * block + block).min(units.unit_count()).min(n_cols);
+                            for m in &mut out[start..end] {
+                                *m = self.scale;
+                            }
                         }
                     }
                 }
-                StructuredKind::Block { block, .. } => {
-                    for &b in units.kept_indices() {
-                        let start = (b * block).min(n_cols);
-                        let end = (b * block + block).min(units.unit_count()).min(n_cols);
-                        for m in &mut out[start..end] {
-                            *m = self.scale;
-                        }
-                    }
+                for m in out.iter_mut().skip(units.unit_count()) {
+                    *m = 1.0;
                 }
             }
-            for m in out.iter_mut().skip(units.unit_count()) {
-                *m = 1.0;
-            }
-            return;
         }
-        out.resize(n_cols, 1.0);
     }
 
     /// Applies the conventional mask (if any) to a full activation matrix in
     /// place. Pattern plans leave the input unchanged because the compacted
     /// GEMM already produced masked output.
     pub fn apply_mask(&self, activations: &mut Matrix) {
-        if let Some(mask) = &self.mask {
+        if let Some(mask) = self.bernoulli_mask() {
             let scale = self.scale;
             for i in 0..activations.rows() {
                 let row = activations.row_mut(i);
@@ -1078,71 +902,30 @@ impl DropoutPlan {
         }
     }
 
-    /// Like [`DropoutPlan::apply_mask`] but returning a new matrix.
-    pub fn mask_activations(&self, activations: &Matrix) -> Matrix {
-        let mut out = activations.clone();
-        self.apply_mask(&mut out);
-        out
-    }
-
     /// Fraction of this layer's output neurons that remain fully active and
-    /// therefore still have to be processed by the next layer. Only row
-    /// plans (which drop whole neurons) shrink this below 1.
+    /// therefore still have to be processed by the next layer. Only plans
+    /// that drop whole neurons (row, N:M, block) shrink this below 1.
     pub fn active_output_fraction(&self) -> f64 {
-        if let Some(pattern) = &self.rows {
-            return 1.0 - pattern.realized_dropout_fraction();
+        match &self.decision {
+            Decision::Rows(pattern) => 1.0 - pattern.realized_dropout_fraction(),
+            Decision::Units(units) => units.active_fraction(),
+            _ => 1.0,
         }
-        if let Some(units) = &self.structured {
-            // Both structured families drop whole output neurons, so the
-            // next layer's input shrinks just like under a row plan.
-            return units.active_fraction();
-        }
-        1.0
-    }
-
-    /// Indices of the output neurons that still carry signal after this
-    /// plan (all of them for dense and tile plans).
-    pub fn active_output_neurons(&self) -> Vec<usize> {
-        if let Some(pattern) = &self.rows {
-            return pattern.kept_indices().to_vec();
-        }
-        if let Some(units) = &self.structured {
-            let mut neurons = Vec::new();
-            units.extend_kept_neurons(&mut neurons);
-            return neurons;
-        }
-        if let Some(mask) = &self.mask {
-            return mask
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m != 0.0)
-                .map(|(i, _)| i)
-                .collect();
-        }
-        (0..self.shape.out_features).collect()
     }
 
     /// Fraction of droppable units this plan actually zeroes.
     pub fn realized_drop_fraction(&self) -> f64 {
-        if let Some(pattern) = &self.rows {
-            return pattern.realized_dropout_fraction();
-        }
-        if let Some((pattern, _)) = &self.tiles {
-            return pattern.realized_dropout_fraction();
-        }
-        if let Some(units) = &self.structured {
-            if units.unit_count() == 0 {
-                return 0.0;
+        match &self.decision {
+            Decision::Dense => 0.0,
+            Decision::Rows(pattern) | Decision::Tiles(pattern, _) => {
+                pattern.realized_dropout_fraction()
             }
-            return 1.0 - units.active_fraction();
-        }
-        if let Some(mask) = &self.mask {
-            if mask.is_empty() {
-                return 0.0;
+            Decision::Units(units) => 1.0 - units.active_fraction(),
+            Decision::Mask(mask) | Decision::Divergent(mask) if mask.is_empty() => 0.0,
+            Decision::Mask(mask) | Decision::Divergent(mask) => {
+                mask.iter().filter(|&&m| m == 0.0).count() as f64 / mask.len() as f64
             }
-            return mask.iter().filter(|&&m| m == 0.0).count() as f64 / mask.len() as f64;
         }
-        0.0
     }
 }
 
@@ -1163,20 +946,19 @@ mod tests {
         assert_eq!(plan.scale(), 1.0);
         assert_eq!(plan.column_multiplier(6), vec![1.0; 6]);
         assert_eq!(plan.active_output_fraction(), 1.0);
-        assert_eq!(plan.active_output_neurons(), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(plan.realized_drop_fraction(), 0.0);
-        assert_eq!(*plan.kernel_schedule(), KernelSchedule::Dense);
+        assert_eq!(plan.kernel_schedule(), KernelSchedule::Dense);
     }
 
     #[test]
     fn bernoulli_plan_masks_and_scales() {
         let plan = DropoutPlan::bernoulli(LayerShape::vector(3), vec![1.0, 0.0, 1.0], 2.0, 0.5);
         assert_eq!(plan.column_multiplier(3), vec![2.0, 0.0, 2.0]);
-        assert_eq!(plan.active_output_neurons(), vec![0, 2]);
         assert!((plan.realized_drop_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert!(plan.kernel_schedule().needs_mask_kernel());
-        let x = Matrix::from_rows(&[&[3.0, 5.0, 7.0]]);
-        assert_eq!(plan.mask_activations(&x).row(0), &[6.0, 0.0, 14.0]);
+        let mut x = Matrix::from_rows(&[&[3.0, 5.0, 7.0]]);
+        plan.apply_mask(&mut x);
+        assert_eq!(x.row(0), &[6.0, 0.0, 14.0]);
     }
 
     #[test]
@@ -1196,7 +978,7 @@ mod tests {
         assert_eq!(plan.scale(), 2.0);
         assert!((plan.active_output_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::RowCompact { kept: 5, total: 10 }
         );
         assert_eq!(
@@ -1225,7 +1007,6 @@ mod tests {
         // Tiles 1 and 3 cover columns 2..4.
         assert_eq!(plan.column_multiplier(4), vec![0.0, 0.0, 2.0, 2.0]);
         assert_eq!(plan.active_output_fraction(), 1.0);
-        assert!(plan.kernel_schedule().is_compacted());
         assert!((plan.kernel_schedule().kept_fraction() - 0.5).abs() < 1e-12);
     }
 
@@ -1233,7 +1014,9 @@ mod tests {
     fn mask_application_is_identity_for_pattern_plans() {
         let plan = row_plan(3, 1, 6);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]);
-        assert_eq!(plan.mask_activations(&x), x);
+        let mut masked = x.clone();
+        plan.apply_mask(&mut masked);
+        assert_eq!(masked, x);
     }
 
     #[test]
@@ -1247,49 +1030,6 @@ mod tests {
             KernelSchedule::DenseDivergent { rate: 0.5 }.kept_fraction(),
             1.0
         );
-    }
-
-    #[test]
-    fn fused_schedule_round_trips_and_delegates() {
-        let schedules = [
-            KernelSchedule::Dense,
-            KernelSchedule::DenseWithMask,
-            KernelSchedule::DenseDivergent { rate: 0.5 },
-            KernelSchedule::RowCompact { kept: 3, total: 8 },
-            KernelSchedule::TileCompact { kept: 2, total: 4 },
-            KernelSchedule::NmCompact { n: 2, m: 4 },
-            KernelSchedule::BlockCompact {
-                kept: 1,
-                total: 2,
-                block: 16,
-            },
-            KernelSchedule::CrsCompact {
-                kept_k: 4,
-                total_k: 16,
-            },
-            KernelSchedule::RowCrsCompact {
-                kept_n: 3,
-                total_n: 8,
-                kept_k: 4,
-                total_k: 16,
-            },
-        ];
-        for schedule in schedules {
-            let fused = schedule.fused(Activation::Relu);
-            assert_eq!(fused.unfused(), schedule, "{schedule:?}");
-            assert_eq!(
-                fused.kept_fraction(),
-                schedule.kept_fraction(),
-                "{schedule:?}"
-            );
-            assert_eq!(fused.is_compacted(), schedule.is_compacted());
-            assert_eq!(fused.needs_mask_kernel(), schedule.needs_mask_kernel());
-            // Re-fusing swaps only the activation.
-            assert_eq!(
-                fused.fused(Activation::Identity),
-                schedule.fused(Activation::Identity)
-            );
-        }
     }
 
     #[test]
@@ -1315,7 +1055,7 @@ mod tests {
         assert_eq!(plan.crs_scale(), 2.0);
         assert!((plan.nominal_rate() - 0.5).abs() < 1e-12);
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::CrsCompact {
                 kept_k: 4,
                 total_k: 8
@@ -1342,7 +1082,7 @@ mod tests {
         // …and the schedule is the composed launch whose executed fraction
         // is the product of both axes.
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::RowCrsCompact {
                 kept_n: 5,
                 total_n: 10,
@@ -1375,6 +1115,19 @@ mod tests {
             "clone_from must reuse the destination's kept-index buffer"
         );
         assert_eq!(copy, plan);
+    }
+
+    #[test]
+    fn resetting_a_composed_plan_drops_its_crs_selection() {
+        let mut plan = row_plan(2, 0, 10);
+        plan.attach_crs_with(6, |kept| kept.extend([1, 4, 5]));
+        plan.reset_row(LayerShape::vector(10), RowPattern::new(2, 1).unwrap());
+        assert!(plan.crs_selection().is_none());
+        assert_eq!(
+            plan.kernel_schedule(),
+            KernelSchedule::RowCompact { kept: 5, total: 10 }
+        );
+        assert_eq!(plan, row_plan(2, 1, 10));
     }
 
     #[test]

@@ -79,9 +79,12 @@ impl PatternSampler {
     /// Draws a pattern period `dp` from the distribution.
     pub fn sample_dp<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        let cumulative = self.distribution.cumulative();
-        for (i, &c) in cumulative.iter().enumerate() {
-            if u <= c {
+        // Walk the CDF in place: summing inside the loop keeps the draw
+        // allocation-free.
+        let mut cumulative = 0.0;
+        for (i, &p) in self.distribution.probabilities().iter().enumerate() {
+            cumulative += p;
+            if u <= cumulative {
                 return i + 1;
             }
         }

@@ -182,18 +182,6 @@ impl PatternDistribution {
     pub fn effective_support(&self) -> f64 {
         self.entropy().exp()
     }
-
-    /// Cumulative distribution used by the sampler.
-    pub(crate) fn cumulative(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.probs
-            .iter()
-            .map(|&p| {
-                acc += p;
-                acc
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for PatternDistribution {
@@ -498,15 +486,6 @@ mod tests {
         assert!(two_point_distribution(DropoutRate::new(0.5).unwrap(), 1).is_err());
         let zero = two_point_distribution(DropoutRate::disabled(), 4).unwrap();
         assert_eq!(zero.probability_of(1), 1.0);
-    }
-
-    #[test]
-    fn cumulative_ends_at_one() {
-        let d = PatternDistribution::new(vec![1.0, 1.0, 2.0]).unwrap();
-        let c = d.cumulative();
-        assert_eq!(c.len(), 3);
-        assert!((c[2] - 1.0).abs() < 1e-12);
-        assert!(c.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

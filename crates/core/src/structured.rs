@@ -475,7 +475,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let plan = scheme.plan(&mut rng, LayerShape::new(16, 32));
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::NmCompact { n: 2, m: 4 }
         );
         assert_eq!(plan.scale(), 2.0);
@@ -531,7 +531,7 @@ mod tests {
         assert_eq!(kept, &[0, 1, 2]);
         assert_eq!(plan.active_output_fraction(), 1.0);
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::BlockCompact {
                 kept: 3,
                 total: 3,

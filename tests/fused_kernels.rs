@@ -6,7 +6,7 @@
 //! timing-model identity that a fused launch never prices above the chain
 //! of parts it replaces.
 
-use approx_dropout::{scheme, Activation, DropoutRate, DropoutScheme, KernelSchedule, RowPattern};
+use approx_dropout::{scheme, Activation, DropoutRate, DropoutScheme, RowPattern};
 use gpu_sim::{GpuConfig, MlpSpec, NetworkTimingModel};
 use nn::{DropoutPlan, LayerShape, Linear};
 use rand::rngs::StdRng;
@@ -201,19 +201,4 @@ fn fused_model_prices_at_or_below_the_unfused_chain_on_both_presets() {
             );
         }
     }
-}
-
-#[test]
-fn fused_schedule_survives_the_plan_pipeline() {
-    // A plan's schedule wrapped by the executor keeps its compaction
-    // semantics: kept_fraction, is_compacted and the round trip through
-    // `unfused` are loss-free.
-    let mut s = scheme::row(DropoutRate::new(0.5).unwrap(), 8).unwrap();
-    let plan = s.plan(&mut StdRng::seed_from_u64(4), LayerShape::new(64, 64));
-    let schedule = *plan.kernel_schedule();
-    let fused = schedule.fused(Activation::Relu);
-    assert!(matches!(fused, KernelSchedule::Fused { .. }));
-    assert_eq!(fused.unfused(), schedule);
-    assert_eq!(fused.kept_fraction(), schedule.kept_fraction());
-    assert_eq!(fused.is_compacted(), schedule.is_compacted());
 }

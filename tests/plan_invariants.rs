@@ -5,8 +5,8 @@
 //! masked-dense formulation the paper starts from.
 
 use approx_random_dropout::approx_dropout::{
-    scheme, DropoutPlan, DropoutRate, DropoutScheme, LayerShape, RowPattern, SchemeSpec,
-    TilePattern,
+    scheme, CrsSampling, DropoutPlan, DropoutRate, DropoutScheme, KernelSchedule, LayerShape,
+    RowPattern, SchemeSpec, TilePattern,
 };
 use approx_random_dropout::nn::Linear;
 use approx_random_dropout::tensor::{init, Matrix};
@@ -180,6 +180,80 @@ fn compacted_execution_matches_masked_dense_reference() {
                         reference[(i, j)]
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `kernel_schedule()` reports exactly what the plan's accessors hold, for
+/// every scheme family (CRS and the composed row × CRS included) and on
+/// degenerate shapes: the schedule is a view of the sampled decision, never
+/// a second record that could disagree with it.
+#[test]
+fn kernel_schedule_agrees_with_the_kept_sets() {
+    let rate = DropoutRate::new(0.5).unwrap();
+    let mut schemes: Vec<Box<dyn DropoutScheme>> =
+        all_schemes().into_iter().map(|(s, _)| s).collect();
+    schemes.push(scheme::crs(0.5).unwrap());
+    schemes.push(scheme::row_crs(rate, 8, 0.5).unwrap());
+    schemes.push(Box::new(
+        CrsSampling::composed(0.5, Box::new(RowPattern::new(3, 1).unwrap())).unwrap(),
+    ));
+    for (in_features, out_features) in [(64, 96), (1, 1), (1, 3), (3, 1), (0, 5), (5, 0)] {
+        let shape = LayerShape::new(in_features, out_features);
+        for s in &mut schemes {
+            let mut rng = StdRng::seed_from_u64(5);
+            for _ in 0..10 {
+                let plan = s.plan(&mut rng, shape);
+                let crs = plan
+                    .crs_selection()
+                    .map(|sel| (sel.kept_indices().len(), sel.total()));
+                let expected = if let Some(rows) = plan.compact_rows() {
+                    match crs {
+                        Some((kept_k, total_k)) => KernelSchedule::RowCrsCompact {
+                            kept_n: rows.len(),
+                            total_n: out_features,
+                            kept_k,
+                            total_k,
+                        },
+                        None => KernelSchedule::RowCompact {
+                            kept: rows.len(),
+                            total: out_features,
+                        },
+                    }
+                } else if let Some((kept, grid)) = plan.kept_tiles() {
+                    KernelSchedule::TileCompact {
+                        kept: kept.len(),
+                        total: grid.total_tiles(),
+                    }
+                } else if let Some((_, n, m)) = plan.nm_lanes() {
+                    KernelSchedule::NmCompact { n, m }
+                } else if let Some((kept, block, total)) = plan.kept_unit_blocks() {
+                    KernelSchedule::BlockCompact {
+                        kept: kept.len(),
+                        total,
+                        block,
+                    }
+                } else if let Some((kept_k, total_k)) = crs {
+                    KernelSchedule::CrsCompact { kept_k, total_k }
+                } else if plan.bernoulli_mask().is_some() {
+                    if s.label() == "divergent" {
+                        KernelSchedule::DenseDivergent {
+                            rate: plan.nominal_rate(),
+                        }
+                    } else {
+                        KernelSchedule::DenseWithMask
+                    }
+                } else {
+                    assert!(plan.is_identity(), "scheme {}", s.label());
+                    KernelSchedule::Dense
+                };
+                assert_eq!(
+                    plan.kernel_schedule(),
+                    expected,
+                    "scheme {} at {shape:?}",
+                    s.label()
+                );
             }
         }
     }

@@ -89,7 +89,7 @@ fn structured_plans_price_through_their_own_schedule() {
     let plans = model.plan_iteration(&mut [nm.clone_box(), nm.clone_box()], &mut rng);
     for plan in &plans {
         assert_eq!(
-            *plan.kernel_schedule(),
+            plan.kernel_schedule(),
             KernelSchedule::NmCompact { n: 2, m: 4 }
         );
         assert!((plan.kernel_schedule().kept_fraction() - 0.5).abs() < 1e-12);
