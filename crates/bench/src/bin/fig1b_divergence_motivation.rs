@@ -4,7 +4,8 @@
 
 use approx_dropout::{scheme, DropoutRate, DropoutScheme};
 use bench::Report;
-use gpu_sim::{kernels, GpuConfig, MlpSpec, NetworkTimingModel, DEFAULT_TIMING_SAMPLES};
+use gpu_sim::kernels::{self, GatherIndex};
+use gpu_sim::{GpuConfig, MlpSpec, NetworkTimingModel, DEFAULT_TIMING_SAMPLES};
 
 fn main() {
     let gpu = GpuConfig::gtx_1080ti();
@@ -16,7 +17,7 @@ fn main() {
     );
     let dense = kernels::dense_gemm(&gpu, m, k, n);
     let divergent = kernels::divergent_gemm(&gpu, m, k, n, 0.5);
-    let row = kernels::row_compact_gemm(&gpu, m, k, n, n / 2);
+    let row = kernels::gather_gemm(&gpu, m, k, n, k, n / 2, GatherIndex::Rows);
     let grid = (k / 32) * (n / 32);
     let tile = kernels::tile_compact_gemm(&gpu, m, k, n, grid / 2, grid);
     for (name, stats) in [

@@ -790,6 +790,16 @@ impl DropoutPlan {
         }
     }
 
+    /// The kept heads, if this is a block-unit plan whose blocks are
+    /// exactly `heads` attention heads of width `head_dim` (whole-head
+    /// attention dropout); `None` for every other plan.
+    pub fn kept_heads(&self, head_dim: usize, heads: usize) -> Option<&[usize]> {
+        match self.kept_unit_blocks()? {
+            (kept, block, total) if block == head_dim && total == heads => Some(kept),
+            _ => None,
+        }
+    }
+
     /// The sampled inner-dimension (CRS) selection, if this plan's GEMM is
     /// K-sampled.
     pub fn crs_selection(&self) -> Option<&CrsSelection> {

@@ -538,6 +538,19 @@ mod tests {
                 block: 8
             }
         );
+        // Whole heads only when the blocks are exactly the heads.
+        assert_eq!(plan.kept_heads(8, 3), Some(&[0, 1, 2][..]));
+        assert_eq!(plan.kept_heads(4, 3), None, "block != head_dim");
+        assert_eq!(plan.kept_heads(8, 4), None, "total != heads");
+        let nm = NmSparsity::new(2, 4)
+            .unwrap()
+            .plan(&mut rng, LayerShape::new(4, 24));
+        assert_eq!(nm.kept_heads(8, 3), None, "N:M lanes are not heads");
+        let row = DropoutPlan::row(
+            LayerShape::new(4, 24),
+            crate::SampledPattern::from_row(crate::RowPattern::new(2, 0).unwrap(), 24),
+        );
+        assert_eq!(row.kept_heads(8, 3), None, "rows are not heads");
     }
 
     #[test]

@@ -8,8 +8,9 @@ use std::fmt;
 /// the capabilities that change *which* cost model a kernel prices under.
 /// Today that is tensor cores and their hardware 2:4 structured-sparsity
 /// mode: a device with [`DeviceCapabilities::simt_only`] prices every N:M
-/// plan as a software column gather ([`crate::kernels::nm_gather_gemm`]),
-/// while a sparse-tensor-core device prices hardware-2:4 plans through the
+/// plan as a software lane gather ([`crate::kernels::gather_gemm`] under
+/// [`crate::kernels::GatherIndex::Lanes`]), while a sparse-tensor-core
+/// device prices hardware-2:4 plans through the
 /// [`crate::kernels::nm_tensor_core_gemm`] roofline instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceCapabilities {
@@ -22,7 +23,7 @@ pub struct DeviceCapabilities {
     pub sparse_2_4_speedup: f64,
     /// Cycles charged per 4-wide lane group for decoding the 2:4 sparsity
     /// metadata in hardware — much cheaper than the software gather path's
-    /// [`crate::kernels::NM_METADATA_CYCLES`].
+    /// [`crate::kernels::GATHER_METADATA_CYCLES`].
     pub nm_metadata_decode_cycles: f64,
 }
 

@@ -9,10 +9,13 @@
 //! * [`dense_gemm`] — the tiled GEMM every baseline layer runs.
 //! * [`conventional_dropout_layer`] — the mask-generation + elementwise
 //!   multiply kernels the baseline additionally pays (Fig. 1(a)).
-//! * [`row_compact_gemm`] — RDP: GEMM over the compacted weight matrix
-//!   (1/dp of the output neurons) plus an output zero-fill.
+//! * [`gather_gemm`] — every GEMM that runs only over kept units fixed
+//!   before launch: RDP's kept output neurons (Fig. 3(a)), contiguous unit
+//!   blocks, N:M lanes and CRS's sampled inner products. A [`GatherIndex`]
+//!   says how the kernel finds them.
 //! * [`tile_compact_gemm`] — TDP: GEMM over the kept tiles plus the
 //!   nonzero-position bookkeeping the paper cites as TDP's small overhead.
+//! * [`nm_tensor_core_gemm`] — hardware 2:4 on sparse tensor cores.
 //! * [`divergent_gemm`] — the naive `if (kept)` skipping of Fig. 1(b), which
 //!   serialises both branch sides inside a warp and therefore does not get
 //!   faster at all.
@@ -20,29 +23,25 @@
 //! # Which kernels may use the matrix engine
 //!
 //! On a device whose [`crate::config::DeviceCapabilities`] advertise tensor
-//! cores, `gemm_core`-based kernels price compute at
-//! [`GpuConfig::gemm_flops_per_cycle`]. This is a deliberate modelling
-//! split, not an accident of code sharing:
+//! cores, dense tile math prices at [`GpuConfig::gemm_flops_per_cycle`].
+//! Only kernels whose inner loop *is* dense tile math get that rate:
 //!
-//! * **Pack-then-dense-GEMM** (dense, row-, block- and tile-compacted):
-//!   the compaction gathers whole output columns, contiguous strips or
-//!   dense 32×32 tiles into packed operands *before* the multiply, so the
-//!   inner loop is ordinary dense tile math and can feed a matrix engine;
-//!   the gather cost is charged separately (index/position overhead
-//!   cycles, read-inefficiency factors).
-//! * **SIMT-pinned** ([`nm_gather_gemm`], [`divergent_gemm`]): the
-//!   irregularity lives *inside* the inner loop — per-group lane decode
-//!   for software N:M, per-thread branching for the divergent kernel — so
-//!   these never price at the tensor-core rate even when the device has
-//!   one. Hardware 2:4 escapes the pin through its own roofline,
-//!   [`nm_tensor_core_gemm`].
+//! * **Matrix engine**: [`dense_gemm`], and [`gather_gemm`] under
+//!   [`GatherIndex::Rows`] or [`GatherIndex::Blocks`]. The gather packs
+//!   whole output columns or contiguous strips into dense operands
+//!   *before* the multiply; its index cost is charged as overhead cycles.
+//! * **SIMT lanes only**: [`gather_gemm`] under [`GatherIndex::Lanes`] or
+//!   [`GatherIndex::Inner`], whose index is decoded inside the inner loop
+//!   (per-group lanes, scattered inner products); [`tile_compact_gemm`],
+//!   which scales the dense tile grid by the kept fraction; and
+//!   [`divergent_gemm`], whose threads branch. Hardware 2:4 escapes the pin
+//!   through its own roofline, [`nm_tensor_core_gemm`].
 //!
 //! Changing this split moves the speedup curves pinned (±2%) by
 //! `tests/paper_figures.rs`; regenerate its golden table if you change it
 //! on purpose.
 
 use crate::config::GpuConfig;
-use std::fmt;
 
 /// Tile edge used by the modelled GEMM kernels (matches the paper's 32×32).
 pub const GEMM_TILE: usize = 32;
@@ -50,51 +49,9 @@ pub const GEMM_TILE: usize = 32;
 /// Bytes per single-precision element.
 const F32: f64 = 4.0;
 
-/// Which kernel a [`KernelStats`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// Dense tiled GEMM.
-    DenseGemm,
-    /// Row-compacted GEMM (Row-based Dropout Pattern).
-    RowCompactGemm,
-    /// Tile-compacted GEMM (Tile-based Dropout Pattern).
-    TileCompactGemm,
-    /// Group-compacted GEMM (N:M structured sparsity).
-    NmCompactGemm,
-    /// Block-compacted GEMM (structured unit dropout).
-    BlockCompactGemm,
-    /// K-dimension sampled GEMM (column-row sampling, CRS).
-    CrsCompactGemm,
-    /// Dense GEMM with naive per-thread branch skipping (divergent).
-    DivergentGemm,
-    /// Conventional dropout: mask generation + elementwise multiply.
-    DropoutMask,
-    /// Generic elementwise kernel (activations, bias add, …).
-    Elementwise,
-}
-
-impl fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            KernelKind::DenseGemm => "dense-gemm",
-            KernelKind::RowCompactGemm => "row-compact-gemm",
-            KernelKind::TileCompactGemm => "tile-compact-gemm",
-            KernelKind::NmCompactGemm => "nm-compact-gemm",
-            KernelKind::BlockCompactGemm => "block-compact-gemm",
-            KernelKind::CrsCompactGemm => "crs-compact-gemm",
-            KernelKind::DivergentGemm => "divergent-gemm",
-            KernelKind::DropoutMask => "dropout-mask",
-            KernelKind::Elementwise => "elementwise",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Work and time accounting for one modelled kernel invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelStats {
-    /// Which kernel this is.
-    pub kind: KernelKind,
     /// Floating-point operations executed.
     pub flops: f64,
     /// Bytes read from global memory.
@@ -142,7 +99,6 @@ impl KernelStats {
     /// (used by the layer models to accumulate per-iteration totals).
     pub fn merged_with(&self, other: &KernelStats) -> KernelStats {
         KernelStats {
-            kind: self.kind,
             flops: self.flops + other.flops,
             global_read_bytes: self.global_read_bytes + other.global_read_bytes,
             global_write_bytes: self.global_write_bytes + other.global_write_bytes,
@@ -156,9 +112,8 @@ impl KernelStats {
     }
 
     /// A zero-cost placeholder (useful as a fold seed).
-    pub fn empty(kind: KernelKind) -> KernelStats {
+    pub fn empty() -> KernelStats {
         KernelStats {
-            kind,
             flops: 0.0,
             global_read_bytes: 0.0,
             global_write_bytes: 0.0,
@@ -179,7 +134,7 @@ fn ceil_div(a: usize, b: usize) -> usize {
 /// Core tiled-GEMM accounting shared by the dense and compacted variants.
 ///
 /// `m, k, n` are the effective GEMM dimensions actually executed.
-fn gemm_core(gpu: &GpuConfig, kind: KernelKind, m: usize, k: usize, n: usize) -> KernelStats {
+fn gemm_core(gpu: &GpuConfig, m: usize, k: usize, n: usize) -> KernelStats {
     let blocks_m = ceil_div(m.max(1), GEMM_TILE);
     let blocks_n = ceil_div(n.max(1), GEMM_TILE);
     let k_steps = ceil_div(k.max(1), GEMM_TILE);
@@ -204,7 +159,6 @@ fn gemm_core(gpu: &GpuConfig, kind: KernelKind, m: usize, k: usize, n: usize) ->
     KernelStats::finalize(
         gpu,
         KernelStats {
-            kind,
             flops,
             global_read_bytes: global_read,
             global_write_bytes: global_write,
@@ -220,7 +174,7 @@ fn gemm_core(gpu: &GpuConfig, kind: KernelKind, m: usize, k: usize, n: usize) ->
 
 /// Dense tiled GEMM `C[M×N] = A[M×K] · B[K×N]`.
 pub fn dense_gemm(gpu: &GpuConfig, m: usize, k: usize, n: usize) -> KernelStats {
-    gemm_core(gpu, KernelKind::DenseGemm, m, k, n)
+    gemm_core(gpu, m, k, n)
 }
 
 /// Folds a bias/activation epilogue into an already-priced GEMM launch,
@@ -272,7 +226,6 @@ pub fn elementwise(
     KernelStats::finalize(
         gpu,
         KernelStats {
-            kind: KernelKind::Elementwise,
             flops,
             global_read_bytes: global_read,
             global_write_bytes: global_write,
@@ -292,116 +245,101 @@ pub fn elementwise(
 pub fn conventional_dropout_layer(gpu: &GpuConfig, m: usize, n: usize) -> KernelStats {
     let mask_gen = elementwise(gpu, m, n, 0, 1, 12.0);
     let mask_apply = elementwise(gpu, m, n, 2, 1, 1.0);
-    let mut merged = mask_gen.merged_with(&mask_apply);
-    merged.kind = KernelKind::DropoutMask;
-    merged
+    mask_gen.merged_with(&mask_apply)
 }
 
-/// Row-compacted GEMM (Row-based Dropout Pattern).
+/// How a [`gather_gemm`] finds its kept units: the index it decodes, which
+/// fixes the index cost, the read inefficiency and the compute rate.
 ///
-/// Of the `n` output neurons only `kept_n` survive; the kernel builds compact
-/// operands, runs an `M × K × kept_n` GEMM and zero-fills the dropped part of
-/// the output (the paper's Fig. 3(a), step 3). The zero-fill and the kept-row
-/// index computation are charged as overhead so the speedup is sub-linear in
-/// `dp`, as observed in the paper.
-pub fn row_compact_gemm(
+/// | variant | index cost | read inefficiency | compute rate |
+/// |---|---|---|---|
+/// | `Rows` | `n / warp_size` cycles | none | matrix engine |
+/// | `Blocks { total }` | `total.max(1)` × [`BLOCK_POSITION_CYCLES`] | none | matrix engine |
+/// | `Lanes { m }` | [`GATHER_METADATA_CYCLES`] per `m`-lane group | [`GATHER_INEFFICIENCY`] | SIMT lanes |
+/// | `Inner` | [`GATHER_METADATA_CYCLES`] per warp-wide window of K | [`GATHER_INEFFICIENCY`] | SIMT lanes |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GatherIndex {
+    /// Scattered kept output neurons (the Row-based Dropout Pattern): one
+    /// pass over the `n` output indices, then whole kept columns stream
+    /// like a dense operand.
+    Rows,
+    /// Kept contiguous strips of a `total`-block 1-D output grid
+    /// (structured unit dropout): prefix offsets over the grid, then each
+    /// strip is a dense column panel.
+    Blocks {
+        /// Blocks in the output grid.
+        total: usize,
+    },
+    /// N:M lanes in `m`-wide groups (software N:M): the per-group lane
+    /// decode lives inside the inner loop.
+    Lanes {
+        /// Group width.
+        m: usize,
+    },
+    /// Sampled inner (K) indices (column-row sampling, CRS): the kept
+    /// columns of `A` and rows of `W` sit at arbitrary offsets.
+    Inner,
+}
+
+/// Relative memory inefficiency of an index decoded inside the inner loop
+/// ([`GatherIndex::Lanes`], [`GatherIndex::Inner`]): worse than streaming
+/// contiguous columns (1.0) but better than the 2-D tile gather, because
+/// the scattered operand feeds still sit within a narrow window.
+pub const GATHER_INEFFICIENCY: f64 = 1.08;
+
+/// Cycles charged per lane group ([`GatherIndex::Lanes`]) or warp-wide K
+/// window ([`GatherIndex::Inner`]) for decoding which units survive.
+pub const GATHER_METADATA_CYCLES: f64 = 2.0;
+
+/// Cycles charged per block of the output grid for computing the kept-block
+/// prefix offsets before the multiplication (cheaper than the tile kernel's
+/// bookkeeping: the grid is 1-D and the strips are contiguous).
+pub const BLOCK_POSITION_CYCLES: f64 = 4.0;
+
+/// GEMM over the kept units a plan fixes before launch: of the `M×K×N`
+/// product only `kept_k` inner products and `kept_n` output columns run.
+///
+/// The kernel runs an `M × kept_k × kept_n` tiled GEMM, zero-fills the
+/// `n - kept_n` dropped output columns (the output stays dense, the paper's
+/// Fig. 3(a) step 3) and pays the cost of decoding `index` (see
+/// [`GatherIndex`]). Under [`GatherIndex::Lanes`] and [`GatherIndex::Inner`]
+/// the compute phase is pinned to the SIMT lanes and operand reads pay
+/// [`GATHER_INEFFICIENCY`] (see the module docs). The zero-fill and the
+/// index cost keep the speedup sub-linear in the kept fraction, as the
+/// paper observes. A nonzero dimension keeps at least one unit and an
+/// empty one keeps none.
+pub fn gather_gemm(
     gpu: &GpuConfig,
     m: usize,
     k: usize,
     n: usize,
+    kept_k: usize,
     kept_n: usize,
+    index: GatherIndex,
 ) -> KernelStats {
-    let kept_n = kept_n.min(n);
-    let mut stats = gemm_core(gpu, KernelKind::RowCompactGemm, m, k, kept_n);
-    // Zero-fill of the dropped output columns (memset-like traffic).
-    let dropped_bytes = m as f64 * (n - kept_n) as f64 * F32;
-    stats.global_write_bytes += dropped_bytes;
-    stats.memory_cycles += dropped_bytes / gpu.bytes_per_cycle();
-    // Kept-index computation: one pass over the n output-neuron indices.
-    stats.overhead_cycles += n as f64 / gpu.warp_size as f64;
-    KernelStats::finalize(gpu, stats)
-}
+    let kept_k = kept_k.min(k).max(usize::from(k > 0));
+    let kept_n = kept_n.min(n).max(usize::from(n > 0));
 
-/// Relative memory inefficiency of gathering the scattered kept lanes of an
-/// N:M group: worse than streaming contiguous row strips (1.0) but better
-/// than the 2-D tile gather, because the lanes of one group sit within an
-/// `m`-wide window.
-pub const NM_GATHER_INEFFICIENCY: f64 = 1.08;
-
-/// Cycles charged per `m`-wide lane group for decoding the N:M sparsity
-/// metadata (which `n` lanes of the group survive) before the GEMM.
-pub const NM_METADATA_CYCLES: f64 = 2.0;
-
-/// Group-compacted GEMM under N:M structured sparsity — the
-/// **capability-aware dispatch** between the two N:M cost models.
-///
-/// On a device whose [`crate::config::DeviceCapabilities`] accelerate the
-/// scheme's exact `(n, m)` shape (hardware 2:4 on the
-/// [`GpuConfig::sparse_tensor_core`] preset), the plan prices through the
-/// [`nm_tensor_core_gemm`] roofline: compressed weight operands, hardware
-/// metadata decode, no software gather. Every other combination — the
-/// SIMT-only presets, and non-2:4 shapes even on the sparse-tensor-core
-/// device — falls back to the software gather model [`nm_gather_gemm`].
-pub fn nm_compact_gemm(
-    gpu: &GpuConfig,
-    m: usize,
-    k: usize,
-    n: usize,
-    n_of: usize,
-    m_of: usize,
-) -> KernelStats {
-    if gpu.capabilities.accelerates_nm(n_of, m_of) {
-        nm_tensor_core_gemm(gpu, m, k, n)
-    } else {
-        nm_gather_gemm(gpu, m, k, n, n_of, m_of)
+    let mut stats = gemm_core(gpu, m, kept_k, kept_n);
+    if matches!(index, GatherIndex::Lanes { .. } | GatherIndex::Inner) {
+        stats.compute_cycles = stats.flops / gpu.flops_per_cycle();
+        let extra_read = stats.global_read_bytes * (GATHER_INEFFICIENCY - 1.0);
+        stats.global_read_bytes += extra_read;
+        stats.memory_cycles += extra_read / gpu.bytes_per_cycle();
     }
-}
-
-/// Software-gather N:M GEMM (the only N:M model a SIMT-only device has).
-///
-/// Exactly `n_of` of every `m_of` consecutive output lanes are computed, so
-/// the executed work is the constant fraction `n/m` of the dense GEMM. The
-/// kept lanes are scattered *within* their group, which costs a modest
-/// gather inefficiency ([`NM_GATHER_INEFFICIENCY`]) plus per-group metadata
-/// decode cycles, and the dropped part of the output is zero-filled like
-/// the row-compacted kernel — so N:M prices between RDP (contiguous) and
-/// TDP (2-D scattered) at equal dropout rate. Unlike the row/block/tile
-/// kernels — whose compaction packs whole columns, strips or dense tiles
-/// *before* the multiply and therefore still feeds a matrix engine — the
-/// per-group lane decode here lives inside the inner loop, so the compute
-/// phase is pinned to the SIMT FMA lanes (see the module docs): on a
-/// tensor-core device this is exactly the "gather by hand and lose the
-/// hardware" baseline the sparse-tensor-core path is compared against.
-pub fn nm_gather_gemm(
-    gpu: &GpuConfig,
-    m: usize,
-    k: usize,
-    n: usize,
-    n_of: usize,
-    m_of: usize,
-) -> KernelStats {
-    let m_of = m_of.max(1);
-    let n_of = n_of.clamp(1, m_of);
-    let fraction = n_of as f64 / m_of as f64;
-    // At least one lane survives when the layer has any; a 0-wide layer
-    // keeps 0 (so the dropped-output accounting below cannot underflow).
-    let kept_n = ((n as f64 * fraction).round() as usize).clamp(usize::from(n > 0), n.max(1));
-
-    let mut stats = gemm_core(gpu, KernelKind::NmCompactGemm, m, k, kept_n);
-    // The gather kernel's irregular operand feeds run on the SIMT lanes,
-    // not the tensor cores (identical on SIMT-only devices).
-    stats.compute_cycles = stats.flops / gpu.flops_per_cycle();
-    // Within-group gather: slightly less efficient operand fetches.
-    let extra_read = stats.global_read_bytes * (NM_GATHER_INEFFICIENCY - 1.0);
-    stats.global_read_bytes += extra_read;
-    stats.memory_cycles += extra_read / gpu.bytes_per_cycle();
-    // Zero-fill of the dropped output lanes (output stays dense).
     let dropped_bytes = m as f64 * (n - kept_n) as f64 * F32;
     stats.global_write_bytes += dropped_bytes;
     stats.memory_cycles += dropped_bytes / gpu.bytes_per_cycle();
-    // Sparsity-metadata decode: one pass over the lane groups.
-    let groups = ceil_div(n.max(1), m_of);
-    stats.overhead_cycles += groups as f64 * NM_METADATA_CYCLES;
+    stats.overhead_cycles += match index {
+        GatherIndex::Rows => n as f64 / gpu.warp_size as f64,
+        GatherIndex::Blocks { total } => total.max(1) as f64 * BLOCK_POSITION_CYCLES,
+        GatherIndex::Lanes { m: group } => {
+            ceil_div(n.max(1), group.max(1)) as f64 * GATHER_METADATA_CYCLES
+        }
+        GatherIndex::Inner => {
+            ceil_div(k.max(1), gpu.warp_size.max(1)) as f64 * GATHER_METADATA_CYCLES
+        }
+    };
     KernelStats::finalize(gpu, stats)
 }
 
@@ -418,15 +356,17 @@ const NM_TC_METADATA_BYTES_PER_KEPT: f64 = 0.25;
 /// dense rate. The dropped output lanes are zero-filled exactly like the
 /// gather kernel (the output stays dense), and the per-group metadata
 /// decode happens in hardware at the capability block's (near-free) rate
-/// instead of [`NM_METADATA_CYCLES`]. Relative to [`nm_gather_gemm`] on the
-/// same silicon this removes the gather read inefficiency, moves compute
-/// from the FMA lanes to the sparse tensor cores, and shrinks the decode
-/// overhead — which is the hardware win the 2:4 scheme exists for.
+/// instead of [`GATHER_METADATA_CYCLES`]. Relative to [`gather_gemm`] under
+/// [`GatherIndex::Lanes`] on the same silicon this removes the gather read
+/// inefficiency, moves compute from the FMA lanes to the sparse tensor
+/// cores, and shrinks the decode overhead — which is the hardware win the
+/// 2:4 scheme exists for.
 ///
 /// # Panics
 ///
-/// Panics if the device has no tensor cores — callers dispatch through
-/// [`nm_compact_gemm`], which routes SIMT-only devices to the gather model.
+/// Panics if the device has no tensor cores —
+/// [`crate::training::price_fc_schedule`] prices N:M here only when the
+/// device's capabilities accelerate the schedule's shape.
 pub fn nm_tensor_core_gemm(gpu: &GpuConfig, m: usize, k: usize, n: usize) -> KernelStats {
     let caps = &gpu.capabilities;
     assert!(
@@ -437,7 +377,7 @@ pub fn nm_tensor_core_gemm(gpu: &GpuConfig, m: usize, k: usize, n: usize) -> Ker
     // guard as the gather model).
     let kept_n = ((n as f64 * 0.5).round() as usize).clamp(usize::from(n > 0), n.max(1));
 
-    let mut stats = gemm_core(gpu, KernelKind::NmCompactGemm, m, k, kept_n);
+    let mut stats = gemm_core(gpu, m, k, kept_n);
     // Compute phase: the dense-equivalent GEMM at the sparse tensor-core
     // rate. With the nominal 2x sparse speedup this equals the compacted
     // GEMM at the dense tensor-core rate; a smaller factor prices the
@@ -456,102 +396,6 @@ pub fn nm_tensor_core_gemm(gpu: &GpuConfig, m: usize, k: usize, n: usize) -> Ker
     // Hardware metadata decode over the 4-wide lane groups.
     let groups = ceil_div(n.max(1), 4);
     stats.overhead_cycles += groups as f64 * caps.nm_metadata_decode_cycles;
-    KernelStats::finalize(gpu, stats)
-}
-
-/// Cycles charged per block of the output grid for computing the kept-block
-/// prefix offsets before the multiplication (cheaper than the tile kernel's
-/// bookkeeping: the grid is 1-D and the strips are contiguous).
-pub const BLOCK_POSITION_CYCLES: f64 = 4.0;
-
-/// Block-compacted GEMM under structured unit dropout.
-///
-/// `kept_blocks` of the `total_blocks` contiguous `block`-wide output
-/// strips survive; each strip is a dense column panel, so the fetches
-/// coalesce exactly like the row-compacted kernel (no gather penalty) and
-/// the only overheads are the dropped-output zero-fill and a small 1-D
-/// position computation — the hardware-cheapest member of the structured
-/// family.
-pub fn block_compact_gemm(
-    gpu: &GpuConfig,
-    m: usize,
-    k: usize,
-    n: usize,
-    kept_blocks: usize,
-    total_blocks: usize,
-    block: usize,
-) -> KernelStats {
-    let total = total_blocks.max(1);
-    let kept = kept_blocks.min(total);
-    let fraction = kept as f64 / total as f64;
-    // Same degenerate-width guard as `nm_compact_gemm`: 0-wide layers keep
-    // 0 lanes so the zero-fill accounting cannot underflow.
-    let kept_n = ((n as f64 * fraction).round() as usize).clamp(usize::from(n > 0), n.max(1));
-    let _ = block; // strip width is already folded into kept_n
-
-    let mut stats = gemm_core(gpu, KernelKind::BlockCompactGemm, m, k, kept_n);
-    // Zero-fill of the dropped output strips.
-    let dropped_bytes = m as f64 * (n - kept_n) as f64 * F32;
-    stats.global_write_bytes += dropped_bytes;
-    stats.memory_cycles += dropped_bytes / gpu.bytes_per_cycle();
-    // Kept-block prefix offsets: one pass over the 1-D block grid.
-    stats.overhead_cycles += total as f64 * BLOCK_POSITION_CYCLES;
-    KernelStats::finalize(gpu, stats)
-}
-
-/// Relative memory inefficiency of gathering the scattered kept inner (K)
-/// indices of a CRS-sampled GEMM: the kept columns of `A` and rows of `W`
-/// sit at arbitrary offsets, so the operand feeds coalesce like the N:M
-/// within-group gather rather than a contiguous stream.
-pub const CRS_GATHER_INEFFICIENCY: f64 = 1.08;
-
-/// Cycles charged per warp-wide window of the K dimension for decoding the
-/// kept-index list (which inner products run) before the GEMM.
-pub const CRS_METADATA_CYCLES: f64 = 2.0;
-
-/// K-dimension sampled GEMM (column-row sampling, CRS — Adelman &
-/// Silberstein): only `kept_k` of the `k` inner products execute, so the
-/// compute phase scales with `k/K` while the output stays full-width dense —
-/// **no** zero-fill for the pure scheme, unlike the output-compacting
-/// families. `kept_n` prices the composed dropout×CRS call: when a dropout
-/// plan additionally compacts the output columns the GEMM runs at
-/// `M × kept_k × kept_n` and the dropped output lanes are zero-filled, so
-/// the two approximation axes multiply inside one launch.
-///
-/// Like [`nm_gather_gemm`], the scattered kept-index feeds live in the
-/// operand-fetch inner loop: the compute phase is pinned to the SIMT FMA
-/// lanes (a matrix engine needs dense contiguous tiles), the gather pays a
-/// modest read inefficiency ([`CRS_GATHER_INEFFICIENCY`]) and the kept-index
-/// metadata decode charges one pass over the warp-wide K windows.
-pub fn crs_compact_gemm(
-    gpu: &GpuConfig,
-    m: usize,
-    k: usize,
-    n: usize,
-    kept_k: usize,
-    kept_n: usize,
-) -> KernelStats {
-    // Same degenerate-shape guards as the N:M gather model: at least one
-    // inner product / output lane survives when the dimension has any.
-    let kept_k = kept_k.clamp(usize::from(k > 0), k.max(1));
-    let kept_n = kept_n.clamp(usize::from(n > 0), n.max(1));
-
-    let mut stats = gemm_core(gpu, KernelKind::CrsCompactGemm, m, kept_k, kept_n);
-    // The irregular K-gather feeds run on the SIMT lanes, not the tensor
-    // cores (identical on SIMT-only devices).
-    stats.compute_cycles = stats.flops / gpu.flops_per_cycle();
-    // Scattered kept-index gather: slightly less efficient operand fetches.
-    let extra_read = stats.global_read_bytes * (CRS_GATHER_INEFFICIENCY - 1.0);
-    stats.global_read_bytes += extra_read;
-    stats.memory_cycles += extra_read / gpu.bytes_per_cycle();
-    // Zero-fill of dropped output lanes — only the composed call has any;
-    // the pure CRS output is dense and this term is zero.
-    let dropped_bytes = m as f64 * n.saturating_sub(kept_n) as f64 * F32;
-    stats.global_write_bytes += dropped_bytes;
-    stats.memory_cycles += dropped_bytes / gpu.bytes_per_cycle();
-    // Kept-index metadata decode: one pass over the warp-wide K windows.
-    let groups = ceil_div(k.max(1), gpu.warp_size.max(1));
-    stats.overhead_cycles += groups as f64 * CRS_METADATA_CYCLES;
     KernelStats::finalize(gpu, stats)
 }
 
@@ -582,7 +426,7 @@ pub fn tile_compact_gemm(
     let kept = kept_tiles.min(total);
     let fraction = kept as f64 / total as f64;
 
-    let dense = gemm_core(gpu, KernelKind::TileCompactGemm, m, k, n);
+    let dense = gemm_core(gpu, m, k, n);
     let flops = dense.flops * fraction;
     let global_read = dense.global_read_bytes * fraction * TILE_GATHER_INEFFICIENCY;
     // The full output is written: kept positions with results, the rest with
@@ -598,7 +442,6 @@ pub fn tile_compact_gemm(
     KernelStats::finalize(
         gpu,
         KernelStats {
-            kind: KernelKind::TileCompactGemm,
             flops,
             global_read_bytes: global_read,
             global_write_bytes: global_write,
@@ -626,8 +469,7 @@ pub fn divergent_gemm(
     n: usize,
     dropout_rate: f64,
 ) -> KernelStats {
-    let mut stats = gemm_core(gpu, KernelKind::DivergentGemm, m, k, n);
-    stats.kind = KernelKind::DivergentGemm;
+    let mut stats = gemm_core(gpu, m, k, n);
     // A per-thread `if (kept)` kernel runs on the SIMT lanes — branching
     // threads cannot feed a matrix engine, so on a tensor-core device this
     // kernel does not get the tensor-core rate (identical on SIMT-only
@@ -650,9 +492,45 @@ pub fn divergent_gemm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use approx_dropout::{Activation, KernelSchedule};
 
     fn gpu() -> GpuConfig {
         GpuConfig::gtx_1080ti()
+    }
+
+    /// Row-compacted GEMM keeping `kept_n` of the `n` outputs.
+    fn rows(g: &GpuConfig, m: usize, k: usize, n: usize, kept_n: usize) -> KernelStats {
+        gather_gemm(g, m, k, n, k, kept_n, GatherIndex::Rows)
+    }
+
+    /// Software N:M GEMM keeping `kept_n` of the `n` outputs in 4-lane groups.
+    fn lanes(g: &GpuConfig, m: usize, k: usize, n: usize, kept_n: usize) -> KernelStats {
+        gather_gemm(g, m, k, n, k, kept_n, GatherIndex::Lanes { m: 4 })
+    }
+
+    /// CRS GEMM keeping `kept_k` inner products and `kept_n` outputs.
+    fn inner(
+        g: &GpuConfig,
+        m: usize,
+        k: usize,
+        n: usize,
+        kept_k: usize,
+        kept_n: usize,
+    ) -> KernelStats {
+        gather_gemm(g, m, k, n, kept_k, kept_n, GatherIndex::Inner)
+    }
+
+    /// The forward launch [`crate::price_fc_schedule`] prices for an
+    /// `a:b` N:M layer — the N:M dispatch lives there — with a fused
+    /// identity epilogue so it is a single kernel.
+    fn nm_forward(g: &GpuConfig, m: usize, k: usize, n: usize, a: usize, b: usize) -> KernelStats {
+        let schedule = KernelSchedule::NmCompact { n: a, m: b };
+        crate::price_fc_schedule(g, &schedule, m, k, n, Some(Activation::Identity)).0
+    }
+
+    /// `gemm` with the fused identity epilogue over its `kept_n` outputs.
+    fn with_epilogue(g: &GpuConfig, gemm: KernelStats, m: usize, kept_n: usize) -> KernelStats {
+        fuse_epilogue(g, gemm, m, kept_n, 1.0, 1)
     }
 
     #[test]
@@ -674,7 +552,7 @@ mod tests {
     fn row_compact_is_faster_than_dense_and_slower_than_ideal() {
         let g = gpu();
         let dense = dense_gemm(&g, 128, 2048, 2048);
-        let half = row_compact_gemm(&g, 128, 2048, 2048, 1024);
+        let half = rows(&g, 128, 2048, 2048, 1024);
         let ideal = dense_gemm(&g, 128, 2048, 1024);
         assert!(half.time_us() < dense.time_us());
         assert!(half.time_us() >= ideal.time_us());
@@ -684,7 +562,7 @@ mod tests {
     fn row_compact_with_all_kept_is_no_faster_than_dense() {
         let g = gpu();
         let dense = dense_gemm(&g, 64, 512, 512);
-        let all = row_compact_gemm(&g, 64, 512, 512, 512);
+        let all = rows(&g, 64, 512, 512, 512);
         assert!(all.time_us() >= dense.time_us() * 0.999);
     }
 
@@ -705,16 +583,28 @@ mod tests {
         // the nonzero-position bookkeeping.
         let g = gpu();
         let grid = (2048 / 32) * (2048 / 32);
-        let row = row_compact_gemm(&g, 128, 2048, 2048, 2048 / 2);
+        let row = rows(&g, 128, 2048, 2048, 2048 / 2);
         let tile = tile_compact_gemm(&g, 128, 2048, 2048, grid / 2, grid);
         assert!(tile.time_us() > row.time_us());
+    }
+
+    #[test]
+    fn tile_compute_is_simt_pinned() {
+        // TDP scales the dense tile grid by the kept fraction rather than
+        // packing dense operands, so on the tensor-core preset its compute
+        // phase prices at the SIMT FMA rate.
+        let sparse = GpuConfig::sparse_tensor_core();
+        let grid = (2048 / 32) * (2048 / 32);
+        let stats = tile_compact_gemm(&sparse, 128, 2048, 2048, grid / 2, grid);
+        assert!((stats.compute_cycles - stats.flops / sparse.flops_per_cycle()).abs() < 1.0);
+        assert!(sparse.gemm_flops_per_cycle() > sparse.flops_per_cycle());
     }
 
     #[test]
     fn nm_compact_is_faster_than_dense_and_slower_than_ideal() {
         let g = gpu();
         let dense = dense_gemm(&g, 128, 2048, 2048);
-        let half = nm_compact_gemm(&g, 128, 2048, 2048, 2, 4);
+        let half = lanes(&g, 128, 2048, 2048, 1024);
         let ideal = dense_gemm(&g, 128, 2048, 1024);
         assert!(half.time_us() < dense.time_us());
         assert!(half.time_us() >= ideal.time_us());
@@ -725,8 +615,8 @@ mod tests {
         // Contiguous rows < within-group gather < 2-D tile gather.
         let g = gpu();
         let grid = (2048 / 32) * (2048 / 32);
-        let row = row_compact_gemm(&g, 128, 2048, 2048, 1024);
-        let nm = nm_compact_gemm(&g, 128, 2048, 2048, 2, 4);
+        let row = rows(&g, 128, 2048, 2048, 1024);
+        let nm = lanes(&g, 128, 2048, 2048, 1024);
         let tile = tile_compact_gemm(&g, 128, 2048, 2048, grid / 2, grid);
         assert!(nm.time_us() > row.time_us(), "nm should pay a gather cost");
         assert!(
@@ -738,8 +628,16 @@ mod tests {
     #[test]
     fn block_compact_prices_like_row_compact() {
         let g = gpu();
-        let row = row_compact_gemm(&g, 128, 2048, 2048, 1024);
-        let block = block_compact_gemm(&g, 128, 2048, 2048, 32, 64, 32);
+        let row = rows(&g, 128, 2048, 2048, 1024);
+        let block = gather_gemm(
+            &g,
+            128,
+            2048,
+            2048,
+            2048,
+            1024,
+            GatherIndex::Blocks { total: 64 },
+        );
         let ratio = block.time_us() / row.time_us();
         assert!(
             (0.9..1.1).contains(&ratio),
@@ -755,15 +653,18 @@ mod tests {
         let (m, k, n) = (128, 2048, 2048);
         let row: Vec<f64> = [2048, 1024, 512, 256]
             .iter()
-            .map(|&kept| row_compact_gemm(&g, m, k, n, kept).time_us())
+            .map(|&kept| rows(&g, m, k, n, kept).time_us())
             .collect();
-        let nm: Vec<f64> = [(4, 4), (3, 4), (2, 4), (1, 4)]
+        let nm: Vec<f64> = [2048, 1536, 1024, 512]
             .iter()
-            .map(|&(a, b)| nm_compact_gemm(&g, m, k, n, a, b).time_us())
+            .map(|&kept| lanes(&g, m, k, n, kept).time_us())
             .collect();
         let blocks: Vec<f64> = [64, 48, 32, 16]
             .iter()
-            .map(|&kept| block_compact_gemm(&g, m, k, n, kept, 64, 32).time_us())
+            .map(|&kept| {
+                let index = GatherIndex::Blocks { total: 64 };
+                gather_gemm(&g, m, k, n, k, kept * 32, index).time_us()
+            })
             .collect();
         let grid = (n / 32) * (k / 32);
         let tiles: Vec<f64> = [grid, grid / 2, grid / 4, grid / 8]
@@ -784,7 +685,7 @@ mod tests {
     fn crs_compact_is_faster_than_dense_and_slower_than_ideal() {
         let g = gpu();
         let dense = dense_gemm(&g, 128, 2048, 2048);
-        let half = crs_compact_gemm(&g, 128, 2048, 2048, 1024, 2048);
+        let half = inner(&g, 128, 2048, 2048, 1024, 2048);
         let ideal = dense_gemm(&g, 128, 1024, 2048);
         assert!(half.time_us() < dense.time_us());
         assert!(half.time_us() >= ideal.time_us());
@@ -795,7 +696,7 @@ mod tests {
         let g = gpu();
         let series: Vec<f64> = [2048, 1536, 1024, 512, 256]
             .iter()
-            .map(|&kk| crs_compact_gemm(&g, 128, 2048, 2048, kk, 2048).time_us())
+            .map(|&kk| inner(&g, 128, 2048, 2048, kk, 2048).time_us())
             .collect();
         for w in series.windows(2) {
             assert!(
@@ -815,7 +716,7 @@ mod tests {
             GpuConfig::sparse_tensor_core(),
         ] {
             let dense = dense_gemm(&g, 64, 512, 512);
-            let all = crs_compact_gemm(&g, 64, 512, 512, 512, 512);
+            let all = inner(&g, 64, 512, 512, 512, 512);
             assert!(
                 all.time_us() >= dense.time_us() * 0.999,
                 "{}: crs all-kept {} vs dense {}",
@@ -832,9 +733,9 @@ mod tests {
         // must price below both the pure CRS call and the pure row-compact
         // call at the same per-axis fractions.
         let g = gpu();
-        let crs_only = crs_compact_gemm(&g, 128, 2048, 2048, 1024, 2048);
-        let row_only = row_compact_gemm(&g, 128, 2048, 2048, 1024);
-        let composed = crs_compact_gemm(&g, 128, 2048, 2048, 1024, 1024);
+        let crs_only = inner(&g, 128, 2048, 2048, 1024, 2048);
+        let row_only = rows(&g, 128, 2048, 2048, 1024);
+        let composed = inner(&g, 128, 2048, 2048, 1024, 1024);
         assert!(composed.time_us() < crs_only.time_us());
         assert!(composed.time_us() < row_only.time_us());
     }
@@ -842,8 +743,8 @@ mod tests {
     #[test]
     fn crs_zero_fills_dropped_output_lanes_only_when_composed() {
         let g = gpu();
-        let pure = crs_compact_gemm(&g, 128, 2048, 2048, 1024, 2048);
-        let composed = crs_compact_gemm(&g, 128, 2048, 2048, 1024, 1024);
+        let pure = inner(&g, 128, 2048, 2048, 1024, 2048);
+        let composed = inner(&g, 128, 2048, 2048, 1024, 1024);
         // Pure CRS writes the full dense output; the composed call writes the
         // kept lanes plus a zero-fill of the dropped ones — in both cases the
         // total write volume covers the full output matrix.
@@ -856,14 +757,14 @@ mod tests {
         // On the tensor-core preset the scattered K-gather cannot feed the
         // matrix engine: the compute phase prices at the SIMT FMA rate.
         let sparse = GpuConfig::sparse_tensor_core();
-        let stats = crs_compact_gemm(&sparse, 128, 2048, 2048, 1024, 2048);
+        let stats = inner(&sparse, 128, 2048, 2048, 1024, 2048);
         assert!((stats.compute_cycles - stats.flops / sparse.flops_per_cycle()).abs() < 1.0);
     }
 
     #[test]
     fn crs_degenerate_shapes_keep_at_least_one_inner_product() {
         let g = gpu();
-        let s = crs_compact_gemm(&g, 4, 8, 8, 0, 8);
+        let s = inner(&g, 4, 8, 8, 0, 8);
         assert!(s.flops > 0.0);
         assert!(s.time_us() > 0.0);
     }
@@ -876,19 +777,19 @@ mod tests {
         let sparse = GpuConfig::sparse_tensor_core();
         let (m, k, n) = (128, 2048, 2048);
         assert_eq!(
-            nm_compact_gemm(&sparse, m, k, n, 2, 4),
-            nm_tensor_core_gemm(&sparse, m, k, n),
+            nm_forward(&sparse, m, k, n, 2, 4),
+            with_epilogue(&sparse, nm_tensor_core_gemm(&sparse, m, k, n), m, 1024),
             "2:4 on the sparse preset must price as tensor-core"
         );
         assert_eq!(
-            nm_compact_gemm(&sparse, m, k, n, 1, 4),
-            nm_gather_gemm(&sparse, m, k, n, 1, 4),
+            nm_forward(&sparse, m, k, n, 1, 4),
+            with_epilogue(&sparse, lanes(&sparse, m, k, n, 512), m, 512),
             "non-2:4 shapes fall back to the gather model"
         );
         for gpu in [GpuConfig::gtx_1080ti(), GpuConfig::server_hbm()] {
             assert_eq!(
-                nm_compact_gemm(&gpu, m, k, n, 2, 4),
-                nm_gather_gemm(&gpu, m, k, n, 2, 4),
+                nm_forward(&gpu, m, k, n, 2, 4),
+                with_epilogue(&gpu, lanes(&gpu, m, k, n, 1024), m, 1024),
                 "{}: SIMT-only devices always gather",
                 gpu.name
             );
@@ -905,7 +806,7 @@ mod tests {
         let sparse = GpuConfig::sparse_tensor_core();
         for (m, k, n) in [(128, 2048, 2048), (32, 784, 2048), (256, 1500, 6000)] {
             let tc = nm_tensor_core_gemm(&sparse, m, k, n);
-            let gather = nm_gather_gemm(&sparse, m, k, n, 2, 4);
+            let gather = lanes(&sparse, m, k, n, n / 2);
             assert!(
                 tc.time_us() < gather.time_us(),
                 "({m},{k},{n}): tensor-core {} >= gather {}",
@@ -929,14 +830,14 @@ mod tests {
 
     #[test]
     fn gather_pricing_is_identical_with_and_without_tensor_cores_disabled() {
-        // nm_gather_gemm on the stripped device equals the stripped
-        // device's dispatch: without_tensor_cores() is a faithful
-        // "same silicon, SIMT pricing" baseline.
+        // The stripped device's N:M dispatch picks the gather model:
+        // without_tensor_cores() is a faithful "same silicon, SIMT pricing"
+        // baseline.
         let sparse = GpuConfig::sparse_tensor_core();
         let stripped = sparse.without_tensor_cores();
         assert_eq!(
-            nm_compact_gemm(&stripped, 128, 1024, 1024, 2, 4),
-            nm_gather_gemm(&stripped, 128, 1024, 1024, 2, 4),
+            nm_forward(&stripped, 128, 1024, 1024, 2, 4),
+            with_epilogue(&stripped, lanes(&stripped, 128, 1024, 1024, 512), 128, 512),
         );
     }
 
@@ -949,7 +850,7 @@ mod tests {
         let (m, k, n) = (128, 2048, 2048);
         let nm: Vec<f64> = [(4, 4), (3, 4), (2, 4), (1, 4)]
             .iter()
-            .map(|&(a, b)| nm_compact_gemm(&g, m, k, n, a, b).time_us())
+            .map(|&(a, b)| nm_forward(&g, m, k, n, a, b).time_us())
             .collect();
         for w in nm.windows(2) {
             assert!(
@@ -964,8 +865,8 @@ mod tests {
         // Degenerate 0-wide layers must not underflow the dropped-output
         // accounting (regression: `n - kept_n` with kept_n clamped to 1).
         let g = gpu();
-        let nm = nm_compact_gemm(&g, 8, 8, 0, 2, 4);
-        let block = block_compact_gemm(&g, 8, 8, 0, 1, 2, 4);
+        let nm = lanes(&g, 8, 8, 0, 1);
+        let block = gather_gemm(&g, 8, 8, 0, 8, 1, GatherIndex::Blocks { total: 2 });
         assert!(nm.time_us().is_finite());
         assert!(block.time_us().is_finite());
         assert!(nm.global_write_bytes < 1e3, "{}", nm.global_write_bytes);
@@ -1031,14 +932,8 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let e = KernelStats::empty(KernelKind::DenseGemm);
+        let e = KernelStats::empty();
         assert_eq!(e.time_us(), 0.0);
         assert_eq!(e.global_bytes(), 0.0);
-    }
-
-    #[test]
-    fn kernel_kind_display_names() {
-        assert_eq!(KernelKind::DenseGemm.to_string(), "dense-gemm");
-        assert_eq!(KernelKind::TileCompactGemm.to_string(), "tile-compact-gemm");
     }
 }

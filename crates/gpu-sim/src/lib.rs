@@ -43,7 +43,8 @@
 //!
 //! let gpu = GpuConfig::gtx_1080ti();
 //! let dense = kernels::dense_gemm(&gpu, 128, 2048, 2048);
-//! let compact = kernels::row_compact_gemm(&gpu, 128, 2048, 2048, 1024);
+//! let rows = kernels::GatherIndex::Rows;
+//! let compact = kernels::gather_gemm(&gpu, 128, 2048, 2048, 2048, 1024, rows);
 //! assert!(compact.time_us() < dense.time_us());
 //! ```
 
@@ -53,7 +54,7 @@ pub mod queueing;
 pub mod training;
 
 pub use config::{DeviceCapabilities, GpuConfig};
-pub use kernels::{KernelKind, KernelStats};
+pub use kernels::KernelStats;
 pub use queueing::{hold_batch, md1_wait_us, merge_win_us};
 pub use training::{
     price_fc_schedule, LayerTiming, LstmSpec, MlpSpec, NetworkTimingModel, TrainingTimeBreakdown,

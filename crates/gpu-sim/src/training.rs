@@ -20,7 +20,7 @@
 //! [`NetworkTimingModel::speedup`] reproduces exactly that ratio.
 
 use crate::config::GpuConfig;
-use crate::kernels;
+use crate::kernels::{self, GatherIndex};
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, KernelSchedule, LayerShape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -509,12 +509,8 @@ impl NetworkTimingModel {
     }
 
     fn mlp_iteration(&self, spec: &MlpSpec, plans: &[DropoutPlan]) -> TrainingTimeBreakdown {
-        // Each hidden layer's dropout shrinks the GEMMs that produce its own
-        // output (forward, dX and dW). The further saving that the *next*
-        // layer could obtain by also skipping the dropped inputs is not
-        // charged: the paper's end-to-end speedups (≤ 2.2× at rate 0.7)
-        // indicate the deployed kernels realise the reduction once per layer,
-        // and charging it twice would overshoot those measurements.
+        // The next layer is not charged the dropped inputs: see the
+        // consuming-GEMM rule on `price_fc_schedule`.
         let mut layers = Vec::new();
         let mut in_dim = spec.input_dim;
         for (i, &width) in spec.hidden.iter().enumerate() {
@@ -546,10 +542,10 @@ impl NetworkTimingModel {
     ///
     /// Per timestep the layer runs an input GEMM `(batch × in) · (in × 4h)`,
     /// a recurrent GEMM `(batch × h) · (h × 4h)` and elementwise gate math;
-    /// the backward pass costs roughly twice the forward GEMM work. Dropout
-    /// between layers shrinks the *input* GEMM of the next layer when a row
-    /// plan drops whole units, and the dropout-mask kernels of the baseline
-    /// run once per timestep on the layer output.
+    /// the backward pass costs roughly twice the forward GEMM work. The input
+    /// GEMM runs over the `input_keep` fraction of `in_dim` (the
+    /// consuming-GEMM rule on [`price_fc_schedule`]), and the dropout-mask
+    /// kernels of the baseline run once per timestep on the layer output.
     fn lstm_layer(
         &self,
         name: &str,
@@ -577,7 +573,7 @@ impl NetworkTimingModel {
                 kept_k, total_k, ..
             } if total_k > 0 && kept_k < total_k => {
                 let kk = scaled_dim(k_eff, kept_k as f64 / total_k as f64);
-                kernels::crs_compact_gemm(gpu, spec.batch, k_eff, h4, kk, h4)
+                kernels::gather_gemm(gpu, spec.batch, k_eff, h4, kk, h4, GatherIndex::Inner)
             }
             _ => kernels::dense_gemm(gpu, spec.batch, k_eff, h4),
         };
@@ -625,8 +621,8 @@ impl NetworkTimingModel {
             in_dim = spec.hidden;
         }
         // Output softmax projection over the whole unrolled sequence:
-        // (batch·seq_len × h) · (h × vocab). The last layer's row dropout
-        // shrinks its input dimension.
+        // (batch·seq_len × h) · (h × vocab), over the last layer's kept units
+        // (the consuming-GEMM rule on `price_fc_schedule`).
         let tokens = spec.batch * spec.seq_len;
         let proj = self.fc_layer(
             &format!("softmax ({}x{})", spec.hidden, spec.vocab),
@@ -649,8 +645,8 @@ impl NetworkTimingModel {
     ///   projections (Q, K, V, O) through the compacted N:M kernel via
     ///   [`price_fc_schedule`] — on a sparse-tensor-core device that is the
     ///   hardware 2:4 roofline;
-    /// * a `BlockCompact` plan whose block is the head width drops whole
-    ///   heads: Q/K/V run the block-compacted kernel (dropped heads'
+    /// * a block-unit plan over whole heads ([`DropoutPlan::kept_heads`])
+    ///   drops them: Q/K/V run the block-compacted kernel (dropped heads'
     ///   projection columns are never computed), both batched attention
     ///   GEMMs (QKᵀ and attn·V) and the softmax shrink to the kept heads,
     ///   and O's input GEMM skips the dropped heads' zero columns;
@@ -668,22 +664,15 @@ impl NetworkTimingModel {
         let hd = spec.head_dim();
         let schedule = plan.kernel_schedule();
 
-        // Whole-head drop: a block-unit plan whose block spans one head keeps
-        // `kept` of `heads` heads; the executor's per-head loop skips dropped
-        // heads outright. Every other plan family runs all heads.
-        let head_drop = matches!(
-            schedule,
-            KernelSchedule::BlockCompact { block, total, .. }
-                if block == hd && total == spec.heads
-        );
-        let kept_heads = match schedule {
-            KernelSchedule::BlockCompact { kept, .. } if head_drop => kept.max(1),
-            _ => spec.heads,
-        };
+        // Whole-head drop keeps `kept_heads` of `heads` heads; the
+        // executor's per-head loop skips dropped heads outright. Every other
+        // plan family runs all heads.
+        let head_drop = plan.kept_heads(hd, spec.heads);
+        let kept_heads = head_drop.map_or(spec.heads, |kept| kept.len().max(1));
 
         let qkv_schedule = match schedule {
             KernelSchedule::NmCompact { .. } => schedule,
-            KernelSchedule::BlockCompact { .. } if head_drop => schedule,
+            KernelSchedule::BlockCompact { .. } if head_drop.is_some() => schedule,
             _ => KernelSchedule::Dense,
         };
         let o_schedule = match schedule {
@@ -691,9 +680,8 @@ impl NetworkTimingModel {
             _ => KernelSchedule::Dense,
         };
         let epilogue = self.fused.then_some(Activation::Identity);
-        // O consumes the context whose dropped-head columns are exactly
-        // zero — its input GEMM gathers only the kept heads' columns, the
-        // same inter-layer saving the LSTM model charges after row dropout.
+        // O reads only the kept heads' context columns (the consuming-GEMM
+        // rule on `price_fc_schedule`).
         let o_input_keep = kept_heads as f64 / spec.heads as f64;
 
         let mut forward_us = 0.0;
@@ -753,8 +741,8 @@ impl NetworkTimingModel {
                 attn_plan,
             ));
             // FFN expansion carries the block's second dropout plan; the
-            // contraction back to model width is dense — the same
-            // once-per-layer charging convention as `mlp_iteration`.
+            // contraction back to model width is not charged its dropped
+            // inputs (the consuming-GEMM rule on `price_fc_schedule`).
             layers.push(self.fc_layer(
                 &format!("ffn{}_in ({}x{})", l + 1, spec.model_dim, spec.ff_dim),
                 tokens,
@@ -798,14 +786,30 @@ impl NetworkTimingModel {
 ///
 /// This is the *single* per-variant pricing dispatch of the crate — the
 /// counterpart of the `ExecPath` classification the `nn` crate executes
-/// with. Every fc-shaped GEMM of the network models prices through it, so
-/// a new `KernelSchedule` variant is exactly one new arm here (its forward
-/// GEMM, epilogue width and backward GEMMs) plus its cost model in
-/// [`kernels`]. Pricing is capability-aware through the kernel layer: on a
-/// [`GpuConfig`] whose capabilities accelerate hardware 2:4, an
-/// `NmCompact { n: 2, m: 4 }` schedule prices through
-/// [`kernels::nm_tensor_core_gemm`]; everywhere else N:M pays the software
-/// gather model.
+/// with. Every schedule that runs over kept units fixed before launch
+/// (rows, blocks, software N:M, CRS and row×CRS) prices through one
+/// [`kernels::gather_gemm`] arm; a new such schedule is one line mapping it
+/// to its kept inner width, kept output width and [`GatherIndex`]. Pricing
+/// is capability-aware: on a [`GpuConfig`] whose capabilities accelerate
+/// hardware 2:4, an `NmCompact { n: 2, m: 4 }` schedule prices through
+/// [`kernels::nm_tensor_core_gemm`] instead of the gather.
+///
+/// # Which GEMM is charged a dropped input
+///
+/// A plan shrinks the GEMMs that produce its own layer's output, which is
+/// what this function prices. The GEMM that *consumes* that output could
+/// also skip the dropped inputs; the network models charge that saving,
+/// as a smaller `k_eff`, for exactly these consumers:
+///
+/// * charged: the next LSTM layer's input GEMM and the LSTM softmax
+///   (`input_keep`), and the transformer's O projection (`o_input_keep`);
+/// * not charged: the MLP's next layer and the transformer's FFN output.
+///   The paper's end-to-end MLP speedups (≤ 2.2× at rate 0.7) indicate the
+///   deployed kernels realise the reduction once per layer, and charging
+///   it twice would overshoot those measurements.
+///
+/// The CPU executor in `nn` realises none of these consuming-GEMM savings
+/// today.
 ///
 /// Returns `(forward, backward, dropout_us)`: the forward-pass kernel
 /// stats, the backward-pass kernel stats, and any separate dropout-mask
@@ -819,6 +823,24 @@ pub fn price_fc_schedule(
     epilogue: Option<Activation>,
 ) -> (kernels::KernelStats, kernels::KernelStats, f64) {
     let n = out_features;
+    // A gather layer over `kk` of the `k_eff` inner products and `kn` of
+    // the `n` outputs. Its epilogue covers the `kn` kept outputs. dX is a
+    // dense GEMM over the kept outputs (the gather already happened in
+    // forward), except that a sampled inner index scatters into the kept
+    // inner columns. dW computes only the kept weights from the gathered
+    // input panel.
+    let gather = |kk: usize, kn: usize, index: GatherIndex| {
+        let dx = match index {
+            GatherIndex::Inner => kernels::gather_gemm(gpu, batch, kn, k_eff, kn, kk, index),
+            _ => kernels::dense_gemm(gpu, batch, kn, k_eff),
+        };
+        (
+            kernels::gather_gemm(gpu, batch, k_eff, n, kk, kn, index),
+            kn,
+            dx,
+            kernels::gather_gemm(gpu, kk, batch, n, batch, kn, index),
+        )
+    };
     // Per schedule: the forward GEMM, the output width its epilogue covers,
     // and the input-gradient (dX) and weight-gradient (dW) GEMMs.
     let (gemm, epilogue_n, dx, dw) = match *schedule {
@@ -834,15 +856,6 @@ pub fn price_fc_schedule(
             kernels::divergent_gemm(gpu, batch, n, k_eff, rate),
             kernels::divergent_gemm(gpu, k_eff, batch, n, rate),
         ),
-        KernelSchedule::RowCompact { kept, total } => {
-            let kept = scaled_units(n, kept, total);
-            (
-                kernels::row_compact_gemm(gpu, batch, k_eff, n, kept),
-                kept,
-                kernels::dense_gemm(gpu, batch, kept, k_eff),
-                kernels::row_compact_gemm(gpu, k_eff, batch, n, kept),
-            )
-        }
         // The tile epilogue covers every output column (bias is added to
         // dropped columns too, matching the executor).
         KernelSchedule::TileCompact { kept, total } => (
@@ -851,61 +864,42 @@ pub fn price_fc_schedule(
             kernels::tile_compact_gemm(gpu, batch, n, k_eff, kept, total),
             kernels::tile_compact_gemm(gpu, k_eff, batch, n, kept, total),
         ),
-        // Input gradients run a dense GEMM over the kept lanes (the gather
-        // already happened in forward), weight gradients re-run the
-        // group-compacted kernel — the mirror of the row schedule.
-        KernelSchedule::NmCompact { n: lanes, m } => {
+        // Hardware 2:4 keeps its sparse-tensor-core roofline; every other
+        // N:M shape falls through to the gather arm below.
+        KernelSchedule::NmCompact { n: lanes, m } if gpu.capabilities.accelerates_nm(lanes, m) => {
             let kept = scaled_units(n, lanes, m);
             (
-                kernels::nm_compact_gemm(gpu, batch, k_eff, n, lanes, m),
+                kernels::nm_tensor_core_gemm(gpu, batch, k_eff, n),
                 kept,
                 kernels::dense_gemm(gpu, batch, kept, k_eff),
-                kernels::nm_compact_gemm(gpu, k_eff, batch, n, lanes, m),
+                kernels::nm_tensor_core_gemm(gpu, k_eff, batch, n),
             )
         }
-        KernelSchedule::BlockCompact { kept, total, block } => {
-            let kept_n = scaled_units(n, kept, total);
-            (
-                kernels::block_compact_gemm(gpu, batch, k_eff, n, kept, total, block),
-                kept_n,
-                kernels::dense_gemm(gpu, batch, kept_n, k_eff),
-                kernels::block_compact_gemm(gpu, k_eff, batch, n, kept, total, block),
-            )
+        KernelSchedule::RowCompact { kept, total } => {
+            gather(k_eff, scaled_units(n, kept, total), GatherIndex::Rows)
         }
-        // Forward executes `kk` of `k_eff` inner products and writes the
-        // full-width dense output; the epilogue applies the K/k
-        // unbiasedness scale with the bias over every column. dX scatters
-        // into the kept inner columns (the dropped inner gradients are
-        // zero-filled); dW computes only the kept rows from the gathered
-        // input panel.
+        KernelSchedule::BlockCompact { kept, total, .. } => gather(
+            k_eff,
+            scaled_units(n, kept, total),
+            GatherIndex::Blocks { total },
+        ),
+        KernelSchedule::NmCompact { n: lanes, m } => {
+            gather(k_eff, scaled_units(n, lanes, m), GatherIndex::Lanes { m })
+        }
         KernelSchedule::CrsCompact { kept_k, total_k } => {
-            let kk = scaled_units(k_eff, kept_k, total_k);
-            (
-                kernels::crs_compact_gemm(gpu, batch, k_eff, n, kk, n),
-                n,
-                kernels::crs_compact_gemm(gpu, batch, n, k_eff, n, kk),
-                kernels::crs_compact_gemm(gpu, kk, batch, n, batch, n),
-            )
+            gather(scaled_units(k_eff, kept_k, total_k), n, GatherIndex::Inner)
         }
-        // Composed launch: the dropout plan compacts the output (N)
-        // dimension while CRS samples the inner (K) dimension of the *same*
-        // kernel call, so the executed GEMM is `batch × kk × kn` and the
-        // savings of the two axes multiply.
+        // The composed launch: the two axes' savings multiply in one GEMM.
         KernelSchedule::RowCrsCompact {
             kept_n,
             total_n,
             kept_k,
             total_k,
-        } => {
-            let kn = scaled_units(n, kept_n, total_n);
-            let kk = scaled_units(k_eff, kept_k, total_k);
-            (
-                kernels::crs_compact_gemm(gpu, batch, k_eff, n, kk, kn),
-                kn,
-                kernels::crs_compact_gemm(gpu, batch, kn, k_eff, kn, kk),
-                kernels::crs_compact_gemm(gpu, kk, batch, n, batch, kn),
-            )
-        }
+        } => gather(
+            scaled_units(k_eff, kept_k, total_k),
+            scaled_units(n, kept_n, total_n),
+            GatherIndex::Inner,
+        ),
     };
     let fwd = match epilogue {
         None => gemm.merged_with(&kernels::elementwise(gpu, batch, epilogue_n, 1, 1, 2.0)),

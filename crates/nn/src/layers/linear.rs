@@ -2,11 +2,11 @@
 //!
 //! The layer computes `Z = X·W + b` and *executes* whatever
 //! [`DropoutPlan`] the layer's scheme sampled for the iteration. The plan's
-//! fields are classified once by [`ExecPath`] — the single place in this
+//! fields are classified once by `ExecPath` — the single place in this
 //! crate that maps plan fields to kernels — and both the forward and the
 //! backward pass dispatch on that classification:
 //!
-//! * [`ExecPath::Gather`] — every compacting scheme runs through the one
+//! * `ExecPath::Gather` — every compacting scheme runs through the one
 //!   gather core of `tensor::gemm`: the plan's kept set resolves into the
 //!   layer's [`GatherScratch`] as dense (kept-K × kept-N) sub-GEMMs —
 //!   scattered kept output neurons (the Row-based Dropout Pattern, N:M
@@ -17,7 +17,7 @@
 //!   (column-row sampling) alone or composed with a kept-neuron set so the
 //!   two speedups multiply. The [`GatherEpilogue`] carries the scales and
 //!   what dropped columns hold;
-//! * [`ExecPath::Dense`] — dense GEMM, with the conventional Bernoulli
+//! * `ExecPath::Dense` — dense GEMM, with the conventional Bernoulli
 //!   column mask folded into the epilogue (no mask for the identity plan) —
 //!   the baseline of the paper, Fig. 1(a).
 //!

@@ -28,7 +28,7 @@ use tensor::{gemm, init, Matrix};
 /// Gate layout along the `4·hidden` axis is `[input | forget | cell | output]`.
 ///
 /// The per-timestep gate matrices live in recycled workspaces: the
-/// [`StepCache`] entries are reused across *iterations* (re-resolved in
+/// `StepCache` entries are reused across *iterations* (re-resolved in
 /// place each forward pass) and the gate pre-activation / BPTT buffers are
 /// reused across *timesteps*, so the sequence loops perform no per-step
 /// heap allocations once the shapes have stabilised — the same workspace

@@ -12,12 +12,12 @@
 //! with two sites per encoder block:
 //!
 //! * **Attention** — the plan is dispatched structurally:
-//!   - a [`DropoutPlan::kept_unit_blocks`] plan whose block width equals the
-//!     head width drops *whole attention heads* (SDropout on attention):
-//!     only the kept heads' `softmax(QKᵀ/√d)·V` pipelines run at all, their
-//!     context columns carry the inverted-dropout scale, and dropped heads'
-//!     columns stay exactly zero — the CPU analogue of the proportionally
-//!     shrunk batched GEMMs the timing model prices;
+//!   - a block-unit plan whose blocks are exactly the heads
+//!     ([`DropoutPlan::kept_heads`]) drops *whole attention heads* (SDropout
+//!     on attention): only the kept heads' `softmax(QKᵀ/√d)·V` pipelines run
+//!     at all, their context columns carry the inverted-dropout scale, and
+//!     dropped heads' columns stay exactly zero — the CPU analogue of the
+//!     proportionally shrunk batched GEMMs the timing model prices;
 //!   - an N:M plan ([`DropoutPlan::nm_lanes`]) is routed into the Q/K/V/O
 //!     projection [`Linear`] layers, whose existing gather kernels execute
 //!     the 2:4 lane compaction on the projection weights;
@@ -135,10 +135,8 @@ enum AttnPath {
 }
 
 fn attn_path(plan: &DropoutPlan, g: Geom) -> AttnPath {
-    if let Some((_, block, total)) = plan.kept_unit_blocks() {
-        if block == g.head_dim && total == g.heads {
-            return AttnPath::HeadDrop;
-        }
+    if plan.kept_heads(g.head_dim, g.heads).is_some() {
+        return AttnPath::HeadDrop;
     }
     if plan.nm_lanes().is_some() {
         return AttnPath::Projection;
@@ -300,19 +298,11 @@ impl EncoderBlock {
 
     /// The kept heads of this iteration, resolved into the recycled
     /// `head_ws` buffer.
-    fn resolve_heads(&mut self, path: AttnPath, g: Geom) {
+    fn resolve_heads(&mut self, g: Geom) {
         self.ws.head_ws.clear();
-        match path {
-            AttnPath::HeadDrop => {
-                let (kept, _, _) = self
-                    .attn_plan
-                    .kept_unit_blocks()
-                    .expect("head-drop path implies a block-unit plan");
-                self.ws.head_ws.extend_from_slice(kept);
-            }
-            AttnPath::Projection | AttnPath::Multiplier => {
-                self.ws.head_ws.extend(0..g.heads);
-            }
+        match self.attn_plan.kept_heads(g.head_dim, g.heads) {
+            Some(kept) => self.ws.head_ws.extend_from_slice(kept),
+            None => self.ws.head_ws.extend(0..g.heads),
         }
     }
 
@@ -339,7 +329,7 @@ impl EncoderBlock {
     fn forward(&mut self, x: &Matrix, g: Geom) {
         let d = g.model_dim();
         let path = attn_path(&self.attn_plan, g);
-        self.resolve_heads(path, g);
+        self.resolve_heads(g);
         let dense = DropoutPlan::none(LayerShape::new(d, d));
         // Q/K/V execute the attention plan on both structured paths through
         // the column gather: N:M lanes, or whole heads as contiguous column
@@ -434,7 +424,7 @@ impl EncoderBlock {
     fn backward(&mut self, dout: &Matrix, g: Geom) {
         let d = g.model_dim();
         let path = attn_path(&self.attn_plan, g);
-        self.resolve_heads(path, g);
+        self.resolve_heads(g);
 
         // FFN backward. The post-ReLU activation gates the gradient exactly
         // like the pre-activation would: relu(z) > 0 ⇔ z > 0.

@@ -93,7 +93,7 @@ impl ArrivalTracker {
     /// Estimated arrival rate of `key` in jobs per µs at `now`: the
     /// reciprocal of the smoothed gap, widened by the time already waited
     /// since the last arrival, and collapsing to 0 outright once the key
-    /// has been silent for [`STALE_GAPS`] smoothed gaps (the flow stopped;
+    /// has been silent for `STALE_GAPS` smoothed gaps (the flow stopped;
     /// holding for it would stall the batch). Returns 0 for keys never
     /// observed twice.
     pub fn rate_per_us(&self, key: (usize, JobKind), now: Instant) -> f64 {

@@ -18,10 +18,11 @@
 //!   `cooldown`, giving the new worker count time to move the depth before
 //!   being judged.
 //!
-//! The plan cache feeds the decision ([`PlanCacheStats::is_warm`]): a warm
-//! cache means a fresh replica resolves its dropout plans from memoized
-//! entries instead of re-running pattern searches, so scaling up is cheap
-//! and the up-threshold drops by a quarter.
+//! The plan cache feeds the decision
+//! ([`approx_dropout::PlanCacheStats::is_warm`]): a warm cache means a
+//! fresh replica resolves its dropout plans from memoized entries instead
+//! of re-running pattern searches, so scaling up is cheap and the
+//! up-threshold drops by a quarter.
 
 use std::time::{Duration, Instant};
 

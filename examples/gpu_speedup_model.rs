@@ -7,7 +7,8 @@
 //! Run with `cargo run --example gpu_speedup_model`.
 
 use approx_dropout::{scheme, DropoutRate};
-use gpu_sim::{kernels, GpuConfig, LstmSpec, MlpSpec, NetworkTimingModel, DEFAULT_TIMING_SAMPLES};
+use gpu_sim::kernels::{self, GatherIndex};
+use gpu_sim::{GpuConfig, LstmSpec, MlpSpec, NetworkTimingModel, DEFAULT_TIMING_SAMPLES};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let presets = [
@@ -23,29 +24,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dense = kernels::dense_gemm(gpu, 128, 2048, 2048);
         println!("    dense GEMM            {:>8.1} us", dense.time_us());
         for dp in [2usize, 3, 5] {
-            let row = kernels::row_compact_gemm(gpu, 128, 2048, 2048, 2048 / dp);
+            let row =
+                kernels::gather_gemm(gpu, 128, 2048, 2048, 2048, 2048 / dp, GatherIndex::Rows);
             println!(
                 "    row-compact (dp = {dp})   {:>8.1} us  ({:.2}x)",
                 row.time_us(),
                 dense.time_us() / row.time_us()
             );
         }
-        // N:M 2:4 prices through the capability-aware dispatch: software
-        // gather on the SIMT presets, the sparse-tensor-core roofline on
-        // the A100-class preset.
-        let nm = kernels::nm_compact_gemm(gpu, 128, 2048, 2048, 2, 4);
-        let path = if gpu.capabilities.accelerates_nm(2, 4) {
-            "tensor-core"
+        // N:M 2:4 prices by capability, as `price_fc_schedule` does:
+        // software gather on the SIMT presets, the sparse-tensor-core
+        // roofline on the A100-class preset.
+        let lanes = GatherIndex::Lanes { m: 4 };
+        let gather = kernels::gather_gemm(gpu, 128, 2048, 2048, 2048, 1024, lanes);
+        let accelerated = gpu.capabilities.accelerates_nm(2, 4);
+        let (nm, path) = if accelerated {
+            (
+                kernels::nm_tensor_core_gemm(gpu, 128, 2048, 2048),
+                "tensor-core",
+            )
         } else {
-            "SIMT gather"
+            (gather.clone(), "SIMT gather")
         };
         println!(
             "    nm 2:4 ({path:<11})  {:>8.1} us  ({:.2}x)",
             nm.time_us(),
             dense.time_us() / nm.time_us()
         );
-        if gpu.capabilities.accelerates_nm(2, 4) {
-            let gather = kernels::nm_gather_gemm(gpu, 128, 2048, 2048, 2, 4);
+        if accelerated {
             println!(
                 "    nm 2:4 (gather, same silicon) {:>4.1} us  ({:.2}x over gather)",
                 gather.time_us(),
@@ -55,13 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The CRS sampled GEMM compacts the *inner* dimension and leaves the
         // output dense; the composed kernel compacts both axes at once.
-        let crs = kernels::crs_compact_gemm(gpu, 128, 2048, 2048, 1024, 2048);
+        let crs = kernels::gather_gemm(gpu, 128, 2048, 2048, 1024, 2048, GatherIndex::Inner);
         println!(
             "    crs (k/K = 1/2)       {:>8.1} us  ({:.2}x)",
             crs.time_us(),
             dense.time_us() / crs.time_us()
         );
-        let row_crs = kernels::crs_compact_gemm(gpu, 128, 2048, 2048, 1024, 1024);
+        let row_crs = kernels::gather_gemm(gpu, 128, 2048, 2048, 1024, 1024, GatherIndex::Inner);
         println!(
             "    row x crs (1/2, 1/2)  {:>8.1} us  ({:.2}x)",
             row_crs.time_us(),

@@ -154,7 +154,8 @@ fn non_2_4_shapes_gain_nothing_from_the_sparse_capability() {
         1024,
         None,
     );
-    let gather_fwd = gpu_sim::kernels::nm_gather_gemm(&sparse, 128, 1024, 1024, 1, 4);
+    let lanes = gpu_sim::kernels::GatherIndex::Lanes { m: 4 };
+    let gather_fwd = gpu_sim::kernels::gather_gemm(&sparse, 128, 1024, 1024, 1024, 256, lanes);
     // The forward stats embed the gather kernel plus the bias/activation
     // elementwise kernel; subtracting the elementwise pass must recover the
     // gather kernel's time exactly.
@@ -167,6 +168,105 @@ fn non_2_4_shapes_gain_nothing_from_the_sparse_capability() {
         elementwise.time_us()
     );
     assert!(bwd_a.time_us() > 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise pricing pins
+// ---------------------------------------------------------------------------
+
+/// Folds every numeric field of `stats` into `hash` (FxHash-style word mix).
+fn fold_stats(hash: u64, stats: &gpu_sim::KernelStats) -> u64 {
+    [
+        stats.flops.to_bits(),
+        stats.global_read_bytes.to_bits(),
+        stats.global_write_bytes.to_bits(),
+        stats.thread_blocks as u64,
+        stats.compute_cycles.to_bits(),
+        stats.memory_cycles.to_bits(),
+        stats.overhead_cycles.to_bits(),
+        stats.launches as u64,
+        stats.time_us().to_bits(),
+    ]
+    .into_iter()
+    .fold(hash, fold_word)
+}
+
+fn fold_word(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// One hash per arm of [`all_schedules`]: the forward and backward stats
+/// and the dropout-kernel time of every preset × shape × epilogue.
+fn pricing_pins() -> Vec<(String, u64)> {
+    all_schedules()
+        .into_iter()
+        .map(|schedule| {
+            let mut hash = 0;
+            for gpu in all_presets() {
+                for (batch, k, n) in [(128, 2048, 2048), (64, 784, 2048), (7, 33, 65)] {
+                    for epilogue in [None, Some(Activation::Relu)] {
+                        let (fwd, bwd, drop) =
+                            price_fc_schedule(&gpu, &schedule, batch, k, n, epilogue);
+                        hash = fold_stats(hash, &fwd);
+                        hash = fold_stats(hash, &bwd);
+                        hash = fold_word(hash, drop.to_bits());
+                    }
+                }
+            }
+            (format!("{schedule:?}"), hash)
+        })
+        .collect()
+}
+
+/// Bitwise pricing of every [`all_schedules`] arm. A change that moves
+/// pricing on purpose regenerates only the affected arms with the ignored
+/// `print_pricing_pins` test and says why in its commit.
+const PRICING_PINS: &[(&str, u64)] = &[
+    ("Dense", 0xe01cd8a4d2fc99c3),
+    ("DenseWithMask", 0x12d0e4caed01ee20),
+    ("DenseDivergent { rate: 0.5 }", 0x055a4301c6aa1f6e),
+    ("RowCompact { kept: 512, total: 1024 }", 0xad8218b6dac6edbc),
+    (
+        "TileCompact { kept: 2048, total: 4096 }",
+        0xf5ceb08ca33d3542,
+    ),
+    ("NmCompact { n: 2, m: 4 }", 0xb6a557b16fa53b26),
+    ("NmCompact { n: 1, m: 4 }", 0x8d1b1312af7fa749),
+    (
+        "BlockCompact { kept: 32, total: 64, block: 32 }",
+        0x6b582672cadbd095,
+    ),
+    (
+        "CrsCompact { kept_k: 256, total_k: 1024 }",
+        0x93580b5dc8ff3536,
+    ),
+    (
+        "RowCrsCompact { kept_n: 512, total_n: 1024, kept_k: 512, total_k: 1024 }",
+        0xd8c0f7708a83c87a,
+    ),
+];
+
+#[test]
+#[ignore = "regeneration helper: prints the pricing pins for copy-paste"]
+fn print_pricing_pins() {
+    println!("const PRICING_PINS: &[(&str, u64)] = &[");
+    for (arm, hash) in pricing_pins() {
+        println!("    ({arm:?}, {hash:#018x}),");
+    }
+    println!("];");
+}
+
+#[test]
+fn every_arm_prices_bit_for_bit_as_pinned() {
+    let actual = pricing_pins();
+    assert_eq!(actual.len(), PRICING_PINS.len(), "arm count changed");
+    for ((arm, hash), (pinned_arm, pinned)) in actual.iter().zip(PRICING_PINS) {
+        assert_eq!(arm, pinned_arm, "arm order changed");
+        assert_eq!(
+            hash, pinned,
+            "{arm}: pricing moved ({hash:#018x} vs pinned {pinned:#018x})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
