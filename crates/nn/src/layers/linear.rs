@@ -127,7 +127,8 @@ struct Workspace {
     path: ExecPath,
     /// `true` between a forward pass and the matching backward pass.
     armed: bool,
-    /// Masked / scaled output-gradient buffer of the dense path.
+    /// Masked / scaled output-gradient buffer of the Bernoulli-masked dense
+    /// path.
     grad: Matrix,
     /// The gather core's resolved classes and packing buffers. The forward
     /// pass packs the weight panels; the backward pass reuses them for its
@@ -209,7 +210,7 @@ impl Linear {
     }
 
     /// Maximum absolute value over the stored weight and bias gradients
-    /// (used for global gradient clipping, mirroring `LstmCell`).
+    /// (used for global gradient clipping across a model's layers).
     pub fn grad_max_abs(&self) -> f32 {
         self.weight_grad
             .as_slice()
@@ -387,15 +388,20 @@ impl Linear {
                 }
             }
             ExecPath::Dense => {
-                // Dense (identity or Bernoulli-masked) path: the gradient
-                // flows only through kept neurons, scaled like the forward
-                // pass — a no-op when the plan is the identity.
-                ws.grad.clone_from(grad_output);
-                ws.plan.apply_mask(&mut ws.grad);
-                gemm::gemm_at_b_into(&ws.input, &ws.grad, &mut self.weight_grad)
+                // Dense path: a Bernoulli-masked plan lets the gradient flow
+                // only through kept neurons, scaled like the forward pass;
+                // the identity plan reads `grad_output` as it is.
+                let grad = if ws.plan.bernoulli_mask().is_some() {
+                    ws.grad.clone_from(grad_output);
+                    ws.plan.apply_mask(&mut ws.grad);
+                    &ws.grad
+                } else {
+                    grad_output
+                };
+                gemm::gemm_at_b_into(&ws.input, grad, &mut self.weight_grad)
                     .expect("batch dimensions agree");
-                ws.grad.sum_rows_into(&mut self.bias_grad);
-                gemm::gemm_a_bt_into(&ws.grad, &self.weight, dx).expect("inner dimensions agree");
+                grad.sum_rows_into(&mut self.bias_grad);
+                gemm::gemm_a_bt_into(grad, &self.weight, dx).expect("inner dimensions agree");
             }
         }
         self.ws = ws;

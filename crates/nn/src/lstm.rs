@@ -5,17 +5,27 @@
 //! across all timesteps of one iteration, exactly like the paper applies one
 //! pattern per batch), and a softmax projection over the vocabulary.
 //!
+//! Every activation and gradient of a batch is one stacked time-major matrix
+//! (row `t·batch + b` is timestep `t` of sequence `b`), from the embeddings
+//! through each layer's hidden states to the logits and back. Each
+//! [`LstmCell`] runs its input projection `x·W_x + b` as one [`Linear`] call
+//! over the whole stacked sequence before the recurrence, so only `h·W_h`
+//! is left per timestep; its backward pass likewise finishes with one `W_h`
+//! weight-gradient GEMM and one [`Linear::backward_into`] for `W_x`, the
+//! bias and the input gradient.
+//!
 //! Dropout between LSTM layers is applied as a per-hidden-unit multiplier
 //! derived from the plan each layer's scheme samples for the iteration
 //! ([`DropoutPlan::column_multiplier`]): conventional Bernoulli masks, row
 //! patterns (kept units scaled by `dp`) or tile patterns (kept 32-wide unit
-//! groups). On the GPU the row/tile variants let the next layer's GEMM skip
-//! the dropped inputs; the corresponding time saving is modelled by the
-//! `gpu-sim` crate from the *same* sampled plans, while this CPU
-//! implementation focuses on numerical fidelity of the training dynamics.
+//! groups). On the GPU the row/tile variants let the next layer's input GEMM
+//! and the softmax projection skip the dropped inputs; the `gpu-sim` crate
+//! prices that saving from the *same* sampled plans. Here those GEMMs still
+//! run dense: the next step is to hand the lower layer's kept units to each
+//! input `Linear` and to the projection as a K-gather plan.
 
 use crate::layers::Linear;
-use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into, CrossEntropyScratch};
+use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
 use crate::metrics::perplexity_from_nll;
 use crate::mlp::PlanSource;
 use crate::optimizer::Sgd;
@@ -26,80 +36,40 @@ use tensor::{gemm, init, Matrix};
 /// One LSTM layer (cell iterated over a sequence) with combined gate weights.
 ///
 /// Gate layout along the `4·hidden` axis is `[input | forget | cell | output]`.
-///
-/// The per-timestep gate matrices live in recycled workspaces: the
-/// `StepCache` entries are reused across *iterations* (re-resolved in
-/// place each forward pass) and the gate pre-activation / BPTT buffers are
-/// reused across *timesteps*, so the sequence loops perform no per-step
-/// heap allocations once the shapes have stabilised — the same workspace
-/// discipline the `Linear` layer follows.
+/// Sequences are stacked time-major: row `t·batch + b` of the input, the
+/// output and every cache below is timestep `t` of sequence `b`. All caches
+/// are recycled across iterations, so a pass allocates nothing once shapes
+/// have stabilised.
 #[derive(Debug, Clone)]
 pub struct LstmCell {
-    w_x: Matrix,
+    /// Input projection `x·W_x + b`, run once over the stacked sequence.
+    input: Linear,
     w_h: Matrix,
-    bias: Matrix,
-    w_x_grad: Matrix,
     w_h_grad: Matrix,
-    bias_grad: Matrix,
-    w_x_vel: Matrix,
     w_h_vel: Matrix,
-    bias_vel: Matrix,
     hidden: usize,
-    /// Per-timestep caches, reused across iterations (entries are
-    /// re-resolved in place, never reallocated while shapes are stable).
-    cache: Vec<StepCache>,
-    /// Timesteps cached by the most recent forward pass (the cache vector
-    /// itself persists for buffer reuse, so its length is not the marker).
-    steps: usize,
-    /// Running hidden state of the forward sequence loop.
-    h_state: Matrix,
-    /// Running cell state of the forward sequence loop.
-    c_state: Matrix,
-    /// Gate pre-activation workspace `z = x·W_x + h·W_h + b`.
-    z_ws: Matrix,
-    /// Second GEMM product workspace (`h·W_h`) merged into `z_ws`.
-    zh_ws: Matrix,
-    /// Backward-through-time workspaces.
-    bptt: BpttWorkspace,
-}
-
-#[derive(Debug, Clone, Default)]
-struct StepCache {
-    x: Matrix,
+    /// Sequences in the forward pass awaiting its backward pass (0: none).
+    batch: usize,
+    /// Gate pre-activations `x·W_x + b`, to which each timestep adds `h·W_h`
+    /// and applies the gate nonlinearities in place: the activated gates
+    /// are the backward cache.
+    gates: Matrix,
+    /// `h_{t-1}` of every row (zero at `t = 0`).
     h_prev: Matrix,
+    /// `c_{t-1}` of every row (zero at `t = 0`).
     c_prev: Matrix,
-    i: Matrix,
-    f: Matrix,
-    g: Matrix,
-    o: Matrix,
+    /// `tanh(c_t)` of every row.
     tanh_c: Matrix,
-}
-
-/// Recycled buffers of the backward-through-time loop: the combined gate
-/// gradient and the recurrent hidden/cell gradients that flow between
-/// timesteps, plus the per-step bias-row reduction.
-#[derive(Debug, Clone, Default)]
-struct BpttWorkspace {
+    /// Gate-gradient `dZ` of every row, the operand of the weight
+    /// gradients.
     dz: Matrix,
-    dh_next: Matrix,
-    dc_next: Matrix,
-    bias_rows: Matrix,
-    /// Per-timestep weight-gradient product, accumulated into the running
-    /// gradients (reused across the whole sequence and across iterations).
-    dw: Matrix,
-}
-
-/// Applies `f` to columns `[start, end)` of `z`, writing into `out`
-/// (resized in place) — the allocation-free replacement for slicing a gate
-/// column band into a fresh matrix every timestep.
-fn gate_into(z: &Matrix, start: usize, end: usize, out: &mut Matrix, f: impl Fn(f32) -> f32) {
-    out.resize_for_overwrite(z.rows(), end - start);
-    for b in 0..z.rows() {
-        let src = &z.row(b)[start..end];
-        for (dst, &v) in out.row_mut(b).iter_mut().zip(src) {
-            *dst = f(v);
-        }
-    }
+    /// Running hidden state `h` forward, its gradient `dh` backward.
+    h: Matrix,
+    /// Running cell state `c` forward, its gradient `dc` backward.
+    c: Matrix,
+    /// One timestep's gate-sized scratch: `h·W_h` forward, the gate
+    /// gradient backward.
+    step_gates: Matrix,
 }
 
 #[inline]
@@ -111,28 +81,26 @@ impl LstmCell {
     /// Creates a cell with Xavier-initialised weights; the forget-gate bias
     /// is initialised to 1 as is standard practice.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, input_dim: usize, hidden: usize) -> Self {
+        let w_x = init::xavier_uniform(rng, input_dim, 4 * hidden);
         let mut bias = Matrix::zeros(1, 4 * hidden);
         for j in hidden..2 * hidden {
             bias[(0, j)] = 1.0;
         }
         Self {
-            w_x: init::xavier_uniform(rng, input_dim, 4 * hidden),
+            input: Linear::from_parameters(w_x, bias),
             w_h: init::xavier_uniform(rng, hidden, 4 * hidden),
-            bias,
-            w_x_grad: Matrix::zeros(input_dim, 4 * hidden),
             w_h_grad: Matrix::zeros(hidden, 4 * hidden),
-            bias_grad: Matrix::zeros(1, 4 * hidden),
-            w_x_vel: Matrix::zeros(input_dim, 4 * hidden),
             w_h_vel: Matrix::zeros(hidden, 4 * hidden),
-            bias_vel: Matrix::zeros(1, 4 * hidden),
             hidden,
-            cache: Vec::new(),
-            steps: 0,
-            h_state: Matrix::default(),
-            c_state: Matrix::default(),
-            z_ws: Matrix::default(),
-            zh_ws: Matrix::default(),
-            bptt: BpttWorkspace::default(),
+            batch: 0,
+            gates: Matrix::default(),
+            h_prev: Matrix::default(),
+            c_prev: Matrix::default(),
+            tanh_c: Matrix::default(),
+            dz: Matrix::default(),
+            h: Matrix::default(),
+            c: Matrix::default(),
+            step_gates: Matrix::default(),
         }
     }
 
@@ -143,220 +111,180 @@ impl LstmCell {
 
     /// Input width.
     pub fn input_dim(&self) -> usize {
-        self.w_x.rows()
+        self.input.in_features()
     }
 
     /// Number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
-        self.w_x.len() + self.w_h.len() + self.bias.len()
+        self.input.parameter_count() + self.w_h.len()
     }
 
-    /// Runs the cell over a sequence of inputs (one `(batch, input_dim)`
-    /// matrix per timestep) starting from a zero state, returning the hidden
-    /// state of every timestep and caching intermediates for backward.
-    pub fn forward_sequence(&mut self, inputs: &[Matrix]) -> Vec<Matrix> {
-        let mut outputs = Vec::new();
-        self.forward_sequence_into(inputs, &mut outputs);
-        outputs
-    }
-
-    /// Like [`LstmCell::forward_sequence`] but writing the per-timestep
-    /// hidden states into caller-owned buffers (`outputs` is resized to the
-    /// sequence length and each entry recycled), so the inter-layer
-    /// activation matrices of a stacked LSTM stop being reallocated every
-    /// iteration.
-    pub fn forward_sequence_into(&mut self, inputs: &[Matrix], outputs: &mut Vec<Matrix>) {
-        let batch = inputs.first().map_or(0, Matrix::rows);
-        let h = self.hidden;
-        // Zero-initialised running state, buffers recycled across
-        // iterations.
-        self.h_state.resize(batch, h);
-        self.c_state.resize(batch, h);
-        outputs.resize_with(inputs.len(), Matrix::default);
-        for (t, x) in inputs.iter().enumerate() {
-            if self.cache.len() <= t {
-                self.cache.push(StepCache::default());
-            }
-            // z = x·W_x + h_prev·W_h + b, accumulated in the recycled gate
-            // workspace (same evaluation order as the allocating
-            // formulation).
-            gemm::blocked_gemm_into(x, &self.w_x, &mut self.z_ws)
-                .expect("gate pre-activation shapes agree");
-            gemm::blocked_gemm_into(&self.h_state, &self.w_h, &mut self.zh_ws)
-                .expect("gate pre-activation shapes agree");
-            self.z_ws
-                .axpy_inplace(1.0, &self.zh_ws)
-                .expect("gate pre-activation shapes agree");
-            self.z_ws
-                .add_row_broadcast_inplace(&self.bias)
-                .expect("bias width matches 4*hidden");
-
-            let cache = &mut self.cache[t];
-            cache.x.clone_from(x);
-            cache.h_prev.clone_from(&self.h_state);
-            cache.c_prev.clone_from(&self.c_state);
-            gate_into(&self.z_ws, 0, h, &mut cache.i, sigmoid_scalar);
-            gate_into(&self.z_ws, h, 2 * h, &mut cache.f, sigmoid_scalar);
-            gate_into(&self.z_ws, 2 * h, 3 * h, &mut cache.g, f32::tanh);
-            gate_into(&self.z_ws, 3 * h, 4 * h, &mut cache.o, sigmoid_scalar);
-            // c = f ⊙ c_prev + i ⊙ g, updating the cell state in place
-            // (c_prev is already saved in the cache).
-            cache.tanh_c.resize_for_overwrite(batch, h);
-            for b in 0..batch {
-                let crow = self.c_state.row_mut(b);
-                let (irow, frow, grow) = (cache.i.row(b), cache.f.row(b), cache.g.row(b));
-                for j in 0..h {
-                    crow[j] = frow[j] * crow[j] + irow[j] * grow[j];
-                }
-                let tcrow = cache.tanh_c.row_mut(b);
-                for (tc, &c) in tcrow.iter_mut().zip(&*crow) {
-                    *tc = c.tanh();
-                }
-            }
-            // h = o ⊙ tanh(c), again in place over the hidden state.
-            for b in 0..batch {
-                let hrow = self.h_state.row_mut(b);
-                let (orow, tcrow) = (cache.o.row(b), cache.tanh_c.row(b));
-                for j in 0..h {
-                    hrow[j] = orow[j] * tcrow[j];
-                }
-            }
-            outputs[t].clone_from(&self.h_state);
-        }
-        self.steps = inputs.len();
-    }
-
-    /// Backpropagation through time. `grad_hidden[t]` is the gradient of the
-    /// loss w.r.t. the hidden output of timestep `t` coming from above (the
-    /// next layer or the softmax). Returns the gradient w.r.t. each input.
+    /// Runs the cell from a zero state over `batch` sequences stacked
+    /// time-major in `x` (`(steps·batch, input_dim)`), writing every
+    /// timestep's hidden state into `out` (`(steps·batch, hidden)`, resized
+    /// in place) and caching what [`LstmCell::backward_into`] needs.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding [`LstmCell::forward_sequence`] or
-    /// with a gradient list of the wrong length.
-    pub fn backward_sequence(&mut self, grad_hidden: &[Matrix]) -> Vec<Matrix> {
-        let mut dx_list = Vec::new();
-        self.backward_sequence_into(grad_hidden, &mut dx_list);
-        dx_list
-    }
-
-    /// Like [`LstmCell::backward_sequence`] but writing the per-timestep
-    /// input gradients into caller-owned buffers (`dx_out` resized to the
-    /// sequence length, entries recycled) — the backward counterpart of
-    /// [`LstmCell::forward_sequence_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`LstmCell::backward_sequence`].
-    pub fn backward_sequence_into(&mut self, grad_hidden: &[Matrix], dx_out: &mut Vec<Matrix>) {
-        assert_eq!(
-            grad_hidden.len(),
-            self.steps,
-            "one hidden gradient per cached timestep is required"
+    /// Panics if `batch` is zero or does not divide `x.rows()`, or if
+    /// `x.cols() != input_dim()`.
+    pub fn forward_into(&mut self, x: &Matrix, batch: usize, out: &mut Matrix) {
+        assert!(
+            batch > 0 && x.rows() % batch == 0,
+            "the stacked rows must be whole timesteps of {batch} sequences"
         );
-        assert!(self.steps > 0, "backward called without forward");
-        let h = self.hidden;
-        let batch = grad_hidden[0].rows();
-
-        self.w_x_grad.resize(self.w_x.rows(), self.w_x.cols());
-        self.w_h_grad.resize(self.w_h.rows(), self.w_h.cols());
-        self.bias_grad.resize(1, 4 * h);
-        dx_out.resize_with(grad_hidden.len(), Matrix::default);
-
-        // Recurrent gradients and the combined gate gradient live in the
-        // recycled BPTT workspace; moved out so its buffers can be borrowed
-        // alongside `self`'s parameter fields.
-        let mut ws = std::mem::take(&mut self.bptt);
-        ws.dh_next.resize(batch, h);
-        ws.dc_next.resize(batch, h);
-        for t in (0..self.steps).rev() {
-            let cache = &self.cache[t];
-            // All gate gradients fused into one pass that writes the
-            // `[di | df | dg | do]` bands of the recycled dz buffer — no
-            // per-step gate-gradient matrices are ever materialised. The
-            // per-element expressions (and their evaluation order) match
-            // the hadamard formulation they replace.
-            ws.dz.resize_for_overwrite(batch, 4 * h);
+        let (h, rows) = (self.hidden, x.rows());
+        let shape = LayerShape::new(self.input.in_features(), 4 * h);
+        self.input.forward_act_into(
+            x,
+            &DropoutPlan::none(shape),
+            Activation::Identity,
+            &mut self.gates,
+        );
+        for cache in [&mut self.h_prev, &mut self.c_prev, &mut self.tanh_c] {
+            cache.resize_for_overwrite(rows, h);
+        }
+        out.resize_for_overwrite(rows, h);
+        self.h.resize(batch, h);
+        self.c.resize(batch, h);
+        for t in 0..rows / batch {
+            gemm::blocked_gemm_into(&self.h, &self.w_h, &mut self.step_gates)
+                .expect("recurrent gate shapes agree");
             for b in 0..batch {
-                let gh = grad_hidden[t].row(b);
-                let dh_next_row = ws.dh_next.row(b);
-                let dc_next_row = ws.dc_next.row_mut(b);
-                let dzrow = ws.dz.row_mut(b);
-                let (irow, frow, grow, orow) = (
-                    cache.i.row(b),
-                    cache.f.row(b),
-                    cache.g.row(b),
-                    cache.o.row(b),
-                );
-                let (tcrow, cprow) = (cache.tanh_c.row(b), cache.c_prev.row(b));
-                for j in 0..h {
-                    // h = o ⊙ tanh(c)
-                    let dh = gh[j] + dh_next_row[j];
-                    let d_o = dh * tcrow[j];
-                    let dc = dh * orow[j] * (1.0 - tcrow[j] * tcrow[j]) + dc_next_row[j];
-                    // c = f ⊙ c_prev + i ⊙ g
-                    let d_f = dc * cprow[j];
-                    let d_i = dc * grow[j];
-                    let d_g = dc * irow[j];
-                    dc_next_row[j] = dc * frow[j];
-                    // Pre-activation gradients.
-                    dzrow[j] = d_i * (irow[j] * (1.0 - irow[j]));
-                    dzrow[h + j] = d_f * (frow[j] * (1.0 - frow[j]));
-                    dzrow[2 * h + j] = d_g * (1.0 - grow[j] * grow[j]);
-                    dzrow[3 * h + j] = d_o * (orow[j] * (1.0 - orow[j]));
+                let r = t * batch + b;
+                let z = self.gates.row_mut(r);
+                for (j, (v, &p)) in z.iter_mut().zip(self.step_gates.row(b)).enumerate() {
+                    let s = *v + p;
+                    *v = if (2 * h..3 * h).contains(&j) {
+                        s.tanh()
+                    } else {
+                        sigmoid_scalar(s)
+                    };
                 }
+                let (hs, cs) = (self.h.row_mut(b), self.c.row_mut(b));
+                self.h_prev.row_mut(r).copy_from_slice(hs);
+                self.c_prev.row_mut(r).copy_from_slice(cs);
+                let tc = self.tanh_c.row_mut(r);
+                for j in 0..h {
+                    // c = f ⊙ c_prev + i ⊙ g, h = o ⊙ tanh(c)
+                    cs[j] = z[h + j] * cs[j] + z[j] * z[2 * h + j];
+                    tc[j] = cs[j].tanh();
+                    hs[j] = z[3 * h + j] * tc[j];
+                }
+                out.row_mut(r).copy_from_slice(hs);
             }
+        }
+        self.batch = batch;
+    }
 
-            // Transposed-operand kernels: `Xᵀ·dZ` and `dZ·Wᵀ` without ever
-            // materialising a transpose (paper-scale LSTMs run this for
-            // every timestep of every layer).
-            gemm::gemm_at_b_into(&cache.x, &ws.dz, &mut ws.dw)
-                .expect("weight gradient shapes agree");
-            self.w_x_grad
-                .axpy_inplace(1.0, &ws.dw)
-                .expect("weight gradient shapes agree");
-            gemm::gemm_at_b_into(&cache.h_prev, &ws.dz, &mut ws.dw)
-                .expect("weight gradient shapes agree");
-            self.w_h_grad
-                .axpy_inplace(1.0, &ws.dw)
-                .expect("weight gradient shapes agree");
-            ws.dz.sum_rows_into(&mut ws.bias_rows);
-            self.bias_grad
-                .axpy_inplace(1.0, &ws.bias_rows)
-                .expect("bias gradient shapes agree");
-
-            gemm::gemm_a_bt_into(&ws.dz, &self.w_x, &mut dx_out[t])
-                .expect("input gradient shapes agree");
-            gemm::gemm_a_bt_into(&ws.dz, &self.w_h, &mut ws.dh_next)
+    /// Backpropagation through time over the cached forward pass. `grad` is
+    /// the gradient w.r.t. every stacked hidden output (from the next layer
+    /// or the softmax); the gradient w.r.t. the stacked input is written
+    /// into `dx` (resized in place) and the parameter gradients are stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a preceding [`LstmCell::forward_into`] or
+    /// with a gradient whose shape differs from that pass's output.
+    pub fn backward_into(&mut self, grad: &Matrix, dx: &mut Matrix) {
+        let batch = self.batch;
+        assert!(batch > 0, "backward called without forward");
+        assert_eq!(
+            grad.shape(),
+            self.h_prev.shape(),
+            "one hidden gradient per cached row is required"
+        );
+        let h = self.hidden;
+        self.dz.resize_for_overwrite(grad.rows(), 4 * h);
+        self.step_gates.resize_for_overwrite(batch, 4 * h);
+        self.h.resize(batch, h);
+        self.c.resize(batch, h);
+        for t in (0..grad.rows() / batch).rev() {
+            for b in 0..batch {
+                let r = t * batch + b;
+                let (z, tc, cp) = (self.gates.row(r), self.tanh_c.row(r), self.c_prev.row(r));
+                let (gh, dh_next, dc_next) = (grad.row(r), self.h.row(b), self.c.row_mut(b));
+                let dz_t = self.step_gates.row_mut(b);
+                for j in 0..h {
+                    let (i, f, g, o) = (z[j], z[h + j], z[2 * h + j], z[3 * h + j]);
+                    // h = o ⊙ tanh(c)
+                    let dh = gh[j] + dh_next[j];
+                    let d_o = dh * tc[j];
+                    let dc = dh * o * (1.0 - tc[j] * tc[j]) + dc_next[j];
+                    // c = f ⊙ c_prev + i ⊙ g
+                    let d_f = dc * cp[j];
+                    let d_i = dc * g;
+                    let d_g = dc * i;
+                    dc_next[j] = dc * f;
+                    // Pre-activation gradients.
+                    dz_t[j] = d_i * (i * (1.0 - i));
+                    dz_t[h + j] = d_f * (f * (1.0 - f));
+                    dz_t[2 * h + j] = d_g * (1.0 - g * g);
+                    dz_t[3 * h + j] = d_o * (o * (1.0 - o));
+                }
+                self.dz.row_mut(r).copy_from_slice(dz_t);
+            }
+            gemm::gemm_a_bt_into(&self.step_gates, &self.w_h, &mut self.h)
                 .expect("hidden gradient shapes agree");
         }
-        self.bptt = ws;
-        self.steps = 0;
+        gemm::gemm_at_b_into(&self.h_prev, &self.dz, &mut self.w_h_grad)
+            .expect("weight gradient shapes agree");
+        self.input.backward_into(&self.dz, dx);
+        self.batch = 0;
+    }
+
+    /// Per-timestep adapter over [`LstmCell::forward_into`]: stacks `inputs`
+    /// (one `(batch, input_dim)` matrix per timestep), runs one stacked pass
+    /// and unstacks the hidden states into `outputs` (resized to the
+    /// sequence length, entries recycled).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty, plus everything
+    /// [`LstmCell::forward_into`] panics on.
+    pub fn forward_sequence_into(&mut self, inputs: &[Matrix], outputs: &mut Vec<Matrix>) {
+        let batch = inputs.first().map_or(0, Matrix::rows);
+        let (mut x, mut hs) = (Matrix::default(), Matrix::default());
+        stack_rows_into(inputs, &mut x);
+        self.forward_into(&x, batch, &mut hs);
+        unstack_rows_into(&hs, inputs.len(), batch, outputs);
+    }
+
+    /// Per-timestep adapter over [`LstmCell::backward_into`]: `grad_hidden[t]`
+    /// is the gradient w.r.t. the hidden output of timestep `t`; the input
+    /// gradient of each timestep lands in `dx_out` (resized to the sequence
+    /// length, entries recycled).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`LstmCell::backward_into`].
+    pub fn backward_sequence_into(&mut self, grad_hidden: &[Matrix], dx_out: &mut Vec<Matrix>) {
+        let batch = grad_hidden.first().map_or(0, Matrix::rows);
+        let (mut grad, mut dx) = (Matrix::default(), Matrix::default());
+        stack_rows_into(grad_hidden, &mut grad);
+        self.backward_into(&grad, &mut dx);
+        unstack_rows_into(&dx, grad_hidden.len(), batch, dx_out);
     }
 
     /// Maximum absolute value over all parameter gradients (used for
     /// clipping diagnostics).
     pub fn grad_max_abs(&self) -> f32 {
-        self.w_x_grad
+        self.w_h_grad
             .as_slice()
             .iter()
-            .chain(self.w_h_grad.as_slice())
-            .chain(self.bias_grad.as_slice())
-            .fold(0.0f32, |m, &v| m.max(v.abs()))
+            .fold(self.input.grad_max_abs(), |m, &v| m.max(v.abs()))
     }
 
     /// Scales every stored gradient by `factor` (gradient clipping).
     pub fn scale_gradients(&mut self, factor: f32) {
-        self.w_x_grad.map_inplace(|v| v * factor);
+        self.input.scale_gradients(factor);
         self.w_h_grad.map_inplace(|v| v * factor);
-        self.bias_grad.map_inplace(|v| v * factor);
     }
 
     /// Applies one SGD step with the stored gradients.
     pub fn step(&mut self, sgd: &Sgd) {
-        sgd.update(&mut self.w_x, &self.w_x_grad, &mut self.w_x_vel);
+        self.input.step(sgd);
         sgd.update(&mut self.w_h, &self.w_h_grad, &mut self.w_h_vel);
-        sgd.update(&mut self.bias, &self.bias_grad, &mut self.bias_vel);
     }
 }
 
@@ -378,7 +306,8 @@ pub struct LstmLmConfig {
     pub learning_rate: f32,
     /// SGD momentum.
     pub momentum: f32,
-    /// Gradient-clipping threshold on the max-abs gradient (0 disables).
+    /// Gradient-clipping threshold on the max-abs value over every
+    /// parameter gradient (0 disables).
     pub grad_clip: f32,
 }
 
@@ -410,34 +339,37 @@ pub struct LmBatchStats {
     pub accuracy: f64,
 }
 
-/// Recycled buffers of one [`LstmLm::train_batch`] iteration: the
-/// inter-layer activation sequences (ping-ponged between layer input and
-/// layer output), the stacked projection input, the logits, the per-step
-/// gradient sequences, the flattened target ids and the softmax
-/// cross-entropy scratch. Together with the per-cell workspaces this makes
-/// the whole training hot path allocation-free once shapes have stabilised.
+/// Recycled buffers of one [`LstmLm`] pass: the stacked sequence
+/// ping-ponged between a layer's input and its output (the embeddings and
+/// hidden states forward, their gradients backward), the logits, the
+/// flattened targets and the softmax cross-entropy scratch. Together with
+/// the per-cell caches this makes the whole training hot path
+/// allocation-free once shapes have stabilised.
 #[derive(Debug, Clone, Default)]
 struct SeqWorkspace {
-    /// Current layer's per-timestep inputs (the embeddings at layer 0).
-    acts_a: Vec<Matrix>,
-    /// Current layer's per-timestep outputs (dropout applied in place);
-    /// swapped with `acts_a` after each layer.
-    acts_b: Vec<Matrix>,
-    /// Top-layer states stacked over time, feeding the projection.
-    stacked: Matrix,
+    /// A layer's stacked input forward; the gradient w.r.t. its output
+    /// backward.
+    seq: Matrix,
+    /// The layer's result, swapped into `seq` after each layer.
+    next: Matrix,
     /// Projection output (vocabulary logits).
     logits: Matrix,
-    /// Gradient w.r.t. the stacked projection input, written by
-    /// [`crate::Linear::backward_into`] (the backward counterpart of the
-    /// `stacked`/`logits` recycling).
-    grad_stacked: Matrix,
-    /// Per-timestep gradient buffers, ping-ponged like the activations.
-    grad_a: Vec<Matrix>,
-    grad_b: Vec<Matrix>,
-    /// Flattened next-token targets.
+    /// Next-token targets of the logits rows.
     targets: Vec<usize>,
     /// Softmax cross-entropy probability/gradient buffers.
     xent: CrossEntropyScratch,
+}
+
+impl SeqWorkspace {
+    /// Loss, perplexity and accuracy of the logits against the targets.
+    fn stats(&mut self) -> LmBatchStats {
+        let loss = softmax_cross_entropy_into(&self.logits, &self.targets, &mut self.xent);
+        LmBatchStats {
+            loss,
+            perplexity: perplexity_from_nll(loss as f64),
+            accuracy: crate::metrics::accuracy(&self.logits, &self.targets),
+        }
+    }
 }
 
 /// Word-level LSTM language model with inter-layer approximate dropout.
@@ -519,12 +451,6 @@ impl LstmLm {
         self.dropout[layer] = dropout;
     }
 
-    fn embed(&self, tokens: &[Vec<usize>], t: usize) -> Matrix {
-        let mut out = Matrix::default();
-        embed_into(&self.embedding, tokens, t, &mut out);
-        out
-    }
-
     /// One training step on a batch of token sequences. Each sequence must
     /// contain `seq_len + 1` token ids: positions `0..seq_len` are inputs and
     /// positions `1..=seq_len` the prediction targets.
@@ -567,16 +493,12 @@ impl LstmLm {
         vec![LayerShape::vector(self.cells[0].hidden()); self.cells.len()]
     }
 
-    fn train_batch_inner(
-        &mut self,
-        tokens: &[Vec<usize>],
-        mut source: PlanSource<'_>,
-    ) -> LmBatchStats {
-        let (seq_len, batch) = self.validate_batch(tokens);
+    /// Plans one dropout decision per layer for the whole iteration, then
+    /// runs the stacked forward pass into `seq_ws.logits` and flattens the
+    /// matching targets. Returns the sequence length.
+    fn forward_logits(&mut self, tokens: &[Vec<usize>], mut source: PlanSource<'_>) -> usize {
+        let (seq_len, batch) = validate_batch(tokens, self.vocab);
         let hidden = self.cells[0].hidden();
-
-        // Plan one dropout decision per layer for the whole iteration,
-        // re-resolving the per-layer plan and multiplier buffers in place.
         for l in 0..self.dropout.len() {
             match &mut source {
                 PlanSource::Sample(rng) => {
@@ -591,119 +513,74 @@ impl LstmLm {
             self.plan_ws[l].column_multiplier_into(hidden, &mut self.mult_ws[l]);
         }
 
-        // Forward. The inter-layer activation sequences live in the recycled
-        // `seq_ws` buffers: embeddings land in `acts_a`, each cell writes
-        // its hidden states into `acts_b`, dropout multiplies in place, and
-        // the two buffers swap roles for the next layer — no per-iteration
-        // activation matrix is ever allocated.
-        let mut ws = std::mem::take(&mut self.seq_ws);
-        ws.acts_a.resize_with(seq_len, Matrix::default);
-        for t in 0..seq_len {
-            embed_into(&self.embedding, tokens, t, &mut ws.acts_a[t]);
+        // Embeddings, then each cell's hidden states with its dropout
+        // multiplied in place, ping-ponged through the recycled buffers.
+        let ws = &mut self.seq_ws;
+        ws.seq
+            .resize_for_overwrite(seq_len * batch, self.embedding.cols());
+        for (r, token) in time_major(tokens, 0, seq_len).enumerate() {
+            ws.seq.row_mut(r).copy_from_slice(self.embedding.row(token));
         }
-        for (l, cell) in self.cells.iter_mut().enumerate() {
-            cell.forward_sequence_into(&ws.acts_a, &mut ws.acts_b);
-            for step in &mut ws.acts_b {
-                apply_column_multiplier_inplace(step, &self.mult_ws[l]);
-            }
-            std::mem::swap(&mut ws.acts_a, &mut ws.acts_b);
+        for (cell, mult) in self.cells.iter_mut().zip(&self.mult_ws) {
+            cell.forward_into(&ws.seq, batch, &mut ws.next);
+            apply_column_multiplier_inplace(&mut ws.next, mult);
+            std::mem::swap(&mut ws.seq, &mut ws.next);
         }
-
-        // Stack the (dropped) top-layer states over time and project — one
-        // fused GEMM+bias kernel into the recycled logits buffer.
-        stack_rows_into(&ws.acts_a, &mut ws.stacked);
         let projection_shape = LayerShape::new(
             self.projection.in_features(),
             self.projection.out_features(),
         );
-        let mut logits = std::mem::take(&mut ws.logits);
         self.projection.forward_act_into(
-            &ws.stacked,
+            &ws.seq,
             &DropoutPlan::none(projection_shape),
             Activation::Identity,
-            &mut logits,
+            &mut ws.logits,
         );
-        ws.logits = logits;
-        flatten_targets_into(tokens, seq_len, &mut ws.targets);
-        let loss = softmax_cross_entropy_into(&ws.logits, &ws.targets, &mut ws.xent);
-        let acc = crate::metrics::accuracy(&ws.logits, &ws.targets);
+        ws.targets.clear();
+        ws.targets.extend(time_major(tokens, 1, seq_len));
+        seq_len
+    }
 
-        // Backward. The projection's dX lands in the recycled
-        // `grad_stacked` buffer — the last per-iteration allocation of the
-        // backward pass is gone.
-        let SeqWorkspace {
-            xent, grad_stacked, ..
-        } = &mut ws;
+    fn train_batch_inner(&mut self, tokens: &[Vec<usize>], source: PlanSource<'_>) -> LmBatchStats {
+        let seq_len = self.forward_logits(tokens, source);
+        let ws = &mut self.seq_ws;
+        let stats = ws.stats();
+
+        // Backward: the projection's dX lands in `seq`, then each layer
+        // multiplies in its dropout and hands its input gradient down.
         self.projection
-            .backward_into(xent.grad_logits(), grad_stacked);
-        unstack_rows_into(&ws.grad_stacked, seq_len, batch, &mut ws.grad_a);
-        for l in (0..self.cells.len()).rev() {
-            // Gradient through this layer's output dropout, in place.
-            for step in &mut ws.grad_a {
-                apply_column_multiplier_inplace(step, &self.mult_ws[l]);
-            }
-            self.cells[l].backward_sequence_into(&ws.grad_a, &mut ws.grad_b);
-            std::mem::swap(&mut ws.grad_a, &mut ws.grad_b);
+            .backward_into(ws.xent.grad_logits(), &mut ws.seq);
+        for (cell, mult) in self.cells.iter_mut().zip(&self.mult_ws).rev() {
+            apply_column_multiplier_inplace(&mut ws.seq, mult);
+            cell.backward_into(&ws.seq, &mut ws.next);
+            std::mem::swap(&mut ws.seq, &mut ws.next);
         }
 
-        // Embedding gradient: scatter the bottom-layer input gradients back
-        // onto the rows of the embedding table (buffer recycled across
-        // iterations).
+        // Scatter the embedding gradient back onto the table rows.
         self.embedding_grad
             .resize(self.embedding.rows(), self.embedding.cols());
-        for (t, grad) in ws.grad_a.iter().enumerate() {
-            for (b, token_row) in tokens.iter().enumerate() {
-                let dst = self.embedding_grad.row_mut(token_row[t]);
-                for (d, &g) in dst.iter_mut().zip(grad.row(b)) {
-                    *d += g;
-                }
+        for (r, token) in time_major(tokens, 0, seq_len).enumerate() {
+            let dst = self.embedding_grad.row_mut(token);
+            for (d, &g) in dst.iter_mut().zip(ws.seq.row(r)) {
+                *d += g;
             }
         }
-        self.seq_ws = ws;
 
         self.clip_and_step();
-        LmBatchStats {
-            loss,
-            perplexity: perplexity_from_nll(loss as f64),
-            accuracy: acc,
-        }
+        stats
     }
 
     /// Evaluates loss, perplexity and next-token accuracy with dropout
-    /// disabled (dense forward).
+    /// disabled (dense forward on a clone, like the other families).
     pub fn evaluate(&self, tokens: &[Vec<usize>]) -> LmBatchStats {
-        let (seq_len, _batch) = self.validate_batch(tokens);
         let mut model = self.clone();
-        let mut layer_inputs: Vec<Matrix> = (0..seq_len).map(|t| model.embed(tokens, t)).collect();
-        for cell in &mut model.cells {
-            layer_inputs = cell.forward_sequence(&layer_inputs);
-        }
-        let stacked = stack_rows(&layer_inputs);
-        let logits = model.projection.infer(&stacked);
-        let mut targets = Vec::new();
-        flatten_targets_into(tokens, seq_len, &mut targets);
-        let loss_out = softmax_cross_entropy(&logits, &targets);
-        LmBatchStats {
-            loss: loss_out.loss,
-            perplexity: perplexity_from_nll(loss_out.loss as f64),
-            accuracy: crate::metrics::accuracy(&logits, &targets),
-        }
-    }
-
-    fn validate_batch(&self, tokens: &[Vec<usize>]) -> (usize, usize) {
-        assert!(!tokens.is_empty(), "batch must not be empty");
-        let len = tokens[0].len();
-        assert!(
-            len >= 2,
-            "sequences need at least two tokens (input + target)"
-        );
-        for seq in tokens {
-            assert_eq!(seq.len(), len, "all sequences must have the same length");
-            for &t in seq {
-                assert!(t < self.vocab, "token id {t} out of range");
-            }
-        }
-        (len - 1, tokens.len())
+        let plans: Vec<DropoutPlan> = model
+            .layer_shapes()
+            .into_iter()
+            .map(DropoutPlan::none)
+            .collect();
+        model.forward_logits(tokens, PlanSource::Inject(&plans));
+        model.seq_ws.stats()
     }
 
     fn clip_and_step(&mut self) {
@@ -716,24 +593,14 @@ impl LstmLm {
             for cell in &self.cells {
                 max_abs = max_abs.max(cell.grad_max_abs());
             }
-            max_abs = max_abs.max(
-                self.projection
-                    .weight_grad()
-                    .as_slice()
-                    .iter()
-                    .fold(0.0f32, |m, &v| m.max(v.abs())),
-            );
+            max_abs = max_abs.max(self.projection.grad_max_abs());
             if max_abs > self.grad_clip {
                 let factor = self.grad_clip / max_abs;
                 self.embedding_grad.map_inplace(|v| v * factor);
                 for cell in &mut self.cells {
                     cell.scale_gradients(factor);
                 }
-                // Projection gradients are scaled through its own step below
-                // by shrinking the learning rate once; simpler: scale stored
-                // gradient via a dedicated hook is not available, so the
-                // projection keeps its unclipped gradient. In practice its
-                // gradient is the best conditioned of the stack.
+                self.projection.scale_gradients(factor);
             }
         }
         let sgd = self.sgd;
@@ -749,17 +616,32 @@ impl LstmLm {
     }
 }
 
-/// Gathers the embedding rows of timestep `t` into `out` (resized in place).
-fn embed_into(embedding: &Matrix, tokens: &[Vec<usize>], t: usize, out: &mut Matrix) {
-    out.resize_for_overwrite(tokens.len(), embedding.cols());
-    for (b, seq) in tokens.iter().enumerate() {
-        out.row_mut(b).copy_from_slice(embedding.row(seq[t]));
+/// Checks a batch of token sequences against a `vocab`-word model and
+/// returns `(seq_len, batch)`: every sequence holds `seq_len + 1` tokens.
+///
+/// # Panics
+///
+/// Panics if the batch is empty, sequences have fewer than two tokens or
+/// unequal lengths, or a token id is out of range.
+pub(crate) fn validate_batch(tokens: &[Vec<usize>], vocab: usize) -> (usize, usize) {
+    assert!(!tokens.is_empty(), "batch must not be empty");
+    let len = tokens[0].len();
+    assert!(
+        len >= 2,
+        "sequences need at least two tokens (input + target)"
+    );
+    for seq in tokens {
+        assert_eq!(seq.len(), len, "all sequences must have the same length");
+        for &t in seq {
+            assert!(t < vocab, "token id {t} out of range");
+        }
     }
+    (len - 1, tokens.len())
 }
 
 /// Applies a per-column multiplier in place — the allocation-free form of
-/// the inter-layer dropout (and its gradient) application.
-fn apply_column_multiplier_inplace(m: &mut Matrix, mult: &[f32]) {
+/// an inter-layer dropout plan (and of its gradient).
+pub(crate) fn apply_column_multiplier_inplace(m: &mut Matrix, mult: &[f32]) {
     for i in 0..m.rows() {
         for (v, &s) in m.row_mut(i).iter_mut().zip(mult) {
             *v *= s;
@@ -767,10 +649,15 @@ fn apply_column_multiplier_inplace(m: &mut Matrix, mult: &[f32]) {
     }
 }
 
-fn stack_rows(steps: &[Matrix]) -> Matrix {
-    let mut out = Matrix::default();
-    stack_rows_into(steps, &mut out);
-    out
+/// Token ids of positions `from..from + seq_len` in stacked time-major
+/// order (row `t·batch + b` is `tokens[b][from + t]`): the inputs at
+/// `from = 0`, the next-token targets at `from = 1`.
+fn time_major(
+    tokens: &[Vec<usize>],
+    from: usize,
+    seq_len: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    (from..from + seq_len).flat_map(move |t| tokens.iter().map(move |seq| seq[t]))
 }
 
 /// Stacks per-timestep `(batch, cols)` matrices into one
@@ -786,15 +673,6 @@ fn stack_rows_into(steps: &[Matrix], out: &mut Matrix) {
     }
 }
 
-/// Reference formulation of [`unstack_rows_into`], retained for the
-/// round-trip test.
-#[cfg(test)]
-fn unstack_rows(stacked: &Matrix, steps: usize, batch: usize) -> Vec<Matrix> {
-    let mut out = Vec::new();
-    unstack_rows_into(stacked, steps, batch, &mut out);
-    out
-}
-
 /// Splits a stacked `(steps·batch, cols)` matrix back into per-timestep
 /// matrices, recycling the buffers in `out`.
 fn unstack_rows_into(stacked: &Matrix, steps: usize, batch: usize, out: &mut Vec<Matrix>) {
@@ -803,17 +681,6 @@ fn unstack_rows_into(stacked: &Matrix, steps: usize, batch: usize, out: &mut Vec
         m.resize_for_overwrite(batch, stacked.cols());
         for b in 0..batch {
             m.row_mut(b).copy_from_slice(stacked.row(t * batch + b));
-        }
-    }
-}
-
-/// Flattens the next-token targets into `out` (cleared and refilled).
-fn flatten_targets_into(tokens: &[Vec<usize>], seq_len: usize, out: &mut Vec<usize>) {
-    out.clear();
-    out.reserve(seq_len * tokens.len());
-    for t in 0..seq_len {
-        for seq in tokens {
-            out.push(seq[t + 1]);
         }
     }
 }
@@ -846,70 +713,101 @@ mod tests {
         }
     }
 
+    /// Stacked forward pass of `cell` over `x`, returning the hidden states.
+    fn forward(cell: &mut LstmCell, x: &Matrix, batch: usize) -> Matrix {
+        let mut out = Matrix::default();
+        cell.forward_into(x, batch, &mut out);
+        out
+    }
+
+    /// Stacked backward pass of `cell`, returning the input gradient.
+    fn backward(cell: &mut LstmCell, grad: &Matrix) -> Matrix {
+        let mut dx = Matrix::default();
+        cell.backward_into(grad, &mut dx);
+        dx
+    }
+
     #[test]
     fn cell_forward_shapes_and_bounds() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut cell = LstmCell::new(&mut rng, 8, 16);
-        let inputs: Vec<Matrix> = (0..5).map(|_| Matrix::ones(3, 8)).collect();
-        let outputs = cell.forward_sequence(&inputs);
-        assert_eq!(outputs.len(), 5);
-        assert_eq!(outputs[0].shape(), (3, 16));
+        // Five timesteps of three sequences.
+        let out = forward(&mut cell, &Matrix::ones(15, 8), 3);
+        assert_eq!(out.shape(), (15, 16));
         // h = o ⊙ tanh(c) is bounded by (-1, 1).
-        assert!(outputs
-            .iter()
-            .all(|h| h.as_slice().iter().all(|v| v.abs() < 1.0)));
+        assert!(out.as_slice().iter().all(|v| v.abs() < 1.0));
     }
 
     #[test]
     fn cell_backward_produces_input_gradients() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut cell = LstmCell::new(&mut rng, 8, 16);
-        let inputs: Vec<Matrix> = (0..4).map(|_| Matrix::ones(2, 8)).collect();
-        let outputs = cell.forward_sequence(&inputs);
-        let grads: Vec<Matrix> = outputs
-            .iter()
-            .map(|h| Matrix::ones(h.rows(), h.cols()))
-            .collect();
-        let dx = cell.backward_sequence(&grads);
-        assert_eq!(dx.len(), 4);
-        assert_eq!(dx[0].shape(), (2, 8));
+        let out = forward(&mut cell, &Matrix::ones(8, 8), 2);
+        let dx = backward(&mut cell, &Matrix::ones(out.rows(), out.cols()));
+        assert_eq!(dx.shape(), (8, 8));
         assert!(cell.grad_max_abs() > 0.0);
     }
 
     #[test]
     fn cell_numerical_gradient_check_on_wx() {
-        // Loss = sum of all hidden outputs over a 2-step sequence.
+        // Loss = sum of all hidden outputs of four 4-step sequences (summed
+        // in f64 to keep the central differences sharp). `W_h` is scaled up
+        // so the recurrent path carries weight: a `W_h` gradient read from
+        // the wrong timestep misses the tolerance several times over.
         let mut rng = StdRng::seed_from_u64(2);
-        let cell = LstmCell::new(&mut rng, 3, 4);
-        let inputs: Vec<Matrix> = (0..2)
-            .map(|_| init::uniform(&mut rng, 2, 3, -1.0, 1.0))
-            .collect();
+        let mut cell = LstmCell::new(&mut rng, 3, 4);
+        cell.w_h.map_inplace(|v| v * 3.0);
+        let x = init::uniform(&mut rng, 16, 3, -1.0, 1.0);
+        let loss = |cell: &LstmCell| {
+            let out = forward(&mut cell.clone(), &x, 4);
+            out.as_slice().iter().map(|&v| f64::from(v)).sum::<f64>() as f32
+        };
 
         let mut analytic_cell = cell.clone();
-        let outputs = analytic_cell.forward_sequence(&inputs);
-        let grads: Vec<Matrix> = outputs
-            .iter()
-            .map(|h| Matrix::ones(h.rows(), h.cols()))
-            .collect();
-        let _ = analytic_cell.backward_sequence(&grads);
+        let out = forward(&mut analytic_cell, &x, 4);
+        let _ = backward(&mut analytic_cell, &Matrix::ones(out.rows(), out.cols()));
 
+        #[derive(Clone, Copy, Debug)]
+        enum Param {
+            Wx,
+            Wh,
+            Bias,
+        }
+        let nudged = |param: Param, (r, c): (usize, usize), delta: f32| {
+            let mut out = cell.clone();
+            let (mut w, mut bias) = (cell.input.weight().clone(), cell.input.bias().clone());
+            match param {
+                Param::Wx => w[(r, c)] += delta,
+                Param::Wh => out.w_h[(r, c)] += delta,
+                Param::Bias => bias[(r, c)] += delta,
+            }
+            out.input = Linear::from_parameters(w, bias);
+            out
+        };
         let eps = 1e-2f32;
-        for &(r, c) in &[(0usize, 0usize), (1, 5), (2, 10), (0, 15)] {
-            let mut plus = cell.clone();
-            plus.w_x[(r, c)] += eps;
-            let mut minus = cell.clone();
-            minus.w_x[(r, c)] -= eps;
-            let f_plus: f32 = plus.forward_sequence(&inputs).iter().map(Matrix::sum).sum();
-            let f_minus: f32 = minus
-                .forward_sequence(&inputs)
-                .iter()
-                .map(Matrix::sum)
-                .sum();
-            let numeric = (f_plus - f_minus) / (2.0 * eps);
-            let analytic = analytic_cell.w_x_grad[(r, c)];
+        let entries = [
+            (Param::Wx, (0usize, 0usize)),
+            (Param::Wx, (1, 5)),
+            (Param::Wx, (2, 10)),
+            (Param::Wx, (0, 15)),
+            (Param::Wh, (0, 1)),
+            (Param::Wh, (3, 6)),
+            (Param::Wh, (2, 13)),
+            // Columns 4..8 are the forget gate, 8..12 the cell gate.
+            (Param::Bias, (0, 5)),
+            (Param::Bias, (0, 9)),
+        ];
+        for (param, (r, c)) in entries {
+            let numeric = (loss(&nudged(param, (r, c), eps)) - loss(&nudged(param, (r, c), -eps)))
+                / (2.0 * eps);
+            let analytic = match param {
+                Param::Wx => analytic_cell.input.weight_grad()[(r, c)],
+                Param::Wh => analytic_cell.w_h_grad[(r, c)],
+                Param::Bias => analytic_cell.input.bias_grad()[(r, c)],
+            };
             assert!(
-                (numeric - analytic).abs() < 2e-2,
-                "w_x[{r},{c}]: numeric {numeric} vs analytic {analytic}"
+                (numeric - analytic).abs() <= 1e-4 + 1e-3 * analytic.abs(),
+                "{param:?}[{r},{c}]: numeric {numeric} vs analytic {analytic}"
             );
         }
     }
@@ -918,28 +816,24 @@ mod tests {
     fn gate_workspaces_are_recycled_across_iterations() {
         let mut rng = StdRng::seed_from_u64(40);
         let mut cell = LstmCell::new(&mut rng, 8, 16);
-        let inputs: Vec<Matrix> = (0..3).map(|_| Matrix::ones(4, 8)).collect();
-        let outputs = cell.forward_sequence(&inputs);
-        let grads: Vec<Matrix> = outputs
-            .iter()
-            .map(|h| Matrix::ones(h.rows(), h.cols()))
-            .collect();
-        let _ = cell.backward_sequence(&grads);
-        // Second iteration with the same shapes: the per-timestep gate
-        // caches and the BPTT gate-gradient buffer must be reused, not
-        // reallocated.
-        let gate_ptr = cell.cache[0].i.as_slice().as_ptr();
-        let dz_ptr = cell.bptt.dz.as_slice().as_ptr();
-        let _ = cell.forward_sequence(&inputs);
+        let x = Matrix::ones(12, 8);
+        let grad = Matrix::ones(12, 16);
+        let _ = forward(&mut cell, &x, 4);
+        let _ = backward(&mut cell, &grad);
+        // Second iteration with the same shapes: the stacked gate cache and
+        // gate-gradient buffer must be reused, not reallocated.
+        let gate_ptr = cell.gates.as_slice().as_ptr();
+        let dz_ptr = cell.dz.as_slice().as_ptr();
+        let _ = forward(&mut cell, &x, 4);
         assert_eq!(
             gate_ptr,
-            cell.cache[0].i.as_slice().as_ptr(),
+            cell.gates.as_slice().as_ptr(),
             "gate cache must be recycled"
         );
-        let _ = cell.backward_sequence(&grads);
+        let _ = backward(&mut cell, &grad);
         assert_eq!(
             dz_ptr,
-            cell.bptt.dz.as_slice().as_ptr(),
+            cell.dz.as_slice().as_ptr(),
             "dz workspace must be recycled"
         );
     }
@@ -947,45 +841,40 @@ mod tests {
     #[test]
     fn shrinking_sequence_reuses_then_truncates_cached_steps() {
         // A shorter sequence after a longer one must not leave stale steps
-        // visible to backward.
+        // visible to backward: the short pass equals a fresh cell's.
         let mut rng = StdRng::seed_from_u64(41);
         let mut cell = LstmCell::new(&mut rng, 4, 8);
-        let long: Vec<Matrix> = (0..5).map(|_| Matrix::ones(2, 4)).collect();
-        let _ = cell.forward_sequence(&long);
-        let short: Vec<Matrix> = (0..2).map(|_| Matrix::ones(2, 4)).collect();
-        let outputs = cell.forward_sequence(&short);
-        assert_eq!(outputs.len(), 2);
-        let grads: Vec<Matrix> = outputs
-            .iter()
-            .map(|h| Matrix::ones(h.rows(), h.cols()))
-            .collect();
-        let dx = cell.backward_sequence(&grads);
-        assert_eq!(dx.len(), 2);
+        let mut fresh = cell.clone();
+        let _ = forward(&mut cell, &Matrix::ones(10, 4), 2);
+        let short = init::uniform(&mut rng, 4, 4, -1.0, 1.0);
+        let out = forward(&mut cell, &short, 2);
+        assert_eq!(out, forward(&mut fresh, &short, 2));
+        let grad = Matrix::ones(4, 8);
+        let dx = backward(&mut cell, &grad);
+        assert_eq!(dx.shape(), (4, 4));
+        assert_eq!(dx, backward(&mut fresh, &grad));
     }
 
     #[test]
     fn train_batch_sequence_workspaces_are_recycled() {
-        // The inter-layer activation sequences, stacked projection input,
-        // logits, gradient sequences, target ids and softmax scratch must
-        // all reuse their buffers across iterations — the hot path performs
-        // no per-iteration allocations once warmed up.
+        // The stacked sequence ping-pong buffers, logits, target ids and
+        // softmax scratch must all reuse their buffers across iterations —
+        // the hot path performs no per-iteration allocations once warmed up.
         let mut rng = StdRng::seed_from_u64(42);
         let dropout = scheme::bernoulli(DropoutRate::new(0.3).unwrap());
         let mut lm = LstmLm::new(&config(dropout), &mut rng);
         let batch = cyclic_batch(12, 4, 6);
         let _ = lm.train_batch(&batch, &mut rng);
-        let _ = lm.train_batch(&batch, &mut rng); // warm both ping-pong roles
-        let acts_ptr = lm.seq_ws.acts_a[0].as_slice().as_ptr();
-        let stacked_ptr = lm.seq_ws.stacked.as_slice().as_ptr();
+        let _ = lm.train_batch(&batch, &mut rng);
+        let seq_ptr = lm.seq_ws.seq.as_slice().as_ptr();
+        let next_ptr = lm.seq_ws.next.as_slice().as_ptr();
         let logits_ptr = lm.seq_ws.logits.as_slice().as_ptr();
-        let grad_ptr = lm.seq_ws.grad_a[0].as_slice().as_ptr();
         let targets_ptr = lm.seq_ws.targets.as_ptr();
         let probs_ptr = lm.seq_ws.xent.probabilities().as_slice().as_ptr();
         let _ = lm.train_batch(&batch, &mut rng);
-        assert_eq!(acts_ptr, lm.seq_ws.acts_a[0].as_slice().as_ptr());
-        assert_eq!(stacked_ptr, lm.seq_ws.stacked.as_slice().as_ptr());
+        assert_eq!(seq_ptr, lm.seq_ws.seq.as_slice().as_ptr());
+        assert_eq!(next_ptr, lm.seq_ws.next.as_slice().as_ptr());
         assert_eq!(logits_ptr, lm.seq_ws.logits.as_slice().as_ptr());
-        assert_eq!(grad_ptr, lm.seq_ws.grad_a[0].as_slice().as_ptr());
         assert_eq!(targets_ptr, lm.seq_ws.targets.as_ptr());
         assert_eq!(
             probs_ptr,
@@ -994,25 +883,34 @@ mod tests {
     }
 
     #[test]
-    fn sequence_into_variants_match_allocating_wrappers() {
+    fn sequence_adapters_match_stacked_pass_bitwise() {
         let mut rng = StdRng::seed_from_u64(43);
-        let mut cell_a = LstmCell::new(&mut rng, 6, 10);
-        let mut cell_b = cell_a.clone();
+        let mut stacked = LstmCell::new(&mut rng, 6, 10);
+        let mut adapted = stacked.clone();
         let inputs: Vec<Matrix> = (0..3)
             .map(|_| init::uniform(&mut rng, 4, 6, -1.0, 1.0))
             .collect();
-        let out_a = cell_a.forward_sequence(&inputs);
-        let mut out_b = Vec::new();
-        cell_b.forward_sequence_into(&inputs, &mut out_b);
-        assert_eq!(out_a, out_b);
-        let grads: Vec<Matrix> = out_a
-            .iter()
-            .map(|h| Matrix::ones(h.rows(), h.cols()))
+        let grads: Vec<Matrix> = (0..3)
+            .map(|_| init::uniform(&mut rng, 4, 10, -1.0, 1.0))
             .collect();
-        let dx_a = cell_a.backward_sequence(&grads);
-        let mut dx_b = Vec::new();
-        cell_b.backward_sequence_into(&grads, &mut dx_b);
-        assert_eq!(dx_a, dx_b);
+        let (mut x, mut grad) = (Matrix::default(), Matrix::default());
+        stack_rows_into(&inputs, &mut x);
+        stack_rows_into(&grads, &mut grad);
+
+        let out = forward(&mut stacked, &x, 4);
+        let mut outputs = Vec::new();
+        adapted.forward_sequence_into(&inputs, &mut outputs);
+        let mut restacked = Matrix::default();
+        stack_rows_into(&outputs, &mut restacked);
+        assert_eq!(out, restacked);
+
+        let dx = backward(&mut stacked, &grad);
+        let mut dx_steps = Vec::new();
+        adapted.backward_sequence_into(&grads, &mut dx_steps);
+        stack_rows_into(&dx_steps, &mut restacked);
+        assert_eq!(dx, restacked);
+        assert_eq!(stacked.w_h_grad, adapted.w_h_grad);
+        assert_eq!(stacked.input, adapted.input);
     }
 
     #[test]
@@ -1061,6 +959,46 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_batches_train_and_evaluate() {
+        // One-step sequences, a single sequence, and a shorter batch after a
+        // longer one all run end to end.
+        let mut rng = StdRng::seed_from_u64(44);
+        let dropout = scheme::row(DropoutRate::new(0.5).unwrap(), 8).unwrap();
+        let mut lm = LstmLm::new(&config(dropout), &mut rng);
+        for batch in [
+            cyclic_batch(12, 3, 1),
+            cyclic_batch(12, 1, 5),
+            cyclic_batch(12, 4, 9),
+            cyclic_batch(12, 2, 3),
+        ] {
+            assert!(lm.train_batch(&batch, &mut rng).loss.is_finite());
+            assert!(lm.evaluate(&batch).loss.is_finite());
+        }
+    }
+
+    #[test]
+    fn gradient_clipping_bounds_every_stored_gradient() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let clip = 1e-3;
+        let mut lm = LstmLm::new(
+            &LstmLmConfig {
+                grad_clip: clip,
+                ..config(scheme::none())
+            },
+            &mut rng,
+        );
+        let _ = lm.train_batch(&cyclic_batch(12, 4, 6), &mut rng);
+        let max_abs = |m: &Matrix| m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+        let bound = clip * (1.0 + 1e-5);
+        assert!(max_abs(&lm.embedding_grad) <= bound);
+        for cell in &lm.cells {
+            assert!(cell.grad_max_abs() <= bound);
+        }
+        assert!(max_abs(lm.projection.weight_grad()) <= bound);
+        assert!(max_abs(lm.projection.bias_grad()) <= bound);
+    }
+
+    #[test]
     fn parameter_count_matches_architecture() {
         let mut rng = StdRng::seed_from_u64(6);
         let cfg = config(scheme::none());
@@ -1102,10 +1040,13 @@ mod tests {
     fn stack_and_unstack_round_trip() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let stacked = stack_rows(&[a.clone(), b.clone()]);
+        let mut stacked = Matrix::default();
+        stack_rows_into(&[a.clone(), b.clone()], &mut stacked);
         assert_eq!(stacked.shape(), (4, 2));
-        let unstacked = unstack_rows(&stacked, 2, 2);
-        assert_eq!(unstacked[0], a);
-        assert_eq!(unstacked[1], b);
+        assert_eq!(stacked.row(1), a.row(1));
+        assert_eq!(stacked.row(2), b.row(0));
+        let mut unstacked = Vec::new();
+        unstack_rows_into(&stacked, 2, 2, &mut unstacked);
+        assert_eq!(unstacked, vec![a, b]);
     }
 }

@@ -37,7 +37,7 @@
 
 use crate::layers::Linear;
 use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
-use crate::lstm::LmBatchStats;
+use crate::lstm::{apply_column_multiplier_inplace, validate_batch, LmBatchStats};
 use crate::metrics::perplexity_from_nll;
 use crate::mlp::PlanSource;
 use crate::optimizer::Sgd;
@@ -68,10 +68,8 @@ pub struct TransformerLmConfig {
     pub learning_rate: f32,
     /// SGD momentum.
     pub momentum: f32,
-    /// Gradient-clipping threshold on the embedding gradient's max-abs
-    /// value (0 disables). The `Linear` layers keep their unclipped
-    /// gradients — like the LSTM's projection they are the best
-    /// conditioned of the stack.
+    /// Gradient-clipping threshold on the max-abs value over every
+    /// parameter gradient (0 disables).
     pub grad_clip: f32,
 }
 
@@ -250,16 +248,6 @@ fn causal_scale_inplace(scores: &mut Matrix, inv_sqrt: f32) {
         }
         for v in &mut row[i + 1..] {
             *v = f32::NEG_INFINITY;
-        }
-    }
-}
-
-/// Applies a per-column multiplier in place (the inter-layer dropout idiom
-/// shared with the LSTM).
-fn apply_column_multiplier_inplace(m: &mut Matrix, mult: &[f32]) {
-    for i in 0..m.rows() {
-        for (v, &s) in m.row_mut(i).iter_mut().zip(mult) {
-            *v *= s;
         }
     }
 }
@@ -755,7 +743,7 @@ impl TransformerLm {
     /// Resolves plans, embeds the batch and runs every block, leaving the
     /// logits (and flattened targets) in the model workspace.
     fn forward_logits(&mut self, tokens: &[Vec<usize>], mut source: PlanSource<'_>) -> Geom {
-        let (seq_len, batch) = self.validate_batch(tokens);
+        let (seq_len, batch) = validate_batch(tokens, self.vocab);
         let g = Geom {
             batch,
             seq: seq_len,
@@ -834,22 +822,6 @@ impl TransformerLm {
             perplexity: perplexity_from_nll(loss as f64),
             accuracy: crate::metrics::accuracy(&model.ws.logits, &model.ws.targets),
         }
-    }
-
-    fn validate_batch(&self, tokens: &[Vec<usize>]) -> (usize, usize) {
-        assert!(!tokens.is_empty(), "batch must not be empty");
-        let len = tokens[0].len();
-        assert!(
-            len >= 2,
-            "sequences need at least two tokens (input + target)"
-        );
-        for seq in tokens {
-            assert_eq!(seq.len(), len, "all sequences must have the same length");
-            for &t in seq {
-                assert!(t < self.vocab, "token id {t} out of range");
-            }
-        }
-        (len - 1, tokens.len())
     }
 
     /// Regrows the sinusoidal positional-encoding table when a longer

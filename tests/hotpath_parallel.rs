@@ -7,6 +7,7 @@ use approx_dropout::{
     scheme, DropoutPlan, DropoutRate, DropoutScheme, LayerShape, PlanCache, PlanKey, RowPattern,
     TilePattern,
 };
+use nn::lstm::{LstmLm, LstmLmConfig};
 use nn::{Linear, Mlp, MlpConfig, Sgd, TransformerLm, TransformerLmConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,6 +119,20 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
             "transformer {label} training must be bitwise thread-invariant"
         );
     }
+
+    // LSTM language model: the stacked input projection, the per-step
+    // recurrent GEMMs and the vocabulary projection under every
+    // inter-layer dropout family.
+    for (label, dropout) in lstm_variants() {
+        pool::set_threads(1);
+        let serial = lstm_trajectory(&*dropout);
+        pool::set_threads(4);
+        let parallel = lstm_trajectory(&*dropout);
+        assert_eq!(
+            serial, parallel,
+            "lstm {label} training must be bitwise thread-invariant"
+        );
+    }
     pool::set_threads(1);
 }
 
@@ -192,6 +207,43 @@ fn transformer_trajectory(attn: &dyn DropoutScheme, ffn: &dyn DropoutScheme) -> 
     // Batch of 8 sequences × 8 steps = 64 rows: wide enough to engage the
     // pool on the attention and FFN GEMMs.
     let batch: Vec<Vec<usize>> = (0..8)
+        .map(|s| (0..9).map(|t| (s * 3 + t * 7) % 40).collect())
+        .collect();
+    let mut bits: Vec<u32> = (0..6)
+        .map(|_| lm.train_batch(&batch, &mut rng).loss.to_bits())
+        .collect();
+    bits.push(lm.evaluate(&batch).loss.to_bits());
+    bits
+}
+
+/// The inter-layer dropout families the LSTM invariance checks cover.
+fn lstm_variants() -> Vec<(&'static str, Box<dyn DropoutScheme>)> {
+    let rate = DropoutRate::new(0.5).unwrap();
+    vec![
+        ("row", scheme::row(rate, 8).unwrap()),
+        ("tile", scheme::tile(rate, 8, 8).unwrap()),
+        ("bernoulli", scheme::bernoulli(rate)),
+    ]
+}
+
+/// Same-seed LSTM LM training losses plus a deterministic eval loss, as bit
+/// patterns.
+fn lstm_trajectory(dropout: &dyn DropoutScheme) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(78);
+    let config = LstmLmConfig {
+        vocab: 40,
+        embed_dim: 24,
+        hidden: 32,
+        layers: 2,
+        dropout: dropout.clone_box(),
+        learning_rate: 0.5,
+        momentum: 0.0,
+        grad_clip: 5.0,
+    };
+    let mut lm = LstmLm::new(&config, &mut rng);
+    // 32 sequences: every per-timestep GEMM (batch rows) engages the pool,
+    // not only the stacked ones.
+    let batch: Vec<Vec<usize>> = (0..32)
         .map(|s| (0..9).map(|t| (s * 3 + t * 7) % 40).collect())
         .collect();
     let mut bits: Vec<u32> = (0..6)

@@ -14,6 +14,7 @@
 //! on one mutex and restores the entry level before returning.
 
 use approx_dropout::{scheme, Activation, DropoutRate, DropoutScheme};
+use nn::lstm::{LstmLm, LstmLmConfig};
 use nn::{DropoutPlan, LayerShape, Linear, TransformerLm, TransformerLmConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -271,6 +272,61 @@ fn transformer_attention_matches_scalar_bitwise_for_every_structured_path() {
             scalar,
             vector,
             "transformer {label} must be bitwise identical between scalar and {:?}",
+            simd::detected_level()
+        );
+    }
+    simd::set_level(entry);
+}
+
+/// Same-seed LSTM LM training losses plus a deterministic eval loss, as bit
+/// patterns.
+fn lstm_trajectory(dropout: &dyn DropoutScheme) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(0x51D6);
+    let config = LstmLmConfig {
+        vocab: 40,
+        embed_dim: 24,
+        hidden: 32,
+        layers: 2,
+        dropout: dropout.clone_box(),
+        learning_rate: 0.5,
+        momentum: 0.0,
+        grad_clip: 5.0,
+    };
+    let mut lm = LstmLm::new(&config, &mut rng);
+    let batch: Vec<Vec<usize>> = (0..32)
+        .map(|s| (0..9).map(|t| (s * 5 + t * 11) % 40).collect())
+        .collect();
+    let mut bits: Vec<u32> = (0..6)
+        .map(|_| lm.train_batch(&batch, &mut rng).loss.to_bits())
+        .collect();
+    bits.push(lm.evaluate(&batch).loss.to_bits());
+    bits
+}
+
+#[test]
+fn lstm_matches_scalar_bitwise_for_every_dropout_family() {
+    // The LSTM runs on the level-invariant GEMMs, libm gate activations and
+    // scalar softmax cross-entropy, so whole training trajectories under
+    // row, tile and Bernoulli inter-layer dropout must not move by a bit
+    // when the dispatch level changes.
+    let _g = level_guard();
+    let entry = simd::level();
+    pool::set_threads(1);
+    let rate = DropoutRate::new(0.5).unwrap();
+    let variants: Vec<(&str, Box<dyn DropoutScheme>)> = vec![
+        ("row", scheme::row(rate, 8).unwrap()),
+        ("tile", scheme::tile(rate, 8, 8).unwrap()),
+        ("bernoulli", scheme::bernoulli(rate)),
+    ];
+    for (label, dropout) in &variants {
+        simd::set_level(SimdLevel::Scalar);
+        let scalar = lstm_trajectory(&**dropout);
+        simd::set_level(simd::detected_level());
+        let vector = lstm_trajectory(&**dropout);
+        assert_eq!(
+            scalar,
+            vector,
+            "lstm {label} must be bitwise identical between scalar and {:?}",
             simd::detected_level()
         );
     }
