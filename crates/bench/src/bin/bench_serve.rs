@@ -404,6 +404,7 @@ fn run_overload(cfg: &Config, config: ServeConfig, models: Vec<ModelSpec>) -> Ov
             },
             Err(AdmissionError::Shed { .. }) => unreachable!("submit never returns Shed"),
             Err(AdmissionError::Invalid { .. }) => unreachable!("the flood names catalog models"),
+            Err(AdmissionError::EmptyJob) => unreachable!("every flood job has rows"),
             Ok(rx) => match rx.recv().expect("admitted job must be answered") {
                 Ok(result) => {
                     stats.completed += 1;
@@ -416,9 +417,11 @@ fn run_overload(cfg: &Config, config: ServeConfig, models: Vec<ModelSpec>) -> Ov
                     QosClass::Interactive => stats.interactive_shed += 1,
                     _ => stats.background_shed += 1,
                 },
-                Err(AdmissionError::Rejected { .. } | AdmissionError::Invalid { .. }) => {
-                    unreachable!("reply channels carry only Shed")
-                }
+                Err(
+                    AdmissionError::Rejected { .. }
+                    | AdmissionError::Invalid { .. }
+                    | AdmissionError::EmptyJob,
+                ) => unreachable!("reply channels carry only Shed"),
             },
         }
     }

@@ -115,14 +115,6 @@ impl CrsSampling {
 }
 
 impl DropoutScheme for CrsSampling {
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        // Delegating to `plan_into` makes the draw-for-draw equality of the
-        // two entry points true by construction.
-        let mut out = DropoutPlan::default();
-        self.plan_into(rng, shape, &mut out);
-        out
-    }
-
     fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
         let total_k = shape.in_features;
         let composed = self.inner.is_some();
@@ -228,7 +220,8 @@ mod tests {
         let mut a = CrsSampling::new(0.5).unwrap();
         let mut b = a.clone();
         let shape = LayerShape::new(40, 24);
-        let mut recycled = DropoutPlan::default();
+        // A dirty buffer of another family and shape must reset cleanly.
+        let mut recycled = DropoutPlan::block_unit(LayerShape::vector(12), 4, vec![1, 2], 2.0, 0.5);
         for step in 0..10 {
             let fresh = a.plan(&mut StdRng::seed_from_u64(step), shape);
             b.plan_into(&mut StdRng::seed_from_u64(step), shape, &mut recycled);

@@ -61,14 +61,10 @@ pub fn empirical_unit_drop_rates<R: Rng + ?Sized>(
 ) -> Vec<f64> {
     let mut dropped = vec![0usize; unit_count];
     for _ in 0..iterations {
-        let pattern = sampler.sample(rng, unit_count);
-        let mut kept = vec![false; unit_count];
-        for &k in pattern.kept_indices() {
-            kept[k] = true;
-        }
-        for (u, &is_kept) in kept.iter().enumerate() {
-            if !is_kept {
-                dropped[u] += 1;
+        let (dp, bias) = sampler.sample_params(rng, unit_count);
+        for (u, count) in dropped.iter_mut().enumerate() {
+            if u % dp != bias {
+                *count += 1;
             }
         }
     }
@@ -126,8 +122,8 @@ pub fn distinct_sub_models<R: Rng + ?Sized>(
     use std::collections::HashSet;
     let mut seen: HashSet<Vec<usize>> = HashSet::new();
     for _ in 0..iterations {
-        let pattern = sampler.sample(rng, unit_count);
-        seen.insert(pattern.kept_indices().to_vec());
+        let (dp, bias) = sampler.sample_params(rng, unit_count);
+        seen.insert((bias..unit_count).step_by(dp).collect());
     }
     seen.len()
 }

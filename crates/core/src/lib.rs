@@ -29,7 +29,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use approx_dropout::{DropoutRate, PatternKind, PatternSampler, SearchConfig};
+//! use approx_dropout::{
+//!     DropoutPlan, DropoutRate, LayerShape, PatternKind, PatternSampler, RowPattern, SearchConfig,
+//! };
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -39,11 +41,12 @@
 //! let dist = approx_dropout::search::sgd_search(rate, 8, &SearchConfig::default())?;
 //! assert!((dist.expected_global_rate() - 0.5).abs() < 0.02);
 //!
-//! // Sample a concrete pattern for one training iteration.
+//! // Draw the pattern for one training iteration and resolve its plan.
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let sampler = PatternSampler::new(dist, PatternKind::Row);
-//! let pattern = sampler.sample(&mut rng, 2048);
-//! assert!(pattern.kept_indices().len() <= 2048);
+//! let (dp, bias) = sampler.sample_params(&mut rng, 2048);
+//! let plan = DropoutPlan::row(LayerShape::vector(2048), RowPattern::new(dp, bias)?);
+//! assert!(plan.compact_rows().unwrap().len() <= 2048);
 //! # Ok(())
 //! # }
 //! ```
@@ -62,18 +65,18 @@ pub mod search;
 pub mod spec;
 pub mod structured;
 
-pub use bernoulli::BernoulliDropout;
+pub use bernoulli::{Bernoulli, DivergentBernoulli};
 pub use crs::CrsSampling;
 pub use error::DropoutError;
-pub use pattern::{DropoutPattern, PatternKind, RowPattern, SampledPattern, TileGrid, TilePattern};
+pub use pattern::{DropoutPattern, PatternKind, RowPattern, TileGrid, TilePattern};
 pub use plan::{CrsSelection, DropoutPlan, KernelSchedule, LayerShape};
 pub use plan_cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use rate::DropoutRate;
 pub use sampler::{ApproxDropoutBuilder, ApproxDropoutLayer, PatternSampler};
-pub use scheme::{Bernoulli, DivergentBernoulli, DropoutScheme, NoDropout};
+pub use scheme::{DropoutScheme, NoDropout};
 pub use search::{PatternDistribution, SearchConfig, SearchOutcome};
 pub use spec::{SchemeSpec, SchemeSpecError};
-pub use structured::{BlockUnit, NmSparsity, StructuredKind, StructuredUnits};
+pub use structured::{BlockUnit, NmSparsity};
 pub use tensor::Activation;
 
 /// Default tile edge length used by the Tile-based Dropout Pattern.

@@ -19,7 +19,6 @@
 //! figures and all reported dropout rates require.
 
 use crate::error::DropoutError;
-use crate::rate::DropoutRate;
 use tensor::Matrix;
 
 /// Which family of regular pattern is being used.
@@ -363,162 +362,10 @@ impl DropoutPattern for TilePattern {
     }
 }
 
-/// A concrete pattern drawn for one training iteration, resolved against the
-/// layer it will be applied to.
-///
-/// Produced by [`crate::PatternSampler::sample`]. `unit_count` is the number
-/// of output neurons for a row pattern, or the total number of tiles for a
-/// tile pattern.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SampledPattern {
-    kind: PatternKind,
-    dp: usize,
-    bias: usize,
-    tile: usize,
-    unit_count: usize,
-    kept: Vec<usize>,
-}
-
-impl Clone for SampledPattern {
-    fn clone(&self) -> Self {
-        Self {
-            kind: self.kind,
-            dp: self.dp,
-            bias: self.bias,
-            tile: self.tile,
-            unit_count: self.unit_count,
-            kept: self.kept.clone(),
-        }
-    }
-
-    /// Reuses the existing kept-index buffer whenever its capacity suffices,
-    /// so caching a plan across iterations does not reallocate.
-    fn clone_from(&mut self, source: &Self) {
-        self.kind = source.kind;
-        self.dp = source.dp;
-        self.bias = source.bias;
-        self.tile = source.tile;
-        self.unit_count = source.unit_count;
-        self.kept.clone_from(&source.kept);
-    }
-}
-
-impl SampledPattern {
-    /// An empty placeholder pattern (nothing resolved, nothing kept); a
-    /// recyclable buffer for the `resolve_*` methods.
-    pub fn empty() -> Self {
-        Self {
-            kind: PatternKind::Row,
-            dp: 1,
-            bias: 0,
-            tile: 1,
-            unit_count: 0,
-            kept: Vec::new(),
-        }
-    }
-
-    /// Builds a sampled row pattern resolved against `n` output neurons.
-    pub fn from_row(pattern: RowPattern, n: usize) -> Self {
-        let mut sampled = Self::empty();
-        sampled.resolve_row(pattern, n);
-        sampled
-    }
-
-    /// Builds a sampled tile pattern resolved against a tile grid.
-    pub fn from_tile(pattern: TilePattern, grid: &TileGrid) -> Self {
-        Self::from_tile_units(pattern, grid.total_tiles())
-    }
-
-    /// Builds a sampled tile pattern resolved against a known number of tiles
-    /// (useful when the caller tracks the tile grid separately).
-    pub fn from_tile_units(pattern: TilePattern, total_tiles: usize) -> Self {
-        let mut sampled = Self::empty();
-        sampled.resolve_tile_units(pattern, total_tiles);
-        sampled
-    }
-
-    /// Re-resolves this buffer as a row pattern against `n` output neurons,
-    /// recycling the kept-index vector instead of allocating a fresh one.
-    pub fn resolve_row(&mut self, pattern: RowPattern, n: usize) {
-        self.kind = PatternKind::Row;
-        self.dp = pattern.dp;
-        self.bias = pattern.bias;
-        self.tile = 1;
-        self.unit_count = n;
-        self.kept.clear();
-        self.kept.extend((pattern.bias..n).step_by(pattern.dp));
-    }
-
-    /// Re-resolves this buffer as a tile pattern against `total_tiles` tiles,
-    /// recycling the kept-index vector instead of allocating a fresh one.
-    pub fn resolve_tile_units(&mut self, pattern: TilePattern, total_tiles: usize) {
-        self.kind = PatternKind::Tile;
-        self.dp = pattern.dp;
-        self.bias = pattern.bias;
-        self.tile = pattern.tile;
-        self.unit_count = total_tiles;
-        self.kept.clear();
-        self.kept
-            .extend((pattern.bias..total_tiles).step_by(pattern.dp));
-    }
-
-    /// The family of the sampled pattern.
-    pub fn kind(&self) -> PatternKind {
-        self.kind
-    }
-
-    /// The pattern period.
-    pub fn dp(&self) -> usize {
-        self.dp
-    }
-
-    /// The pattern bias.
-    pub fn bias(&self) -> usize {
-        self.bias
-    }
-
-    /// Tile edge (1 for row patterns).
-    pub fn tile(&self) -> usize {
-        self.tile
-    }
-
-    /// Number of droppable units the pattern was resolved against.
-    pub fn unit_count(&self) -> usize {
-        self.unit_count
-    }
-
-    /// Indices of the kept units (neurons or tiles), ascending.
-    pub fn kept_indices(&self) -> &[usize] {
-        &self.kept
-    }
-
-    /// Fraction of units actually dropped once resolved against the layer.
-    pub fn realized_dropout_fraction(&self) -> f64 {
-        if self.unit_count == 0 {
-            return 0.0;
-        }
-        1.0 - self.kept.len() as f64 / self.unit_count as f64
-    }
-
-    /// Inverted-dropout rescaling factor for the kept units.
-    ///
-    /// The keep probability under a period-`dp` pattern is `1/dp`, so kept
-    /// activations are scaled by `dp` during training (the analogue of
-    /// `1/(1−p)` for conventional dropout).
-    pub fn inverted_scale(&self) -> f32 {
-        self.dp as f32
-    }
-
-    /// The nominal global dropout rate of the underlying pattern, `(dp−1)/dp`.
-    pub fn nominal_rate(&self) -> DropoutRate {
-        DropoutRate::new((self.dp - 1) as f64 / self.dp as f64)
-            .expect("(dp-1)/dp is always inside [0,1)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{DropoutPlan, KernelSchedule, LayerShape};
 
     #[test]
     fn row_pattern_rejects_bad_parameters() {
@@ -641,23 +488,30 @@ mod tests {
     #[test]
     fn sampled_row_pattern_reports_realized_fraction() {
         let p = RowPattern::new(2, 0).unwrap();
-        let s = SampledPattern::from_row(p, 10);
-        assert_eq!(s.kept_indices(), &[0, 2, 4, 6, 8]);
-        assert!((s.realized_dropout_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(s.inverted_scale(), 2.0);
-        assert_eq!(s.kind(), PatternKind::Row);
-        assert!((s.nominal_rate().value() - 0.5).abs() < 1e-12);
+        let plan = DropoutPlan::row(LayerShape::vector(10), p);
+        assert_eq!(plan.compact_rows().unwrap(), &[0, 2, 4, 6, 8]);
+        assert!((plan.realized_drop_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(plan.scale(), 2.0);
+        assert_eq!(
+            plan.kernel_schedule(),
+            KernelSchedule::RowCompact { kept: 5, total: 10 }
+        );
+        assert!((plan.nominal_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn sampled_tile_pattern_resolves_against_grid() {
         let grid = TileGrid::new(64, 64, 32).unwrap();
         let p = TilePattern::new(2, 0, 32).unwrap();
-        let s = SampledPattern::from_tile(p, &grid);
-        assert_eq!(s.unit_count(), 4);
-        assert_eq!(s.kept_indices(), &[0, 2]);
-        assert_eq!(s.tile(), 32);
-        assert_eq!(s.kind(), PatternKind::Tile);
+        let plan = DropoutPlan::tile(LayerShape::new(64, 64), p, grid);
+        let (kept, plan_grid) = plan.kept_tiles().unwrap();
+        assert_eq!(plan_grid.total_tiles(), 4);
+        assert_eq!(kept, &[0, 2]);
+        assert_eq!(plan_grid.tile(), 32);
+        assert_eq!(
+            plan.kernel_schedule(),
+            KernelSchedule::TileCompact { kept: 2, total: 4 }
+        );
     }
 
     #[test]
@@ -669,7 +523,7 @@ mod tests {
     #[test]
     fn empty_layer_has_zero_realized_fraction() {
         let p = RowPattern::new(3, 0).unwrap();
-        let s = SampledPattern::from_row(p, 0);
-        assert_eq!(s.realized_dropout_fraction(), 0.0);
+        let plan = DropoutPlan::row(LayerShape::vector(0), p);
+        assert_eq!(plan.realized_drop_fraction(), 0.0);
     }
 }

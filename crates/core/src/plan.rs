@@ -8,11 +8,12 @@
 //! the GPU timing model in `gpu_sim` — reads the *same* plan object, so
 //! training numerics and speedup figures can never drift apart.
 //!
-//! A plan is produced by [`crate::DropoutScheme::plan`]. It stores one
-//! sampled output-side decision (nothing dropped, a Bernoulli mask, a row
-//! pattern, a tile pattern, or N:M / block units) beside an optional CRS
-//! inner-dimension selection, and every view below is derived from those
-//! two:
+//! A plan is produced by [`crate::DropoutScheme::plan_into`]. It stores one
+//! sampled output-side family (nothing dropped, a Bernoulli mask, a row
+//! pattern, a tile pattern, or N:M / block units) as a small tag over one
+//! recycled buffer — the kept neurons, tiles, lanes or blocks, or the mask —
+//! beside an optional CRS inner-dimension selection, and every view below is
+//! derived from those:
 //!
 //! * [`DropoutPlan::compact_rows`] — kept output neurons for a row-compacted
 //!   GEMM (`None` when the GEMM is dense),
@@ -27,8 +28,7 @@
 //! * [`DropoutPlan::kernel_schedule`] — the kernel launches this plan implies
 //!   on a GPU, consumed by the `gpu_sim` timing model.
 
-use crate::pattern::{SampledPattern, TileGrid};
-use crate::structured::{StructuredKind, StructuredUnits};
+use crate::pattern::{DropoutPattern, RowPattern, TileGrid, TilePattern};
 use tensor::Matrix;
 
 /// Shape of the layer a plan is resolved against: the weight matrix is
@@ -276,63 +276,38 @@ impl CrsSelection {
     }
 }
 
-/// The sampled output-side decision of a plan: which output units survive.
-/// A plan holds exactly one, so two families can never coexist and
-/// [`DropoutPlan::kernel_schedule`] can never disagree with the kept set.
-#[derive(Debug, PartialEq)]
+/// Which output-side family a plan resolved to, with the family's
+/// parameters. The kept set itself lives in the plan's one kept-index (or
+/// mask) buffer, so a plan holds exactly one family — two can never coexist
+/// and [`DropoutPlan::kernel_schedule`] can never disagree with the kept set.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Decision {
     /// Nothing dropped.
     Dense,
     /// Per-output-neuron 0/1 mask (1 = kept) applied after a dense GEMM by
     /// mask kernels (Fig. 1(a)).
-    Mask(Vec<f32>),
+    Mask,
     /// The same mask, applied by the naive in-kernel `if (kept)` skip of
     /// Fig. 1(b) instead of mask kernels.
-    Divergent(Vec<f32>),
-    /// Row pattern over the output neurons.
-    Rows(SampledPattern),
-    /// Tile pattern and the weight grid it was resolved against.
-    Tiles(SampledPattern, TileGrid),
-    /// N:M lanes or unit blocks.
-    Units(StructuredUnits),
-}
-
-impl Clone for Decision {
-    fn clone(&self) -> Self {
-        match self {
-            Decision::Dense => Decision::Dense,
-            Decision::Mask(mask) => Decision::Mask(mask.clone()),
-            Decision::Divergent(mask) => Decision::Divergent(mask.clone()),
-            Decision::Rows(pattern) => Decision::Rows(pattern.clone()),
-            Decision::Tiles(pattern, grid) => Decision::Tiles(pattern.clone(), *grid),
-            Decision::Units(units) => Decision::Units(units.clone()),
-        }
-    }
-
-    /// Reuses the kept-index / mask buffer whenever both sides hold the same
-    /// family.
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Decision::Mask(dst), Decision::Mask(src))
-            | (Decision::Divergent(dst), Decision::Divergent(src)) => dst.clone_from(src),
-            (Decision::Rows(dst), Decision::Rows(src)) => dst.clone_from(src),
-            (Decision::Tiles(dst, grid), Decision::Tiles(src, src_grid)) => {
-                dst.clone_from(src);
-                *grid = *src_grid;
-            }
-            (Decision::Units(dst), Decision::Units(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
+    Divergent,
+    /// Kept output neurons of a row pattern.
+    Rows,
+    /// Kept tiles of a tile pattern, on the weight grid it was resolved
+    /// against.
+    Tiles(TileGrid),
+    /// Kept output lanes, `n` of every `m`.
+    Nm { n: usize, m: usize },
+    /// Kept `block`-wide output-neuron blocks.
+    Blocks { block: usize },
 }
 
 /// The concrete dropout decision for one iteration of one layer, produced by
-/// [`crate::DropoutScheme::plan`] before any GEMM runs.
+/// [`crate::DropoutScheme::plan_into`] before any GEMM runs.
 ///
-/// A plan is also a *reusable buffer*: [`crate::DropoutScheme::plan_into`]
-/// re-resolves an existing plan in place through the `reset_*` methods, so
-/// the kept-index / mask vectors are recycled across training iterations
-/// instead of being reallocated every step.
+/// A plan is also a *reusable buffer*: `plan_into` re-resolves an existing
+/// plan in place through the `reset_*` methods, so its kept-index and mask
+/// vectors are recycled across training iterations — whatever family the
+/// plan held before — instead of being reallocated every step.
 #[derive(Debug, PartialEq)]
 pub struct DropoutPlan {
     shape: LayerShape,
@@ -340,8 +315,13 @@ pub struct DropoutPlan {
     /// dropped).
     scale: f32,
     nominal_rate: f64,
-    /// The sampled output-side decision.
+    /// The sampled output-side family.
     decision: Decision,
+    /// Kept neurons (rows, N:M), tiles or blocks, ascending; empty for the
+    /// dense and mask families.
+    kept: Vec<usize>,
+    /// The 0/1 neuron mask of the mask families; empty otherwise.
+    mask: Vec<f32>,
     /// Sampled inner-dimension (CRS) selection. Orthogonal to the output
     /// decision and composable with a dense or row one (the composed
     /// row × CRS launch). Empty unless `k_sampled` is set; resets clear it
@@ -357,20 +337,24 @@ impl Clone for DropoutPlan {
             shape: self.shape,
             scale: self.scale,
             nominal_rate: self.nominal_rate,
-            decision: self.decision.clone(),
+            decision: self.decision,
+            kept: self.kept.clone(),
+            mask: self.mask.clone(),
             crs: self.crs.clone(),
             k_sampled: self.k_sampled,
         }
     }
 
-    /// Copies `source` into `self`, reusing the kept-index / mask buffers
-    /// whenever both sides hold the same plan family. This is what lets a
-    /// layer cache the iteration's plan without a per-step allocation.
+    /// Copies `source` into `self`, reusing the kept-index, mask and CRS
+    /// buffers whatever family either side holds. This is what lets a layer
+    /// cache the iteration's plan without a per-step allocation.
     fn clone_from(&mut self, source: &Self) {
         self.shape = source.shape;
         self.scale = source.scale;
         self.nominal_rate = source.nominal_rate;
-        self.decision.clone_from(&source.decision);
+        self.decision = source.decision;
+        self.kept.clone_from(&source.kept);
+        self.mask.clone_from(&source.mask);
         self.crs.clone_from(&source.crs);
         self.k_sampled = source.k_sampled;
     }
@@ -392,6 +376,8 @@ impl DropoutPlan {
             scale: 1.0,
             nominal_rate: 0.0,
             decision: Decision::Dense,
+            kept: Vec::new(),
+            mask: Vec::new(),
             crs: CrsSelection::empty(),
             k_sampled: false,
         }
@@ -409,39 +395,20 @@ impl DropoutPlan {
         plan
     }
 
-    /// Like [`DropoutPlan::bernoulli`] but scheduling the naive in-kernel
-    /// `if (kept)` skip of Fig. 1(b) instead of mask kernels — numerically
-    /// identical, slower on a SIMT device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask length does not match `shape.out_features`.
-    pub fn divergent(shape: LayerShape, mask: Vec<f32>, scale: f32, nominal_rate: f64) -> Self {
+    /// A row-pattern plan: compacted GEMM over the pattern's kept output
+    /// neurons, kept outputs scaled by `dp`.
+    pub fn row(shape: LayerShape, pattern: RowPattern) -> Self {
         let mut plan = Self::none(shape);
-        plan.reset_divergent_with(shape, scale, nominal_rate, |buf| *buf = mask);
+        plan.reset_row(shape, pattern);
         plan
     }
 
-    /// A row-pattern plan: compacted GEMM over the pattern's kept output
-    /// neurons, kept outputs scaled by `dp`.
-    pub fn row(shape: LayerShape, pattern: SampledPattern) -> Self {
-        Self {
-            scale: pattern.inverted_scale(),
-            nominal_rate: pattern.nominal_rate().value(),
-            decision: Decision::Rows(pattern),
-            ..Self::none(shape)
-        }
-    }
-
     /// A tile-pattern plan: compacted GEMM over the pattern's kept weight
-    /// tiles, the product scaled by `dp`.
-    pub fn tile(shape: LayerShape, pattern: SampledPattern, grid: TileGrid) -> Self {
-        Self {
-            scale: pattern.inverted_scale(),
-            nominal_rate: pattern.nominal_rate().value(),
-            decision: Decision::Tiles(pattern, grid),
-            ..Self::none(shape)
-        }
+    /// tiles on `grid`, the product scaled by `dp`.
+    pub fn tile(shape: LayerShape, pattern: TilePattern, grid: TileGrid) -> Self {
+        let mut plan = Self::none(shape);
+        plan.reset_tile(shape, pattern, grid);
+        plan
     }
 
     /// An N:M structured-sparsity plan: group-compacted GEMM over the kept
@@ -468,37 +435,51 @@ impl DropoutPlan {
         plan
     }
 
-    /// Re-resolves the plan's dropout fields to `decision` and clears any
-    /// CRS selection (keeping its buffer for the next one).
+    /// Re-resolves the plan's dropout fields to `decision`, emptying the
+    /// kept-index and mask buffers and any CRS selection (keeping every
+    /// buffer's capacity for the next fill).
     fn set(&mut self, shape: LayerShape, scale: f32, nominal_rate: f64, decision: Decision) {
         self.shape = shape;
         self.scale = scale;
         self.nominal_rate = nominal_rate;
         self.decision = decision;
+        self.kept.clear();
+        self.mask.clear();
         self.crs.clear();
         self.k_sampled = false;
     }
 
-    /// Takes the current decision out of the plan so a `reset_*` call can
-    /// recycle its buffer.
-    fn take_decision(&mut self) -> Decision {
-        std::mem::replace(&mut self.decision, Decision::Dense)
+    /// [`DropoutPlan::set`], then `fill` pushes the kept units (neurons,
+    /// tiles or blocks) into the cleared kept-index buffer, ascending.
+    fn reset_kept_with(
+        &mut self,
+        shape: LayerShape,
+        scale: f32,
+        nominal_rate: f64,
+        decision: Decision,
+        fill: impl FnOnce(&mut Vec<usize>),
+    ) {
+        self.set(shape, scale, nominal_rate, decision);
+        fill(&mut self.kept);
+        debug_assert!(
+            self.kept.windows(2).all(|w| w[0] < w[1]),
+            "kept units must be strictly ascending"
+        );
+        debug_assert!(
+            self.kept.iter().all(|&u| u < self.unit_count()),
+            "kept unit out of bounds"
+        );
     }
 
-    /// The sampled-pattern buffer of a row or tile decision, or a new one.
-    fn take_pattern_buffer(&mut self) -> SampledPattern {
-        match self.take_decision() {
-            Decision::Rows(pattern) | Decision::Tiles(pattern, _) => pattern,
-            _ => SampledPattern::empty(),
-        }
-    }
-
-    /// The structured-units buffer of an N:M or block decision, or a new
-    /// one.
-    fn take_units_buffer(&mut self) -> StructuredUnits {
-        match self.take_decision() {
-            Decision::Units(units) => units,
-            _ => StructuredUnits::empty(),
+    /// How many units the kept buffer indexes into: output neurons for rows
+    /// and N:M, tiles for tiles, blocks for blocks (0 for the other
+    /// families).
+    fn unit_count(&self) -> usize {
+        match self.decision {
+            Decision::Rows | Decision::Nm { .. } => self.shape.out_features,
+            Decision::Tiles(grid) => grid.total_tiles(),
+            Decision::Blocks { block } => self.shape.out_features.div_ceil(block.max(1)),
+            Decision::Dense | Decision::Mask | Decision::Divergent => 0,
         }
     }
 
@@ -546,61 +527,44 @@ impl DropoutPlan {
         shape: LayerShape,
         scale: f32,
         nominal_rate: f64,
-        decision: fn(Vec<f32>) -> Decision,
+        decision: Decision,
         fill: impl FnOnce(&mut Vec<f32>),
     ) {
-        let mut mask = match self.take_decision() {
-            Decision::Mask(mask) | Decision::Divergent(mask) => mask,
-            _ => Vec::new(),
-        };
-        mask.clear();
-        fill(&mut mask);
+        self.set(shape, scale, nominal_rate, decision);
+        fill(&mut self.mask);
         assert_eq!(
-            mask.len(),
+            self.mask.len(),
             shape.out_features,
             "mask length must match out_features"
         );
-        self.set(shape, scale, nominal_rate, decision(mask));
     }
 
     /// Re-resolves this plan in place as a row plan for `pattern`, recycling
-    /// the kept-index buffer. Equivalent to (but allocation-free compared
-    /// with) rebuilding through [`DropoutPlan::row`].
-    pub fn reset_row(&mut self, shape: LayerShape, pattern: crate::pattern::RowPattern) {
-        let mut sampled = self.take_pattern_buffer();
-        sampled.resolve_row(pattern, shape.out_features);
-        self.set(
-            shape,
-            sampled.inverted_scale(),
-            sampled.nominal_rate().value(),
-            Decision::Rows(sampled),
-        );
+    /// the kept-index buffer.
+    pub fn reset_row(&mut self, shape: LayerShape, pattern: RowPattern) {
+        let (dp, bias) = (pattern.dp(), pattern.bias());
+        let n = shape.out_features;
+        let rate = pattern.global_dropout_rate();
+        self.reset_kept_with(shape, dp as f32, rate, Decision::Rows, |kept| {
+            kept.extend((bias..n).step_by(dp))
+        });
     }
 
     /// Re-resolves this plan in place as a tile plan for `pattern` on `grid`,
-    /// recycling the kept-index buffer. Equivalent to (but allocation-free
-    /// compared with) rebuilding through [`DropoutPlan::tile`].
-    pub fn reset_tile(
-        &mut self,
-        shape: LayerShape,
-        pattern: crate::pattern::TilePattern,
-        grid: TileGrid,
-    ) {
-        let mut sampled = self.take_pattern_buffer();
-        sampled.resolve_tile_units(pattern, grid.total_tiles());
-        self.set(
-            shape,
-            sampled.inverted_scale(),
-            sampled.nominal_rate().value(),
-            Decision::Tiles(sampled, grid),
-        );
+    /// recycling the kept-index buffer.
+    pub fn reset_tile(&mut self, shape: LayerShape, pattern: TilePattern, grid: TileGrid) {
+        let (dp, bias) = (pattern.dp(), pattern.bias());
+        let tiles = grid.total_tiles();
+        let rate = pattern.global_dropout_rate();
+        self.reset_kept_with(shape, dp as f32, rate, Decision::Tiles(grid), |kept| {
+            kept.extend((bias..tiles).step_by(dp))
+        });
     }
 
     /// Re-resolves this plan in place as an N:M plan, recycling the
     /// kept-index buffer: `fill` receives the cleared vector and must push
     /// the kept neuron indices in ascending order (exactly `n` per complete
-    /// `m`-group). Equivalent to (but allocation-free compared with)
-    /// rebuilding through [`DropoutPlan::nm`].
+    /// `m`-group).
     pub fn reset_nm_with(
         &mut self,
         shape: LayerShape,
@@ -608,17 +572,14 @@ impl DropoutPlan {
         m: usize,
         fill: impl FnOnce(&mut Vec<usize>),
     ) {
-        let mut units = self.take_units_buffer();
-        units.resolve_nm(n, m, shape.out_features, fill);
         let (scale, nominal_rate) = (m as f32 / n as f32, 1.0 - n as f64 / m as f64);
-        self.set(shape, scale, nominal_rate, Decision::Units(units));
+        self.reset_kept_with(shape, scale, nominal_rate, Decision::Nm { n, m }, fill);
     }
 
-    /// Re-resolves this plan in place as a block-unit plan, recycling the
-    /// kept-index buffer: `fill` receives the cleared vector and must push
-    /// kept *block* indices in ascending order. Equivalent to (but
-    /// allocation-free compared with) rebuilding through
-    /// [`DropoutPlan::block_unit`].
+    /// Re-resolves this plan in place as a block-unit plan over
+    /// `shape.out_features.div_ceil(block)` blocks, recycling the kept-index
+    /// buffer: `fill` receives the cleared vector and must push kept *block*
+    /// indices in ascending order.
     pub fn reset_block_unit_with(
         &mut self,
         shape: LayerShape,
@@ -627,9 +588,7 @@ impl DropoutPlan {
         nominal_rate: f64,
         fill: impl FnOnce(&mut Vec<usize>),
     ) {
-        let mut units = self.take_units_buffer();
-        units.resolve_block(block, shape.out_features, fill);
-        self.set(shape, scale, nominal_rate, Decision::Units(units));
+        self.reset_kept_with(shape, scale, nominal_rate, Decision::Blocks { block }, fill);
     }
 
     /// Re-resolves this plan in place as a pure CRS-sampling plan: dense
@@ -673,7 +632,7 @@ impl DropoutPlan {
     /// with the mask, tile, N:M or block families, nor with itself).
     pub fn attach_crs_with(&mut self, total_k: usize, fill: impl FnOnce(&mut Vec<usize>)) {
         assert!(
-            !self.k_sampled && matches!(self.decision, Decision::Dense | Decision::Rows(_)),
+            !self.k_sampled && matches!(self.decision, Decision::Dense | Decision::Rows),
             "CRS composes with dense or row-compacted plans, not {:?}",
             self.kernel_schedule()
         );
@@ -701,17 +660,18 @@ impl DropoutPlan {
     /// (no other decision can carry one).
     pub fn kernel_schedule(&self) -> KernelSchedule {
         let crs = self.crs_selection().map(|s| (s.kept.len(), s.total));
-        match &self.decision {
+        let kept = self.kept.len();
+        match self.decision {
             Decision::Dense => match crs {
                 None => KernelSchedule::Dense,
                 Some((kept_k, total_k)) => KernelSchedule::CrsCompact { kept_k, total_k },
             },
-            Decision::Mask(_) => KernelSchedule::DenseWithMask,
-            Decision::Divergent(_) => KernelSchedule::DenseDivergent {
+            Decision::Mask => KernelSchedule::DenseWithMask,
+            Decision::Divergent => KernelSchedule::DenseDivergent {
                 rate: self.nominal_rate,
             },
-            Decision::Rows(pattern) => {
-                let (kept, total) = (pattern.kept_indices().len(), pattern.unit_count());
+            Decision::Rows => {
+                let total = self.shape.out_features;
                 match crs {
                     None => KernelSchedule::RowCompact { kept, total },
                     Some((kept_k, total_k)) => KernelSchedule::RowCrsCompact {
@@ -722,17 +682,15 @@ impl DropoutPlan {
                     },
                 }
             }
-            Decision::Tiles(pattern, grid) => KernelSchedule::TileCompact {
-                kept: pattern.kept_indices().len(),
+            Decision::Tiles(grid) => KernelSchedule::TileCompact {
+                kept,
                 total: grid.total_tiles(),
             },
-            Decision::Units(units) => match units.kind() {
-                StructuredKind::Nm { n, m } => KernelSchedule::NmCompact { n, m },
-                StructuredKind::Block { block, total } => KernelSchedule::BlockCompact {
-                    kept: units.kept_indices().len(),
-                    total,
-                    block,
-                },
+            Decision::Nm { n, m } => KernelSchedule::NmCompact { n, m },
+            Decision::Blocks { block } => KernelSchedule::BlockCompact {
+                kept,
+                total: self.unit_count(),
+                block,
             },
         }
     }
@@ -740,17 +698,14 @@ impl DropoutPlan {
     /// Kept output neurons for a row-compacted GEMM; `None` when the GEMM is
     /// dense or tile-compacted.
     pub fn compact_rows(&self) -> Option<&[usize]> {
-        match &self.decision {
-            Decision::Rows(pattern) => Some(pattern.kept_indices()),
-            _ => None,
-        }
+        matches!(self.decision, Decision::Rows).then_some(self.kept.as_slice())
     }
 
     /// Kept weight tiles and the grid they index into, for a tile-compacted
     /// GEMM; `None` otherwise.
     pub fn kept_tiles(&self) -> Option<(&[usize], &TileGrid)> {
         match &self.decision {
-            Decision::Tiles(pattern, grid) => Some((pattern.kept_indices(), grid)),
+            Decision::Tiles(grid) => Some((self.kept.as_slice(), grid)),
             _ => None,
         }
     }
@@ -758,20 +713,15 @@ impl DropoutPlan {
     /// The per-output-neuron Bernoulli mask (1 = kept), if this plan applies
     /// one after a dense GEMM.
     pub fn bernoulli_mask(&self) -> Option<&[f32]> {
-        match &self.decision {
-            Decision::Mask(mask) | Decision::Divergent(mask) => Some(mask),
-            _ => None,
-        }
+        matches!(self.decision, Decision::Mask | Decision::Divergent)
+            .then_some(self.mask.as_slice())
     }
 
     /// Kept output lanes and the `(n, m)` group parameters, if this is an
     /// N:M structured-sparsity plan.
     pub fn nm_lanes(&self) -> Option<(&[usize], usize, usize)> {
-        match &self.decision {
-            Decision::Units(units) => match units.kind() {
-                StructuredKind::Nm { n, m } => Some((units.kept_indices(), n, m)),
-                StructuredKind::Block { .. } => None,
-            },
+        match self.decision {
+            Decision::Nm { n, m } => Some((self.kept.as_slice(), n, m)),
             _ => None,
         }
     }
@@ -779,13 +729,8 @@ impl DropoutPlan {
     /// Kept block indices, the block width and the total block count, if
     /// this is a block-unit plan.
     pub fn kept_unit_blocks(&self) -> Option<(&[usize], usize, usize)> {
-        match &self.decision {
-            Decision::Units(units) => match units.kind() {
-                StructuredKind::Block { block, total } => {
-                    Some((units.kept_indices(), block, total))
-                }
-                StructuredKind::Nm { .. } => None,
-            },
+        match self.decision {
+            Decision::Blocks { block } => Some((self.kept.as_slice(), block, self.unit_count())),
             _ => None,
         }
     }
@@ -834,28 +779,31 @@ impl DropoutPlan {
     /// inter-layer dropout can be recycled instead of reallocated.
     pub fn column_multiplier_into(&self, n_cols: usize, out: &mut Vec<f32>) {
         out.clear();
-        match &self.decision {
-            Decision::Dense => out.resize(n_cols, 1.0),
-            Decision::Mask(mask) | Decision::Divergent(mask) => {
+        let covered = match self.decision {
+            Decision::Dense => {
+                out.resize(n_cols, 1.0);
+                return;
+            }
+            Decision::Mask | Decision::Divergent => {
                 // Columns the mask does not cover are untouched (multiplier
                 // 1.0), *not* rescaled: the inverted-dropout scale
                 // compensates for masked columns only.
+                let mask = &self.mask;
                 out.extend((0..n_cols).map(|j| mask.get(j).map_or(1.0, |&m| m * self.scale)));
+                return;
             }
-            Decision::Rows(pattern) => {
+            Decision::Rows | Decision::Nm { .. } => {
                 out.resize(n_cols, 0.0);
-                for &j in pattern.kept_indices() {
+                for &j in &self.kept {
                     if j < n_cols {
                         out[j] = self.scale;
                     }
                 }
-                for m in out.iter_mut().skip(pattern.unit_count()) {
-                    *m = 1.0;
-                }
+                self.shape.out_features
             }
-            Decision::Tiles(pattern, grid) => {
+            Decision::Tiles(grid) => {
                 out.resize(n_cols, 0.0);
-                for &t in pattern.kept_indices() {
+                for &t in &self.kept {
                     if t < grid.total_tiles() {
                         let (_, cols) = grid.tile_bounds(t);
                         for c in cols {
@@ -865,35 +813,23 @@ impl DropoutPlan {
                         }
                     }
                 }
-                let (_, covered_cols) = grid.weight_shape();
-                for m in out.iter_mut().skip(covered_cols) {
-                    *m = 1.0;
-                }
+                grid.weight_shape().1
             }
-            Decision::Units(units) => {
+            Decision::Blocks { block } => {
                 out.resize(n_cols, 0.0);
-                match units.kind() {
-                    StructuredKind::Nm { .. } => {
-                        for &j in units.kept_indices() {
-                            if j < n_cols {
-                                out[j] = self.scale;
-                            }
-                        }
-                    }
-                    StructuredKind::Block { block, .. } => {
-                        for &b in units.kept_indices() {
-                            let start = (b * block).min(n_cols);
-                            let end = (b * block + block).min(units.unit_count()).min(n_cols);
-                            for m in &mut out[start..end] {
-                                *m = self.scale;
-                            }
-                        }
+                let n = self.shape.out_features;
+                for &b in &self.kept {
+                    let start = (b * block).min(n_cols);
+                    let end = (b * block + block).min(n).min(n_cols);
+                    for m in &mut out[start..end] {
+                        *m = self.scale;
                     }
                 }
-                for m in out.iter_mut().skip(units.unit_count()) {
-                    *m = 1.0;
-                }
+                n
             }
+        };
+        for m in out.iter_mut().skip(covered) {
+            *m = 1.0;
         }
     }
 
@@ -916,37 +852,56 @@ impl DropoutPlan {
     /// therefore still have to be processed by the next layer. Only plans
     /// that drop whole neurons (row, N:M, block) shrink this below 1.
     pub fn active_output_fraction(&self) -> f64 {
-        match &self.decision {
-            Decision::Rows(pattern) => 1.0 - pattern.realized_dropout_fraction(),
-            Decision::Units(units) => units.active_fraction(),
+        match self.decision {
+            Decision::Rows => 1.0 - self.realized_drop_fraction(),
+            Decision::Nm { .. } | Decision::Blocks { .. } => self.kept_neuron_fraction(),
             _ => 1.0,
         }
     }
 
     /// Fraction of droppable units this plan actually zeroes.
     pub fn realized_drop_fraction(&self) -> f64 {
-        match &self.decision {
+        match self.decision {
             Decision::Dense => 0.0,
-            Decision::Rows(pattern) | Decision::Tiles(pattern, _) => {
-                pattern.realized_dropout_fraction()
-            }
-            Decision::Units(units) => 1.0 - units.active_fraction(),
-            Decision::Mask(mask) | Decision::Divergent(mask) if mask.is_empty() => 0.0,
-            Decision::Mask(mask) | Decision::Divergent(mask) => {
-                mask.iter().filter(|&&m| m == 0.0).count() as f64 / mask.len() as f64
+            Decision::Rows | Decision::Tiles(_) => match self.unit_count() {
+                0 => 0.0,
+                units => 1.0 - self.kept.len() as f64 / units as f64,
+            },
+            Decision::Nm { .. } | Decision::Blocks { .. } => 1.0 - self.kept_neuron_fraction(),
+            Decision::Mask | Decision::Divergent if self.mask.is_empty() => 0.0,
+            Decision::Mask | Decision::Divergent => {
+                let dropped = self.mask.iter().filter(|&&m| m == 0.0).count();
+                dropped as f64 / self.mask.len() as f64
             }
         }
+    }
+
+    /// Fraction of output neurons an N:M or block plan keeps (1 on a
+    /// zero-width layer); kept blocks count their neurons clipped to the
+    /// layer.
+    fn kept_neuron_fraction(&self) -> f64 {
+        let n = self.shape.out_features;
+        if n == 0 {
+            return 1.0;
+        }
+        let kept = match self.decision {
+            Decision::Blocks { block } => self
+                .kept
+                .iter()
+                .map(|&b| (b * block + block).min(n).saturating_sub(b * block))
+                .sum(),
+            _ => self.kept.len(),
+        };
+        kept as f64 / n as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{RowPattern, TilePattern};
 
     fn row_plan(dp: usize, bias: usize, n: usize) -> DropoutPlan {
-        let pattern = SampledPattern::from_row(RowPattern::new(dp, bias).unwrap(), n);
-        DropoutPlan::row(LayerShape::vector(n), pattern)
+        DropoutPlan::row(LayerShape::vector(n), RowPattern::new(dp, bias).unwrap())
     }
 
     #[test]
@@ -1009,7 +964,7 @@ mod tests {
     #[test]
     fn tile_plan_exposes_tiles_and_covers_columns() {
         let grid = TileGrid::new(4, 4, 2).unwrap(); // 2x2 tiles
-        let pattern = SampledPattern::from_tile(TilePattern::new(2, 1, 2).unwrap(), &grid);
+        let pattern = TilePattern::new(2, 1, 2).unwrap();
         let plan = DropoutPlan::tile(LayerShape::new(4, 4), pattern, grid);
         let (kept, g) = plan.kept_tiles().unwrap();
         assert_eq!(kept, &[1, 3]);

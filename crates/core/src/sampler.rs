@@ -8,11 +8,13 @@
 //! iteration still uses a GPU-friendly regular pattern.
 
 use crate::error::DropoutError;
-use crate::pattern::{PatternKind, RowPattern, SampledPattern, TileGrid, TilePattern};
+use crate::pattern::{PatternKind, RowPattern, TileGrid, TilePattern};
+use crate::plan::{DropoutPlan, LayerShape};
 use crate::rate::DropoutRate;
+use crate::scheme::DropoutScheme;
 use crate::search::{sgd_search, PatternDistribution, SearchConfig};
 use crate::DEFAULT_TILE_SIZE;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Samples `(dp, bias)` pairs from a [`PatternDistribution`].
 ///
@@ -27,8 +29,9 @@ use rand::Rng;
 /// let dist = PatternDistribution::new(vec![0.5, 0.5])?; // dp ∈ {1, 2}
 /// let sampler = PatternSampler::new(dist, PatternKind::Row);
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let pattern = sampler.sample(&mut rng, 100);
-/// assert!(pattern.dp() == 1 || pattern.dp() == 2);
+/// let (dp, bias) = sampler.sample_params(&mut rng, 100);
+/// assert!(dp == 1 || dp == 2);
+/// assert!(bias < dp);
 /// # Ok(())
 /// # }
 /// ```
@@ -100,59 +103,14 @@ impl PatternSampler {
         }
     }
 
-    /// Draws the `(dp, bias)` pair for one iteration, with the period clamped
-    /// to `unit_count` so that at least one unit always survives. Exactly the
-    /// two RNG draws [`PatternSampler::sample`] makes, exposed separately so
-    /// allocation-free planning ([`crate::DropoutScheme::plan_into`]) stays
-    /// draw-for-draw identical to the allocating path.
+    /// Draws the `(dp, bias)` pair for one iteration — the one pattern draw
+    /// every consumer makes — with the period clamped to `unit_count`
+    /// droppable units (output neurons for row patterns, total tiles for
+    /// tile patterns) so that at least one unit always survives.
     pub fn sample_params<R: Rng + ?Sized>(&self, rng: &mut R, unit_count: usize) -> (usize, usize) {
         let dp = self.sample_dp(rng).min(unit_count.max(1));
         let bias = self.sample_bias(rng, dp);
         (dp, bias)
-    }
-
-    /// Samples a concrete pattern for one iteration, resolved against
-    /// `unit_count` droppable units (output neurons for row patterns, total
-    /// tiles for tile patterns).
-    ///
-    /// The sampled period is clamped to `unit_count` so that at least one
-    /// unit always survives.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, unit_count: usize) -> SampledPattern {
-        let (dp, bias) = self.sample_params(rng, unit_count);
-        match self.kind {
-            PatternKind::Row => {
-                let pattern =
-                    RowPattern::new(dp, bias).expect("dp >= 1 and bias < dp by construction");
-                SampledPattern::from_row(pattern, unit_count)
-            }
-            PatternKind::Tile => {
-                let pattern = TilePattern::new(dp, bias, self.tile)
-                    .expect("dp >= 1, bias < dp and tile > 0 by construction");
-                SampledPattern::from_tile_units(pattern, unit_count)
-            }
-        }
-    }
-
-    /// Samples a concrete tile pattern resolved against a full tile grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DropoutError::InvalidPattern`] if the sampler was built for
-    /// row patterns.
-    pub fn sample_for_grid<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        grid: &TileGrid,
-    ) -> Result<SampledPattern, DropoutError> {
-        if self.kind != PatternKind::Tile {
-            return Err(DropoutError::InvalidPattern(
-                "sample_for_grid requires a tile-pattern sampler".into(),
-            ));
-        }
-        let dp = self.sample_dp(rng).min(grid.total_tiles().max(1));
-        let bias = self.sample_bias(rng, dp);
-        let pattern = TilePattern::new(dp, bias, grid.tile())?;
-        Ok(SampledPattern::from_tile(pattern, grid))
     }
 }
 
@@ -268,67 +226,48 @@ impl ApproxDropoutLayer {
             self.dropped_unit_sum / self.iterations as f64
         }
     }
-
-    /// Samples the pattern for the next training iteration and updates the
-    /// running statistics.
-    pub fn next_pattern<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        unit_count: usize,
-    ) -> SampledPattern {
-        let pattern = self.sampler.sample(rng, unit_count);
-        self.record_resolved(pattern.realized_dropout_fraction());
-        pattern
-    }
-
-    /// Draws the next iteration's row pattern without materialising its
-    /// kept-index vector; statistics are updated exactly like
-    /// [`ApproxDropoutLayer::next_pattern`] and the RNG draws are identical.
-    pub fn next_row_pattern<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        unit_count: usize,
-    ) -> RowPattern {
-        let (dp, bias) = self.sampler.sample_params(rng, unit_count);
-        let pattern = RowPattern::new(dp, bias).expect("dp >= 1 and bias < dp by construction");
-        self.record_resolved(realized_fraction(dp, bias, unit_count));
-        pattern
-    }
-
-    /// Draws the next iteration's tile pattern without materialising its
-    /// kept-index vector; statistics are updated exactly like
-    /// [`ApproxDropoutLayer::next_pattern`] and the RNG draws are identical.
-    pub fn next_tile_pattern<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        total_tiles: usize,
-    ) -> TilePattern {
-        let (dp, bias) = self.sampler.sample_params(rng, total_tiles);
-        let pattern = TilePattern::new(dp, bias, self.sampler.tile_size())
-            .expect("dp >= 1, bias < dp and tile > 0 by construction");
-        self.record_resolved(realized_fraction(dp, bias, total_tiles));
-        pattern
-    }
-
-    fn record_resolved(&mut self, realized_dropout_fraction: f64) {
-        self.iterations += 1;
-        self.dropped_unit_sum += realized_dropout_fraction;
-    }
 }
 
-/// Realised dropout fraction of a `(dp, bias)` pattern over `unit_count`
-/// units, computed without materialising the kept-index list (mirrors
-/// [`SampledPattern::realized_dropout_fraction`]).
-fn realized_fraction(dp: usize, bias: usize, unit_count: usize) -> f64 {
-    if unit_count == 0 {
-        return 0.0;
+impl DropoutScheme for ApproxDropoutLayer {
+    /// The paper's approximate random dropout: sample `(dp, bias)` from the
+    /// distribution found by Algorithm 1, resolve the pattern against the
+    /// layer, and record the plan's realised drop fraction.
+    fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
+        match self.sampler.kind {
+            PatternKind::Row => {
+                let (dp, bias) = self.sampler.sample_params(rng, shape.out_features);
+                let pattern =
+                    RowPattern::new(dp, bias).expect("dp >= 1 and bias < dp by construction");
+                out.reset_row(shape, pattern);
+            }
+            PatternKind::Tile => {
+                let tile = self.sampler.tile;
+                let grid = TileGrid::new(shape.in_features, shape.out_features, tile)
+                    .expect("tile size validated at construction");
+                let (dp, bias) = self.sampler.sample_params(rng, grid.total_tiles());
+                let pattern = TilePattern::new(dp, bias, tile)
+                    .expect("dp >= 1, bias < dp and tile > 0 by construction");
+                out.reset_tile(shape, pattern, grid);
+            }
+        }
+        self.iterations += 1;
+        self.dropped_unit_sum += out.realized_drop_fraction();
     }
-    let kept = if unit_count > bias {
-        (unit_count - bias).div_ceil(dp)
-    } else {
-        0
-    };
-    1.0 - kept as f64 / unit_count as f64
+
+    fn nominal_rate(&self) -> f64 {
+        self.rate.value()
+    }
+
+    fn label(&self) -> &'static str {
+        match self.sampler.kind {
+            PatternKind::Row => "row",
+            PatternKind::Tile => "tile",
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn DropoutScheme> {
+        Box::new(self.clone())
+    }
 }
 
 #[cfg(test)]
@@ -388,33 +327,47 @@ mod tests {
             PatternKind::Row,
         );
         let mut rng = StdRng::seed_from_u64(3);
-        let p = s.sample(&mut rng, 3);
-        assert!(p.dp() <= 3);
-        assert!(!p.kept_indices().is_empty());
+        let (dp, bias) = s.sample_params(&mut rng, 3);
+        assert!(dp <= 3);
+        assert!(bias < dp, "at least one unit survives");
+    }
+
+    fn layer_for(probs: Vec<f64>, kind: PatternKind, tile: usize) -> ApproxDropoutLayer {
+        ApproxDropoutLayer {
+            rate: DropoutRate::new(0.5).unwrap(),
+            sampler: sampler_for(probs, kind).with_tile_size(tile),
+            iterations: 0,
+            dropped_unit_sum: 0.0,
+        }
     }
 
     #[test]
     fn row_sample_has_row_kind_and_tile_sample_has_tile_kind() {
         let mut rng = StdRng::seed_from_u64(4);
-        let row = sampler_for(vec![0.5, 0.5], PatternKind::Row).sample(&mut rng, 64);
-        assert_eq!(row.kind(), PatternKind::Row);
-        let tile = sampler_for(vec![0.5, 0.5], PatternKind::Tile)
-            .with_tile_size(16)
-            .sample(&mut rng, 64);
-        assert_eq!(tile.kind(), PatternKind::Tile);
-        assert_eq!(tile.tile(), 16);
+        let shape = LayerShape::new(64, 64);
+        let row = layer_for(vec![0.5, 0.5], PatternKind::Row, 16).plan(&mut rng, shape);
+        assert!(row.compact_rows().is_some());
+        assert!(row.kept_tiles().is_none());
+        let tile = layer_for(vec![0.5, 0.5], PatternKind::Tile, 16).plan(&mut rng, shape);
+        assert!(tile.compact_rows().is_none());
+        let (_, grid) = tile.kept_tiles().unwrap();
+        assert_eq!(grid.tile(), 16);
     }
 
     #[test]
     fn sample_for_grid_requires_tile_kind() {
         let mut rng = StdRng::seed_from_u64(5);
-        let grid = TileGrid::new(64, 64, 32).unwrap();
-        let row_sampler = sampler_for(vec![1.0], PatternKind::Row);
-        assert!(row_sampler.sample_for_grid(&mut rng, &grid).is_err());
-        let tile_sampler = sampler_for(vec![0.0, 1.0], PatternKind::Tile);
-        let p = tile_sampler.sample_for_grid(&mut rng, &grid).unwrap();
-        assert_eq!(p.unit_count(), 4);
-        assert_eq!(p.dp(), 2);
+        let shape = LayerShape::new(64, 64);
+        // Only a tile-kind layer resolves its draw against a tile grid.
+        let row = layer_for(vec![1.0], PatternKind::Row, 32).plan(&mut rng, shape);
+        assert!(row.kept_tiles().is_none());
+        // A point mass on dp = 2 resolves against the layer's full grid of
+        // 32×32 tiles: half of its 4 tiles survive.
+        let tile = layer_for(vec![0.0, 1.0], PatternKind::Tile, 32).plan(&mut rng, shape);
+        let (kept, grid) = tile.kept_tiles().unwrap();
+        assert_eq!(grid.total_tiles(), 4);
+        assert_eq!(kept.len(), 2);
+        assert_eq!(tile.scale(), 2.0);
     }
 
     #[test]
@@ -430,8 +383,9 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(6);
+        let mut plan = DropoutPlan::default();
         for _ in 0..2_000 {
-            let _ = layer.next_pattern(&mut rng, 256);
+            layer.plan_into(&mut rng, LayerShape::vector(256), &mut plan);
         }
         let realized = layer.mean_realized_rate();
         assert!(

@@ -10,50 +10,51 @@
 //! Implementations provided here:
 //!
 //! * [`NoDropout`] — the identity scheme.
-//! * [`Bernoulli`] — the conventional baseline: an independent per-neuron
-//!   mask after a dense GEMM (paper Fig. 1(a)).
-//! * [`DivergentBernoulli`] — the same numerics but scheduled as the naive
-//!   in-kernel `if (kept)` skip (paper Fig. 1(b)); exists so the timing
-//!   model can price the paper's motivating anti-pattern.
 //! * [`RowPattern`] / [`TilePattern`] — a *fixed* regular pattern as a
 //!   degenerate scheme (the "fixed pattern" ablation baseline).
-//! * [`ApproxDropoutLayer`] — the paper's contribution: per-iteration
-//!   `(dp, bias)` sampling from the distribution found by Algorithm 1.
+//! * [`crate::Bernoulli`] / [`crate::DivergentBernoulli`] — the conventional
+//!   per-neuron mask baseline (paper Fig. 1(a)) and its naive in-kernel
+//!   skip (Fig. 1(b)), implemented in [`crate::bernoulli`] and boxed here
+//!   by [`bernoulli`] / [`divergent_bernoulli`].
+//! * [`crate::ApproxDropoutLayer`] — the paper's contribution:
+//!   per-iteration `(dp, bias)` sampling from the distribution found by
+//!   Algorithm 1, implemented in [`crate::sampler`].
 //! * [`crate::NmSparsity`] / [`crate::BlockUnit`] — the structured-sparsity
 //!   family from follow-up work (N:M fine-grained sparsity, arXiv:2203.05705,
 //!   and SDropout's structured unit dropout, arXiv:2411.01238), implemented
 //!   in [`crate::structured`] and boxed here by [`nm`] / [`block_unit`].
 //!
-//! Adding a new pattern family is a single trait implementation plus, when
-//! the family implies a new kernel shape, one [`crate::KernelSchedule`]
-//! variant: the scheme samples the plan, the plan carries the schedule, and
-//! every consumer (`nn` execution, `gpu_sim` pricing) dispatches on the plan
-//! alone — no consumer ever branches on the scheme type.
+//! Adding a new pattern family is one [`DropoutScheme::plan_into`]
+//! implementation plus, when the family implies a new kernel shape, one
+//! [`crate::KernelSchedule`] variant and a `DropoutPlan` family tag with a
+//! `reset_*` method that fills the plan's kept buffer: the scheme samples the
+//! plan, the plan carries the schedule, and every consumer (`nn` execution,
+//! `gpu_sim` pricing) dispatches on the plan alone — no consumer ever
+//! branches on the scheme type.
 
-use crate::bernoulli::BernoulliDropout;
+use crate::bernoulli::{Bernoulli, DivergentBernoulli};
 use crate::error::DropoutError;
-use crate::pattern::{PatternKind, RowPattern, SampledPattern, TileGrid, TilePattern};
+use crate::pattern::{PatternKind, RowPattern, TileGrid, TilePattern};
 use crate::plan::{DropoutPlan, LayerShape};
 use crate::rate::DropoutRate;
-use crate::sampler::{ApproxDropoutBuilder, ApproxDropoutLayer};
+use crate::sampler::ApproxDropoutBuilder;
 use rand::RngCore;
 
 /// A per-layer dropout policy that plans each iteration's execution before
 /// any kernel runs.
 pub trait DropoutScheme: std::fmt::Debug + Send {
-    /// Samples the concrete plan for one training iteration of a layer.
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan;
+    /// Samples the next iteration's plan *into* an existing plan buffer
+    /// through one of its `reset_*` methods, recycling its kept-index and
+    /// mask allocations whatever family the buffer held before. This is the
+    /// one sampling path every scheme implements.
+    fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan);
 
-    /// Samples the next iteration's plan *into* an existing plan buffer,
-    /// recycling its kept-index / mask allocations.
-    ///
-    /// For the same RNG state this produces a plan equal to
-    /// [`DropoutScheme::plan`] (the schemes shipped here guarantee
-    /// draw-for-draw identical sampling); the default implementation simply
-    /// delegates, so custom schemes are correct without an override and can
-    /// add one when the per-iteration allocation matters.
-    fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
-        *out = self.plan(rng, shape);
+    /// Samples the concrete plan for one training iteration of a layer:
+    /// [`DropoutScheme::plan_into`] into a fresh [`DropoutPlan::default`].
+    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
+        let mut out = DropoutPlan::default();
+        self.plan_into(rng, shape, &mut out);
+        out
     }
 
     /// Nominal (target) dropout rate of the scheme.
@@ -78,10 +79,6 @@ impl Clone for Box<dyn DropoutScheme> {
 pub struct NoDropout;
 
 impl DropoutScheme for NoDropout {
-    fn plan(&mut self, _rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        DropoutPlan::none(shape)
-    }
-
     fn plan_into(&mut self, _rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
         out.reset_none(shape);
     }
@@ -99,110 +96,9 @@ impl DropoutScheme for NoDropout {
     }
 }
 
-/// Conventional Bernoulli dropout (the paper's baseline): one independent
-/// draw per output neuron, applied as a mask after a dense GEMM.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    rate: DropoutRate,
-}
-
-impl Bernoulli {
-    /// Creates the baseline scheme at the given drop rate.
-    pub fn new(rate: DropoutRate) -> Self {
-        Self { rate }
-    }
-
-    /// The configured rate.
-    pub fn rate(&self) -> DropoutRate {
-        self.rate
-    }
-}
-
-impl DropoutScheme for Bernoulli {
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        let mask = BernoulliDropout::new(self.rate).neuron_mask(rng, shape.out_features);
-        DropoutPlan::bernoulli(
-            shape,
-            mask,
-            self.rate.inverted_scale() as f32,
-            self.rate.value(),
-        )
-    }
-
-    fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
-        let rate = self.rate;
-        out.reset_bernoulli_with(shape, rate.inverted_scale() as f32, rate.value(), |mask| {
-            BernoulliDropout::new(rate).fill_neuron_mask(rng, shape.out_features, mask)
-        });
-    }
-
-    fn nominal_rate(&self) -> f64 {
-        self.rate.value()
-    }
-
-    fn label(&self) -> &'static str {
-        "bernoulli"
-    }
-
-    fn clone_box(&self) -> Box<dyn DropoutScheme> {
-        Box::new(*self)
-    }
-}
-
-/// Bernoulli dropout executed as the naive in-kernel `if (kept)` skip of
-/// Fig. 1(b). Numerically identical to [`Bernoulli`]; only the
-/// [`crate::KernelSchedule`] differs — which is exactly the point of the
-/// plan–execute split.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DivergentBernoulli {
-    rate: DropoutRate,
-}
-
-impl DivergentBernoulli {
-    /// Creates the divergent-execution baseline at the given drop rate.
-    pub fn new(rate: DropoutRate) -> Self {
-        Self { rate }
-    }
-}
-
-impl DropoutScheme for DivergentBernoulli {
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        let mask = BernoulliDropout::new(self.rate).neuron_mask(rng, shape.out_features);
-        DropoutPlan::divergent(
-            shape,
-            mask,
-            self.rate.inverted_scale() as f32,
-            self.rate.value(),
-        )
-    }
-
-    fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
-        let rate = self.rate;
-        out.reset_divergent_with(shape, rate.inverted_scale() as f32, rate.value(), |mask| {
-            BernoulliDropout::new(rate).fill_neuron_mask(rng, shape.out_features, mask)
-        });
-    }
-
-    fn nominal_rate(&self) -> f64 {
-        self.rate.value()
-    }
-
-    fn label(&self) -> &'static str {
-        "divergent"
-    }
-
-    fn clone_box(&self) -> Box<dyn DropoutScheme> {
-        Box::new(*self)
-    }
-}
-
 impl DropoutScheme for RowPattern {
     /// A fixed row pattern used as a scheme: the same `(dp, bias)` every
     /// iteration (the "fixed pattern" ablation baseline).
-    fn plan(&mut self, _rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        DropoutPlan::row(shape, SampledPattern::from_row(*self, shape.out_features))
-    }
-
     fn plan_into(&mut self, _rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
         out.reset_row(shape, *self);
     }
@@ -224,12 +120,6 @@ impl DropoutScheme for RowPattern {
 impl DropoutScheme for TilePattern {
     /// A fixed tile pattern used as a scheme: the same `(dp, bias)` every
     /// iteration, resolved against the layer's weight grid.
-    fn plan(&mut self, _rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        let grid = TileGrid::new(shape.in_features, shape.out_features, self.tile())
-            .expect("tile size validated at pattern construction");
-        DropoutPlan::tile(shape, SampledPattern::from_tile(*self, &grid), grid)
-    }
-
     fn plan_into(&mut self, _rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
         let grid = TileGrid::new(shape.in_features, shape.out_features, self.tile())
             .expect("tile size validated at pattern construction");
@@ -247,57 +137,6 @@ impl DropoutScheme for TilePattern {
 
     fn clone_box(&self) -> Box<dyn DropoutScheme> {
         Box::new(*self)
-    }
-}
-
-impl DropoutScheme for ApproxDropoutLayer {
-    /// The paper's approximate random dropout: sample `(dp, bias)` from the
-    /// distribution found by Algorithm 1, resolved against the layer.
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        match self.sampler().kind() {
-            PatternKind::Row => {
-                let pattern = self.next_pattern(rng, shape.out_features);
-                DropoutPlan::row(shape, pattern)
-            }
-            PatternKind::Tile => {
-                let tile = self.sampler().tile_size();
-                let grid = TileGrid::new(shape.in_features, shape.out_features, tile)
-                    .expect("tile size validated at construction");
-                let pattern = self.next_pattern(rng, grid.total_tiles());
-                DropoutPlan::tile(shape, pattern, grid)
-            }
-        }
-    }
-
-    fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
-        match self.sampler().kind() {
-            PatternKind::Row => {
-                let pattern = self.next_row_pattern(rng, shape.out_features);
-                out.reset_row(shape, pattern);
-            }
-            PatternKind::Tile => {
-                let tile = self.sampler().tile_size();
-                let grid = TileGrid::new(shape.in_features, shape.out_features, tile)
-                    .expect("tile size validated at construction");
-                let pattern = self.next_tile_pattern(rng, grid.total_tiles());
-                out.reset_tile(shape, pattern, grid);
-            }
-        }
-    }
-
-    fn nominal_rate(&self) -> f64 {
-        self.target_rate().value()
-    }
-
-    fn label(&self) -> &'static str {
-        match self.sampler().kind() {
-            PatternKind::Row => "row",
-            PatternKind::Tile => "tile",
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn DropoutScheme> {
-        Box::new(self.clone())
     }
 }
 

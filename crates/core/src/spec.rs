@@ -250,7 +250,10 @@ impl SchemeSpec {
 
     /// Materializes the boxed [`DropoutScheme`] (running Algorithm 1 for
     /// the pattern families), or reports why the configuration is invalid.
+    /// It runs [`SchemeSpec::validate`] first, so the two accept exactly the
+    /// same specs.
     pub fn build(&self) -> Result<Box<dyn DropoutScheme>, DropoutError> {
+        self.validate()?;
         let rate = |r: f64| DropoutRate::new(r);
         match *self {
             SchemeSpec::None => Ok(scheme::none()),
@@ -499,6 +502,47 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("gaussian"));
+    }
+
+    /// One rule decides: `build` accepts exactly the specs `validate`
+    /// accepts, across rates, periods, tiles, N:M pairs, keep fractions and
+    /// widths (a `max_dp` of 1 used to build a scheme that never drops).
+    #[test]
+    fn build_accepts_exactly_what_validate_accepts() {
+        let mut specs = vec![SchemeSpec::None];
+        for rate in [0.0, 0.5, 1.0] {
+            specs.push(SchemeSpec::Bernoulli { rate });
+            specs.push(SchemeSpec::Divergent { rate });
+            for width in [0, 16] {
+                specs.push(SchemeSpec::Block { rate, block: width });
+                specs.push(SchemeSpec::Transformer {
+                    rate,
+                    head_dim: width,
+                });
+            }
+            for max_dp in [0, 1, 2, 8] {
+                specs.push(SchemeSpec::Row { rate, max_dp });
+                for tile in [0, 32] {
+                    specs.push(SchemeSpec::Tile { rate, max_dp, tile });
+                }
+                for keep in [0.0, 0.5, 1.0] {
+                    specs.push(SchemeSpec::RowCrs { rate, max_dp, keep });
+                }
+            }
+        }
+        for (n, m) in [(0, 4), (2, 4), (4, 4), (5, 4), (1, 0)] {
+            specs.push(SchemeSpec::Nm { n, m });
+        }
+        for keep in [0.0, 0.5, 1.0, 1.5] {
+            specs.push(SchemeSpec::Crs { keep });
+        }
+        for spec in specs {
+            assert_eq!(
+                spec.build().is_ok(),
+                spec.validate().is_ok(),
+                "{spec}: build and validate disagree"
+            );
+        }
     }
 
     #[test]

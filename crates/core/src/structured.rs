@@ -29,170 +29,6 @@ use crate::rate::DropoutRate;
 use crate::scheme::DropoutScheme;
 use rand::{Rng, RngCore};
 
-/// Which structured-sparsity family a [`StructuredUnits`] belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StructuredKind {
-    /// N:M fine-grained sparsity: `kept` holds *neuron* indices, exactly
-    /// `n` per complete group of `m` consecutive neurons.
-    Nm {
-        /// Kept lanes per group.
-        n: usize,
-        /// Group size.
-        m: usize,
-    },
-    /// Block-structured unit dropout: `kept` holds *block* indices over a
-    /// grid of `total` contiguous blocks of `block` neurons each.
-    Block {
-        /// Block width in neurons.
-        block: usize,
-        /// Total blocks the layer's outputs split into.
-        total: usize,
-    },
-}
-
-/// The resolved structured decision of one iteration: which units (neurons
-/// or blocks) survive, against how many output neurons.
-///
-/// Like [`crate::SampledPattern`], this doubles as a reusable buffer: the
-/// `resolve_*` methods recycle the kept-index vector across iterations.
-#[derive(Debug, PartialEq)]
-pub struct StructuredUnits {
-    kind: StructuredKind,
-    /// Output neurons the decision was resolved against.
-    unit_count: usize,
-    /// Kept neuron indices (N:M) or kept block indices (block dropout),
-    /// ascending.
-    kept: Vec<usize>,
-}
-
-impl Clone for StructuredUnits {
-    fn clone(&self) -> Self {
-        Self {
-            kind: self.kind,
-            unit_count: self.unit_count,
-            kept: self.kept.clone(),
-        }
-    }
-
-    /// Reuses the existing kept-index buffer whenever capacity suffices.
-    fn clone_from(&mut self, source: &Self) {
-        self.kind = source.kind;
-        self.unit_count = source.unit_count;
-        self.kept.clone_from(&source.kept);
-    }
-}
-
-impl StructuredUnits {
-    /// An empty placeholder decision; a recyclable buffer for `resolve_*`.
-    pub fn empty() -> Self {
-        Self {
-            kind: StructuredKind::Nm { n: 1, m: 1 },
-            unit_count: 0,
-            kept: Vec::new(),
-        }
-    }
-
-    /// Re-resolves this buffer as an N:M decision over `out_features`
-    /// neurons; `fill` receives the cleared kept-index vector and must push
-    /// the kept neuron indices in ascending order.
-    pub fn resolve_nm(
-        &mut self,
-        n: usize,
-        m: usize,
-        out_features: usize,
-        fill: impl FnOnce(&mut Vec<usize>),
-    ) {
-        self.kind = StructuredKind::Nm { n, m };
-        self.unit_count = out_features;
-        self.kept.clear();
-        fill(&mut self.kept);
-        debug_assert!(
-            self.kept.windows(2).all(|w| w[0] < w[1]),
-            "kept lanes must be ascending"
-        );
-        debug_assert!(
-            self.kept.iter().all(|&j| j < out_features),
-            "kept lane out of bounds"
-        );
-    }
-
-    /// Re-resolves this buffer as a block decision over
-    /// `out_features.div_ceil(block)` blocks; `fill` receives the cleared
-    /// kept-index vector and must push kept *block* indices ascending.
-    pub fn resolve_block(
-        &mut self,
-        block: usize,
-        out_features: usize,
-        fill: impl FnOnce(&mut Vec<usize>),
-    ) {
-        let total = out_features.div_ceil(block.max(1));
-        self.kind = StructuredKind::Block { block, total };
-        self.unit_count = out_features;
-        self.kept.clear();
-        fill(&mut self.kept);
-        debug_assert!(
-            self.kept.windows(2).all(|w| w[0] < w[1]),
-            "kept blocks must be ascending"
-        );
-        debug_assert!(
-            self.kept.iter().all(|&b| b < total),
-            "kept block out of bounds"
-        );
-    }
-
-    /// The family and its parameters.
-    pub fn kind(&self) -> StructuredKind {
-        self.kind
-    }
-
-    /// Output neurons the decision was resolved against.
-    pub fn unit_count(&self) -> usize {
-        self.unit_count
-    }
-
-    /// Kept unit indices (neurons for N:M, blocks for block dropout),
-    /// ascending.
-    pub fn kept_indices(&self) -> &[usize] {
-        &self.kept
-    }
-
-    /// Number of output *neurons* that survive the decision.
-    pub fn kept_neuron_count(&self) -> usize {
-        match self.kind {
-            StructuredKind::Nm { .. } => self.kept.len(),
-            StructuredKind::Block { block, .. } => self
-                .kept
-                .iter()
-                .map(|&b| {
-                    let start = b * block;
-                    (start + block).min(self.unit_count).saturating_sub(start)
-                })
-                .sum(),
-        }
-    }
-
-    /// Fraction of output neurons that survive.
-    pub fn active_fraction(&self) -> f64 {
-        if self.unit_count == 0 {
-            return 1.0;
-        }
-        self.kept_neuron_count() as f64 / self.unit_count as f64
-    }
-
-    /// Appends the kept neuron indices to `out` (expanding blocks).
-    pub fn extend_kept_neurons(&self, out: &mut Vec<usize>) {
-        match self.kind {
-            StructuredKind::Nm { .. } => out.extend_from_slice(&self.kept),
-            StructuredKind::Block { block, .. } => {
-                for &b in &self.kept {
-                    let start = b * block;
-                    out.extend(start..(start + block).min(self.unit_count));
-                }
-            }
-        }
-    }
-}
-
 /// N:M fine-grained structured sparsity as a dropout scheme: each iteration
 /// keeps exactly `n` uniformly chosen lanes in every group of `m`
 /// consecutive output neurons (a ragged tail group keeps
@@ -285,12 +121,6 @@ impl NmSparsity {
 }
 
 impl DropoutScheme for NmSparsity {
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        let mut kept = Vec::new();
-        self.sample_kept(rng, shape.out_features, &mut kept);
-        DropoutPlan::nm(shape, self.n, self.m, kept)
-    }
-
     fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
         let (n, m) = (self.n, self.m);
         let out_features = shape.out_features;
@@ -373,19 +203,6 @@ impl BlockUnit {
 }
 
 impl DropoutScheme for BlockUnit {
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
-        let total = shape.out_features.div_ceil(self.block);
-        let mut kept = Vec::new();
-        self.sample_kept_blocks(rng, total, &mut kept);
-        DropoutPlan::block_unit(
-            shape,
-            self.block,
-            kept,
-            self.rate.inverted_scale() as f32,
-            self.rate.value(),
-        )
-    }
-
     fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
         let total = shape.out_features.div_ceil(self.block);
         out.reset_block_unit_with(
@@ -548,29 +365,34 @@ mod tests {
         assert_eq!(nm.kept_heads(8, 3), None, "N:M lanes are not heads");
         let row = DropoutPlan::row(
             LayerShape::new(4, 24),
-            crate::SampledPattern::from_row(crate::RowPattern::new(2, 0).unwrap(), 24),
+            crate::RowPattern::new(2, 0).unwrap(),
         );
         assert_eq!(row.kept_heads(8, 3), None, "rows are not heads");
     }
 
     #[test]
     fn structured_units_recycle_their_buffer() {
-        let mut units = StructuredUnits::empty();
-        units.resolve_nm(2, 4, 16, |kept| kept.extend([0, 1, 4, 5, 8, 9, 12, 13]));
-        let ptr = units.kept_indices().as_ptr();
-        units.resolve_nm(2, 4, 16, |kept| kept.extend([2, 3, 6, 7, 10, 11, 14, 15]));
-        assert_eq!(ptr, units.kept_indices().as_ptr());
-        assert_eq!(units.kept_neuron_count(), 8);
+        let shape = LayerShape::vector(16);
+        let mut plan = DropoutPlan::default();
+        plan.reset_nm_with(shape, 2, 4, |kept| kept.extend([0, 1, 4, 5, 8, 9, 12, 13]));
+        let ptr = plan.nm_lanes().unwrap().0.as_ptr();
+        // A block plan in between reuses the same kept buffer.
+        plan.reset_block_unit_with(shape, 4, 2.0, 0.5, |kept| kept.extend([0, 1, 3]));
+        assert_eq!(ptr, plan.kept_unit_blocks().unwrap().0.as_ptr());
+        plan.reset_nm_with(shape, 2, 4, |kept| {
+            kept.extend([2, 3, 6, 7, 10, 11, 14, 15])
+        });
+        assert_eq!(ptr, plan.nm_lanes().unwrap().0.as_ptr());
+        assert_eq!(plan.active_output_fraction(), 0.5);
     }
 
     #[test]
     fn block_units_count_clipped_neurons() {
-        let mut units = StructuredUnits::empty();
-        units.resolve_block(8, 20, |kept| kept.extend([0, 2]));
+        let plan = DropoutPlan::block_unit(LayerShape::vector(20), 8, vec![0, 2], 2.0, 0.5);
         // Block 0 covers 8 neurons, block 2 only the ragged 4.
-        assert_eq!(units.kept_neuron_count(), 12);
-        let mut neurons = Vec::new();
-        units.extend_kept_neurons(&mut neurons);
+        assert_eq!(plan.active_output_fraction(), 12.0 / 20.0);
+        let mult = plan.column_multiplier(20);
+        let neurons: Vec<usize> = (0..20).filter(|&j| mult[j] != 0.0).collect();
         assert_eq!(neurons, (0..8).chain(16..20).collect::<Vec<_>>());
     }
 }

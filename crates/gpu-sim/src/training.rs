@@ -1155,7 +1155,7 @@ mod tests {
         // Lower kept_fraction never prices slower, through the full
         // network-level pricing path (plans constructed directly so the
         // kept counts are exact).
-        use approx_dropout::{DropoutPlan, SampledPattern};
+        use approx_dropout::{DropoutPlan, RowPattern};
         let model = NetworkTimingModel::mlp(GpuConfig::gtx_1080ti(), MlpSpec::paper_mlp());
         let shapes = model.layer_shapes();
 
@@ -1181,15 +1181,7 @@ mod tests {
         let row_plans = |dp: usize| -> Vec<DropoutPlan> {
             shapes
                 .iter()
-                .map(|&s| {
-                    DropoutPlan::row(
-                        s,
-                        SampledPattern::from_row(
-                            approx_dropout::RowPattern::new(dp, 0).unwrap(),
-                            s.out_features,
-                        ),
-                    )
-                })
+                .map(|&s| DropoutPlan::row(s, RowPattern::new(dp, 0).unwrap()))
                 .collect()
         };
 

@@ -440,7 +440,7 @@ fn tile_mask(kept: &[usize], grid: &approx_dropout::TileGrid) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approx_dropout::{LayerShape, RowPattern, SampledPattern, TileGrid, TilePattern};
+    use approx_dropout::{LayerShape, RowPattern, TileGrid, TilePattern};
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -459,13 +459,13 @@ mod tests {
         let n = layer.out_features();
         DropoutPlan::row(
             LayerShape::new(layer.in_features(), n),
-            SampledPattern::from_row(RowPattern::new(dp, bias).unwrap(), n),
+            RowPattern::new(dp, bias).unwrap(),
         )
     }
 
     fn tile_plan(layer: &Linear, dp: usize, bias: usize, tile: usize) -> DropoutPlan {
         let grid = TileGrid::new(layer.in_features(), layer.out_features(), tile).unwrap();
-        let pattern = SampledPattern::from_tile(TilePattern::new(dp, bias, tile).unwrap(), &grid);
+        let pattern = TilePattern::new(dp, bias, tile).unwrap();
         DropoutPlan::tile(
             LayerShape::new(layer.in_features(), layer.out_features()),
             pattern,

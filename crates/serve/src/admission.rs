@@ -1,11 +1,13 @@
 //! Typed admission outcomes: overload produces answers, not backlog.
 //!
-//! Submitting a job can fail in three ways, each of which the serving
+//! Submitting a job can fail in four ways, each of which the serving
 //! layer reports explicitly instead of silently enqueueing:
 //!
 //! * [`AdmissionError::Invalid`] — the job names no model of the catalog,
 //!   so no worker could ever run it; [`crate::Client::submit`] returns this
 //!   immediately and nothing reaches a worker.
+//! * [`AdmissionError::EmptyJob`] — the job asks for zero rows, which no
+//!   model can train or infer on; refused the same way.
 //! * [`AdmissionError::Rejected`] — the shard is full and the incoming job
 //!   is the cheapest-to-retry work in sight; [`crate::Client::submit`]
 //!   returns this immediately, so the tenant can back off and retry.
@@ -32,6 +34,9 @@ pub enum AdmissionError {
         /// Number of models in the catalog.
         catalog: usize,
     },
+    /// The job asks for zero rows: there is nothing to train or infer on.
+    /// It was never enqueued.
+    EmptyJob,
     /// The target shard was at its bound and no queued job was cheaper to
     /// shed than the incoming one; the job was never enqueued.
     Rejected {
@@ -53,6 +58,7 @@ impl fmt::Display for AdmissionError {
                 f,
                 "invalid: model {model} is not in the {catalog}-model catalog"
             ),
+            AdmissionError::EmptyJob => write!(f, "invalid: the job asks for zero rows"),
             AdmissionError::Rejected { bound } => write!(
                 f,
                 "rejected: queue shard at its {bound}-job bound held no cheaper work"
@@ -87,5 +93,6 @@ mod tests {
             catalog: 1,
         };
         assert!(invalid.to_string().contains("model 3"));
+        assert!(AdmissionError::EmptyJob.to_string().contains("zero rows"));
     }
 }

@@ -6,16 +6,9 @@
 //! on the device model, operand packing on the CPU implementation) is paid
 //! once instead of `B` times. The dynamic batcher therefore holds a dispatch
 //! open for up to a deadline, merging queued jobs that share a
-//! [`JobSpec::batch_key`] — same model, same kind, hence the same
+//! [`crate::JobSpec::batch_key`] — same model, same kind, hence the same
 //! `LayerShape`s and the same resolved plans — until the batch is full.
-//!
-//! [`coalesce`] is the *pure* form of that rule over an already-drained job
-//! trace (no clock, no queue): the deterministic engine tests and the
-//! simulated pricing path use it so batch composition is reproducible
-//! bit-for-bit; the threaded server applies the same rule online against
-//! its shard of the request queue.
 
-use crate::job::JobSpec;
 use std::time::Duration;
 
 /// When a worker dispatches the jobs it has drained.
@@ -85,118 +78,5 @@ impl BatchPolicy {
             BatchPolicy::Dynamic { max_batch_rows, .. }
             | BatchPolicy::Adaptive { max_batch_rows, .. } => Some(max_batch_rows),
         }
-    }
-}
-
-/// Groups a job trace into dispatches under `policy`, preserving
-/// submission order within every batch key.
-///
-/// Jobs with different keys interleave freely; a batch is cut when adding
-/// the next same-key job would exceed the policy's row bound. Batches are
-/// emitted in the order they were *opened*, which makes the grouping a pure
-/// function of the trace — the property the cache-on/cache-off bitwise
-/// tests and the simulated pricing rely on.
-pub fn coalesce(jobs: &[JobSpec], policy: &BatchPolicy) -> Vec<Vec<JobSpec>> {
-    let max_rows = match policy.max_batch_rows() {
-        None => return jobs.iter().map(|&job| vec![job]).collect(),
-        // Offline there is no clock, so Dynamic and Adaptive coalesce
-        // identically: group by key up to the row bound.
-        Some(max_batch_rows) => max_batch_rows.max(1),
-    };
-    let mut out: Vec<Vec<JobSpec>> = Vec::new();
-    // Open batch per key: (key, index into `out`, rows so far).
-    let mut open: Vec<((usize, crate::job::JobKind), usize, usize)> = Vec::new();
-    for &job in jobs {
-        let key = job.batch_key();
-        match open.iter_mut().find(|(k, _, _)| *k == key) {
-            Some((_, slot, rows)) if *rows + job.rows <= max_rows => {
-                out[*slot].push(job);
-                *rows += job.rows;
-            }
-            Some((_, slot, rows)) => {
-                // Full: cut the batch and open a fresh one for this key.
-                out.push(vec![job]);
-                *slot = out.len() - 1;
-                *rows = job.rows;
-            }
-            None => {
-                out.push(vec![job]);
-                open.push((key, out.len() - 1, job.rows));
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::job::{JobKind, JobSpec};
-
-    fn job(model: usize, rows: usize, kind: JobKind) -> JobSpec {
-        JobSpec {
-            tenant: 0,
-            model,
-            rows,
-            seed: 0,
-            kind,
-            qos: crate::qos::QosClass::Batch,
-        }
-    }
-
-    #[test]
-    fn adaptive_coalesces_like_dynamic_offline() {
-        let jobs = vec![job(0, 4, JobKind::Train); 5];
-        let adaptive = BatchPolicy::Adaptive {
-            max_batch_rows: 8,
-            max_deadline: Duration::ZERO,
-        };
-        let dynamic = BatchPolicy::Dynamic {
-            max_batch_rows: 8,
-            deadline: Duration::ZERO,
-        };
-        assert_eq!(coalesce(&jobs, &adaptive), coalesce(&jobs, &dynamic));
-    }
-
-    #[test]
-    fn per_request_never_merges() {
-        let jobs = vec![job(0, 4, JobKind::Train); 3];
-        let batches = coalesce(&jobs, &BatchPolicy::PerRequest);
-        assert_eq!(batches.len(), 3);
-        assert!(batches.iter().all(|b| b.len() == 1));
-    }
-
-    #[test]
-    fn dynamic_merges_same_key_up_to_the_row_bound() {
-        let jobs = vec![job(0, 4, JobKind::Train); 5];
-        let policy = BatchPolicy::Dynamic {
-            max_batch_rows: 8,
-            deadline: Duration::ZERO,
-        };
-        let batches = coalesce(&jobs, &policy);
-        // 5 × 4 rows under an 8-row cap → 2 + 2 + 1 jobs.
-        assert_eq!(
-            batches.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![2, 2, 1]
-        );
-    }
-
-    #[test]
-    fn different_models_and_kinds_never_share_a_batch() {
-        let jobs = vec![
-            job(0, 2, JobKind::Train),
-            job(1, 2, JobKind::Train),
-            job(0, 2, JobKind::Infer),
-            job(0, 2, JobKind::Train),
-        ];
-        let policy = BatchPolicy::dynamic_default();
-        let batches = coalesce(&jobs, &policy);
-        assert_eq!(batches.len(), 3);
-        for batch in &batches {
-            let key = batch[0].batch_key();
-            assert!(batch.iter().all(|j| j.batch_key() == key));
-        }
-        // The two same-key train jobs merged despite the interleaving.
-        assert_eq!(batches[0].len(), 2);
     }
 }

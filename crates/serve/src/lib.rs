@@ -67,7 +67,7 @@ pub use adaptive::{AdaptiveController, ArrivalTracker};
 pub use admission::{AdmissionError, JobReply};
 pub use approx_dropout::{PlanCache, PlanCacheStats, PlanKey, SchemeSpec, SchemeSpecError};
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleDecision};
-pub use batcher::{coalesce, BatchPolicy};
+pub use batcher::BatchPolicy;
 pub use config::{ServeConfig, ServeConfigBuilder, ServeConfigError};
 pub use engine::{
     materialize, resolve_spec_plans, scheme_id, simulated_iteration_us, simulated_policy_speedup,

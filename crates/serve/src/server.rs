@@ -213,8 +213,8 @@ impl Client {
     /// bounce off a shard full of work at least as valuable — then nothing
     /// is enqueued and the [`AdmissionError::Rejected`] comes back
     /// directly so the tenant can back off. A job naming no catalog model
-    /// is refused with [`AdmissionError::Invalid`] before it reaches a
-    /// worker.
+    /// is refused with [`AdmissionError::Invalid`], and a zero-row job with
+    /// [`AdmissionError::EmptyJob`], before either reaches a worker.
     pub fn submit(&self, spec: JobSpec) -> Result<Receiver<JobReply>, AdmissionError> {
         let catalog = self.shared.catalog.len();
         if spec.model >= catalog {
@@ -222,6 +222,9 @@ impl Client {
                 model: spec.model,
                 catalog,
             });
+        }
+        if spec.rows == 0 {
+            return Err(AdmissionError::EmptyJob);
         }
         let now = Instant::now();
         self.shared.tracker.observe(spec.batch_key(), now);

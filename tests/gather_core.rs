@@ -6,9 +6,7 @@
 //! backward `dX` product reuses the weight panel the forward pass packed, so
 //! an SGD step in between must invalidate it.
 
-use approx_dropout::{
-    scheme, DropoutPlan, DropoutRate, LayerShape, SampledPattern, TileGrid, TilePattern,
-};
+use approx_dropout::{scheme, DropoutPlan, DropoutRate, LayerShape, TileGrid, TilePattern};
 use nn::{Linear, Sgd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,11 +92,7 @@ fn tile_plans_match_the_masked_dense_layer_for_every_period_and_bias() {
         for dp in 1..=8 {
             for bias in 0..dp {
                 let pattern = TilePattern::new(dp, bias, 32).unwrap();
-                let plan = DropoutPlan::tile(
-                    LayerShape::new(k, n),
-                    SampledPattern::from_tile(pattern, &grid),
-                    grid,
-                );
+                let plan = DropoutPlan::tile(LayerShape::new(k, n), pattern, grid);
                 let mask = pattern.weight_mask(&grid);
                 let want = masked_dense(&layer, &x, &dy, &mask, dp as f32, &vec![1.0; n]);
                 let got = run(&mut layer.clone(), &x, &dy, &plan);
@@ -143,11 +137,7 @@ fn a_step_between_forward_and_backward_never_leaves_a_stale_panel() {
         scheme::row(rate, 4).unwrap().plan(&mut rng, shape),
         scheme::block_unit(rate, 8).unwrap().plan(&mut rng, shape),
         // dp 4 over 6 strips per tile row: two classes of tile rows.
-        DropoutPlan::tile(
-            shape,
-            SampledPattern::from_tile(TilePattern::new(4, 1, 8).unwrap(), &grid),
-            grid,
-        ),
+        DropoutPlan::tile(shape, TilePattern::new(4, 1, 8).unwrap(), grid),
     ];
     let sgd = Sgd::new(0.5, 0.0);
     for plan in &plans {

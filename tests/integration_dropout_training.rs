@@ -148,9 +148,9 @@ fn lstm_language_model_trains_with_pattern_dropout_end_to_end() {
 struct MaskedDenseAdapter(Box<dyn DropoutScheme>);
 
 impl DropoutScheme for MaskedDenseAdapter {
-    fn plan(&mut self, rng: &mut dyn RngCore, shape: LayerShape) -> DropoutPlan {
+    fn plan_into(&mut self, rng: &mut dyn RngCore, shape: LayerShape, out: &mut DropoutPlan) {
         let plan = self.0.plan(rng, shape);
-        match plan.compact_rows() {
+        *out = match plan.compact_rows() {
             Some(kept) => {
                 let mask: Vec<f32> = (0..shape.out_features)
                     .map(|j| if kept.contains(&j) { 1.0 } else { 0.0 })
@@ -158,7 +158,7 @@ impl DropoutScheme for MaskedDenseAdapter {
                 DropoutPlan::bernoulli(shape, mask, plan.scale(), plan.nominal_rate())
             }
             None => plan,
-        }
+        };
     }
 
     fn nominal_rate(&self) -> f64 {

@@ -2,11 +2,13 @@
 //! [`DropoutScheme`] implementation: realised keep-fractions track the target
 //! rate, `column_multiplier` is consistent with the kept units, and the
 //! compacted-GEMM execution of a plan is numerically equivalent to the
-//! masked-dense formulation the paper starts from.
+//! masked-dense formulation the paper starts from. Every scheme's plans are
+//! also pinned bit for bit, so a refactor of the plan or the sampling code
+//! cannot move a single draw unnoticed.
 
 use approx_random_dropout::approx_dropout::{
-    scheme, CrsSampling, DropoutPlan, DropoutRate, DropoutScheme, KernelSchedule, LayerShape,
-    RowPattern, SchemeSpec, TilePattern,
+    scheme, ApproxDropoutBuilder, ApproxDropoutLayer, CrsSampling, DropoutPlan, DropoutRate,
+    DropoutScheme, KernelSchedule, LayerShape, PatternKind, RowPattern, SchemeSpec, TilePattern,
 };
 use approx_random_dropout::nn::Linear;
 use approx_random_dropout::tensor::{init, Matrix};
@@ -298,6 +300,219 @@ fn whole_head_plans_never_drop_every_head() {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise plan pins
+// ---------------------------------------------------------------------------
+
+/// One pinned scheme: a boxed scheme, or an [`ApproxDropoutLayer`] kept
+/// concrete so its running statistics can be folded too.
+enum Pinned {
+    Boxed(Box<dyn DropoutScheme>),
+    Layer(ApproxDropoutLayer),
+}
+
+impl Pinned {
+    fn scheme(&mut self) -> &mut dyn DropoutScheme {
+        match self {
+            Pinned::Boxed(s) => s.as_mut(),
+            Pinned::Layer(layer) => layer,
+        }
+    }
+}
+
+/// The schemes of `tests/plan_allocations.rs` plus a row and a tile
+/// [`ApproxDropoutLayer`] built directly, each with a stable name.
+fn pinned_schemes() -> Vec<(&'static str, Pinned)> {
+    let rate = DropoutRate::new(0.5).unwrap();
+    let layer = |kind| {
+        ApproxDropoutBuilder::new(rate, kind)
+            .max_dp(8)
+            .tile_size(8)
+            .build()
+            .unwrap()
+    };
+    let boxed: Vec<(&'static str, Box<dyn DropoutScheme>)> = vec![
+        ("none", scheme::none()),
+        ("bernoulli", scheme::bernoulli(rate)),
+        ("divergent", scheme::divergent_bernoulli(rate)),
+        ("row", scheme::row(rate, 16).unwrap()),
+        ("tile", scheme::tile(rate, 16, 8).unwrap()),
+        ("row_fixed", Box::new(RowPattern::new(4, 1).unwrap())),
+        ("tile_fixed", Box::new(TilePattern::new(2, 0, 8).unwrap())),
+        ("nm_2_4", scheme::nm(2, 4).unwrap()),
+        ("nm_1_4", scheme::nm(1, 4).unwrap()),
+        ("block", scheme::block_unit(rate, 8).unwrap()),
+        ("crs", scheme::crs(0.5).unwrap()),
+        ("row_crs", scheme::row_crs(rate, 16, 0.5).unwrap()),
+        (
+            "row_fixed_crs",
+            Box::new(CrsSampling::composed(0.5, Box::new(RowPattern::new(4, 1).unwrap())).unwrap()),
+        ),
+    ];
+    let mut pinned: Vec<_> = boxed
+        .into_iter()
+        .map(|(name, s)| (name, Pinned::Boxed(s)))
+        .collect();
+    pinned.push(("layer_row", Pinned::Layer(layer(PatternKind::Row))));
+    pinned.push(("layer_tile", Pinned::Layer(layer(PatternKind::Tile))));
+    pinned
+}
+
+fn fold_word(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+fn fold_indices(hash: u64, indices: Option<&[usize]>) -> u64 {
+    match indices {
+        None => fold_word(hash, u64::MAX),
+        Some(kept) => kept
+            .iter()
+            .fold(fold_word(hash, kept.len() as u64), |h, &i| {
+                fold_word(h, i as u64)
+            }),
+    }
+}
+
+fn fold_f32s(hash: u64, values: &[f32]) -> u64 {
+    values
+        .iter()
+        .fold(fold_word(hash, values.len() as u64), |h, v| {
+            fold_word(h, v.to_bits() as u64)
+        })
+}
+
+/// Folds every view of `plan` into `hash`, floats as bits.
+fn fold_plan(mut hash: u64, plan: &DropoutPlan) -> u64 {
+    hash = format!("{:?}", plan.kernel_schedule())
+        .bytes()
+        .fold(hash, |h, b| fold_word(h, b as u64));
+    hash = fold_indices(hash, plan.compact_rows());
+    hash = match plan.kept_tiles() {
+        None => fold_word(hash, u64::MAX),
+        Some((kept, grid)) => {
+            let (rows, cols) = grid.weight_shape();
+            [rows, cols, grid.tile(), grid.total_tiles()]
+                .into_iter()
+                .fold(fold_indices(hash, Some(kept)), |h, w| {
+                    fold_word(h, w as u64)
+                })
+        }
+    };
+    hash = match plan.nm_lanes() {
+        None => fold_word(hash, u64::MAX),
+        Some((kept, n, m)) => fold_word(
+            fold_word(fold_indices(hash, Some(kept)), n as u64),
+            m as u64,
+        ),
+    };
+    hash = match plan.kept_unit_blocks() {
+        None => fold_word(hash, u64::MAX),
+        Some((kept, block, total)) => fold_word(
+            fold_word(fold_indices(hash, Some(kept)), block as u64),
+            total as u64,
+        ),
+    };
+    hash = fold_indices(hash, plan.kept_heads(8, 12));
+    hash = match plan.bernoulli_mask() {
+        None => fold_word(hash, u64::MAX),
+        Some(mask) => fold_f32s(hash, mask),
+    };
+    hash = match plan.crs_selection() {
+        None => fold_word(hash, u64::MAX),
+        Some(sel) => fold_word(
+            fold_word(
+                fold_indices(hash, Some(sel.kept_indices())),
+                sel.total() as u64,
+            ),
+            sel.scale().to_bits() as u64,
+        ),
+    };
+    hash = fold_word(hash, plan.scale().to_bits() as u64);
+    hash = fold_word(hash, plan.nominal_rate().to_bits());
+    hash = fold_word(hash, plan.active_output_fraction().to_bits());
+    hash = fold_word(hash, plan.realized_drop_fraction().to_bits());
+    fold_f32s(hash, &plan.column_multiplier(plan.shape().out_features + 3))
+}
+
+/// One hash per [`pinned_schemes`] entry: 40 draws on each pinned shape
+/// from one seed, into one plan buffer recycled across every scheme and
+/// shape (so a reset from any other family is exercised too).
+fn plan_pins() -> Vec<(&'static str, u64)> {
+    let shapes = [
+        LayerShape::new(64, 96),
+        LayerShape::vector(96),
+        LayerShape::new(1, 1),
+        LayerShape::new(1, 3),
+        LayerShape::new(3, 1),
+        LayerShape::new(0, 5),
+        LayerShape::new(5, 0),
+    ];
+    let mut plan = DropoutPlan::default();
+    pinned_schemes()
+        .into_iter()
+        .map(|(name, mut pinned)| {
+            let mut rng = StdRng::seed_from_u64(0x0051_7A7E);
+            let mut hash = 0;
+            for shape in shapes {
+                for _ in 0..40 {
+                    pinned.scheme().plan_into(&mut rng, shape, &mut plan);
+                    hash = fold_plan(hash, &plan);
+                    if let Pinned::Layer(layer) = &pinned {
+                        hash = fold_word(hash, layer.iterations());
+                        hash = fold_word(hash, layer.mean_realized_rate().to_bits());
+                    }
+                }
+            }
+            (name, hash)
+        })
+        .collect()
+}
+
+/// Bitwise planning of every [`pinned_schemes`] entry. A change that claims
+/// plans are unchanged never regenerates these; one that changes sampling
+/// on purpose regenerates the moved entries with the ignored
+/// `print_plan_pins` test and says why in its commit.
+const PLAN_PINS: &[(&str, u64)] = &[
+    ("none", 0x54e9407c08157523),
+    ("bernoulli", 0xb3f6c3587e9ffc4f),
+    ("divergent", 0x09b00229d04a2c48),
+    ("row", 0x251fc73b093fe233),
+    ("tile", 0x460c6046d2c02205),
+    ("row_fixed", 0xd6f70443fd67fe97),
+    ("tile_fixed", 0x456a4c94a35ee57f),
+    ("nm_2_4", 0x4eb0637625eaf903),
+    ("nm_1_4", 0x39a1df9d626588ff),
+    ("block", 0x560d2ad6f868c463),
+    ("crs", 0xb3de7faf6f28ee6f),
+    ("row_crs", 0x917caf6b56c8260e),
+    ("row_fixed_crs", 0xed4337abed9de989),
+    ("layer_row", 0x1319ecca763f7d57),
+    ("layer_tile", 0x8736a782f7ea8a7a),
+];
+
+#[test]
+#[ignore = "regeneration helper: prints the plan pins for copy-paste"]
+fn print_plan_pins() {
+    println!("const PLAN_PINS: &[(&str, u64)] = &[");
+    for (name, hash) in plan_pins() {
+        println!("    ({name:?}, {hash:#018x}),");
+    }
+    println!("];");
+}
+
+#[test]
+fn every_scheme_plans_bit_for_bit_as_pinned() {
+    let actual = plan_pins();
+    assert_eq!(actual.len(), PLAN_PINS.len(), "scheme count changed");
+    for ((name, hash), (pinned_name, pinned)) in actual.iter().zip(PLAN_PINS) {
+        assert_eq!(name, pinned_name, "scheme order changed");
+        assert_eq!(
+            hash, pinned,
+            "{name}: planning moved ({hash:#018x} vs pinned {pinned:#018x})"
+        );
     }
 }
 

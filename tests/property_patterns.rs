@@ -7,8 +7,8 @@
 //! case seed so the exact inputs can be reproduced.
 
 use approx_random_dropout::approx_dropout::{
-    search, DropoutRate, PatternDistribution, PatternKind, PatternSampler, RowPattern,
-    SampledPattern, SearchConfig, TileGrid, TilePattern,
+    search, DropoutPlan, DropoutRate, LayerShape, PatternDistribution, PatternKind, PatternSampler,
+    RowPattern, SearchConfig, TileGrid, TilePattern,
 };
 use approx_random_dropout::tensor::{gemm, init, Matrix};
 use rand::rngs::StdRng;
@@ -50,10 +50,10 @@ fn sampled_pattern_fraction_close_to_nominal() {
         let dp = rng.gen_range(1usize..16);
         let n = rng.gen_range(16usize..256);
         let pattern = RowPattern::new(dp, 0).unwrap();
-        let sampled = SampledPattern::from_row(pattern, n);
+        let plan = DropoutPlan::row(LayerShape::vector(n), pattern);
         let nominal = (dp - 1) as f64 / dp as f64;
         assert!(
-            (sampled.realized_dropout_fraction() - nominal).abs() <= dp as f64 / n as f64,
+            (plan.realized_drop_fraction() - nominal).abs() <= dp as f64 / n as f64,
             "case seed {seed}"
         );
     });
@@ -195,13 +195,14 @@ fn sampler_emits_valid_patterns() {
         let n_units = rng.gen_range(1usize..200);
         let dist = PatternDistribution::new(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let sampler = PatternSampler::new(dist, PatternKind::Row);
-        let pattern = sampler.sample(rng, n_units);
-        assert!(
-            pattern.dp() >= 1 && pattern.dp() <= 4.min(n_units.max(1)),
-            "case seed {seed}"
+        let (dp, bias) = sampler.sample_params(rng, n_units);
+        assert!(dp >= 1 && dp <= 4.min(n_units.max(1)), "case seed {seed}");
+        assert!(bias < dp, "case seed {seed}");
+        let plan = DropoutPlan::row(
+            LayerShape::vector(n_units),
+            RowPattern::new(dp, bias).unwrap(),
         );
-        assert!(pattern.bias() < pattern.dp(), "case seed {seed}");
-        for &k in pattern.kept_indices() {
+        for &k in plan.compact_rows().unwrap() {
             assert!(k < n_units, "case seed {seed}");
         }
     });

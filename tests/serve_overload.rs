@@ -267,15 +267,18 @@ fn bounded_server_never_drops_interactive_jobs() {
             Err(AdmissionError::Rejected { .. }) => flood_lost += 1,
             Err(AdmissionError::Shed { .. }) => unreachable!("submit never returns Shed"),
             Err(AdmissionError::Invalid { .. }) => unreachable!("every job names model 0"),
+            Err(AdmissionError::EmptyJob) => unreachable!("every job has rows"),
             Ok(rx) => match rx.recv().expect("worker answers every admitted job") {
                 Ok(_) => {}
                 Err(AdmissionError::Shed { by }) => {
                     assert_eq!(by, QosClass::Interactive, "only interactive arrivals evict");
                     flood_lost += 1;
                 }
-                Err(AdmissionError::Rejected { .. } | AdmissionError::Invalid { .. }) => {
-                    unreachable!("reply channels carry only Shed")
-                }
+                Err(
+                    AdmissionError::Rejected { .. }
+                    | AdmissionError::Invalid { .. }
+                    | AdmissionError::EmptyJob,
+                ) => unreachable!("reply channels carry only Shed"),
             },
         }
     }
@@ -319,4 +322,50 @@ fn unknown_model_is_rejected_at_admission() {
     assert!(reply.value.is_finite());
     let report = server.shutdown();
     assert_eq!(report.jobs, 1);
+}
+
+/// A zero-row job is refused at the door for every model family and job
+/// kind, instead of panicking an LSTM worker on an empty batch (stranding
+/// its shard) or taking a data-free momentum step on an MLP: the next real
+/// job on the same shard is still answered.
+#[test]
+fn zero_row_jobs_are_refused_at_admission() {
+    let lstm = ModelSpec::lstm(
+        "lm",
+        16,
+        8,
+        1,
+        4,
+        SchemeSpec::Row {
+            rate: 0.5,
+            max_dp: 4,
+        },
+    );
+    for catalog in [tiny_catalog(), vec![lstm]] {
+        let config = ServeConfig::builder()
+            .workers(1)
+            .build()
+            .expect("test config is valid");
+        let server = Server::start(config, catalog);
+        let client = server.client();
+        for kind in [JobKind::Train, JobKind::Infer] {
+            let empty = JobSpec {
+                rows: 0,
+                ..job(1, 0, kind, QosClass::Interactive)
+            };
+            match client.submit(empty) {
+                Err(AdmissionError::EmptyJob) => {}
+                other => panic!("a zero-row {kind:?} job must be refused, got {other:?}"),
+            }
+        }
+        let reply = client
+            .submit(job(1, 1, JobKind::Train, QosClass::Interactive))
+            .expect("a real job is admitted")
+            .recv()
+            .expect("the worker is alive and answers")
+            .expect("the job is served");
+        assert!(reply.value.is_finite());
+        let report = server.shutdown();
+        assert_eq!(report.jobs, 1);
+    }
 }
