@@ -26,8 +26,8 @@
 //! shapes, or pass `--smoke` (CI) for tiny shapes that finish in seconds.
 //! `--threads N` sets the pool width (`TENSOR_THREADS` is the fallback; a
 //! conflicting flag + env pair is a hard error), `--no-simd` forces the
-//! scalar kernel path, and `--tune` reruns the blocking autotuner and
-//! persists the winners to `TUNE_GEMM.json` (`TENSOR_TUNE_FILE` overrides
+//! scalar kernel path, and `--tune` reruns the pool-threshold search and
+//! persists the winner to `TUNE_GEMM.json` (`TENSOR_TUNE_FILE` overrides
 //! the path), which is otherwise loaded at startup when it matches this
 //! machine. `BENCH_HOTPATH_OUT` redirects the JSON. Pass `--check-baseline`
 //! to compare every ratio of this run against the committed
@@ -119,7 +119,7 @@ fn main() {
     let cfg = if smoke { SMOKE } else { FULL };
     // Shared startup: resolve `--threads`/`TENSOR_THREADS` (loudly on a
     // conflict), apply `--no-simd`, run `--tune` or load the persisted
-    // blocking config. Sections 2–4 sweep explicit pool widths regardless;
+    // pool threshold. Sections 2–4 sweep explicit pool widths regardless;
     // the resolved width drives any `--tune` search.
     let setup = bench::init_bench("bench_hotpath");
     let mut card = Scorecard::new("bench_hotpath", smoke);

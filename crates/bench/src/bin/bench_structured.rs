@@ -153,7 +153,7 @@ fn main() {
     // Shared startup: `--threads N` overrides the pool width
     // (TENSOR_THREADS is the fallback, a conflicting pair is a hard
     // error), `--no-simd` forces the scalar kernels, `--tune` reruns the
-    // blocking autotuner; the chosen width lands in the JSON as
+    // pool-threshold search; the chosen width lands in the JSON as
     // "tensor_threads".
     bench::init_bench("bench_structured");
 

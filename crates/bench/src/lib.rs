@@ -89,14 +89,6 @@ pub fn threads_from_args() -> Option<usize> {
     None
 }
 
-/// Applies [`threads_from_args`] to the global tensor pool and returns the
-/// explicit width, if one was given.
-pub fn apply_threads_flag() -> Option<usize> {
-    let threads = threads_from_args()?;
-    tensor::pool::set_threads(threads);
-    Some(threads)
-}
-
 /// `TENSOR_THREADS` parsed exactly as the pool parses it (clamped to
 /// [`tensor::pool::MAX_THREADS`]; unparsable values mean 1, the documented
 /// slow-and-correct misconfiguration behaviour). `None` when unset.
@@ -140,7 +132,7 @@ pub fn no_simd_flag() -> bool {
     std::env::args().any(|a| a == "--no-simd")
 }
 
-/// `true` when `--tune` was passed: rerun the blocking autotuner and
+/// `true` when `--tune` was passed: rerun the pool-threshold search and
 /// persist the result instead of loading a committed config.
 fn tune_flag() -> bool {
     std::env::args().any(|a| a == "--tune")
@@ -171,16 +163,17 @@ pub struct BenchSetup {
     pub threads: usize,
     /// Active SIMD dispatch level after `--no-simd` / `TENSOR_SIMD`.
     pub simd_level: tensor::SimdLevel,
-    /// Tune file whose blockings are active (`None`: built-in defaults).
+    /// Tune file whose pool threshold is active (`None`: the built-in
+    /// default).
     pub tuned_from: Option<std::path::PathBuf>,
 }
 
 /// Shared startup for the bench binaries: resolves the pool width (loudly,
 /// see [`resolve_threads`]), applies `--no-simd`, then either reruns the
-/// blocking autotuner (`--tune`, persisting to the tune file) or loads the
-/// persisted config. A loaded config only applies when its recorded thread
-/// count and ISA match this invocation: a mismatch is a hard error for an
-/// explicit `TENSOR_TUNE_FILE` and a warning (config skipped) for the
+/// pool-threshold search (`--tune`, persisting to the tune file) or loads
+/// the persisted config. A loaded config only applies when its recorded
+/// thread count and ISA match this invocation: a mismatch is a hard error for
+/// an explicit `TENSOR_TUNE_FILE` and a warning (config skipped) for the
 /// committed default, which legitimately travels between machines.
 pub fn init_bench(label: &str) -> BenchSetup {
     let threads = resolve_threads();
@@ -191,7 +184,7 @@ pub fn init_bench(label: &str) -> BenchSetup {
     let (path, explicit) = tune_file_path();
     let tuned_from = if tune_flag() {
         eprintln!(
-            "{label}: autotuning GEMM blockings ({threads} thread(s), {})...",
+            "{label}: autotuning the pool threshold ({threads} thread(s), {})...",
             simd_level.name()
         );
         let config = tensor::tune::autotune();
@@ -234,7 +227,7 @@ pub fn init_bench(label: &str) -> BenchSetup {
                     }
                     Some(why) => {
                         eprintln!(
-                            "{label}: skipping tune file {} ({why}); using default blockings",
+                            "{label}: skipping tune file {} ({why}); using the default pool threshold",
                             path.display()
                         );
                         None
@@ -362,14 +355,6 @@ pub fn ptb_timing_model(batch: usize) -> NetworkTimingModel {
     let mut spec = LstmSpec::paper_ptb_lstm();
     spec.batch = batch;
     NetworkTimingModel::lstm(GpuConfig::gtx_1080ti(), spec)
-}
-
-/// Expected per-iteration time (µs) of `method` at `rate` on `model`,
-/// averaged over the default number of sampled plans.
-pub fn iteration_time_us(model: &NetworkTimingModel, method: Method, rate: f64) -> f64 {
-    model
-        .expected_iteration_time(&*method.scheme(rate), DEFAULT_TIMING_SAMPLES, TIMING_SEED)
-        .total_us()
 }
 
 /// Simulated speedup of `method` over the conventional-dropout baseline at a

@@ -174,7 +174,8 @@ impl ApproxDropoutBuilder {
     /// # Errors
     ///
     /// Propagates [`DropoutError`] from the search (invalid configuration or
-    /// `max_dp == 0`) or from tile validation.
+    /// `max_dp` outside `1..=`[`crate::search::MAX_DP`]) or from tile
+    /// validation.
     pub fn build(self) -> Result<ApproxDropoutLayer, DropoutError> {
         if self.tile == 0 {
             return Err(DropoutError::InvalidPattern(

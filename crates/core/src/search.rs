@@ -19,6 +19,12 @@ use crate::error::DropoutError;
 use crate::rate::DropoutRate;
 use std::fmt;
 
+/// Largest pattern period `N` the search accepts. Algorithm 1 allocates
+/// several `N`-long vectors, so an unbounded period from a scheme string
+/// would abort the process; the widest period in use is 16, and a sampled
+/// period is clamped to the layer's unit count anyway.
+pub const MAX_DP: usize = 1 << 16;
+
 /// Hyper-parameters of the SGD-based search (Algorithm 1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
@@ -219,7 +225,7 @@ pub struct SearchOutcome {
 /// # Errors
 ///
 /// Returns [`DropoutError::Search`] when the configuration is invalid or
-/// `max_dp == 0`.
+/// `max_dp` is outside `1..=`[`MAX_DP`].
 ///
 /// # Example
 ///
@@ -246,15 +252,17 @@ pub fn sgd_search(
 /// # Errors
 ///
 /// Returns [`DropoutError::Search`] when the configuration is invalid or
-/// `max_dp == 0`.
+/// `max_dp` is outside `1..=`[`MAX_DP`].
 pub fn sgd_search_with_trace(
     target: DropoutRate,
     max_dp: usize,
     config: &SearchConfig,
 ) -> Result<SearchOutcome, DropoutError> {
     config.validate()?;
-    if max_dp == 0 {
-        return Err(DropoutError::Search("max_dp must be at least 1".into()));
+    if max_dp == 0 || max_dp > MAX_DP {
+        return Err(DropoutError::Search(format!(
+            "max_dp must be in 1..={MAX_DP}, got {max_dp}"
+        )));
     }
     let n = max_dp;
     let p = target.value();

@@ -32,6 +32,7 @@
 use crate::error::DropoutError;
 use crate::rate::DropoutRate;
 use crate::scheme::{self, DropoutScheme};
+use crate::search::MAX_DP;
 use std::fmt;
 use std::str::FromStr;
 
@@ -56,14 +57,16 @@ pub enum SchemeSpec {
     Row {
         /// Target global dropout rate.
         rate: f64,
-        /// Maximum pattern period explored by the search.
+        /// Maximum pattern period explored by the search, in
+        /// `2..=`[`MAX_DP`].
         max_dp: usize,
     },
     /// Tile-based Dropout Pattern via Algorithm 1 (32×32 tiles by default).
     Tile {
         /// Target global dropout rate.
         rate: f64,
-        /// Maximum pattern period explored by the search.
+        /// Maximum pattern period explored by the search, in
+        /// `2..=`[`MAX_DP`].
         max_dp: usize,
         /// Tile edge length (32 in the paper).
         tile: usize,
@@ -94,7 +97,8 @@ pub enum SchemeSpec {
     RowCrs {
         /// Target global dropout rate of the row axis.
         rate: f64,
-        /// Maximum pattern period explored by the row search.
+        /// Maximum pattern period explored by the row search, in
+        /// `2..=`[`MAX_DP`].
         max_dp: usize,
         /// Kept fraction of the inner dimension, in `(0, 1]`.
         keep: f64,
@@ -186,18 +190,18 @@ impl SchemeSpec {
             SchemeSpec::Bernoulli { rate } | SchemeSpec::Divergent { rate } => rate_ok(rate),
             SchemeSpec::Row { rate, max_dp } => {
                 rate_ok(rate)?;
-                if max_dp < 2 {
+                if !(2..=MAX_DP).contains(&max_dp) {
                     return Err(DropoutError::InvalidPattern(format!(
-                        "row scheme needs max_dp >= 2, got {max_dp}"
+                        "row scheme needs max_dp in 2..={MAX_DP}, got {max_dp}"
                     )));
                 }
                 Ok(())
             }
             SchemeSpec::Tile { rate, max_dp, tile } => {
                 rate_ok(rate)?;
-                if max_dp < 2 {
+                if !(2..=MAX_DP).contains(&max_dp) {
                     return Err(DropoutError::InvalidPattern(format!(
-                        "tile scheme needs max_dp >= 2, got {max_dp}"
+                        "tile scheme needs max_dp in 2..={MAX_DP}, got {max_dp}"
                     )));
                 }
                 if tile == 0 {
@@ -520,7 +524,7 @@ mod tests {
                     head_dim: width,
                 });
             }
-            for max_dp in [0, 1, 2, 8] {
+            for max_dp in [0, 1, 2, 8, MAX_DP, MAX_DP + 1, usize::MAX] {
                 specs.push(SchemeSpec::Row { rate, max_dp });
                 for tile in [0, 32] {
                     specs.push(SchemeSpec::Tile { rate, max_dp, tile });

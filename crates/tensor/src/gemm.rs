@@ -8,7 +8,7 @@
 //! every compacting scheme runs through one gather core ([`GatherScratch`],
 //! [`gather_gemm_bias_act_into`], [`gather_backward_into`]): its kept set
 //! resolves into a few dense (kept-K × kept-N) sub-GEMMs whose operands are
-//! packed once and fed to the same tuned micro-kernel as the dense path. The
+//! packed once and fed to the same micro-kernel as the dense path. The
 //! compacted kernels are validated against the dense kernels by unit and
 //! property tests.
 //!
@@ -22,9 +22,10 @@
 //! the dense path carries no per-element `aip == 0.0` branch (skipping zeros
 //! is the compacted kernels' job — a data-dependent branch in the dense loop
 //! defeats SIMD exactly like warp divergence defeats the GPU kernel in the
-//! paper's Fig. 1(b)). Cache-blocking parameters come from [`crate::tune`]
-//! (autotuned per shape class; `KC = 128` remains the default). Each kernel
-//! has
+//! paper's Fig. 1(b)). Every dense GEMM walks K in fixed 128-deep panels,
+//! so a panel of `B` stays cache-resident across a chunk's output rows; the
+//! panel depth is a multiple of 4, so results do not depend on it. Each
+//! kernel has
 //!
 //! * an allocating entry point (`blocked_gemm`, `gemm_at_b`, …) and a
 //!   `*_into` variant that writes into a caller-owned output buffer so the
@@ -40,7 +41,6 @@
 use crate::matrix::Matrix;
 use crate::pool;
 use crate::simd;
-use crate::tune::{self, Blocking};
 use std::fmt;
 use std::ops::Range;
 
@@ -141,72 +141,45 @@ pub fn naive_gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     Ok(c)
 }
 
+/// Depth of the K panels [`dense_rows_kernel`] walks: a `KC × n` panel of
+/// `B` stays cache-resident across a chunk's rows before the kernel moves
+/// on (the CPU analogue of staging a tile in shared memory).
+const KC: usize = 128;
+
+// A panel edge inside a four-term group would regroup the accumulation and
+// move rounding; with `KC % 4 == 0` every group sits at the same absolute
+// `k` as in a single-panel pass, so results are bitwise panel-invariant.
+const _: () = assert!(KC % 4 == 0, "KC must be a multiple of 4");
+
 /// Per-row-chunk dense kernel: accumulates `chunk += A[rows] * B` with the
-/// panel-blocked, 4-way-unrolled micro-kernel. `chunk` must be zeroed by the
-/// caller and hold exactly `rows.len() * b.cols()` values.
-///
-/// Blocking (`bl`) comes from [`tune::blocking`]: a `kc × nc` panel of `B`
-/// is reused across an `mc`-row block of the chunk before the kernel moves
-/// on, keeping the panel resident in L2 (the CPU analogue of staging a tile
-/// in shared memory). `bl.kc` is a multiple of 4, so the quad grouping
-/// boundaries sit at the same absolute `k` positions for every config and
-/// results are bitwise blocking-invariant (checked by a `tune` test).
-fn dense_rows_kernel(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32], bl: Blocking) {
+/// 4-way-unrolled micro-kernel, walking K in panels of [`KC`]. `chunk` must
+/// be zeroed by the caller and hold exactly `rows.len() * b.cols()` values.
+fn dense_rows_kernel(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32]) {
     let k = a.cols();
     let n = b.cols();
-    let kc = if bl.kc == 0 { k } else { bl.kc }.max(1);
-    let nc = if bl.nc == 0 { n } else { bl.nc }.max(1);
-    let mc = if bl.mc == 0 { rows.len() } else { bl.mc }.max(1);
-    for ii in (rows.start..rows.end).step_by(mc) {
-        let i_end = (ii + mc).min(rows.end);
-        for pp in (0..k).step_by(kc) {
-            let p_end = (pp + kc).min(k);
-            for jj in (0..n).step_by(nc) {
-                let j_end = (jj + nc).min(n);
-                for i in ii..i_end {
-                    let local = i - rows.start;
-                    let apanel = &a.row(i)[pp..p_end];
-                    let crow = &mut chunk[local * n + jj..local * n + j_end];
-                    let mut quads = apanel.chunks_exact(4);
-                    let mut p = pp;
-                    for quad in &mut quads {
-                        axpy4(
-                            crow,
-                            [quad[0], quad[1], quad[2], quad[3]],
-                            &b.row(p)[jj..j_end],
-                            &b.row(p + 1)[jj..j_end],
-                            &b.row(p + 2)[jj..j_end],
-                            &b.row(p + 3)[jj..j_end],
-                        );
-                        p += 4;
-                    }
-                    for &alpha in quads.remainder() {
-                        axpy(crow, alpha, &b.row(p)[jj..j_end]);
-                        p += 1;
-                    }
-                }
+    for pp in (0..k).step_by(KC) {
+        let p_end = (pp + KC).min(k);
+        for (local, i) in rows.clone().enumerate() {
+            let crow = &mut chunk[local * n..(local + 1) * n];
+            let mut quads = a.row(i)[pp..p_end].chunks_exact(4);
+            let mut p = pp;
+            for quad in &mut quads {
+                axpy4(
+                    crow,
+                    [quad[0], quad[1], quad[2], quad[3]],
+                    b.row(p),
+                    b.row(p + 1),
+                    b.row(p + 2),
+                    b.row(p + 3),
+                );
+                p += 4;
+            }
+            for &alpha in quads.remainder() {
+                axpy(crow, alpha, b.row(p));
+                p += 1;
             }
         }
     }
-}
-
-/// [`blocked_gemm_into`] with an explicit [`Blocking`] instead of the
-/// globally active one — the timing probe of [`tune`]'s search, which must
-/// evaluate candidates without mutating process state.
-pub(crate) fn blocked_gemm_tuned_into(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    bl: Blocking,
-) -> Result<(), GemmError> {
-    check_inner(a, b)?;
-    let m = a.rows();
-    let n = b.cols();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, b, rows, chunk, bl);
-    });
-    Ok(())
 }
 
 /// Packed, batch-parallel GEMM, `C = A * B`, writing into `out`.
@@ -221,9 +194,8 @@ pub fn blocked_gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(),
     let m = a.rows();
     let n = b.cols();
     out.resize(m, n);
-    let bl = tune::blocking(m, a.cols(), n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, b, rows, chunk, bl);
+        dense_rows_kernel(a, b, rows, chunk);
     });
     Ok(())
 }
@@ -378,7 +350,7 @@ struct GatherClass {
 ///
 /// Every compacting scheme runs through one core: its kept set resolves
 /// into one or more disjoint *classes*, each a dense (kept-K × kept-N)
-/// sub-GEMM whose operands are packed into dense panels for the tuned
+/// sub-GEMM whose operands are packed into dense panels for the dense
 /// micro-kernel ([`blocked_gemm_into`]):
 ///
 /// * [`GatherScratch::resolve_cols`] — scattered kept output neurons (the
@@ -1244,9 +1216,8 @@ pub fn gemm_bias_act_into(
     check_bias(bias, n)?;
     let m = a.rows();
     out.resize(m, n);
-    let bl = tune::blocking(m, a.cols(), n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, w, rows, chunk, bl);
+        dense_rows_kernel(a, w, rows, chunk);
         bias_act_epilogue(chunk, n, bias.row(0), None, act);
     });
     Ok(())
@@ -1298,9 +1269,8 @@ pub fn gemm_bias_act_masked_into(
     }
     let m = a.rows();
     out.resize(m, n);
-    let bl = tune::blocking(m, a.cols(), n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, w, rows, chunk, bl);
+        dense_rows_kernel(a, w, rows, chunk);
         bias_act_epilogue(chunk, n, bias.row(0), Some((mask, scale)), act);
     });
     Ok(())
@@ -1429,6 +1399,26 @@ mod tests {
         let c1 = naive_gemm(&a, &b).unwrap();
         let c2 = blocked_gemm(&a, &b).unwrap();
         assert!(crate::approx_eq_slice(c1.as_slice(), c2.as_slice(), 1e-3));
+    }
+
+    /// `gemm_at_b` sums all of K in one pass, in the same four-term groups
+    /// as the dense kernel, so on `a.transpose()` it is a single-panel
+    /// reference: splitting K into panels must not move a bit, with K
+    /// below, at and just past multiples of the panel depth.
+    #[test]
+    fn k_panels_match_a_single_panel_pass_bitwise() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for k in [0, 1, 3, 4, 5, 127, 128, 129, 131, 255, 256, 257, 784] {
+            for (m, n) in [(1, 1), (5, 3), (37, 20)] {
+                let a = random_matrix(&mut rng, m, k);
+                let b = random_matrix(&mut rng, k, n);
+                let mut panelled = Matrix::zeros(0, 0);
+                let mut single = Matrix::zeros(0, 0);
+                blocked_gemm_into(&a, &b, &mut panelled).unwrap();
+                gemm_at_b_into(&a.transpose(), &b, &mut single).unwrap();
+                assert_eq!(panelled, single, "m {m}, k {k}, n {n}");
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   *compacted* GEMM that actually skips dropped rows / tiles, which is
 //!   what Row-based and Tile-based Dropout Patterns do on the GPU: one
 //!   gather core packs the kept operands of every compacting scheme (rows,
-//!   N:M, blocks, tiles, CRS) into dense sub-GEMMs for the tuned
-//!   micro-kernel.
+//!   N:M, blocks, tiles, CRS) into dense sub-GEMMs for the dense
+//!   micro-kernel, which walks K in fixed 128-deep panels.
 //! * [`init`] — weight initialisation helpers (uniform, Xavier/Glorot,
 //!   Gaussian via Box–Muller) so the crate has no dependency beyond `rand`.
 //! * [`pool`] — a hand-rolled thread pool that splits the batch (row)
@@ -21,9 +21,9 @@
 //! * [`simd`] — runtime-dispatched vector micro-kernels (AVX2 / AVX-512 /
 //!   NEON with a mandatory scalar fallback) every GEMM inner loop and fused
 //!   epilogue routes through; `TENSOR_SIMD=0` forces the scalar path.
-//! * [`tune`] — a blocking autotuner that searches MC/KC/NC block sizes per
-//!   shape class and persists winners to `TUNE_GEMM.json`
-//!   (`TENSOR_TUNE_FILE` points loads elsewhere).
+//! * [`tune`] — a tuner that searches the pool's serial-fallback row
+//!   threshold and persists it to `TUNE_GEMM.json` (`TENSOR_TUNE_FILE`
+//!   points loads elsewhere).
 //!
 //! # Example
 //!
@@ -53,7 +53,7 @@ pub use gemm::{
 pub use init::{gaussian, uniform, xavier_uniform};
 pub use matrix::{Matrix, ShapeError};
 pub use simd::SimdLevel;
-pub use tune::{Blocking, ShapeClass, TuneConfig};
+pub use tune::TuneConfig;
 
 /// Absolute tolerance used by the crate's approximate float comparisons.
 pub const DEFAULT_TOLERANCE: f32 = 1e-4;

@@ -20,13 +20,6 @@ pub fn relu(x: &Matrix) -> Matrix {
     out
 }
 
-/// Like [`relu`] but writing into a caller-owned matrix (resized in place),
-/// so per-iteration activations can recycle their buffers.
-pub fn relu_into(x: &Matrix, out: &mut Matrix) {
-    out.clone_from(x);
-    simd::relu_slice(out.as_mut_slice());
-}
-
 /// Derivative of ReLU expressed in terms of the pre-activation input.
 pub fn relu_grad(x: &Matrix) -> Matrix {
     x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })

@@ -29,8 +29,8 @@ pub const MAX_THREADS: usize = 64;
 
 /// Default row count below which the GEMM entry points stay serial:
 /// splitting a tiny batch across threads costs more in latch traffic than
-/// the kernel saves. The *active* threshold is [`par_min_rows`], which the
-/// [`crate::tune`] autotuner can replace.
+/// the kernel saves. The *active* threshold is [`par_min_rows`]; the
+/// [`crate::tune`] search, which tunes nothing else, can replace it.
 pub const PAR_MIN_ROWS: usize = 32;
 
 /// Active serial-fallback threshold (see [`PAR_MIN_ROWS`] for the default).
