@@ -6,7 +6,10 @@
 //! 1. the *seed* cache-blocked GEMM (per-element `Index` ops + zero-skip
 //!    branch, reproduced verbatim below) versus the packed micro-kernel
 //!    pipeline, single-threaded — the kernel-rewrite speedup;
-//! 2. the packed dense GEMM at 1/2/4 threads — batch-dimension scaling;
+//! 2. the packed dense GEMM at 1/2/4 threads — batch-dimension scaling —
+//!    and, recorded in every mode, the smoke layer's 48×64×64 GEMM at 1 and
+//!    2 threads, where the pool's dispatch cost is a large share of the
+//!    kernel;
 //! 3. the row- and tile-compacted kernels at a dp=2 pattern versus the dense
 //!    kernel — the speedup the paper's compaction is supposed to buy once
 //!    constant overhead stops drowning it;
@@ -42,8 +45,8 @@ use nn::{Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::{
-    blocked_gemm, gather_gemm_into, gemm_a_bt, gemm_bias_act, init, pool, row_compact_gemm, simd,
-    Activation, GatherScratch, Matrix, SimdLevel,
+    blocked_gemm, blocked_gemm_into, gather_gemm_into, gemm_a_bt, gemm_bias_act, init, pool,
+    row_compact_gemm, simd, Activation, GatherScratch, Matrix, SimdLevel,
 };
 
 /// The seed repository's cache-blocked GEMM, kept verbatim as the baseline
@@ -223,6 +226,32 @@ fn main() {
         "single-thread speedup vs seed kernel: {:.2}x",
         seed_secs / dense_1t
     );
+
+    // 2b. Small-shape dispatch cost: the smoke layer's 48×64×64 GEMM at 1
+    //     and 2 threads in every mode, best of many reps because one call
+    //     takes tens of microseconds. Its own RNG leaves the later sections'
+    //     data unchanged. Recorded only.
+    let small_shape = [48, 64, 64];
+    let mut small_rng = StdRng::seed_from_u64(0x5A11);
+    let small_a = init::uniform(&mut small_rng, small_shape[0], small_shape[1], -1.0, 1.0);
+    let small_b = init::uniform(&mut small_rng, small_shape[1], small_shape[2], -1.0, 1.0);
+    let mut small_out = Matrix::default();
+    let small_by_threads: Vec<(usize, f64)> = [1, 2]
+        .into_iter()
+        .map(|t| {
+            pool::set_threads(t);
+            let secs = best_of(200, || {
+                blocked_gemm_into(&small_a, &small_b, &mut small_out).unwrap();
+                std::hint::black_box(&small_out);
+            });
+            eprintln!("small gemm {t} thread(s) {:>9.1} us", secs * 1e6);
+            (t, secs)
+        })
+        .collect();
+    card.section("small_gemm", |card| {
+        card.counts("shape", &small_shape);
+        card.map("secs_by_threads", &small_by_threads, 6);
+    });
 
     // 3. Compacted kernels at a dp=2 pattern, single-threaded, against the
     //    single-threaded dense kernel (pure kernel effect, no pool).

@@ -82,11 +82,6 @@ impl CrsSampling {
         Ok(scheme)
     }
 
-    /// Fraction of the inner dimension kept.
-    pub fn keep_fraction(&self) -> f64 {
-        self.keep
-    }
-
     /// How many inner indices the scheme keeps for an inner dimension of
     /// `total_k`: `round(keep · K)` clamped to `1..=K` (0 only when the
     /// dimension itself is empty).

@@ -136,7 +136,6 @@ pub struct ApproxDropoutBuilder {
     kind: PatternKind,
     max_dp: usize,
     tile: usize,
-    search: SearchConfig,
 }
 
 impl ApproxDropoutBuilder {
@@ -147,7 +146,6 @@ impl ApproxDropoutBuilder {
             kind,
             max_dp: 16,
             tile: DEFAULT_TILE_SIZE,
-            search: SearchConfig::default(),
         }
     }
 
@@ -160,12 +158,6 @@ impl ApproxDropoutBuilder {
     /// Sets the tile edge length for tile patterns.
     pub fn tile_size(mut self, tile: usize) -> Self {
         self.tile = tile;
-        self
-    }
-
-    /// Overrides the search hyper-parameters.
-    pub fn search_config(mut self, config: SearchConfig) -> Self {
-        self.search = config;
         self
     }
 
@@ -182,7 +174,7 @@ impl ApproxDropoutBuilder {
                 "tile size must be positive".into(),
             ));
         }
-        let distribution = sgd_search(self.rate, self.max_dp, &self.search)?;
+        let distribution = sgd_search(self.rate, self.max_dp, &SearchConfig::default())?;
         let sampler = PatternSampler::new(distribution, self.kind).with_tile_size(self.tile);
         Ok(ApproxDropoutLayer {
             rate: self.rate,

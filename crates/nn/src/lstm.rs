@@ -311,23 +311,6 @@ pub struct LstmLmConfig {
     pub grad_clip: f32,
 }
 
-impl LstmLmConfig {
-    /// A down-scaled stand-in for the paper's 2×1500 LSTM that trains on one
-    /// CPU core: `vocab` words, `hidden` units, 2 layers.
-    pub fn scaled_paper_lstm(vocab: usize, hidden: usize, dropout: Box<dyn DropoutScheme>) -> Self {
-        Self {
-            vocab,
-            embed_dim: hidden,
-            hidden,
-            layers: 2,
-            dropout,
-            learning_rate: 0.5,
-            momentum: 0.0,
-            grad_clip: 5.0,
-        }
-    }
-}
-
 /// Statistics of one language-model training batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmBatchStats {

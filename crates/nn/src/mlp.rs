@@ -240,24 +240,6 @@ impl Mlp {
         }
     }
 
-    /// Forward pass with a dropout plan sampled per layer for this iteration
-    /// (training mode). Plans and activations are resolved into per-block
-    /// scratch buffers, so no input or plan is cloned along the way; each
-    /// hidden layer is exactly one fused GEMM+bias+ReLU kernel call.
-    pub fn forward_train<R: Rng>(&mut self, inputs: &Matrix, rng: &mut R) -> Matrix {
-        self.forward_train_inner(inputs, PlanSource::Sample(rng))
-    }
-
-    /// Training forward pass executing caller-provided plans (one per
-    /// hidden layer); see [`Mlp::train_batch_with_plans`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plans.len()` differs from the number of hidden layers.
-    pub fn forward_train_with_plans(&mut self, inputs: &Matrix, plans: &[DropoutPlan]) -> Matrix {
-        self.forward_train_inner(inputs, PlanSource::Inject(plans))
-    }
-
     /// The [`LayerShape`] of every hidden (dropout-carrying) layer, in
     /// order — the shapes a serving layer keys its plan cache by.
     pub fn layer_shapes(&self) -> Vec<LayerShape> {
@@ -332,7 +314,7 @@ impl Mlp {
         let (mut grad, mut scratch) = std::mem::take(&mut self.grad_ws);
         self.output.backward_into(grad_logits, &mut grad);
         for block in self.hidden.iter_mut().rev() {
-            assert!(block.armed, "forward_train must run before backward");
+            assert!(block.armed, "backward needs a training forward pass");
             block.armed = false;
             // The post-ReLU activation gates the gradient exactly like the
             // pre-activation would: relu(z) > 0 ⇔ z > 0.

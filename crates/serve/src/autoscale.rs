@@ -117,11 +117,6 @@ impl Autoscaler {
         }
     }
 
-    /// The current smoothed queue depth in jobs per worker.
-    pub fn smoothed_depth(&self) -> f64 {
-        self.smoothed
-    }
-
     /// Feeds one sample — `queued_jobs` across the queue, `active` current
     /// workers, whether the plan cache [`is
     /// warm`](approx_dropout::PlanCacheStats::is_warm) — and returns the

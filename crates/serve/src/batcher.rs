@@ -43,15 +43,6 @@ pub enum BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// A dynamic policy with defaults sized for the bench workloads:
-    /// 256-row batches, half-millisecond deadline.
-    pub fn dynamic_default() -> Self {
-        BatchPolicy::Dynamic {
-            max_batch_rows: 256,
-            deadline: Duration::from_micros(500),
-        }
-    }
-
     /// The adaptive policy with defaults sized for the bench workloads:
     /// 256-row batches, 2 ms backstop deadline (the marginal rule usually
     /// dispatches far earlier).

@@ -306,13 +306,11 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Builds the engine for the models of `catalog` whose index satisfies
-    /// `owns` (the threaded server passes `model % workers == w`; tests
-    /// pass `|_| true`). `epoch_rounds` train dispatches of a model share
-    /// one seed epoch (clamped to at least 1).
+    /// Builds the engine with one replica of every model of `catalog`.
+    /// `epoch_rounds` train dispatches of a model share one seed epoch
+    /// (clamped to at least 1).
     pub fn new(
         catalog: &[ModelSpec],
-        owns: impl Fn(usize) -> bool,
         cache: Option<Arc<PlanCache>>,
         epoch_rounds: u64,
         init_seed: u64,
@@ -321,7 +319,6 @@ impl ShardEngine {
             replicas: catalog
                 .iter()
                 .enumerate()
-                .filter(|(model, _)| owns(*model))
                 .map(|(model, spec)| Replica::new(model, spec, init_seed))
                 .collect(),
             cache,
@@ -504,7 +501,7 @@ mod tests {
     #[test]
     fn engine_epochs_advance_every_epoch_rounds_dispatches() {
         let spec = mlp_spec();
-        let mut engine = ShardEngine::new(&[spec], |_| true, None, 2, 7);
+        let mut engine = ShardEngine::new(&[spec], None, 2, 7);
         let epochs: Vec<u64> = (0..5)
             .map(|i| engine.execute(&[train_job(2, i)]).epoch)
             .collect();
@@ -514,7 +511,7 @@ mod tests {
     #[test]
     fn lstm_replicas_train_and_infer() {
         let spec = ModelSpec::lstm("l", 40, 16, 2, 4, SchemeSpec::Bernoulli { rate: 0.25 });
-        let mut engine = ShardEngine::new(&[spec], |_| true, None, 4, 1);
+        let mut engine = ShardEngine::new(&[spec], None, 4, 1);
         let job = JobSpec {
             tenant: 1,
             model: 0,

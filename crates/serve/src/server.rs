@@ -339,11 +339,6 @@ impl Server {
         self.shared.queue.len()
     }
 
-    /// Worker shards currently receiving traffic.
-    pub fn active_workers(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     /// Signals shutdown, drains the queue, joins the supervisor and every
     /// worker, and returns the aggregate report.
     pub fn shutdown(self) -> ServeReport {
@@ -390,11 +385,10 @@ fn spawn_worker(shared: &Arc<Shared>, shard: usize) -> JoinHandle<()> {
     thread::Builder::new()
         .name(format!("serve-worker-{shard}"))
         .spawn(move || {
+            // Every worker replicates the whole catalog so traffic can be
+            // re-routed freely as the fleet resizes.
             let engine = ShardEngine::new(
                 &shared.catalog,
-                // Every worker replicates the whole catalog so traffic can
-                // be re-routed freely as the fleet resizes.
-                |_| true,
                 shared.cache.clone(),
                 shared.config.epoch_rounds(),
                 shared.config.init_seed(),

@@ -2,14 +2,16 @@
 //! GEMM entry points across worker threads.
 //!
 //! The build environment has no crates.io access, so this is a minimal
-//! `std::thread` + `std::sync::mpsc` pool rather than rayon: a fixed set of
-//! detached workers pulls boxed jobs off one shared channel, and
-//! [`ThreadPool::run`] blocks the submitting thread until every job of the
-//! batch has finished (a latch), which is what makes lending stack-borrowing
-//! closures to the workers sound.
+//! `std::thread` pool rather than rayon. A pool holds one batch slot under a
+//! mutex: [`run_row_chunks`] publishes a borrowed chunk function there, the
+//! calling thread claims chunks beside a fixed set of persistent workers, and
+//! the call returns only once every chunk has finished, which is what makes
+//! lending a stack-borrowing closure to the workers sound. Nothing is boxed,
+//! sent or allocated per dispatch. A dispatch that finds the slot taken — by
+//! a concurrent caller, or from inside a chunk — runs inline.
 //!
 //! Row-partitioned GEMM is deterministic by construction: every output row is
-//! computed by exactly one worker with the same per-row instruction sequence
+//! computed by exactly one thread with the same per-row instruction sequence
 //! the serial kernel uses, so results are bitwise identical for any thread
 //! count. The `TENSOR_THREADS` environment variable pins the pool size (set
 //! `TENSOR_THREADS=1` for fully serial execution in tests); it is read once
@@ -18,9 +20,8 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread;
 
 /// Upper bound on the pool size; protects against absurd `TENSOR_THREADS`
@@ -28,8 +29,8 @@ use std::thread;
 pub const MAX_THREADS: usize = 64;
 
 /// Default row count below which the GEMM entry points stay serial:
-/// splitting a tiny batch across threads costs more in latch traffic than
-/// the kernel saves. The *active* threshold is [`par_min_rows`]; the
+/// splitting a tiny batch across threads costs more in waking the workers
+/// than the kernel saves. The *active* threshold is [`par_min_rows`]; the
 /// [`crate::tune`] search, which tunes nothing else, can replace it.
 pub const PAR_MIN_ROWS: usize = 32;
 
@@ -51,213 +52,165 @@ pub fn set_par_min_rows(threshold: usize) {
     PAR_MIN_ROWS_ACTIVE.store(threshold.max(1), std::sync::atomic::Ordering::Relaxed);
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// The batch a pool is running, if any, and the workers' shutdown flag.
+struct Slot {
+    /// The published chunk function, called once per chunk index; `None`
+    /// while the pool is idle.
+    task: Option<&'static (dyn Fn(usize) + Sync)>,
+    chunks: usize,
+    /// Next chunk index no thread has claimed yet.
+    next: usize,
+    /// Chunks not yet finished; the caller returns when this reaches 0.
+    pending: usize,
+    /// First panic payload raised by a chunk of the batch, if any.
+    panic: Option<Box<dyn Any + Send>>,
+    shutdown: bool,
+}
 
-/// Completion latch shared by one [`ThreadPool::run`] batch.
-struct Latch {
-    state: Mutex<LatchState>,
+/// State shared by a pool's handle and its worker threads.
+struct Shared {
+    slot: Mutex<Slot>,
+    /// Wakes the workers when a batch is published or the pool shuts down.
+    work: Condvar,
+    /// Wakes the caller when the batch's last chunk finishes.
     done: Condvar,
 }
 
-struct LatchState {
-    remaining: usize,
-    /// First panic payload observed among the batch's jobs, if any.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl Latch {
-    fn new(jobs: usize) -> Self {
-        Self {
-            state: Mutex::new(LatchState {
-                remaining: jobs,
-                panic: None,
-            }),
-            done: Condvar::new(),
-        }
+impl Shared {
+    /// Locks the slot. Chunks run outside the lock under `catch_unwind`, so
+    /// poisoning cannot leave the slot inconsistent; ignoring it keeps
+    /// locking infallible while a batch is published.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn job_finished(&self, panic: Option<Box<dyn Any + Send>>) {
-        let mut state = self.state.lock().expect("latch mutex poisoned");
-        if state.panic.is_none() {
-            state.panic = panic;
-        } else {
-            drop(panic);
+    /// Claims and runs chunks of the published batch until none is left
+    /// unclaimed. Called and returns with the slot locked.
+    fn run_claimed<'a>(&'a self, mut slot: MutexGuard<'a, Slot>) -> MutexGuard<'a, Slot> {
+        while let Some(task) = slot.task.filter(|_| slot.next < slot.chunks) {
+            let chunk = slot.next;
+            slot.next += 1;
+            drop(slot);
+            let result = catch_unwind(AssertUnwindSafe(|| task(chunk)));
+            slot = self.lock();
+            if let Err(payload) = result {
+                slot.panic.get_or_insert(payload);
+            }
+            slot.pending -= 1;
+            if slot.pending == 0 {
+                self.done.notify_one();
+            }
         }
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until every job has finished, then re-raises the first panic.
-    fn wait(&self) {
-        let mut state = self.state.lock().expect("latch mutex poisoned");
-        while state.remaining > 0 {
-            state = self.done.wait(state).expect("latch mutex poisoned");
-        }
-        if let Some(payload) = state.panic.take() {
-            drop(state);
-            std::panic::resume_unwind(payload);
-        }
+        slot
     }
 }
 
-thread_local! {
-    /// `true` on pool worker threads; [`ThreadPool::run`] from inside a job
-    /// executes inline instead of re-queueing (which could deadlock a fully
-    /// busy pool).
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// A fixed-size pool of detached worker threads fed from one shared channel.
+/// A fixed-width pool: the calling thread plus `width − 1` persistent
+/// workers.
 ///
-/// A pool of size 1 spawns no threads at all: [`ThreadPool::run`] executes
-/// jobs inline, which is the deterministic serial fallback selected by
+/// A pool of width 1 spawns no threads at all and runs every batch inline,
+/// which is the deterministic serial fallback selected by
 /// `TENSOR_THREADS=1`.
-#[derive(Debug)]
-pub struct ThreadPool {
-    /// `None` for the serial (single-thread) pool.
-    sender: Option<Sender<Job>>,
-    workers: usize,
+struct ThreadPool {
+    shared: Arc<Shared>,
+    width: usize,
 }
 
 impl ThreadPool {
-    /// Creates a pool with `workers` threads (clamped to `1..=MAX_THREADS`).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.clamp(1, MAX_THREADS);
-        if workers == 1 {
-            return Self {
-                sender: None,
-                workers,
-            };
-        }
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        for idx in 0..workers {
-            let receiver = Arc::clone(&receiver);
+    /// Creates a pool of width `width` (clamped to `1..=MAX_THREADS`).
+    fn new(width: usize) -> Self {
+        let width = width.clamp(1, MAX_THREADS);
+        let shared = Arc::new(Shared {
+            slot: Mutex::new(Slot {
+                task: None,
+                chunks: 0,
+                next: 0,
+                pending: 0,
+                panic: None,
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+        });
+        for idx in 1..width {
+            let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name(format!("tensor-pool-{idx}"))
-                .spawn(move || worker_loop(&receiver))
+                .spawn(move || worker_loop(&shared))
                 .expect("spawning a pool worker thread failed");
         }
-        Self {
-            sender: Some(sender),
-            workers,
-        }
+        Self { shared, width }
     }
 
-    /// Number of worker threads (1 means fully serial execution).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs a batch of jobs and blocks until all of them have completed.
+    /// Runs `chunk(0)`, …, `chunk(chunks − 1)` and returns once all of them
+    /// have finished, each exactly once on some thread of the pool.
     ///
-    /// Jobs may borrow from the caller's stack (`'env`): the latch guarantees
-    /// no job outlives this call, even when a job panics — every remaining
-    /// job still runs to completion before the panic is re-raised here.
+    /// Runs inline on the calling thread when the pool is one wide, the
+    /// batch has one chunk, or another batch already holds the pool (a
+    /// concurrent caller, or a call made from inside a chunk).
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic raised by any job of the batch, and panics
-    /// if the worker threads have exited (after draining the batch safely).
-    pub fn run<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        let Some(sender) = &self.sender else {
-            for job in jobs {
-                job();
-            }
+    /// Re-raises the first panic raised by a chunk, after every other chunk
+    /// of the batch has finished; the pool stays usable.
+    fn run_chunks(&self, chunks: usize, chunk: &(dyn Fn(usize) + Sync)) {
+        let shared = &*self.shared;
+        let mut slot = shared.lock();
+        if self.width == 1 || chunks <= 1 || slot.task.is_some() {
+            drop(slot);
+            (0..chunks).for_each(chunk);
             return;
+        }
+        // SAFETY: the borrow is erased only while the batch is published.
+        // Workers reach `task` only through the slot, and only by claiming a
+        // chunk; this call clears the slot and returns only after `pending`
+        // reached 0, i.e. after every claimed chunk has finished, and
+        // nothing between here and there can unwind (chunks run under
+        // `catch_unwind`, locking ignores poisoning).
+        let task = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(chunk)
         };
-        if IS_POOL_WORKER.with(std::cell::Cell::get) {
-            // Nested parallelism: the caller *is* a pool worker, so queueing
-            // and blocking could starve the pool. Degrade to inline.
-            for job in jobs {
-                job();
-            }
-            return;
+        slot.task = Some(task);
+        slot.chunks = chunks;
+        slot.next = 0;
+        slot.pending = chunks;
+        shared.work.notify_all();
+        slot = shared.run_claimed(slot);
+        while slot.pending > 0 {
+            slot = shared
+                .done
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        let latch = Arc::new(Latch::new(jobs.len()));
-        // Wrap every job *before* sending anything. Each wrapper owns a
-        // [`JobGuard`] that decrements the latch when the wrapper is dropped
-        // — whether it ran to completion, panicked, or was dropped
-        // unexecuted by a dying channel — so `latch.wait()` below can never
-        // miss a slot and the `'env` transmute stays sound on every path.
-        let wrapped: Vec<Job> = jobs
-            .into_iter()
-            .map(|job| {
-                // SAFETY: `run` does not return until the latch has counted
-                // every wrapper as finished (executed or dropped), so the
-                // `'env` borrows captured by the job are live for as long as
-                // any worker can touch it. The lifetime is only widened for
-                // transport through the channel.
-                let job: Job = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce() + Send + 'env>,
-                        Box<dyn FnOnce() + Send + 'static>,
-                    >(job)
-                };
-                let mut guard = JobGuard {
-                    latch: Arc::clone(&latch),
-                    panic: None,
-                };
-                Box::new(move || {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                        guard.panic = Some(payload);
-                    }
-                    drop(guard);
-                }) as Job
-            })
-            .collect();
-        // Dispatch. A send failure means the workers are gone (unreachable
-        // while the pool holds its sender, but guarded against regardless):
-        // run the failed and remaining wrappers inline, let the guards of
-        // any already-queued-but-dropped wrappers drain the latch, then
-        // report the broken pool.
-        let mut send_failed = false;
-        let mut queue = wrapped.into_iter();
-        for wrapper in &mut queue {
-            if let Err(std::sync::mpsc::SendError(returned)) = sender.send(wrapper) {
-                returned();
-                send_failed = true;
-                break;
-            }
+        slot.task = None;
+        let panic = slot.panic.take();
+        drop(slot);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
-        if send_failed {
-            for wrapper in queue {
-                wrapper();
-            }
-        }
-        latch.wait();
-        assert!(!send_failed, "pool workers exited while the pool was alive");
     }
 }
 
-/// Accounts one job slot to the latch on drop, so a wrapper that is dropped
-/// without ever executing (e.g. by a torn-down channel) still releases its
-/// slot instead of deadlocking [`ThreadPool::run`].
-struct JobGuard {
-    latch: Arc<Latch>,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl Drop for JobGuard {
+impl Drop for ThreadPool {
+    /// Retires the workers. No batch can be in flight: a caller holds the
+    /// pool for the whole of [`ThreadPool::run_chunks`].
     fn drop(&mut self) {
-        self.latch.job_finished(self.panic.take());
+        self.shared.lock().shutdown = true;
+        self.shared.work.notify_all();
     }
 }
 
-fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
-    IS_POOL_WORKER.with(|flag| flag.set(true));
+fn worker_loop(shared: &Shared) {
+    let mut slot = shared.lock();
     loop {
-        let job = {
-            let guard = receiver.lock().expect("pool receiver mutex poisoned");
-            guard.recv()
-        };
-        match job {
-            Ok(job) => job(),
-            // All senders dropped: the pool was replaced or torn down.
-            Err(_) => return,
+        slot = shared.run_claimed(slot);
+        if slot.shutdown {
+            return;
         }
+        slot = shared
+            .work
+            .wait(slot)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -301,7 +254,7 @@ pub fn env_default_threads() -> usize {
 }
 
 /// Handle to the global pool, creating it from the environment on first use.
-pub fn global() -> Arc<ThreadPool> {
+fn global() -> Arc<ThreadPool> {
     if let Some(pool) = GLOBAL
         .read()
         .expect("pool registry poisoned")
@@ -319,7 +272,7 @@ pub fn global() -> Arc<ThreadPool> {
     pool
 }
 
-/// Replaces the global pool with one of `threads` workers.
+/// Replaces the global pool with one of width `threads`.
 ///
 /// Existing in-flight batches keep their handle on the old pool and finish
 /// normally; the old workers exit once the last handle is dropped. Used by
@@ -330,13 +283,13 @@ pub fn set_threads(threads: usize) {
     *GLOBAL.write().expect("pool registry poisoned") = Some(pool);
 }
 
-/// Current size of the global pool.
+/// Current width of the global pool, the calling thread included.
 pub fn threads() -> usize {
-    global().workers()
+    global().width
 }
 
 /// Splits the `rows`-row output (row-major, `cols` columns) into one
-/// contiguous row chunk per worker and runs `kernel` on each chunk in
+/// contiguous row chunk per pool thread and runs `kernel` on each chunk in
 /// parallel; falls back to a single serial call when the batch is shorter
 /// than the active [`par_min_rows`] threshold or the pool is serial.
 ///
@@ -356,51 +309,62 @@ pub fn run_row_chunks(
 ) {
     assert_eq!(data.len(), rows * cols, "row-chunk buffer length mismatch");
     let pool = global();
-    let workers = pool.workers();
-    if workers <= 1 || rows < par_min_rows() {
+    if pool.width <= 1 || rows < par_min_rows() || cols == 0 {
         kernel(0..rows, data);
         return;
     }
-    let chunk_rows = rows.div_ceil(workers);
-    let kernel = &kernel;
-    let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
-    let mut rest = data;
-    let mut start = 0;
-    while start < rows {
-        let end = (start + chunk_rows).min(rows);
-        let (chunk, tail) = rest.split_at_mut((end - start) * cols);
-        rest = tail;
-        jobs.push(Box::new(move || kernel(start..end, chunk)));
-        start = end;
+    let chunk_rows = rows.div_ceil(pool.width);
+    // One lock per chunk hands each chunk its own rows; each is taken once,
+    // by the one thread that claimed that chunk, so none is ever contended.
+    let mut parts: [Option<Mutex<&mut [f32]>>; MAX_THREADS] = std::array::from_fn(|_| None);
+    for (part, chunk) in parts.iter_mut().zip(data.chunks_mut(chunk_rows * cols)) {
+        *part = Some(Mutex::new(chunk));
     }
-    pool.run(jobs);
+    pool.run_chunks(rows.div_ceil(chunk_rows), &|idx| {
+        let part = parts[idx].as_ref().expect("one part per chunk");
+        let mut part = part.lock().expect("each part is locked once");
+        let start = idx * chunk_rows;
+        kernel(start..start + part.len() / cols, &mut part);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    /// Runs `batches` batches of `chunks` chunks on `pool` and checks that
+    /// every chunk of every batch ran exactly once.
+    fn check_every_chunk_once(pool: &ThreadPool, batches: usize, chunks: usize) {
+        let runs: Vec<AtomicUsize> = (0..chunks).map(|_| AtomicUsize::new(0)).collect();
+        for batch in 1..=batches {
+            pool.run_chunks(chunks, &|idx| {
+                runs[idx].fetch_add(1, Ordering::SeqCst);
+            });
+            for (idx, count) in runs.iter().enumerate() {
+                assert_eq!(count.load(Ordering::SeqCst), batch, "chunk {idx}");
+            }
+        }
+    }
 
     #[test]
     fn serial_pool_runs_inline_without_threads() {
         let pool = ThreadPool::new(1);
-        assert_eq!(pool.workers(), 1);
+        assert_eq!(pool.width, 1);
+        let caller = thread::current().id();
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
+        pool.run_chunks(8, &|_| {
+            assert_eq!(thread::current().id(), caller);
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
         assert_eq!(counter.load(Ordering::SeqCst), 8);
     }
 
     #[test]
     fn pool_size_is_clamped() {
-        assert_eq!(ThreadPool::new(0).workers(), 1);
-        assert_eq!(ThreadPool::new(MAX_THREADS + 7).workers(), MAX_THREADS);
+        assert_eq!(ThreadPool::new(0).width, 1);
+        assert_eq!(ThreadPool::new(MAX_THREADS + 7).width, MAX_THREADS);
     }
 
     #[test]
@@ -413,18 +377,12 @@ mod tests {
 
     #[test]
     fn parallel_pool_runs_every_job_exactly_once() {
+        // Hundreds of batches, so the workers park and wake again and again;
+        // fewer, as many and more chunks than threads.
         let pool = ThreadPool::new(4);
-        let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..64)
-            .map(|i| {
-                let counter = &counter;
-                Box::new(move || {
-                    counter.fetch_add(i, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-        assert_eq!(counter.load(Ordering::SeqCst), (0..64).sum());
+        for chunks in [2, 4, 9] {
+            check_every_chunk_once(&pool, 150, chunks);
+        }
     }
 
     #[test]
@@ -432,15 +390,12 @@ mod tests {
         let pool = ThreadPool::new(3);
         let mut data = vec![0u64; 300];
         {
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            for (idx, chunk) in data.chunks_mut(100).enumerate() {
-                jobs.push(Box::new(move || {
-                    for v in chunk.iter_mut() {
-                        *v = idx as u64 + 1;
-                    }
-                }));
-            }
-            pool.run(jobs);
+            let parts: Vec<Mutex<&mut [u64]>> = data.chunks_mut(100).map(Mutex::new).collect();
+            pool.run_chunks(parts.len(), &|idx| {
+                for v in parts[idx].lock().unwrap().iter_mut() {
+                    *v = idx as u64 + 1;
+                }
+            });
         }
         assert!(data[..100].iter().all(|&v| v == 1));
         assert!(data[100..200].iter().all(|&v| v == 2));
@@ -452,14 +407,12 @@ mod tests {
         let pool = ThreadPool::new(2);
         let finished = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            jobs.push(Box::new(|| panic!("boom in worker")));
-            for _ in 0..7 {
-                jobs.push(Box::new(|| {
-                    finished.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            pool.run(jobs);
+            pool.run_chunks(8, &|idx| {
+                if idx == 0 {
+                    panic!("boom in chunk");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
         }));
         let payload = result.expect_err("panic must propagate to the caller");
         let message = payload
@@ -467,8 +420,10 @@ mod tests {
             .copied()
             .unwrap_or("non-string payload");
         assert!(message.contains("boom"), "unexpected payload {message}");
-        // Every non-panicking job still ran: the latch drains the batch.
+        // Every non-panicking chunk still ran: the batch drains first.
         assert_eq!(finished.load(Ordering::SeqCst), 7);
+        // And the pool runs the next batch.
+        check_every_chunk_once(&pool, 10, 4);
     }
 
     #[test]
@@ -494,25 +449,55 @@ mod tests {
 
     #[test]
     fn nested_run_degrades_to_inline_instead_of_deadlocking() {
-        let pool = Arc::new(ThreadPool::new(2));
-        let counter = Arc::new(AtomicUsize::new(0));
-        let inner_pool = Arc::clone(&pool);
-        let inner_counter = Arc::clone(&counter);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(move || {
-            // A job submitting to its own (possibly saturated) pool must not
-            // block on the queue.
-            let c = Arc::clone(&inner_counter);
-            let nested: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-                .map(|_| {
-                    let c = Arc::clone(&c);
-                    Box::new(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            inner_pool.run(nested);
-        })];
-        pool.run(jobs);
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
+        let pool = ThreadPool::new(2);
+        let counter = AtomicUsize::new(0);
+        pool.run_chunks(2, &|_| {
+            // A chunk dispatching to its own busy pool must not wait for it.
+            let chunk_thread = thread::current().id();
+            pool.run_chunks(4, &|_| {
+                assert_eq!(thread::current().id(), chunk_thread);
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn a_second_caller_runs_inline_while_a_batch_holds_the_pool() {
+        let pool = ThreadPool::new(2);
+        let (started, release) = (Barrier::new(2), Barrier::new(2));
+        let inline = AtomicBool::new(true);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.run_chunks(2, &|idx| {
+                    if idx == 0 {
+                        // Hold the pool until the second caller is done.
+                        started.wait();
+                        release.wait();
+                    }
+                });
+            });
+            started.wait();
+            let caller = thread::current().id();
+            pool.run_chunks(4, &|_| {
+                if thread::current().id() != caller {
+                    inline.store(false, Ordering::SeqCst);
+                }
+            });
+            release.wait();
+        });
+        assert!(inline.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_pool() {
+        // Callers race for the one batch slot; the losers run inline. Either
+        // way every chunk of every caller's batches runs exactly once.
+        let pool = ThreadPool::new(3);
+        thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| check_every_chunk_once(&pool, 100, 5));
+            }
+        });
     }
 }

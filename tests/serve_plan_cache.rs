@@ -151,7 +151,7 @@ fn serve_results_bitwise_identical_with_and_without_cache() {
         .collect();
 
     let run = |cache: Option<Arc<PlanCache>>| -> Vec<u32> {
-        let mut engine = ShardEngine::new(&catalog, |_| true, cache, 2, 42);
+        let mut engine = ShardEngine::new(&catalog, cache, 2, 42);
         trace
             .iter()
             .map(|batch| engine.execute(batch).value.to_bits())
@@ -212,7 +212,7 @@ fn transformer_serve_results_bitwise_identical_with_and_without_cache() {
         .collect();
 
     let run = |cache: Option<Arc<PlanCache>>| -> Vec<u32> {
-        let mut engine = ShardEngine::new(&catalog, |_| true, cache, 2, 7);
+        let mut engine = ShardEngine::new(&catalog, cache, 2, 7);
         trace
             .iter()
             .map(|batch| engine.execute(batch).value.to_bits())
