@@ -294,25 +294,6 @@ impl Linear {
         self.ws.armed = true;
     }
 
-    /// Inference-time forward pass: a dense `X·W + b` with no dropout and no
-    /// caching, usable through a shared reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != in_features()`.
-    pub fn infer(&self, input: &Matrix) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.in_features(),
-            "input width must match in_features"
-        );
-        let mut z = Matrix::default();
-        gemm::blocked_gemm_into(input, &self.weight, &mut z).expect("inner dimensions must agree");
-        z.add_row_broadcast_inplace(&self.bias)
-            .expect("bias width matches output");
-        z
-    }
-
     /// Backward pass: consumes the gradient w.r.t. this layer's output and
     /// returns the gradient w.r.t. its input, storing parameter gradients.
     /// The same cached plan that shaped the forward pass shapes the

@@ -23,8 +23,10 @@
 //!   with per-layer scheme overrides (Fig. 4's `(p1, p2)` pairs).
 //! * [`optimizer::Sgd`] — plain SGD with momentum (lr 0.01, momentum 0.9 for
 //!   the MLP experiments).
-//! * [`loss`] / [`metrics`] — softmax cross-entropy, classification accuracy
-//!   and perplexity.
+//! * [`loss`] / [`metrics`] — one softmax cross-entropy,
+//!   [`loss::softmax_cross_entropy_into`], writing into recycled
+//!   [`loss::CrossEntropyScratch`] buffers for training and evaluation
+//!   alike; classification accuracy and perplexity.
 //! * [`trainer`] — a small training loop that records per-iteration loss,
 //!   accuracy and (model-provided) time so the convergence curves of Fig. 5
 //!   can be reproduced.
@@ -70,9 +72,7 @@ pub use approx_dropout::scheme as schemes;
 pub use approx_dropout::{DropoutPlan, DropoutScheme, KernelSchedule, LayerShape};
 pub use builder::{LstmBuilder, NetworkBuilder};
 pub use layers::Linear;
-pub use loss::{
-    softmax_cross_entropy, softmax_cross_entropy_into, CrossEntropyOutput, CrossEntropyScratch,
-};
+pub use loss::{softmax_cross_entropy_into, CrossEntropyScratch};
 pub use metrics::{accuracy, perplexity_from_nll};
 pub use mlp::{Mlp, MlpConfig, TrainBatchStats};
 pub use optimizer::Sgd;

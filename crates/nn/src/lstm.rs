@@ -26,7 +26,7 @@
 
 use crate::layers::Linear;
 use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
-use crate::metrics::perplexity_from_nll;
+use crate::metrics::{accuracy, perplexity_from_nll};
 use crate::mlp::PlanSource;
 use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
@@ -326,8 +326,8 @@ pub struct LmBatchStats {
 /// ping-ponged between a layer's input and its output (the embeddings and
 /// hidden states forward, their gradients backward), the logits, the
 /// flattened targets and the softmax cross-entropy scratch. Together with
-/// the per-cell caches this makes the whole training hot path
-/// allocation-free once shapes have stabilised.
+/// the per-cell caches this makes training and evaluation allocation-free
+/// once shapes have stabilised.
 #[derive(Debug, Clone, Default)]
 struct SeqWorkspace {
     /// A layer's stacked input forward; the gradient w.r.t. its output
@@ -341,18 +341,6 @@ struct SeqWorkspace {
     targets: Vec<usize>,
     /// Softmax cross-entropy probability/gradient buffers.
     xent: CrossEntropyScratch,
-}
-
-impl SeqWorkspace {
-    /// Loss, perplexity and accuracy of the logits against the targets.
-    fn stats(&mut self) -> LmBatchStats {
-        let loss = softmax_cross_entropy_into(&self.logits, &self.targets, &mut self.xent);
-        LmBatchStats {
-            loss,
-            perplexity: perplexity_from_nll(loss as f64),
-            accuracy: crate::metrics::accuracy(&self.logits, &self.targets),
-        }
-    }
 }
 
 /// Word-level LSTM language model with inter-layer approximate dropout.
@@ -492,6 +480,7 @@ impl LstmLm {
                     );
                 }
                 PlanSource::Inject(plans) => self.plan_ws[l].clone_from(&plans[l]),
+                PlanSource::Dense => self.plan_ws[l].reset_none(LayerShape::vector(hidden)),
             }
             self.plan_ws[l].column_multiplier_into(hidden, &mut self.mult_ws[l]);
         }
@@ -527,7 +516,7 @@ impl LstmLm {
     fn train_batch_inner(&mut self, tokens: &[Vec<usize>], source: PlanSource<'_>) -> LmBatchStats {
         let seq_len = self.forward_logits(tokens, source);
         let ws = &mut self.seq_ws;
-        let stats = ws.stats();
+        let stats = lm_batch_stats(&ws.logits, &ws.targets, &mut ws.xent);
 
         // Backward: the projection's dX lands in `seq`, then each layer
         // multiplies in its dropout and hands its input gradient down.
@@ -554,16 +543,20 @@ impl LstmLm {
     }
 
     /// Evaluates loss, perplexity and next-token accuracy with dropout
-    /// disabled (dense forward on a clone, like the other families).
-    pub fn evaluate(&self, tokens: &[Vec<usize>]) -> LmBatchStats {
-        let mut model = self.clone();
-        let plans: Vec<DropoutPlan> = model
-            .layer_shapes()
-            .into_iter()
-            .map(DropoutPlan::none)
-            .collect();
-        model.forward_logits(tokens, PlanSource::Inject(&plans));
-        model.seq_ws.stats()
+    /// off: the training forward with every plan reset to the identity, on
+    /// the model's own recycled buffers, so a warmed call allocates
+    /// nothing. It overwrites the forward caches (gate caches, plan slots)
+    /// that a training step refills before its backward pass, and draws no
+    /// randomness, so interleaving evaluations leaves a training trajectory
+    /// bit for bit unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`LstmLm::train_batch`].
+    pub fn evaluate(&mut self, tokens: &[Vec<usize>]) -> LmBatchStats {
+        self.forward_logits(tokens, PlanSource::Dense);
+        let ws = &mut self.seq_ws;
+        lm_batch_stats(&ws.logits, &ws.targets, &mut ws.xent)
     }
 
     fn clip_and_step(&mut self) {
@@ -620,6 +613,21 @@ pub(crate) fn validate_batch(tokens: &[Vec<usize>], vocab: usize) -> (usize, usi
         }
     }
     (len - 1, tokens.len())
+}
+
+/// Loss, perplexity and next-token accuracy of `logits` against `targets`,
+/// the loss computed through the recycled cross-entropy `xent` scratch.
+pub(crate) fn lm_batch_stats(
+    logits: &Matrix,
+    targets: &[usize],
+    xent: &mut CrossEntropyScratch,
+) -> LmBatchStats {
+    let loss = softmax_cross_entropy_into(logits, targets, xent);
+    LmBatchStats {
+        loss,
+        perplexity: perplexity_from_nll(loss as f64),
+        accuracy: accuracy(logits, targets),
+    }
 }
 
 /// Applies a per-column multiplier in place — the allocation-free form of

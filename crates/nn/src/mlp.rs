@@ -11,7 +11,7 @@
 //! `(p1, p2)` rate pairs of Fig. 4 fluently.
 
 use crate::layers::Linear;
-use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into, CrossEntropyScratch};
+use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
 use crate::metrics::accuracy;
 use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
@@ -51,11 +51,12 @@ impl MlpConfig {
     }
 }
 
-/// Where a training forward pass gets each hidden layer's [`DropoutPlan`]:
-/// sampled from the layer's own scheme (the stand-alone training loop) or
-/// injected by the caller (a serving layer resolving plans through a
-/// memoized `PlanCache`). Shared with [`crate::lstm`], whose training step
-/// offers the same two entry points.
+/// Where a forward pass gets each dropout site's [`DropoutPlan`]: sampled
+/// from the site's own scheme (the stand-alone training loop), injected by
+/// the caller (a serving layer resolving plans through a memoized
+/// `PlanCache`), or the identity plan (evaluation). Shared with
+/// [`crate::lstm`] and [`crate::transformer`], whose forwards offer the
+/// same three sources.
 pub(crate) enum PlanSource<'a> {
     /// Sample a fresh plan per layer from its scheme.
     Sample(&'a mut dyn RngCore),
@@ -63,6 +64,9 @@ pub(crate) enum PlanSource<'a> {
     /// per-layer plan slots; `clone_from` recycles the slot buffers, so
     /// injection allocates nothing once the slots are warm.
     Inject(&'a [DropoutPlan]),
+    /// Reset every plan slot to [`DropoutPlan::none`] in place: the dense
+    /// forward of evaluation, run by the training code on its own buffers.
+    Dense,
 }
 
 /// Statistics of one training batch.
@@ -80,11 +84,10 @@ pub struct Mlp {
     hidden: Vec<HiddenBlock>,
     output: Linear,
     sgd: Sgd,
-    /// Softmax cross-entropy scratch recycled across training iterations.
+    /// Softmax cross-entropy scratch recycled across iterations.
     xent: CrossEntropyScratch,
-    /// Recycled logits buffer: lent to the fused forward pass and returned
-    /// by [`Mlp::train_batch`] after the loss is computed, so the output
-    /// layer allocates nothing per iteration either.
+    /// Recycled logits buffer the fused output layer writes into, so the
+    /// output layer allocates nothing per iteration either.
     logits_ws: Matrix,
     /// Ping-pong gradient buffers for the backward chain: each layer's
     /// [`Linear::backward_into`] writes its `dX` into one while the other
@@ -104,8 +107,6 @@ struct HiddenBlock {
     /// iterations). Also gates the backward ReLU: `relu(z) > 0 ⇔ z > 0`,
     /// so the pre-activation matrix no longer needs to be cached at all.
     activation: Matrix,
-    /// `true` between a forward pass and the matching backward pass.
-    armed: bool,
 }
 
 impl Mlp {
@@ -132,7 +133,6 @@ impl Mlp {
                 dropout: config.dropout.clone(),
                 plan: DropoutPlan::default(),
                 activation: Matrix::default(),
-                armed: false,
             });
             in_dim = width;
         }
@@ -224,20 +224,10 @@ impl Mlp {
         labels: &[usize],
         source: PlanSource<'_>,
     ) -> TrainBatchStats {
-        let logits = self.forward_train_inner(inputs, source);
-        let mut xent = std::mem::take(&mut self.xent);
-        let loss = softmax_cross_entropy_into(&logits, labels, &mut xent);
-        let acc = accuracy(&logits, labels);
-        // Hand the logits buffer back to the workspace so the next
-        // iteration's fused output layer reuses it.
-        self.logits_ws = logits;
-        self.backward(xent.grad_logits());
-        self.xent = xent;
+        let stats = self.forward_loss(inputs, labels, source);
+        self.backward();
         self.step();
-        TrainBatchStats {
-            loss,
-            accuracy: acc,
-        }
+        stats
     }
 
     /// The [`LayerShape`] of every hidden (dropout-carrying) layer, in
@@ -249,7 +239,16 @@ impl Mlp {
             .collect()
     }
 
-    fn forward_train_inner(&mut self, inputs: &Matrix, mut source: PlanSource<'_>) -> Matrix {
+    /// The one forward pass of training and evaluation: every hidden layer
+    /// with its plan from `source`, the output layer into `logits_ws`, then
+    /// the softmax cross-entropy (into `xent`) and accuracy of the logits
+    /// against `labels`.
+    fn forward_loss(
+        &mut self,
+        inputs: &Matrix,
+        labels: &[usize],
+        mut source: PlanSource<'_>,
+    ) -> TrainBatchStats {
         if let PlanSource::Inject(plans) = &source {
             assert_eq!(
                 plans.len(),
@@ -265,57 +264,47 @@ impl Mlp {
             } else {
                 &prev[l - 1].activation
             };
+            let shape = LayerShape::new(block.linear.in_features(), block.linear.out_features());
             match &mut source {
                 PlanSource::Sample(rng) => {
-                    let shape =
-                        LayerShape::new(block.linear.in_features(), block.linear.out_features());
                     block.dropout.plan_into(&mut **rng, shape, &mut block.plan);
                 }
                 PlanSource::Inject(plans) => block.plan.clone_from(&plans[l]),
+                PlanSource::Dense => block.plan.reset_none(shape),
             }
             // One fused whole-layer kernel, written straight into the
             // recycled activation buffer.
-            let mut activation = std::mem::take(&mut block.activation);
             block
                 .linear
-                .forward_act_into(x, &block.plan, Activation::Relu, &mut activation);
-            block.activation = activation;
-            block.armed = true;
+                .forward_act_into(x, &block.plan, Activation::Relu, &mut block.activation);
         }
         let x: &Matrix = match self.hidden.last() {
             Some(block) => &block.activation,
             None => inputs,
         };
         let out_shape = LayerShape::new(self.output.in_features(), self.output.out_features());
-        let out_plan = DropoutPlan::none(out_shape);
-        // Borrow the recycled logits buffer (train_batch returns it after
-        // the loss; external callers simply keep the matrix).
-        let mut logits = std::mem::take(&mut self.logits_ws);
-        self.output
-            .forward_act_into(x, &out_plan, Activation::Identity, &mut logits);
-        logits
-    }
-
-    /// Inference forward pass: dense GEMMs, no dropout, no caching.
-    pub fn forward_eval(&self, inputs: &Matrix) -> Matrix {
-        let mut x: Option<Matrix> = None;
-        for block in &self.hidden {
-            let input = x.as_ref().unwrap_or(inputs);
-            x = Some(ops::relu(&block.linear.infer(input)));
+        self.output.forward_act_into(
+            x,
+            &DropoutPlan::none(out_shape),
+            Activation::Identity,
+            &mut self.logits_ws,
+        );
+        TrainBatchStats {
+            loss: softmax_cross_entropy_into(&self.logits_ws, labels, &mut self.xent),
+            accuracy: accuracy(&self.logits_ws, labels),
         }
-        self.output.infer(x.as_ref().unwrap_or(inputs))
     }
 
-    /// Backward pass given the gradient of the loss w.r.t. the logits.
-    /// Every layer's `dX` lands in one of the two recycled ping-pong
-    /// buffers ([`Linear::backward_into`]); nothing is allocated per
-    /// iteration once the buffers are warmed.
-    fn backward(&mut self, grad_logits: &Matrix) {
+    /// Backward pass from the logits gradient the last
+    /// [`Mlp::forward_loss`] left in `xent`. Every layer's `dX` lands in
+    /// one of the two recycled ping-pong buffers
+    /// ([`Linear::backward_into`]); nothing is allocated per iteration once
+    /// the buffers are warmed.
+    fn backward(&mut self) {
         let (mut grad, mut scratch) = std::mem::take(&mut self.grad_ws);
-        self.output.backward_into(grad_logits, &mut grad);
+        self.output
+            .backward_into(self.xent.grad_logits(), &mut grad);
         for block in self.hidden.iter_mut().rev() {
-            assert!(block.armed, "backward needs a training forward pass");
-            block.armed = false;
             // The post-ReLU activation gates the gradient exactly like the
             // pre-activation would: relu(z) > 0 ⇔ z > 0.
             ops::relu_grad_mask_inplace(&mut grad, &block.activation);
@@ -334,11 +323,20 @@ impl Mlp {
         self.output.step(&sgd);
     }
 
-    /// Evaluates mean loss and accuracy on a labelled set (no dropout).
-    pub fn evaluate(&self, inputs: &Matrix, labels: &[usize]) -> (f32, f64) {
-        let logits = self.forward_eval(inputs);
-        let loss = softmax_cross_entropy(&logits, labels).loss;
-        (loss, accuracy(&logits, labels))
+    /// Evaluates mean loss and accuracy on a labelled set with dropout
+    /// off: the training forward with every plan reset to the identity, on
+    /// the model's own recycled buffers, so a warmed call allocates
+    /// nothing. It overwrites the forward caches a training step refills
+    /// before its backward pass, and draws no randomness, so interleaving
+    /// evaluations leaves a training trajectory bit for bit unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch shape does not match the network input or the
+    /// number of labels.
+    pub fn evaluate(&mut self, inputs: &Matrix, labels: &[usize]) -> (f32, f64) {
+        let stats = self.forward_loss(inputs, labels, PlanSource::Dense);
+        (stats.loss, stats.accuracy)
     }
 }
 
@@ -509,11 +507,13 @@ mod tests {
     fn eval_is_deterministic_even_with_dropout_configured() {
         let mut rng = StdRng::seed_from_u64(9);
         let dropout = scheme::bernoulli(DropoutRate::new(0.5).unwrap());
-        let mlp = Mlp::new(&config(dropout), &mut rng);
-        let x = Matrix::ones(4, 8);
-        let a = mlp.forward_eval(&x);
-        let b = mlp.forward_eval(&x);
+        let mut mlp = Mlp::new(&config(dropout), &mut rng);
+        let (x, labels) = (Matrix::ones(4, 8), [0, 1, 0, 1]);
+        let a = mlp.evaluate(&x, &labels);
+        let logits = mlp.logits_ws.clone();
+        let b = mlp.evaluate(&x, &labels);
         assert_eq!(a, b);
+        assert_eq!(logits, mlp.logits_ws);
     }
 
     #[test]

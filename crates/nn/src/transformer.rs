@@ -31,14 +31,14 @@
 //!   gated by the cached post-activation (`relu(z) > 0 ⇔ z > 0`).
 //!
 //! All softmax rows, per-head gathers and gradients live in recycled scratch
-//! workspaces (the `loss` scratch idiom): once shapes have stabilised the
-//! training hot path performs no per-iteration heap allocations, which the
-//! pointer-identity tests pin down.
+//! workspaces (the `loss` scratch idiom): once shapes have stabilised
+//! neither training nor evaluation performs a per-iteration heap
+//! allocation, which the pointer-identity tests below and the one-thread
+//! allocation counts of `tests/plan_allocations.rs` pin down.
 
 use crate::layers::Linear;
-use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
-use crate::lstm::{apply_column_multiplier_inplace, validate_batch, LmBatchStats};
-use crate::metrics::perplexity_from_nll;
+use crate::loss::CrossEntropyScratch;
+use crate::lstm::{apply_column_multiplier_inplace, lm_batch_stats, validate_batch, LmBatchStats};
 use crate::mlp::PlanSource;
 use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
@@ -351,7 +351,11 @@ impl EncoderBlock {
         let score_mul = self.score_multiplier(path, g);
         let ws = &mut self.ws;
         ws.ctx.resize(g.rows(), d);
-        ws.probs.resize_with(g.batch * g.heads, Matrix::default);
+        // Grow-only: entry `b·heads + h` is written before it is read, so a
+        // smaller batch keeps the spare matrices for the next larger one.
+        if ws.probs.len() < g.batch * g.heads {
+            ws.probs.resize_with(g.batch * g.heads, Matrix::default);
+        }
         for b in 0..g.batch {
             let row0 = b * g.seq;
             for i in 0..ws.head_ws.len() {
@@ -702,9 +706,7 @@ impl TransformerLm {
 
     fn train_batch_inner(&mut self, tokens: &[Vec<usize>], source: PlanSource<'_>) -> LmBatchStats {
         let g = self.forward_logits(tokens, source);
-
-        let loss = softmax_cross_entropy_into(&self.ws.logits, &self.ws.targets, &mut self.ws.xent);
-        let acc = crate::metrics::accuracy(&self.ws.logits, &self.ws.targets);
+        let stats = lm_batch_stats(&self.ws.logits, &self.ws.targets, &mut self.ws.xent);
 
         // Backward: projection, then the blocks top-down (each leaves its
         // input gradient in its own recycled `dx` buffer), then the
@@ -733,11 +735,7 @@ impl TransformerLm {
         }
 
         self.clip_and_step();
-        LmBatchStats {
-            loss,
-            perplexity: perplexity_from_nll(loss as f64),
-            accuracy: acc,
-        }
+        stats
     }
 
     /// Resolves plans, embeds the batch and runs every block, leaving the
@@ -771,6 +769,12 @@ impl TransformerLm {
                 PlanSource::Inject(plans) => {
                     block.attn_plan.clone_from(&plans[2 * l]);
                     block.ffn_plan.clone_from(&plans[2 * l + 1]);
+                }
+                PlanSource::Dense => {
+                    block.attn_plan.reset_none(LayerShape::new(d, d));
+                    block
+                        .ffn_plan
+                        .reset_none(LayerShape::new(d, block.ffn1.out_features()));
                 }
             }
         }
@@ -806,22 +810,19 @@ impl TransformerLm {
     }
 
     /// Evaluates loss, perplexity and next-token accuracy with dropout
-    /// disabled (dense forward on a clone, like the other families).
-    pub fn evaluate(&self, tokens: &[Vec<usize>]) -> LmBatchStats {
-        let mut model = self.clone();
-        let plans: Vec<DropoutPlan> = model
-            .layer_shapes()
-            .into_iter()
-            .map(DropoutPlan::none)
-            .collect();
-        let _ = model.forward_logits(tokens, PlanSource::Inject(&plans));
-        let loss =
-            softmax_cross_entropy_into(&model.ws.logits, &model.ws.targets, &mut model.ws.xent);
-        LmBatchStats {
-            loss,
-            perplexity: perplexity_from_nll(loss as f64),
-            accuracy: crate::metrics::accuracy(&model.ws.logits, &model.ws.targets),
-        }
+    /// off: the training forward with every plan reset to the identity, on
+    /// the model's own recycled buffers, so a warmed call allocates
+    /// nothing. It overwrites the forward caches (block workspaces, plan
+    /// slots) that a training step refills before its backward pass, and
+    /// draws no randomness, so interleaving evaluations leaves a training
+    /// trajectory bit for bit unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`TransformerLm::train_batch`].
+    pub fn evaluate(&mut self, tokens: &[Vec<usize>]) -> LmBatchStats {
+        self.forward_logits(tokens, PlanSource::Dense);
+        lm_batch_stats(&self.ws.logits, &self.ws.targets, &mut self.ws.xent)
     }
 
     /// Regrows the sinusoidal positional-encoding table when a longer

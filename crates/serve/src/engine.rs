@@ -260,12 +260,16 @@ impl Replica {
     }
 
     /// Dense evaluation over the batch (dropout off). Returns the loss.
+    /// Runs the network's training forward with identity plans on its own
+    /// warmed buffers, so a warm call allocates nothing. It leaves the
+    /// resolved plan slots, the seed epoch and the weights untouched, so
+    /// Infer dispatches never move a Train result.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` does not match the replica's network family.
-    pub fn infer(&self, inputs: &BatchInputs) -> f32 {
-        match (&self.net, inputs) {
+    pub fn infer(&mut self, inputs: &BatchInputs) -> f32 {
+        match (&mut self.net, inputs) {
             (ReplicaNet::Mlp(mlp), BatchInputs::Dense { inputs, labels }) => {
                 mlp.evaluate(inputs, labels).0
             }

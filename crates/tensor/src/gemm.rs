@@ -1113,14 +1113,14 @@ pub fn row_compact_gemm(
 
 /// Activation function fused into a kernel's write-back epilogue.
 ///
-/// The formulas match the stand-alone maps in [`crate::ops`] exactly, so a
-/// fused kernel is bitwise identical to the unfused
-/// GEMM → bias → activation chain it replaces. Both route through
-/// [`crate::simd`]: under an active vector level the transcendentals use
-/// the polynomial kernels (elementwise-deterministic, a few ULP from
-/// `libm`; see the `simd` module docs), and with `TENSOR_SIMD=0` the
-/// precise `libm` formulas — [`Activation::apply`] on one scalar always
-/// agrees bitwise with [`Activation::apply_slice`] on a row.
+/// A fused kernel is bitwise identical to the unfused
+/// GEMM → bias → [`Activation::apply`] chain it replaces. The activation
+/// routes through [`crate::simd`]: under an active vector level the
+/// transcendentals use the polynomial kernels (elementwise-deterministic,
+/// a few ULP from `libm`; see the `simd` module docs), and with
+/// `TENSOR_SIMD=0` the precise `libm` formulas — [`Activation::apply`] on
+/// one scalar always agrees bitwise with [`Activation::apply_slice`] on a
+/// row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Pass-through (`f(v) = v`): bias add only.

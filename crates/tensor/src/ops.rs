@@ -1,29 +1,15 @@
-//! Elementwise nonlinearities and row-wise softmax.
+//! Row-wise softmax and the backward ReLU gate.
 //!
-//! These are the activation functions the MLP and LSTM substrates need. Each
-//! forward function has a matching derivative helper expressed in terms of
-//! the forward output, which is how the backward passes use them.
-//!
-//! [`relu`], [`sigmoid`] and [`tanh`] route through the same
-//! [`crate::simd`] primitives as the fused GEMM epilogues, so fused and
-//! unfused layer paths stay bitwise identical at every SIMD level (ReLU is
-//! scalar-exact everywhere; the transcendentals switch to the documented
-//! polynomial forms when a vector level is active).
+//! The forward activations live in the fused GEMM epilogues
+//! ([`crate::Activation`]), so this module keeps only the two helpers the
+//! models call outside a GEMM: [`softmax_rows_into`] (the loss and the
+//! attention rows) and [`relu_grad_mask_inplace`] (every ReLU layer's
+//! backward pass). That the fused epilogues match an unfused GEMM, bias and
+//! activation chain bit for bit is pinned by `gemm`'s
+//! `fused_*_matches_unfused_chain_bitwise` tests; how far their vector
+//! transcendentals sit from libm is pinned by `simd`'s ULP tests.
 
 use crate::matrix::Matrix;
-use crate::simd;
-
-/// Rectified linear unit, `max(0, x)`, applied elementwise.
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut out = x.clone();
-    simd::relu_slice(out.as_mut_slice());
-    out
-}
-
-/// Derivative of ReLU expressed in terms of the pre-activation input.
-pub fn relu_grad(x: &Matrix) -> Matrix {
-    x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
-}
 
 /// In-place ReLU gradient gate: zeroes `grad` wherever the pre-activation
 /// `pre` is non-positive — `grad ⊙ relu'(pre)` without materialising the
@@ -45,43 +31,11 @@ pub fn relu_grad_mask_inplace(grad: &mut Matrix, pre: &Matrix) {
     }
 }
 
-/// Logistic sigmoid applied elementwise.
-pub fn sigmoid(x: &Matrix) -> Matrix {
-    let mut out = x.clone();
-    simd::sigmoid_slice(out.as_mut_slice());
-    out
-}
-
-/// Derivative of the sigmoid expressed in terms of the sigmoid *output* `y`:
-/// `y * (1 - y)`.
-pub fn sigmoid_grad_from_output(y: &Matrix) -> Matrix {
-    y.map(|v| v * (1.0 - v))
-}
-
-/// Hyperbolic tangent applied elementwise.
-pub fn tanh(x: &Matrix) -> Matrix {
-    let mut out = x.clone();
-    simd::tanh_slice(out.as_mut_slice());
-    out
-}
-
-/// Derivative of tanh expressed in terms of the tanh *output* `y`: `1 - y^2`.
-pub fn tanh_grad_from_output(y: &Matrix) -> Matrix {
-    y.map(|v| 1.0 - v * v)
-}
-
-/// Numerically stable row-wise softmax.
+/// Numerically stable row-wise softmax into a caller-owned matrix (resized
+/// in place), so per-iteration probability buffers can be recycled.
 ///
 /// Each row is treated as one sample's logits; the maximum logit is
 /// subtracted before exponentiation so large logits do not overflow.
-pub fn softmax_rows(x: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    softmax_rows_into(x, &mut out);
-    out
-}
-
-/// Like [`softmax_rows`] but writing into a caller-owned matrix (resized in
-/// place), so per-iteration probability buffers can be recycled.
 pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
     out.resize_for_overwrite(x.rows(), x.cols());
     for i in 0..x.rows() {
@@ -98,58 +52,14 @@ pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Row-wise log-softmax (used by the cross-entropy / perplexity metrics).
-pub fn log_softmax_rows(x: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for i in 0..x.rows() {
-        let row = x.row(i);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let log_denom = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
-        let out_row = out.row_mut(i);
-        for (j, &v) in row.iter().enumerate() {
-            out_row[j] = v - max - log_denom;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn relu_clamps_negatives() {
-        let x = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
-        assert_eq!(relu(&x).row(0), &[0.0, 0.0, 2.0]);
-        assert_eq!(relu_grad(&x).row(0), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn sigmoid_is_centered_at_half() {
-        let x = Matrix::from_rows(&[&[0.0]]);
-        let y = sigmoid(&x);
-        assert!((y[(0, 0)] - 0.5).abs() < 1e-6);
-        let g = sigmoid_grad_from_output(&y);
-        assert!((g[(0, 0)] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_saturates_towards_zero_and_one() {
-        let x = Matrix::from_rows(&[&[-20.0, 20.0]]);
-        let y = sigmoid(&x);
-        assert!(y[(0, 0)] < 1e-6);
-        assert!(y[(0, 1)] > 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn tanh_is_odd_and_bounded() {
-        let x = Matrix::from_rows(&[&[-3.0, 0.0, 3.0]]);
-        let y = tanh(&x);
-        assert!((y[(0, 0)] + y[(0, 2)]).abs() < 1e-6);
-        assert_eq!(y[(0, 1)], 0.0);
-        assert!(y.as_slice().iter().all(|v| v.abs() <= 1.0));
-        let g = tanh_grad_from_output(&y);
-        assert!((g[(0, 1)] - 1.0).abs() < 1e-6);
+    fn softmax_rows(x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        softmax_rows_into(x, &mut out);
+        out
     }
 
     #[test]
@@ -172,12 +82,10 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let x = Matrix::from_rows(&[&[0.3, -1.2, 2.5]]);
-        let s = softmax_rows(&x);
-        let ls = log_softmax_rows(&x);
-        for j in 0..3 {
-            assert!((ls[(0, j)] - s[(0, j)].ln()).abs() < 1e-5);
-        }
+    fn relu_grad_mask_zeroes_non_positive_pre_activations() {
+        let pre = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
+        let mut grad = Matrix::from_rows(&[&[3.0, 4.0, 5.0]]);
+        relu_grad_mask_inplace(&mut grad, &pre);
+        assert_eq!(grad.row(0), &[0.0, 0.0, 5.0]);
     }
 }

@@ -187,8 +187,9 @@ fn transformer_variants() -> Vec<(&'static str, Box<dyn DropoutScheme>, Box<dyn 
     ]
 }
 
-/// Same-seed training losses plus a deterministic eval loss — the bits the
-/// thread-invariance assertions compare.
+/// Same-seed training losses with an evaluation on a smaller batch midway,
+/// plus a final eval loss — the bits the thread-invariance assertions
+/// compare.
 fn transformer_trajectory(attn: &dyn DropoutScheme, ffn: &dyn DropoutScheme) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(77);
     let config = TransformerLmConfig {
@@ -209,9 +210,13 @@ fn transformer_trajectory(attn: &dyn DropoutScheme, ffn: &dyn DropoutScheme) -> 
     let batch: Vec<Vec<usize>> = (0..8)
         .map(|s| (0..9).map(|t| (s * 3 + t * 7) % 40).collect())
         .collect();
-    let mut bits: Vec<u32> = (0..6)
-        .map(|_| lm.train_batch(&batch, &mut rng).loss.to_bits())
-        .collect();
+    let mut bits = Vec::new();
+    for step in 0..6 {
+        bits.push(lm.train_batch(&batch, &mut rng).loss.to_bits());
+        if step == 2 {
+            bits.push(lm.evaluate(&batch[..5]).loss.to_bits());
+        }
+    }
     bits.push(lm.evaluate(&batch).loss.to_bits());
     bits
 }
@@ -226,8 +231,8 @@ fn lstm_variants() -> Vec<(&'static str, Box<dyn DropoutScheme>)> {
     ]
 }
 
-/// Same-seed LSTM LM training losses plus a deterministic eval loss, as bit
-/// patterns.
+/// Same-seed LSTM LM training losses with an evaluation on a smaller batch
+/// midway, plus a final eval loss, as bit patterns.
 fn lstm_trajectory(dropout: &dyn DropoutScheme) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(78);
     let config = LstmLmConfig {
@@ -246,13 +251,19 @@ fn lstm_trajectory(dropout: &dyn DropoutScheme) -> Vec<u32> {
     let batch: Vec<Vec<usize>> = (0..32)
         .map(|s| (0..9).map(|t| (s * 3 + t * 7) % 40).collect())
         .collect();
-    let mut bits: Vec<u32> = (0..6)
-        .map(|_| lm.train_batch(&batch, &mut rng).loss.to_bits())
-        .collect();
+    let mut bits = Vec::new();
+    for step in 0..6 {
+        bits.push(lm.train_batch(&batch, &mut rng).loss.to_bits());
+        if step == 2 {
+            bits.push(lm.evaluate(&batch[..24]).loss.to_bits());
+        }
+    }
     bits.push(lm.evaluate(&batch).loss.to_bits());
     bits
 }
 
+/// Same-seed MLP training losses with an evaluation on a smaller batch
+/// midway.
 fn train_losses() -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(42);
     let config = MlpConfig {
@@ -266,9 +277,15 @@ fn train_losses() -> Vec<f32> {
     let mut mlp = Mlp::new(&config, &mut rng);
     let inputs = init::uniform(&mut rng, 64, 24, -1.0, 1.0);
     let labels: Vec<usize> = (0..64).map(|i| i % 4).collect();
-    (0..10)
-        .map(|_| mlp.train_batch(&inputs, &labels, &mut rng).loss)
-        .collect()
+    let eval_inputs = init::uniform(&mut rng, 40, 24, -1.0, 1.0);
+    let mut losses = Vec::new();
+    for step in 0..10 {
+        losses.push(mlp.train_batch(&inputs, &labels, &mut rng).loss);
+        if step == 4 {
+            losses.push(mlp.evaluate(&eval_inputs, &labels[..40]).0);
+        }
+    }
+    losses
 }
 
 fn all_schemes() -> Vec<Box<dyn DropoutScheme>> {

@@ -1,7 +1,9 @@
-//! A warmed training step allocates nothing at any pool width. At batch 64
-//! every GEMM of the step below is wide enough to dispatch to the pool at
-//! two and four threads, so this pins that a parallel dispatch allocates
-//! nothing, on the calling thread or on the pool's workers.
+//! A warmed training step, and an evaluation between two steps, allocate
+//! nothing at any pool width. At batch 64 every GEMM of the step below is
+//! wide enough to dispatch to the pool at two and four threads, and so is
+//! every forward GEMM of the 48-row evaluation, so this pins that a
+//! parallel dispatch allocates nothing, on the calling thread or on the
+//! pool's workers, when the batch size changes between calls too.
 //!
 //! The counting global allocator below counts every thread of the process,
 //! which is why this test has a binary of its own: no other test runs while
@@ -55,9 +57,9 @@ fn warmed_mlp_train_step_allocates_nothing_at_two_and_four_threads() {
         "crs:0.5",
         "row_crs:0.5:16:0.5",
     ];
-    let (batch, input_dim, hidden, output_dim) = (64, 32, 32, 10);
+    let (batch, eval_batch, input_dim, hidden, output_dim) = (64, 48, 32, 32, 10);
     // Forward and dX GEMMs split the batch rows, dW GEMMs the input rows.
-    assert!(batch.min(input_dim).min(hidden) >= pool::par_min_rows());
+    assert!(eval_batch.min(input_dim).min(hidden) >= pool::par_min_rows());
     for threads in [2, 4] {
         pool::set_threads(threads);
         for spec in specs {
@@ -74,19 +76,26 @@ fn warmed_mlp_train_step_allocates_nothing_at_two_and_four_threads() {
             let mut mlp = Mlp::new(&config, &mut rng);
             let inputs = tensor::init::uniform(&mut rng, batch, input_dim, -1.0, 1.0);
             let labels: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..output_dim)).collect();
+            let eval_inputs = tensor::init::uniform(&mut rng, eval_batch, input_dim, -1.0, 1.0);
+            let eval_labels = &labels[..eval_batch];
+            let mut step = || {
+                mlp.train_batch(&inputs, &labels, &mut rng);
+                mlp.evaluate(&eval_inputs, eval_labels);
+            };
             // Tile and block kept sets vary in size, so their buffers keep
             // growing to new highs for a while: the warm-up is long.
             for _ in 0..300 {
-                mlp.train_batch(&inputs, &labels, &mut rng);
+                step();
             }
             let before = ALLOCATIONS.load(Ordering::SeqCst);
             for _ in 0..100 {
-                mlp.train_batch(&inputs, &labels, &mut rng);
+                step();
             }
             let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
             assert_eq!(
                 allocations, 0,
-                "{spec} at {threads} threads: {allocations} allocations in 100 warmed train steps"
+                "{spec} at {threads} threads: {allocations} allocations in 100 warmed \
+                 train+evaluate steps"
             );
         }
     }

@@ -2,7 +2,8 @@
 //! plans must be bitwise identical to freshly sampled ones for every
 //! scheme family, cache hits must recycle the destination buffers, and a
 //! serve engine must produce bit-for-bit the same losses with the cache
-//! on and off.
+//! on and off — and the same Train losses with its Infer dispatches
+//! removed.
 
 use approx_dropout::{
     scheme, DropoutPlan, DropoutRate, DropoutScheme, LayerShape, PlanCache, PlanKey, RowPattern,
@@ -100,10 +101,39 @@ fn eviction_resamples_identical_plans() {
     assert_eq!(first, again, "re-sampled plan diverged from evicted one");
 }
 
+/// Infer dispatches never move training: the Train outcomes (loss bits and
+/// seed epoch) of `trace` equal those of the same trace with its Infer
+/// batches removed, so an evaluation neither changes a replica's weights
+/// nor advances its epoch.
+fn assert_infers_never_move_training(
+    catalog: &[ModelSpec],
+    trace: &[Vec<JobSpec>],
+    epoch_rounds: u64,
+    init_seed: u64,
+) {
+    let train_outcomes = |with_infers: bool| -> Vec<(u32, u64)> {
+        let mut engine = ShardEngine::new(catalog, None, epoch_rounds, init_seed);
+        trace
+            .iter()
+            .filter(|batch| with_infers || batch[0].kind == JobKind::Train)
+            .map(|batch| engine.execute(batch))
+            .filter(|outcome| outcome.kind == JobKind::Train)
+            .map(|outcome| (outcome.value.to_bits(), outcome.epoch))
+            .collect()
+    };
+    assert!(trace.iter().any(|batch| batch[0].kind == JobKind::Infer));
+    assert_eq!(
+        train_outcomes(true),
+        train_outcomes(false),
+        "Infer dispatches must not move a Train result"
+    );
+}
+
 /// A deterministic multi-model trace (MLP and LSTM replicas, train and
 /// infer dispatches, several seed epochs, enough dispatches to trigger
 /// cache eviction) produces bit-for-bit identical losses whether plans
-/// come from the shared cache or are sampled per dispatch.
+/// come from the shared cache or are sampled per dispatch, and its Infer
+/// dispatches never move its Train losses.
 #[test]
 fn serve_results_bitwise_identical_with_and_without_cache() {
     let catalog = vec![
@@ -170,12 +200,14 @@ fn serve_results_bitwise_identical_with_and_without_cache() {
         stats.hits > 0,
         "the trace must actually exercise the hit path (got {stats:?})"
     );
+    assert_infers_never_move_training(&catalog, &trace, 2, 42);
 }
 
 /// The transformer replica rides the same determinism contract: a trace of
 /// whole-head-drop train and infer dispatches against `TransformerLm`
 /// replicas produces bit-for-bit the same losses with the shared plan
-/// cache on and off.
+/// cache on and off, and the same Train losses with its Infer dispatches
+/// removed.
 #[test]
 fn transformer_serve_results_bitwise_identical_with_and_without_cache() {
     let catalog = vec![ModelSpec::transformer_lm(
@@ -235,4 +267,5 @@ fn transformer_serve_results_bitwise_identical_with_and_without_cache() {
         stats.hits > 0,
         "the transformer trace must exercise the hit path (got {stats:?})"
     );
+    assert_infers_never_move_training(&catalog, &trace, 2, 7);
 }

@@ -215,8 +215,8 @@ fn all_kernel_families_match_scalar_bitwise_at_one_and_four_threads() {
     simd::set_level(entry);
 }
 
-/// Same-seed transformer training losses plus a deterministic eval loss,
-/// as bit patterns.
+/// Same-seed transformer training losses with an evaluation on a smaller
+/// batch midway, plus a final eval loss, as bit patterns.
 fn transformer_trajectory(attn: &dyn DropoutScheme, ffn: &dyn DropoutScheme) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(0x51D5);
     let config = TransformerLmConfig {
@@ -235,9 +235,13 @@ fn transformer_trajectory(attn: &dyn DropoutScheme, ffn: &dyn DropoutScheme) -> 
     let batch: Vec<Vec<usize>> = (0..8)
         .map(|s| (0..9).map(|t| (s * 5 + t * 11) % 40).collect())
         .collect();
-    let mut bits: Vec<u32> = (0..5)
-        .map(|_| lm.train_batch(&batch, &mut rng).loss.to_bits())
-        .collect();
+    let mut bits = Vec::new();
+    for step in 0..5 {
+        bits.push(lm.train_batch(&batch, &mut rng).loss.to_bits());
+        if step == 2 {
+            bits.push(lm.evaluate(&batch[..5]).loss.to_bits());
+        }
+    }
     bits.push(lm.evaluate(&batch).loss.to_bits());
     bits
 }
@@ -278,8 +282,8 @@ fn transformer_attention_matches_scalar_bitwise_for_every_structured_path() {
     simd::set_level(entry);
 }
 
-/// Same-seed LSTM LM training losses plus a deterministic eval loss, as bit
-/// patterns.
+/// Same-seed LSTM LM training losses with an evaluation on a smaller batch
+/// midway, plus a final eval loss, as bit patterns.
 fn lstm_trajectory(dropout: &dyn DropoutScheme) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(0x51D6);
     let config = LstmLmConfig {
@@ -296,9 +300,13 @@ fn lstm_trajectory(dropout: &dyn DropoutScheme) -> Vec<u32> {
     let batch: Vec<Vec<usize>> = (0..32)
         .map(|s| (0..9).map(|t| (s * 5 + t * 11) % 40).collect())
         .collect();
-    let mut bits: Vec<u32> = (0..6)
-        .map(|_| lm.train_batch(&batch, &mut rng).loss.to_bits())
-        .collect();
+    let mut bits = Vec::new();
+    for step in 0..6 {
+        bits.push(lm.train_batch(&batch, &mut rng).loss.to_bits());
+        if step == 2 {
+            bits.push(lm.evaluate(&batch[..24]).loss.to_bits());
+        }
+    }
     bits.push(lm.evaluate(&batch).loss.to_bits());
     bits
 }
