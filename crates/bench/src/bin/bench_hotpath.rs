@@ -9,7 +9,8 @@
 //! 2. the packed dense GEMM at 1/2/4 threads — batch-dimension scaling —
 //!    and, recorded in every mode, the smoke layer's 48×64×64 GEMM at 1 and
 //!    2 threads, where the pool's dispatch cost is a large share of the
-//!    kernel;
+//!    kernel, beside the cost of an empty pool dispatch (a no-op kernel
+//!    over `par_min_rows` rows) at 1 and 2 threads;
 //! 3. the row- and tile-compacted kernels at a dp=2 pattern versus the dense
 //!    kernel — the speedup the paper's compaction is supposed to buy once
 //!    constant overhead stops drowning it;
@@ -251,6 +252,30 @@ fn main() {
     card.section("small_gemm", |card| {
         card.counts("shape", &small_shape);
         card.map("secs_by_threads", &small_by_threads, 6);
+    });
+
+    // 2c. Empty dispatch: `run_row_chunks` with a no-op kernel over the
+    //     smallest batch the pool splits, so the seconds are the dispatch
+    //     cost alone — the data the `par_min_rows` threshold trades
+    //     against. Recorded only.
+    let empty_rows = pool::par_min_rows();
+    let mut empty_out = vec![0.0f32; empty_rows];
+    let empty_by_threads: Vec<(usize, f64)> = [1, 2]
+        .into_iter()
+        .map(|t| {
+            pool::set_threads(t);
+            let secs = best_of(2000, || {
+                pool::run_row_chunks(empty_rows, 1, &mut empty_out, |rows, chunk| {
+                    std::hint::black_box((rows, chunk));
+                });
+            });
+            eprintln!("empty dispatch {t} thread(s) {:>6.2} us", secs * 1e6);
+            (t, secs)
+        })
+        .collect();
+    card.section("empty_dispatch", |card| {
+        card.count("rows", empty_rows);
+        card.map("secs_by_threads", &empty_by_threads, 9);
     });
 
     // 3. Compacted kernels at a dp=2 pattern, single-threaded, against the

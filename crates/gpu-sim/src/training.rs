@@ -638,8 +638,8 @@ impl NetworkTimingModel {
 
     /// Time of one multi-head self-attention layer for a full iteration.
     ///
-    /// The attention plan prices exactly what the executor in
-    /// `nn::transformer` runs:
+    /// The attention plan prices the executor in `nn::transformer` arm by
+    /// arm:
     ///
     /// * an `NmCompact` plan routes all four `(model_dim × model_dim)`
     ///   projections (Q, K, V, O) through the compacted N:M kernel via
@@ -652,6 +652,16 @@ impl NetworkTimingModel {
     ///   and O's input GEMM skips the dropped heads' zero columns;
     /// * mask-family plans (conventional Bernoulli) leave everything dense
     ///   and pay the per-iteration mask kernel on the context tensor.
+    ///
+    /// One convention, like the consuming-GEMM rule on
+    /// [`price_fc_schedule`]: the model prices the full `seq × seq` QKᵀ,
+    /// softmax and attn·V of every computed head, causal mask included.
+    /// The CPU executor scores only the unmasked lower triangle and skips
+    /// the quads of its attention products that the mask zeroes entirely,
+    /// so it runs a little over half of these FLOPs at lm_train's seq 24.
+    /// Pricing the triangle would move the `pricing_properties` pins and
+    /// the transformer goldens, so it is a deliberate pricing change of its
+    /// own.
     fn attention_layer(
         &self,
         name: &str,

@@ -24,9 +24,11 @@
 //! * [`optimizer::Sgd`] — plain SGD with momentum (lr 0.01, momentum 0.9 for
 //!   the MLP experiments).
 //! * [`loss`] / [`metrics`] — one softmax cross-entropy,
-//!   [`loss::softmax_cross_entropy_into`], writing into recycled
-//!   [`loss::CrossEntropyScratch`] buffers for training and evaluation
-//!   alike; classification accuracy and perplexity.
+//!   [`loss::softmax_cross_entropy_into`], one libm `exp` per logit written
+//!   straight into the recycled gradient buffer of
+//!   [`loss::CrossEntropyScratch`], which also counts the argmax hits
+//!   behind [`loss::CrossEntropyScratch::accuracy`], for training and
+//!   evaluation alike; perplexity.
 //! * [`trainer`] — a small training loop that records per-iteration loss,
 //!   accuracy and (model-provided) time so the convergence curves of Fig. 5
 //!   can be reproduced.
@@ -73,7 +75,7 @@ pub use approx_dropout::{DropoutPlan, DropoutScheme, KernelSchedule, LayerShape}
 pub use builder::{LstmBuilder, NetworkBuilder};
 pub use layers::Linear;
 pub use loss::{softmax_cross_entropy_into, CrossEntropyScratch};
-pub use metrics::{accuracy, perplexity_from_nll};
+pub use metrics::perplexity_from_nll;
 pub use mlp::{Mlp, MlpConfig, TrainBatchStats};
 pub use optimizer::Sgd;
 pub use trainer::{TrainRecord, Trainer, TrainerConfig};

@@ -1,34 +1,44 @@
 //! Softmax cross-entropy loss.
 
-use tensor::{ops, Matrix};
+use tensor::Matrix;
 
-/// Recycled buffers for [`softmax_cross_entropy_into`]: the probability
-/// matrix and the logits gradient, reused across training iterations so the
-/// loss computation stops allocating once warmed up (the same workspace
-/// discipline the layers follow).
+/// Recycled buffers for [`softmax_cross_entropy_into`]: the logits gradient,
+/// which holds each row's `exp` values until they become the gradient, and
+/// the count of rows whose argmax hit the label. Reused across training
+/// iterations, so the loss stops allocating once warmed up (the same
+/// workspace discipline the layers follow).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrossEntropyScratch {
-    probs: Matrix,
     grad_logits: Matrix,
+    hits: usize,
 }
 
 impl CrossEntropyScratch {
-    /// Row-wise softmax probabilities of the most recent call.
-    pub fn probabilities(&self) -> &Matrix {
-        &self.probs
-    }
-
     /// Gradient of the mean loss w.r.t. the logits of the most recent call.
     pub fn grad_logits(&self) -> &Matrix {
         &self.grad_logits
     }
+
+    /// Fraction of the most recent call's rows whose argmax (the first
+    /// maximum) equals the label; 0 for an empty batch.
+    pub fn accuracy(&self) -> f64 {
+        match self.grad_logits.rows() {
+            0 => 0.0,
+            rows => self.hits as f64 / rows as f64,
+        }
+    }
 }
 
 /// Mean softmax cross-entropy between `logits` (one row per sample) and
-/// integer class `labels`: writes the probabilities and the gradient of the
-/// mean loss w.r.t. the logits (already divided by the batch size, ready
-/// for the backward pass) into `scratch`, whose buffers are recycled across
-/// calls, and returns the mean loss.
+/// integer class `labels`: writes the gradient of the mean loss w.r.t. the
+/// logits (already divided by the batch size, ready for the backward pass)
+/// and the argmax hit count into `scratch`, whose buffers are recycled
+/// across calls, and returns the mean loss.
+///
+/// One pass per row over its logits finds the max and the argmax, a second
+/// writes `exp(v − max)` into the gradient row beside the row sum, and a
+/// third turns that row into `(p − 1[label]) / batch` — one libm `exp` per
+/// logit.
 ///
 /// # Panics
 ///
@@ -44,37 +54,51 @@ pub fn softmax_cross_entropy_into(
         "one label per logits row is required"
     );
     let batch = logits.rows().max(1);
-    ops::softmax_rows_into(logits, &mut scratch.probs);
-    // The loss needs the log-softmax only at the label positions, so the
-    // per-row log-denominator is computed on the fly instead of
-    // materialising the whole log-softmax matrix.
+    let inv = 1.0 / batch as f32;
+    scratch
+        .grad_logits
+        .resize_for_overwrite(logits.rows(), logits.cols());
+    scratch.hits = 0;
     let mut loss = 0.0f32;
     for (i, &label) in labels.iter().enumerate() {
         assert!(label < logits.cols(), "label {label} out of range");
         let row = logits.row(i);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let log_denom = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
-        loss -= row[label] - max - log_denom;
+        let (mut max, mut argmax) = (f32::NEG_INFINITY, 0);
+        for (j, &v) in row.iter().enumerate() {
+            max = max.max(v);
+            if v > row[argmax] {
+                argmax = j;
+            }
+        }
+        scratch.hits += usize::from(argmax == label);
+        let grad = scratch.grad_logits.row_mut(i);
+        let mut denom = 0.0;
+        for (g, &v) in grad.iter_mut().zip(row) {
+            *g = (v - max).exp();
+            denom += *g;
+        }
+        let label_p = grad[label] / denom;
+        for g in grad.iter_mut() {
+            *g = *g / denom * inv;
+        }
+        grad[label] = (label_p - 1.0) * inv;
+        loss -= row[label] - max - denom.ln();
     }
-    loss /= batch as f32;
-    scratch.grad_logits.clone_from(&scratch.probs);
-    for (i, &label) in labels.iter().enumerate() {
-        scratch.grad_logits[(i, label)] -= 1.0;
-    }
-    let inv = 1.0 / batch as f32;
-    scratch.grad_logits.map_inplace(|v| v * inv);
-    loss
+    loss / batch as f32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The three-pass reference [`softmax_cross_entropy_into`] must match
     /// bit for bit: whole softmax rows, whole log-softmax rows, then the
-    /// loss at the labels and the gradient scaled by the batch size.
-    /// Returns `(loss, probabilities, grad_logits)`.
-    fn three_pass_reference(logits: &Matrix, labels: &[usize]) -> (f32, Matrix, Matrix) {
+    /// loss at the labels and the gradient scaled by the batch size, with
+    /// the accuracy from a separate first-maximum argmax per row.
+    /// Returns `(loss, grad_logits, accuracy)`.
+    fn three_pass_reference(logits: &Matrix, labels: &[usize]) -> (f32, Matrix, f64) {
         let batch = logits.rows().max(1);
         let (rows, cols) = logits.shape();
         let (mut probs, mut log_probs) = (Matrix::zeros(rows, cols), Matrix::zeros(rows, cols));
@@ -93,12 +117,36 @@ mod tests {
         }
         let mut loss = 0.0f32;
         let mut grad = probs.clone();
+        let mut correct = 0;
         for (i, &label) in labels.iter().enumerate() {
             loss -= log_probs[(i, label)];
             grad[(i, label)] -= 1.0;
+            let row = logits.row(i);
+            let mut best = 0;
+            for (j, &v) in row.iter().enumerate() {
+                if v > row[best] {
+                    best = j;
+                }
+            }
+            correct += usize::from(best == label);
         }
         loss /= batch as f32;
-        (loss, probs, grad.scale(1.0 / batch as f32))
+        let accuracy = if rows == 0 {
+            0.0
+        } else {
+            correct as f64 / rows as f64
+        };
+        (loss, grad.scale(1.0 / batch as f32), accuracy)
+    }
+
+    /// The softmax probabilities of the most recent call, recovered from
+    /// its gradient `(p − 1[label]) / batch`.
+    fn probabilities(scratch: &CrossEntropyScratch, labels: &[usize]) -> Matrix {
+        let grad = scratch.grad_logits();
+        let batch = grad.rows().max(1) as f32;
+        Matrix::from_fn(grad.rows(), grad.cols(), |i, j| {
+            grad[(i, j)] * batch + if j == labels[i] { 1.0 } else { 0.0 }
+        })
     }
 
     /// The mean loss of one call on a fresh scratch.
@@ -106,16 +154,34 @@ mod tests {
         softmax_cross_entropy_into(logits, labels, &mut CrossEntropyScratch::default())
     }
 
+    /// Loss, gradient and accuracy match the reference bit for bit: on a
+    /// small hand-written batch, then on random rows at several widths
+    /// with ties and a huge uniform row mixed in, through one recycled
+    /// scratch that carries nothing over between shapes.
     #[test]
     fn scratch_variant_matches_allocating_function_bitwise() {
         let logits = Matrix::from_rows(&[&[0.3, -0.7, 1.2], &[2.0, 0.1, -1.0], &[0.0, 0.0, 5.0]]);
         let labels = vec![1, 0, 2];
-        let (loss_ref, probs_ref, grad_ref) = three_pass_reference(&logits, &labels);
+        let (loss_ref, grad_ref, _) = three_pass_reference(&logits, &labels);
         let mut scratch = CrossEntropyScratch::default();
         let loss = softmax_cross_entropy_into(&logits, &labels, &mut scratch);
         assert_eq!(loss.to_bits(), loss_ref.to_bits());
-        assert_eq!(*scratch.probabilities(), probs_ref);
         assert_eq!(*scratch.grad_logits(), grad_ref);
+
+        let mut rng = StdRng::seed_from_u64(21);
+        for &(rows, cols) in &[(7, 1), (16, 10), (5, 37), (33, 1000), (0, 4)] {
+            let mut logits = tensor::init::gaussian(&mut rng, rows, cols, 0.0, 3.0);
+            if rows > 2 && cols > 2 {
+                logits[(1, 2)] = logits[(1, 0)];
+                logits.row_mut(2).fill(1000.0);
+            }
+            let labels: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..cols)).collect();
+            let (loss_ref, grad_ref, accuracy_ref) = three_pass_reference(&logits, &labels);
+            let loss = softmax_cross_entropy_into(&logits, &labels, &mut scratch);
+            assert_eq!(loss.to_bits(), loss_ref.to_bits(), "{rows}x{cols}");
+            assert_eq!(*scratch.grad_logits(), grad_ref, "{rows}x{cols}");
+            assert_eq!(scratch.accuracy().to_bits(), accuracy_ref.to_bits());
+        }
     }
 
     #[test]
@@ -124,10 +190,8 @@ mod tests {
         let labels = vec![1, 0];
         let mut scratch = CrossEntropyScratch::default();
         let _ = softmax_cross_entropy_into(&logits, &labels, &mut scratch);
-        let probs_ptr = scratch.probs.as_slice().as_ptr();
         let grad_ptr = scratch.grad_logits.as_slice().as_ptr();
         let _ = softmax_cross_entropy_into(&logits, &labels, &mut scratch);
-        assert_eq!(probs_ptr, scratch.probs.as_slice().as_ptr());
         assert_eq!(grad_ptr, scratch.grad_logits.as_slice().as_ptr());
     }
 
@@ -204,10 +268,37 @@ mod tests {
         let _ = loss_of(&Matrix::zeros(2, 3), &[0, 3]);
     }
 
+    /// A non-label class's gradient entry is its probability over the
+    /// batch size.
     #[test]
     fn probabilities_are_exposed() {
         let mut scratch = CrossEntropyScratch::default();
         let _ = softmax_cross_entropy_into(&Matrix::zeros(1, 4), &[0], &mut scratch);
-        assert!((scratch.probabilities()[(0, 0)] - 0.25).abs() < 1e-6);
+        assert!((scratch.grad_logits()[(0, 1)] - 0.25).abs() < 1e-6);
+    }
+
+    #[test]
+    fn softmax_rows_sum_to_one() {
+        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1000.0, 1000.0, 1000.0]]);
+        let labels = [0, 1];
+        let mut scratch = CrossEntropyScratch::default();
+        let _ = softmax_cross_entropy_into(&x, &labels, &mut scratch);
+        let s = probabilities(&scratch, &labels);
+        for i in 0..2 {
+            let sum: f32 = s.row(i).iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "row {i} sums to {sum}");
+        }
+        // Uniform logits yield uniform probabilities even when huge.
+        assert!((s[(1, 0)] - 1.0 / 3.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn softmax_prefers_largest_logit() {
+        let x = Matrix::from_rows(&[&[0.0, 5.0, 1.0]]);
+        let mut scratch = CrossEntropyScratch::default();
+        let _ = softmax_cross_entropy_into(&x, &[1], &mut scratch);
+        assert_eq!(scratch.accuracy(), 1.0);
+        let s = probabilities(&scratch, &[1]);
+        assert!(s[(0, 1)] > s[(0, 0)] && s[(0, 1)] > s[(0, 2)]);
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::layers::Linear;
 use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
-use crate::metrics::{accuracy, perplexity_from_nll};
+use crate::metrics::perplexity_from_nll;
 use crate::mlp::PlanSource;
 use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
@@ -339,7 +339,7 @@ struct SeqWorkspace {
     logits: Matrix,
     /// Next-token targets of the logits rows.
     targets: Vec<usize>,
-    /// Softmax cross-entropy probability/gradient buffers.
+    /// Softmax cross-entropy gradient buffer and argmax hit count.
     xent: CrossEntropyScratch,
 }
 
@@ -626,7 +626,7 @@ pub(crate) fn lm_batch_stats(
     LmBatchStats {
         loss,
         perplexity: perplexity_from_nll(loss as f64),
-        accuracy: accuracy(logits, targets),
+        accuracy: xent.accuracy(),
     }
 }
 
@@ -861,16 +861,13 @@ mod tests {
         let next_ptr = lm.seq_ws.next.as_slice().as_ptr();
         let logits_ptr = lm.seq_ws.logits.as_slice().as_ptr();
         let targets_ptr = lm.seq_ws.targets.as_ptr();
-        let probs_ptr = lm.seq_ws.xent.probabilities().as_slice().as_ptr();
+        let grad_ptr = lm.seq_ws.xent.grad_logits().as_slice().as_ptr();
         let _ = lm.train_batch(&batch, &mut rng);
         assert_eq!(seq_ptr, lm.seq_ws.seq.as_slice().as_ptr());
         assert_eq!(next_ptr, lm.seq_ws.next.as_slice().as_ptr());
         assert_eq!(logits_ptr, lm.seq_ws.logits.as_slice().as_ptr());
         assert_eq!(targets_ptr, lm.seq_ws.targets.as_ptr());
-        assert_eq!(
-            probs_ptr,
-            lm.seq_ws.xent.probabilities().as_slice().as_ptr()
-        );
+        assert_eq!(grad_ptr, lm.seq_ws.xent.grad_logits().as_slice().as_ptr());
     }
 
     #[test]

@@ -1,24 +1,7 @@
-//! Evaluation metrics: classification accuracy and language-model perplexity.
-
-use tensor::Matrix;
-
-/// Fraction of rows of `logits` whose argmax equals the corresponding label.
-///
-/// # Panics
-///
-/// Panics if `labels.len() != logits.rows()`.
-pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
-    assert_eq!(labels.len(), logits.rows(), "one label per row is required");
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let correct = labels
-        .iter()
-        .enumerate()
-        .filter(|(i, &label)| logits.argmax_row(*i) == label)
-        .count();
-    correct as f64 / labels.len() as f64
-}
+//! Evaluation metrics: language-model perplexity and a running mean.
+//! Classification accuracy is counted by the loss in the same pass that
+//! finds each row's max ([`crate::CrossEntropyScratch::accuracy`]); its
+//! tests live here beside the other metrics.
 
 /// Converts a mean negative log-likelihood (in nats per token) into
 /// perplexity, the metric the paper reports for the PTB experiment.
@@ -63,6 +46,15 @@ impl RunningMean {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
+    use tensor::Matrix;
+
+    /// Accuracy of `labels` against `logits`, counted by the loss.
+    fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
+        let mut scratch = CrossEntropyScratch::default();
+        let _ = softmax_cross_entropy_into(logits, labels, &mut scratch);
+        scratch.accuracy()
+    }
 
     #[test]
     fn accuracy_counts_argmax_matches() {
@@ -72,13 +64,21 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_of_empty_batch_is_zero() {
-        let logits = Matrix::zeros(0, 3);
-        assert_eq!(accuracy(&logits, &[]), 0.0);
+    fn accuracy_resolves_ties_to_first_max() {
+        let ties = Matrix::from_rows(&[&[0.1, 0.9, 0.9], &[2.0, 1.0, 0.0]]);
+        assert_eq!(accuracy(&ties, &[1, 0]), 1.0);
+        assert_eq!(accuracy(&ties, &[2, 0]), 0.5);
     }
 
     #[test]
-    #[should_panic(expected = "one label per row")]
+    fn accuracy_of_empty_batch_is_zero() {
+        let logits = Matrix::zeros(0, 3);
+        assert_eq!(accuracy(&logits, &[]), 0.0);
+        assert_eq!(CrossEntropyScratch::default().accuracy(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one label per logits row")]
     fn accuracy_rejects_mismatched_labels() {
         let _ = accuracy(&Matrix::zeros(2, 2), &[0]);
     }

@@ -12,7 +12,6 @@
 
 use crate::layers::Linear;
 use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
-use crate::metrics::accuracy;
 use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
 use rand::{Rng, RngCore};
@@ -291,7 +290,7 @@ impl Mlp {
         );
         TrainBatchStats {
             loss: softmax_cross_entropy_into(&self.logits_ws, labels, &mut self.xent),
-            accuracy: accuracy(&self.logits_ws, labels),
+            accuracy: self.xent.accuracy(),
         }
     }
 

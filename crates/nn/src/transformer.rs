@@ -30,9 +30,13 @@
 //!   exactly like an [`crate::Mlp`] hidden layer. The backward ReLU is
 //!   gated by the cached post-activation (`relu(z) > 0 ⇔ z > 0`).
 //!
-//! All softmax rows, per-head gathers and gradients live in recycled scratch
-//! workspaces (the `loss` scratch idiom): once shapes have stabilised
-//! neither training nor evaluation performs a per-iteration heap
+//! Causal attention runs in place over each kept head's column band of the
+//! Q/K/V projections: only unmasked scores are computed, one `exp` each,
+//! and the products accumulate straight into the context and gradient
+//! bands, bit for bit the dense per-head GEMMs (pinned against
+//! `tests::per_head_gemm_reference`). Softmax rows and gradients live in
+//! recycled scratch workspaces (the `loss` scratch idiom): once shapes have
+//! stabilised neither training nor evaluation performs a per-iteration heap
 //! allocation, which the pointer-identity tests below and the one-thread
 //! allocation counts of `tests/plan_allocations.rs` pin down.
 
@@ -43,7 +47,8 @@ use crate::mlp::PlanSource;
 use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
 use rand::Rng;
-use tensor::{gemm, init, ops, Matrix};
+use std::ops::Range;
+use tensor::{init, ops, simd, Matrix};
 
 /// Configuration of the transformer encoder language model.
 #[derive(Debug, Clone)]
@@ -142,10 +147,9 @@ fn attn_path(plan: &DropoutPlan, g: Geom) -> AttnPath {
     AttnPath::Multiplier
 }
 
-/// Recycled scratch of one encoder block: activations, per-head gathers,
-/// cached softmax rows and every backward buffer. All matrices are resized
-/// in place each iteration, so nothing is reallocated while shapes are
-/// stable.
+/// Recycled scratch of one encoder block: activations, cached softmax rows
+/// and every backward buffer. All buffers are resized in place each
+/// iteration, so nothing is reallocated while shapes are stable.
 #[derive(Debug, Clone, Default)]
 struct BlockWorkspace {
     /// Q/K/V projection outputs, `(batch·seq, model_dim)`.
@@ -161,15 +165,13 @@ struct BlockWorkspace {
     ffn_act: Matrix,
     /// Block output `y1 + ffn2(ffn_act)`.
     y2: Matrix,
-    /// Per-(batch, head) gather scratch, `(seq, head_dim)`.
-    qh: Matrix,
-    kh: Matrix,
-    vh: Matrix,
-    ctx_h: Matrix,
-    /// Pre-softmax scores forward, softmax-backward `dS` backward.
-    scores: Matrix,
-    /// Cached softmax rows per (batch, head), indexed `b·heads + h`.
-    probs: Vec<Matrix>,
+    /// Cached softmax rows: one `seq × seq` block per (batch, head) at
+    /// `(b·heads + h)·seq²`, zero above the diagonal. Grow-only, so a
+    /// smaller batch keeps the room for the next larger one.
+    probs: Vec<f32>,
+    /// Softmax-backward `dS` of one head, `seq × seq`, zero above the
+    /// diagonal; reused for every head.
+    ds: Vec<f32>,
     /// Heads to compute this iteration (kept heads, or all of them).
     head_ws: Vec<usize>,
     /// Fallback per-column multiplier on the attention context.
@@ -178,11 +180,6 @@ struct BlockWorkspace {
     dffn: Matrix,
     dy1: Matrix,
     dctx: Matrix,
-    dctx_h: Matrix,
-    dprobs: Matrix,
-    dqh: Matrix,
-    dkh: Matrix,
-    dvh: Matrix,
     dq_all: Matrix,
     dk_all: Matrix,
     dv_all: Matrix,
@@ -209,45 +206,40 @@ struct EncoderBlock {
     ws: BlockWorkspace,
 }
 
-/// Copies the `head`-th `head_dim`-wide column band of rows
-/// `row0..row0+seq` of `src` into `out` (resized in place), scaling every
-/// element — the gather half of the per-head attention pipeline.
-fn gather_head(src: &Matrix, row0: usize, seq: usize, band: (usize, usize), out: &mut Matrix) {
-    let (head, head_dim) = band;
-    let c0 = head * head_dim;
-    out.resize_for_overwrite(seq, head_dim);
-    for s in 0..seq {
-        out.row_mut(s)
-            .copy_from_slice(&src.row(row0 + s)[c0..c0 + head_dim]);
-    }
-}
-
-/// Writes `scale · src` into the `head`-th column band of rows
-/// `row0..row0+src.rows()` of `out` — the scatter half. `out` must already
-/// hold the full `(batch·seq, model_dim)` shape; bands of dropped heads are
-/// simply never written (they stay at the zero fill).
-fn scatter_head(src: &Matrix, row0: usize, band: (usize, usize), scale: f32, out: &mut Matrix) {
-    let (head, head_dim) = band;
-    let c0 = head * head_dim;
-    for s in 0..src.rows() {
-        let dst = &mut out.row_mut(row0 + s)[c0..c0 + head_dim];
-        for (d, &v) in dst.iter_mut().zip(src.row(s)) {
-            *d = v * scale;
+/// Accumulates one head's causal product into rows `row0..row0 + seq` of
+/// `out`'s column band `cols`: `W·S`, or `Wᵀ·S` when `transposed`, where
+/// `W` is a `seq × seq` block that is zero above the diagonal and `S` is
+/// the same band of `src`. The summed index walks the dense kernels'
+/// 4-aligned quads, then the `seq % 4` tail, and skips only quads whose
+/// four entries are all masked; a quad that straddles the diagonal runs
+/// whole with its zero entries. So every element is the sum the dense
+/// GEMM forms, bit for bit.
+fn causal_band_gemm(
+    w: &[f32],
+    transposed: bool,
+    seq: usize,
+    src: &Matrix,
+    out: &mut Matrix,
+    (row0, cols): (usize, Range<usize>),
+) {
+    let quad_end = seq - seq % 4;
+    // `W`'s (or `Wᵀ`'s) entry at output row `o`, summed index `p`, sits at
+    // `o·o_stride + p·p_stride`.
+    let (o_stride, p_stride) = if transposed { (1, seq) } else { (seq, 1) };
+    for o in 0..seq {
+        // The summed indices the mask leaves live for output row `o`.
+        let live = if transposed { o..seq } else { 0..o + 1 };
+        let coef = |p: usize| w[o * o_stride + p * p_stride];
+        let band = |p: usize| &src.row(row0 + p)[cols.clone()];
+        let dst = &mut out.row_mut(row0 + o)[cols.clone()];
+        let mut p = live.start - live.start % 4;
+        while p < live.end.min(quad_end) {
+            let alpha = [coef(p), coef(p + 1), coef(p + 2), coef(p + 3)];
+            simd::axpy4(dst, alpha, band(p), band(p + 1), band(p + 2), band(p + 3));
+            p += 4;
         }
-    }
-}
-
-/// Applies the causal mask and the `1/√head_dim` scaling to raw `QKᵀ`
-/// scores in place: entries above the diagonal become `-∞` (softmax weight
-/// exactly 0), the rest are scaled.
-fn causal_scale_inplace(scores: &mut Matrix, inv_sqrt: f32) {
-    for i in 0..scores.rows() {
-        let row = scores.row_mut(i);
-        for v in &mut row[..=i] {
-            *v *= inv_sqrt;
-        }
-        for v in &mut row[i + 1..] {
-            *v = f32::NEG_INFINITY;
+        for p in live.start.max(quad_end)..live.end {
+            simd::axpy(dst, coef(p), band(p));
         }
     }
 }
@@ -343,37 +335,43 @@ impl EncoderBlock {
         self.v
             .forward_act_into(x, qkv_plan, Activation::Identity, &mut self.ws.v_all);
 
-        // Per-(batch, head) attention: gather the head band, run
-        // softmax(QKᵀ/√d)·V on the recycled scratch, scatter the context
-        // back. Dropped heads never execute — their context columns stay at
-        // the zero fill, exactly what the timing model prices as the
-        // proportionally shrunk batched GEMM.
+        // Per-(batch, kept head) causal attention in place over the head's
+        // column band: row `i` scores keys `0..=i` only, one `exp` each, and
+        // P·V accumulates straight into the context band. Dropped heads never
+        // execute, so their context columns stay at the zero fill — the
+        // proportionally shrunk batched GEMM the timing model prices. V's
+        // kept columns already carry the inverted-dropout scale.
         let score_mul = self.score_multiplier(path, g);
         let ws = &mut self.ws;
         ws.ctx.resize(g.rows(), d);
-        // Grow-only: entry `b·heads + h` is written before it is read, so a
-        // smaller batch keeps the spare matrices for the next larger one.
-        if ws.probs.len() < g.batch * g.heads {
-            ws.probs.resize_with(g.batch * g.heads, Matrix::default);
+        let seq2 = g.seq * g.seq;
+        if ws.probs.len() < g.batch * g.heads * seq2 {
+            ws.probs.resize(g.batch * g.heads * seq2, 0.0);
         }
         for b in 0..g.batch {
             let row0 = b * g.seq;
-            for i in 0..ws.head_ws.len() {
-                let h = ws.head_ws[i];
-                let band = (h, g.head_dim);
-                gather_head(&ws.q_all, row0, g.seq, band, &mut ws.qh);
-                gather_head(&ws.k_all, row0, g.seq, band, &mut ws.kh);
-                gather_head(&ws.v_all, row0, g.seq, band, &mut ws.vh);
-                gemm::gemm_a_bt_into(&ws.qh, &ws.kh, &mut ws.scores)
-                    .expect("attention score shapes agree");
-                causal_scale_inplace(&mut ws.scores, score_mul);
-                let probs = &mut ws.probs[b * g.heads + h];
-                ops::softmax_rows_into(&ws.scores, probs);
-                gemm::blocked_gemm_into(probs, &ws.vh, &mut ws.ctx_h)
-                    .expect("attention context shapes agree");
-                // V's kept columns already carry the inverted-dropout scale
-                // on the head-drop path, so the context scatters unscaled.
-                scatter_head(&ws.ctx_h, row0, band, 1.0, &mut ws.ctx);
+            for &h in &ws.head_ws {
+                let cols = h * g.head_dim..(h + 1) * g.head_dim;
+                let probs = &mut ws.probs[(b * g.heads + h) * seq2..][..seq2];
+                for (i, row) in probs.chunks_exact_mut(g.seq).enumerate() {
+                    let q = &ws.q_all.row(row0 + i)[cols.clone()];
+                    let (live, masked) = row.split_at_mut(i + 1);
+                    let mut max = f32::NEG_INFINITY;
+                    for (j, s) in live.iter_mut().enumerate() {
+                        *s = simd::dot(q, &ws.k_all.row(row0 + j)[cols.clone()]) * score_mul;
+                        max = max.max(*s);
+                    }
+                    let mut denom = 0.0;
+                    for s in live.iter_mut() {
+                        *s = (*s - max).exp();
+                        denom += *s;
+                    }
+                    for s in live.iter_mut() {
+                        *s /= denom;
+                    }
+                    masked.fill(0.0);
+                }
+                causal_band_gemm(probs, false, g.seq, &ws.v_all, &mut ws.ctx, (row0, cols));
             }
         }
         if path == AttnPath::Multiplier {
@@ -440,43 +438,34 @@ impl EncoderBlock {
         ws.dq_all.resize(g.rows(), d);
         ws.dk_all.resize(g.rows(), d);
         ws.dv_all.resize(g.rows(), d);
+        let seq2 = g.seq * g.seq;
+        ws.ds.resize(seq2, 0.0);
         for b in 0..g.batch {
             let row0 = b * g.seq;
-            for i in 0..ws.head_ws.len() {
-                let h = ws.head_ws[i];
-                let band = (h, g.head_dim);
-                gather_head(&ws.q_all, row0, g.seq, band, &mut ws.qh);
-                gather_head(&ws.k_all, row0, g.seq, band, &mut ws.kh);
-                gather_head(&ws.v_all, row0, g.seq, band, &mut ws.vh);
-                gather_head(&ws.dctx, row0, g.seq, band, &mut ws.dctx_h);
-                let probs = &ws.probs[b * g.heads + h];
-                // dP = dCtx·Vᵀ and dV = Pᵀ·dCtx on the transposed-operand
-                // kernels (no transpose is ever materialised).
-                gemm::gemm_a_bt_into(&ws.dctx_h, &ws.vh, &mut ws.dprobs)
-                    .expect("attention gradient shapes agree");
-                gemm::gemm_at_b_into(probs, &ws.dctx_h, &mut ws.dvh)
-                    .expect("attention gradient shapes agree");
-                scatter_head(&ws.dvh, row0, band, 1.0, &mut ws.dv_all);
-                // Softmax backward into the recycled scores buffer:
-                // dS = P ⊙ (dP − rowsum(dP ⊙ P)), then the 1/√d chain.
-                // Masked entries have P = 0, so their dS is exactly 0.
-                ws.scores.resize_for_overwrite(g.seq, g.seq);
-                for r in 0..g.seq {
-                    let prow = probs.row(r);
-                    let dprow = ws.dprobs.row(r);
-                    let dot: f32 = prow.iter().zip(dprow).map(|(&p, &dp)| p * dp).sum();
-                    let srow = ws.scores.row_mut(r);
-                    for (s, (&p, &dp)) in srow.iter_mut().zip(prow.iter().zip(dprow)) {
-                        *s = p * (dp - dot) * score_mul;
+            for &h in &ws.head_ws {
+                let cols = h * g.head_dim..(h + 1) * g.head_dim;
+                let probs = &ws.probs[(b * g.heads + h) * seq2..][..seq2];
+                for (i, row) in ws.ds.chunks_exact_mut(g.seq).enumerate() {
+                    let dctx = &ws.dctx.row(row0 + i)[cols.clone()];
+                    let prow = &probs[i * g.seq..=i * g.seq + i];
+                    let (live, masked) = row.split_at_mut(i + 1);
+                    // dP = dCtx·Vᵀ where the mask leaves P nonzero, then
+                    // the softmax backward in place:
+                    // dS = P ⊙ (dP − rowsum(dP ⊙ P)), then the 1/√d chain.
+                    for (j, s) in live.iter_mut().enumerate() {
+                        *s = simd::dot(dctx, &ws.v_all.row(row0 + j)[cols.clone()]);
                     }
+                    let dot: f32 = prow.iter().zip(live.iter()).map(|(&p, &dp)| p * dp).sum();
+                    for (s, &p) in live.iter_mut().zip(prow) {
+                        *s = p * (*s - dot) * score_mul;
+                    }
+                    masked.fill(0.0);
                 }
-                // dQ = dS·K and dK = dSᵀ·Q.
-                gemm::blocked_gemm_into(&ws.scores, &ws.kh, &mut ws.dqh)
-                    .expect("attention gradient shapes agree");
-                scatter_head(&ws.dqh, row0, band, 1.0, &mut ws.dq_all);
-                gemm::gemm_at_b_into(&ws.scores, &ws.qh, &mut ws.dkh)
-                    .expect("attention gradient shapes agree");
-                scatter_head(&ws.dkh, row0, band, 1.0, &mut ws.dk_all);
+                // dV = Pᵀ·dCtx, dQ = dS·K and dK = dSᵀ·Q.
+                let (ds, band) = (&ws.ds[..], (row0, cols));
+                causal_band_gemm(probs, true, g.seq, &ws.dctx, &mut ws.dv_all, band.clone());
+                causal_band_gemm(ds, false, g.seq, &ws.k_all, &mut ws.dq_all, band.clone());
+                causal_band_gemm(ds, true, g.seq, &ws.q_all, &mut ws.dk_all, band);
             }
         }
 
@@ -547,7 +536,7 @@ struct ModelWorkspace {
     grad_out: Matrix,
     /// Flattened next-token targets (batch-major, matching `x0`).
     targets: Vec<usize>,
-    /// Softmax cross-entropy probability/gradient buffers.
+    /// Softmax cross-entropy gradient buffer and argmax hit count.
     xent: CrossEntropyScratch,
 }
 
@@ -884,7 +873,8 @@ impl TransformerLm {
 
 /// Embeds the batch into one stacked `(batch·seq, model_dim)` matrix,
 /// batch-major (row `b·seq + s` so each sequence's rows are contiguous —
-/// the layout the per-head gathers slice), adding the positional encoding.
+/// the layout the attention's head bands slice), adding the positional
+/// encoding.
 fn embed_stacked_into(
     embedding: &Matrix,
     pos_enc: &Matrix,
@@ -923,6 +913,7 @@ mod tests {
     use approx_dropout::{DropoutRate, SchemeSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tensor::gemm;
 
     fn cyclic_batch(vocab: usize, batch: usize, seq_len: usize) -> Vec<Vec<usize>> {
         // A deterministic cyclic language: token (t+1) always follows token t.
@@ -952,6 +943,151 @@ mod tests {
             .into_iter()
             .map(DropoutPlan::none)
             .collect()
+    }
+
+    /// One attention-site plan per [`AttnPath`] of the `config` model
+    /// (`model_dim` 16, four heads of 4): N:M lanes, heads 0 and 2 of a
+    /// head-drop, and a sampled Bernoulli mask.
+    fn path_plans(rng: &mut StdRng) -> Vec<(AttnPath, DropoutPlan)> {
+        let shape = LayerShape::new(16, 16);
+        let bernoulli = scheme::bernoulli(DropoutRate::new(0.3).unwrap()).plan(rng, shape);
+        vec![
+            (
+                AttnPath::Projection,
+                DropoutPlan::nm(shape, 2, 4, (0..16).filter(|j| j % 4 < 2).collect()),
+            ),
+            (
+                AttnPath::HeadDrop,
+                DropoutPlan::block_unit(shape, 4, vec![0, 2], 2.0, 0.5),
+            ),
+            (AttnPath::Multiplier, bernoulli),
+        ]
+    }
+
+    /// The per-head GEMM pipeline the in-place attention replaced, kept as
+    /// its test-only reference the way `loss::tests::three_pass_reference`
+    /// keeps the three-pass loss. Per (batch, head in `heads`) it gathers
+    /// the Q/K/V/dCtx bands of a block's workspace into matrices, runs the
+    /// dense GEMMs over the full `seq × seq` scores under a `−∞` causal
+    /// mask, a two-`exp` softmax and its Jacobian, and scatters the results
+    /// back. Returns `[ctx, dq, dk, dv]`.
+    fn per_head_gemm_reference(
+        ws: &BlockWorkspace,
+        g: Geom,
+        heads: &[usize],
+        score_mul: f32,
+    ) -> [Matrix; 4] {
+        let hd = g.head_dim;
+        let gather = |src: &Matrix, row0: usize, h: usize| {
+            Matrix::from_fn(g.seq, hd, |s, c| src[(row0 + s, h * hd + c)])
+        };
+        let scatter = |src: &Matrix, row0: usize, h: usize, out: &mut Matrix| {
+            for s in 0..g.seq {
+                out.row_mut(row0 + s)[h * hd..(h + 1) * hd].copy_from_slice(src.row(s));
+            }
+        };
+        let mut out = [(); 4].map(|_| Matrix::zeros(g.rows(), g.model_dim()));
+        for b in 0..g.batch {
+            let row0 = b * g.seq;
+            for &h in heads {
+                let qh = gather(&ws.q_all, row0, h);
+                let kh = gather(&ws.k_all, row0, h);
+                let vh = gather(&ws.v_all, row0, h);
+                let dctx_h = gather(&ws.dctx, row0, h);
+                let mut scores = gemm::gemm_a_bt(&qh, &kh).unwrap();
+                for i in 0..g.seq {
+                    let row = scores.row_mut(i);
+                    for v in &mut row[..=i] {
+                        *v *= score_mul;
+                    }
+                    for v in &mut row[i + 1..] {
+                        *v = f32::NEG_INFINITY;
+                    }
+                }
+                let mut probs = Matrix::zeros(g.seq, g.seq);
+                for i in 0..g.seq {
+                    let row = scores.row(i);
+                    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let mut denom = 0.0;
+                    for &v in row {
+                        denom += (v - max).exp();
+                    }
+                    for (j, &v) in row.iter().enumerate() {
+                        probs[(i, j)] = (v - max).exp() / denom;
+                    }
+                }
+                let ctx_h = gemm::blocked_gemm(&probs, &vh).unwrap();
+                scatter(&ctx_h, row0, h, &mut out[0]);
+                let dprobs = gemm::gemm_a_bt(&dctx_h, &vh).unwrap();
+                let dvh = gemm::gemm_at_b(&probs, &dctx_h).unwrap();
+                scatter(&dvh, row0, h, &mut out[3]);
+                let mut ds = Matrix::zeros(g.seq, g.seq);
+                for r in 0..g.seq {
+                    let (prow, dprow) = (probs.row(r), dprobs.row(r));
+                    let dot: f32 = prow.iter().zip(dprow).map(|(&p, &dp)| p * dp).sum();
+                    for (s, (&p, &dp)) in ds.row_mut(r).iter_mut().zip(prow.iter().zip(dprow)) {
+                        *s = p * (dp - dot) * score_mul;
+                    }
+                }
+                let (dqh, dkh) = (gemm::blocked_gemm(&ds, &kh), gemm::gemm_at_b(&ds, &qh));
+                scatter(&dqh.unwrap(), row0, h, &mut out[1]);
+                scatter(&dkh.unwrap(), row0, h, &mut out[2]);
+            }
+        }
+        out
+    }
+
+    /// One encoder block's in-place attention equals the per-head GEMM
+    /// pipeline bit for bit, forward (`ctx`) and backward (`dq_all`,
+    /// `dk_all`, `dv_all`): at lm_train's seq 24, at seq 7 and 13 (so the
+    /// `seq % 4` tail and the quads straddling the diagonal both run), at a
+    /// head width with an 8-lane dot remainder, over all heads (identity
+    /// and N:M plans) and over a head-drop kept set.
+    #[test]
+    fn in_place_attention_matches_per_head_gemm_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for &(seq, heads, head_dim) in &[(24, 4, 16), (7, 4, 16), (13, 4, 16), (13, 3, 12)] {
+            let d = heads * head_dim;
+            let g = Geom {
+                batch: 2,
+                seq,
+                heads,
+                head_dim,
+            };
+            let shape = LayerShape::new(d, d);
+            let plans = [
+                DropoutPlan::none(shape),
+                DropoutPlan::nm(shape, 2, 4, (0..d).filter(|j| j % 4 < 2).collect()),
+                DropoutPlan::block_unit(shape, head_dim, vec![0, heads - 1], 2.0, 0.5),
+            ];
+            for plan in plans {
+                let mut block =
+                    EncoderBlock::new(&mut rng, d, 2 * d, scheme::none(), scheme::none());
+                block.attn_plan = plan;
+                block.ffn_plan = DropoutPlan::none(LayerShape::new(d, 2 * d));
+                let x = init::uniform(&mut rng, g.rows(), d, -1.0, 1.0);
+                let dout = init::uniform(&mut rng, g.rows(), d, -1.0, 1.0);
+                block.forward(&x, g);
+                block.backward(&dout, g);
+                let path = attn_path(&block.attn_plan, g);
+                let score_mul = block.score_multiplier(path, g);
+                let reference = per_head_gemm_reference(&block.ws, g, &block.ws.head_ws, score_mul);
+                let ws = &block.ws;
+                for (name, got, want) in [
+                    ("ctx", &ws.ctx, &reference[0]),
+                    ("dq", &ws.dq_all, &reference[1]),
+                    ("dk", &ws.dk_all, &reference[2]),
+                    ("dv", &ws.dv_all, &reference[3]),
+                ] {
+                    let same = got
+                        .as_slice()
+                        .iter()
+                        .zip(want.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{name} differs at seq {seq}, {path:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1070,25 +1206,30 @@ mod tests {
         cfg.layers = 1;
         let lm = TransformerLm::new(&cfg, &mut rng);
         let batch = cyclic_batch(12, 3, 4);
-        let plans = none_plans(&lm);
+        // Identity plans, then one attention plan per `AttnPath`.
+        let mut attn_plans = vec![(AttnPath::Multiplier, none_plans(&lm)[0].clone())];
+        attn_plans.extend(path_plans(&mut rng));
+        for (path, attn_plan) in attn_plans {
+            let mut plans = none_plans(&lm);
+            plans[0] = attn_plan;
+            let mut analytic = lm.clone();
+            let _ = analytic.train_batch_with_plans(&batch, &plans);
 
-        let mut analytic = lm.clone();
-        let _ = analytic.train_batch_with_plans(&batch, &plans);
-
-        let eps = 1e-2f32;
-        for &(r, c) in &[(0usize, 0usize), (1, 5), (3, 10), (5, 15)] {
-            let mut plus = lm.clone();
-            plus.embedding[(r, c)] += eps;
-            let f_plus = plus.train_batch_with_plans(&batch, &plans).loss;
-            let mut minus = lm.clone();
-            minus.embedding[(r, c)] -= eps;
-            let f_minus = minus.train_batch_with_plans(&batch, &plans).loss;
-            let numeric = (f_plus - f_minus) / (2.0 * eps);
-            let analytic_g = analytic.embedding_grad[(r, c)];
-            assert!(
-                (numeric - analytic_g).abs() < 2e-3 + 5e-2 * analytic_g.abs(),
-                "embedding[{r},{c}]: numeric {numeric} vs analytic {analytic_g}"
-            );
+            let eps = 1e-2f32;
+            for &(r, c) in &[(0usize, 0usize), (1, 5), (2, 7), (3, 10), (4, 12), (5, 15)] {
+                let mut plus = lm.clone();
+                plus.embedding[(r, c)] += eps;
+                let f_plus = plus.train_batch_with_plans(&batch, &plans).loss;
+                let mut minus = lm.clone();
+                minus.embedding[(r, c)] -= eps;
+                let f_minus = minus.train_batch_with_plans(&batch, &plans).loss;
+                let numeric = (f_plus - f_minus) / (2.0 * eps);
+                let analytic_g = analytic.embedding_grad[(r, c)];
+                assert!(
+                    (numeric - analytic_g).abs() < 2e-3 + 5e-2 * analytic_g.abs(),
+                    "{path:?} embedding[{r},{c}]: numeric {numeric} vs analytic {analytic_g}"
+                );
+            }
         }
     }
 
@@ -1107,31 +1248,28 @@ mod tests {
         let ws = &lm.blocks[0].ws;
         let q_ptr = ws.q_all.as_slice().as_ptr();
         let ctx_ptr = ws.ctx.as_slice().as_ptr();
-        let probs_ptr = ws.probs[0].as_slice().as_ptr();
-        let scores_ptr = ws.scores.as_slice().as_ptr();
+        let probs_ptr = ws.probs.as_ptr();
+        let ds_ptr = ws.ds.as_ptr();
         let dq_ptr = ws.dq_all.as_slice().as_ptr();
         let dx_ptr = ws.dx.as_slice().as_ptr();
         let ffn_ptr = ws.ffn_act.as_slice().as_ptr();
         let x0_ptr = lm.ws.x0.as_slice().as_ptr();
         let logits_ptr = lm.ws.logits.as_slice().as_ptr();
         let targets_ptr = lm.ws.targets.as_ptr();
-        let probs_xent_ptr = lm.ws.xent.probabilities().as_slice().as_ptr();
+        let grad_xent_ptr = lm.ws.xent.grad_logits().as_slice().as_ptr();
         let _ = lm.train_batch(&batch, &mut rng);
         let ws = &lm.blocks[0].ws;
         assert_eq!(q_ptr, ws.q_all.as_slice().as_ptr());
         assert_eq!(ctx_ptr, ws.ctx.as_slice().as_ptr());
-        assert_eq!(probs_ptr, ws.probs[0].as_slice().as_ptr());
-        assert_eq!(scores_ptr, ws.scores.as_slice().as_ptr());
+        assert_eq!(probs_ptr, ws.probs.as_ptr());
+        assert_eq!(ds_ptr, ws.ds.as_ptr());
         assert_eq!(dq_ptr, ws.dq_all.as_slice().as_ptr());
         assert_eq!(dx_ptr, ws.dx.as_slice().as_ptr());
         assert_eq!(ffn_ptr, ws.ffn_act.as_slice().as_ptr());
         assert_eq!(x0_ptr, lm.ws.x0.as_slice().as_ptr());
         assert_eq!(logits_ptr, lm.ws.logits.as_slice().as_ptr());
         assert_eq!(targets_ptr, lm.ws.targets.as_ptr());
-        assert_eq!(
-            probs_xent_ptr,
-            lm.ws.xent.probabilities().as_slice().as_ptr()
-        );
+        assert_eq!(grad_xent_ptr, lm.ws.xent.grad_logits().as_slice().as_ptr());
     }
 
     #[test]
@@ -1148,19 +1286,40 @@ mod tests {
         assert_eq!(lm.model_dim(), 16);
     }
 
+    /// Changing the last input token of every sequence leaves the logits of
+    /// every earlier position bit for bit unchanged, on every attention
+    /// path: no position reads a later one.
     #[test]
     fn causal_mask_blocks_future_positions() {
-        let mut scores = Matrix::filled(3, 3, 1.0);
-        causal_scale_inplace(&mut scores, 0.5);
-        assert_eq!(scores.row(0), &[0.5, f32::NEG_INFINITY, f32::NEG_INFINITY]);
-        assert_eq!(scores.row(1), &[0.5, 0.5, f32::NEG_INFINITY]);
-        assert_eq!(scores.row(2), &[0.5, 0.5, 0.5]);
-        // Softmax of a fully-masked tail puts zero weight on the future.
-        let mut probs = Matrix::default();
-        ops::softmax_rows_into(&scores, &mut probs);
-        assert_eq!(probs[(0, 0)], 1.0);
-        assert_eq!(probs[(0, 1)], 0.0);
-        assert_eq!(probs[(0, 2)], 0.0);
+        let mut rng = StdRng::seed_from_u64(15);
+        let lm = TransformerLm::new(&config(scheme::none(), scheme::none()), &mut rng);
+        let (batch, seq) = (3, 7);
+        let tokens = cyclic_batch(12, batch, seq);
+        let mut changed = tokens.clone();
+        for sequence in &mut changed {
+            sequence[seq - 1] = (sequence[seq - 1] + 5) % 12;
+        }
+        for (path, attn_plan) in path_plans(&mut rng) {
+            let mut plans = none_plans(&lm);
+            plans[0] = attn_plan.clone();
+            plans[2] = attn_plan;
+            let (mut a, mut b) = (lm.clone(), lm.clone());
+            let _ = a.train_batch_with_plans(&tokens, &plans);
+            let _ = b.train_batch_with_plans(&changed, &plans);
+            for s in 0..batch {
+                for t in 0..seq {
+                    let (ra, rb) = (a.ws.logits.row(s * seq + t), b.ws.logits.row(s * seq + t));
+                    if t + 1 < seq {
+                        assert!(
+                            ra.iter().zip(rb).all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "{path:?}: sequence {s} position {t} saw a later token"
+                        );
+                    } else {
+                        assert_ne!(ra, rb, "{path:?}: the changed token had no effect");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

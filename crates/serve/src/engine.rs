@@ -55,7 +55,8 @@ pub fn scheme_id(model: usize, layer: usize) -> u64 {
     ((model as u64) << 16) | layer as u64
 }
 
-/// Materialized inputs of one coalesced batch.
+/// Materialized inputs of one coalesced batch, recycled across dispatches:
+/// [`materialize`] rewrites them in place.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchInputs {
     /// MLP inputs: one matrix row and one label per request row.
@@ -65,21 +66,49 @@ pub enum BatchInputs {
         /// One class label per row.
         labels: Vec<usize>,
     },
-    /// LSTM inputs: one token sequence (`seq_len + 1` ids) per request row.
-    Tokens(Vec<Vec<usize>>),
+    /// Language-model inputs: the first `rows` of `sequences` hold one
+    /// token sequence (`seq_len + 1` ids) per request row. Sequences past
+    /// `rows` are spare buffers a later, larger batch refills.
+    Tokens {
+        /// Token sequences; the batch is the first `rows` of them.
+        sequences: Vec<Vec<usize>>,
+        /// Request rows of the batch.
+        rows: usize,
+    },
 }
 
-/// Expands a coalesced batch's jobs into concrete inputs, deterministically
-/// from each job's seed — replaying a trace materializes identical bytes
-/// regardless of which worker runs it or how jobs were grouped.
-pub fn materialize(spec: &ModelSpec, jobs: &[JobSpec]) -> BatchInputs {
+/// Empty token inputs; [`materialize`] switches a buffer to the spec's
+/// family on first use.
+impl Default for BatchInputs {
+    fn default() -> Self {
+        Self::Tokens {
+            sequences: Vec::new(),
+            rows: 0,
+        }
+    }
+}
+
+/// Expands a coalesced batch's jobs into concrete inputs in `out`,
+/// deterministically from each job's seed — replaying a trace materializes
+/// identical bytes regardless of which worker runs it or how jobs were
+/// grouped. `out`'s buffers are reused: a warmed buffer of the spec's
+/// family is rewritten without allocating, one of the other family is
+/// replaced once.
+pub fn materialize(spec: &ModelSpec, jobs: &[JobSpec], out: &mut BatchInputs) {
+    let total: usize = jobs.iter().map(|j| j.rows).sum();
     match &spec.network {
         NetworkKind::Mlp {
             input_dim, classes, ..
         } => {
-            let rows: usize = jobs.iter().map(|j| j.rows).sum();
-            let mut inputs = Matrix::zeros(rows, *input_dim);
-            let mut labels = Vec::with_capacity(rows);
+            let BatchInputs::Dense { inputs, labels } = out else {
+                *out = BatchInputs::Dense {
+                    inputs: Matrix::default(),
+                    labels: Vec::new(),
+                };
+                return materialize(spec, jobs, out);
+            };
+            inputs.resize_for_overwrite(total, *input_dim);
+            labels.clear();
             let mut row = 0;
             for job in jobs {
                 let mut rng = StdRng::seed_from_u64(job.seed);
@@ -91,18 +120,26 @@ pub fn materialize(spec: &ModelSpec, jobs: &[JobSpec]) -> BatchInputs {
                     row += 1;
                 }
             }
-            BatchInputs::Dense { inputs, labels }
         }
         NetworkKind::Lstm { vocab, seq_len, .. }
         | NetworkKind::TransformerLm { vocab, seq_len, .. } => {
-            let mut sequences = Vec::with_capacity(jobs.iter().map(|j| j.rows).sum());
+            let BatchInputs::Tokens { sequences, rows } = out else {
+                *out = BatchInputs::default();
+                return materialize(spec, jobs, out);
+            };
+            if sequences.len() < total {
+                sequences.resize_with(total, Vec::new);
+            }
+            *rows = 0;
             for job in jobs {
                 let mut rng = StdRng::seed_from_u64(job.seed);
                 for _ in 0..job.rows {
-                    sequences.push((0..seq_len + 1).map(|_| rng.gen_range(0..*vocab)).collect());
+                    let sequence = &mut sequences[*rows];
+                    sequence.clear();
+                    sequence.extend((0..seq_len + 1).map(|_| rng.gen_range(0..*vocab)));
+                    *rows += 1;
                 }
             }
-            BatchInputs::Tokens(sequences)
         }
     }
 }
@@ -148,6 +185,8 @@ pub struct Replica {
     /// place on every dispatch with zero allocation.
     plans: Vec<DropoutPlan>,
     shapes: Vec<LayerShape>,
+    /// Recycled batch inputs, rewritten in place by every dispatch.
+    inputs: BatchInputs,
     /// Train dispatches executed so far; `dispatches / epoch_rounds` is the
     /// replica's current seed epoch.
     dispatches: u64,
@@ -186,6 +225,7 @@ impl Replica {
                 .collect(),
             plans: vec![DropoutPlan::default(); shapes.len()],
             shapes,
+            inputs: BatchInputs::default(),
             dispatches: 0,
         }
     }
@@ -249,11 +289,13 @@ impl Replica {
             (ReplicaNet::Mlp(mlp), BatchInputs::Dense { inputs, labels }) => {
                 mlp.train_batch_with_plans(inputs, labels, &self.plans).loss
             }
-            (ReplicaNet::Lstm(lm), BatchInputs::Tokens(tokens)) => {
-                lm.train_batch_with_plans(tokens, &self.plans).loss
+            (ReplicaNet::Lstm(lm), BatchInputs::Tokens { sequences, rows }) => {
+                lm.train_batch_with_plans(&sequences[..*rows], &self.plans)
+                    .loss
             }
-            (ReplicaNet::Transformer(lm), BatchInputs::Tokens(tokens)) => {
-                lm.train_batch_with_plans(tokens, &self.plans).loss
+            (ReplicaNet::Transformer(lm), BatchInputs::Tokens { sequences, rows }) => {
+                lm.train_batch_with_plans(&sequences[..*rows], &self.plans)
+                    .loss
             }
             _ => panic!("batch inputs do not match the replica's network family"),
         }
@@ -273,8 +315,12 @@ impl Replica {
             (ReplicaNet::Mlp(mlp), BatchInputs::Dense { inputs, labels }) => {
                 mlp.evaluate(inputs, labels).0
             }
-            (ReplicaNet::Lstm(lm), BatchInputs::Tokens(tokens)) => lm.evaluate(tokens).loss,
-            (ReplicaNet::Transformer(lm), BatchInputs::Tokens(tokens)) => lm.evaluate(tokens).loss,
+            (ReplicaNet::Lstm(lm), BatchInputs::Tokens { sequences, rows }) => {
+                lm.evaluate(&sequences[..*rows]).loss
+            }
+            (ReplicaNet::Transformer(lm), BatchInputs::Tokens { sequences, rows }) => {
+                lm.evaluate(&sequences[..*rows]).loss
+            }
             _ => panic!("batch inputs do not match the replica's network family"),
         }
     }
@@ -359,7 +405,10 @@ impl ShardEngine {
             .iter_mut()
             .find(|r| r.model() == model)
             .unwrap_or_else(|| panic!("model {model} is not owned by this shard"));
-        let inputs = materialize(replica.spec(), jobs);
+        // The replica's own input buffer, taken out for the dispatch so the
+        // replica can run on it.
+        let mut inputs = std::mem::take(&mut replica.inputs);
+        materialize(replica.spec(), jobs, &mut inputs);
         let rows = jobs.iter().map(|j| j.rows).sum();
         let epoch = replica.dispatches / epoch_rounds;
         let value = match kind {
@@ -370,6 +419,7 @@ impl ShardEngine {
             }
             JobKind::Infer => replica.infer(&inputs),
         };
+        replica.inputs = inputs;
         if let Some(cache) = &cache {
             // Keep the shared table bounded: drop epochs that have fallen
             // well behind this engine's progress. Other shards' slower
@@ -463,8 +513,10 @@ mod tests {
         // changing the workload.
         let spec = mlp_spec();
         let (a, b) = (train_job(3, 11), train_job(2, 22));
-        let coalesced = materialize(&spec, &[a, b]);
-        let (first, second) = (materialize(&spec, &[a]), materialize(&spec, &[b]));
+        let [mut coalesced, mut first, mut second] = [(); 3].map(|_| BatchInputs::default());
+        materialize(&spec, &[a, b], &mut coalesced);
+        materialize(&spec, &[a], &mut first);
+        materialize(&spec, &[b], &mut second);
         let BatchInputs::Dense { inputs, labels } = coalesced else {
             panic!("mlp batch must be dense");
         };
@@ -485,6 +537,31 @@ mod tests {
         assert_eq!(inputs.row(3), ib.row(0));
         assert_eq!(labels[..3], la[..]);
         assert_eq!(labels[3..], lb[..]);
+    }
+
+    /// A recycled token buffer that held a larger batch yields exactly the
+    /// sequences a fresh one does, and keeps the spare ones.
+    #[test]
+    fn materialize_recycles_token_buffers_across_batch_sizes() {
+        let spec = ModelSpec::lstm("l", 40, 16, 2, 4, SchemeSpec::Bernoulli { rate: 0.25 });
+        let (big, small) = (train_job(5, 1), train_job(3, 2));
+        let (mut recycled, mut fresh) = (BatchInputs::default(), BatchInputs::default());
+        materialize(&spec, &[big], &mut recycled);
+        materialize(&spec, &[small], &mut recycled);
+        materialize(&spec, &[small], &mut fresh);
+        let (
+            BatchInputs::Tokens { sequences, rows },
+            BatchInputs::Tokens {
+                sequences: expected,
+                rows: expected_rows,
+            },
+        ) = (recycled, fresh)
+        else {
+            panic!("lstm batch must be tokens");
+        };
+        assert_eq!((rows, expected_rows), (3, 3));
+        assert_eq!(sequences[..rows], expected[..]);
+        assert_eq!(sequences.len(), 5);
     }
 
     #[test]

@@ -455,23 +455,6 @@ impl Matrix {
         }
     }
 
-    /// Index of the maximum element in row `i` (ties resolved to the first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows` or the matrix has zero columns.
-    pub fn argmax_row(&self, i: usize) -> usize {
-        let row = self.row(i);
-        assert!(!row.is_empty(), "argmax of an empty row");
-        let mut best = 0;
-        for (j, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = j;
-            }
-        }
-        best
-    }
-
     /// Frobenius norm of the matrix.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -680,13 +663,6 @@ mod tests {
         assert_eq!(s.shape(), (1, 2));
         assert_eq!(s[(0, 0)], 4.0);
         assert_eq!(s[(0, 1)], 6.0);
-    }
-
-    #[test]
-    fn argmax_row_returns_first_max() {
-        let m = Matrix::from_rows(&[&[0.1, 0.9, 0.9], &[2.0, 1.0, 0.0]]);
-        assert_eq!(m.argmax_row(0), 1);
-        assert_eq!(m.argmax_row(1), 0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Row-wise softmax and the backward ReLU gate.
+//! The backward ReLU gate.
 //!
 //! The forward activations live in the fused GEMM epilogues
-//! ([`crate::Activation`]), so this module keeps only the two helpers the
-//! models call outside a GEMM: [`softmax_rows_into`] (the loss and the
-//! attention rows) and [`relu_grad_mask_inplace`] (every ReLU layer's
-//! backward pass). That the fused epilogues match an unfused GEMM, bias and
-//! activation chain bit for bit is pinned by `gemm`'s
-//! `fused_*_matches_unfused_chain_bitwise` tests; how far their vector
-//! transcendentals sit from libm is pinned by `simd`'s ULP tests.
+//! ([`crate::Activation`]) and each softmax lives in its one caller (the
+//! loss in `nn::loss`, the attention rows in `nn::transformer`), so this
+//! module keeps only the helper every ReLU layer's backward pass calls
+//! outside a GEMM: [`relu_grad_mask_inplace`]. That the fused epilogues
+//! match an unfused GEMM, bias and activation chain bit for bit is pinned
+//! by `gemm`'s `fused_*_matches_unfused_chain_bitwise` tests; how far their
+//! vector transcendentals sit from libm is pinned by `simd`'s ULP tests.
 
 use crate::matrix::Matrix;
 
@@ -31,55 +31,9 @@ pub fn relu_grad_mask_inplace(grad: &mut Matrix, pre: &Matrix) {
     }
 }
 
-/// Numerically stable row-wise softmax into a caller-owned matrix (resized
-/// in place), so per-iteration probability buffers can be recycled.
-///
-/// Each row is treated as one sample's logits; the maximum logit is
-/// subtracted before exponentiation so large logits do not overflow.
-pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
-    out.resize_for_overwrite(x.rows(), x.cols());
-    for i in 0..x.rows() {
-        let row = x.row(i);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0.0;
-        for &v in row {
-            denom += (v - max).exp();
-        }
-        let out_row = out.row_mut(i);
-        for (j, &v) in row.iter().enumerate() {
-            out_row[j] = (v - max).exp() / denom;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn softmax_rows(x: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        softmax_rows_into(x, &mut out);
-        out
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1000.0, 1000.0, 1000.0]]);
-        let s = softmax_rows(&x);
-        for i in 0..2 {
-            let sum: f32 = s.row(i).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5, "row {i} sums to {sum}");
-        }
-        // Uniform logits yield uniform probabilities even when huge.
-        assert!((s[(1, 0)] - 1.0 / 3.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn softmax_prefers_largest_logit() {
-        let x = Matrix::from_rows(&[&[0.0, 5.0, 1.0]]);
-        let s = softmax_rows(&x);
-        assert_eq!(s.argmax_row(0), 1);
-    }
 
     #[test]
     fn relu_grad_mask_zeroes_non_positive_pre_activations() {

@@ -1,20 +1,23 @@
 //! Planning is allocation-free once a plan buffer is warm: `plan_into` into
 //! a recycled [`DropoutPlan`] makes no heap allocation for any scheme family,
 //! and neither does a warmed `Mlp::train_batch` at one pool thread, nor a
-//! warmed `evaluate` or training step of any model family.
+//! warmed `evaluate` or training step of any model family, nor a warmed
+//! serve dispatch.
 //! The counting global allocator below is the only one in this test binary,
 //! and it counts per thread, so nothing but the measured calls is counted.
 
 use approx_dropout::{
-    scheme, CrsSampling, DropoutPlan, DropoutRate, DropoutScheme, LayerShape, RowPattern,
-    SchemeSpec, TilePattern,
+    scheme, CrsSampling, DropoutPlan, DropoutRate, DropoutScheme, LayerShape, PlanCache,
+    RowPattern, SchemeSpec, TilePattern,
 };
 use nn::lstm::{LstmLm, LstmLmConfig};
 use nn::{Mlp, MlpConfig, TransformerLm, TransformerLmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serve::{JobKind, JobSpec, ModelSpec, QosClass, ShardEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Heap allocations (and reallocations) made by the current thread.
@@ -238,5 +241,55 @@ fn warmed_train_and_evaluate_pairs_allocate_nothing_for_every_family() {
     assert!(
         failures.is_empty(),
         "allocations in 100 warmed train+evaluate pairs: {failures:?}"
+    );
+}
+
+/// README hot-path item 3 for serving: every replica owns its batch inputs
+/// and `serve::materialize` rewrites them in place, so once warmed a
+/// `ShardEngine` dispatch allocates nothing — neither 100 Infer dispatches
+/// with the plan cache on nor 100 Train dispatches with it off — over an
+/// MLP, an LSTM and a transformer at 1–8 rows per dispatch. Row and
+/// head-drop kept sets keep growing their gather buffers to new highs for
+/// a while, so the warm-up is long.
+#[test]
+fn warmed_serve_dispatches_allocate_nothing() {
+    tensor::pool::set_threads(1);
+    let parse = |spec: &str| spec.parse::<SchemeSpec>().unwrap();
+    let catalog = [
+        ModelSpec::mlp("mlp", 16, vec![32, 24], 4, parse("row:0.5:8")),
+        ModelSpec::lstm("lstm", 40, 16, 2, 6, parse("row:0.5:8")),
+        ModelSpec::transformer_lm("tf", 40, 16, 4, 32, 2, 6, parse("transformer:0.5:4")),
+    ];
+    // Dispatch `i` runs model `i % 3` at 1–8 rows.
+    let job = |i: usize, kind: JobKind| JobSpec {
+        tenant: 0,
+        model: i % 3,
+        rows: 1 + (i / 3) % 8,
+        seed: i as u64,
+        kind,
+        qos: QosClass::Batch,
+    };
+    let mut failures = Vec::new();
+    for (cache, kind) in [
+        (Some(Arc::new(PlanCache::new(4))), JobKind::Infer),
+        (None, JobKind::Train),
+    ] {
+        let mut engine = ShardEngine::new(&catalog, cache, 2, 1);
+        for i in 0..600 {
+            engine.execute(&[job(i, JobKind::Train)]);
+            engine.execute(&[job(i, JobKind::Infer)]);
+        }
+        let before = ALLOCATIONS.with(Cell::get);
+        for i in 0..100 {
+            engine.execute(&[job(i, kind)]);
+        }
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        if allocations > 0 {
+            failures.push((kind, allocations));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "allocations in 100 warmed serve dispatches: {failures:?}"
     );
 }
