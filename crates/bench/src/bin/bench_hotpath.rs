@@ -19,7 +19,7 @@
 //!    versus the separate GEMM → bias → ReLU chain, priced by the GPU timing
 //!    model on both device presets;
 //!
-//! plus the `simd` section: the packed dense / `A·Bᵀ` / fused-ReLU kernels
+//! plus the `simd` section: the dense / `A·Bᵀ` / `Aᵀ·B` / fused-ReLU kernels
 //! with the runtime dispatch forced to the scalar fallback versus the active
 //! vector level (AVX2 / AVX-512 / NEON), single-threaded; and the recorded
 //! `tile_size_ablation` section: the dp=2 tile pattern through the gather
@@ -46,8 +46,8 @@ use nn::{Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::{
-    blocked_gemm, blocked_gemm_into, gather_gemm_into, gemm_a_bt, gemm_bias_act, init, pool,
-    row_compact_gemm, simd, Activation, GatherScratch, Matrix, SimdLevel,
+    blocked_gemm, blocked_gemm_into, gather_gemm_into, gemm_a_bt, gemm_at_b, gemm_bias_act, init,
+    pool, row_compact_gemm, simd, Activation, GatherScratch, Matrix, SimdLevel,
 };
 
 /// The seed repository's cache-blocked GEMM, kept verbatim as the baseline
@@ -148,6 +148,9 @@ fn main() {
     pool::set_threads(1);
     let bias = init::uniform(&mut rng, 1, cfg.n, -0.5, 0.5);
     let bt = b.transpose();
+    // The weight gradient `dW = Xᵀ·G` of a backward pass: X is `a`, and any
+    // `m × n` matrix serves as G.
+    let g = blocked_gemm(&a, &b).expect("inner dimensions agree");
     let simd_pair = |f: &mut dyn FnMut()| {
         simd::set_level(SimdLevel::Scalar);
         let scalar = best_of(cfg.reps, &mut *f);
@@ -166,6 +169,12 @@ fn main() {
             "a_bt",
             simd_pair(&mut || {
                 std::hint::black_box(gemm_a_bt(&a, &bt).unwrap());
+            }),
+        ),
+        (
+            "at_b",
+            simd_pair(&mut || {
+                std::hint::black_box(gemm_at_b(&a, &g).unwrap());
             }),
         ),
         (

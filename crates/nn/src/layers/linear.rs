@@ -320,6 +320,23 @@ impl Linear {
     ///
     /// Panics under the same conditions as [`Linear::backward`].
     pub fn backward_into(&mut self, grad_output: &Matrix, dx: &mut Matrix) {
+        self.backward_body(grad_output, Some(dx));
+    }
+
+    /// Like [`Linear::backward_into`] but computing only the parameter
+    /// gradients: for a model's first layer, whose input gradient nothing
+    /// reads, the `dX` product is skipped altogether.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Linear::backward`].
+    pub(crate) fn backward_params(&mut self, grad_output: &Matrix) {
+        self.backward_body(grad_output, None);
+    }
+
+    /// The one backward body: parameter gradients always, `dX` into `dx`
+    /// when one is asked for.
+    fn backward_body(&mut self, grad_output: &Matrix, dx: Option<&mut Matrix>) {
         assert!(self.ws.armed, "backward called without a preceding forward");
         // Move the workspace out (cheap pointer swaps, no allocation) so its
         // buffers can be borrowed alongside `self`'s parameter fields.
@@ -382,7 +399,9 @@ impl Linear {
                 gemm::gemm_at_b_into(&ws.input, grad, &mut self.weight_grad)
                     .expect("batch dimensions agree");
                 grad.sum_rows_into(&mut self.bias_grad);
-                gemm::gemm_a_bt_into(grad, &self.weight, dx).expect("inner dimensions agree");
+                if let Some(dx) = dx {
+                    gemm::gemm_a_bt_into(grad, &self.weight, dx).expect("inner dimensions agree");
+                }
             }
         }
         self.ws = ws;
@@ -1012,6 +1031,69 @@ mod tests {
                     analytic[(r, c)]
                 );
             }
+        }
+    }
+
+    /// The parameter-only backward a first layer runs computes exactly the
+    /// `dW` and bias gradient of the full backward, for every plan family,
+    /// over two SGD steps (the second after the panels went stale).
+    #[test]
+    fn parameter_only_backward_matches_backward_into_bitwise() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let layer = Linear::new(&mut rng, 37, 48);
+        let x = init::uniform(&mut rng, 40, 37, -1.0, 1.0);
+        let g = init::uniform(&mut rng, 40, 48, -1.0, 1.0);
+        let mask = (0..48)
+            .map(|j| if j % 3 == 0 { 0.0 } else { 1.0 })
+            .collect();
+        let shape = LayerShape::new(37, 48);
+        let plans = [
+            ("none", dense_plan(&layer)),
+            (
+                "bernoulli",
+                DropoutPlan::bernoulli(shape, mask, 1.5, 1.0 / 3.0),
+            ),
+            ("row", row_plan(&layer, 2, 1)),
+            ("tile", tile_plan(&layer, 2, 0, 8)),
+            ("nm", nm_plan(&layer, 2, 4, 3)),
+            ("block", block_plan(&layer, 0.5, 8, 4)),
+            ("crs", crs_plan(&layer, 0.5, 5)),
+            ("row_crs", row_crs_plan(&layer, 0.5, 0.5, 6)),
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let sgd = Sgd::new(0.1, 0.9);
+        for (label, plan) in &plans {
+            let (mut full, mut params) = (layer.clone(), layer.clone());
+            let (mut out, mut dx) = (Matrix::default(), Matrix::default());
+            for step in 0..2 {
+                full.forward_act_into(&x, plan, Activation::Relu, &mut out);
+                params.forward_act_into(&x, plan, Activation::Relu, &mut out);
+                full.backward_into(&g, &mut dx);
+                params.backward_params(&g);
+                let what = format!("{label}, step {step}");
+                assert_eq!(
+                    bits(full.weight_grad()),
+                    bits(params.weight_grad()),
+                    "dW, {what}"
+                );
+                assert_eq!(
+                    bits(full.bias_grad()),
+                    bits(params.bias_grad()),
+                    "db, {what}"
+                );
+                full.step(&sgd);
+                params.step(&sgd);
+            }
+            assert_eq!(
+                bits(full.weight()),
+                bits(params.weight()),
+                "{label}: W after two steps"
+            );
+            assert_eq!(
+                bits(full.bias()),
+                bits(params.bias()),
+                "{label}: b after two steps"
+            );
         }
     }
 

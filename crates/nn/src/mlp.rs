@@ -298,17 +298,23 @@ impl Mlp {
     /// [`Mlp::forward_loss`] left in `xent`. Every layer's `dX` lands in
     /// one of the two recycled ping-pong buffers
     /// ([`Linear::backward_into`]); nothing is allocated per iteration once
-    /// the buffers are warmed.
+    /// the buffers are warmed. The input layer's `dX` would be the gradient
+    /// of the data, which nothing reads, so that layer computes only its
+    /// parameter gradients ([`Linear::backward_params`]).
     fn backward(&mut self) {
         let (mut grad, mut scratch) = std::mem::take(&mut self.grad_ws);
         self.output
             .backward_into(self.xent.grad_logits(), &mut grad);
-        for block in self.hidden.iter_mut().rev() {
+        for (idx, block) in self.hidden.iter_mut().enumerate().rev() {
             // The post-ReLU activation gates the gradient exactly like the
             // pre-activation would: relu(z) > 0 ⇔ z > 0.
             ops::relu_grad_mask_inplace(&mut grad, &block.activation);
-            block.linear.backward_into(&grad, &mut scratch);
-            std::mem::swap(&mut grad, &mut scratch);
+            if idx == 0 {
+                block.linear.backward_params(&grad);
+            } else {
+                block.linear.backward_into(&grad, &mut scratch);
+                std::mem::swap(&mut grad, &mut scratch);
+            }
         }
         self.grad_ws = (grad, scratch);
     }

@@ -14,18 +14,28 @@
 //!
 //! # Kernel architecture
 //!
-//! Every production kernel is built from slice-based packed micro-kernels
-//! (`axpy`, `axpy4`, `dot`) that dispatch through [`crate::simd`] to
-//! runtime-detected vector kernels (AVX2/AVX-512/NEON, scalar fallback —
-//! bitwise identical at every level, see the `simd` module docs): the
-//! inner loops never touch the bounds-checked `(i, j)` `Index` operator and
-//! the dense path carries no per-element `aip == 0.0` branch (skipping zeros
-//! is the compacted kernels' job — a data-dependent branch in the dense loop
-//! defeats SIMD exactly like warp divergence defeats the GPU kernel in the
-//! paper's Fig. 1(b)). Every dense GEMM walks K in fixed 128-deep panels,
-//! so a panel of `B` stays cache-resident across a chunk's output rows; the
-//! panel depth is a multiple of 4, so results do not depend on it. Each
-//! kernel has
+//! Every product runs on one of two register-blocked micro-kernels that
+//! dispatch through [`crate::simd`] to runtime-detected bodies (AVX2 and
+//! AVX-512, with the scalar reference as fallback and on NEON — bitwise
+//! identical at every level, see the `simd` module docs):
+//!
+//! * the `axpy4` form ([`simd::gemm_axpy4`]) holds a block of C (4 × 32 on
+//!   AVX-512, 4 × 8 on AVX2) in registers across a 128-deep K panel, so a
+//!   panel of B stays cache-resident while every row block passes over it.
+//!   It reads A through a row and a K stride, so one kernel serves `A·B`
+//!   (strides `[lda, 1]`) and the weight gradient `Aᵀ·B` (`[1, lda]`);
+//! * the `dot` form ([`simd::gemm_dot`]) runs a block of 8-lane dot
+//!   products side by side (4 × 4 on AVX-512, 2 × 4 on AVX2) for `A·Bᵀ`,
+//!   the input gradient of every backward pass.
+//!
+//! Each element of C sees exactly the f32 operations of the one-row-at-a-
+//! time `axpy4`/`axpy`/`dot` loops the kernels replaced, in their order;
+//! `gemm::tests` keeps those loops as the bitwise reference. Column fringes
+//! run masked at vector width and row fringes on narrower instantiations
+//! of the same block. The dense path carries no per-element `aip == 0.0`
+//! branch (skipping zeros is the compacted kernels' job — a data-dependent
+//! branch in the dense loop defeats SIMD exactly like warp divergence
+//! defeats the GPU kernel in the paper's Fig. 1(b)). Each kernel has
 //!
 //! * an allocating entry point (`blocked_gemm`, `gemm_at_b`, …) and a
 //!   `*_into` variant that writes into a caller-owned output buffer so the
@@ -35,8 +45,9 @@
 //!   `transpose()`,
 //! * batch-dimension parallelism: output rows are split across the
 //!   [`crate::pool`] worker threads. Every output row is produced by exactly
-//!   one worker running the same per-row instruction sequence as the serial
-//!   kernel, so results are bitwise identical for any thread count.
+//!   one worker, and each of its elements sees the same operations wherever
+//!   the chunk starts, so results are bitwise identical for any thread
+//!   count.
 
 use crate::matrix::Matrix;
 use crate::pool;
@@ -78,35 +89,6 @@ fn check_inner(a: &Matrix, b: &Matrix) -> Result<(), GemmError> {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernels
-// ---------------------------------------------------------------------------
-
-/// `c += alpha * b`, elementwise over equal-length slices. Dispatches to the
-/// active [`crate::simd`] kernel (bitwise identical at every level).
-#[inline]
-fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
-    simd::axpy(c, alpha, b);
-}
-
-/// `c += a0*b0 + a1*b1 + a2*b2 + a3*b3`: a four-row panel update, the unit of
-/// work the dense kernels are unrolled around (enough independent chains to
-/// keep the SIMD units busy without spilling accumulators). Dispatches to the
-/// active [`crate::simd`] kernel.
-#[inline]
-fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    simd::axpy4(c, alpha, b0, b1, b2, b3);
-}
-
-/// Dot product with eight independent accumulator lanes so the reduction
-/// vectorises; the building block of [`gemm_a_bt`]. Dispatches to the active
-/// [`crate::simd`] kernel, which preserves the 8-lane accumulation order
-/// bitwise.
-#[inline]
-fn dot(x: &[f32], y: &[f32]) -> f32 {
-    simd::dot(x, y)
-}
-
-// ---------------------------------------------------------------------------
 // Dense kernels
 // ---------------------------------------------------------------------------
 
@@ -141,45 +123,14 @@ pub fn naive_gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     Ok(c)
 }
 
-/// Depth of the K panels [`dense_rows_kernel`] walks: a `KC × n` panel of
-/// `B` stays cache-resident across a chunk's rows before the kernel moves
-/// on (the CPU analogue of staging a tile in shared memory).
-const KC: usize = 128;
-
-// A panel edge inside a four-term group would regroup the accumulation and
-// move rounding; with `KC % 4 == 0` every group sits at the same absolute
-// `k` as in a single-panel pass, so results are bitwise panel-invariant.
-const _: () = assert!(KC % 4 == 0, "KC must be a multiple of 4");
-
-/// Per-row-chunk dense kernel: accumulates `chunk += A[rows] * B` with the
-/// 4-way-unrolled micro-kernel, walking K in panels of [`KC`]. `chunk` must
-/// be zeroed by the caller and hold exactly `rows.len() * b.cols()` values.
-fn dense_rows_kernel(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32]) {
+/// Per-row-chunk dense product `chunk += A[rows] · B` through the
+/// register-blocked `axpy4`-form kernel ([`simd::gemm_axpy4`]). `chunk`
+/// must be zeroed by the caller and hold exactly `rows.len() * b.cols()`
+/// values.
+fn dense_rows(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32]) {
     let k = a.cols();
-    let n = b.cols();
-    for pp in (0..k).step_by(KC) {
-        let p_end = (pp + KC).min(k);
-        for (local, i) in rows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            let mut quads = a.row(i)[pp..p_end].chunks_exact(4);
-            let mut p = pp;
-            for quad in &mut quads {
-                axpy4(
-                    crow,
-                    [quad[0], quad[1], quad[2], quad[3]],
-                    b.row(p),
-                    b.row(p + 1),
-                    b.row(p + 2),
-                    b.row(p + 3),
-                );
-                p += 4;
-            }
-            for &alpha in quads.remainder() {
-                axpy(crow, alpha, b.row(p));
-                p += 1;
-            }
-        }
-    }
+    let a_rows = &a.as_slice()[rows.start * k..];
+    simd::gemm_axpy4(a_rows, [k, 1], b.as_slice(), chunk, rows.len(), k, b.cols());
 }
 
 /// Packed, batch-parallel GEMM, `C = A * B`, writing into `out`.
@@ -195,7 +146,7 @@ pub fn blocked_gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(),
     let n = b.cols();
     out.resize(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, b, rows, chunk);
+        dense_rows(a, b, rows, chunk);
     });
     Ok(())
 }
@@ -213,32 +164,6 @@ pub fn blocked_gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     let mut out = Matrix::zeros(0, 0);
     blocked_gemm_into(a, b, &mut out)?;
     Ok(out)
-}
-
-/// Per-row-chunk kernel for `C = Aᵀ · B`: the chunk covers rows of `C`
-/// (columns `p` of `A`); batch rows `i` are walked in panels of four.
-fn at_b_rows_kernel(a: &Matrix, b: &Matrix, prows: Range<usize>, chunk: &mut [f32]) {
-    let m = a.rows();
-    let n = b.cols();
-    let mut i = 0;
-    while i + 4 <= m {
-        let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
-        let (b0, b1, b2, b3) = (b.row(i), b.row(i + 1), b.row(i + 2), b.row(i + 3));
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            axpy4(crow, [a0[p], a1[p], a2[p], a3[p]], b0, b1, b2, b3);
-        }
-        i += 4;
-    }
-    while i < m {
-        let arow = a.row(i);
-        let brow = b.row(i);
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            axpy(crow, arow[p], brow);
-        }
-        i += 1;
-    }
 }
 
 /// Transposed-operand GEMM `C = Aᵀ · B` without materialising `Aᵀ`, writing
@@ -260,11 +185,15 @@ pub fn gemm_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
             b.shape()
         )));
     }
-    let k = a.cols();
-    let n = b.cols();
+    let (batch, k, n) = (a.rows(), a.cols(), b.cols());
     out.resize(k, n);
+    if batch == 0 {
+        return Ok(());
+    }
+    // Row `p` of C reads column `p` of A: strides `[1, k]` walk Aᵀ in place.
     pool::run_row_chunks(k, n, out.as_mut_slice(), |prows, chunk| {
-        at_b_rows_kernel(a, b, prows, chunk);
+        let a_cols = &a.as_slice()[prows.start..];
+        simd::gemm_axpy4(a_cols, [1, k], b.as_slice(), chunk, prows.len(), batch, n);
     });
     Ok(())
 }
@@ -278,19 +207,6 @@ pub fn gemm_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     let mut out = Matrix::zeros(0, 0);
     gemm_at_b_into(a, b, &mut out)?;
     Ok(out)
-}
-
-/// Per-row-chunk kernel for `C = A · Bᵀ`: row `i` of `C` is the vector of
-/// dot products of `A.row(i)` with every row of `B`.
-fn a_bt_rows_kernel(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32]) {
-    let n = b.rows();
-    for (local, i) in rows.enumerate() {
-        let arow = a.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for (j, cj) in crow.iter_mut().enumerate() {
-            *cj = dot(arow, b.row(j));
-        }
-    }
 }
 
 /// Transposed-operand GEMM `C = A · Bᵀ` without materialising `Bᵀ`, writing
@@ -312,11 +228,11 @@ pub fn gemm_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
             b.shape()
         )));
     }
-    let m = a.rows();
-    let n = b.rows();
+    let (m, k, n) = (a.rows(), a.cols(), b.rows());
     out.resize(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        a_bt_rows_kernel(a, b, rows, chunk);
+        let a_rows = &a.as_slice()[rows.start * k..];
+        simd::gemm_dot(a_rows, b.as_slice(), chunk, rows.len(), n, k);
     });
     Ok(())
 }
@@ -971,7 +887,8 @@ pub fn gather_gemm_bias_act_into(
 /// `scratch`: `dW[k, n] = scale · X[:, k]ᵀ · G[:, n]` and
 /// `dX[:, k] = scale · G[:, n] · W[k, n]ᵀ` per class, every entry no class
 /// covers exactly zero. Classes partition the inner indices, so each output
-/// entry comes from exactly one compact product.
+/// entry comes from exactly one compact product. With `dx_out` `None` only
+/// `dW` is computed (a first layer, whose input needs no gradient).
 ///
 /// The scale rides in the gradient gather when a class compacts the output
 /// columns, and in the scatter otherwise. The `dX` product reuses the
@@ -992,7 +909,7 @@ pub fn gather_backward_into(
     scale: f32,
     scratch: &mut GatherScratch,
     dw_out: &mut Matrix,
-    dx_out: &mut Matrix,
+    mut dx_out: Option<&mut Matrix>,
 ) -> Result<(), GemmError> {
     if x.rows() != g.rows() {
         return Err(GemmError::new(format!(
@@ -1030,8 +947,10 @@ pub fn gather_backward_into(
     if !dense {
         dw_out.resize(w.rows(), w.cols());
     }
-    if !(single && classes[0].k.is_none()) {
-        dx_out.resize(g.rows(), w.rows());
+    if let Some(dx_out) = dx_out.as_deref_mut() {
+        if !(single && classes[0].k.is_none()) {
+            dx_out.resize(g.rows(), w.rows());
+        }
     }
     for (class, panel) in classes.iter().zip(panels.iter_mut()) {
         let k = class.k.clone().map(|r| &k_idx[r]);
@@ -1050,30 +969,37 @@ pub fn gather_backward_into(
             }
             None => x,
         };
+        if dense {
+            gemm_at_b_into(x, g, dw_out)?;
+            if scale != 1.0 {
+                dw_out.map_inplace(|v| v * scale);
+            }
+        } else {
+            gemm_at_b_into(x_src, g_src, product)?;
+            scatter_into(product, k, n, post, dw_out);
+        }
+        let Some(dx_out) = dx_out.as_deref_mut() else {
+            continue;
+        };
         let w_src = match (k, n) {
             (None, None) => w,
             _ if reuse => &*panel,
             _ => pack_panel(w, k, n, panel),
         };
         if dense {
-            gemm_at_b_into(x, g, dw_out)?;
             gemm_a_bt_into(g, w, dx_out)?;
             if scale != 1.0 {
-                dw_out.map_inplace(|v| v * scale);
                 dx_out.map_inplace(|v| v * scale);
             }
-            continue;
-        }
-        gemm_at_b_into(x_src, g_src, product)?;
-        scatter_into(product, k, n, post, dw_out);
-        if single && k.is_none() {
+        } else if single && k.is_none() {
             gemm_a_bt_into(g_src, w_src, dx_out)?;
         } else {
             gemm_a_bt_into(g_src, w_src, product)?;
             scatter_into(product, None, k, post, dx_out);
         }
     }
-    *panels_ready = true;
+    // Without a dX product no panel was packed: stale ones stay stale.
+    *panels_ready |= dx_out.is_some();
     Ok(())
 }
 
@@ -1217,7 +1143,7 @@ pub fn gemm_bias_act_into(
     let m = a.rows();
     out.resize(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, w, rows, chunk);
+        dense_rows(a, w, rows, chunk);
         bias_act_epilogue(chunk, n, bias.row(0), None, act);
     });
     Ok(())
@@ -1270,7 +1196,7 @@ pub fn gemm_bias_act_masked_into(
     let m = a.rows();
     out.resize(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, w, rows, chunk);
+        dense_rows(a, w, rows, chunk);
         bias_act_epilogue(chunk, n, bias.row(0), Some((mask, scale)), act);
     });
     Ok(())
@@ -1401,10 +1327,10 @@ mod tests {
         assert!(crate::approx_eq_slice(c1.as_slice(), c2.as_slice(), 1e-3));
     }
 
-    /// `gemm_at_b` sums all of K in one pass, in the same four-term groups
-    /// as the dense kernel, so on `a.transpose()` it is a single-panel
-    /// reference: splitting K into panels must not move a bit, with K
-    /// below, at and just past multiples of the panel depth.
+    /// `A·B` and `Aᵀ·B` reach the same block kernel through A's row-major
+    /// and transposed strides, so on `a.transpose()` they must agree bit
+    /// for bit, with K below, at and just past multiples of the panel
+    /// depth (the single-pass reference is `at_b_reference` below).
     #[test]
     fn k_panels_match_a_single_panel_pass_bitwise() {
         let mut rng = StdRng::seed_from_u64(43);
@@ -1419,6 +1345,148 @@ mod tests {
                 assert_eq!(panelled, single, "m {m}, k {k}, n {n}");
             }
         }
+    }
+
+    /// The dense product as it ran before the register-blocked kernels:
+    /// one output row at a time, `simd::axpy4` over the quads of each
+    /// 128-deep K panel, then `simd::axpy` over the panel's remainder. The
+    /// test-only bitwise reference of the `axpy4`-form block kernel.
+    fn dense_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k) = a.shape();
+        let mut c = Matrix::zeros(m, b.cols());
+        for pp in (0..k).step_by(128) {
+            let p_end = (pp + 128).min(k);
+            for i in 0..m {
+                let crow = c.row_mut(i);
+                let mut quads = a.row(i)[pp..p_end].chunks_exact(4);
+                let mut p = pp;
+                for quad in &mut quads {
+                    let alpha = [quad[0], quad[1], quad[2], quad[3]];
+                    let bs = (b.row(p), b.row(p + 1), b.row(p + 2), b.row(p + 3));
+                    simd::axpy4(crow, alpha, bs.0, bs.1, bs.2, bs.3);
+                    p += 4;
+                }
+                for &alpha in quads.remainder() {
+                    simd::axpy(crow, alpha, b.row(p));
+                    p += 1;
+                }
+            }
+        }
+        c
+    }
+
+    /// `C = Aᵀ·B` as it ran before: the whole batch in one pass, batch rows
+    /// in quads through `simd::axpy4` and the remainder through
+    /// `simd::axpy`, every row of C updated per quad.
+    fn at_b_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k) = a.shape();
+        let mut c = Matrix::zeros(k, b.cols());
+        let mut i = 0;
+        while i + 4 <= m {
+            let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
+            let (b0, b1, b2, b3) = (b.row(i), b.row(i + 1), b.row(i + 2), b.row(i + 3));
+            for p in 0..k {
+                simd::axpy4(c.row_mut(p), [a0[p], a1[p], a2[p], a3[p]], b0, b1, b2, b3);
+            }
+            i += 4;
+        }
+        while i < m {
+            for p in 0..k {
+                simd::axpy(c.row_mut(p), a.row(i)[p], b.row(i));
+            }
+            i += 1;
+        }
+        c
+    }
+
+    /// `C = A·Bᵀ` as it ran before: one `simd::dot` per element.
+    fn a_bt_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| simd::dot(a.row(i), b.row(j)))
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Checks every product form and both fused dense layers on one
+    /// `(m, k, n)` shape against the row-at-a-time references, by bits.
+    fn check_block_kernels(rng: &mut StdRng, (m, k, n): (usize, usize, usize), threads: usize) {
+        let shape = format!("m {m}, k {k}, n {n}, {threads} thread(s)");
+        let mut a = random_matrix(rng, m, k);
+        for v in a.as_mut_slice().iter_mut().skip(3).step_by(7) {
+            *v = 0.0;
+        }
+        let b = random_matrix(rng, k, n);
+        let mut out = Matrix::default();
+        blocked_gemm_into(&a, &b, &mut out).unwrap();
+        let dense = dense_reference(&a, &b);
+        assert_eq!(bits(&out), bits(&dense), "A·B, {shape}");
+        // Xᵀ·G with X = a: batch m, C k × n ...
+        let g = random_matrix(rng, m, n);
+        gemm_at_b_into(&a, &g, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&at_b_reference(&a, &g)), "Xᵀ·G, {shape}");
+        // ... and with X = aᵀ: batch k, C m × n.
+        let (at, g) = (a.transpose(), random_matrix(rng, k, n));
+        gemm_at_b_into(&at, &g, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&at_b_reference(&at, &g)), "Aᵀ·B, {shape}");
+        // G·Wᵀ with G = a and W = bᵀ: C m × n.
+        let w = b.transpose();
+        gemm_a_bt_into(&a, &w, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&a_bt_reference(&a, &w)), "G·Wᵀ, {shape}");
+        if n == 0 {
+            return; // the fused epilogue walks rows of a positive width
+        }
+        let (bias, act) = (random_matrix(rng, 1, n), Activation::Relu);
+        let mask: Vec<f32> = (0..n).map(|c| if c % 3 == 1 { 0.0 } else { 1.0 }).collect();
+        gemm_bias_act_into(&a, &b, &bias, act, &mut out).unwrap();
+        let mut reference = dense.clone();
+        bias_act_epilogue(reference.as_mut_slice(), n, bias.row(0), None, act);
+        assert_eq!(bits(&out), bits(&reference), "fused, {shape}");
+        gemm_bias_act_masked_into(&a, &b, &bias, &mask, 2.0, act, &mut out).unwrap();
+        let mut reference = dense;
+        let masked = Some((mask.as_slice(), 2.0));
+        bias_act_epilogue(reference.as_mut_slice(), n, bias.row(0), masked, act);
+        assert_eq!(bits(&out), bits(&reference), "fused masked, {shape}");
+    }
+
+    /// Every product form and both fused dense layers equal the row-at-a-
+    /// time references bit for bit, over shapes that hit every row, column
+    /// and K fringe of the block kernels (4-row blocks, 8/16/32-wide column
+    /// blocks, 8-lane dots, quads, 128-deep panels), with zeros in A, at
+    /// pool widths 1–3 (width 3 starts chunks off a multiple of 4). The
+    /// grid is subsampled by cost so the debug run stays short, plus a few
+    /// dear shapes of full blocks on every axis.
+    #[test]
+    fn block_kernels_match_the_row_reference_bitwise() {
+        const SIZES: [usize; 22] = [
+            0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 131, 255, 256, 257,
+        ];
+        const BUDGET: usize = 512;
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let mut checked = 0;
+        for threads in [1, 2, 3] {
+            pool::set_threads(threads);
+            for shape in [(128, 257, 131), (70, 131, 97)] {
+                check_block_kernels(&mut rng, shape, threads);
+            }
+            for (i, &m) in SIZES.iter().enumerate() {
+                for (j, &k) in SIZES.iter().enumerate() {
+                    for (l, &n) in SIZES.iter().enumerate() {
+                        // A pool splits only outputs of at least 32 rows.
+                        let serial = threads > 1 && m.max(k) < pool::PAR_MIN_ROWS;
+                        let stride = ((m + 1) * (k + 1) * (n + 1) / BUDGET).max(1);
+                        let hash = ((i * 22 + j) * 22 + l) * 3 + threads;
+                        if serial || (hash.wrapping_mul(0x9E37_79B9) >> 8) % stride != 0 {
+                            continue;
+                        }
+                        check_block_kernels(&mut rng, (m, k, n), threads);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        pool::set_threads(pool::env_default_threads());
+        assert!(checked > 4000, "the grid checked only {checked} shapes");
     }
 
     #[test]
@@ -1752,7 +1820,7 @@ mod tests {
         let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
         let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         scratch.resolve_cols(&kept);
-        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
         assert_eq!(dw.shape(), (5, 9));
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
@@ -1785,7 +1853,7 @@ mod tests {
         s1.resolve_cols(&kept);
         let mut dw_ref = Matrix::zeros(0, 0);
         let mut dx_ref = Matrix::zeros(0, 0);
-        gather_backward_into(&x, &g, &w, scale, &mut s1, &mut dw_ref, &mut dx_ref).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut s1, &mut dw_ref, Some(&mut dx_ref)).unwrap();
 
         // … while after a forward pass the backward reuses its panel.
         let mut s2 = GatherScratch::default();
@@ -1794,15 +1862,19 @@ mod tests {
         gather_gemm_into(&x, &w, &mut s2, &mut y).unwrap();
         let mut dw = Matrix::zeros(0, 0);
         let mut dx = Matrix::zeros(0, 0);
-        gather_backward_into(&x, &g, &w, scale, &mut s2, &mut dw, &mut dx).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut s2, &mut dw, Some(&mut dx)).unwrap();
         assert_eq!(dw, dw_ref);
         assert_eq!(dx, dx_ref);
 
         // Shape mismatches are rejected up front.
         let bad_x = Matrix::zeros(5, 4);
-        assert!(gather_backward_into(&bad_x, &g, &w, scale, &mut s2, &mut dw, &mut dx).is_err());
+        assert!(
+            gather_backward_into(&bad_x, &g, &w, scale, &mut s2, &mut dw, Some(&mut dx)).is_err()
+        );
         let bad_w = Matrix::zeros(4, 9);
-        assert!(gather_backward_into(&x, &g, &bad_w, scale, &mut s2, &mut dw, &mut dx).is_err());
+        assert!(
+            gather_backward_into(&x, &g, &bad_w, scale, &mut s2, &mut dw, Some(&mut dx)).is_err()
+        );
     }
 
     #[test]
@@ -1811,7 +1883,7 @@ mod tests {
         let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let mut backward = |x: &Matrix, g: &Matrix, w: &Matrix, kept: &[usize]| {
             scratch.resolve_cols(kept);
-            gather_backward_into(x, g, w, 1.0, &mut scratch, &mut dw, &mut dx)
+            gather_backward_into(x, g, w, 1.0, &mut scratch, &mut dw, Some(&mut dx))
         };
         // Batch, output-width and inner-dimension mismatches.
         let (x, g, w) = (
@@ -1887,7 +1959,7 @@ mod tests {
         let mut scratch = GatherScratch::default();
         scratch.resolve_blocks(&kept_blocks, 4, 11).unwrap();
         let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
         assert_eq!(dw.shape(), (5, 11));
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
@@ -1923,7 +1995,7 @@ mod tests {
             }
             let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
             let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-            gather_backward_into(&x, &g, &w, 1.0, &mut scratch, &mut dw, &mut dx).unwrap();
+            gather_backward_into(&x, &g, &w, 1.0, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
             assert!(
                 crate::approx_eq_slice(dw.as_slice(), dw_ref.as_slice(), 1e-4),
                 "batch {batch}"
@@ -2329,7 +2401,7 @@ mod tests {
         let mut scratch = GatherScratch::default();
         let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         scratch.resolve_k(&kept_k);
-        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
         assert_eq!(dw.shape(), (13, 10));
         assert_eq!(dx.shape(), (8, 13));
         assert!(crate::approx_eq_slice(
@@ -2390,7 +2462,7 @@ mod tests {
         let mut scratch = GatherScratch::default();
         let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         scratch.resolve_nk(&kept_k, &kept_cols);
-        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, &mut dx).unwrap();
+        gather_backward_into(&x, &g, &w, scale, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
             dw_ref.as_slice(),
@@ -2445,7 +2517,9 @@ mod tests {
         let mut dx = Matrix::zeros(0, 0);
         assert!(k_gather(&a, &w, &[3]).is_err());
         scratch.resolve_k(&[3]);
-        assert!(gather_backward_into(&a, &g, &w, 1.0, &mut scratch, &mut out, &mut dx).is_err());
+        assert!(
+            gather_backward_into(&a, &g, &w, 1.0, &mut scratch, &mut out, Some(&mut dx)).is_err()
+        );
         scratch.resolve_nk(&[3], &[0]);
         assert!(gather_gemm_into(&a, &w, &mut scratch, &mut out).is_err());
         scratch.resolve_nk(&[0], &[4]);

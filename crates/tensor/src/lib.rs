@@ -11,7 +11,7 @@
 //!   what Row-based and Tile-based Dropout Patterns do on the GPU: one
 //!   gather core packs the kept operands of every compacting scheme (rows,
 //!   N:M, blocks, tiles, CRS) into dense sub-GEMMs for the dense
-//!   micro-kernel, which walks K in fixed 128-deep panels.
+//!   register-blocked micro-kernel, which walks K in fixed 128-deep panels.
 //! * [`init`] — weight initialisation helpers (uniform, Xavier/Glorot,
 //!   Gaussian via Box–Muller) so the crate has no dependency beyond `rand`.
 //! * [`pool`] — a hand-rolled thread pool that splits the batch (row)
@@ -19,8 +19,8 @@
 //!   pins execution fully serial, and results are bitwise identical for any
 //!   thread count.
 //! * [`simd`] — runtime-dispatched vector micro-kernels (AVX2 / AVX-512 /
-//!   NEON with a mandatory scalar fallback) every GEMM inner loop and fused
-//!   epilogue routes through; `TENSOR_SIMD=0` forces the scalar path.
+//!   NEON with a mandatory scalar fallback) every GEMM block kernel and
+//!   fused epilogue routes through; `TENSOR_SIMD=0` forces the scalar path.
 //! * [`tune`] — a tuner that searches the pool's serial-fallback row
 //!   threshold and persists it to `TUNE_GEMM.json` (`TENSOR_TUNE_FILE`
 //!   points loads elsewhere).

@@ -4,8 +4,9 @@
 //! # Dispatch
 //!
 //! The instruction set is picked once per process ([`detected_level`]) with
-//! `is_x86_feature_detected!` (AVX-512 only on toolchains ≥ 1.89, see the
-//! crate's `build.rs`); NEON is unconditional on aarch64 and the scalar
+//! `is_x86_feature_detected!` (AVX-512, which here means AVX-512F with
+//! AVX-512VL, only on toolchains ≥ 1.89, see the crate's `build.rs`); NEON
+//! is unconditional on aarch64 and the scalar
 //! loops remain the mandatory fallback everywhere else. The *active* level
 //! ([`level`]) starts from the `TENSOR_SIMD` environment variable —
 //! `0`/`off`/`scalar` forces the scalar path, `avx2`/`avx512`/`neon`
@@ -17,8 +18,9 @@
 //!
 //! # Bitwise contract
 //!
-//! The vector kernels for [`axpy`], [`axpy4`], [`dot`], ReLU and every
-//! bias/mask/scale epilogue helper reproduce the scalar loops **bitwise**:
+//! The vector kernels for [`axpy`], [`axpy4`], [`dot`], the two GEMM block
+//! kernels, ReLU and every bias/mask/scale epilogue helper reproduce the
+//! scalar loops **bitwise**:
 //!
 //! * multiplies and adds are issued as separate instructions in the scalar
 //!   evaluation order — never fused into FMA, which rounds once instead of
@@ -28,6 +30,22 @@
 //!   scalar loop; under AVX-512 `dot` deliberately stays on the 8-lane
 //!   kernel rather than widening to 16 lanes (a 16-lane reduction would
 //!   reassociate the sum);
+//! * the `axpy4`-form block kernel [`gemm_axpy4`] keeps a block of C in
+//!   registers across a 128-deep K panel, and each element still sees
+//!   [`axpy4`] then [`axpy`]: from the panel start, K runs in quads as
+//!   `c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)`, then the remaining steps
+//!   one at a time as `c + a·b`. Panels are a multiple of 4 deep, so no
+//!   quad straddles one, and a chunk of rows starting anywhere gives the
+//!   same bits;
+//! * the `dot`-form block kernel [`gemm_dot`] runs a block of dot products
+//!   side by side, each element exactly [`dot`]: lane `l` sums
+//!   `x[8t+l]·y[8t+l]` over `t` from `0.0`, the lanes are summed `0..7`
+//!   from `0.0`, then the tail in order. Its AVX-512 body holds 16 ymm
+//!   accumulators in ymm0–31, which is why the AVX-512 level also
+//!   requires AVX-512VL;
+//! * the scalar bodies are the reference: the old one-row-at-a-time loops.
+//!   NEON runs them for the block kernels too (no NEON block body exists;
+//!   its speed is unmeasured);
 //! * ReLU is `max(v, 0.0)` in both worlds (`-0.0` inputs may normalise to
 //!   `+0.0` differently across ISAs; accumulated GEMM outputs never produce
 //!   `-0.0`).
@@ -62,7 +80,8 @@ pub enum SimdLevel {
     Neon = 1,
     /// 256-bit AVX2 (x86-64, runtime-detected).
     Avx2 = 2,
-    /// 512-bit AVX-512F (x86-64, runtime-detected, toolchain ≥ 1.89).
+    /// 512-bit AVX-512F with AVX-512VL (x86-64, runtime-detected,
+    /// toolchain ≥ 1.89).
     Avx512 = 3,
 }
 
@@ -104,8 +123,10 @@ impl SimdLevel {
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
+        // The dot-form GEMM body keeps 16 ymm accumulators, which needs
+        // AVX-512VL's ymm16–31: no AVX-512 body may run without it.
         #[cfg(tensor_avx512)]
-        if is_x86_feature_detected!("avx512f") {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
             return SimdLevel::Avx512;
         }
         if is_x86_feature_detected!("avx2") {
@@ -263,7 +284,59 @@ mod scalar {
             *v = v.max(0.0);
         }
     }
+
+    /// Reference `axpy4`-form product (see [`super::gemm_axpy4`]): each row
+    /// of C runs [`axpy4`] over the quads of every K panel, then [`axpy`]
+    /// over the panel's remainder.
+    pub fn gemm_axpy4(
+        a: &[f32],
+        [rs, ks]: [usize; 2],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let brow = |p: usize| &b[p * n..(p + 1) * n];
+        for p0 in (0..k).step_by(super::KC) {
+            let p1 = (p0 + super::KC).min(k);
+            for (r, crow) in c.chunks_exact_mut(n).take(m).enumerate() {
+                let av = |p: usize| a[r * rs + p * ks];
+                let mut p = p0;
+                while p + 4 <= p1 {
+                    let alpha = [av(p), av(p + 1), av(p + 2), av(p + 3)];
+                    axpy4(crow, alpha, brow(p), brow(p + 1), brow(p + 2), brow(p + 3));
+                    p += 4;
+                }
+                while p < p1 {
+                    axpy(crow, av(p), brow(p));
+                    p += 1;
+                }
+            }
+        }
+    }
+
+    /// Reference `dot`-form product (see [`super::gemm_dot`]): every
+    /// element of C is one [`dot`].
+    pub fn gemm_dot(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+        for (i, crow) in c.chunks_exact_mut(n).take(m).enumerate() {
+            let arow = &a[i * k..(i + 1) * k];
+            for (j, cj) in crow.iter_mut().enumerate() {
+                *cj = dot(arow, &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
 }
+
+/// Depth of the K panels the `axpy4`-form product walks: a `KC`-deep panel
+/// of B stays cache-resident while every row block of C passes over it
+/// (the CPU analogue of staging a tile in shared memory).
+const KC: usize = 128;
+
+// A panel edge inside a quad would regroup the accumulation and move
+// rounding; with `KC % 4 == 0` every quad sits at the same absolute `k` as
+// in a single-panel pass, so results are bitwise panel-invariant.
+const _: () = assert!(KC % 4 == 0, "KC must be a multiple of 4");
 
 // ---------------------------------------------------------------------------
 // Polynomial transcendentals (shared by the vector bodies and their scalar
@@ -729,6 +802,464 @@ mod x86 {
             j += 1;
         }
     }
+
+    // -----------------------------------------------------------------------
+    // Register-blocked GEMM bodies
+    // -----------------------------------------------------------------------
+
+    /// Strides of one `axpy4`-form product: A's element `(r, p)` sits at
+    /// `r * rs + p * ks`, and B and C share the row stride `ld` (= n).
+    #[derive(Clone, Copy)]
+    struct AxpyStrides {
+        rs: usize,
+        ks: usize,
+        ld: usize,
+    }
+
+    /// Lane mask of the first `w` of eight lanes, for the masked AVX
+    /// loads and stores of a column fringe.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask8(w: usize) -> __m256i {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(w.min(8) as i32), lanes)
+    }
+
+    /// Eight floats at `p`, or only the lanes of `mask` when `MASKED`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and the eight floats at `p` (the lanes of
+    /// `mask` when `MASKED`) are in bounds.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load8<const MASKED: bool>(p: *const f32, mask: __m256i) -> __m256 {
+        if MASKED {
+            _mm256_maskload_ps(p, mask)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// One `MR × 8` block of C held in ymm registers across a `kc`-deep K
+    /// range: per element the quads of [`axpy4_avx2`], then the single
+    /// steps of [`axpy_avx2`]. `MASKED` reads and writes only the lanes of
+    /// `mask` (a column fringe).
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2; for every `r < MR`, `p < kc` and every column
+    /// `j < 8` (only the lanes of `mask` when `MASKED`), `a + r·rs + p·ks`,
+    /// `b + p·ld + j` and `c + r·ld + j` are in bounds.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn axpy4_block_avx2<const MR: usize, const MASKED: bool>(
+        s: AxpyStrides,
+        kc: usize,
+        mask: __m256i,
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); MR];
+        for (r, x) in acc.iter_mut().enumerate() {
+            *x = load8::<MASKED>(c.add(r * s.ld), mask);
+        }
+        let mut p = 0;
+        while p + 4 <= kc {
+            let x0 = load8::<MASKED>(b.add(p * s.ld), mask);
+            let x1 = load8::<MASKED>(b.add((p + 1) * s.ld), mask);
+            let x2 = load8::<MASKED>(b.add((p + 2) * s.ld), mask);
+            let x3 = load8::<MASKED>(b.add((p + 3) * s.ld), mask);
+            for (r, x) in acc.iter_mut().enumerate() {
+                let ar = a.add(r * s.rs + p * s.ks);
+                let va0 = _mm256_set1_ps(*ar);
+                let va1 = _mm256_set1_ps(*ar.add(s.ks));
+                let va2 = _mm256_set1_ps(*ar.add(2 * s.ks));
+                let va3 = _mm256_set1_ps(*ar.add(3 * s.ks));
+                let mut t = _mm256_add_ps(_mm256_mul_ps(va0, x0), _mm256_mul_ps(va1, x1));
+                t = _mm256_add_ps(t, _mm256_mul_ps(va2, x2));
+                t = _mm256_add_ps(t, _mm256_mul_ps(va3, x3));
+                *x = _mm256_add_ps(*x, t);
+            }
+            p += 4;
+        }
+        while p < kc {
+            let vb = load8::<MASKED>(b.add(p * s.ld), mask);
+            for (r, x) in acc.iter_mut().enumerate() {
+                let va = _mm256_set1_ps(*a.add(r * s.rs + p * s.ks));
+                *x = _mm256_add_ps(*x, _mm256_mul_ps(va, vb));
+            }
+            p += 1;
+        }
+        for (r, &x) in acc.iter().enumerate() {
+            if MASKED {
+                _mm256_maskstore_ps(c.add(r * s.ld), mask, x);
+            } else {
+                _mm256_storeu_ps(c.add(r * s.ld), x);
+            }
+        }
+    }
+
+    /// Every 4-row block of an `m`-row strip, then its 1–3-row fringe.
+    ///
+    /// # Safety
+    ///
+    /// As [`axpy4_block_avx2`], for every `r < m`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn axpy4_strip_avx2<const MASKED: bool>(
+        s: AxpyStrides,
+        (m, kc): (usize, usize),
+        mask: __m256i,
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+    ) {
+        let mut r = 0;
+        while r + 4 <= m {
+            axpy4_block_avx2::<4, MASKED>(s, kc, mask, a.add(r * s.rs), b, c.add(r * s.ld));
+            r += 4;
+        }
+        // No fringe leaves these one block past the end: never dereferenced.
+        let (a, c) = (a.wrapping_add(r * s.rs), c.wrapping_add(r * s.ld));
+        match m - r {
+            1 => axpy4_block_avx2::<1, MASKED>(s, kc, mask, a, b, c),
+            2 => axpy4_block_avx2::<2, MASKED>(s, kc, mask, a, b, c),
+            3 => axpy4_block_avx2::<3, MASKED>(s, kc, mask, a, b, c),
+            _ => {}
+        }
+    }
+
+    /// AVX2 body of [`super::gemm_axpy4`]: `4 × 8` blocks (four ymm
+    /// accumulators, four B vectors and the broadcasts of one row fit the
+    /// 16 ymm registers), masked on the column fringe.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and the extents [`super::gemm_axpy4`] asserts
+    /// hold for `a`, `b` and `c`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_axpy4_avx2(
+        a: *const f32,
+        [rs, ks]: [usize; 2],
+        b: *const f32,
+        c: *mut f32,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let s = AxpyStrides { rs, ks, ld: n };
+        let full = lane_mask8(8);
+        for p0 in (0..k).step_by(super::KC) {
+            let kc = super::KC.min(k - p0);
+            let (a, b) = (a.add(p0 * ks), b.add(p0 * n));
+            let mut j = 0;
+            while j + 8 <= n {
+                axpy4_strip_avx2::<false>(s, (m, kc), full, a, b.add(j), c.add(j));
+                j += 8;
+            }
+            if j < n {
+                let mask = lane_mask8(n - j);
+                axpy4_strip_avx2::<true>(s, (m, kc), mask, a, b.add(j), c.add(j));
+            }
+        }
+    }
+
+    /// One `MR` × `16·NV` block of C held in zmm registers across a
+    /// `kc`-deep K range: per element the quads of [`axpy4_avx512`], then
+    /// the single steps of [`axpy_avx512`]. Loads and stores are masked by
+    /// `masks[v]` (all lanes inside the matrix; fewer on a column fringe).
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F; for every `r < MR`, `p < kc`, `v < NV`
+    /// and every lane `l` of `masks[v]`, `a + r·rs + p·ks`,
+    /// `b + p·ld + 16v + l` and `c + r·ld + 16v + l` are in bounds.
+    #[allow(clippy::incompatible_msrv)]
+    #[cfg(tensor_avx512)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn axpy4_block_avx512<const MR: usize, const NV: usize>(
+        s: AxpyStrides,
+        kc: usize,
+        masks: [__mmask16; 2],
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); NV]; MR];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, x) in row.iter_mut().enumerate() {
+                *x = _mm512_maskz_loadu_ps(masks[v], c.add(r * s.ld + 16 * v));
+            }
+        }
+        let mut p = 0;
+        while p + 4 <= kc {
+            let mut xq = [[_mm512_setzero_ps(); NV]; 4];
+            for (q, row) in xq.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = _mm512_maskz_loadu_ps(masks[v], b.add((p + q) * s.ld + 16 * v));
+                }
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let ar = a.add(r * s.rs + p * s.ks);
+                let va0 = _mm512_set1_ps(*ar);
+                let va1 = _mm512_set1_ps(*ar.add(s.ks));
+                let va2 = _mm512_set1_ps(*ar.add(2 * s.ks));
+                let va3 = _mm512_set1_ps(*ar.add(3 * s.ks));
+                for (v, x) in row.iter_mut().enumerate() {
+                    let mut t =
+                        _mm512_add_ps(_mm512_mul_ps(va0, xq[0][v]), _mm512_mul_ps(va1, xq[1][v]));
+                    t = _mm512_add_ps(t, _mm512_mul_ps(va2, xq[2][v]));
+                    t = _mm512_add_ps(t, _mm512_mul_ps(va3, xq[3][v]));
+                    *x = _mm512_add_ps(*x, t);
+                }
+            }
+            p += 4;
+        }
+        while p < kc {
+            let mut vb = [_mm512_setzero_ps(); NV];
+            for (v, x) in vb.iter_mut().enumerate() {
+                *x = _mm512_maskz_loadu_ps(masks[v], b.add(p * s.ld + 16 * v));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let va = _mm512_set1_ps(*a.add(r * s.rs + p * s.ks));
+                for (x, &y) in row.iter_mut().zip(&vb) {
+                    *x = _mm512_add_ps(*x, _mm512_mul_ps(va, y));
+                }
+            }
+            p += 1;
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &x) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(c.add(r * s.ld + 16 * v), masks[v], x);
+            }
+        }
+    }
+
+    /// Every 4-row block of an `m`-row strip, then its 1–3-row fringe.
+    ///
+    /// # Safety
+    ///
+    /// As [`axpy4_block_avx512`], for every `r < m`.
+    #[allow(clippy::incompatible_msrv)]
+    #[cfg(tensor_avx512)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn axpy4_strip_avx512<const NV: usize>(
+        s: AxpyStrides,
+        (m, kc): (usize, usize),
+        masks: [__mmask16; 2],
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+    ) {
+        let mut r = 0;
+        while r + 4 <= m {
+            axpy4_block_avx512::<4, NV>(s, kc, masks, a.add(r * s.rs), b, c.add(r * s.ld));
+            r += 4;
+        }
+        // No fringe leaves these one block past the end: never dereferenced.
+        let (a, c) = (a.wrapping_add(r * s.rs), c.wrapping_add(r * s.ld));
+        match m - r {
+            1 => axpy4_block_avx512::<1, NV>(s, kc, masks, a, b, c),
+            2 => axpy4_block_avx512::<2, NV>(s, kc, masks, a, b, c),
+            3 => axpy4_block_avx512::<3, NV>(s, kc, masks, a, b, c),
+            _ => {}
+        }
+    }
+
+    /// AVX-512 body of [`super::gemm_axpy4`]: `4 × 32` blocks (two zmm per
+    /// row), the column fringe masked at vector width.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F, and the extents [`super::gemm_axpy4`]
+    /// asserts hold for `a`, `b` and `c`.
+    #[allow(clippy::incompatible_msrv)]
+    #[cfg(tensor_avx512)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_axpy4_avx512(
+        a: *const f32,
+        [rs, ks]: [usize; 2],
+        b: *const f32,
+        c: *mut f32,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let s = AxpyStrides { rs, ks, ld: n };
+        let mask = |w: usize| -> __mmask16 { (((1u32 << w.min(16)) - 1) & 0xFFFF) as u16 };
+        for p0 in (0..k).step_by(super::KC) {
+            let kc = super::KC.min(k - p0);
+            let (a, b) = (a.add(p0 * ks), b.add(p0 * n));
+            let mut j = 0;
+            while j < n {
+                let w = (n - j).min(32);
+                let masks = [mask(w), mask(w.saturating_sub(16))];
+                let (b, c) = (b.add(j), c.add(j));
+                if w > 16 {
+                    axpy4_strip_avx512::<2>(s, (m, kc), masks, a, b, c);
+                } else {
+                    axpy4_strip_avx512::<1>(s, (m, kc), masks, a, b, c);
+                }
+                j += 32;
+            }
+        }
+    }
+
+    /// One `MR × NR` block of dot products `C[r][j] = a_r · b_j` of
+    /// `k`-long rows (A and B both at row stride `k`, C at `ldc`), one ymm
+    /// accumulator per element: each element is exactly [`dot_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2; `a + r·k + p`, `b + j·k + p` and
+    /// `c + r·ldc + j` are in bounds for every `r < MR`, `j < NR`, `p < k`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dot_block<const MR: usize, const NR: usize>(
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        k: usize,
+        ldc: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); NR]; MR];
+        let mut p = 0;
+        while p + 8 <= k {
+            let mut va = [_mm256_setzero_ps(); MR];
+            for (r, x) in va.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(a.add(r * k + p));
+            }
+            for j in 0..NR {
+                let vb = _mm256_loadu_ps(b.add(j * k + p));
+                for (row, &x) in acc.iter_mut().zip(&va) {
+                    row[j] = _mm256_add_ps(row[j], _mm256_mul_ps(x, vb));
+                }
+            }
+            p += 8;
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), x);
+                let mut sum = 0.0;
+                for &lane in &lanes {
+                    sum += lane;
+                }
+                for q in p..k {
+                    sum += *a.add(r * k + q) * *b.add(j * k + q);
+                }
+                *c.add(r * ldc + j) = sum;
+            }
+        }
+    }
+
+    /// Every `MR`-row block of an `m`-row strip against `NR` rows of B,
+    /// then the strip's row fringe (`MR ≤ 4`).
+    ///
+    /// # Safety
+    ///
+    /// As [`dot_block`], for every `r < m`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dot_strip<const MR: usize, const NR: usize>(
+        m: usize,
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        (k, ldc): (usize, usize),
+    ) {
+        let mut r = 0;
+        while r + MR <= m {
+            dot_block::<MR, NR>(a.add(r * k), b, c.add(r * ldc), k, ldc);
+            r += MR;
+        }
+        // No fringe leaves these one block past the end: never dereferenced.
+        let (a, c) = (a.wrapping_add(r * k), c.wrapping_add(r * ldc));
+        match m - r {
+            1 => dot_block::<1, NR>(a, b, c, k, ldc),
+            2 => dot_block::<2, NR>(a, b, c, k, ldc),
+            3 => dot_block::<3, NR>(a, b, c, k, ldc),
+            _ => {}
+        }
+    }
+
+    /// Shared body of the `dot`-form product at `MR × NR` blocks
+    /// (`MR, NR ≤ 4`): each `NR`-row panel of B stays in L1 while every row
+    /// block of A passes over it.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 (and every feature the `MR × NR` accumulators
+    /// need to stay in registers), and the extents [`super::gemm_dot`]
+    /// asserts hold for `a`, `b` and `c`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn gemm_dot_blocked<const MR: usize, const NR: usize>(
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
+        let mut j = 0;
+        while j + NR <= n {
+            dot_strip::<MR, NR>(m, a, b.add(j * k), c.add(j), (k, n));
+            j += NR;
+        }
+        // No fringe leaves these one block past the end: never dereferenced.
+        let (b, c) = (b.wrapping_add(j * k), c.wrapping_add(j));
+        match n - j {
+            1 => dot_strip::<MR, 1>(m, a, b, c, (k, n)),
+            2 => dot_strip::<MR, 2>(m, a, b, c, (k, n)),
+            3 => dot_strip::<MR, 3>(m, a, b, c, (k, n)),
+            _ => {}
+        }
+    }
+
+    /// AVX2 body of [`super::gemm_dot`]: `2 × 4` blocks, eight ymm
+    /// accumulators beside two A vectors and one B vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and the extents [`super::gemm_dot`] asserts
+    /// hold for `a`, `b` and `c`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_dot_avx2(
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
+        gemm_dot_blocked::<2, 4>(a, b, c, m, n, k);
+    }
+
+    /// AVX-512 body of [`super::gemm_dot`]: `4 × 4` blocks of 8-lane
+    /// accumulators (the 16 accumulators need ymm16–31, hence AVX-512VL);
+    /// the per-element order stays [`dot_avx2`]'s, never 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F and AVX-512VL, and the extents
+    /// [`super::gemm_dot`] asserts hold for `a`, `b` and `c`.
+    #[allow(clippy::incompatible_msrv)]
+    #[cfg(tensor_avx512)]
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub unsafe fn gemm_dot_avx512(
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
+        gemm_dot_blocked::<4, 4>(a, b, c, m, n, k);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -933,6 +1464,101 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::dot_avx2(x, y) },
         _ => scalar::dot(x, y),
+    }
+}
+
+/// `C += A·B` in the `axpy4` form, a block of C held in registers across
+/// each K panel: `c` is `m × n` and `b` is `k × n` (both row-major at row
+/// stride `n`), and A's element `(r, p)` is `a[r·rs + p·ks]` for
+/// `a_strides = [rs, ks]` — `[lda, 1]` reads a row-major A, `[1, lda]` its
+/// transpose (so `Xᵀ·G` needs no transpose of its own). Each element of C
+/// sees exactly the operations of [`axpy4`] over the quads of each
+/// 128-deep K panel, then [`axpy`] over the remainder (see module docs).
+///
+/// # Panics
+///
+/// Panics if `c` does not hold `m × n` values, `b` holds fewer than
+/// `k × n`, or A's strides reach past `a`.
+pub fn gemm_axpy4(
+    a: &[f32],
+    a_strides: [usize; 2],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(Some(c.len()), m.checked_mul(n), "C must hold m × n values");
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let [rs, ks] = a_strides;
+    let a_last = (m - 1)
+        .checked_mul(rs)
+        .zip((k - 1).checked_mul(ks))
+        .and_then(|(r, p)| r.checked_add(p));
+    assert!(
+        a_last.is_some_and(|last| last < a.len()),
+        "A's strides reach past its slice"
+    );
+    assert!(
+        k.checked_mul(n).is_some_and(|len| len <= b.len()),
+        "B must hold k × n values"
+    );
+    let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    match level() {
+        // SAFETY: the level is AVX-512 only when the CPU has AVX-512F (see
+        // `detect`), and the asserts above bound every element of A, B and
+        // C the body touches.
+        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
+        SimdLevel::Avx512 => unsafe { x86::gemm_axpy4_avx512(pa, a_strides, pb, pc, m, k, n) },
+        // SAFETY: every vector level on x86-64 implies AVX2 (see `detect`),
+        // and the asserts above bound every element the body touches.
+        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
+        SimdLevel::Avx512 => unsafe { x86::gemm_axpy4_avx2(pa, a_strides, pb, pc, m, k, n) },
+        // SAFETY: as above — AVX2 is detected, the extents are asserted.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::gemm_axpy4_avx2(pa, a_strides, pb, pc, m, k, n) },
+        _ => scalar::gemm_axpy4(a, a_strides, b, c, m, k, n),
+    }
+}
+
+/// `C = A·Bᵀ` in the `dot` form, blocks of dot products run side by side:
+/// `a` is `m × k`, `b` is `n × k` and `c` is `m × n`, all row-major, and
+/// `C[i][j]` is exactly [`dot`]`(a_i, b_j)` (see module docs).
+///
+/// # Panics
+///
+/// Panics if `c` does not hold `m × n` values, or `a` (`b`) holds fewer
+/// than `m × k` (`n × k`).
+pub fn gemm_dot(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+    assert_eq!(Some(c.len()), m.checked_mul(n), "C must hold m × n values");
+    assert!(
+        m.checked_mul(k).is_some_and(|len| len <= a.len()),
+        "A must hold m × k values"
+    );
+    assert!(
+        n.checked_mul(k).is_some_and(|len| len <= b.len()),
+        "B must hold n × k values"
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    match level() {
+        // SAFETY: the level is AVX-512 only when the CPU has AVX-512F and
+        // AVX-512VL (see `detect`), and the asserts above bound every
+        // element of A, B and C the body touches.
+        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
+        SimdLevel::Avx512 => unsafe { x86::gemm_dot_avx512(pa, pb, pc, m, n, k) },
+        // SAFETY: every vector level on x86-64 implies AVX2 (see `detect`),
+        // and the asserts above bound every element the body touches.
+        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
+        SimdLevel::Avx512 => unsafe { x86::gemm_dot_avx2(pa, pb, pc, m, n, k) },
+        // SAFETY: as above — AVX2 is detected, the extents are asserted.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::gemm_dot_avx2(pa, pb, pc, m, n, k) },
+        _ => scalar::gemm_dot(a, b, c, m, n, k),
     }
 }
 

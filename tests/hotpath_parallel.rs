@@ -55,7 +55,7 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
             crs_scale,
             &mut crs_scratch,
             &mut crs_dw,
-            &mut crs_dx,
+            Some(&mut crs_dx),
         )
         .unwrap();
         (
@@ -534,7 +534,7 @@ fn gather_k_output_buffers_are_recycled_across_kept_sets() {
     gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
     let mut dw = Matrix::default();
     let mut dx = Matrix::default();
-    gather_backward_into(&a, &g, &w, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
+    gather_backward_into(&a, &g, &w, 2.0, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
     let (out_ptr, dw_ptr, dx_ptr) = (
         out.as_slice().as_ptr(),
         dw.as_slice().as_ptr(),
@@ -543,7 +543,7 @@ fn gather_k_output_buffers_are_recycled_across_kept_sets() {
 
     scratch.resolve_k(&kept_b);
     gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
-    gather_backward_into(&a, &g, &w, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
+    gather_backward_into(&a, &g, &w, 2.0, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
     assert_eq!(
         out_ptr,
         out.as_slice().as_ptr(),

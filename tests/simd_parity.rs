@@ -4,11 +4,14 @@
 //! changes ReLU/Identity results by a single bit: every vector kernel
 //! replicates the scalar accumulation order exactly (mul-then-add, no FMA,
 //! the 8-lane `dot` reduction preserved). These tests pin that contract
-//! through the public API — raw micro-kernels, the dense/transposed GEMMs
-//! and every compacted kernel family via `Linear::forward_act_into`, at
-//! serial and parallel pool widths — and bound the documented polynomial
-//! tolerance of the sigmoid/tanh epilogues against libm. A dispatch test
-//! asserts the detected ISA is actually what gets selected.
+//! through the public API — raw micro-kernels, the register-blocked
+//! dense/transposed GEMMs and every compacted kernel family via
+//! `Linear::forward_act_into`, at serial and parallel pool widths — and
+//! bound the documented polynomial tolerance of the sigmoid/tanh epilogues
+//! against libm. Each test compares the scalar reference with *every*
+//! vector level the host supports, not only the detected one, so an
+//! AVX-512 host still runs the AVX2 bodies. A dispatch test asserts the
+//! detected ISA is actually what gets selected.
 //!
 //! The SIMD level is process-global state, so every test here serialises
 //! on one mutex and restores the entry level before returning.
@@ -64,6 +67,15 @@ fn family_plans(in_features: usize, out_features: usize) -> Vec<(&'static str, D
     plans
 }
 
+/// Every vector level this host supports, up to the detected one: each is
+/// compared with the scalar reference.
+fn vector_levels() -> Vec<SimdLevel> {
+    [SimdLevel::Neon, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&level| simd::clamp_to_detected(level) == level)
+        .collect()
+}
+
 fn workload(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     init::uniform(rng, rows, cols, -1.0, 1.0)
 }
@@ -86,7 +98,16 @@ fn runtime_dispatch_selects_the_detected_isa() {
     }
     #[cfg(target_arch = "aarch64")]
     assert_eq!(detected, SimdLevel::Neon, "NEON is baseline on aarch64");
-    // Selecting the detected level is honoured verbatim…
+    // Selecting the detected level (and every supported one below it) is
+    // honoured verbatim…
+    assert_eq!(
+        vector_levels().last().copied(),
+        Some(detected).filter(|&l| l != SimdLevel::Scalar)
+    );
+    for level in vector_levels() {
+        assert_eq!(simd::set_level(level), level);
+        assert_eq!(simd::level(), level);
+    }
     assert_eq!(simd::set_level(detected), detected);
     assert_eq!(simd::level(), detected);
     // …and the mandatory scalar fallback is always selectable.
@@ -122,34 +143,36 @@ fn micro_kernels_match_scalar_bitwise_at_ragged_lengths() {
     );
     let dot_scalar = simd::dot(&x, &y);
 
-    simd::set_level(simd::detected_level());
-    let mut axpy_vec = x.clone();
-    simd::axpy(&mut axpy_vec, 0.37, &y);
-    let mut axpy4_vec = x.clone();
-    simd::axpy4(
-        &mut axpy4_vec,
-        [0.1, -0.2, 0.3, -0.4],
-        &quads[0],
-        &quads[1],
-        &quads[2],
-        &quads[3],
-    );
-    let dot_vec = simd::dot(&x, &y);
-    simd::set_level(entry);
+    for level in vector_levels() {
+        simd::set_level(level);
+        let mut axpy_vec = x.clone();
+        simd::axpy(&mut axpy_vec, 0.37, &y);
+        let mut axpy4_vec = x.clone();
+        simd::axpy4(
+            &mut axpy4_vec,
+            [0.1, -0.2, 0.3, -0.4],
+            &quads[0],
+            &quads[1],
+            &quads[2],
+            &quads[3],
+        );
+        let dot_vec = simd::dot(&x, &y);
+        simd::set_level(entry);
 
-    assert_eq!(
-        axpy_scalar, axpy_vec,
-        "axpy must be bitwise level-invariant"
-    );
-    assert_eq!(
-        axpy4_scalar, axpy4_vec,
-        "axpy4 must be bitwise level-invariant"
-    );
-    assert_eq!(
-        dot_scalar.to_bits(),
-        dot_vec.to_bits(),
-        "dot must reproduce the 8-lane reduction order bitwise"
-    );
+        assert_eq!(
+            axpy_scalar, axpy_vec,
+            "axpy must be bitwise level-invariant ({level:?})"
+        );
+        assert_eq!(
+            axpy4_scalar, axpy4_vec,
+            "axpy4 must be bitwise level-invariant ({level:?})"
+        );
+        assert_eq!(
+            dot_scalar.to_bits(),
+            dot_vec.to_bits(),
+            "dot must reproduce the 8-lane reduction order bitwise ({level:?})"
+        );
+    }
 }
 
 #[test]
@@ -158,26 +181,33 @@ fn dense_and_transposed_gemms_match_scalar_bitwise() {
     let entry = simd::level();
     pool::set_threads(1);
     let mut rng = StdRng::seed_from_u64(0x51D1);
-    // Odd shapes: ragged in every vector width.
-    let a = workload(&mut rng, 13, 37);
-    let b = workload(&mut rng, 37, 29);
-    let a_t = a.transpose();
-    let b_t = b.transpose();
+    // Odd shapes: ragged in every vector width; 70×131×97 also has full
+    // 4 × 32 blocks and 4 × 4 dot blocks with fringes on every axis.
+    for (m, k, n) in [(13, 37, 29), (70, 131, 97)] {
+        let a = workload(&mut rng, m, k);
+        let b = workload(&mut rng, k, n);
+        let a_t = a.transpose();
+        let b_t = b.transpose();
 
-    simd::set_level(SimdLevel::Scalar);
-    let dense_scalar = blocked_gemm(&a, &b).unwrap();
-    let at_b_scalar = gemm_at_b(&a_t, &b).unwrap();
-    let a_bt_scalar = gemm_a_bt(&a, &b_t).unwrap();
+        simd::set_level(SimdLevel::Scalar);
+        let dense_scalar = blocked_gemm(&a, &b).unwrap();
+        let at_b_scalar = gemm_at_b(&a_t, &b).unwrap();
+        let a_bt_scalar = gemm_a_bt(&a, &b_t).unwrap();
 
-    simd::set_level(simd::detected_level());
-    let dense_vec = blocked_gemm(&a, &b).unwrap();
-    let at_b_vec = gemm_at_b(&a_t, &b).unwrap();
-    let a_bt_vec = gemm_a_bt(&a, &b_t).unwrap();
+        for level in vector_levels() {
+            simd::set_level(level);
+            let dense_vec = blocked_gemm(&a, &b).unwrap();
+            let at_b_vec = gemm_at_b(&a_t, &b).unwrap();
+            let a_bt_vec = gemm_a_bt(&a, &b_t).unwrap();
+            simd::set_level(entry);
+
+            let what = format!("{m}×{k}×{n} at {level:?}");
+            assert_eq!(dense_scalar, dense_vec, "dense GEMM (axpy4 form), {what}");
+            assert_eq!(at_b_scalar, at_b_vec, "AᵀB GEMM (axpy4 form), {what}");
+            assert_eq!(a_bt_scalar, a_bt_vec, "ABᵀ GEMM (dot form), {what}");
+        }
+    }
     simd::set_level(entry);
-
-    assert_eq!(dense_scalar, dense_vec, "dense GEMM (axpy4/axpy path)");
-    assert_eq!(at_b_scalar, at_b_vec, "AᵀB GEMM");
-    assert_eq!(a_bt_scalar, a_bt_vec, "ABᵀ GEMM (dot path)");
 }
 
 #[test]
@@ -198,16 +228,16 @@ fn all_kernel_families_match_scalar_bitwise_at_one_and_four_threads() {
                 simd::set_level(SimdLevel::Scalar);
                 let mut scalar = Matrix::default();
                 layer.forward_act_into(&x, &plan, act, &mut scalar);
-                simd::set_level(simd::detected_level());
-                let mut vector = Matrix::default();
-                layer.forward_act_into(&x, &plan, act, &mut vector);
-                assert_eq!(
-                    scalar,
-                    vector,
-                    "{label}/{act:?} at {threads} thread(s) must be bitwise \
-                     identical between scalar and {:?}",
-                    simd::detected_level()
-                );
+                for level in vector_levels() {
+                    simd::set_level(level);
+                    let mut vector = Matrix::default();
+                    layer.forward_act_into(&x, &plan, act, &mut vector);
+                    assert_eq!(
+                        scalar, vector,
+                        "{label}/{act:?} at {threads} thread(s) must be bitwise \
+                         identical between scalar and {level:?}"
+                    );
+                }
             }
         }
     }
@@ -270,14 +300,14 @@ fn transformer_attention_matches_scalar_bitwise_for_every_structured_path() {
     for (label, attn, ffn) in &variants {
         simd::set_level(SimdLevel::Scalar);
         let scalar = transformer_trajectory(&**attn, &**ffn);
-        simd::set_level(simd::detected_level());
-        let vector = transformer_trajectory(&**attn, &**ffn);
-        assert_eq!(
-            scalar,
-            vector,
-            "transformer {label} must be bitwise identical between scalar and {:?}",
-            simd::detected_level()
-        );
+        for level in vector_levels() {
+            simd::set_level(level);
+            let vector = transformer_trajectory(&**attn, &**ffn);
+            assert_eq!(
+                scalar, vector,
+                "transformer {label} must be bitwise identical between scalar and {level:?}"
+            );
+        }
     }
     simd::set_level(entry);
 }
@@ -329,14 +359,14 @@ fn lstm_matches_scalar_bitwise_for_every_dropout_family() {
     for (label, dropout) in &variants {
         simd::set_level(SimdLevel::Scalar);
         let scalar = lstm_trajectory(&**dropout);
-        simd::set_level(simd::detected_level());
-        let vector = lstm_trajectory(&**dropout);
-        assert_eq!(
-            scalar,
-            vector,
-            "lstm {label} must be bitwise identical between scalar and {:?}",
-            simd::detected_level()
-        );
+        for level in vector_levels() {
+            simd::set_level(level);
+            let vector = lstm_trajectory(&**dropout);
+            assert_eq!(
+                scalar, vector,
+                "lstm {label} must be bitwise identical between scalar and {level:?}"
+            );
+        }
     }
     simd::set_level(entry);
 }
@@ -360,26 +390,29 @@ fn sigmoid_and_tanh_epilogues_stay_within_documented_ulp_of_libm() {
     let x = workload(&mut rng, 24, 33);
     let mut layer = Linear::new(&mut rng, 33, 47);
     let plan = DropoutPlan::none(LayerShape::new(33, 47));
-    // Evaluate at the *detected* level: the polynomial forms are what the
+    // Evaluate at every vector level: the polynomial forms are what the
     // vector epilogues run. (At scalar the std formulas are used and the
     // distance is identically zero.)
-    simd::set_level(simd::detected_level());
-    let mut pre = Matrix::default();
-    layer.forward_act_into(&x, &plan, Activation::Identity, &mut pre);
-    for (act, bound) in [(Activation::Sigmoid, 16u64), (Activation::Tanh, 32u64)] {
-        let mut out = Matrix::default();
-        layer.forward_act_into(&x, &plan, act, &mut out);
-        for (&p, &o) in pre.as_slice().iter().zip(out.as_slice()) {
-            let reference = match act {
-                Activation::Sigmoid => 1.0 / (1.0 + (-p).exp()),
-                Activation::Tanh => p.tanh(),
-                _ => unreachable!(),
-            };
-            let ulp = ulp_distance(o, reference);
-            assert!(
-                ulp <= bound || (o - reference).abs() <= 1e-6,
-                "{act:?}({p}) = {o} is {ulp} ULP from libm's {reference} (bound {bound})"
-            );
+    for level in vector_levels() {
+        simd::set_level(level);
+        let mut pre = Matrix::default();
+        layer.forward_act_into(&x, &plan, Activation::Identity, &mut pre);
+        for (act, bound) in [(Activation::Sigmoid, 16u64), (Activation::Tanh, 32u64)] {
+            let mut out = Matrix::default();
+            layer.forward_act_into(&x, &plan, act, &mut out);
+            for (&p, &o) in pre.as_slice().iter().zip(out.as_slice()) {
+                let reference = match act {
+                    Activation::Sigmoid => 1.0 / (1.0 + (-p).exp()),
+                    Activation::Tanh => p.tanh(),
+                    _ => unreachable!(),
+                };
+                let ulp = ulp_distance(o, reference);
+                assert!(
+                    ulp <= bound || (o - reference).abs() <= 1e-6,
+                    "{act:?}({p}) = {o} at {level:?} is {ulp} ULP from libm's \
+                     {reference} (bound {bound})"
+                );
+            }
         }
     }
     simd::set_level(entry);
