@@ -30,7 +30,7 @@
 //! mathematically identical to the conventional "mask the post-activation
 //! output" formulation the paper starts from.
 
-use crate::optimizer::Sgd;
+use crate::optimizer::{Param, Params, Sgd};
 use approx_dropout::{Activation, DropoutPlan};
 use rand::Rng;
 use tensor::{gemm, init, GatherEpilogue, GatherScratch, GemmError, Matrix};
@@ -104,12 +104,8 @@ fn exec_path(
 /// row-vector bias.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
-    weight: Matrix,
-    bias: Matrix,
-    weight_velocity: Matrix,
-    bias_velocity: Matrix,
-    weight_grad: Matrix,
-    bias_grad: Matrix,
+    weight: Param,
+    bias: Param,
     ws: Workspace,
 }
 
@@ -132,25 +128,20 @@ struct Workspace {
     grad: Matrix,
     /// The gather core's resolved classes and packing buffers. The forward
     /// pass packs the weight panels; the backward pass reuses them for its
-    /// `dX` product until [`Linear::step`] changes the weights.
+    /// `dX` product until the parameter walk (which [`Linear::step`] runs)
+    /// visits the weights.
     gather: GatherScratch,
 }
 
 impl Linear {
     /// Creates a layer with Xavier-initialised weights and zero bias.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, in_features: usize, out_features: usize) -> Self {
-        Self {
-            weight: init::xavier_uniform(rng, in_features, out_features),
-            bias: Matrix::zeros(1, out_features),
-            weight_velocity: Matrix::zeros(in_features, out_features),
-            bias_velocity: Matrix::zeros(1, out_features),
-            weight_grad: Matrix::zeros(in_features, out_features),
-            bias_grad: Matrix::zeros(1, out_features),
-            ws: Workspace::default(),
-        }
+        let weight = init::xavier_uniform(rng, in_features, out_features);
+        Self::from_parameters(weight, Matrix::zeros(1, out_features))
     }
 
-    /// Creates a layer with explicit parameters (used by tests).
+    /// Creates a layer with explicit parameters and a zero gradient and
+    /// velocity.
     ///
     /// # Panics
     ///
@@ -162,68 +153,46 @@ impl Linear {
             weight.cols(),
             "bias width must match weight columns"
         );
-        let (in_features, out_features) = weight.shape();
         Self {
-            weight,
-            bias,
-            weight_velocity: Matrix::zeros(in_features, out_features),
-            bias_velocity: Matrix::zeros(1, out_features),
-            weight_grad: Matrix::zeros(in_features, out_features),
-            bias_grad: Matrix::zeros(1, out_features),
+            weight: Param::new(weight),
+            bias: Param::new(bias),
             ws: Workspace::default(),
         }
     }
 
     /// Number of input features.
     pub fn in_features(&self) -> usize {
-        self.weight.rows()
+        self.weight.value.rows()
     }
 
     /// Number of output features.
     pub fn out_features(&self) -> usize {
-        self.weight.cols()
+        self.weight.value.cols()
     }
 
     /// Borrows the weight matrix.
     pub fn weight(&self) -> &Matrix {
-        &self.weight
+        &self.weight.value
     }
 
     /// Borrows the bias row vector.
     pub fn bias(&self) -> &Matrix {
-        &self.bias
+        &self.bias.value
     }
 
     /// Borrows the most recent weight gradient (for tests and diagnostics).
     pub fn weight_grad(&self) -> &Matrix {
-        &self.weight_grad
+        &self.weight.grad
     }
 
     /// Borrows the most recent bias gradient (for tests and diagnostics).
     pub fn bias_grad(&self) -> &Matrix {
-        &self.bias_grad
+        &self.bias.grad
     }
 
     /// Number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
-    }
-
-    /// Maximum absolute value over the stored weight and bias gradients
-    /// (used for global gradient clipping across a model's layers).
-    pub fn grad_max_abs(&self) -> f32 {
-        self.weight_grad
-            .as_slice()
-            .iter()
-            .chain(self.bias_grad.as_slice())
-            .fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
-
-    /// Scales the stored weight and bias gradients by `factor` (gradient
-    /// clipping).
-    pub fn scale_gradients(&mut self, factor: f32) {
-        self.weight_grad.map_inplace(|v| v * factor);
-        self.bias_grad.map_inplace(|v| v * factor);
+        self.weight.value.len() + self.bias.value.len()
     }
 
     /// Forward pass executing the given dropout plan, without an activation;
@@ -260,13 +229,14 @@ impl Linear {
             self.in_features(),
             "input width must match in_features"
         );
-        let path = exec_path(plan, self.weight.shape(), &mut self.ws.gather)
+        let (weight, bias) = (&self.weight.value, &self.bias.value);
+        let path = exec_path(plan, weight.shape(), &mut self.ws.gather)
             .expect("the plan resolves against the layer it was sampled for");
         match path {
             ExecPath::Gather(epilogue) => gemm::gather_gemm_bias_act_into(
                 input,
-                &self.weight,
-                &self.bias,
+                weight,
+                bias,
                 epilogue,
                 act,
                 &mut self.ws.gather,
@@ -275,14 +245,14 @@ impl Linear {
             ExecPath::Dense => match plan.bernoulli_mask() {
                 Some(mask) => gemm::gemm_bias_act_masked_into(
                     input,
-                    &self.weight,
-                    &self.bias,
+                    weight,
+                    bias,
                     mask,
                     plan.scale(),
                     act,
                     out,
                 ),
-                None => gemm::gemm_bias_act_into(input, &self.weight, &self.bias, act, out),
+                None => gemm::gemm_bias_act_into(input, weight, bias, act, out),
             },
         }
         .expect("shapes agree and kept indices come from the plan");
@@ -356,10 +326,10 @@ impl Linear {
                 gemm::gather_backward_into(
                     &ws.input,
                     grad_output,
-                    &self.weight,
+                    &self.weight.value,
                     epilogue.grad_scale(),
                     &mut ws.gather,
-                    &mut self.weight_grad,
+                    &mut self.weight.grad,
                     dx,
                 )
                 .expect("shapes agree and kept indices come from the plan");
@@ -368,8 +338,8 @@ impl Linear {
                     // by the dropout factor only (the bias sits outside any
                     // sampled product).
                     GatherEpilogue::Neurons { post, .. } => {
-                        self.bias_grad.resize(1, grad_output.cols());
-                        let acc = self.bias_grad.row_mut(0);
+                        self.bias.grad.resize(1, grad_output.cols());
+                        let acc = self.bias.grad.row_mut(0);
                         let kept = ws.gather.kept_cols();
                         for i in 0..grad_output.rows() {
                             let row = grad_output.row(i);
@@ -381,7 +351,7 @@ impl Linear {
                     // The bias is added after the scaled product and reaches
                     // every neuron: plain column sums.
                     GatherEpilogue::Synapses { .. } => {
-                        grad_output.sum_rows_into(&mut self.bias_grad);
+                        grad_output.sum_rows_into(&mut self.bias.grad);
                     }
                 }
             }
@@ -396,26 +366,31 @@ impl Linear {
                 } else {
                     grad_output
                 };
-                gemm::gemm_at_b_into(&ws.input, grad, &mut self.weight_grad)
+                gemm::gemm_at_b_into(&ws.input, grad, &mut self.weight.grad)
                     .expect("batch dimensions agree");
-                grad.sum_rows_into(&mut self.bias_grad);
+                grad.sum_rows_into(&mut self.bias.grad);
                 if let Some(dx) = dx {
-                    gemm::gemm_a_bt_into(grad, &self.weight, dx).expect("inner dimensions agree");
+                    gemm::gemm_a_bt_into(grad, &self.weight.value, dx)
+                        .expect("inner dimensions agree");
                 }
             }
         }
         self.ws = ws;
     }
 
-    /// Applies one SGD step using the stored gradients. The weights change,
-    /// so the weight panels packed by the last forward pass go stale.
+    /// Applies one SGD step using the stored gradients: the step every
+    /// model family runs, over this layer's weight and bias.
     pub fn step(&mut self, sgd: &Sgd) {
-        sgd.update(
-            &mut self.weight,
-            &self.weight_grad,
-            &mut self.weight_velocity,
-        );
-        sgd.update(&mut self.bias, &self.bias_grad, &mut self.bias_velocity);
+        sgd.step(self);
+    }
+}
+
+impl Params for Linear {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+        // A visitor may change the weights, so the panels packed from them
+        // by the last forward pass go stale.
         self.ws.gather.invalidate_panels();
     }
 }
@@ -514,13 +489,13 @@ mod tests {
         for r in 0..4 {
             for c in 0..3 {
                 let mut plus = layer.clone();
-                let mut w = plus.weight.clone();
+                let mut w = plus.weight.value.clone();
                 w[(r, c)] += eps;
-                plus.weight = w;
+                plus.weight.value = w;
                 let mut minus = layer.clone();
-                let mut w = minus.weight.clone();
+                let mut w = minus.weight.value.clone();
                 w[(r, c)] -= eps;
-                minus.weight = w;
+                minus.weight.value = w;
                 let f_plus = plus.forward(&x, &plan).sum();
                 let f_minus = minus.forward(&x, &plan).sum();
                 numeric[(r, c)] = (f_plus - f_minus) / (2.0 * eps);
@@ -780,9 +755,9 @@ mod tests {
             for &(r, c) in &[(0usize, 0usize), (1, 3), (2, 5), (3, 7)] {
                 let perturb = |delta: f32| {
                     let mut copy = layer.clone();
-                    let mut w = copy.weight.clone();
+                    let mut w = copy.weight.value.clone();
                     w[(r, c)] += delta;
-                    copy.weight = w;
+                    copy.weight.value = w;
                     copy.forward(&x, &plan).sum()
                 };
                 let numeric = (perturb(eps) - perturb(-eps)) / (2.0 * eps);
@@ -1019,9 +994,9 @@ mod tests {
             for &(r, c) in &[(0usize, 0usize), (1, 3), (3, 5), (5, 7)] {
                 let perturb = |delta: f32| {
                     let mut copy = layer.clone();
-                    let mut w = copy.weight.clone();
+                    let mut w = copy.weight.value.clone();
                     w[(r, c)] += delta;
-                    copy.weight = w;
+                    copy.weight.value = w;
                     copy.forward(&x, &plan).sum()
                 };
                 let numeric = (perturb(eps) - perturb(-eps)) / (2.0 * eps);

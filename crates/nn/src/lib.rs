@@ -22,7 +22,10 @@
 //! * [`builder`] — fluent [`builder::NetworkBuilder`] / [`builder::LstmBuilder`]
 //!   with per-layer scheme overrides (Fig. 4's `(p1, p2)` pairs).
 //! * [`optimizer::Sgd`] — plain SGD with momentum (lr 0.01, momentum 0.9 for
-//!   the MLP experiments).
+//!   the MLP experiments). Every family trains through one parameter walk
+//!   in [`optimizer`]: each trainable tensor is one `Param`, and gradient
+//!   clipping (`clip_gradients`, max-abs over every gradient of a model)
+//!   and the update (`Sgd::step`) are one function each over that walk.
 //! * [`loss`] / [`metrics`] — one softmax cross-entropy,
 //!   [`loss::softmax_cross_entropy_into`], one libm `exp` per logit written
 //!   straight into the recycled gradient buffer of

@@ -28,7 +28,7 @@ use crate::layers::Linear;
 use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
 use crate::metrics::perplexity_from_nll;
 use crate::mlp::PlanSource;
-use crate::optimizer::Sgd;
+use crate::optimizer::{clip_gradients, Param, Params, Sgd};
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
 use rand::Rng;
 use tensor::{gemm, init, Matrix};
@@ -44,9 +44,8 @@ use tensor::{gemm, init, Matrix};
 pub struct LstmCell {
     /// Input projection `x·W_x + b`, run once over the stacked sequence.
     input: Linear,
-    w_h: Matrix,
-    w_h_grad: Matrix,
-    w_h_vel: Matrix,
+    /// Recurrent weights `W_h`, `(hidden, 4·hidden)`.
+    w_h: Param,
     hidden: usize,
     /// Sequences in the forward pass awaiting its backward pass (0: none).
     batch: usize,
@@ -88,9 +87,7 @@ impl LstmCell {
         }
         Self {
             input: Linear::from_parameters(w_x, bias),
-            w_h: init::xavier_uniform(rng, hidden, 4 * hidden),
-            w_h_grad: Matrix::zeros(hidden, 4 * hidden),
-            w_h_vel: Matrix::zeros(hidden, 4 * hidden),
+            w_h: Param::new(init::xavier_uniform(rng, hidden, 4 * hidden)),
             hidden,
             batch: 0,
             gates: Matrix::default(),
@@ -116,7 +113,7 @@ impl LstmCell {
 
     /// Number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
-        self.input.parameter_count() + self.w_h.len()
+        self.input.parameter_count() + self.w_h.value.len()
     }
 
     /// Runs the cell from a zero state over `batch` sequences stacked
@@ -148,7 +145,7 @@ impl LstmCell {
         self.h.resize(batch, h);
         self.c.resize(batch, h);
         for t in 0..rows / batch {
-            gemm::blocked_gemm_into(&self.h, &self.w_h, &mut self.step_gates)
+            gemm::blocked_gemm_into(&self.h, &self.w_h.value, &mut self.step_gates)
                 .expect("recurrent gate shapes agree");
             for b in 0..batch {
                 let r = t * batch + b;
@@ -224,10 +221,10 @@ impl LstmCell {
                 }
                 self.dz.row_mut(r).copy_from_slice(dz_t);
             }
-            gemm::gemm_a_bt_into(&self.step_gates, &self.w_h, &mut self.h)
+            gemm::gemm_a_bt_into(&self.step_gates, &self.w_h.value, &mut self.h)
                 .expect("hidden gradient shapes agree");
         }
-        gemm::gemm_at_b_into(&self.h_prev, &self.dz, &mut self.w_h_grad)
+        gemm::gemm_at_b_into(&self.h_prev, &self.dz, &mut self.w_h.grad)
             .expect("weight gradient shapes agree");
         self.input.backward_into(&self.dz, dx);
         self.batch = 0;
@@ -265,26 +262,12 @@ impl LstmCell {
         self.backward_into(&grad, &mut dx);
         unstack_rows_into(&dx, grad_hidden.len(), batch, dx_out);
     }
+}
 
-    /// Maximum absolute value over all parameter gradients (used for
-    /// clipping diagnostics).
-    pub fn grad_max_abs(&self) -> f32 {
-        self.w_h_grad
-            .as_slice()
-            .iter()
-            .fold(self.input.grad_max_abs(), |m, &v| m.max(v.abs()))
-    }
-
-    /// Scales every stored gradient by `factor` (gradient clipping).
-    pub fn scale_gradients(&mut self, factor: f32) {
-        self.input.scale_gradients(factor);
-        self.w_h_grad.map_inplace(|v| v * factor);
-    }
-
-    /// Applies one SGD step with the stored gradients.
-    pub fn step(&mut self, sgd: &Sgd) {
-        self.input.step(sgd);
-        sgd.update(&mut self.w_h, &self.w_h_grad, &mut self.w_h_vel);
+impl Params for LstmCell {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.input.visit_params(f);
+        f(&mut self.w_h);
     }
 }
 
@@ -307,7 +290,8 @@ pub struct LstmLmConfig {
     /// SGD momentum.
     pub momentum: f32,
     /// Gradient-clipping threshold on the max-abs value over every
-    /// parameter gradient (0 disables).
+    /// parameter gradient (0 disables): `nn::optimizer`'s one
+    /// `clip_gradients` rule, shared with the transformer LM.
     pub grad_clip: f32,
 }
 
@@ -346,9 +330,7 @@ struct SeqWorkspace {
 /// Word-level LSTM language model with inter-layer approximate dropout.
 #[derive(Debug, Clone)]
 pub struct LstmLm {
-    embedding: Matrix,
-    embedding_grad: Matrix,
-    embedding_vel: Matrix,
+    embedding: Param,
     cells: Vec<LstmCell>,
     dropout: Vec<Box<dyn DropoutScheme>>,
     /// Per-layer reusable plan buffers, re-resolved in place each iteration.
@@ -380,10 +362,9 @@ impl LstmLm {
             cells.push(LstmCell::new(rng, in_dim, config.hidden));
             in_dim = config.hidden;
         }
+        let embedding = init::gaussian(rng, config.vocab, config.embed_dim, 0.0, 0.1);
         Self {
-            embedding: init::gaussian(rng, config.vocab, config.embed_dim, 0.0, 0.1),
-            embedding_grad: Matrix::zeros(config.vocab, config.embed_dim),
-            embedding_vel: Matrix::zeros(config.vocab, config.embed_dim),
+            embedding: Param::new(embedding),
             cells,
             dropout: vec![config.dropout.clone(); config.layers],
             plan_ws: vec![DropoutPlan::default(); config.layers],
@@ -403,7 +384,7 @@ impl LstmLm {
 
     /// Total trainable parameters.
     pub fn parameter_count(&self) -> usize {
-        self.embedding.len()
+        self.embedding.value.len()
             + self
                 .cells
                 .iter()
@@ -471,27 +452,19 @@ impl LstmLm {
         let (seq_len, batch) = validate_batch(tokens, self.vocab);
         let hidden = self.cells[0].hidden();
         for l in 0..self.dropout.len() {
-            match &mut source {
-                PlanSource::Sample(rng) => {
-                    self.dropout[l].plan_into(
-                        &mut **rng,
-                        LayerShape::vector(hidden),
-                        &mut self.plan_ws[l],
-                    );
-                }
-                PlanSource::Inject(plans) => self.plan_ws[l].clone_from(&plans[l]),
-                PlanSource::Dense => self.plan_ws[l].reset_none(LayerShape::vector(hidden)),
-            }
-            self.plan_ws[l].column_multiplier_into(hidden, &mut self.mult_ws[l]);
+            let (scheme, plan) = (self.dropout[l].as_mut(), &mut self.plan_ws[l]);
+            source.resolve(l, scheme, LayerShape::vector(hidden), plan);
+            plan.column_multiplier_into(hidden, &mut self.mult_ws[l]);
         }
 
         // Embeddings, then each cell's hidden states with its dropout
         // multiplied in place, ping-ponged through the recycled buffers.
         let ws = &mut self.seq_ws;
+        let embedding = &self.embedding.value;
         ws.seq
-            .resize_for_overwrite(seq_len * batch, self.embedding.cols());
+            .resize_for_overwrite(seq_len * batch, embedding.cols());
         for (r, token) in time_major(tokens, 0, seq_len).enumerate() {
-            ws.seq.row_mut(r).copy_from_slice(self.embedding.row(token));
+            ws.seq.row_mut(r).copy_from_slice(embedding.row(token));
         }
         for (cell, mult) in self.cells.iter_mut().zip(&self.mult_ws) {
             cell.forward_into(&ws.seq, batch, &mut ws.next);
@@ -529,16 +502,19 @@ impl LstmLm {
         }
 
         // Scatter the embedding gradient back onto the table rows.
-        self.embedding_grad
-            .resize(self.embedding.rows(), self.embedding.cols());
+        let embedding = &mut self.embedding;
+        let (vocab, width) = embedding.value.shape();
+        embedding.grad.resize(vocab, width);
         for (r, token) in time_major(tokens, 0, seq_len).enumerate() {
-            let dst = self.embedding_grad.row_mut(token);
+            let dst = embedding.grad.row_mut(token);
             for (d, &g) in dst.iter_mut().zip(ws.seq.row(r)) {
                 *d += g;
             }
         }
 
-        self.clip_and_step();
+        let (sgd, grad_clip) = (self.sgd, self.grad_clip);
+        clip_gradients(self, grad_clip);
+        sgd.step(self);
         stats
     }
 
@@ -558,37 +534,15 @@ impl LstmLm {
         let ws = &mut self.seq_ws;
         lm_batch_stats(&ws.logits, &ws.targets, &mut ws.xent)
     }
+}
 
-    fn clip_and_step(&mut self) {
-        if self.grad_clip > 0.0 {
-            let mut max_abs = self
-                .embedding_grad
-                .as_slice()
-                .iter()
-                .fold(0.0f32, |m, &v| m.max(v.abs()));
-            for cell in &self.cells {
-                max_abs = max_abs.max(cell.grad_max_abs());
-            }
-            max_abs = max_abs.max(self.projection.grad_max_abs());
-            if max_abs > self.grad_clip {
-                let factor = self.grad_clip / max_abs;
-                self.embedding_grad.map_inplace(|v| v * factor);
-                for cell in &mut self.cells {
-                    cell.scale_gradients(factor);
-                }
-                self.projection.scale_gradients(factor);
-            }
-        }
-        let sgd = self.sgd;
-        sgd.update(
-            &mut self.embedding,
-            &self.embedding_grad,
-            &mut self.embedding_vel,
-        );
+impl Params for LstmLm {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.embedding);
         for cell in &mut self.cells {
-            cell.step(&sgd);
+            cell.visit_params(f);
         }
-        self.projection.step(&sgd);
+        self.projection.visit_params(f);
     }
 }
 
@@ -679,6 +633,7 @@ fn unstack_rows_into(stacked: &Matrix, steps: usize, batch: usize, out: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{assert_walk_covers, largest_grad};
     use approx_dropout::scheme;
     use approx_dropout::DropoutRate;
     use rand::rngs::StdRng;
@@ -736,7 +691,7 @@ mod tests {
         let out = forward(&mut cell, &Matrix::ones(8, 8), 2);
         let dx = backward(&mut cell, &Matrix::ones(out.rows(), out.cols()));
         assert_eq!(dx.shape(), (8, 8));
-        assert!(cell.grad_max_abs() > 0.0);
+        assert!(largest_grad(&mut cell) > 0.0);
     }
 
     #[test]
@@ -747,7 +702,7 @@ mod tests {
         // the wrong timestep misses the tolerance several times over.
         let mut rng = StdRng::seed_from_u64(2);
         let mut cell = LstmCell::new(&mut rng, 3, 4);
-        cell.w_h.map_inplace(|v| v * 3.0);
+        cell.w_h.value.map_inplace(|v| v * 3.0);
         let x = init::uniform(&mut rng, 16, 3, -1.0, 1.0);
         let loss = |cell: &LstmCell| {
             let out = forward(&mut cell.clone(), &x, 4);
@@ -769,7 +724,7 @@ mod tests {
             let (mut w, mut bias) = (cell.input.weight().clone(), cell.input.bias().clone());
             match param {
                 Param::Wx => w[(r, c)] += delta,
-                Param::Wh => out.w_h[(r, c)] += delta,
+                Param::Wh => out.w_h.value[(r, c)] += delta,
                 Param::Bias => bias[(r, c)] += delta,
             }
             out.input = Linear::from_parameters(w, bias);
@@ -793,7 +748,7 @@ mod tests {
                 / (2.0 * eps);
             let analytic = match param {
                 Param::Wx => analytic_cell.input.weight_grad()[(r, c)],
-                Param::Wh => analytic_cell.w_h_grad[(r, c)],
+                Param::Wh => analytic_cell.w_h.grad[(r, c)],
                 Param::Bias => analytic_cell.input.bias_grad()[(r, c)],
             };
             assert!(
@@ -897,7 +852,7 @@ mod tests {
         adapted.backward_sequence_into(&grads, &mut dx_steps);
         stack_rows_into(&dx_steps, &mut restacked);
         assert_eq!(dx, restacked);
-        assert_eq!(stacked.w_h_grad, adapted.w_h_grad);
+        assert_eq!(stacked.w_h.grad, adapted.w_h.grad);
         assert_eq!(stacked.input, adapted.input);
     }
 
@@ -978,9 +933,9 @@ mod tests {
         let _ = lm.train_batch(&cyclic_batch(12, 4, 6), &mut rng);
         let max_abs = |m: &Matrix| m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         let bound = clip * (1.0 + 1e-5);
-        assert!(max_abs(&lm.embedding_grad) <= bound);
-        for cell in &lm.cells {
-            assert!(cell.grad_max_abs() <= bound);
+        assert!(max_abs(&lm.embedding.grad) <= bound);
+        for cell in &mut lm.cells {
+            assert!(largest_grad(cell) <= bound);
         }
         assert!(max_abs(lm.projection.weight_grad()) <= bound);
         assert!(max_abs(lm.projection.bias_grad()) <= bound);
@@ -996,6 +951,24 @@ mod tests {
         let expected = 12 * 16 + cell0 + cell1 + 16 * 12 + 12;
         assert_eq!(lm.parameter_count(), expected);
         assert_eq!(lm.layers(), 2);
+    }
+
+    #[test]
+    fn parameter_walk_visits_every_tensor_once() {
+        // The embedding, `W_x`, its bias and `W_h` per layer, and the
+        // projection's weight and bias.
+        let mut rng = StdRng::seed_from_u64(10);
+        for layers in [1, 2, 3] {
+            let mut lm = LstmLm::new(
+                &LstmLmConfig {
+                    layers,
+                    ..config(scheme::none())
+                },
+                &mut rng,
+            );
+            let count = lm.parameter_count();
+            assert_walk_covers(&mut lm, 1 + 3 * layers + 2, count);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::layers::Linear;
 use crate::loss::{softmax_cross_entropy_into, CrossEntropyScratch};
-use crate::optimizer::Sgd;
+use crate::optimizer::{Param, Params, Sgd};
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
 use rand::{Rng, RngCore};
 use tensor::{ops, Matrix};
@@ -66,6 +66,25 @@ pub(crate) enum PlanSource<'a> {
     /// Reset every plan slot to [`DropoutPlan::none`] in place: the dense
     /// forward of evaluation, run by the training code on its own buffers.
     Dense,
+}
+
+impl PlanSource<'_> {
+    /// Resolves the plan of dropout site `site` (its index in the family's
+    /// plan-injection order) into `slot`: drawn from `scheme` against
+    /// `shape`, copied from the injected plans, or reset to the identity.
+    pub(crate) fn resolve(
+        &mut self,
+        site: usize,
+        scheme: &mut dyn DropoutScheme,
+        shape: LayerShape,
+        slot: &mut DropoutPlan,
+    ) {
+        match self {
+            PlanSource::Sample(rng) => scheme.plan_into(&mut **rng, shape, slot),
+            PlanSource::Inject(plans) => slot.clone_from(&plans[site]),
+            PlanSource::Dense => slot.reset_none(shape),
+        }
+    }
 }
 
 /// Statistics of one training batch.
@@ -225,7 +244,8 @@ impl Mlp {
     ) -> TrainBatchStats {
         let stats = self.forward_loss(inputs, labels, source);
         self.backward();
-        self.step();
+        let sgd = self.sgd;
+        sgd.step(self);
         stats
     }
 
@@ -264,13 +284,7 @@ impl Mlp {
                 &prev[l - 1].activation
             };
             let shape = LayerShape::new(block.linear.in_features(), block.linear.out_features());
-            match &mut source {
-                PlanSource::Sample(rng) => {
-                    block.dropout.plan_into(&mut **rng, shape, &mut block.plan);
-                }
-                PlanSource::Inject(plans) => block.plan.clone_from(&plans[l]),
-                PlanSource::Dense => block.plan.reset_none(shape),
-            }
+            source.resolve(l, block.dropout.as_mut(), shape, &mut block.plan);
             // One fused whole-layer kernel, written straight into the
             // recycled activation buffer.
             block
@@ -319,15 +333,6 @@ impl Mlp {
         self.grad_ws = (grad, scratch);
     }
 
-    /// Applies the SGD update to every layer.
-    fn step(&mut self) {
-        let sgd = self.sgd;
-        for block in &mut self.hidden {
-            block.linear.step(&sgd);
-        }
-        self.output.step(&sgd);
-    }
-
     /// Evaluates mean loss and accuracy on a labelled set with dropout
     /// off: the training forward with every plan reset to the identity, on
     /// the model's own recycled buffers, so a warmed call allocates
@@ -345,9 +350,19 @@ impl Mlp {
     }
 }
 
+impl Params for Mlp {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for block in &mut self.hidden {
+            block.linear.visit_params(f);
+        }
+        self.output.visit_params(f);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::assert_walk_covers;
     use approx_dropout::scheme;
     use approx_dropout::{DropoutRate, PatternKind};
     use rand::rngs::StdRng;
@@ -506,6 +521,22 @@ mod tests {
             8 * 32 + 32 + 32 * 32 + 32 + 32 * 2 + 2
         );
         assert_eq!(mlp.hidden_layers(), 2);
+    }
+
+    #[test]
+    fn parameter_walk_visits_every_tensor_once() {
+        // A weight and a bias per layer, the output layer's included.
+        let mut rng = StdRng::seed_from_u64(9);
+        for hidden in [vec![32], vec![32, 16], vec![16, 16, 8]] {
+            let layers = hidden.len() + 1;
+            let cfg = MlpConfig {
+                hidden,
+                ..config(scheme::none())
+            };
+            let mut mlp = Mlp::new(&cfg, &mut rng);
+            let count = mlp.parameter_count();
+            assert_walk_covers(&mut mlp, 2 * layers, count);
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::layers::Linear;
 use crate::loss::CrossEntropyScratch;
 use crate::lstm::{apply_column_multiplier_inplace, lm_batch_stats, validate_batch, LmBatchStats};
 use crate::mlp::PlanSource;
-use crate::optimizer::Sgd;
+use crate::optimizer::{clip_gradients, Param, Params, Sgd};
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
 use rand::Rng;
 use std::ops::Range;
@@ -74,7 +74,8 @@ pub struct TransformerLmConfig {
     /// SGD momentum.
     pub momentum: f32,
     /// Gradient-clipping threshold on the max-abs value over every
-    /// parameter gradient (0 disables).
+    /// parameter gradient (0 disables): `nn::optimizer`'s one
+    /// `clip_gradients` rule, shared with the LSTM LM.
     pub grad_clip: f32,
 }
 
@@ -486,40 +487,20 @@ impl EncoderBlock {
             .axpy_inplace(1.0, &self.ws.dy1)
             .expect("residual gradient shapes agree");
     }
+}
 
-    fn step(&mut self, sgd: &Sgd) {
-        self.q.step(sgd);
-        self.k.step(sgd);
-        self.v.step(sgd);
-        self.o.step(sgd);
-        self.ffn1.step(sgd);
-        self.ffn2.step(sgd);
-    }
-
-    fn layers(&self) -> [&Linear; 6] {
-        [&self.q, &self.k, &self.v, &self.o, &self.ffn1, &self.ffn2]
-    }
-
-    fn layers_mut(&mut self) -> [&mut Linear; 6] {
-        [
+impl Params for EncoderBlock {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        let layers = [
             &mut self.q,
             &mut self.k,
             &mut self.v,
             &mut self.o,
             &mut self.ffn1,
             &mut self.ffn2,
-        ]
-    }
-
-    fn grad_max_abs(&self) -> f32 {
-        self.layers()
-            .iter()
-            .fold(0.0f32, |m, l| m.max(l.grad_max_abs()))
-    }
-
-    fn scale_gradients(&mut self, factor: f32) {
-        for layer in self.layers_mut() {
-            layer.scale_gradients(factor);
+        ];
+        for layer in layers {
+            layer.visit_params(f);
         }
     }
 }
@@ -545,9 +526,7 @@ struct ModelWorkspace {
 /// [`crate::lstm::LstmLm`].
 #[derive(Debug, Clone)]
 pub struct TransformerLm {
-    embedding: Matrix,
-    embedding_grad: Matrix,
-    embedding_vel: Matrix,
+    embedding: Param,
     /// Fixed sinusoidal positional encodings, regrown on demand.
     pos_enc: Matrix,
     blocks: Vec<EncoderBlock>,
@@ -592,10 +571,9 @@ impl TransformerLm {
                 )
             })
             .collect();
+        let embedding = init::gaussian(rng, config.vocab, config.model_dim, 0.0, 0.1);
         Self {
-            embedding: init::gaussian(rng, config.vocab, config.model_dim, 0.0, 0.1),
-            embedding_grad: Matrix::zeros(config.vocab, config.model_dim),
-            embedding_vel: Matrix::zeros(config.vocab, config.model_dim),
+            embedding: Param::new(embedding),
             pos_enc: Matrix::default(),
             blocks,
             projection: Linear::new(rng, config.model_dim, config.vocab),
@@ -630,7 +608,7 @@ impl TransformerLm {
 
     /// Total trainable parameters.
     pub fn parameter_count(&self) -> usize {
-        self.embedding.len()
+        self.embedding.value.len()
             + self
                 .blocks
                 .iter()
@@ -711,19 +689,25 @@ impl TransformerLm {
             };
             block.backward(grad, g);
         }
-        self.embedding_grad
-            .resize(self.embedding.rows(), self.embedding.cols());
+        let embedding = &mut self.embedding;
+        let (vocab, width) = embedding.value.shape();
+        embedding.grad.resize(vocab, width);
         let dx0 = &self.blocks[0].ws.dx;
         for (b, seq) in tokens.iter().enumerate() {
             for (s, &tok) in seq.iter().enumerate().take(g.seq) {
-                let dst = self.embedding_grad.row_mut(tok);
+                let dst = embedding.grad.row_mut(tok);
                 for (d, &v) in dst.iter_mut().zip(dx0.row(b * g.seq + s)) {
                     *d += v;
                 }
             }
         }
 
-        self.clip_and_step();
+        // The encoder stack has no layer normalisation, so dropout noise
+        // can spike individual gradients: every gradient is clipped, not
+        // just the embedding's.
+        let (sgd, grad_clip) = (self.sgd, self.grad_clip);
+        clip_gradients(self, grad_clip);
+        sgd.step(self);
         stats
     }
 
@@ -742,35 +726,25 @@ impl TransformerLm {
         // One plan per dropout site for the whole iteration, re-resolved
         // into the per-block plan buffers.
         for (l, block) in self.blocks.iter_mut().enumerate() {
-            match &mut source {
-                PlanSource::Sample(rng) => {
-                    block.attn_dropout.plan_into(
-                        &mut **rng,
-                        LayerShape::new(d, d),
-                        &mut block.attn_plan,
-                    );
-                    block.ffn_dropout.plan_into(
-                        &mut **rng,
-                        LayerShape::new(d, block.ffn1.out_features()),
-                        &mut block.ffn_plan,
-                    );
-                }
-                PlanSource::Inject(plans) => {
-                    block.attn_plan.clone_from(&plans[2 * l]);
-                    block.ffn_plan.clone_from(&plans[2 * l + 1]);
-                }
-                PlanSource::Dense => {
-                    block.attn_plan.reset_none(LayerShape::new(d, d));
-                    block
-                        .ffn_plan
-                        .reset_none(LayerShape::new(d, block.ffn1.out_features()));
-                }
-            }
+            let ff = block.ffn1.out_features();
+            let (attn, ffn) = (&mut block.attn_plan, &mut block.ffn_plan);
+            source.resolve(
+                2 * l,
+                block.attn_dropout.as_mut(),
+                LayerShape::new(d, d),
+                attn,
+            );
+            source.resolve(
+                2 * l + 1,
+                block.ffn_dropout.as_mut(),
+                LayerShape::new(d, ff),
+                ffn,
+            );
         }
 
         self.ensure_pos_enc(seq_len);
         embed_stacked_into(
-            &self.embedding,
+            &self.embedding.value,
             &self.pos_enc,
             tokens,
             seq_len,
@@ -832,42 +806,15 @@ impl TransformerLm {
             }
         }
     }
+}
 
-    fn clip_and_step(&mut self) {
-        // Global max-abs clipping across every parameter gradient — embedding,
-        // all attention/FFN projections and the vocabulary projection. The
-        // encoder stack has no layer normalisation, so dropout noise can spike
-        // individual gradients; clipping everything (not just the embedding)
-        // is what keeps structured-dropout training stable.
-        if self.grad_clip > 0.0 {
-            let mut max_abs = self
-                .embedding_grad
-                .as_slice()
-                .iter()
-                .fold(0.0f32, |m, &v| m.max(v.abs()));
-            for block in &self.blocks {
-                max_abs = max_abs.max(block.grad_max_abs());
-            }
-            max_abs = max_abs.max(self.projection.grad_max_abs());
-            if max_abs > self.grad_clip {
-                let factor = self.grad_clip / max_abs;
-                self.embedding_grad.map_inplace(|v| v * factor);
-                for block in &mut self.blocks {
-                    block.scale_gradients(factor);
-                }
-                self.projection.scale_gradients(factor);
-            }
-        }
-        let sgd = self.sgd;
-        sgd.update(
-            &mut self.embedding,
-            &self.embedding_grad,
-            &mut self.embedding_vel,
-        );
+impl Params for TransformerLm {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.embedding);
         for block in &mut self.blocks {
-            block.step(&sgd);
+            block.visit_params(f);
         }
-        self.projection.step(&sgd);
+        self.projection.visit_params(f);
     }
 }
 
@@ -909,6 +856,7 @@ fn flatten_targets_into(tokens: &[Vec<usize>], seq_len: usize, out: &mut Vec<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{assert_walk_covers, largest_grad};
     use approx_dropout::scheme;
     use approx_dropout::{DropoutRate, SchemeSpec};
     use rand::rngs::StdRng;
@@ -1218,13 +1166,13 @@ mod tests {
             let eps = 1e-2f32;
             for &(r, c) in &[(0usize, 0usize), (1, 5), (2, 7), (3, 10), (4, 12), (5, 15)] {
                 let mut plus = lm.clone();
-                plus.embedding[(r, c)] += eps;
+                plus.embedding.value[(r, c)] += eps;
                 let f_plus = plus.train_batch_with_plans(&batch, &plans).loss;
                 let mut minus = lm.clone();
-                minus.embedding[(r, c)] -= eps;
+                minus.embedding.value[(r, c)] -= eps;
                 let f_minus = minus.train_batch_with_plans(&batch, &plans).loss;
                 let numeric = (f_plus - f_minus) / (2.0 * eps);
-                let analytic_g = analytic.embedding_grad[(r, c)];
+                let analytic_g = analytic.embedding.grad[(r, c)];
                 assert!(
                     (numeric - analytic_g).abs() < 2e-3 + 5e-2 * analytic_g.abs(),
                     "{path:?} embedding[{r},{c}]: numeric {numeric} vs analytic {analytic_g}"
@@ -1284,6 +1232,53 @@ mod tests {
         assert_eq!(lm.heads(), 4);
         assert_eq!(lm.head_dim(), 4);
         assert_eq!(lm.model_dim(), 16);
+    }
+
+    #[test]
+    fn parameter_walk_visits_every_tensor_once() {
+        // The embedding, the weight and bias of Q, K, V, O and both FFN
+        // layers per block, and the projection's weight and bias.
+        let mut rng = StdRng::seed_from_u64(11);
+        for layers in [1, 2, 3] {
+            let cfg = TransformerLmConfig {
+                layers,
+                ..config(scheme::none(), scheme::none())
+            };
+            let mut lm = TransformerLm::new(&cfg, &mut rng);
+            let count = lm.parameter_count();
+            assert_walk_covers(&mut lm, 1 + 12 * layers + 2, count);
+        }
+    }
+
+    #[test]
+    fn gradient_clipping_bounds_every_stored_gradient() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let clip = 1e-3;
+        let attn = scheme::block_unit(DropoutRate::new(0.5).unwrap(), 4).unwrap();
+        let cfg = TransformerLmConfig {
+            grad_clip: clip,
+            ..config(attn, scheme::none())
+        };
+        let mut lm = TransformerLm::new(&cfg, &mut rng);
+        let _ = lm.train_batch(&cyclic_batch(12, 4, 6), &mut rng);
+        // Every gradient is under the clip, and the largest sits on it: the
+        // unclipped gradients are orders of magnitude larger.
+        let mut tensors = 0;
+        lm.visit_params(&mut |p| {
+            tensors += 1;
+            let max_abs = p
+                .grad
+                .as_slice()
+                .iter()
+                .fold(0.0f32, |a, &v| a.max(v.abs()));
+            assert!(
+                max_abs <= clip * (1.0 + 1e-5),
+                "tensor {tensors}: {max_abs}"
+            );
+        });
+        assert_eq!(tensors, 27);
+        let largest = largest_grad(&mut lm);
+        assert!((largest - clip).abs() <= clip * 1e-5, "largest {largest}");
     }
 
     /// Changing the last input token of every sequence leaves the logits of

@@ -229,7 +229,10 @@ pub fn gemm_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
         )));
     }
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    out.resize(m, n);
+    // No zero fill: `simd::gemm_dot` stores every element of C at every
+    // level, a `k = 0` dot included (it stores 0), so the stale contents of
+    // a recycled buffer are never read.
+    out.resize_for_overwrite(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         let a_rows = &a.as_slice()[rows.start * k..];
         simd::gemm_dot(a_rows, b.as_slice(), chunk, rows.len(), n, k);
@@ -1109,6 +1112,11 @@ fn bias_act_epilogue(
     mask_scale: Option<(&[f32], f32)>,
     act: Activation,
 ) {
+    // A zero-width layer has no row to walk (`chunks_exact_mut` rejects a
+    // width of 0): its output is `m × 0`.
+    if n == 0 {
+        return;
+    }
     for row in chunk.chunks_exact_mut(n) {
         match mask_scale {
             Some((mask, scale)) => simd::add_bias_mask_scale(row, bias, mask, scale),
@@ -1429,13 +1437,13 @@ mod tests {
         let (at, g) = (a.transpose(), random_matrix(rng, k, n));
         gemm_at_b_into(&at, &g, &mut out).unwrap();
         assert_eq!(bits(&out), bits(&at_b_reference(&at, &g)), "Aᵀ·B, {shape}");
-        // G·Wᵀ with G = a and W = bᵀ: C m × n.
+        // G·Wᵀ with G = a and W = bᵀ: C m × n, into a recycled buffer of
+        // NaNs, which the product overwrites without a zero fill: an
+        // element the kernel skips stays NaN.
         let w = b.transpose();
+        out = Matrix::filled(m, n, f32::NAN);
         gemm_a_bt_into(&a, &w, &mut out).unwrap();
         assert_eq!(bits(&out), bits(&a_bt_reference(&a, &w)), "G·Wᵀ, {shape}");
-        if n == 0 {
-            return; // the fused epilogue walks rows of a positive width
-        }
         let (bias, act) = (random_matrix(rng, 1, n), Activation::Relu);
         let mask: Vec<f32> = (0..n).map(|c| if c % 3 == 1 { 0.0 } else { 1.0 }).collect();
         gemm_bias_act_into(&a, &b, &bias, act, &mut out).unwrap();
@@ -1487,6 +1495,24 @@ mod tests {
         }
         pool::set_threads(pool::env_default_threads());
         assert!(checked > 4000, "the grid checked only {checked} shapes");
+    }
+
+    /// A layer with no outputs returns an `m × 0` output from both fused
+    /// dense kernels, for an empty batch and an empty input as well.
+    #[test]
+    fn zero_width_fused_layers_return_an_empty_output() {
+        for (m, k) in [(2, 3), (0, 3), (2, 0), (0, 0)] {
+            let (a, w, bias) = (
+                Matrix::zeros(m, k),
+                Matrix::zeros(k, 0),
+                Matrix::zeros(1, 0),
+            );
+            let out = gemm_bias_act(&a, &w, &bias, Activation::Relu).unwrap();
+            assert_eq!(out.shape(), (m, 0));
+            let mut out = Matrix::filled(3, 3, 1.0);
+            gemm_bias_act_masked_into(&a, &w, &bias, &[], 2.0, Activation::Relu, &mut out).unwrap();
+            assert_eq!(out.shape(), (m, 0));
+        }
     }
 
     #[test]

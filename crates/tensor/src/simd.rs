@@ -265,13 +265,6 @@ mod scalar {
     }
 
     #[inline]
-    pub fn add_bias_scale(row: &mut [f32], bias: &[f32], scale: f32) {
-        for (v, &b) in row.iter_mut().zip(bias) {
-            *v = (*v + b) * scale;
-        }
-    }
-
-    #[inline]
     pub fn scale_add_bias(row: &mut [f32], scale: f32, bias: &[f32]) {
         for (v, &b) in row.iter_mut().zip(bias) {
             *v = *v * scale + b;
@@ -598,24 +591,6 @@ mod x86 {
         }
         while j < n {
             row[j] = (row[j] + bias[j]) * (mask[j] * scale);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_bias_scale_avx2(row: &mut [f32], bias: &[f32], scale: f32) {
-        let n = row.len().min(bias.len());
-        let vs = _mm256_set1_ps(scale);
-        let mut j = 0;
-        while j + 8 <= n {
-            let v = _mm256_loadu_ps(row.as_ptr().add(j));
-            let b = _mm256_loadu_ps(bias.as_ptr().add(j));
-            let r = _mm256_mul_ps(_mm256_add_ps(v, b), vs);
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), r);
-            j += 8;
-        }
-        while j < n {
-            row[j] = (row[j] + bias[j]) * scale;
             j += 1;
         }
     }
@@ -1384,23 +1359,6 @@ mod neon {
     }
 
     #[target_feature(enable = "neon")]
-    pub unsafe fn add_bias_scale_neon(row: &mut [f32], bias: &[f32], scale: f32) {
-        let n = row.len().min(bias.len());
-        let vs = vdupq_n_f32(scale);
-        let mut j = 0;
-        while j + 4 <= n {
-            let v = vld1q_f32(row.as_ptr().add(j));
-            let b = vld1q_f32(bias.as_ptr().add(j));
-            vst1q_f32(row.as_mut_ptr().add(j), vmulq_f32(vaddq_f32(v, b), vs));
-            j += 4;
-        }
-        while j < n {
-            row[j] = (row[j] + bias[j]) * scale;
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
     pub unsafe fn scale_add_bias_neon(row: &mut [f32], scale: f32, bias: &[f32]) {
         let n = row.len().min(bias.len());
         let vs = vdupq_n_f32(scale);
@@ -1588,20 +1546,6 @@ pub fn add_bias_mask_scale(row: &mut [f32], bias: &[f32], mask: &[f32], scale: f
     }
 }
 
-/// `row[j] = (row[j] + bias[j]) * scale`.
-#[inline]
-pub fn add_bias_scale(row: &mut [f32], bias: &[f32], scale: f32) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
-            x86::add_bias_scale_avx2(row, bias, scale)
-        },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::add_bias_scale_neon(row, bias, scale) },
-        _ => scalar::add_bias_scale(row, bias, scale),
-    }
-}
-
 /// `row[j] = row[j] * scale + bias[j]` (the tile epilogue's order).
 #[inline]
 pub fn scale_add_bias(row: &mut [f32], scale: f32, bias: &[f32]) {
@@ -1780,8 +1724,6 @@ mod tests {
             scalar::add_bias(&mut e1, &bias);
             let mut e2 = base.clone();
             scalar::add_bias_mask_scale(&mut e2, &bias, &mask, scale);
-            let mut e3 = base.clone();
-            scalar::add_bias_scale(&mut e3, &bias, scale);
             let mut e4 = base.clone();
             scalar::scale_add_bias(&mut e4, scale, &bias);
             let mut e5 = base.clone();
@@ -1794,9 +1736,6 @@ mod tests {
                 let mut r = base.clone();
                 add_bias_mask_scale(&mut r, &bias, &mask, scale);
                 assert_eq!(r, e2, "add_bias_mask_scale len {len}");
-                let mut r = base.clone();
-                add_bias_scale(&mut r, &bias, scale);
-                assert_eq!(r, e3, "add_bias_scale len {len}");
                 let mut r = base.clone();
                 scale_add_bias(&mut r, scale, &bias);
                 assert_eq!(r, e4, "scale_add_bias len {len}");
