@@ -956,7 +956,6 @@ fn activation_flops(act: Activation) -> f64 {
     match act {
         Activation::Identity => 0.0,
         Activation::Relu => 1.0,
-        Activation::Sigmoid | Activation::Tanh => 4.0,
     }
 }
 
@@ -1275,7 +1274,7 @@ mod tests {
                 for (batch, k, n) in [(128, 2048, 2048), (64, 784, 2048), (20, 1500, 6000)] {
                     let (unfused_fwd, unfused_bwd, unfused_drop) =
                         price_fc_schedule(&gpu, &schedule, batch, k, n, None);
-                    for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
+                    for act in [Activation::Identity, Activation::Relu] {
                         let (fused_fwd, fused_bwd, fused_drop) =
                             price_fc_schedule(&gpu, &schedule, batch, k, n, Some(act));
                         let case =

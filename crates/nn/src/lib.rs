@@ -27,8 +27,9 @@
 //!   clipping (`clip_gradients`, max-abs over every gradient of a model)
 //!   and the update (`Sgd::step`) are one function each over that walk.
 //! * [`loss`] / [`metrics`] — one softmax cross-entropy,
-//!   [`loss::softmax_cross_entropy_into`], one libm `exp` per logit written
-//!   straight into the recycled gradient buffer of
+//!   [`loss::softmax_cross_entropy_into`], one polynomial `exp` per logit
+//!   (`tensor::simd::exp_slice`) written straight into the recycled
+//!   gradient buffer of
 //!   [`loss::CrossEntropyScratch`], which also counts the argmax hits
 //!   behind [`loss::CrossEntropyScratch::accuracy`], for training and
 //!   evaluation alike; perplexity.

@@ -1,6 +1,6 @@
 //! Softmax cross-entropy loss.
 
-use tensor::Matrix;
+use tensor::{simd, Matrix};
 
 /// Recycled buffers for [`softmax_cross_entropy_into`]: the logits gradient,
 /// which holds each row's `exp` values until they become the gradient, and
@@ -36,9 +36,11 @@ impl CrossEntropyScratch {
 /// across calls, and returns the mean loss.
 ///
 /// One pass per row over its logits finds the max and the argmax, a second
-/// writes `exp(v − max)` into the gradient row beside the row sum, and a
-/// third turns that row into `(p − 1[label]) / batch` — one libm `exp` per
-/// logit.
+/// writes `v − max` into the gradient row, [`simd::exp_slice`] turns it
+/// into `exp(v − max)` (one polynomial `exp` per logit, the same bits at
+/// every SIMD level), a third sums the row from 0 in index order, and a
+/// fourth turns the row into `(p − 1[label]) / batch`. A NaN logit makes
+/// the loss NaN.
 ///
 /// # Panics
 ///
@@ -72,11 +74,11 @@ pub fn softmax_cross_entropy_into(
         }
         scratch.hits += usize::from(argmax == label);
         let grad = scratch.grad_logits.row_mut(i);
-        let mut denom = 0.0;
         for (g, &v) in grad.iter_mut().zip(row) {
-            *g = (v - max).exp();
-            denom += *g;
+            *g = v - max;
         }
+        simd::exp_slice(grad);
+        let denom = grad.iter().fold(0.0, |sum, &g| sum + g);
         let label_p = grad[label] / denom;
         for g in grad.iter_mut() {
             *g = *g / denom * inv;
@@ -96,9 +98,11 @@ mod tests {
     /// The three-pass reference [`softmax_cross_entropy_into`] must match
     /// bit for bit: whole softmax rows, whole log-softmax rows, then the
     /// loss at the labels and the gradient scaled by the batch size, with
-    /// the accuracy from a separate first-maximum argmax per row.
+    /// the accuracy from a separate first-maximum argmax per row. Its `exp`
+    /// is the scalar form of the loss's [`simd::exp_slice`].
     /// Returns `(loss, grad_logits, accuracy)`.
     fn three_pass_reference(logits: &Matrix, labels: &[usize]) -> (f32, Matrix, f64) {
+        let exp = simd::exp_approx;
         let batch = logits.rows().max(1);
         let (rows, cols) = logits.shape();
         let (mut probs, mut log_probs) = (Matrix::zeros(rows, cols), Matrix::zeros(rows, cols));
@@ -107,11 +111,11 @@ mod tests {
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut denom = 0.0;
             for &v in row {
-                denom += (v - max).exp();
+                denom += exp(v - max);
             }
-            let log_denom = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
+            let log_denom = row.iter().map(|&v| exp(v - max)).sum::<f32>().ln();
             for (j, &v) in row.iter().enumerate() {
-                probs[(i, j)] = (v - max).exp() / denom;
+                probs[(i, j)] = exp(v - max) / denom;
                 log_probs[(i, j)] = v - max - log_denom;
             }
         }

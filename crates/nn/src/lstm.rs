@@ -31,7 +31,7 @@ use crate::mlp::PlanSource;
 use crate::optimizer::{clip_gradients, Param, Params, Sgd};
 use approx_dropout::{Activation, DropoutPlan, DropoutScheme, LayerShape};
 use rand::Rng;
-use tensor::{gemm, init, Matrix};
+use tensor::{gemm, init, simd, Matrix};
 
 /// One LSTM layer (cell iterated over a sequence) with combined gate weights.
 ///
@@ -50,8 +50,9 @@ pub struct LstmCell {
     /// Sequences in the forward pass awaiting its backward pass (0: none).
     batch: usize,
     /// Gate pre-activations `x·W_x + b`, to which each timestep adds `h·W_h`
-    /// and applies the gate nonlinearities in place: the activated gates
-    /// are the backward cache.
+    /// and applies the gate nonlinearities in place (`tensor::simd`'s
+    /// polynomial sigmoid and tanh): the activated gates are the backward
+    /// cache.
     gates: Matrix,
     /// `h_{t-1}` of every row (zero at `t = 0`).
     h_prev: Matrix,
@@ -69,11 +70,6 @@ pub struct LstmCell {
     /// One timestep's gate-sized scratch: `h·W_h` forward, the gate
     /// gradient backward.
     step_gates: Matrix,
-}
-
-#[inline]
-fn sigmoid_scalar(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
 }
 
 impl LstmCell {
@@ -150,22 +146,21 @@ impl LstmCell {
             for b in 0..batch {
                 let r = t * batch + b;
                 let z = self.gates.row_mut(r);
-                for (j, (v, &p)) in z.iter_mut().zip(self.step_gates.row(b)).enumerate() {
-                    let s = *v + p;
-                    *v = if (2 * h..3 * h).contains(&j) {
-                        s.tanh()
-                    } else {
-                        sigmoid_scalar(s)
-                    };
-                }
+                simd::add_bias(z, self.step_gates.row(b));
+                simd::sigmoid_slice(&mut z[..2 * h]);
+                simd::tanh_slice(&mut z[2 * h..3 * h]);
+                simd::sigmoid_slice(&mut z[3 * h..]);
                 let (hs, cs) = (self.h.row_mut(b), self.c.row_mut(b));
                 self.h_prev.row_mut(r).copy_from_slice(hs);
                 self.c_prev.row_mut(r).copy_from_slice(cs);
-                let tc = self.tanh_c.row_mut(r);
+                // c = f ⊙ c_prev + i ⊙ g, h = o ⊙ tanh(c)
                 for j in 0..h {
-                    // c = f ⊙ c_prev + i ⊙ g, h = o ⊙ tanh(c)
                     cs[j] = z[h + j] * cs[j] + z[j] * z[2 * h + j];
-                    tc[j] = cs[j].tanh();
+                }
+                let tc = self.tanh_c.row_mut(r);
+                tc.copy_from_slice(cs);
+                simd::tanh_slice(tc);
+                for j in 0..h {
                     hs[j] = z[3 * h + j] * tc[j];
                 }
                 out.row_mut(r).copy_from_slice(hs);

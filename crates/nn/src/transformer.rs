@@ -362,11 +362,11 @@ impl EncoderBlock {
                         *s = simd::dot(q, &ws.k_all.row(row0 + j)[cols.clone()]) * score_mul;
                         max = max.max(*s);
                     }
-                    let mut denom = 0.0;
                     for s in live.iter_mut() {
-                        *s = (*s - max).exp();
-                        denom += *s;
+                        *s -= max;
                     }
+                    simd::exp_slice(live);
+                    let denom = live.iter().fold(0.0, |sum, &s| sum + s);
                     for s in live.iter_mut() {
                         *s /= denom;
                     }
@@ -917,7 +917,8 @@ mod tests {
     /// keeps the three-pass loss. Per (batch, head in `heads`) it gathers
     /// the Q/K/V/dCtx bands of a block's workspace into matrices, runs the
     /// dense GEMMs over the full `seq × seq` scores under a `−∞` causal
-    /// mask, a two-`exp` softmax and its Jacobian, and scatters the results
+    /// mask, a two-`exp` softmax (the scalar form of the attention's
+    /// [`simd::exp_slice`]) and its Jacobian, and scatters the results
     /// back. Returns `[ctx, dq, dk, dv]`.
     fn per_head_gemm_reference(
         ws: &BlockWorkspace,
@@ -953,15 +954,16 @@ mod tests {
                     }
                 }
                 let mut probs = Matrix::zeros(g.seq, g.seq);
+                let exp = simd::exp_approx;
                 for i in 0..g.seq {
                     let row = scores.row(i);
                     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                     let mut denom = 0.0;
                     for &v in row {
-                        denom += (v - max).exp();
+                        denom += exp(v - max);
                     }
                     for (j, &v) in row.iter().enumerate() {
-                        probs[(i, j)] = (v - max).exp() / denom;
+                        probs[(i, j)] = exp(v - max) / denom;
                     }
                 }
                 let ctx_h = gemm::blocked_gemm(&probs, &vh).unwrap();

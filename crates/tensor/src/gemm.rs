@@ -870,13 +870,12 @@ pub fn gather_gemm_bias_act_into(
             *panels_ready = true;
             // Scatter with the whole epilogue fused into the write-back:
             // kept columns take their activated scaled-bias pre-activation,
-            // and dropped columns, whose pre-activation is exactly zero, the
-            // constant `act(0)` — no activation pass over them.
-            let dropped = act.apply(0.0);
+            // and dropped columns, whose pre-activation is exactly zero,
+            // stay zero (`act(0) = 0`) — no activation pass over them.
             out.resize_for_overwrite(a.rows(), w.cols());
             for i in 0..out.rows() {
                 let (src, dst) = (product.row(i), out.row_mut(i));
-                dst.fill(dropped);
+                dst.fill(0.0);
                 for (c, &j) in kept.iter().enumerate() {
                     dst[j] = act.apply((src[c] * pre + brow[j]) * post);
                 }
@@ -1043,13 +1042,11 @@ pub fn row_compact_gemm(
 /// Activation function fused into a kernel's write-back epilogue.
 ///
 /// A fused kernel is bitwise identical to the unfused
-/// GEMM → bias → [`Activation::apply`] chain it replaces. The activation
-/// routes through [`crate::simd`]: under an active vector level the
-/// transcendentals use the polynomial kernels (elementwise-deterministic,
-/// a few ULP from `libm`; see the `simd` module docs), and with
-/// `TENSOR_SIMD=0` the precise `libm` formulas — [`Activation::apply`] on
-/// one scalar always agrees bitwise with [`Activation::apply_slice`] on a
-/// row.
+/// GEMM → bias → [`Activation::apply`] chain it replaces, at every SIMD
+/// level: [`Activation::apply`] on one scalar agrees bitwise with
+/// [`Activation::apply_slice`] on a row. Every activation maps 0 to 0, so
+/// a dropped output column stays exactly zero. Models that need sigmoid,
+/// tanh or `exp` call [`crate::simd`]'s slice kernels on their own rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Pass-through (`f(v) = v`): bias add only.
@@ -1057,22 +1054,15 @@ pub enum Activation {
     /// Rectified linear unit, `max(0, v)` — scalar-exact at every SIMD
     /// level.
     Relu,
-    /// Logistic sigmoid, `1 / (1 + e^{-v})`.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
 }
 
 impl Activation {
-    /// Applies the activation to one scalar (under the active SIMD level,
-    /// see the type docs).
+    /// Applies the activation to one scalar.
     #[inline]
     pub fn apply(self, v: f32) -> f32 {
         match self {
             Activation::Identity => v,
             Activation::Relu => v.max(0.0),
-            Activation::Sigmoid => simd::sigmoid_scalar(v),
-            Activation::Tanh => simd::tanh_scalar(v),
         }
     }
 
@@ -1084,8 +1074,6 @@ impl Activation {
         match self {
             Activation::Identity => {}
             Activation::Relu => simd::relu_slice(row),
-            Activation::Sigmoid => simd::sigmoid_slice(row),
-            Activation::Tanh => simd::tanh_slice(row),
         }
     }
 }
@@ -2029,13 +2017,8 @@ mod tests {
         }
     }
 
-    /// All four activations, for sweeping the fused-kernel tests.
-    const ACTIVATIONS: [Activation; 4] = [
-        Activation::Identity,
-        Activation::Relu,
-        Activation::Sigmoid,
-        Activation::Tanh,
-    ];
+    /// Both activations, for sweeping the fused-kernel tests.
+    const ACTIVATIONS: [Activation; 2] = [Activation::Identity, Activation::Relu];
 
     #[test]
     fn fused_dense_matches_unfused_chain_bitwise() {
@@ -2229,19 +2212,22 @@ mod tests {
     #[test]
     fn fused_dropped_columns_carry_the_activation_of_zero() {
         // A dropped neuron's pre-activation is exactly zero; the fused kernel
-        // must report act(0) there (0 for ReLU, 0.5 for sigmoid) just like
-        // the unfused chain's elementwise activation pass does.
+        // must report act(0) = +0.0 there just like the unfused chain's
+        // elementwise activation pass does, while a kept column whose
+        // pre-activation is negative goes through ReLU.
         let a = Matrix::ones(2, 3);
         let w = Matrix::ones(3, 4);
-        let bias = Matrix::zeros(1, 4);
+        let bias = Matrix::from_rows(&[&[-9.0, 1.0, -9.0, -9.0]]);
         let mut scratch = GatherScratch::default();
-        scratch.resolve_cols(&[1]);
+        scratch.resolve_cols(&[1, 2]);
         let mut out = Matrix::zeros(0, 0);
-        let sigmoid = Activation::Sigmoid;
-        gather_gemm_bias_act_into(&a, &w, &bias, neurons(1.0), sigmoid, &mut scratch, &mut out)
+        let relu = Activation::Relu;
+        gather_gemm_bias_act_into(&a, &w, &bias, neurons(1.0), relu, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out[(0, 0)], 0.5);
-        assert!((out[(0, 1)] - Activation::Sigmoid.apply(3.0)).abs() < 1e-6);
+        for i in 0..2 {
+            let bits: Vec<u32> = out.row(i).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, [0.0f32, 4.0, 0.0, 0.0].map(f32::to_bits), "row {i}");
+        }
     }
 
     #[test]
@@ -2376,25 +2362,6 @@ mod tests {
                 .unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
-    }
-
-    #[test]
-    fn gather_nk_dropped_columns_carry_the_activation_of_zero() {
-        let a = Matrix::ones(2, 4);
-        let w = Matrix::ones(4, 3);
-        let bias = Matrix::zeros(1, 3);
-        let mut scratch = GatherScratch::default();
-        scratch.resolve_nk(&[0, 2], &[1]);
-        let epilogue = GatherEpilogue::Neurons {
-            pre: 2.0,
-            post: 1.0,
-        };
-        let sigmoid = Activation::Sigmoid;
-        let mut out = Matrix::zeros(0, 0);
-        gather_gemm_bias_act_into(&a, &w, &bias, epilogue, sigmoid, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out[(0, 0)], 0.5);
-        assert!((out[(0, 1)] - Activation::Sigmoid.apply(4.0)).abs() < 1e-6);
     }
 
     #[test]

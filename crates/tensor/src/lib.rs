@@ -19,8 +19,9 @@
 //!   pins execution fully serial, and results are bitwise identical for any
 //!   thread count.
 //! * [`simd`] — runtime-dispatched vector micro-kernels (AVX2 / AVX-512 /
-//!   NEON with a mandatory scalar fallback) every GEMM block kernel and
-//!   fused epilogue routes through; `TENSOR_SIMD=0` forces the scalar path.
+//!   NEON with a mandatory scalar fallback) every GEMM block kernel, fused
+//!   epilogue and polynomial `exp`/sigmoid/tanh routes through, with the
+//!   same bits at every level; `TENSOR_SIMD=0` forces the scalar bodies.
 //! * [`tune`] — a tuner that searches the pool's serial-fallback row
 //!   threshold and persists it to `TUNE_GEMM.json` (`TENSOR_TUNE_FILE`
 //!   points loads elsewhere).

@@ -1,13 +1,14 @@
 //! The backward ReLU gate.
 //!
 //! The forward activations live in the fused GEMM epilogues
-//! ([`crate::Activation`]) and each softmax lives in its one caller (the
-//! loss in `nn::loss`, the attention rows in `nn::transformer`), so this
-//! module keeps only the helper every ReLU layer's backward pass calls
-//! outside a GEMM: [`relu_grad_mask_inplace`]. That the fused epilogues
-//! match an unfused GEMM, bias and activation chain bit for bit is pinned
-//! by `gemm`'s `fused_*_matches_unfused_chain_bitwise` tests; how far their
-//! vector transcendentals sit from libm is pinned by `simd`'s ULP tests.
+//! ([`crate::Activation`]), the transcendentals in `simd`'s slice kernels,
+//! and each softmax in its one caller (the loss in `nn::loss`, the
+//! attention rows in `nn::transformer`), so this module keeps only the
+//! helper every ReLU layer's backward pass calls outside a GEMM:
+//! [`relu_grad_mask_inplace`]. That the fused epilogues match an unfused
+//! GEMM, bias and activation chain bit for bit is pinned by `gemm`'s
+//! `fused_*_matches_unfused_chain_bitwise` tests; how far the
+//! transcendentals sit from libm is pinned by `simd`'s ULP tests.
 
 use crate::matrix::Matrix;
 

@@ -5,8 +5,10 @@
 #   * the stdout of the five examples and the eight figure and table bins,
 #     with ARD_FAST=1, on both trees;
 #   * the four training examples on the working tree under
-#     TENSOR_THREADS=1 and under TENSOR_SIMD=0, against the revision's
-#     default run;
+#     TENSOR_THREADS=1, TENSOR_SIMD=0 and TENSOR_SIMD=avx2, against the
+#     working tree's default run (which is itself compared with the
+#     revision's, so a change that moves training is named once per
+#     example and its thread and SIMD invariance is still checked);
 #   * perfbench's `final_loss` for `mlp_train` and `lm_train` at seeds 1
 #     and 2 (`--seconds 1`, so the op count is fixed; the `--trace 1` run
 #     must also pass its correctness gates), on both trees.
@@ -71,9 +73,10 @@ for side in rev work; do
     done
 done
 for ex in "${training[@]}"; do
-    echo "running work example $ex at one thread and scalar"
+    echo "running work example $ex at one thread, scalar and avx2"
     run "$root" "work.$ex.threads1" "target/release/examples/$ex" TENSOR_THREADS=1
     run "$root" "work.$ex.scalar" "target/release/examples/$ex" TENSOR_SIMD=0
+    run "$root" "work.$ex.avx2" "target/release/examples/$ex" TENSOR_SIMD=avx2
 done
 
 differ=()
@@ -86,8 +89,9 @@ for name in "${examples[@]}" "${bins[@]}"; do
     same "rev.$name" "work.$name"
 done
 for ex in "${training[@]}"; do
-    same "rev.$ex" "work.$ex.threads1"
-    same "rev.$ex" "work.$ex.scalar"
+    for variant in threads1 scalar avx2; do
+        same "work.$ex" "work.$ex.$variant"
+    done
 done
 
 # perfbench's final_loss on TREE for WORKLOAD at SEED, or nothing if the

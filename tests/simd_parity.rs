@@ -1,24 +1,29 @@
 //! SIMD-vs-scalar parity for the runtime-dispatched vector micro-kernels.
 //!
 //! The `tensor::simd` contract is that switching the dispatch level never
-//! changes ReLU/Identity results by a single bit: every vector kernel
-//! replicates the scalar accumulation order exactly (mul-then-add, no FMA,
-//! the 8-lane `dot` reduction preserved). These tests pin that contract
-//! through the public API — raw micro-kernels, the register-blocked
-//! dense/transposed GEMMs and every compacted kernel family via
-//! `Linear::forward_act_into`, at serial and parallel pool widths — and
-//! bound the documented polynomial tolerance of the sigmoid/tanh epilogues
-//! against libm. Each test compares the scalar reference with *every*
-//! vector level the host supports, not only the detected one, so an
-//! AVX-512 host still runs the AVX2 bodies. A dispatch test asserts the
-//! detected ISA is actually what gets selected.
+//! changes a result by a single bit: every vector kernel replicates the
+//! scalar operation order exactly (mul-then-add, no FMA, the 8-lane `dot`
+//! reduction preserved, the polynomial `exp`/sigmoid/tanh replayed lane
+//! for lane). These tests pin that contract through the public API — raw
+//! micro-kernels, the three transcendental slices, the register-blocked
+//! dense/transposed GEMMs, every compacted kernel family via
+//! `Linear::forward_act_into` at serial and parallel pool widths, and
+//! whole LSTM and transformer training trajectories — and bound the
+//! documented polynomial tolerance of the transcendentals against libm.
+//! Each test compares the scalar reference with *every* vector level the
+//! host supports, not only the detected one, so an AVX-512 host still runs
+//! the AVX2 bodies. A dispatch test asserts the detected ISA is actually
+//! what gets selected.
 //!
 //! The SIMD level is process-global state, so every test here serialises
 //! on one mutex and restores the entry level before returning.
 
 use approx_dropout::{scheme, Activation, DropoutRate, DropoutScheme};
 use nn::lstm::{LstmLm, LstmLmConfig};
-use nn::{DropoutPlan, LayerShape, Linear, TransformerLm, TransformerLmConfig};
+use nn::{
+    softmax_cross_entropy_into, CrossEntropyScratch, DropoutPlan, LayerShape, Linear,
+    TransformerLm, TransformerLmConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -222,8 +227,6 @@ fn all_kernel_families_match_scalar_bitwise_at_one_and_four_threads() {
     for threads in [1usize, 4] {
         pool::set_threads(threads);
         for (label, plan) in family_plans(29, 48) {
-            // Identity and ReLU epilogues are scalar-exact at every level;
-            // the transcendental epilogues are covered by the ULP test.
             for act in [Activation::Identity, Activation::Relu] {
                 simd::set_level(SimdLevel::Scalar);
                 let mut scalar = Matrix::default();
@@ -279,10 +282,10 @@ fn transformer_trajectory(attn: &dyn DropoutScheme, ffn: &dyn DropoutScheme) -> 
 #[test]
 fn transformer_attention_matches_scalar_bitwise_for_every_structured_path() {
     // The attention forward/backward pipeline is built entirely from the
-    // level-invariant kernels (GEMMs, block-compacted GEMMs, gathers) plus
-    // scalar softmax/cross-entropy, so whole training trajectories — head
-    // drop, 2:4 projections, FFN row dropout — must not move by a bit when
-    // the dispatch level changes.
+    // level-invariant kernels (GEMMs, block-compacted GEMMs, gathers) and
+    // the softmaxes' vectorised `exp`, so whole training trajectories —
+    // head drop, 2:4 projections, FFN row dropout — must not move by a bit
+    // when the dispatch level changes.
     let _g = level_guard();
     let entry = simd::level();
     pool::set_threads(1);
@@ -343,10 +346,11 @@ fn lstm_trajectory(dropout: &dyn DropoutScheme) -> Vec<u32> {
 
 #[test]
 fn lstm_matches_scalar_bitwise_for_every_dropout_family() {
-    // The LSTM runs on the level-invariant GEMMs, libm gate activations and
-    // scalar softmax cross-entropy, so whole training trajectories under
-    // row, tile and Bernoulli inter-layer dropout must not move by a bit
-    // when the dispatch level changes.
+    // The LSTM runs on the level-invariant GEMMs, the vectorised sigmoid
+    // and tanh gate activations and the cross-entropy's vectorised `exp`,
+    // so whole training trajectories under row, tile and Bernoulli
+    // inter-layer dropout must not move by a bit when the dispatch level
+    // changes.
     let _g = level_guard();
     let entry = simd::level();
     pool::set_threads(1);
@@ -381,38 +385,119 @@ fn ulp_distance(a: f32, b: f32) -> u64 {
     ordered(a).abs_diff(ordered(b))
 }
 
+/// The three transcendental slices with their libm formulas and ULP
+/// bounds (see the `simd` module docs).
+type Transcendental = (&'static str, fn(&mut [f32]), fn(f32) -> f32, u64);
+
+fn transcendentals() -> [Transcendental; 3] {
+    [
+        ("exp", simd::exp_slice, f32::exp, 2),
+        (
+            "sigmoid",
+            simd::sigmoid_slice,
+            |x| 1.0 / (1.0 + (-x).exp()),
+            16,
+        ),
+        ("tanh", simd::tanh_slice, f32::tanh, 32),
+    ]
+}
+
+/// Inputs spanning the softmax domain `[−88, 0]` and both clamps of each
+/// kernel (exp at ±88.38, tanh at ±7.9), `len` of them.
+fn transcendental_inputs(len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| match i % 3 {
+            0 => -88.0 * (i as f32 / len as f32),
+            1 => 200.0 * (i as f32 / len as f32) - 100.0,
+            _ => 20.0 * (i as f32 / len as f32) - 10.0,
+        })
+        .collect()
+}
+
 #[test]
-fn sigmoid_and_tanh_epilogues_stay_within_documented_ulp_of_libm() {
+fn transcendental_slices_match_scalar_bitwise_at_every_length() {
     let _g = level_guard();
     let entry = simd::level();
-    pool::set_threads(1);
-    let mut rng = StdRng::seed_from_u64(0x51D3);
-    let x = workload(&mut rng, 24, 33);
-    let mut layer = Linear::new(&mut rng, 33, 47);
-    let plan = DropoutPlan::none(LayerShape::new(33, 47));
-    // Evaluate at every vector level: the polynomial forms are what the
-    // vector epilogues run. (At scalar the std formulas are used and the
-    // distance is identically zero.)
-    for level in vector_levels() {
-        simd::set_level(level);
-        let mut pre = Matrix::default();
-        layer.forward_act_into(&x, &plan, Activation::Identity, &mut pre);
-        for (act, bound) in [(Activation::Sigmoid, 16u64), (Activation::Tanh, 32u64)] {
-            let mut out = Matrix::default();
-            layer.forward_act_into(&x, &plan, act, &mut out);
-            for (&p, &o) in pre.as_slice().iter().zip(out.as_slice()) {
-                let reference = match act {
-                    Activation::Sigmoid => 1.0 / (1.0 + (-p).exp()),
-                    Activation::Tanh => p.tanh(),
-                    _ => unreachable!(),
-                };
-                let ulp = ulp_distance(o, reference);
-                assert!(
-                    ulp <= bound || (o - reference).abs() <= 1e-6,
-                    "{act:?}({p}) = {o} at {level:?} is {ulp} ULP from libm's \
-                     {reference} (bound {bound})"
+    for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 33, 801] {
+        let x = transcendental_inputs(len);
+        for (name, slice, _, _) in transcendentals() {
+            simd::set_level(SimdLevel::Scalar);
+            let mut scalar = x.clone();
+            slice(&mut scalar);
+            for level in vector_levels() {
+                simd::set_level(level);
+                let mut vector = x.clone();
+                slice(&mut vector);
+                let bits = |v: &[f32]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&scalar),
+                    bits(&vector),
+                    "{name} at length {len} must be bitwise identical between scalar and {level:?}"
                 );
             }
+        }
+    }
+    simd::set_level(entry);
+}
+
+#[test]
+fn transcendental_slices_stay_within_documented_ulp_of_libm() {
+    let _g = level_guard();
+    let entry = simd::level();
+    let sigmoid_tanh: Vec<f32> = (-2000..=2000).map(|i| i as f32 * 0.005).collect();
+    let softmax: Vec<f32> = (0..=88_000).map(|i| i as f32 * -0.001).collect();
+    for level in [SimdLevel::Scalar].into_iter().chain(vector_levels()) {
+        simd::set_level(level);
+        for (name, slice, libm, bound) in transcendentals() {
+            // exp over the softmax's shifted logits; sigmoid and tanh over
+            // [−10, 10], across both tanh clamps.
+            let x = if name == "exp" {
+                &softmax
+            } else {
+                &sigmoid_tanh
+            };
+            let mut y = x.clone();
+            slice(&mut y);
+            for (&x, &y) in x.iter().zip(&y) {
+                let reference = libm(x);
+                let ulp = ulp_distance(y, reference);
+                let close = if name == "exp" {
+                    // Below the smallest normal float the kernel flushes
+                    // toward 0: bound the absolute error there.
+                    ulp <= bound
+                        || (reference < f32::MIN_POSITIVE && (y - reference).abs() <= 1e-38)
+                } else {
+                    ulp <= bound || (y - reference).abs() <= 1e-6
+                };
+                assert!(
+                    close,
+                    "{name}({x}) = {y} at {level:?} is {ulp} ULP from libm's {reference} \
+                     (bound {bound})"
+                );
+            }
+        }
+    }
+    simd::set_level(entry);
+}
+
+/// A NaN logit outside the label makes the loss NaN at every level,
+/// whether it lands in a vector lane or in the scalar tail of the `exp`
+/// kernel.
+#[test]
+fn nan_logit_gives_nan_loss_at_every_level() {
+    let _g = level_guard();
+    let entry = simd::level();
+    for level in [SimdLevel::Scalar].into_iter().chain(vector_levels()) {
+        simd::set_level(level);
+        for nan_at in [3, 35] {
+            let mut logits = Matrix::from_fn(3, 37, |i, j| ((i * 37 + j) % 11) as f32 * 0.3);
+            logits[(1, nan_at)] = f32::NAN;
+            let mut scratch = CrossEntropyScratch::default();
+            let loss = softmax_cross_entropy_into(&logits, &[0, 0, 0], &mut scratch);
+            assert!(
+                loss.is_nan(),
+                "NaN logit {nan_at} at {level:?}: loss {loss}"
+            );
         }
     }
     simd::set_level(entry);
