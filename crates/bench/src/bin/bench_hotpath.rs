@@ -21,7 +21,9 @@
 //!
 //! plus the `simd` section: the dense / `A·Bᵀ` / `Aᵀ·B` / fused-ReLU kernels
 //! with the runtime dispatch forced to the scalar fallback versus the active
-//! vector level (AVX2 / AVX-512 / NEON), single-threaded; and the recorded
+//! vector level (AVX2 / AVX-512 / NEON), single-threaded; the recorded
+//! `a_bt_vs_a_b` section: `A·Bᵀ` (which packs `Bᵀ` per call) beside `A·B`
+//! in GFLOP/s at three backward-pass shapes, single-threaded; and the recorded
 //! `tile_size_ablation` section: the dp=2 tile pattern through the gather
 //! core at 8/16/32/64 tiles (the paper fixes 32 to match the 32
 //! shared-memory banks).
@@ -46,8 +48,9 @@ use nn::{Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::{
-    blocked_gemm, blocked_gemm_into, gather_gemm_into, gemm_a_bt, gemm_at_b, gemm_bias_act, init,
-    pool, row_compact_gemm, simd, Activation, GatherScratch, Matrix, SimdLevel,
+    blocked_gemm, blocked_gemm_into, gather_gemm_into, gemm_a_bt, gemm_a_bt_into, gemm_at_b,
+    gemm_bias_act, init, pool, row_compact_gemm, simd, Activation, GatherScratch, Matrix,
+    SimdLevel,
 };
 
 /// The seed repository's cache-blocked GEMM, kept verbatim as the baseline
@@ -200,6 +203,39 @@ fn main() {
             card.cpu_ratio(&format!("{key}_speedup"), scalar / vector)
                 .above(1.0)
                 .when(vector_active);
+        }
+    });
+
+    // 1c. The input-gradient product `A·Bᵀ` beside `A·B` at the same m, k,
+    //     n, single-threaded, in GFLOP/s: `A·Bᵀ` packs `Bᵀ` on every call,
+    //     a cost that does not shrink with m. The shapes are the transformer
+    //     FFN's `dX`, the MLP output layer's `dX` and a serve-sized Train
+    //     batch. Its own RNG leaves the later sections' data unchanged.
+    //     Recorded only.
+    let product_shapes = [
+        ("ffn_dx", [768, 64, 128]),
+        ("mlp_out_dx", [128, 10, 256]),
+        ("serve_train", [12, 128, 256]),
+    ];
+    let mut product_rng = StdRng::seed_from_u64(0xAB7);
+    card.section("a_bt_vs_a_b", |card| {
+        for (key, [m, k, n]) in product_shapes {
+            let a = init::uniform(&mut product_rng, m, k, -1.0, 1.0);
+            let b = init::uniform(&mut product_rng, k, n, -1.0, 1.0);
+            let (b_t, mut out) = (b.transpose(), Matrix::default());
+            let gflops = |secs: f64| 2.0 * (m * k * n) as f64 / secs / 1e9;
+            let a_b = gflops(best_of(50, || {
+                blocked_gemm_into(&a, &b, &mut out).unwrap();
+                std::hint::black_box(&out);
+            }));
+            let a_bt = gflops(best_of(50, || {
+                gemm_a_bt_into(&a, &b_t, &mut out).unwrap();
+                std::hint::black_box(&out);
+            }));
+            eprintln!("{key:<12} {m}x{k}x{n}  A·B {a_b:>6.2} GFLOP/s, A·Bᵀ {a_bt:>6.2} GFLOP/s");
+            card.counts(&format!("{key}_shape"), &[m, k, n]);
+            card.recorded(&format!("{key}_a_b_gflops"), a_b, 2);
+            card.recorded(&format!("{key}_a_bt_gflops"), a_bt, 2);
         }
     });
 

@@ -321,8 +321,7 @@ impl Linear {
         match ws.path {
             ExecPath::Gather(epilogue) => {
                 // dW = Xᵀ·(s·G) and dX = (s·G)·Wᵀ over the resolved classes
-                // only: dropped entries of dW stay exactly zero, and the dX
-                // product reuses the forward pass's packed weight panels.
+                // only: dropped entries of dW stay exactly zero.
                 gemm::gather_backward_into(
                     &ws.input,
                     grad_output,
@@ -389,9 +388,6 @@ impl Params for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
-        // A visitor may change the weights, so the panels packed from them
-        // by the last forward pass go stale.
-        self.ws.gather.invalidate_panels();
     }
 }
 

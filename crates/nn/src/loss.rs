@@ -39,8 +39,10 @@ impl CrossEntropyScratch {
 /// writes `v − max` into the gradient row, [`simd::exp_slice`] turns it
 /// into `exp(v − max)` (one polynomial `exp` per logit, the same bits at
 /// every SIMD level), a third sums the row from 0 in index order, and a
-/// fourth turns the row into `(p − 1[label]) / batch`. A NaN logit makes
-/// the loss NaN.
+/// fourth turns the row into `(p − 1[label]) / batch`. The two serial
+/// folds (max/argmax and sum) run 8 rows side by side, each row in
+/// its own index order, so their dependency chains overlap without moving
+/// a bit. A NaN logit makes the loss NaN.
 ///
 /// # Panics
 ///
@@ -55,38 +57,82 @@ pub fn softmax_cross_entropy_into(
         logits.rows(),
         "one label per logits row is required"
     );
+    for &label in labels {
+        assert!(label < logits.cols(), "label {label} out of range");
+    }
     let batch = logits.rows().max(1);
-    let inv = 1.0 / batch as f32;
     scratch
         .grad_logits
         .resize_for_overwrite(logits.rows(), logits.cols());
     scratch.hits = 0;
     let mut loss = 0.0f32;
-    for (i, &label) in labels.iter().enumerate() {
-        assert!(label < logits.cols(), "label {label} out of range");
-        let row = logits.row(i);
-        let (mut max, mut argmax) = (f32::NEG_INFINITY, 0);
-        for (j, &v) in row.iter().enumerate() {
-            max = max.max(v);
-            if v > row[argmax] {
-                argmax = j;
-            }
-        }
-        scratch.hits += usize::from(argmax == label);
-        let grad = scratch.grad_logits.row_mut(i);
-        for (g, &v) in grad.iter_mut().zip(row) {
-            *g = v - max;
-        }
-        simd::exp_slice(grad);
-        let denom = grad.iter().fold(0.0, |sum, &g| sum + g);
-        let label_p = grad[label] / denom;
-        for g in grad.iter_mut() {
-            *g = *g / denom * inv;
-        }
-        grad[label] = (label_p - 1.0) * inv;
-        loss -= row[label] - max - denom.ln();
+    let full = labels.len() - labels.len() % ROWS;
+    for i in (0..full).step_by(ROWS) {
+        loss = xent_rows::<ROWS>(logits, labels, i, scratch, loss);
+    }
+    for i in full..labels.len() {
+        loss = xent_rows::<1>(logits, labels, i, scratch, loss);
     }
     loss / batch as f32
+}
+
+/// Rows of the loss whose serial folds run side by side.
+const ROWS: usize = 8;
+
+/// The loss of the `R` rows from `i0`: writes their gradient rows, counts
+/// their argmax hits and returns `loss` minus their log-likelihoods, in row
+/// order. Every label is in range and every row is non-empty.
+// Index loops: the inner loop steps each of the `R` chains once per column.
+#[allow(clippy::needless_range_loop)]
+fn xent_rows<const R: usize>(
+    logits: &Matrix,
+    labels: &[usize],
+    i0: usize,
+    scratch: &mut CrossEntropyScratch,
+    mut loss: f32,
+) -> f32 {
+    let cols = logits.cols();
+    let inv = 1.0 / logits.rows().max(1) as f32;
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &logits.row(i0 + r)[..cols]);
+    // `best[r]` is `rows[r][argmax[r]]`, so the first-maximum argmax
+    // compares against a register instead of reloading the row.
+    let mut max = [f32::NEG_INFINITY; R];
+    let mut argmax = [0usize; R];
+    let mut best: [f32; R] = std::array::from_fn(|r| rows[r][0]);
+    for j in 0..cols {
+        for r in 0..R {
+            let v = rows[r][j];
+            max[r] = max[r].max(v);
+            let gt = v > best[r];
+            argmax[r] = if gt { j } else { argmax[r] };
+            best[r] = if gt { v } else { best[r] };
+        }
+    }
+    let grads = &mut scratch.grad_logits.as_mut_slice()[i0 * cols..(i0 + R) * cols];
+    for ((grad, row), &m) in grads.chunks_exact_mut(cols).zip(rows).zip(&max) {
+        for (g, &v) in grad.iter_mut().zip(row) {
+            *g = v - m;
+        }
+        simd::exp_slice(grad);
+    }
+    let exps: [&[f32]; R] = std::array::from_fn(|r| &grads[r * cols..(r + 1) * cols]);
+    let mut denom = [0.0f32; R];
+    for j in 0..cols {
+        for r in 0..R {
+            denom[r] += exps[r][j];
+        }
+    }
+    for (r, grad) in grads.chunks_exact_mut(cols).enumerate() {
+        let label = labels[i0 + r];
+        scratch.hits += usize::from(argmax[r] == label);
+        let label_p = grad[label] / denom[r];
+        for g in grad.iter_mut() {
+            *g = *g / denom[r] * inv;
+        }
+        grad[label] = (label_p - 1.0) * inv;
+        loss -= rows[r][label] - max[r] - denom[r].ln();
+    }
+    loss
 }
 
 #[cfg(test)]
@@ -185,6 +231,54 @@ mod tests {
             assert_eq!(loss.to_bits(), loss_ref.to_bits(), "{rows}x{cols}");
             assert_eq!(*scratch.grad_logits(), grad_ref, "{rows}x{cols}");
             assert_eq!(scratch.accuracy().to_bits(), accuracy_ref.to_bits());
+        }
+    }
+
+    /// Rows the side-by-side folds must treat exactly like one row at a
+    /// time, through the full groups and the remainder alike: NaN first and
+    /// inside a row, ±inf, a +0.0 max beside −0.0 in both orders, rows
+    /// shorter than 16, and batches that are not a multiple of the
+    /// interleave. Every gradient row is compared (a NaN row's gradient
+    /// must be NaN where the reference's is); the loss and accuracy are
+    /// compared by bits on the finite batches.
+    #[test]
+    fn edge_rows_match_the_reference_bitwise() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let finite: [&[f32]; 4] = [
+            &[0.0, -0.0, -1.0, -2.0, -3.0],
+            &[-0.0, 0.0, -1.0, -2.0, -3.0],
+            &[-0.0, -1.0, -0.0, -2.5, 0.5],
+            &[1.5, -0.25, 3.0, 3.0, -7.0],
+        ];
+        let special: [&[f32]; 4] = [
+            &[nan, 1.0, 2.0, 3.0, 4.0],
+            &[1.0, 2.0, nan, 0.0, -1.0],
+            &[inf, 0.0, 1.0, -1.0, 2.0],
+            &[-inf, 0.0, 1.0, 2.0, -inf],
+        ];
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut scratch = CrossEntropyScratch::default();
+        for (edge, finite) in [(finite, true), (special, false)] {
+            for rows in [1, 7, 8, 11, 19] {
+                for cols in [1, 5] {
+                    let logits = Matrix::from_fn(rows, cols, |i, j| edge[(i + j) % 4][j]);
+                    let labels: Vec<usize> = (0..rows).map(|i| i % cols).collect();
+                    let (loss_ref, grad_ref, accuracy_ref) = three_pass_reference(&logits, &labels);
+                    let loss = softmax_cross_entropy_into(&logits, &labels, &mut scratch);
+                    let what = format!("{rows}x{cols}, finite {finite}");
+                    let grad = scratch.grad_logits().as_slice();
+                    for (k, (&g, &r)) in grad.iter().zip(grad_ref.as_slice()).enumerate() {
+                        assert!(same(g, r), "gradient {k}: {g} vs {r}, {what}");
+                    }
+                    let accuracy = scratch.accuracy();
+                    assert_eq!(accuracy.to_bits(), accuracy_ref.to_bits(), "{what}");
+                    if finite {
+                        assert_eq!(loss.to_bits(), loss_ref.to_bits(), "{what}");
+                    } else {
+                        assert!(loss.is_nan() && loss_ref.is_nan(), "{what}");
+                    }
+                }
+            }
         }
     }
 

@@ -70,6 +70,9 @@ pub struct LstmCell {
     /// One timestep's gate-sized scratch: `h·W_h` forward, the gate
     /// gradient backward.
     step_gates: Matrix,
+    /// `W_hᵀ`, packed once per backward pass for every timestep's
+    /// `dh = dZ·W_hᵀ`.
+    w_h_t: Matrix,
 }
 
 impl LstmCell {
@@ -94,6 +97,7 @@ impl LstmCell {
             h: Matrix::default(),
             c: Matrix::default(),
             step_gates: Matrix::default(),
+            w_h_t: Matrix::default(),
         }
     }
 
@@ -191,6 +195,7 @@ impl LstmCell {
         self.step_gates.resize_for_overwrite(batch, 4 * h);
         self.h.resize(batch, h);
         self.c.resize(batch, h);
+        self.w_h.value.transpose_into(&mut self.w_h_t);
         for t in (0..grad.rows() / batch).rev() {
             for b in 0..batch {
                 let r = t * batch + b;
@@ -216,7 +221,7 @@ impl LstmCell {
                 }
                 self.dz.row_mut(r).copy_from_slice(dz_t);
             }
-            gemm::gemm_a_bt_into(&self.step_gates, &self.w_h.value, &mut self.h)
+            gemm::blocked_gemm_into(&self.step_gates, &self.w_h_t, &mut self.h)
                 .expect("hidden gradient shapes agree");
         }
         gemm::gemm_at_b_into(&self.h_prev, &self.dz, &mut self.w_h.grad)
@@ -751,6 +756,25 @@ mod tests {
                 "{param:?}[{r},{c}]: numeric {numeric} vs analytic {analytic}"
             );
         }
+    }
+
+    /// Every backward pass packs `W_hᵀ` from the current weights: after a
+    /// pass and a weight change, the next pass equals that of a copy whose
+    /// packed buffer starts empty.
+    #[test]
+    fn backward_packs_the_current_recurrent_weights() {
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut cell = LstmCell::new(&mut rng, 4, 8);
+        let x = init::uniform(&mut rng, 12, 4, -1.0, 1.0);
+        let grad = init::uniform(&mut rng, 12, 8, -1.0, 1.0);
+        let _ = forward(&mut cell, &x, 3);
+        let _ = backward(&mut cell, &grad);
+        cell.w_h.value.map_inplace(|v| v * 2.0);
+        let mut fresh = cell.clone();
+        fresh.w_h_t = Matrix::default();
+        assert_eq!(forward(&mut cell, &x, 3), forward(&mut fresh, &x, 3));
+        assert_eq!(backward(&mut cell, &grad), backward(&mut fresh, &grad));
+        assert_eq!(cell.w_h.grad, fresh.w_h.grad);
     }
 
     #[test]

@@ -210,11 +210,11 @@ struct EncoderBlock {
 /// Accumulates one head's causal product into rows `row0..row0 + seq` of
 /// `out`'s column band `cols`: `W·S`, or `Wᵀ·S` when `transposed`, where
 /// `W` is a `seq × seq` block that is zero above the diagonal and `S` is
-/// the same band of `src`. The summed index walks the dense kernels'
-/// 4-aligned quads, then the `seq % 4` tail, and skips only quads whose
-/// four entries are all masked; a quad that straddles the diagonal runs
-/// whole with its zero entries. So every element is the sum the dense
-/// GEMM forms, bit for bit.
+/// the same band of `src`. The summed index walks 4-aligned quads (one
+/// `simd::axpy4`, four `fma` steps), then the `seq % 4` tail, and skips
+/// only quads whose four entries are all masked; a quad that straddles the
+/// diagonal runs whole, its zero entries adding nothing. So every element
+/// is the `fma` chain the dense GEMM forms, bit for bit.
 fn causal_band_gemm(
     w: &[f32],
     transposed: bool,
@@ -915,9 +915,11 @@ mod tests {
     /// The per-head GEMM pipeline the in-place attention replaced, kept as
     /// its test-only reference the way `loss::tests::three_pass_reference`
     /// keeps the three-pass loss. Per (batch, head in `heads`) it gathers
-    /// the Q/K/V/dCtx bands of a block's workspace into matrices, runs the
-    /// dense GEMMs over the full `seq × seq` scores under a `−∞` causal
-    /// mask, a two-`exp` softmax (the scalar form of the attention's
+    /// the Q/K/V/dCtx bands of a block's workspace into matrices, runs
+    /// `QKᵀ` and `dCtx·Vᵀ` as one `simd::dot` per element (what the
+    /// in-place attention runs) and the other products as dense GEMMs,
+    /// over the full `seq × seq` scores under a `−∞` causal mask, a
+    /// two-`exp` softmax (the scalar form of the attention's
     /// [`simd::exp_slice`]) and its Jacobian, and scatters the results
     /// back. Returns `[ctx, dq, dk, dv]`.
     fn per_head_gemm_reference(
@@ -935,6 +937,11 @@ mod tests {
                 out.row_mut(row0 + s)[h * hd..(h + 1) * hd].copy_from_slice(src.row(s));
             }
         };
+        // `x·yᵀ` as one `simd::dot` per element, the products the in-place
+        // attention scores and its `dP` run.
+        let dot_rows = |x: &Matrix, y: &Matrix| {
+            Matrix::from_fn(x.rows(), y.rows(), |i, j| simd::dot(x.row(i), y.row(j)))
+        };
         let mut out = [(); 4].map(|_| Matrix::zeros(g.rows(), g.model_dim()));
         for b in 0..g.batch {
             let row0 = b * g.seq;
@@ -943,7 +950,7 @@ mod tests {
                 let kh = gather(&ws.k_all, row0, h);
                 let vh = gather(&ws.v_all, row0, h);
                 let dctx_h = gather(&ws.dctx, row0, h);
-                let mut scores = gemm::gemm_a_bt(&qh, &kh).unwrap();
+                let mut scores = dot_rows(&qh, &kh);
                 for i in 0..g.seq {
                     let row = scores.row_mut(i);
                     for v in &mut row[..=i] {
@@ -968,7 +975,7 @@ mod tests {
                 }
                 let ctx_h = gemm::blocked_gemm(&probs, &vh).unwrap();
                 scatter(&ctx_h, row0, h, &mut out[0]);
-                let dprobs = gemm::gemm_a_bt(&dctx_h, &vh).unwrap();
+                let dprobs = dot_rows(&dctx_h, &vh);
                 let dvh = gemm::gemm_at_b(&probs, &dctx_h).unwrap();
                 scatter(&dvh, row0, h, &mut out[3]);
                 let mut ds = Matrix::zeros(g.seq, g.seq);

@@ -14,35 +14,38 @@
 //!
 //! # Kernel architecture
 //!
-//! Every product runs on one of two register-blocked micro-kernels that
-//! dispatch through [`crate::simd`] to runtime-detected bodies (AVX2 and
-//! AVX-512, with the scalar reference as fallback and on NEON — bitwise
-//! identical at every level, see the `simd` module docs):
+//! Every product runs on one register-blocked micro-kernel,
+//! [`simd::gemm_axpy4`], that dispatches through [`crate::simd`] to
+//! runtime-detected bodies (AVX2 and AVX-512, with the scalar reference as
+//! fallback and on NEON — bitwise identical at every level, see the `simd`
+//! module docs). It holds a block of C (4 × 32 on AVX-512, 4 × 16 on AVX2)
+//! in registers across a 128-deep K panel, so a panel of B stays
+//! cache-resident while every row block passes over it, and it reads A
+//! through a row and a K stride:
 //!
-//! * the `axpy4` form ([`simd::gemm_axpy4`]) holds a block of C (4 × 32 on
-//!   AVX-512, 4 × 8 on AVX2) in registers across a 128-deep K panel, so a
-//!   panel of B stays cache-resident while every row block passes over it.
-//!   It reads A through a row and a K stride, so one kernel serves `A·B`
-//!   (strides `[lda, 1]`) and the weight gradient `Aᵀ·B` (`[1, lda]`);
-//! * the `dot` form ([`simd::gemm_dot`]) runs a block of 8-lane dot
-//!   products side by side (4 × 4 on AVX-512, 2 × 4 on AVX2) for `A·Bᵀ`,
-//!   the input gradient of every backward pass.
+//! * `A·B` reads A at strides `[lda, 1]`;
+//! * the weight gradient `Aᵀ·B` reads A at `[1, lda]`, so it needs no
+//!   transpose;
+//! * the input gradient `A·Bᵀ` packs `Bᵀ` once per call (a cache-blocked
+//!   transpose) and runs `A·(Bᵀ)`.
 //!
-//! Each element of C sees exactly the f32 operations of the one-row-at-a-
-//! time `axpy4`/`axpy`/`dot` loops the kernels replaced, in their order;
-//! `gemm::tests` keeps those loops as the bitwise reference. Column fringes
-//! run masked at vector width and row fringes on narrower instantiations
-//! of the same block. The dense path carries no per-element `aip == 0.0`
-//! branch (skipping zeros is the compacted kernels' job — a data-dependent
-//! branch in the dense loop defeats SIMD exactly like warp divergence
-//! defeats the GPU kernel in the paper's Fig. 1(b)). Each kernel has
+//! Each element of C is the chain `c ← fma(a_p, b_p, c)` over `p` in K
+//! order from `c = 0`, one rounding per term, so `gemm_a_bt(a, b)` equals
+//! `blocked_gemm(a, bᵀ)` and `gemm_at_b(a, b)` equals `blocked_gemm(aᵀ, b)`
+//! bit for bit; `gemm::tests` keeps that chain as the bitwise reference.
+//! Column fringes run masked at vector width and row fringes on narrower
+//! instantiations of the same block. The dense path carries no per-element
+//! `aip == 0.0` branch (skipping zeros is the compacted kernels' job — a
+//! data-dependent branch in the dense loop defeats SIMD exactly like warp
+//! divergence defeats the GPU kernel in the paper's Fig. 1(b)). Each kernel
+//! has
 //!
 //! * an allocating entry point (`blocked_gemm`, `gemm_at_b`, …) and a
 //!   `*_into` variant that writes into a caller-owned output buffer so the
 //!   training hot path can recycle allocations across iterations,
 //! * transposed-operand variants [`gemm_at_b`] (`C = Aᵀ·B`) and
-//!   [`gemm_a_bt`] (`C = A·Bᵀ`) so backward passes never materialise a
-//!   `transpose()`,
+//!   [`gemm_a_bt`] (`C = A·Bᵀ`) so callers never materialise a
+//!   `transpose()` of their own,
 //! * batch-dimension parallelism: output rows are split across the
 //!   [`crate::pool`] worker threads. Every output row is produced by exactly
 //!   one worker, and each of its elements sees the same operations wherever
@@ -52,6 +55,7 @@
 use crate::matrix::Matrix;
 use crate::pool;
 use crate::simd;
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 
@@ -209,8 +213,10 @@ pub fn gemm_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     Ok(out)
 }
 
-/// Transposed-operand GEMM `C = A · Bᵀ` without materialising `Bᵀ`, writing
-/// into `out`.
+/// Transposed-operand GEMM `C = A · Bᵀ`, writing into `out`: packs `Bᵀ`
+/// once per call into a buffer recycled across calls on this thread, then
+/// runs the dense kernel over it, so the result is bitwise
+/// `blocked_gemm(a, bᵀ)`.
 ///
 /// With output gradients `A` of shape `(batch, out)` and weights `B` of
 /// shape `(in, out)` this is exactly the input-gradient product `dX = G·Wᵀ`
@@ -228,19 +234,31 @@ pub fn gemm_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
             b.shape()
         )));
     }
+    thread_local! {
+        static B_T: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    }
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    // No zero fill: `simd::gemm_dot` stores every element of C at every
-    // level, a `k = 0` dot included (it stores 0), so the stale contents of
-    // a recycled buffer are never read.
-    out.resize_for_overwrite(m, n);
+    // Taken out while in use, so a nested call would pack into a buffer
+    // of its own instead of this one.
+    let mut buf = B_T.with(Cell::take);
+    // 16 spare floats let `Bᵀ` start on a 64-byte line, so the kernel's
+    // vector loads of its rows split no cache line (misaligned, a
+    // 128 × 256 × 256 product ran 1.4× slower).
+    buf.resize(k * n + 16, 0.0);
+    let start = buf.as_ptr().align_offset(64).min(16);
+    let b_t = &mut buf[start..start + k * n];
+    simd::transpose(b.as_slice(), n, k, b_t);
+    let b_t = &*b_t;
+    out.resize(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         let a_rows = &a.as_slice()[rows.start * k..];
-        simd::gemm_dot(a_rows, b.as_slice(), chunk, rows.len(), n, k);
+        simd::gemm_axpy4(a_rows, [k, 1], b_t, chunk, rows.len(), k, n);
     });
+    B_T.with(|cell| cell.set(buf));
     Ok(())
 }
 
-/// Transposed-operand GEMM `C = A · Bᵀ` without materialising `Bᵀ`.
+/// Transposed-operand GEMM `C = A · Bᵀ` (see [`gemm_a_bt_into`]).
 ///
 /// # Errors
 ///
@@ -285,12 +303,14 @@ struct GatherClass {
 ///   divides the tiles per row, and the plain dense GEMM when every tile
 ///   is kept.
 ///
-/// The forward pass ([`gather_gemm_into`], [`gather_gemm_bias_act_into`])
-/// packs each class's weight panel; [`gather_backward_into`] reuses those
-/// panels for its `dX` product until [`GatherScratch::invalidate_panels`]
-/// (or a new `resolve_*`) marks them stale — call it whenever the weights
-/// change between the forward and the backward pass. All buffers are
-/// recycled across calls, so a warmed hot path performs no allocations.
+/// Every product packs each class's weight panel `W[k, n]` afresh into one
+/// recycled panel buffer: the forward pass ([`gather_gemm_into`],
+/// [`gather_gemm_bias_act_into`]) multiplies it, and
+/// [`gather_backward_into`] packs it again for its `dX` product, which
+/// transposes it (see [`gemm_a_bt_into`]). Nothing is kept between calls
+/// but the buffers, so the weights may change between the passes. All
+/// buffers are recycled across calls, so a warmed hot path performs no
+/// allocations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GatherScratch {
     classes: Vec<GatherClass>,
@@ -300,10 +320,9 @@ pub struct GatherScratch {
     /// class of every tile row (`usize::MAX` when it keeps no tile).
     reps: Vec<usize>,
     row_class: Vec<usize>,
-    /// Packed `W[k, n]` panel per class (unused for a class gathering
-    /// neither axis, which multiplies `W` itself).
-    panels: Vec<Matrix>,
-    panels_ready: bool,
+    /// The packed `W[k, n]` panel of the class being multiplied (unused
+    /// for a class gathering neither axis, which multiplies `W` itself).
+    panel: Matrix,
     a_kept: Matrix,
     g_kept: Matrix,
     product: Matrix,
@@ -314,7 +333,6 @@ impl GatherScratch {
         self.classes.clear();
         self.k_idx.clear();
         self.n_idx.clear();
-        self.panels_ready = false;
     }
 
     /// One class over every inner index and the `kept_cols` output
@@ -495,13 +513,6 @@ impl GatherScratch {
             });
         }
         Ok(())
-    }
-
-    /// Marks the weight panels packed by the last forward pass stale, so
-    /// the next [`gather_backward_into`] repacks them from its `w`. Call it
-    /// whenever the weights change in between (an optimiser step).
-    pub fn invalidate_panels(&mut self) {
-        self.panels_ready = false;
     }
 
     /// The output columns of the first resolved class: the kept neurons of
@@ -710,8 +721,7 @@ fn class_gemm(
 /// Raw compacted product of the classes resolved in `scratch`:
 /// `C = Σ_class A[:, k] · W[k, n]`, each class's compact product scattered
 /// into (and, across classes, accumulated in) its output columns; columns
-/// no class computes are exactly zero. Packs every class's weight panel for
-/// a following [`gather_backward_into`].
+/// no class computes are exactly zero.
 ///
 /// A single class gathering no output column writes straight into `out`, so
 /// resolving every inner index in order is bitwise [`blocked_gemm_into`].
@@ -732,20 +742,16 @@ pub fn gather_gemm_into(
         classes,
         k_idx,
         n_idx,
-        panels,
-        panels_ready,
+        panel,
         a_kept,
         product,
         ..
     } = scratch;
-    if panels.len() < classes.len() {
-        panels.resize_with(classes.len(), Matrix::default);
-    }
     let single = classes.len() == 1;
     if !(single && classes[0].n.is_none()) {
         out.resize(a.rows(), w.cols());
     }
-    for (class, panel) in classes.iter().zip(panels.iter_mut()) {
+    for class in classes.iter() {
         let k = class.k.clone().map(|r| &k_idx[r]);
         let n = class.n.clone().map(|r| &n_idx[r]);
         if single && n.is_none() {
@@ -774,7 +780,6 @@ pub fn gather_gemm_into(
             }
         }
     }
-    *panels_ready = true;
     Ok(())
 }
 
@@ -856,18 +861,13 @@ pub fn gather_gemm_bias_act_into(
             let GatherScratch {
                 k_idx,
                 n_idx,
-                panels,
-                panels_ready,
+                panel,
                 a_kept,
                 product,
                 ..
             } = scratch;
-            if panels.is_empty() {
-                panels.push(Matrix::default());
-            }
             let (k, kept) = (k.map(|r| &k_idx[r]), &n_idx[n]);
-            class_gemm(a, w, k, Some(kept), a_kept, &mut panels[0], product)?;
-            *panels_ready = true;
+            class_gemm(a, w, k, Some(kept), a_kept, panel, product)?;
             // Scatter with the whole epilogue fused into the write-back:
             // kept columns take their activated scaled-bias pre-activation,
             // and dropped columns, whose pre-activation is exactly zero,
@@ -893,10 +893,8 @@ pub fn gather_gemm_bias_act_into(
 /// `dW` is computed (a first layer, whose input needs no gradient).
 ///
 /// The scale rides in the gradient gather when a class compacts the output
-/// columns, and in the scatter otherwise. The `dX` product reuses the
-/// weight panels the preceding forward pass packed on this scratch unless
-/// they were invalidated (see [`GatherScratch`]); `w` must then be the
-/// weight that forward pass saw.
+/// columns, and in the scatter otherwise. The `dX` product packs the
+/// class's weight panel from `w` and runs [`gemm_a_bt_into`] over it.
 ///
 /// # Errors
 ///
@@ -933,17 +931,12 @@ pub fn gather_backward_into(
         classes,
         k_idx,
         n_idx,
-        panels,
-        panels_ready,
+        panel,
         a_kept,
         g_kept,
         product,
         ..
     } = scratch;
-    let reuse = *panels_ready;
-    if panels.len() < classes.len() {
-        panels.resize_with(classes.len(), Matrix::default);
-    }
     let single = classes.len() == 1;
     let dense = single && classes[0].k.is_none() && classes[0].n.is_none();
     if !dense {
@@ -954,7 +947,7 @@ pub fn gather_backward_into(
             dx_out.resize(g.rows(), w.rows());
         }
     }
-    for (class, panel) in classes.iter().zip(panels.iter_mut()) {
+    for class in classes.iter() {
         let k = class.k.clone().map(|r| &k_idx[r]);
         let n = class.n.clone().map(|r| &n_idx[r]);
         let (g_src, post) = match n {
@@ -983,11 +976,7 @@ pub fn gather_backward_into(
         let Some(dx_out) = dx_out.as_deref_mut() else {
             continue;
         };
-        let w_src = match (k, n) {
-            (None, None) => w,
-            _ if reuse => &*panel,
-            _ => pack_panel(w, k, n, panel),
-        };
+        let w_src = pack_panel(w, k, n, panel);
         if dense {
             gemm_a_bt_into(g, w, dx_out)?;
             if scale != 1.0 {
@@ -1000,8 +989,6 @@ pub fn gather_backward_into(
             scatter_into(product, None, k, post, dx_out);
         }
     }
-    // Without a dX product no panel was packed: stale ones stay stale.
-    *panels_ready |= dx_out.is_some();
     Ok(())
 }
 
@@ -1326,7 +1313,7 @@ mod tests {
     /// `A·B` and `Aᵀ·B` reach the same block kernel through A's row-major
     /// and transposed strides, so on `a.transpose()` they must agree bit
     /// for bit, with K below, at and just past multiples of the panel
-    /// depth (the single-pass reference is `at_b_reference` below).
+    /// depth (the one-chain reference is `chain_reference` below).
     #[test]
     fn k_panels_match_a_single_panel_pass_bitwise() {
         let mut rng = StdRng::seed_from_u64(43);
@@ -1343,69 +1330,29 @@ mod tests {
         }
     }
 
-    /// The dense product as it ran before the register-blocked kernels:
-    /// one output row at a time, `simd::axpy4` over the quads of each
-    /// 128-deep K panel, then `simd::axpy` over the panel's remainder. The
-    /// test-only bitwise reference of the `axpy4`-form block kernel.
-    fn dense_reference(a: &Matrix, b: &Matrix) -> Matrix {
-        let (m, k) = a.shape();
-        let mut c = Matrix::zeros(m, b.cols());
-        for pp in (0..k).step_by(128) {
-            let p_end = (pp + 128).min(k);
-            for i in 0..m {
-                let crow = c.row_mut(i);
-                let mut quads = a.row(i)[pp..p_end].chunks_exact(4);
-                let mut p = pp;
-                for quad in &mut quads {
-                    let alpha = [quad[0], quad[1], quad[2], quad[3]];
-                    let bs = (b.row(p), b.row(p + 1), b.row(p + 2), b.row(p + 3));
-                    simd::axpy4(crow, alpha, bs.0, bs.1, bs.2, bs.3);
-                    p += 4;
-                }
-                for &alpha in quads.remainder() {
-                    simd::axpy(crow, alpha, b.row(p));
-                    p += 1;
-                }
-            }
-        }
-        c
-    }
-
-    /// `C = Aᵀ·B` as it ran before: the whole batch in one pass, batch rows
-    /// in quads through `simd::axpy4` and the remainder through
-    /// `simd::axpy`, every row of C updated per quad.
-    fn at_b_reference(a: &Matrix, b: &Matrix) -> Matrix {
-        let (m, k) = a.shape();
-        let mut c = Matrix::zeros(k, b.cols());
-        let mut i = 0;
-        while i + 4 <= m {
-            let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
-            let (b0, b1, b2, b3) = (b.row(i), b.row(i + 1), b.row(i + 2), b.row(i + 3));
-            for p in 0..k {
-                simd::axpy4(c.row_mut(p), [a0[p], a1[p], a2[p], a3[p]], b0, b1, b2, b3);
-            }
-            i += 4;
-        }
-        while i < m {
-            for p in 0..k {
-                simd::axpy(c.row_mut(p), a.row(i)[p], b.row(i));
-            }
-            i += 1;
-        }
-        c
-    }
-
-    /// `C = A·Bᵀ` as it ran before: one `simd::dot` per element.
-    fn a_bt_reference(a: &Matrix, b: &Matrix) -> Matrix {
-        Matrix::from_fn(a.rows(), b.rows(), |i, j| simd::dot(a.row(i), b.row(j)))
+    /// The one product rule, one element at a time: `C[i][j]` is the chain
+    /// `c = a(i, p).mul_add(b(p, j), c)` over `p` in K order from `c = 0`,
+    /// for a `k`-deep product of the `(m, k, n)` shape. The test-only bitwise
+    /// reference of every product form; the accessors read a transposed
+    /// operand in place, so the reference shares no packing with the
+    /// kernels.
+    fn chain_reference(
+        (m, k, n): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+    ) -> Matrix {
+        Matrix::from_fn(m, n, |i, j| {
+            (0..k).fold(0.0f32, |c, p| a(i, p).mul_add(b(p, j), c))
+        })
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Checks every product form and both fused dense layers on one
-    /// `(m, k, n)` shape against the row-at-a-time references, by bits.
+    /// Checks every product form, both fused dense layers and the gather
+    /// core with every index kept on one `(m, k, n)` shape against
+    /// [`chain_reference`], by bits.
     fn check_block_kernels(rng: &mut StdRng, (m, k, n): (usize, usize, usize), threads: usize) {
         let shape = format!("m {m}, k {k}, n {n}, {threads} thread(s)");
         let mut a = random_matrix(rng, m, k);
@@ -1415,23 +1362,25 @@ mod tests {
         let b = random_matrix(rng, k, n);
         let mut out = Matrix::default();
         blocked_gemm_into(&a, &b, &mut out).unwrap();
-        let dense = dense_reference(&a, &b);
+        let dense = chain_reference((m, k, n), |i, p| a[(i, p)], |p, j| b[(p, j)]);
         assert_eq!(bits(&out), bits(&dense), "A·B, {shape}");
         // Xᵀ·G with X = a: batch m, C k × n ...
         let g = random_matrix(rng, m, n);
         gemm_at_b_into(&a, &g, &mut out).unwrap();
-        assert_eq!(bits(&out), bits(&at_b_reference(&a, &g)), "Xᵀ·G, {shape}");
+        let x_t_g = chain_reference((k, m, n), |i, p| a[(p, i)], |p, j| g[(p, j)]);
+        assert_eq!(bits(&out), bits(&x_t_g), "Xᵀ·G, {shape}");
         // ... and with X = aᵀ: batch k, C m × n.
-        let (at, g) = (a.transpose(), random_matrix(rng, k, n));
-        gemm_at_b_into(&at, &g, &mut out).unwrap();
-        assert_eq!(bits(&out), bits(&at_b_reference(&at, &g)), "Aᵀ·B, {shape}");
+        let (at, g2) = (a.transpose(), random_matrix(rng, k, n));
+        gemm_at_b_into(&at, &g2, &mut out).unwrap();
+        let a_t_b = chain_reference((m, k, n), |i, p| at[(p, i)], |p, j| g2[(p, j)]);
+        assert_eq!(bits(&out), bits(&a_t_b), "Aᵀ·B, {shape}");
         // G·Wᵀ with G = a and W = bᵀ: C m × n, into a recycled buffer of
-        // NaNs, which the product overwrites without a zero fill: an
-        // element the kernel skips stays NaN.
+        // NaNs, which the product must not read.
         let w = b.transpose();
         out = Matrix::filled(m, n, f32::NAN);
         gemm_a_bt_into(&a, &w, &mut out).unwrap();
-        assert_eq!(bits(&out), bits(&a_bt_reference(&a, &w)), "G·Wᵀ, {shape}");
+        let g_w_t = chain_reference((m, k, n), |i, p| a[(i, p)], |p, j| w[(j, p)]);
+        assert_eq!(bits(&out), bits(&g_w_t), "G·Wᵀ, {shape}");
         let (bias, act) = (random_matrix(rng, 1, n), Activation::Relu);
         let mask: Vec<f32> = (0..n).map(|c| if c % 3 == 1 { 0.0 } else { 1.0 }).collect();
         gemm_bias_act_into(&a, &b, &bias, act, &mut out).unwrap();
@@ -1439,25 +1388,42 @@ mod tests {
         bias_act_epilogue(reference.as_mut_slice(), n, bias.row(0), None, act);
         assert_eq!(bits(&out), bits(&reference), "fused, {shape}");
         gemm_bias_act_masked_into(&a, &b, &bias, &mask, 2.0, act, &mut out).unwrap();
-        let mut reference = dense;
+        let mut reference = dense.clone();
         let masked = Some((mask.as_slice(), 2.0));
         bias_act_epilogue(reference.as_mut_slice(), n, bias.row(0), masked, act);
         assert_eq!(bits(&out), bits(&reference), "fused masked, {shape}");
+        // The gather core with every index kept, gathering the output
+        // columns (the dX product straight into its output) and both axes
+        // (the dX product scattered): the packed panels hold all of W, so
+        // every product is the dense chain. G·Wᵀ here is `g · bᵀ`.
+        let (all_k, all_n): (Vec<usize>, Vec<usize>) = ((0..k).collect(), (0..n).collect());
+        let g_b_t = chain_reference((m, n, k), |i, p| g[(i, p)], |p, j| b[(j, p)]);
+        let mut scratch = GatherScratch::default();
+        let (mut dw, mut dx) = (Matrix::default(), Matrix::default());
+        for nk in [false, true] {
+            match nk {
+                false => scratch.resolve_cols(&all_n),
+                true => scratch.resolve_nk(&all_k, &all_n),
+            }
+            let form = format!("{} gather, {shape}", if nk { "K×N" } else { "N" });
+            gather_gemm_into(&a, &b, &mut scratch, &mut out).unwrap();
+            assert_eq!(bits(&out), bits(&dense), "{form}: A·W");
+            gather_backward_into(&a, &g, &b, 1.0, &mut scratch, &mut dw, Some(&mut dx)).unwrap();
+            assert_eq!(bits(&dw), bits(&x_t_g), "{form}: Xᵀ·G");
+            assert_eq!(bits(&dx), bits(&g_b_t), "{form}: G·Wᵀ");
+        }
     }
 
-    /// Every product form and both fused dense layers equal the row-at-a-
-    /// time references bit for bit, over shapes that hit every row, column
-    /// and K fringe of the block kernels (4-row blocks, 8/16/32-wide column
-    /// blocks, 8-lane dots, quads, 128-deep panels), with zeros in A, at
-    /// pool widths 1–3 (width 3 starts chunks off a multiple of 4). The
-    /// grid is subsampled by cost so the debug run stays short, plus a few
-    /// dear shapes of full blocks on every axis.
+    /// Every product form, both fused dense layers and the all-kept gather
+    /// forms equal the one-chain reference bit for bit, over shapes that hit
+    /// every row, column and K fringe of the block kernels (4-row blocks,
+    /// 16/32-wide column blocks and their masked fringes, 8 × 8 transpose
+    /// blocks, 128-deep panels), with zeros in A, at pool widths 1–3 (width
+    /// 3 starts chunks off a multiple of 4). The grid is subsampled by cost
+    /// so the debug run stays short, plus a few dear shapes of full blocks
+    /// on every axis.
     #[test]
     fn block_kernels_match_the_row_reference_bitwise() {
-        const SIZES: [usize; 22] = [
-            0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 131, 255, 256, 257,
-        ];
-        const BUDGET: usize = 512;
         let mut rng = StdRng::seed_from_u64(0xB10C);
         let mut checked = 0;
         for threads in [1, 2, 3] {
@@ -1465,24 +1431,65 @@ mod tests {
             for shape in [(128, 257, 131), (70, 131, 97)] {
                 check_block_kernels(&mut rng, shape, threads);
             }
-            for (i, &m) in SIZES.iter().enumerate() {
-                for (j, &k) in SIZES.iter().enumerate() {
-                    for (l, &n) in SIZES.iter().enumerate() {
-                        // A pool splits only outputs of at least 32 rows.
-                        let serial = threads > 1 && m.max(k) < pool::PAR_MIN_ROWS;
-                        let stride = ((m + 1) * (k + 1) * (n + 1) / BUDGET).max(1);
-                        let hash = ((i * 22 + j) * 22 + l) * 3 + threads;
-                        if serial || (hash.wrapping_mul(0x9E37_79B9) >> 8) % stride != 0 {
-                            continue;
-                        }
-                        check_block_kernels(&mut rng, (m, k, n), threads);
-                        checked += 1;
-                    }
-                }
-            }
+            for_grid_shape(threads, |shape| {
+                check_block_kernels(&mut rng, shape, threads);
+                checked += 1;
+            });
         }
         pool::set_threads(pool::env_default_threads());
         assert!(checked > 4000, "the grid checked only {checked} shapes");
+    }
+
+    /// Calls `check` on the cost-subsampled fringe grid of `(m, k, n)`
+    /// shapes, skipping shapes a `threads`-wide pool would run serially.
+    fn for_grid_shape(threads: usize, mut check: impl FnMut((usize, usize, usize))) {
+        const SIZES: [usize; 22] = [
+            0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 131, 255, 256, 257,
+        ];
+        const BUDGET: usize = 512;
+        for (i, &m) in SIZES.iter().enumerate() {
+            for (j, &k) in SIZES.iter().enumerate() {
+                for (l, &n) in SIZES.iter().enumerate() {
+                    // A pool splits only outputs of at least 32 rows.
+                    let serial = threads > 1 && m.max(k) < pool::PAR_MIN_ROWS;
+                    let stride = ((m + 1) * (k + 1) * (n + 1) / BUDGET).max(1);
+                    let hash = ((i * 22 + j) * 22 + l) * 3 + threads;
+                    if serial || (hash.wrapping_mul(0x9E37_79B9) >> 8) % stride != 0 {
+                        continue;
+                    }
+                    check((m, k, n));
+                }
+            }
+        }
+    }
+
+    /// The transposed forms are the plain product over a transposed
+    /// operand, bit for bit, at every SIMD level the host supports:
+    /// `gemm_a_bt(a, b) == blocked_gemm(a, bᵀ)` and
+    /// `gemm_at_b(a, b) == blocked_gemm(aᵀ, b)`, over the fringe grid.
+    #[test]
+    fn transposed_forms_equal_the_plain_product_bitwise_at_every_level() {
+        use crate::simd::SimdLevel;
+        let mut rng = StdRng::seed_from_u64(0x7A5E);
+        let levels = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+        for requested in levels {
+            simd::tests::with_level(requested, |level| {
+                let mut checked = 0;
+                for_grid_shape(1, |(m, k, n)| {
+                    let what = format!("m {m}, k {k}, n {n} at {level:?}");
+                    let (a, b) = (random_matrix(&mut rng, m, k), random_matrix(&mut rng, n, k));
+                    let a_bt = gemm_a_bt(&a, &b).unwrap();
+                    let plain = blocked_gemm(&a, &b.transpose()).unwrap();
+                    assert_eq!(bits(&a_bt), bits(&plain), "A·Bᵀ, {what}");
+                    let (x, g) = (random_matrix(&mut rng, k, m), random_matrix(&mut rng, k, n));
+                    let at_b = gemm_at_b(&x, &g).unwrap();
+                    let plain = blocked_gemm(&x.transpose(), &g).unwrap();
+                    assert_eq!(bits(&at_b), bits(&plain), "Aᵀ·B, {what}");
+                    checked += 1;
+                });
+                assert!(checked > 1000, "the grid checked only {checked} shapes");
+            });
+        }
     }
 
     /// A layer with no outputs returns an `m × 0` output from both fused
@@ -1654,12 +1661,12 @@ mod tests {
         let mut out = Matrix::zeros(0, 0);
         scratch.resolve_cols(&[0, 2, 4, 6]);
         gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
-        let pack_ptr = scratch.panels[0].as_slice().as_ptr();
+        let pack_ptr = scratch.panel.as_slice().as_ptr();
         let out_ptr = out.as_slice().as_ptr();
         // Second call with the same kept-count: every buffer is reused.
         scratch.resolve_cols(&[1, 3, 5, 7]);
         gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
-        assert_eq!(pack_ptr, scratch.panels[0].as_slice().as_ptr());
+        assert_eq!(pack_ptr, scratch.panel.as_slice().as_ptr());
         assert_eq!(out_ptr, out.as_slice().as_ptr());
     }
 
@@ -1869,11 +1876,12 @@ mod tests {
         let mut dx_ref = Matrix::zeros(0, 0);
         gather_backward_into(&x, &g, &w, scale, &mut s1, &mut dw_ref, Some(&mut dx_ref)).unwrap();
 
-        // … while after a forward pass the backward reuses its panel.
+        // … and so it does after a forward pass, even one over other
+        // weights: the backward keeps nothing from the forward's panel.
         let mut s2 = GatherScratch::default();
         s2.resolve_cols(&kept);
         let mut y = Matrix::zeros(0, 0);
-        gather_gemm_into(&x, &w, &mut s2, &mut y).unwrap();
+        gather_gemm_into(&x, &w.scale(0.5), &mut s2, &mut y).unwrap();
         let mut dw = Matrix::zeros(0, 0);
         let mut dx = Matrix::zeros(0, 0);
         gather_backward_into(&x, &g, &w, scale, &mut s2, &mut dw, Some(&mut dx)).unwrap();
@@ -2481,13 +2489,13 @@ mod tests {
         scratch.resolve_k(&[0, 2, 4, 6, 8, 10]);
         gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
         let a_ptr = scratch.a_kept.as_slice().as_ptr();
-        let w_ptr = scratch.panels[0].as_slice().as_ptr();
+        let w_ptr = scratch.panel.as_slice().as_ptr();
         let out_ptr = out.as_slice().as_ptr();
         // Second call with the same kept-count: every buffer is reused.
         scratch.resolve_k(&[1, 3, 5, 7, 9, 11]);
         gather_gemm_into(&a, &w, &mut scratch, &mut out).unwrap();
         assert_eq!(a_ptr, scratch.a_kept.as_slice().as_ptr());
-        assert_eq!(w_ptr, scratch.panels[0].as_slice().as_ptr());
+        assert_eq!(w_ptr, scratch.panel.as_slice().as_ptr());
         assert_eq!(out_ptr, out.as_slice().as_ptr());
     }
 

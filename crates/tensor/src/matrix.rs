@@ -267,13 +267,16 @@ impl Matrix {
 
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
         out
+    }
+
+    /// Writes the transpose into `out`, resized in place (its buffer is
+    /// reused when capacity allows, and every value is rewritten).
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize_for_overwrite(self.cols, self.rows);
+        crate::simd::transpose(&self.data, self.rows, self.cols, &mut out.data);
     }
 
     /// Dense matrix multiplication `self * rhs` using the blocked kernel.

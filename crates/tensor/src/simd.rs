@@ -5,9 +5,9 @@
 //! # Dispatch
 //!
 //! The instruction set is picked once per process ([`detected_level`]) with
-//! `is_x86_feature_detected!` (AVX-512, which here means AVX-512F with
-//! AVX-512VL, only on toolchains ≥ 1.89, see the crate's `build.rs`); NEON
-//! is unconditional on aarch64 and the scalar
+//! `is_x86_feature_detected!` (both x86 vector levels require FMA; AVX-512
+//! means AVX-512F, only on toolchains ≥ 1.89, see the crate's `build.rs`);
+//! NEON is unconditional on aarch64 and the scalar
 //! loops remain the mandatory fallback everywhere else. The *active* level
 //! ([`level`]) starts from the `TENSOR_SIMD` environment variable —
 //! `0`/`off`/`scalar` forces the scalar path, `avx2`/`avx512`/`neon`
@@ -20,38 +20,36 @@
 //! # Bitwise contract
 //!
 //! Every kernel gives the same bits at every level. The vector bodies of
-//! [`axpy`], [`axpy4`], [`dot`], the two GEMM block kernels, ReLU, every
-//! bias/mask/scale epilogue helper and the transcendentals ([`exp_slice`],
-//! [`sigmoid_slice`], [`tanh_slice`]) reproduce the scalar bodies
-//! **bitwise**:
+//! [`axpy`], [`axpy4`], [`dot`], the GEMM block kernel [`gemm_axpy4`], ReLU,
+//! every bias/mask/scale epilogue helper and the transcendentals
+//! ([`exp_slice`], [`sigmoid_slice`], [`tanh_slice`]) reproduce the scalar
+//! bodies **bitwise**:
 //!
-//! * multiplies and adds are issued as separate instructions in the scalar
-//!   evaluation order — never fused into FMA, which rounds once instead of
-//!   twice and would change the low bits;
-//! * [`dot`] keeps the historical 8-independent-lane accumulation and the
-//!   sequential lane reduction, so the AVX2 kernel is lane-for-lane the
-//!   scalar loop; under AVX-512 `dot` deliberately stays on the 8-lane
-//!   kernel rather than widening to 16 lanes (a 16-lane reduction would
-//!   reassociate the sum);
-//! * the `axpy4`-form block kernel [`gemm_axpy4`] keeps a block of C in
-//!   registers across a 128-deep K panel, and each element still sees
-//!   [`axpy4`] then [`axpy`]: from the panel start, K runs in quads as
-//!   `c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)`, then the remaining steps
-//!   one at a time as `c + a·b`. Panels are a multiple of 4 deep, so no
-//!   quad straddles one, and a chunk of rows starting anywhere gives the
-//!   same bits;
-//! * the `dot`-form block kernel [`gemm_dot`] runs a block of dot products
-//!   side by side, each element exactly [`dot`]: lane `l` sums
-//!   `x[8t+l]·y[8t+l]` over `t` from `0.0`, the lanes are summed `0..7`
-//!   from `0.0`, then the tail in order. Its AVX-512 body holds 16 ymm
-//!   accumulators in ymm0–31, which is why the AVX-512 level also
-//!   requires AVX-512VL;
-//! * the scalar bodies are the reference: the old one-row-at-a-time loops.
-//!   NEON runs them for the block kernels too (no NEON block body exists;
-//!   its speed is unmeasured);
+//! * every product term is one fused multiply-add, `c ← fma(a, b, c)`,
+//!   rounded once. [`axpy`] is `c[j] = fma(alpha, b[j], c[j])`, [`axpy4`]
+//!   four `axpy`s in order, and each element of [`gemm_axpy4`] the chain
+//!   `c ← fma(a_p, b_p, c)` over `p` in K order. Its block of C stays in
+//!   registers across a 128-deep K panel; a sequential chain cannot change
+//!   at a panel edge or where a chunk of rows starts, so panels and pool
+//!   chunks are for cache reuse and threads only. `A·B`, `Aᵀ·B` and
+//!   `A·Bᵀ` all run on it, so the three product forms share one rule;
+//! * [`dot`] accumulates 8 independent lanes, lane `l` the chain
+//!   `fma(x[8t+l], y[8t+l], ·)` over `t` from `0.0`, then sums the lanes
+//!   `0..7` from `0.0` with plain adds and runs the tail as `fma` steps in
+//!   order. Under AVX-512 it stays on the 8-lane kernel (a 16-lane
+//!   reduction would reassociate the sum);
+//! * the scalar bodies are the reference, written with `f32::mul_add`,
+//!   which is exactly rounded, so every build of them gives the same bits.
+//!   The Scalar level runs them compiled with `fma` enabled where the CPU
+//!   has it (one instruction per term instead of a libm call) and the
+//!   plain build elsewhere. NEON runs them for the products (on aarch64
+//!   `mul_add` is one instruction; no NEON body exists, so its speed is
+//!   unmeasured);
+//! * everything else — the epilogues, ReLU and the transcendentals — issues
+//!   its multiplies and adds as separate instructions in the scalar order,
+//!   never fused;
 //! * ReLU is `max(v, 0.0)` in both worlds (`-0.0` inputs may normalise to
-//!   `+0.0` differently across ISAs; accumulated GEMM outputs never produce
-//!   `-0.0`);
+//!   `+0.0` differently across ISAs);
 //! * the transcendentals are polynomials — a Cephes-style `exp`, which the
 //!   sigmoid runs on `−|x|`, and Eigen's rational tanh. Their scalar forms
 //!   ([`exp_approx`], [`sigmoid_approx`], [`tanh_approx`]) replay the
@@ -90,8 +88,7 @@ pub enum SimdLevel {
     Neon = 1,
     /// 256-bit AVX2 (x86-64, runtime-detected).
     Avx2 = 2,
-    /// 512-bit AVX-512F with AVX-512VL (x86-64, runtime-detected,
-    /// toolchain ≥ 1.89).
+    /// 512-bit AVX-512F (x86-64, runtime-detected, toolchain ≥ 1.89).
     Avx512 = 3,
 }
 
@@ -133,10 +130,13 @@ impl SimdLevel {
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        // The dot-form GEMM body keeps 16 ymm accumulators, which needs
-        // AVX-512VL's ymm16–31: no AVX-512 body may run without it.
+        // Every product body issues FMA. No body uses a 128/256-bit EVEX
+        // form or ymm16–31, so AVX-512VL is not required.
+        if !is_x86_feature_detected!("fma") {
+            return SimdLevel::Scalar;
+        }
         #[cfg(tensor_avx512)]
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+        if is_x86_feature_detected!("avx512f") {
             return SimdLevel::Avx512;
         }
         if is_x86_feature_detected!("avx2") {
@@ -224,22 +224,25 @@ pub fn set_level(requested: SimdLevel) -> SimdLevel {
 // Scalar reference kernels (the dispatch fallback and the bitwise spec)
 // ---------------------------------------------------------------------------
 
+// The product bodies are `inline(always)` so that `scalar_fma` compiles the
+// same source with `fma` enabled.
 mod scalar {
-    #[inline]
+    #[inline(always)]
     pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
         for (cj, &bj) in c.iter_mut().zip(b) {
-            *cj += alpha * bj;
+            *cj = alpha.mul_add(bj, *cj);
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
         for ((((cj, &x0), &x1), &x2), &x3) in c.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            *cj += alpha[0] * x0 + alpha[1] * x1 + alpha[2] * x2 + alpha[3] * x3;
+            let t = alpha[1].mul_add(x1, alpha[0].mul_add(x0, *cj));
+            *cj = alpha[3].mul_add(x3, alpha[2].mul_add(x2, t));
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn dot(x: &[f32], y: &[f32]) -> f32 {
         const LANES: usize = 8;
         let mut acc = [0.0f32; LANES];
@@ -247,7 +250,7 @@ mod scalar {
         let mut ys = y.chunks_exact(LANES);
         for (xc, yc) in (&mut xs).zip(&mut ys) {
             for l in 0..LANES {
-                acc[l] += xc[l] * yc[l];
+                acc[l] = xc[l].mul_add(yc[l], acc[l]);
             }
         }
         let mut sum = 0.0;
@@ -255,7 +258,7 @@ mod scalar {
             sum += lane;
         }
         for (a, b) in xs.remainder().iter().zip(ys.remainder()) {
-            sum += a * b;
+            sum = a.mul_add(*b, sum);
         }
         sum
     }
@@ -288,9 +291,9 @@ mod scalar {
         }
     }
 
-    /// Reference `axpy4`-form product (see [`super::gemm_axpy4`]): each row
-    /// of C runs [`axpy4`] over the quads of every K panel, then [`axpy`]
-    /// over the panel's remainder.
+    /// Reference product (see [`super::gemm_axpy4`]): each row of C runs
+    /// the `fma` chain over K, four steps at a time through [`axpy4`].
+    #[inline(always)]
     pub fn gemm_axpy4(
         a: &[f32],
         [rs, ks]: [usize; 2],
@@ -319,27 +322,75 @@ mod scalar {
         }
     }
 
-    /// Reference `dot`-form product (see [`super::gemm_dot`]): every
-    /// element of C is one [`dot`].
-    pub fn gemm_dot(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-        for (i, crow) in c.chunks_exact_mut(n).take(m).enumerate() {
-            let arow = &a[i * k..(i + 1) * k];
-            for (j, cj) in crow.iter_mut().enumerate() {
-                *cj = dot(arow, &b[j * k..(j + 1) * k]);
+    /// Reference transpose: `dst[j·rows + i] = src[i·cols + j]`.
+    pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+        for i in 0..rows {
+            for j in 0..cols {
+                dst[j * rows + i] = src[i * cols + j];
             }
         }
     }
 }
 
-/// Depth of the K panels the `axpy4`-form product walks: a `KC`-deep panel
-/// of B stays cache-resident while every row block of C passes over it
-/// (the CPU analogue of staging a tile in shared memory).
-const KC: usize = 128;
+/// The Scalar level's product bodies compiled with `fma` enabled: the same
+/// source as [`scalar`], so the same bits, with each `mul_add` one
+/// instruction instead of a call to libm's `fmaf`.
+#[cfg(target_arch = "x86_64")]
+mod scalar_fma {
+    use super::scalar;
 
-// A panel edge inside a quad would regroup the accumulation and move
-// rounding; with `KC % 4 == 0` every quad sits at the same absolute `k` as
-// in a single-panel pass, so results are bitwise panel-invariant.
-const _: () = assert!(KC % 4 == 0, "KC must be a multiple of 4");
+    /// # Safety
+    ///
+    /// The CPU supports FMA.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
+        scalar::axpy(c, alpha, b)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU supports FMA.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn axpy4(
+        c: &mut [f32],
+        alpha: [f32; 4],
+        b0: &[f32],
+        b1: &[f32],
+        b2: &[f32],
+        b3: &[f32],
+    ) {
+        scalar::axpy4(c, alpha, b0, b1, b2, b3)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU supports FMA.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
+        scalar::dot(x, y)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU supports FMA.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn gemm_axpy4(
+        a: &[f32],
+        a_strides: [usize; 2],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        scalar::gemm_axpy4(a, a_strides, b, c, m, k, n)
+    }
+}
+
+/// Depth of the K panels [`gemm_axpy4`] walks: a `KC`-deep panel of B stays
+/// cache-resident while every row block of C passes over it (the CPU
+/// analogue of staging a tile in shared memory).
+const KC: usize = 128;
 
 // ---------------------------------------------------------------------------
 // Polynomial transcendentals (the Scalar and NEON levels and the vector
@@ -454,8 +505,8 @@ mod x86 {
     use super::{exp_approx, exp_consts, sigmoid_approx, tanh_approx, tanh_consts};
     use std::arch::x86_64::*;
 
-    /// `c += alpha * b`, 8 lanes at a time; mul then add, never FMA.
-    #[target_feature(enable = "avx2")]
+    /// `c = fma(alpha, b, c)`, 8 lanes at a time.
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn axpy_avx2(c: &mut [f32], alpha: f32, b: &[f32]) {
         let n = c.len().min(b.len());
         let va = _mm256_set1_ps(alpha);
@@ -463,19 +514,17 @@ mod x86 {
         while j + 8 <= n {
             let vb = _mm256_loadu_ps(b.as_ptr().add(j));
             let vc = _mm256_loadu_ps(c.as_ptr().add(j));
-            let r = _mm256_add_ps(vc, _mm256_mul_ps(va, vb));
-            _mm256_storeu_ps(c.as_mut_ptr().add(j), r);
+            _mm256_storeu_ps(c.as_mut_ptr().add(j), _mm256_fmadd_ps(va, vb, vc));
             j += 8;
         }
         while j < n {
-            c[j] += alpha * b[j];
+            c[j] = alpha.mul_add(b[j], c[j]);
             j += 1;
         }
     }
 
-    /// Four-panel update in the scalar grouping order:
-    /// `c += ((a0·x0 + a1·x1) + a2·x2) + a3·x3`.
-    #[target_feature(enable = "avx2")]
+    /// Four `fma` steps per element, in order.
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn axpy4_avx2(
         c: &mut [f32],
         alpha: [f32; 4],
@@ -496,26 +545,24 @@ mod x86 {
         let va3 = _mm256_set1_ps(alpha[3]);
         let mut j = 0;
         while j + 8 <= n {
-            let x0 = _mm256_loadu_ps(b0.as_ptr().add(j));
-            let x1 = _mm256_loadu_ps(b1.as_ptr().add(j));
-            let x2 = _mm256_loadu_ps(b2.as_ptr().add(j));
-            let x3 = _mm256_loadu_ps(b3.as_ptr().add(j));
-            let vc = _mm256_loadu_ps(c.as_ptr().add(j));
-            let mut t = _mm256_add_ps(_mm256_mul_ps(va0, x0), _mm256_mul_ps(va1, x1));
-            t = _mm256_add_ps(t, _mm256_mul_ps(va2, x2));
-            t = _mm256_add_ps(t, _mm256_mul_ps(va3, x3));
-            _mm256_storeu_ps(c.as_mut_ptr().add(j), _mm256_add_ps(vc, t));
+            let mut vc = _mm256_loadu_ps(c.as_ptr().add(j));
+            vc = _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0.as_ptr().add(j)), vc);
+            vc = _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1.as_ptr().add(j)), vc);
+            vc = _mm256_fmadd_ps(va2, _mm256_loadu_ps(b2.as_ptr().add(j)), vc);
+            vc = _mm256_fmadd_ps(va3, _mm256_loadu_ps(b3.as_ptr().add(j)), vc);
+            _mm256_storeu_ps(c.as_mut_ptr().add(j), vc);
             j += 8;
         }
         while j < n {
-            c[j] += alpha[0] * b0[j] + alpha[1] * b1[j] + alpha[2] * b2[j] + alpha[3] * b3[j];
+            let t = alpha[1].mul_add(b1[j], alpha[0].mul_add(b0[j], c[j]));
+            c[j] = alpha[3].mul_add(b3[j], alpha[2].mul_add(b2[j], t));
             j += 1;
         }
     }
 
     /// 8-lane dot product: the vector accumulator *is* the scalar kernel's
     /// `[f32; 8]` lane array, reduced in the same sequential lane order.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_avx2(x: &[f32], y: &[f32]) -> f32 {
         let n = x.len().min(y.len());
         let mut acc = _mm256_setzero_ps();
@@ -523,7 +570,7 @@ mod x86 {
         while j + 8 <= n {
             let vx = _mm256_loadu_ps(x.as_ptr().add(j));
             let vy = _mm256_loadu_ps(y.as_ptr().add(j));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(vx, vy));
+            acc = _mm256_fmadd_ps(vx, vy, acc);
             j += 8;
         }
         let mut lanes = [0.0f32; 8];
@@ -533,7 +580,7 @@ mod x86 {
             sum += lane;
         }
         while j < n {
-            sum += x[j] * y[j];
+            sum = x[j].mul_add(y[j], sum);
             j += 1;
         }
         sum
@@ -719,13 +766,13 @@ mod x86 {
         }
     }
 
-    /// 16-lane axpy. Lane-wise mul+add has no cross-lane reduction, so any
+    /// 16-lane axpy. Lane-wise `fma` has no cross-lane reduction, so any
     /// width is bitwise identical to the scalar loop.
     // The AVX-512 intrinsics stabilised in 1.89; `tensor_avx512` is only
     // emitted by build.rs on rustc >= 1.89, so the MSRV lint cannot apply.
     #[allow(clippy::incompatible_msrv)]
     #[cfg(tensor_avx512)]
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f,fma")]
     pub unsafe fn axpy_avx512(c: &mut [f32], alpha: f32, b: &[f32]) {
         let n = c.len().min(b.len());
         let va = _mm512_set1_ps(alpha);
@@ -733,21 +780,20 @@ mod x86 {
         while j + 16 <= n {
             let vb = _mm512_loadu_ps(b.as_ptr().add(j));
             let vc = _mm512_loadu_ps(c.as_ptr().add(j));
-            let r = _mm512_add_ps(vc, _mm512_mul_ps(va, vb));
-            _mm512_storeu_ps(c.as_mut_ptr().add(j), r);
+            _mm512_storeu_ps(c.as_mut_ptr().add(j), _mm512_fmadd_ps(va, vb, vc));
             j += 16;
         }
         while j < n {
-            c[j] += alpha * b[j];
+            c[j] = alpha.mul_add(b[j], c[j]);
             j += 1;
         }
     }
 
-    /// 16-lane four-panel update in the scalar grouping order.
+    /// 16-lane four-step update, one `fma` per step in order.
     // See axpy_avx512: the build.rs cfg gate already guarantees rustc >= 1.89.
     #[allow(clippy::incompatible_msrv)]
     #[cfg(tensor_avx512)]
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f,fma")]
     pub unsafe fn axpy4_avx512(
         c: &mut [f32],
         alpha: [f32; 4],
@@ -768,19 +814,17 @@ mod x86 {
         let va3 = _mm512_set1_ps(alpha[3]);
         let mut j = 0;
         while j + 16 <= n {
-            let x0 = _mm512_loadu_ps(b0.as_ptr().add(j));
-            let x1 = _mm512_loadu_ps(b1.as_ptr().add(j));
-            let x2 = _mm512_loadu_ps(b2.as_ptr().add(j));
-            let x3 = _mm512_loadu_ps(b3.as_ptr().add(j));
-            let vc = _mm512_loadu_ps(c.as_ptr().add(j));
-            let mut t = _mm512_add_ps(_mm512_mul_ps(va0, x0), _mm512_mul_ps(va1, x1));
-            t = _mm512_add_ps(t, _mm512_mul_ps(va2, x2));
-            t = _mm512_add_ps(t, _mm512_mul_ps(va3, x3));
-            _mm512_storeu_ps(c.as_mut_ptr().add(j), _mm512_add_ps(vc, t));
+            let mut vc = _mm512_loadu_ps(c.as_ptr().add(j));
+            vc = _mm512_fmadd_ps(va0, _mm512_loadu_ps(b0.as_ptr().add(j)), vc);
+            vc = _mm512_fmadd_ps(va1, _mm512_loadu_ps(b1.as_ptr().add(j)), vc);
+            vc = _mm512_fmadd_ps(va2, _mm512_loadu_ps(b2.as_ptr().add(j)), vc);
+            vc = _mm512_fmadd_ps(va3, _mm512_loadu_ps(b3.as_ptr().add(j)), vc);
+            _mm512_storeu_ps(c.as_mut_ptr().add(j), vc);
             j += 16;
         }
         while j < n {
-            c[j] += alpha[0] * b0[j] + alpha[1] * b1[j] + alpha[2] * b2[j] + alpha[3] * b3[j];
+            let t = alpha[1].mul_add(b1[j], alpha[0].mul_add(b0[j], c[j]));
+            c[j] = alpha[3].mul_add(b3[j], alpha[2].mul_add(b2[j], t));
             j += 1;
         }
     }
@@ -822,62 +866,52 @@ mod x86 {
         }
     }
 
-    /// One `MR × 8` block of C held in ymm registers across a `kc`-deep K
-    /// range: per element the quads of [`axpy4_avx2`], then the single
-    /// steps of [`axpy_avx2`]. `MASKED` reads and writes only the lanes of
-    /// `mask` (a column fringe).
+    /// One `MR × 8·NV` block of C held in ymm registers across a `kc`-deep
+    /// K range: per element the `fma` chain of [`axpy_avx2`]. `MASKED`
+    /// reads and writes only the lanes of `masks[v]` (a column fringe).
     ///
     /// # Safety
     ///
-    /// The CPU supports AVX2; for every `r < MR`, `p < kc` and every column
-    /// `j < 8` (only the lanes of `mask` when `MASKED`), `a + r·rs + p·ks`,
-    /// `b + p·ld + j` and `c + r·ld + j` are in bounds.
-    #[target_feature(enable = "avx2")]
+    /// The CPU supports AVX2 and FMA; for every `r < MR`, `p < kc`,
+    /// `v < NV` and every lane `l < 8` (only the lanes of `masks[v]` when
+    /// `MASKED`), `a + r·rs + p·ks`, `b + p·ld + 8v + l` and
+    /// `c + r·ld + 8v + l` are in bounds.
+    #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn axpy4_block_avx2<const MR: usize, const MASKED: bool>(
+    unsafe fn axpy4_block_avx2<const MR: usize, const NV: usize, const MASKED: bool>(
         s: AxpyStrides,
         kc: usize,
-        mask: __m256i,
+        masks: [__m256i; 2],
         a: *const f32,
         b: *const f32,
         c: *mut f32,
     ) {
-        let mut acc = [_mm256_setzero_ps(); MR];
-        for (r, x) in acc.iter_mut().enumerate() {
-            *x = load8::<MASKED>(c.add(r * s.ld), mask);
-        }
-        let mut p = 0;
-        while p + 4 <= kc {
-            let x0 = load8::<MASKED>(b.add(p * s.ld), mask);
-            let x1 = load8::<MASKED>(b.add((p + 1) * s.ld), mask);
-            let x2 = load8::<MASKED>(b.add((p + 2) * s.ld), mask);
-            let x3 = load8::<MASKED>(b.add((p + 3) * s.ld), mask);
-            for (r, x) in acc.iter_mut().enumerate() {
-                let ar = a.add(r * s.rs + p * s.ks);
-                let va0 = _mm256_set1_ps(*ar);
-                let va1 = _mm256_set1_ps(*ar.add(s.ks));
-                let va2 = _mm256_set1_ps(*ar.add(2 * s.ks));
-                let va3 = _mm256_set1_ps(*ar.add(3 * s.ks));
-                let mut t = _mm256_add_ps(_mm256_mul_ps(va0, x0), _mm256_mul_ps(va1, x1));
-                t = _mm256_add_ps(t, _mm256_mul_ps(va2, x2));
-                t = _mm256_add_ps(t, _mm256_mul_ps(va3, x3));
-                *x = _mm256_add_ps(*x, t);
+        let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, x) in row.iter_mut().enumerate() {
+                *x = load8::<MASKED>(c.add(r * s.ld + 8 * v), masks[v]);
             }
-            p += 4;
         }
-        while p < kc {
-            let vb = load8::<MASKED>(b.add(p * s.ld), mask);
-            for (r, x) in acc.iter_mut().enumerate() {
+        for p in 0..kc {
+            let mut vb = [_mm256_setzero_ps(); NV];
+            for (v, x) in vb.iter_mut().enumerate() {
+                *x = load8::<MASKED>(b.add(p * s.ld + 8 * v), masks[v]);
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
                 let va = _mm256_set1_ps(*a.add(r * s.rs + p * s.ks));
-                *x = _mm256_add_ps(*x, _mm256_mul_ps(va, vb));
+                for (x, &y) in row.iter_mut().zip(&vb) {
+                    *x = _mm256_fmadd_ps(va, y, *x);
+                }
             }
-            p += 1;
         }
-        for (r, &x) in acc.iter().enumerate() {
-            if MASKED {
-                _mm256_maskstore_ps(c.add(r * s.ld), mask, x);
-            } else {
-                _mm256_storeu_ps(c.add(r * s.ld), x);
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &x) in row.iter().enumerate() {
+                let dst = c.add(r * s.ld + 8 * v);
+                if MASKED {
+                    _mm256_maskstore_ps(dst, masks[v], x);
+                } else {
+                    _mm256_storeu_ps(dst, x);
+                }
             }
         }
     }
@@ -887,40 +921,42 @@ mod x86 {
     /// # Safety
     ///
     /// As [`axpy4_block_avx2`], for every `r < m`.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn axpy4_strip_avx2<const MASKED: bool>(
+    unsafe fn axpy4_strip_avx2<const NV: usize, const MASKED: bool>(
         s: AxpyStrides,
         (m, kc): (usize, usize),
-        mask: __m256i,
+        masks: [__m256i; 2],
         a: *const f32,
         b: *const f32,
         c: *mut f32,
     ) {
         let mut r = 0;
         while r + 4 <= m {
-            axpy4_block_avx2::<4, MASKED>(s, kc, mask, a.add(r * s.rs), b, c.add(r * s.ld));
+            let (ar, cr) = (a.add(r * s.rs), c.add(r * s.ld));
+            axpy4_block_avx2::<4, NV, MASKED>(s, kc, masks, ar, b, cr);
             r += 4;
         }
         // No fringe leaves these one block past the end: never dereferenced.
         let (a, c) = (a.wrapping_add(r * s.rs), c.wrapping_add(r * s.ld));
         match m - r {
-            1 => axpy4_block_avx2::<1, MASKED>(s, kc, mask, a, b, c),
-            2 => axpy4_block_avx2::<2, MASKED>(s, kc, mask, a, b, c),
-            3 => axpy4_block_avx2::<3, MASKED>(s, kc, mask, a, b, c),
+            1 => axpy4_block_avx2::<1, NV, MASKED>(s, kc, masks, a, b, c),
+            2 => axpy4_block_avx2::<2, NV, MASKED>(s, kc, masks, a, b, c),
+            3 => axpy4_block_avx2::<3, NV, MASKED>(s, kc, masks, a, b, c),
             _ => {}
         }
     }
 
-    /// AVX2 body of [`super::gemm_axpy4`]: `4 × 8` blocks (four ymm
-    /// accumulators, four B vectors and the broadcasts of one row fit the
-    /// 16 ymm registers), masked on the column fringe.
+    /// AVX2 body of [`super::gemm_axpy4`]: `4 × 16` blocks (eight ymm
+    /// accumulators, enough independent `fma` chains to cover its latency,
+    /// beside two B vectors and one broadcast), masked on the column
+    /// fringe.
     ///
     /// # Safety
     ///
-    /// The CPU supports AVX2, and the extents [`super::gemm_axpy4`] asserts
-    /// hold for `a`, `b` and `c`.
-    #[target_feature(enable = "avx2")]
+    /// The CPU supports AVX2 and FMA, and the extents
+    /// [`super::gemm_axpy4`] asserts hold for `a`, `b` and `c`.
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_axpy4_avx2(
         a: *const f32,
         [rs, ks]: [usize; 2],
@@ -931,26 +967,31 @@ mod x86 {
         n: usize,
     ) {
         let s = AxpyStrides { rs, ks, ld: n };
-        let full = lane_mask8(8);
+        let full = [lane_mask8(8); 2];
         for p0 in (0..k).step_by(super::KC) {
             let kc = super::KC.min(k - p0);
             let (a, b) = (a.add(p0 * ks), b.add(p0 * n));
             let mut j = 0;
-            while j + 8 <= n {
-                axpy4_strip_avx2::<false>(s, (m, kc), full, a, b.add(j), c.add(j));
-                j += 8;
+            while j + 16 <= n {
+                axpy4_strip_avx2::<2, false>(s, (m, kc), full, a, b.add(j), c.add(j));
+                j += 16;
             }
-            if j < n {
-                let mask = lane_mask8(n - j);
-                axpy4_strip_avx2::<true>(s, (m, kc), mask, a, b.add(j), c.add(j));
+            let w = n - j;
+            let masks = [lane_mask8(w), lane_mask8(w.saturating_sub(8))];
+            // No fringe leaves these at the end: never dereferenced.
+            let (b, c) = (b.wrapping_add(j), c.wrapping_add(j));
+            if w > 8 {
+                axpy4_strip_avx2::<2, true>(s, (m, kc), masks, a, b, c);
+            } else if w > 0 {
+                axpy4_strip_avx2::<1, true>(s, (m, kc), masks, a, b, c);
             }
         }
     }
 
     /// One `MR` × `16·NV` block of C held in zmm registers across a
-    /// `kc`-deep K range: per element the quads of [`axpy4_avx512`], then
-    /// the single steps of [`axpy_avx512`]. Loads and stores are masked by
-    /// `masks[v]` (all lanes inside the matrix; fewer on a column fringe).
+    /// `kc`-deep K range: per element the `fma` chain of [`axpy_avx512`].
+    /// Loads and stores are masked by `masks[v]` (all lanes inside the
+    /// matrix; fewer on a column fringe).
     ///
     /// # Safety
     ///
@@ -975,31 +1016,7 @@ mod x86 {
                 *x = _mm512_maskz_loadu_ps(masks[v], c.add(r * s.ld + 16 * v));
             }
         }
-        let mut p = 0;
-        while p + 4 <= kc {
-            let mut xq = [[_mm512_setzero_ps(); NV]; 4];
-            for (q, row) in xq.iter_mut().enumerate() {
-                for (v, x) in row.iter_mut().enumerate() {
-                    *x = _mm512_maskz_loadu_ps(masks[v], b.add((p + q) * s.ld + 16 * v));
-                }
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                let ar = a.add(r * s.rs + p * s.ks);
-                let va0 = _mm512_set1_ps(*ar);
-                let va1 = _mm512_set1_ps(*ar.add(s.ks));
-                let va2 = _mm512_set1_ps(*ar.add(2 * s.ks));
-                let va3 = _mm512_set1_ps(*ar.add(3 * s.ks));
-                for (v, x) in row.iter_mut().enumerate() {
-                    let mut t =
-                        _mm512_add_ps(_mm512_mul_ps(va0, xq[0][v]), _mm512_mul_ps(va1, xq[1][v]));
-                    t = _mm512_add_ps(t, _mm512_mul_ps(va2, xq[2][v]));
-                    t = _mm512_add_ps(t, _mm512_mul_ps(va3, xq[3][v]));
-                    *x = _mm512_add_ps(*x, t);
-                }
-            }
-            p += 4;
-        }
-        while p < kc {
+        for p in 0..kc {
             let mut vb = [_mm512_setzero_ps(); NV];
             for (v, x) in vb.iter_mut().enumerate() {
                 *x = _mm512_maskz_loadu_ps(masks[v], b.add(p * s.ld + 16 * v));
@@ -1007,10 +1024,9 @@ mod x86 {
             for (r, row) in acc.iter_mut().enumerate() {
                 let va = _mm512_set1_ps(*a.add(r * s.rs + p * s.ks));
                 for (x, &y) in row.iter_mut().zip(&vb) {
-                    *x = _mm512_add_ps(*x, _mm512_mul_ps(va, y));
+                    *x = _mm512_fmadd_ps(va, y, *x);
                 }
             }
-            p += 1;
         }
         for (r, row) in acc.iter().enumerate() {
             for (v, &x) in row.iter().enumerate() {
@@ -1090,157 +1106,83 @@ mod x86 {
         }
     }
 
-    /// One `MR × NR` block of dot products `C[r][j] = a_r · b_j` of
-    /// `k`-long rows (A and B both at row stride `k`, C at `ldc`), one ymm
-    /// accumulator per element: each element is exactly [`dot_avx2`].
+    /// Moves the 8 × 8 block at `src` (row stride `ls`) transposed to `dst`
+    /// (row stride `ld`) through ymm registers.
     ///
     /// # Safety
     ///
-    /// The CPU supports AVX2; `a + r·k + p`, `b + j·k + p` and
-    /// `c + r·ldc + j` are in bounds for every `r < MR`, `j < NR`, `p < k`.
-    #[target_feature(enable = "avx2")]
+    /// The CPU supports AVX; `src + i·ls + j` and `dst + j·ld + i` are in
+    /// bounds for every `i, j < 8`.
+    #[target_feature(enable = "avx")]
     #[inline]
-    unsafe fn dot_block<const MR: usize, const NR: usize>(
-        a: *const f32,
-        b: *const f32,
-        c: *mut f32,
-        k: usize,
-        ldc: usize,
-    ) {
-        let mut acc = [[_mm256_setzero_ps(); NR]; MR];
-        let mut p = 0;
-        while p + 8 <= k {
-            let mut va = [_mm256_setzero_ps(); MR];
-            for (r, x) in va.iter_mut().enumerate() {
-                *x = _mm256_loadu_ps(a.add(r * k + p));
-            }
-            for j in 0..NR {
-                let vb = _mm256_loadu_ps(b.add(j * k + p));
-                for (row, &x) in acc.iter_mut().zip(&va) {
-                    row[j] = _mm256_add_ps(row[j], _mm256_mul_ps(x, vb));
+    unsafe fn transpose8x8(src: *const f32, ls: usize, dst: *mut f32, ld: usize) {
+        // Intrinsics stay out of closures: before Rust 1.86 a closure does
+        // not inherit `avx`.
+        let mut r = [_mm256_setzero_ps(); 8];
+        for (i, x) in r.iter_mut().enumerate() {
+            *x = _mm256_loadu_ps(src.add(i * ls));
+        }
+        // Pairs of rows interleaved, then quads, then the 128-bit halves.
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        let cols = [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ];
+        for (j, &col) in cols.iter().enumerate() {
+            _mm256_storeu_ps(dst.add(j * ld), col);
+        }
+    }
+
+    /// AVX body of [`super::transpose`]: 32 × 32 tiles (a tile's source
+    /// and destination lines stay in L1), each moved as 8 × 8 register
+    /// blocks, the fringes element by element.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX, `src` holds `rows × cols` values and `dst`
+    /// as many.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn transpose_avx(src: *const f32, rows: usize, cols: usize, dst: *mut f32) {
+        const TILE: usize = 32;
+        let copy = |i: usize, j: usize| *dst.add(j * rows + i) = *src.add(i * cols + j);
+        for i0 in (0..rows).step_by(TILE) {
+            let i1 = (i0 + TILE).min(rows);
+            for j0 in (0..cols).step_by(TILE) {
+                let j1 = (j0 + TILE).min(cols);
+                let mut i = i0;
+                while i + 8 <= i1 {
+                    let mut j = j0;
+                    while j + 8 <= j1 {
+                        transpose8x8(src.add(i * cols + j), cols, dst.add(j * rows + i), rows);
+                        j += 8;
+                    }
+                    (j..j1).for_each(|j| (i..i + 8).for_each(|i| copy(i, j)));
+                    i += 8;
                 }
-            }
-            p += 8;
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (j, &x) in row.iter().enumerate() {
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), x);
-                let mut sum = 0.0;
-                for &lane in &lanes {
-                    sum += lane;
-                }
-                for q in p..k {
-                    sum += *a.add(r * k + q) * *b.add(j * k + q);
-                }
-                *c.add(r * ldc + j) = sum;
+                (i..i1).for_each(|i| (j0..j1).for_each(|j| copy(i, j)));
             }
         }
-    }
-
-    /// Every `MR`-row block of an `m`-row strip against `NR` rows of B,
-    /// then the strip's row fringe (`MR ≤ 4`).
-    ///
-    /// # Safety
-    ///
-    /// As [`dot_block`], for every `r < m`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn dot_strip<const MR: usize, const NR: usize>(
-        m: usize,
-        a: *const f32,
-        b: *const f32,
-        c: *mut f32,
-        (k, ldc): (usize, usize),
-    ) {
-        let mut r = 0;
-        while r + MR <= m {
-            dot_block::<MR, NR>(a.add(r * k), b, c.add(r * ldc), k, ldc);
-            r += MR;
-        }
-        // No fringe leaves these one block past the end: never dereferenced.
-        let (a, c) = (a.wrapping_add(r * k), c.wrapping_add(r * ldc));
-        match m - r {
-            1 => dot_block::<1, NR>(a, b, c, k, ldc),
-            2 => dot_block::<2, NR>(a, b, c, k, ldc),
-            3 => dot_block::<3, NR>(a, b, c, k, ldc),
-            _ => {}
-        }
-    }
-
-    /// Shared body of the `dot`-form product at `MR × NR` blocks
-    /// (`MR, NR ≤ 4`): each `NR`-row panel of B stays in L1 while every row
-    /// block of A passes over it.
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX2 (and every feature the `MR × NR` accumulators
-    /// need to stay in registers), and the extents [`super::gemm_dot`]
-    /// asserts hold for `a`, `b` and `c`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn gemm_dot_blocked<const MR: usize, const NR: usize>(
-        a: *const f32,
-        b: *const f32,
-        c: *mut f32,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        let mut j = 0;
-        while j + NR <= n {
-            dot_strip::<MR, NR>(m, a, b.add(j * k), c.add(j), (k, n));
-            j += NR;
-        }
-        // No fringe leaves these one block past the end: never dereferenced.
-        let (b, c) = (b.wrapping_add(j * k), c.wrapping_add(j));
-        match n - j {
-            1 => dot_strip::<MR, 1>(m, a, b, c, (k, n)),
-            2 => dot_strip::<MR, 2>(m, a, b, c, (k, n)),
-            3 => dot_strip::<MR, 3>(m, a, b, c, (k, n)),
-            _ => {}
-        }
-    }
-
-    /// AVX2 body of [`super::gemm_dot`]: `2 × 4` blocks, eight ymm
-    /// accumulators beside two A vectors and one B vector.
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX2, and the extents [`super::gemm_dot`] asserts
-    /// hold for `a`, `b` and `c`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_dot_avx2(
-        a: *const f32,
-        b: *const f32,
-        c: *mut f32,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        gemm_dot_blocked::<2, 4>(a, b, c, m, n, k);
-    }
-
-    /// AVX-512 body of [`super::gemm_dot`]: `4 × 4` blocks of 8-lane
-    /// accumulators (the 16 accumulators need ymm16–31, hence AVX-512VL);
-    /// the per-element order stays [`dot_avx2`]'s, never 16 lanes.
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX-512F and AVX-512VL, and the extents
-    /// [`super::gemm_dot`] asserts hold for `a`, `b` and `c`.
-    #[allow(clippy::incompatible_msrv)]
-    #[cfg(tensor_avx512)]
-    #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn gemm_dot_avx512(
-        a: *const f32,
-        b: *const f32,
-        c: *mut f32,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        gemm_dot_blocked::<4, 4>(a, b, c, m, n, k);
     }
 }
 
@@ -1251,61 +1193,6 @@ mod x86 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use std::arch::aarch64::*;
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy_neon(c: &mut [f32], alpha: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let va = vdupq_n_f32(alpha);
-        let mut j = 0;
-        while j + 4 <= n {
-            let vb = vld1q_f32(b.as_ptr().add(j));
-            let vc = vld1q_f32(c.as_ptr().add(j));
-            vst1q_f32(c.as_mut_ptr().add(j), vaddq_f32(vc, vmulq_f32(va, vb)));
-            j += 4;
-        }
-        while j < n {
-            c[j] += alpha * b[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy4_neon(
-        c: &mut [f32],
-        alpha: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = c
-            .len()
-            .min(b0.len())
-            .min(b1.len())
-            .min(b2.len())
-            .min(b3.len());
-        let va0 = vdupq_n_f32(alpha[0]);
-        let va1 = vdupq_n_f32(alpha[1]);
-        let va2 = vdupq_n_f32(alpha[2]);
-        let va3 = vdupq_n_f32(alpha[3]);
-        let mut j = 0;
-        while j + 4 <= n {
-            let x0 = vld1q_f32(b0.as_ptr().add(j));
-            let x1 = vld1q_f32(b1.as_ptr().add(j));
-            let x2 = vld1q_f32(b2.as_ptr().add(j));
-            let x3 = vld1q_f32(b3.as_ptr().add(j));
-            let vc = vld1q_f32(c.as_ptr().add(j));
-            let mut t = vaddq_f32(vmulq_f32(va0, x0), vmulq_f32(va1, x1));
-            t = vaddq_f32(t, vmulq_f32(va2, x2));
-            t = vaddq_f32(t, vmulq_f32(va3, x3));
-            vst1q_f32(c.as_mut_ptr().add(j), vaddq_f32(vc, t));
-            j += 4;
-        }
-        while j < n {
-            c[j] += alpha[0] * b0[j] + alpha[1] * b1[j] + alpha[2] * b2[j] + alpha[3] * b3[j];
-            j += 1;
-        }
-    }
 
     #[target_feature(enable = "neon")]
     pub unsafe fn relu_neon(row: &mut [f32]) {
@@ -1387,8 +1274,8 @@ mod neon {
 // Dispatch points
 // ---------------------------------------------------------------------------
 
-/// `c += alpha * b` over equal-length slices (the shorter length wins, like
-/// the historical `zip` loop).
+/// `c[j] = fma(alpha, b[j], c[j])` over equal-length slices (the shorter
+/// length wins, like a `zip` loop).
 #[inline]
 pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
     match level() {
@@ -1398,13 +1285,17 @@ pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
         SimdLevel::Avx512 => unsafe { x86::axpy_avx2(c, alpha, b) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::axpy_avx2(c, alpha, b) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::axpy_neon(c, alpha, b) },
+        // SAFETY: the guard checked FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe {
+            scalar_fma::axpy(c, alpha, b)
+        },
         _ => scalar::axpy(c, alpha, b),
     }
 }
 
-/// `c += a0·b0 + a1·b1 + a2·b2 + a3·b3` in the scalar grouping order.
+/// Four [`axpy`]s in order: per element `c = fma(a_q, b_q[j], c)` for
+/// `q = 0..3`.
 #[inline]
 pub fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
     match level() {
@@ -1414,31 +1305,36 @@ pub fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32],
         SimdLevel::Avx512 => unsafe { x86::axpy4_avx2(c, alpha, b0, b1, b2, b3) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::axpy4_avx2(c, alpha, b0, b1, b2, b3) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::axpy4_neon(c, alpha, b0, b1, b2, b3) },
+        // SAFETY: the guard checked FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe {
+            scalar_fma::axpy4(c, alpha, b0, b1, b2, b3)
+        },
         _ => scalar::axpy4(c, alpha, b0, b1, b2, b3),
     }
 }
 
-/// Dot product in the historical 8-lane accumulation order (see module
-/// docs); NEON keeps the scalar loop for the same reason AVX-512 delegates
-/// to the 8-lane AVX2 kernel — a 4-lane reduction would reassociate.
+/// Dot product in the 8-lane `fma` accumulation order (see module docs);
+/// NEON keeps the scalar loop for the same reason AVX-512 delegates to the
+/// 8-lane AVX2 kernel — a 4-lane reduction would reassociate.
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::dot_avx2(x, y) },
+        // SAFETY: the guard checked FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe { scalar_fma::dot(x, y) },
         _ => scalar::dot(x, y),
     }
 }
 
-/// `C += A·B` in the `axpy4` form, a block of C held in registers across
-/// each K panel: `c` is `m × n` and `b` is `k × n` (both row-major at row
-/// stride `n`), and A's element `(r, p)` is `a[r·rs + p·ks]` for
-/// `a_strides = [rs, ks]` — `[lda, 1]` reads a row-major A, `[1, lda]` its
-/// transpose (so `Xᵀ·G` needs no transpose of its own). Each element of C
-/// sees exactly the operations of [`axpy4`] over the quads of each
-/// 128-deep K panel, then [`axpy`] over the remainder (see module docs).
+/// `C += A·B`, a block of C held in registers across each K panel: `c` is
+/// `m × n` and `b` is `k × n` (both row-major at row stride `n`), and A's
+/// element `(r, p)` is `a[r·rs + p·ks]` for `a_strides = [rs, ks]` —
+/// `[lda, 1]` reads a row-major A, `[1, lda]` its transpose (so `Xᵀ·G`
+/// needs no transpose of its own). Each element of C runs the chain
+/// `c ← fma(a_p, b_p, c)` over `p` in K order (see module docs).
 ///
 /// # Panics
 ///
@@ -1477,53 +1373,43 @@ pub fn gemm_axpy4(
         // C the body touches.
         #[cfg(all(target_arch = "x86_64", tensor_avx512))]
         SimdLevel::Avx512 => unsafe { x86::gemm_axpy4_avx512(pa, a_strides, pb, pc, m, k, n) },
-        // SAFETY: every vector level on x86-64 implies AVX2 (see `detect`),
-        // and the asserts above bound every element the body touches.
+        // SAFETY: every vector level on x86-64 implies AVX2 and FMA (see
+        // `detect`), and the asserts above bound every element the body
+        // touches.
         #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
         SimdLevel::Avx512 => unsafe { x86::gemm_axpy4_avx2(pa, a_strides, pb, pc, m, k, n) },
-        // SAFETY: as above — AVX2 is detected, the extents are asserted.
+        // SAFETY: as above — AVX2 and FMA are detected, the extents are
+        // asserted.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::gemm_axpy4_avx2(pa, a_strides, pb, pc, m, k, n) },
+        // SAFETY: the guard checked FMA.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe {
+            scalar_fma::gemm_axpy4(a, a_strides, b, c, m, k, n)
+        },
         _ => scalar::gemm_axpy4(a, a_strides, b, c, m, k, n),
     }
 }
 
-/// `C = A·Bᵀ` in the `dot` form, blocks of dot products run side by side:
-/// `a` is `m × k`, `b` is `n × k` and `c` is `m × n`, all row-major, and
-/// `C[i][j]` is exactly [`dot`]`(a_i, b_j)` (see module docs).
+/// `dst = srcᵀ`: `src` is `rows × cols` and `dst` `cols × rows`, both
+/// row-major. It moves values without arithmetic, so every level gives the
+/// same bits; the x86 vector levels move 8 × 8 blocks through registers.
 ///
 /// # Panics
 ///
-/// Panics if `c` does not hold `m × n` values, or `a` (`b`) holds fewer
-/// than `m × k` (`n × k`).
-pub fn gemm_dot(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-    assert_eq!(Some(c.len()), m.checked_mul(n), "C must hold m × n values");
-    assert!(
-        m.checked_mul(k).is_some_and(|len| len <= a.len()),
-        "A must hold m × k values"
-    );
-    assert!(
-        n.checked_mul(k).is_some_and(|len| len <= b.len()),
-        "B must hold n × k values"
-    );
-    if m == 0 || n == 0 {
-        return;
-    }
-    let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+/// Panics if `src` does not hold `rows × cols` values or `dst` as many.
+pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    let len = rows.checked_mul(cols);
+    assert_eq!(Some(src.len()), len, "src must hold rows × cols values");
+    assert_eq!(dst.len(), src.len(), "dst must hold as many values as src");
     match level() {
-        // SAFETY: the level is AVX-512 only when the CPU has AVX-512F and
-        // AVX-512VL (see `detect`), and the asserts above bound every
-        // element of A, B and C the body touches.
-        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
-        SimdLevel::Avx512 => unsafe { x86::gemm_dot_avx512(pa, pb, pc, m, n, k) },
-        // SAFETY: every vector level on x86-64 implies AVX2 (see `detect`),
-        // and the asserts above bound every element the body touches.
-        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
-        SimdLevel::Avx512 => unsafe { x86::gemm_dot_avx2(pa, pb, pc, m, n, k) },
-        // SAFETY: as above — AVX2 is detected, the extents are asserted.
+        // SAFETY: every vector level on x86-64 implies AVX (see `detect`),
+        // and both slices hold the `rows × cols` values the body touches.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::gemm_dot_avx2(pa, pb, pc, m, n, k) },
-        _ => scalar::gemm_dot(a, b, c, m, n, k),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
+            x86::transpose_avx(src.as_ptr(), rows, cols, dst.as_mut_ptr())
+        },
+        _ => scalar::transpose(src, rows, cols, dst),
     }
 }
 
@@ -1621,15 +1507,19 @@ pub fn tanh_slice(row: &mut [f32]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
 
     /// Runs `f` with the active level pinned to `level`, restoring after.
     /// Tests touching the global level must go through the serializing lock
-    /// below — unit tests in one binary run concurrently.
-    fn with_level(requested: SimdLevel, f: impl FnOnce(SimdLevel)) {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
+    /// below — unit tests in one binary run concurrently. The lock guards
+    /// no data, so a test that panicked while holding it leaves nothing
+    /// half-updated: the guard is recovered, and one failing test does not
+    /// fail every later one.
+    pub(crate) fn with_level(requested: SimdLevel, f: impl FnOnce(SimdLevel)) {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let previous = level();
         let actual = set_level(requested);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(actual)));
@@ -1669,6 +1559,40 @@ mod tests {
             let clamped = clamp_to_detected(requested);
             assert!(clamped <= detected_level(), "{requested:?} → {clamped:?}");
             assert_eq!(clamp_to_detected(clamped), clamped, "clamp is idempotent");
+        }
+    }
+
+    /// Every x86 vector body issues FMA, so a detected vector level
+    /// implies the CPU has it.
+    #[test]
+    fn a_detected_x86_vector_level_implies_fma() {
+        #[cfg(target_arch = "x86_64")]
+        if detected_level() >= SimdLevel::Avx2 {
+            assert!(is_x86_feature_detected!("fma"));
+        }
+    }
+
+    /// The transpose equals the element-by-element reference at every
+    /// level, on shapes with every 8 × 8 block and 32 × 32 tile fringe.
+    #[test]
+    fn transpose_matches_the_reference_at_every_level() {
+        let shapes = [(0, 3), (1, 1), (3, 17), (8, 8), (9, 33), (40, 7), (64, 96)];
+        for (rows, cols) in shapes {
+            let src = test_data(rows * cols);
+            let mut expected = vec![f32::NAN; src.len()];
+            scalar::transpose(&src, rows, cols, &mut expected);
+            for (j, col) in expected.chunks_exact(rows.max(1)).enumerate().take(cols) {
+                for (i, &v) in col.iter().enumerate() {
+                    assert_eq!(v, src[i * cols + j], "reference at ({i}, {j})");
+                }
+            }
+            for requested in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                with_level(requested, |actual| {
+                    let mut dst = vec![f32::NAN; src.len()];
+                    transpose(&src, rows, cols, &mut dst);
+                    assert_eq!(dst, expected, "{rows} × {cols} at {actual:?}");
+                });
+            }
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The `tensor::simd` contract is that switching the dispatch level never
 //! changes a result by a single bit: every vector kernel replicates the
-//! scalar operation order exactly (mul-then-add, no FMA, the 8-lane `dot`
-//! reduction preserved, the polynomial `exp`/sigmoid/tanh replayed lane
-//! for lane). These tests pin that contract through the public API — raw
+//! scalar operation order exactly (one `fma` per product term, the 8-lane
+//! `dot` reduction preserved, the polynomial `exp`/sigmoid/tanh replayed
+//! lane for lane). These tests pin that contract through the public API — raw
 //! micro-kernels, the three transcendental slices, the register-blocked
 //! dense/transposed GEMMs, every compacted kernel family via
 //! `Linear::forward_act_into` at serial and parallel pool widths, and
@@ -187,7 +187,8 @@ fn dense_and_transposed_gemms_match_scalar_bitwise() {
     pool::set_threads(1);
     let mut rng = StdRng::seed_from_u64(0x51D1);
     // Odd shapes: ragged in every vector width; 70×131×97 also has full
-    // 4 × 32 blocks and 4 × 4 dot blocks with fringes on every axis.
+    // 4 × 32 and 4 × 16 blocks and 8 × 8 transpose blocks with fringes on
+    // every axis.
     for (m, k, n) in [(13, 37, 29), (70, 131, 97)] {
         let a = workload(&mut rng, m, k);
         let b = workload(&mut rng, k, n);
@@ -209,7 +210,7 @@ fn dense_and_transposed_gemms_match_scalar_bitwise() {
             let what = format!("{m}×{k}×{n} at {level:?}");
             assert_eq!(dense_scalar, dense_vec, "dense GEMM (axpy4 form), {what}");
             assert_eq!(at_b_scalar, at_b_vec, "AᵀB GEMM (axpy4 form), {what}");
-            assert_eq!(a_bt_scalar, a_bt_vec, "ABᵀ GEMM (dot form), {what}");
+            assert_eq!(a_bt_scalar, a_bt_vec, "ABᵀ GEMM (packed Bᵀ), {what}");
         }
     }
     simd::set_level(entry);
