@@ -13,11 +13,21 @@ use approx_dropout::DropoutScheme;
 use bench::{lstm_timing_model, Method, TIMING_SEED};
 use data::{CorpusConfig, SyntheticCorpus};
 use nn::lstm::{LstmLm, LstmLmConfig};
-use nn::trainer::{first_reaching_accuracy, Trainer, TrainerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn run(method: Method, iterations: usize) -> Vec<nn::trainer::TrainRecord> {
+/// One sample of a training curve.
+struct Record {
+    /// 1-based iteration index.
+    iteration: usize,
+    /// Simulated time of every iteration so far, in µs.
+    elapsed_us: f64,
+    /// Training accuracy of this iteration's batch.
+    accuracy: f64,
+}
+
+/// Trains `iterations` steps, recording every 10th iteration and the last.
+fn run(method: Method, iterations: usize) -> Vec<Record> {
     let corpus = SyntheticCorpus::new(CorpusConfig {
         vocab: 120,
         ..CorpusConfig::small()
@@ -45,14 +55,28 @@ fn run(method: Method, iterations: usize) -> Vec<nn::trainer::TrainRecord> {
         .collect();
     let mut timing_rng = StdRng::seed_from_u64(TIMING_SEED);
 
-    let trainer = Trainer::new(TrainerConfig::new(iterations, 10, 0.0));
-    trainer.run_timed(|it| {
+    let mut records = Vec::new();
+    let mut elapsed_us = 0.0;
+    for it in 0..iterations {
         let batch = corpus.batch(10, 12, it as u64);
         let stats = lm.train_batch(&batch, &mut rng);
         let plans = model.plan_iteration(&mut timing_schemes, &mut timing_rng);
-        let time_us = model.iteration_time_from_plans(&plans).total_us();
-        (stats.loss as f64, stats.accuracy, time_us)
-    })
+        elapsed_us += model.iteration_time_from_plans(&plans).total_us();
+        let iteration = it + 1;
+        if iteration % 10 == 0 || iteration == iterations {
+            records.push(Record {
+                iteration,
+                elapsed_us,
+                accuracy: stats.accuracy,
+            });
+        }
+    }
+    records
+}
+
+/// The first record whose accuracy reaches `target`, if any.
+fn first_reaching_accuracy(records: &[Record], target: f64) -> Option<&Record> {
+    records.iter().find(|r| r.accuracy >= target)
 }
 
 fn main() {

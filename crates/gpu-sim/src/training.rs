@@ -661,7 +661,9 @@ impl NetworkTimingModel {
     /// so it runs a little over half of these FLOPs at lm_train's seq 24.
     /// Pricing the triangle would move the `pricing_properties` pins and
     /// the transformer goldens, so it is a deliberate pricing change of its
-    /// own.
+    /// own. Likewise the CPU runs Q, K and V as one fused `d × 3d`
+    /// projection, one launch each way, while the model prices three
+    /// `d × d` launches of the same FLOPs.
     fn attention_layer(
         &self,
         name: &str,

@@ -126,10 +126,10 @@ struct Workspace {
     /// Masked / scaled output-gradient buffer of the Bernoulli-masked dense
     /// path.
     grad: Matrix,
-    /// The gather core's resolved classes and packing buffers. The forward
-    /// pass packs the weight panels; the backward pass reuses them for its
-    /// `dX` product until the parameter walk (which [`Linear::step`] runs)
-    /// visits the weights.
+    /// The gather core's resolved classes and packing buffers. Each pass
+    /// packs the weight panels it reads afresh, so nothing packed by the
+    /// forward pass is reused by the backward pass's `dX` product and the
+    /// weights may change between the two.
     gather: GatherScratch,
 }
 
@@ -1007,7 +1007,7 @@ mod tests {
 
     /// The parameter-only backward a first layer runs computes exactly the
     /// `dW` and bias gradient of the full backward, for every plan family,
-    /// over two SGD steps (the second after the panels went stale).
+    /// over two SGD steps (the second on stepped weights).
     #[test]
     fn parameter_only_backward_matches_backward_into_bitwise() {
         let mut rng = StdRng::seed_from_u64(40);

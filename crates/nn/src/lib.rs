@@ -33,9 +33,6 @@
 //!   [`loss::CrossEntropyScratch`], which also counts the argmax hits
 //!   behind [`loss::CrossEntropyScratch::accuracy`], for training and
 //!   evaluation alike; perplexity.
-//! * [`trainer`] — a small training loop that records per-iteration loss,
-//!   accuracy and (model-provided) time so the convergence curves of Fig. 5
-//!   can be reproduced.
 //!
 //! # Example: train a tiny MLP with row-pattern dropout
 //!
@@ -68,7 +65,6 @@ pub mod lstm;
 pub mod metrics;
 pub mod mlp;
 pub mod optimizer;
-pub mod trainer;
 pub mod transformer;
 
 /// Re-export of the dropout scheme constructors (`schemes::row(...)`, …) so
@@ -82,5 +78,4 @@ pub use loss::{softmax_cross_entropy_into, CrossEntropyScratch};
 pub use metrics::perplexity_from_nll;
 pub use mlp::{Mlp, MlpConfig, TrainBatchStats};
 pub use optimizer::Sgd;
-pub use trainer::{TrainRecord, Trainer, TrainerConfig};
 pub use transformer::{TransformerLm, TransformerLmConfig};

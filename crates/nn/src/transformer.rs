@@ -18,27 +18,34 @@
 //!     at all, their context columns carry the inverted-dropout scale, and
 //!     dropped heads' columns stay exactly zero — the CPU analogue of the
 //!     proportionally shrunk batched GEMMs the timing model prices;
-//!   - an N:M plan ([`DropoutPlan::nm_lanes`]) is routed into the Q/K/V/O
-//!     projection [`Linear`] layers, whose existing gather kernels execute
-//!     the 2:4 lane compaction on the projection weights;
+//!   - an N:M plan ([`DropoutPlan::nm_lanes`]) rides the fused Q/K/V
+//!     projection and O, whose gather kernels execute the 2:4 lane
+//!     compaction on the projection weights;
 //!   - every other plan falls back to the LSTM's inter-layer idiom: a
 //!     per-column multiplier ([`DropoutPlan::column_multiplier_into`])
 //!     applied to the attention context before the output projection.
+//!
+//!   Q, K and V are one `d × 3d` [`Linear`] with columns `[Q | K | V]`,
+//!   the way the LSTM runs its four gates as one projection: one forward
+//!   and one backward call per block. On both structured paths its plan
+//!   keeps the attention plan's kept columns in each third, so whole-head
+//!   dropout is one column gather over one projection.
 //! * **FFN** — the first feed-forward layer reuses [`Linear`] with the plan
 //!   passed straight through ([`Linear::forward_act_into`], fused
 //!   GEMM+bias+ReLU), so every existing `DropoutScheme` works unchanged,
 //!   exactly like an [`crate::Mlp`] hidden layer. The backward ReLU is
 //!   gated by the cached post-activation (`relu(z) > 0 ⇔ z > 0`).
 //!
-//! Causal attention runs in place over each kept head's column band of the
-//! Q/K/V projections: only unmasked scores are computed, one `exp` each,
-//! and the products accumulate straight into the context and gradient
-//! bands, bit for bit the dense per-head GEMMs (pinned against
-//! `tests::per_head_gemm_reference`). Softmax rows and gradients live in
-//! recycled scratch workspaces (the `loss` scratch idiom): once shapes have
-//! stabilised neither training nor evaluation performs a per-iteration heap
-//! allocation, which the pointer-identity tests below and the one-thread
-//! allocation counts of `tests/plan_allocations.rs` pin down.
+//! Causal attention runs in place over each kept head's column bands of the
+//! fused projection's output: only unmasked scores are computed, one `exp`
+//! each, and the products accumulate straight into the context and the
+//! `[dQ | dK | dV]` gradient bands, bit for bit the dense per-head GEMMs
+//! (pinned against `tests::per_head_gemm_reference`). Softmax rows and
+//! gradients live in recycled scratch workspaces (the `loss` scratch
+//! idiom): once shapes have stabilised neither training nor evaluation
+//! performs a per-iteration heap allocation, which the pointer-identity
+//! tests below and the one-thread allocation counts of
+//! `tests/plan_allocations.rs` pin down.
 
 use crate::layers::Linear;
 use crate::loss::CrossEntropyScratch;
@@ -132,7 +139,7 @@ enum AttnPath {
     /// Whole-head drop: the plan's unit blocks are exactly the heads, so
     /// only kept heads compute and their context carries the kept scale.
     HeadDrop,
-    /// N:M lanes: the plan rides inside the Q/K/V/O projection GEMMs.
+    /// N:M lanes: the plan rides inside the Q/K/V and O projection GEMMs.
     Projection,
     /// Everything else: per-column multiplier on the attention context.
     Multiplier,
@@ -153,10 +160,8 @@ fn attn_path(plan: &DropoutPlan, g: Geom) -> AttnPath {
 /// iteration, so nothing is reallocated while shapes are stable.
 #[derive(Debug, Clone, Default)]
 struct BlockWorkspace {
-    /// Q/K/V projection outputs, `(batch·seq, model_dim)`.
-    q_all: Matrix,
-    k_all: Matrix,
-    v_all: Matrix,
+    /// Fused projection output `[Q | K | V]`, `(batch·seq, 3·model_dim)`.
+    qkv: Matrix,
     /// Attention context (head outputs concatenated), dropped head columns
     /// exactly zero.
     ctx: Matrix,
@@ -175,27 +180,27 @@ struct BlockWorkspace {
     ds: Vec<f32>,
     /// Heads to compute this iteration (kept heads, or all of them).
     head_ws: Vec<usize>,
-    /// Fallback per-column multiplier on the attention context.
+    /// The attention plan's per-column multiplier: the fallback path
+    /// applies it to the attention context, the structured paths read
+    /// their kept columns from it.
     attn_mult: Vec<f32>,
     /// Backward buffers.
     dffn: Matrix,
     dy1: Matrix,
     dctx: Matrix,
-    dq_all: Matrix,
-    dk_all: Matrix,
-    dv_all: Matrix,
-    dproj: Matrix,
+    /// Gradient w.r.t. the fused projection output, `[dQ | dK | dV]`.
+    dqkv: Matrix,
     /// Gradient w.r.t. the block input, read by the next block down.
     dx: Matrix,
 }
 
-/// One encoder block: Q/K/V/O projections, causal multi-head attention and
-/// a two-layer FFN, both sub-blocks residual.
+/// One encoder block: the fused Q/K/V projection and O, causal multi-head
+/// attention and a two-layer FFN, both sub-blocks residual.
 #[derive(Debug, Clone)]
 struct EncoderBlock {
-    q: Linear,
-    k: Linear,
-    v: Linear,
+    /// Q, K and V as one `model_dim × 3·model_dim` layer, columns
+    /// `[Q | K | V]`.
+    qkv: Linear,
     o: Linear,
     ffn1: Linear,
     ffn2: Linear,
@@ -203,27 +208,35 @@ struct EncoderBlock {
     ffn_dropout: Box<dyn DropoutScheme>,
     /// Reusable plan buffers, re-resolved in place each iteration.
     attn_plan: DropoutPlan,
+    /// The fused projection's plan, derived from `attn_plan`.
+    qkv_plan: DropoutPlan,
     ffn_plan: DropoutPlan,
     ws: BlockWorkspace,
 }
 
 /// Accumulates one head's causal product into rows `row0..row0 + seq` of
-/// `out`'s column band `cols`: `W·S`, or `Wᵀ·S` when `transposed`, where
-/// `W` is a `seq × seq` block that is zero above the diagonal and `S` is
-/// the same band of `src`. The summed index walks 4-aligned quads (one
-/// `simd::axpy4`, four `fma` steps), then the `seq % 4` tail, and skips
-/// only quads whose four entries are all masked; a quad that straddles the
-/// diagonal runs whole, its zero entries adding nothing. So every element
-/// is the `fma` chain the dense GEMM forms, bit for bit.
+/// `out`'s column band `out_off + cols`: `W·S`, or `Wᵀ·S` when
+/// `transposed`, where `W` is a `seq × seq` block that is zero above the
+/// diagonal and `S` is the band `src_off + cols` of `src`. The offsets pick
+/// the Q, K or V third of the fused projection's output or gradient. The
+/// summed index walks 4-aligned quads (one `simd::axpy4`, four `fma`
+/// steps), then the `seq % 4` tail, and skips only quads whose four entries
+/// are all masked; a quad that straddles the diagonal runs whole, its zero
+/// entries adding nothing. So every element is the `fma` chain the dense
+/// GEMM forms, bit for bit.
 fn causal_band_gemm(
     w: &[f32],
     transposed: bool,
     seq: usize,
-    src: &Matrix,
-    out: &mut Matrix,
+    (src, src_off): (&Matrix, usize),
+    (out, out_off): (&mut Matrix, usize),
     (row0, cols): (usize, Range<usize>),
 ) {
     let quad_end = seq - seq % 4;
+    let (src_cols, out_cols) = (
+        src_off + cols.start..src_off + cols.end,
+        out_off + cols.start..out_off + cols.end,
+    );
     // `W`'s (or `Wᵀ`'s) entry at output row `o`, summed index `p`, sits at
     // `o·o_stride + p·p_stride`.
     let (o_stride, p_stride) = if transposed { (1, seq) } else { (seq, 1) };
@@ -231,8 +244,8 @@ fn causal_band_gemm(
         // The summed indices the mask leaves live for output row `o`.
         let live = if transposed { o..seq } else { 0..o + 1 };
         let coef = |p: usize| w[o * o_stride + p * p_stride];
-        let band = |p: usize| &src.row(row0 + p)[cols.clone()];
-        let dst = &mut out.row_mut(row0 + o)[cols.clone()];
+        let band = |p: usize| &src.row(row0 + p)[src_cols.clone()];
+        let dst = &mut out.row_mut(row0 + o)[out_cols.clone()];
         let mut p = live.start - live.start % 4;
         while p < live.end.min(quad_end) {
             let alpha = [coef(p), coef(p + 1), coef(p + 2), coef(p + 3)];
@@ -253,25 +266,28 @@ impl EncoderBlock {
         attn_dropout: Box<dyn DropoutScheme>,
         ffn_dropout: Box<dyn DropoutScheme>,
     ) -> Self {
+        let d = model_dim;
+        // Q, K and V are drawn in that order, each with its own `d × d`
+        // Xavier bound, then laid side by side: the weights of three
+        // separate layers, not one `d × 3d` draw.
+        let thirds = [(); 3].map(|_| init::xavier_uniform(rng, d, d));
+        let qkv = Matrix::from_fn(d, 3 * d, |r, c| thirds[c / d][(r, c % d)]);
         Self {
-            q: Linear::new(rng, model_dim, model_dim),
-            k: Linear::new(rng, model_dim, model_dim),
-            v: Linear::new(rng, model_dim, model_dim),
-            o: Linear::new(rng, model_dim, model_dim),
-            ffn1: Linear::new(rng, model_dim, ff_dim),
-            ffn2: Linear::new(rng, ff_dim, model_dim),
+            qkv: Linear::from_parameters(qkv, Matrix::zeros(1, 3 * d)),
+            o: Linear::new(rng, d, d),
+            ffn1: Linear::new(rng, d, ff_dim),
+            ffn2: Linear::new(rng, ff_dim, d),
             attn_dropout,
             ffn_dropout,
             attn_plan: DropoutPlan::default(),
+            qkv_plan: DropoutPlan::default(),
             ffn_plan: DropoutPlan::default(),
             ws: BlockWorkspace::default(),
         }
     }
 
     fn parameter_count(&self) -> usize {
-        self.q.parameter_count()
-            + self.k.parameter_count()
-            + self.v.parameter_count()
+        self.qkv.parameter_count()
             + self.o.parameter_count()
             + self.ffn1.parameter_count()
             + self.ffn2.parameter_count()
@@ -305,43 +321,56 @@ impl EncoderBlock {
         }
     }
 
+    /// Re-resolves the fused projection's plan from the attention plan, in
+    /// place. On both structured paths it keeps the attention plan's kept
+    /// columns (N:M lanes, or the kept heads' columns) in each third as
+    /// one-column blocks carrying the plan's scale, so dropped columns of
+    /// Q, K and V are never computed; on the multiplier path it is the
+    /// identity. The kept columns are the nonzero entries of the attention
+    /// plan's column multiplier, which the multiplier path applies to the
+    /// context. The N:M group structure is not carried over: O executes the
+    /// attention plan itself on that path and refuses a malformed one.
+    fn resolve_qkv_plan(&mut self, path: AttnPath, d: usize) {
+        let (plan, mult) = (&self.attn_plan, &mut self.ws.attn_mult);
+        plan.column_multiplier_into(d, mult);
+        let shape = LayerShape::new(d, 3 * d);
+        if path == AttnPath::Multiplier {
+            self.qkv_plan.reset_none(shape);
+            return;
+        }
+        let (scale, rate) = (plan.scale(), plan.nominal_rate());
+        self.qkv_plan
+            .reset_block_unit_with(shape, 1, scale, rate, |kept| {
+                kept.extend((0..3 * d).filter(|&c| mult[c % d] != 0.0))
+            });
+    }
+
     /// Forward pass of one block over the stacked `(batch·seq, model_dim)`
     /// input. Caches everything backward needs.
     fn forward(&mut self, x: &Matrix, g: Geom) {
         let d = g.model_dim();
         let path = attn_path(&self.attn_plan, g);
         self.resolve_heads(g);
-        let dense = DropoutPlan::none(LayerShape::new(d, d));
-        // Q/K/V execute the attention plan on both structured paths through
-        // the column gather: N:M lanes, or whole heads as contiguous column
-        // blocks, so dropped heads' projection columns are never computed
-        // (the kept columns carry the inverted-dropout scale). Only the
-        // fallback multiplier path projects densely.
-        let qkv_plan: &DropoutPlan = match path {
-            AttnPath::Projection | AttnPath::HeadDrop => &self.attn_plan,
-            AttnPath::Multiplier => &dense,
-        };
+        self.resolve_qkv_plan(path, d);
         // O's outputs are the residual stream, not head-structured — it only
         // carries the plan when the plan rides inside every projection GEMM.
+        let dense = DropoutPlan::none(LayerShape::new(d, d));
         let o_plan: &DropoutPlan = if path == AttnPath::Projection {
             &self.attn_plan
         } else {
             &dense
         };
 
-        self.q
-            .forward_act_into(x, qkv_plan, Activation::Identity, &mut self.ws.q_all);
-        self.k
-            .forward_act_into(x, qkv_plan, Activation::Identity, &mut self.ws.k_all);
-        self.v
-            .forward_act_into(x, qkv_plan, Activation::Identity, &mut self.ws.v_all);
+        self.qkv
+            .forward_act_into(x, &self.qkv_plan, Activation::Identity, &mut self.ws.qkv);
 
         // Per-(batch, kept head) causal attention in place over the head's
-        // column band: row `i` scores keys `0..=i` only, one `exp` each, and
-        // P·V accumulates straight into the context band. Dropped heads never
-        // execute, so their context columns stay at the zero fill — the
-        // proportionally shrunk batched GEMM the timing model prices. V's
-        // kept columns already carry the inverted-dropout scale.
+        // column bands of `[Q | K | V]`: row `i` scores keys `0..=i` only,
+        // one `exp` each, and P·V accumulates straight into the context
+        // band. Dropped heads never execute, so their context columns stay
+        // at the zero fill — the proportionally shrunk batched GEMM the
+        // timing model prices. V's kept columns already carry the
+        // inverted-dropout scale.
         let score_mul = self.score_multiplier(path, g);
         let ws = &mut self.ws;
         ws.ctx.resize(g.rows(), d);
@@ -353,13 +382,14 @@ impl EncoderBlock {
             let row0 = b * g.seq;
             for &h in &ws.head_ws {
                 let cols = h * g.head_dim..(h + 1) * g.head_dim;
+                let k_cols = d + cols.start..d + cols.end;
                 let probs = &mut ws.probs[(b * g.heads + h) * seq2..][..seq2];
                 for (i, row) in probs.chunks_exact_mut(g.seq).enumerate() {
-                    let q = &ws.q_all.row(row0 + i)[cols.clone()];
+                    let q = &ws.qkv.row(row0 + i)[cols.clone()];
                     let (live, masked) = row.split_at_mut(i + 1);
                     let mut max = f32::NEG_INFINITY;
                     for (j, s) in live.iter_mut().enumerate() {
-                        *s = simd::dot(q, &ws.k_all.row(row0 + j)[cols.clone()]) * score_mul;
+                        *s = simd::dot(q, &ws.qkv.row(row0 + j)[k_cols.clone()]) * score_mul;
                         max = max.max(*s);
                     }
                     for s in live.iter_mut() {
@@ -372,12 +402,11 @@ impl EncoderBlock {
                     }
                     masked.fill(0.0);
                 }
-                causal_band_gemm(probs, false, g.seq, &ws.v_all, &mut ws.ctx, (row0, cols));
+                let (v, ctx) = ((&ws.qkv, 2 * d), (&mut ws.ctx, 0));
+                causal_band_gemm(probs, false, g.seq, v, ctx, (row0, cols));
             }
         }
         if path == AttnPath::Multiplier {
-            self.attn_plan
-                .column_multiplier_into(d, &mut self.ws.attn_mult);
             apply_column_multiplier_inplace(&mut self.ws.ctx, &self.ws.attn_mult);
         }
 
@@ -428,7 +457,7 @@ impl EncoderBlock {
             .expect("residual gradient shapes agree");
 
         // Attention backward: through O, the context multiplier/scale, the
-        // cached softmax rows, and the Q/K/V projections.
+        // cached softmax rows, and the fused Q/K/V projection.
         self.o.backward_into(&self.ws.dy1, &mut self.ws.dctx);
         if path == AttnPath::Multiplier {
             apply_column_multiplier_inplace(&mut self.ws.dctx, &self.ws.attn_mult);
@@ -436,15 +465,14 @@ impl EncoderBlock {
         let score_mul = self.score_multiplier(path, g);
         let ws = &mut self.ws;
         // Zero-filled so dropped heads contribute exactly nothing.
-        ws.dq_all.resize(g.rows(), d);
-        ws.dk_all.resize(g.rows(), d);
-        ws.dv_all.resize(g.rows(), d);
+        ws.dqkv.resize(g.rows(), 3 * d);
         let seq2 = g.seq * g.seq;
         ws.ds.resize(seq2, 0.0);
         for b in 0..g.batch {
             let row0 = b * g.seq;
             for &h in &ws.head_ws {
                 let cols = h * g.head_dim..(h + 1) * g.head_dim;
+                let v_cols = 2 * d + cols.start..2 * d + cols.end;
                 let probs = &ws.probs[(b * g.heads + h) * seq2..][..seq2];
                 for (i, row) in ws.ds.chunks_exact_mut(g.seq).enumerate() {
                     let dctx = &ws.dctx.row(row0 + i)[cols.clone()];
@@ -454,7 +482,7 @@ impl EncoderBlock {
                     // the softmax backward in place:
                     // dS = P ⊙ (dP − rowsum(dP ⊙ P)), then the 1/√d chain.
                     for (j, s) in live.iter_mut().enumerate() {
-                        *s = simd::dot(dctx, &ws.v_all.row(row0 + j)[cols.clone()]);
+                        *s = simd::dot(dctx, &ws.qkv.row(row0 + j)[v_cols.clone()]);
                     }
                     let dot: f32 = prow.iter().zip(live.iter()).map(|(&p, &dp)| p * dp).sum();
                     for (s, &p) in live.iter_mut().zip(prow) {
@@ -462,26 +490,19 @@ impl EncoderBlock {
                     }
                     masked.fill(0.0);
                 }
-                // dV = Pᵀ·dCtx, dQ = dS·K and dK = dSᵀ·Q.
+                // dV = Pᵀ·dCtx, dQ = dS·K and dK = dSᵀ·Q, each into its
+                // third of `[dQ | dK | dV]`.
                 let (ds, band) = (&ws.ds[..], (row0, cols));
-                causal_band_gemm(probs, true, g.seq, &ws.dctx, &mut ws.dv_all, band.clone());
-                causal_band_gemm(ds, false, g.seq, &ws.k_all, &mut ws.dq_all, band.clone());
-                causal_band_gemm(ds, true, g.seq, &ws.q_all, &mut ws.dk_all, band);
+                let (qkv, dqkv, dctx) = (&ws.qkv, &mut ws.dqkv, &ws.dctx);
+                causal_band_gemm(probs, true, g.seq, (dctx, 0), (dqkv, 2 * d), band.clone());
+                causal_band_gemm(ds, false, g.seq, (qkv, d), (dqkv, 0), band.clone());
+                causal_band_gemm(ds, true, g.seq, (qkv, 0), (dqkv, d), band);
             }
         }
 
-        // Projection backward, summed into dx together with the residual.
-        self.q.backward_into(&self.ws.dq_all, &mut self.ws.dx);
-        self.k.backward_into(&self.ws.dk_all, &mut self.ws.dproj);
-        self.ws
-            .dx
-            .axpy_inplace(1.0, &self.ws.dproj)
-            .expect("projection gradient shapes agree");
-        self.v.backward_into(&self.ws.dv_all, &mut self.ws.dproj);
-        self.ws
-            .dx
-            .axpy_inplace(1.0, &self.ws.dproj)
-            .expect("projection gradient shapes agree");
+        // One projection backward: its `dX` sums the Q, K and V terms in one
+        // chain. Then the residual.
+        self.qkv.backward_into(&self.ws.dqkv, &mut self.ws.dx);
         self.ws
             .dx
             .axpy_inplace(1.0, &self.ws.dy1)
@@ -491,14 +512,7 @@ impl EncoderBlock {
 
 impl Params for EncoderBlock {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        let layers = [
-            &mut self.q,
-            &mut self.k,
-            &mut self.v,
-            &mut self.o,
-            &mut self.ffn1,
-            &mut self.ffn2,
-        ];
+        let layers = [&mut self.qkv, &mut self.o, &mut self.ffn1, &mut self.ffn2];
         for layer in layers {
             layer.visit_params(f);
         }
@@ -912,29 +926,54 @@ mod tests {
         ]
     }
 
+    /// Whether two matrices hold the same values bit for bit.
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A fresh block (FFN twice the model width, identity FFN plan) run
+    /// forward and backward under `attn_plan` on a random input and output
+    /// gradient. Returns the block and its input.
+    fn run_block(rng: &mut StdRng, attn_plan: DropoutPlan, g: Geom) -> (EncoderBlock, Matrix) {
+        let d = g.model_dim();
+        let mut block = EncoderBlock::new(rng, d, 2 * d, scheme::none(), scheme::none());
+        block.attn_plan = attn_plan;
+        block.ffn_plan = DropoutPlan::none(LayerShape::new(d, 2 * d));
+        let x = init::uniform(rng, g.rows(), d, -1.0, 1.0);
+        let dout = init::uniform(rng, g.rows(), d, -1.0, 1.0);
+        block.forward(&x, g);
+        block.backward(&dout, g);
+        (block, x)
+    }
+
     /// The per-head GEMM pipeline the in-place attention replaced, kept as
     /// its test-only reference the way `loss::tests::three_pass_reference`
     /// keeps the three-pass loss. Per (batch, head in `heads`) it gathers
-    /// the Q/K/V/dCtx bands of a block's workspace into matrices, runs
-    /// `QKᵀ` and `dCtx·Vᵀ` as one `simd::dot` per element (what the
-    /// in-place attention runs) and the other products as dense GEMMs,
-    /// over the full `seq × seq` scores under a `−∞` causal mask, a
-    /// two-`exp` softmax (the scalar form of the attention's
+    /// the head's Q/K/V bands of the fused projection output and its dCtx
+    /// band into matrices, runs `QKᵀ` and `dCtx·Vᵀ` as one `simd::dot` per
+    /// element (what the in-place attention runs) and the other products as
+    /// dense GEMMs, over the full `seq × seq` scores under a `−∞` causal
+    /// mask, a two-`exp` softmax (the scalar form of the attention's
     /// [`simd::exp_slice`]) and its Jacobian, and scatters the results
-    /// back. Returns `[ctx, dq, dk, dv]`.
+    /// back. Returns `[ctx, dqkv]`.
     fn per_head_gemm_reference(
         ws: &BlockWorkspace,
         g: Geom,
         heads: &[usize],
         score_mul: f32,
-    ) -> [Matrix; 4] {
-        let hd = g.head_dim;
-        let gather = |src: &Matrix, row0: usize, h: usize| {
-            Matrix::from_fn(g.seq, hd, |s, c| src[(row0 + s, h * hd + c)])
+    ) -> [Matrix; 2] {
+        let (hd, d) = (g.head_dim, g.model_dim());
+        // Band `h` of the third at column `off`.
+        let gather = |src: &Matrix, off: usize, row0: usize, h: usize| {
+            Matrix::from_fn(g.seq, hd, |s, c| src[(row0 + s, off + h * hd + c)])
         };
-        let scatter = |src: &Matrix, row0: usize, h: usize, out: &mut Matrix| {
+        let scatter = |src: &Matrix, off: usize, row0: usize, h: usize, out: &mut Matrix| {
             for s in 0..g.seq {
-                out.row_mut(row0 + s)[h * hd..(h + 1) * hd].copy_from_slice(src.row(s));
+                out.row_mut(row0 + s)[off + h * hd..][..hd].copy_from_slice(src.row(s));
             }
         };
         // `x·yᵀ` as one `simd::dot` per element, the products the in-place
@@ -942,14 +981,14 @@ mod tests {
         let dot_rows = |x: &Matrix, y: &Matrix| {
             Matrix::from_fn(x.rows(), y.rows(), |i, j| simd::dot(x.row(i), y.row(j)))
         };
-        let mut out = [(); 4].map(|_| Matrix::zeros(g.rows(), g.model_dim()));
+        let mut out = [Matrix::zeros(g.rows(), d), Matrix::zeros(g.rows(), 3 * d)];
         for b in 0..g.batch {
             let row0 = b * g.seq;
             for &h in heads {
-                let qh = gather(&ws.q_all, row0, h);
-                let kh = gather(&ws.k_all, row0, h);
-                let vh = gather(&ws.v_all, row0, h);
-                let dctx_h = gather(&ws.dctx, row0, h);
+                let qh = gather(&ws.qkv, 0, row0, h);
+                let kh = gather(&ws.qkv, d, row0, h);
+                let vh = gather(&ws.qkv, 2 * d, row0, h);
+                let dctx_h = gather(&ws.dctx, 0, row0, h);
                 let mut scores = dot_rows(&qh, &kh);
                 for i in 0..g.seq {
                     let row = scores.row_mut(i);
@@ -974,10 +1013,10 @@ mod tests {
                     }
                 }
                 let ctx_h = gemm::blocked_gemm(&probs, &vh).unwrap();
-                scatter(&ctx_h, row0, h, &mut out[0]);
+                scatter(&ctx_h, 0, row0, h, &mut out[0]);
                 let dprobs = dot_rows(&dctx_h, &vh);
                 let dvh = gemm::gemm_at_b(&probs, &dctx_h).unwrap();
-                scatter(&dvh, row0, h, &mut out[3]);
+                scatter(&dvh, 2 * d, row0, h, &mut out[1]);
                 let mut ds = Matrix::zeros(g.seq, g.seq);
                 for r in 0..g.seq {
                     let (prow, dprow) = (probs.row(r), dprobs.row(r));
@@ -987,16 +1026,16 @@ mod tests {
                     }
                 }
                 let (dqh, dkh) = (gemm::blocked_gemm(&ds, &kh), gemm::gemm_at_b(&ds, &qh));
-                scatter(&dqh.unwrap(), row0, h, &mut out[1]);
-                scatter(&dkh.unwrap(), row0, h, &mut out[2]);
+                scatter(&dqh.unwrap(), 0, row0, h, &mut out[1]);
+                scatter(&dkh.unwrap(), d, row0, h, &mut out[1]);
             }
         }
         out
     }
 
     /// One encoder block's in-place attention equals the per-head GEMM
-    /// pipeline bit for bit, forward (`ctx`) and backward (`dq_all`,
-    /// `dk_all`, `dv_all`): at lm_train's seq 24, at seq 7 and 13 (so the
+    /// pipeline bit for bit, forward (`ctx`) and backward (`dqkv`, the
+    /// `[dQ | dK | dV]` gradient): at lm_train's seq 24, at seq 7 and 13 (so the
     /// `seq % 4` tail and the quads straddling the diagonal both run), at a
     /// head width with an 8-lane dot remainder, over all heads (identity
     /// and N:M plans) and over a head-drop kept set.
@@ -1018,33 +1057,115 @@ mod tests {
                 DropoutPlan::block_unit(shape, head_dim, vec![0, heads - 1], 2.0, 0.5),
             ];
             for plan in plans {
-                let mut block =
-                    EncoderBlock::new(&mut rng, d, 2 * d, scheme::none(), scheme::none());
-                block.attn_plan = plan;
-                block.ffn_plan = DropoutPlan::none(LayerShape::new(d, 2 * d));
-                let x = init::uniform(&mut rng, g.rows(), d, -1.0, 1.0);
-                let dout = init::uniform(&mut rng, g.rows(), d, -1.0, 1.0);
-                block.forward(&x, g);
-                block.backward(&dout, g);
+                let (block, _) = run_block(&mut rng, plan, g);
                 let path = attn_path(&block.attn_plan, g);
                 let score_mul = block.score_multiplier(path, g);
                 let reference = per_head_gemm_reference(&block.ws, g, &block.ws.head_ws, score_mul);
                 let ws = &block.ws;
                 for (name, got, want) in [
                     ("ctx", &ws.ctx, &reference[0]),
-                    ("dq", &ws.dq_all, &reference[1]),
-                    ("dk", &ws.dk_all, &reference[2]),
-                    ("dv", &ws.dv_all, &reference[3]),
+                    ("dqkv", &ws.dqkv, &reference[1]),
                 ] {
-                    let same = got
-                        .as_slice()
-                        .iter()
-                        .zip(want.as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{name} differs at seq {seq}, {path:?}");
+                    assert!(
+                        same_bits(got, want),
+                        "{name} differs at seq {seq}, {path:?}"
+                    );
                 }
             }
         }
+    }
+
+    /// The fused projection against three `d × d` `Linear`s built from the
+    /// thirds of its weight and bias, each running the plan Q, K and V ran
+    /// as separate layers (the attention plan on the structured paths, the
+    /// identity on the multiplier path), on the gradient thirds the block's
+    /// attention produced. The output, `dW` and the bias gradient are bit
+    /// for bit theirs on the identity, N:M, head-drop and Bernoulli paths,
+    /// at the test model's four heads of 4 and at three heads of 12, where
+    /// 2:8 leaves a ragged last group. The block's input gradient sums the
+    /// Q, K and V terms in one chain where the separate layers made three,
+    /// summed by two adds: it matches their `dX_Q + dX_K + dX_V + dY1` to
+    /// within `1e-6` of the reference's peak magnitude. The largest gap
+    /// measured is `1.4e-7` of it, about one rounding of the peak.
+    #[test]
+    fn fused_projection_matches_three_linear_reference() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for &(heads, head_dim, m) in &[(4, 4, 4), (3, 12, 8)] {
+            let d = heads * head_dim;
+            let g = Geom {
+                batch: 2,
+                seq: 7,
+                heads,
+                head_dim,
+            };
+            let shape = LayerShape::new(d, d);
+            let rate = DropoutRate::new(0.3).unwrap();
+            let plans = [
+                DropoutPlan::none(shape),
+                scheme::nm(2, m).unwrap().plan(&mut rng, shape),
+                DropoutPlan::block_unit(shape, head_dim, vec![0, heads - 1], 2.0, 0.5),
+                scheme::bernoulli(rate).plan(&mut rng, shape),
+            ];
+            for plan in plans {
+                let (block, x) = run_block(&mut rng, plan, g);
+                let path = attn_path(&block.attn_plan, g);
+                let dense = DropoutPlan::none(shape);
+                let plan = match path {
+                    AttnPath::Multiplier => &dense,
+                    AttnPath::HeadDrop | AttnPath::Projection => &block.attn_plan,
+                };
+                let third =
+                    |m: &Matrix, t: usize| Matrix::from_fn(m.rows(), d, |r, c| m[(r, t * d + c)]);
+                let fused = &block.qkv;
+                let mut want_dx = Matrix::zeros(g.rows(), d);
+                for t in 0..3 {
+                    let (w, b) = (third(fused.weight(), t), third(fused.bias(), t));
+                    let mut layer = Linear::from_parameters(w, b);
+                    let mut y = Matrix::default();
+                    layer.forward_act_into(&x, plan, Activation::Identity, &mut y);
+                    let dx = layer.backward(&third(&block.ws.dqkv, t));
+                    for (name, got, want) in [
+                        ("output", third(&block.ws.qkv, t), &y),
+                        ("dW", third(fused.weight_grad(), t), layer.weight_grad()),
+                        (
+                            "bias gradient",
+                            third(fused.bias_grad(), t),
+                            layer.bias_grad(),
+                        ),
+                    ] {
+                        assert!(
+                            same_bits(&got, want),
+                            "{name} of third {t} differs: {path:?}, d {d}"
+                        );
+                    }
+                    want_dx.axpy_inplace(1.0, &dx).unwrap();
+                }
+                want_dx.axpy_inplace(1.0, &block.ws.dy1).unwrap();
+                let (got_dx, want_dx) = (block.ws.dx.as_slice(), want_dx.as_slice());
+                let peak = want_dx.iter().fold(0.0f32, |p, v| p.max(v.abs()));
+                for (i, (got, want)) in got_dx.iter().zip(want_dx).enumerate() {
+                    assert!(
+                        (got - want).abs() <= 1e-6 * peak,
+                        "dX element {i} is {got}, reference {want}: {path:?}, d {d}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An injected N:M attention plan whose first group keeps three lanes
+    /// of four is refused: the fused projection's derived plan does not
+    /// carry the group structure, but O executes the attention plan itself
+    /// and checks it.
+    #[test]
+    #[should_panic(expected = "the plan resolves against the layer")]
+    fn malformed_nm_attention_plan_is_refused() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut lm = TransformerLm::new(&config(scheme::none(), scheme::none()), &mut rng);
+        let mut plans = none_plans(&lm);
+        let broken = vec![0, 1, 2, 4, 5, 8, 9, 12, 13];
+        plans[0] = DropoutPlan::nm(LayerShape::new(16, 16), 2, 4, broken);
+        let _ = lm.train_batch_with_plans(&cyclic_batch(12, 2, 4), &plans);
     }
 
     #[test]
@@ -1203,11 +1324,11 @@ mod tests {
         let _ = lm.train_batch(&batch, &mut rng);
         let _ = lm.train_batch(&batch, &mut rng);
         let ws = &lm.blocks[0].ws;
-        let q_ptr = ws.q_all.as_slice().as_ptr();
+        let qkv_ptr = ws.qkv.as_slice().as_ptr();
         let ctx_ptr = ws.ctx.as_slice().as_ptr();
         let probs_ptr = ws.probs.as_ptr();
         let ds_ptr = ws.ds.as_ptr();
-        let dq_ptr = ws.dq_all.as_slice().as_ptr();
+        let dqkv_ptr = ws.dqkv.as_slice().as_ptr();
         let dx_ptr = ws.dx.as_slice().as_ptr();
         let ffn_ptr = ws.ffn_act.as_slice().as_ptr();
         let x0_ptr = lm.ws.x0.as_slice().as_ptr();
@@ -1216,11 +1337,11 @@ mod tests {
         let grad_xent_ptr = lm.ws.xent.grad_logits().as_slice().as_ptr();
         let _ = lm.train_batch(&batch, &mut rng);
         let ws = &lm.blocks[0].ws;
-        assert_eq!(q_ptr, ws.q_all.as_slice().as_ptr());
+        assert_eq!(qkv_ptr, ws.qkv.as_slice().as_ptr());
         assert_eq!(ctx_ptr, ws.ctx.as_slice().as_ptr());
         assert_eq!(probs_ptr, ws.probs.as_ptr());
         assert_eq!(ds_ptr, ws.ds.as_ptr());
-        assert_eq!(dq_ptr, ws.dq_all.as_slice().as_ptr());
+        assert_eq!(dqkv_ptr, ws.dqkv.as_slice().as_ptr());
         assert_eq!(dx_ptr, ws.dx.as_slice().as_ptr());
         assert_eq!(ffn_ptr, ws.ffn_act.as_slice().as_ptr());
         assert_eq!(x0_ptr, lm.ws.x0.as_slice().as_ptr());
@@ -1245,8 +1366,9 @@ mod tests {
 
     #[test]
     fn parameter_walk_visits_every_tensor_once() {
-        // The embedding, the weight and bias of Q, K, V, O and both FFN
-        // layers per block, and the projection's weight and bias.
+        // The embedding, the weight and bias of the fused Q/K/V projection,
+        // O and both FFN layers per block, and the projection's weight and
+        // bias.
         let mut rng = StdRng::seed_from_u64(11);
         for layers in [1, 2, 3] {
             let cfg = TransformerLmConfig {
@@ -1255,7 +1377,7 @@ mod tests {
             };
             let mut lm = TransformerLm::new(&cfg, &mut rng);
             let count = lm.parameter_count();
-            assert_walk_covers(&mut lm, 1 + 12 * layers + 2, count);
+            assert_walk_covers(&mut lm, 1 + 8 * layers + 2, count);
         }
     }
 
@@ -1285,7 +1407,7 @@ mod tests {
                 "tensor {tensors}: {max_abs}"
             );
         });
-        assert_eq!(tensors, 27);
+        assert_eq!(tensors, 19);
         let largest = largest_grad(&mut lm);
         assert!((largest - clip).abs() <= clip * 1e-5, "largest {largest}");
     }

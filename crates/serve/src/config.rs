@@ -25,8 +25,6 @@ pub enum ServeConfigError {
         /// The hard cap.
         max: usize,
     },
-    /// The plan cache needs at least one lock shard.
-    ZeroPlanCacheShards,
     /// Seed epochs need at least one dispatch per epoch.
     ZeroEpochRounds,
     /// A QoS class was given weight 0, which would starve it outright.
@@ -50,9 +48,6 @@ impl fmt::Display for ServeConfigError {
                     f,
                     "{requested} workers requested, but the pool caps at {max}"
                 )
-            }
-            ServeConfigError::ZeroPlanCacheShards => {
-                write!(f, "plan_cache_shards must be at least 1")
             }
             ServeConfigError::ZeroEpochRounds => write!(f, "epoch_rounds must be at least 1"),
             ServeConfigError::ZeroQosWeight => {
@@ -82,7 +77,6 @@ pub struct ServeConfig {
     workers: usize,
     policy: BatchPolicy,
     plan_cache: bool,
-    plan_cache_shards: usize,
     epoch_rounds: u64,
     init_seed: u64,
     qos_weights: QosWeights,
@@ -101,7 +95,6 @@ impl ServeConfig {
             workers: 0,
             policy: BatchPolicy::adaptive_default(),
             plan_cache: true,
-            plan_cache_shards: 16,
             epoch_rounds: 8,
             init_seed: 42,
             qos_weights: QosWeights::default(),
@@ -124,11 +117,6 @@ impl ServeConfig {
     /// Whether dropout plans resolve through the shared memoized cache.
     pub fn plan_cache(&self) -> bool {
         self.plan_cache
-    }
-
-    /// Lock shards of the plan cache.
-    pub fn plan_cache_shards(&self) -> usize {
-        self.plan_cache_shards
     }
 
     /// Train dispatches of one model that share a seed epoch.
@@ -179,7 +167,6 @@ pub struct ServeConfigBuilder {
     workers: usize,
     policy: BatchPolicy,
     plan_cache: bool,
-    plan_cache_shards: usize,
     epoch_rounds: u64,
     init_seed: u64,
     qos_weights: QosWeights,
@@ -206,12 +193,6 @@ impl ServeConfigBuilder {
     /// Resolve dropout plans through the shared memoized cache.
     pub fn plan_cache(mut self, enabled: bool) -> Self {
         self.plan_cache = enabled;
-        self
-    }
-
-    /// Lock shards of the plan cache.
-    pub fn plan_cache_shards(mut self, shards: usize) -> Self {
-        self.plan_cache_shards = shards;
         self
     }
 
@@ -262,9 +243,6 @@ impl ServeConfigBuilder {
                 max,
             });
         }
-        if self.plan_cache_shards == 0 {
-            return Err(ServeConfigError::ZeroPlanCacheShards);
-        }
         if self.epoch_rounds == 0 {
             return Err(ServeConfigError::ZeroEpochRounds);
         }
@@ -289,7 +267,6 @@ impl ServeConfigBuilder {
             workers: self.workers,
             policy: self.policy,
             plan_cache: self.plan_cache,
-            plan_cache_shards: self.plan_cache_shards,
             epoch_rounds: self.epoch_rounds,
             init_seed: self.init_seed,
             qos_weights: self.qos_weights,
@@ -320,7 +297,6 @@ mod tests {
             .workers(2)
             .policy(BatchPolicy::PerRequest)
             .plan_cache(false)
-            .plan_cache_shards(4)
             .epoch_rounds(3)
             .init_seed(7)
             .queue_bound(64)
@@ -330,7 +306,6 @@ mod tests {
         assert_eq!(config.workers(), 2);
         assert_eq!(config.policy(), BatchPolicy::PerRequest);
         assert!(!config.plan_cache());
-        assert_eq!(config.plan_cache_shards(), 4);
         assert_eq!(config.epoch_rounds(), 3);
         assert_eq!(config.init_seed(), 7);
         assert_eq!(config.queue_bound(), Some(64));
@@ -346,13 +321,6 @@ mod tests {
                 requested: max + 1,
                 max
             }
-        );
-        assert_eq!(
-            ServeConfig::builder()
-                .plan_cache_shards(0)
-                .build()
-                .unwrap_err(),
-            ServeConfigError::ZeroPlanCacheShards
         );
         assert_eq!(
             ServeConfig::builder().epoch_rounds(0).build().unwrap_err(),

@@ -49,6 +49,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Lock shards of the server's plan cache.
+const PLAN_CACHE_SHARDS: usize = 16;
+
 /// How long an idle worker sleeps between queue polls.
 const IDLE_POLL: Duration = Duration::from_micros(50);
 
@@ -296,7 +299,7 @@ impl Server {
         };
         let cache = config
             .plan_cache()
-            .then(|| Arc::new(PlanCache::new(config.plan_cache_shards())));
+            .then(|| Arc::new(PlanCache::new(PLAN_CACHE_SHARDS)));
         let controller =
             AdaptiveController::new(&catalog, &GpuConfig::gtx_1080ti(), config.latency_cost());
         let shared = Arc::new(Shared {

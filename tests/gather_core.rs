@@ -1,10 +1,10 @@
 //! The gather core under `Linear`: block and tile plans against masked dense
-//! references, and the weight-panel reuse contract.
+//! references, and the weights a backward pass reads.
 //!
 //! Forward (ReLU), `dW`, `dX` and the bias gradient of every compacted path
 //! must match the dense layer run on the explicitly masked weight. The
-//! backward `dX` product reuses the weight panel the forward pass packed, so
-//! an SGD step in between must invalidate it.
+//! backward `dX` product packs its weight panel afresh, so an SGD step
+//! between forward and backward must show in `dX`.
 
 use approx_dropout::{scheme, DropoutPlan, DropoutRate, LayerShape, TileGrid, TilePattern};
 use nn::{Linear, Sgd};

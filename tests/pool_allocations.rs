@@ -6,16 +6,24 @@
 //! pool's workers, when the batch size changes between calls too.
 //!
 //! The counting global allocator below counts every thread of the process,
-//! which is why this test has a binary of its own: no other test runs while
-//! it counts. `tests/plan_allocations.rs` covers the one-thread pool.
+//! which is why this test has a binary of its own, run without the libtest
+//! harness (`harness = false` in the root `Cargo.toml`): no other test and
+//! no harness thread runs while it counts. Its `main` reads libtest's
+//! selection arguments and prints libtest's report lines.
+//! `tests/plan_allocations.rs` covers the one-thread pool.
 
 use approx_dropout::SchemeSpec;
 use nn::{Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic;
+use std::process;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 use tensor::pool;
+
+const NAME: &str = "warmed_mlp_train_step_allocates_nothing_at_two_and_four_threads";
 
 /// Heap allocations (and reallocations) made by any thread of the process.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
@@ -44,7 +52,68 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-#[test]
+/// Runs the test unless libtest's arguments deselect it: name filters
+/// (whole-name with `--exact`), `--skip`, `--ignored` (the test is not
+/// ignored) and `--list`. A failing run prints its panic and the report,
+/// then exits with libtest's failure code, 101.
+fn main() {
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let (mut exact, mut ignored, mut list) = (false, false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--exact" => exact = true,
+            "--ignored" => ignored = true,
+            "--list" => list = true,
+            "--skip" => skips.extend(args.next()),
+            // libtest's other options that take a value.
+            "--test-threads" | "--color" | "--format" | "--logfile" | "--shuffle-seed" | "-Z" => {
+                args.next();
+            }
+            flag if flag.starts_with('-') => {}
+            _ => filters.push(arg),
+        }
+    }
+    let matches = |pattern: &String| {
+        if exact {
+            pattern == NAME
+        } else {
+            NAME.contains(pattern.as_str())
+        }
+    };
+    let selected = !ignored
+        && (filters.is_empty() || filters.iter().any(matches))
+        && !skips.iter().any(matches);
+    if list {
+        if selected {
+            println!("{NAME}: test");
+        }
+        return;
+    }
+    if !selected {
+        println!("\nrunning 0 tests\n\ntest result: ok. 0 passed; 0 failed; 0 ignored; 0 measured; 1 filtered out; finished in 0.00s\n");
+        return;
+    }
+    println!("\nrunning 1 test");
+    let start = Instant::now();
+    let outcome =
+        panic::catch_unwind(warmed_mlp_train_step_allocates_nothing_at_two_and_four_threads);
+    let (status, passed) = if outcome.is_ok() {
+        ("ok", 1)
+    } else {
+        ("FAILED", 0)
+    };
+    println!("test {NAME} ... {status}");
+    println!(
+        "\ntest result: {status}. {passed} passed; {} failed; 0 ignored; 0 measured; 0 filtered out; finished in {:.2}s\n",
+        1 - passed,
+        start.elapsed().as_secs_f64()
+    );
+    if outcome.is_err() {
+        process::exit(101);
+    }
+}
+
 fn warmed_mlp_train_step_allocates_nothing_at_two_and_four_threads() {
     let specs = [
         "none",
