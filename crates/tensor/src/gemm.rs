@@ -27,7 +27,15 @@
 //! * the weight gradient `Aᵀ·B` reads A at `[1, lda]`, so it needs no
 //!   transpose;
 //! * the input gradient `A·Bᵀ` packs `Bᵀ` once per call (a cache-blocked
-//!   transpose) and runs `A·(Bᵀ)`.
+//!   transpose) into a recycled [`Matrix`] and runs `A·(Bᵀ)`.
+//!
+//! B is always a whole [`Matrix`], whose storage starts on a 64-byte cache
+//! line (see [`crate::matrix`]), so B's first row starts on a line, and
+//! every row of B does when its width `n` is a multiple of 16: the
+//! kernel's vector loads of those rows then split no line. On one AVX-512
+//! core a B starting 16–48 bytes off a line ran the kernel up to 1.4×
+//! slower. Rows of other widths (a compacting arm's panel of kept columns,
+//! a 10-wide output layer) still start wherever `n` puts them.
 //!
 //! Each element of C is the chain `c ← fma(a_p, b_p, c)` over `p` in K
 //! order from `c = 0`, one rounding per term, so `gemm_a_bt(a, b)` equals
@@ -127,11 +135,18 @@ pub fn naive_gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     Ok(c)
 }
 
+/// Whether `b`'s storage starts on a 64-byte line, as every [`Matrix`]'s
+/// does: the block kernel's vector loads of B's rows then split no line.
+fn starts_on_line(b: &Matrix) -> bool {
+    b.as_slice().as_ptr() as usize % 64 == 0
+}
+
 /// Per-row-chunk dense product `chunk += A[rows] · B` through the
 /// register-blocked `axpy4`-form kernel ([`simd::gemm_axpy4`]). `chunk`
 /// must be zeroed by the caller and hold exactly `rows.len() * b.cols()`
 /// values.
 fn dense_rows(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32]) {
+    debug_assert!(starts_on_line(b));
     let k = a.cols();
     let a_rows = &a.as_slice()[rows.start * k..];
     simd::gemm_axpy4(a_rows, [k, 1], b.as_slice(), chunk, rows.len(), k, b.cols());
@@ -194,6 +209,7 @@ pub fn gemm_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
     if batch == 0 {
         return Ok(());
     }
+    debug_assert!(starts_on_line(b));
     // Row `p` of C reads column `p` of A: strides `[1, k]` walk Aᵀ in place.
     pool::run_row_chunks(k, n, out.as_mut_slice(), |prows, chunk| {
         let a_cols = &a.as_slice()[prows.start..];
@@ -235,26 +251,20 @@ pub fn gemm_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
         )));
     }
     thread_local! {
-        static B_T: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+        static B_T: Cell<Matrix> = Cell::new(Matrix::default());
     }
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     // Taken out while in use, so a nested call would pack into a buffer
     // of its own instead of this one.
-    let mut buf = B_T.with(Cell::take);
-    // 16 spare floats let `Bᵀ` start on a 64-byte line, so the kernel's
-    // vector loads of its rows split no cache line (misaligned, a
-    // 128 × 256 × 256 product ran 1.4× slower).
-    buf.resize(k * n + 16, 0.0);
-    let start = buf.as_ptr().align_offset(64).min(16);
-    let b_t = &mut buf[start..start + k * n];
-    simd::transpose(b.as_slice(), n, k, b_t);
-    let b_t = &*b_t;
+    let mut b_t = B_T.with(Cell::take);
+    b.transpose_into(&mut b_t);
+    debug_assert!(starts_on_line(&b_t));
     out.resize(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         let a_rows = &a.as_slice()[rows.start * k..];
-        simd::gemm_axpy4(a_rows, [k, 1], b_t, chunk, rows.len(), k, n);
+        simd::gemm_axpy4(a_rows, [k, 1], b_t.as_slice(), chunk, rows.len(), k, n);
     });
-    B_T.with(|cell| cell.set(buf));
+    B_T.with(|cell| cell.set(b_t));
     Ok(())
 }
 

@@ -5,7 +5,8 @@
 //! substrate:
 //!
 //! * [`Matrix`] — a row-major, `f32` dense matrix with the elementwise and
-//!   reduction operations a small training framework needs.
+//!   reduction operations a small training framework needs, stored in whole
+//!   64-byte cache lines so that every matrix starts on a line.
 //! * [`gemm`] — naive and cache-blocked matrix multiplication, plus the
 //!   *compacted* GEMM that actually skips dropped rows / tiles, which is
 //!   what Row-based and Tile-based Dropout Patterns do on the GPU: one

@@ -1,12 +1,28 @@
 //! Row-major dense `f32` matrix.
 //!
-//! [`Matrix`] is deliberately small: it stores its data in a `Vec<f32>` and
-//! exposes the handful of operations that the neural-network substrate and the
-//! dropout kernels need. Heavier numerical routines (GEMM variants) live in
-//! [`crate::gemm`].
+//! [`Matrix`] is deliberately small: it exposes the handful of operations
+//! that the neural-network substrate and the dropout kernels need. Heavier
+//! numerical routines (GEMM variants) live in [`crate::gemm`].
+//!
+//! # Storage
+//!
+//! A matrix keeps its values in whole 64-byte cache lines of 16 `f32`s, so
+//! every matrix — weight, activation, gradient, workspace or packed panel —
+//! starts on a line, and so does every row of a matrix whose width is a
+//! multiple of 16. The GEMM block kernel's vector loads of B then split no
+//! line: on one AVX-512 core a B starting 16–48 bytes off a line runs the
+//! kernel up to 1.4× slower, and `malloc` aligns a `Vec<f32>` to only 16
+//! bytes, so which matrices started on a line would depend on the order of
+//! earlier allocations. Otherwise the storage behaves exactly like a
+//! `Vec<f32>`: resizing reuses the allocation when its capacity suffices,
+//! growth zero-fills, an empty matrix allocates nothing, and the spare
+//! lanes of the last line are never read, so no value depends on what a
+//! recycled buffer held before. [`Matrix::from_vec`] copies its vector
+//! into lines.
 
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Deref, DerefMut, Index, IndexMut};
+use std::slice;
 
 /// Error returned when two matrices have incompatible shapes for an operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +48,106 @@ impl fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
-/// A row-major dense matrix of `f32` values.
+/// `f32` values per storage line: one 64-byte cache line.
+const LANES: usize = 16;
+
+/// One cache line of values, the unit a [`Matrix`] allocates in.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([f32; LANES]);
+
+// `Lines` views its lines as one run of `f32`s: a line has no padding.
+const _: () = assert!(std::mem::size_of::<Line>() == LANES * std::mem::size_of::<f32>());
+
+/// `len` values in whole lines, read as `&[f32]` through `Deref`. Every
+/// method keeps `len <= lines.len() * LANES`, which the view relies on,
+/// and every one but `clear` leaves `lines.len() == len.div_ceil(LANES)`.
+/// The lanes past `len` are initialised but may hold stale values, so
+/// nothing reads them.
+#[derive(Default)]
+struct Lines {
+    lines: Vec<Line>,
+    len: usize,
+}
+
+impl Lines {
+    /// `len` copies of `value`.
+    fn filled(len: usize, value: f32) -> Self {
+        Self {
+            lines: vec![Line([value; LANES]); len.div_ceil(LANES)],
+            len,
+        }
+    }
+
+    /// Drops every value, keeping the lines for the next `resize` to
+    /// zero-fill (`Vec::clear`).
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Keeps the first `min(len, self.len)` values and zero-fills the rest,
+    /// reusing the allocation when its capacity suffices
+    /// (`Vec::resize(len, 0.0)`).
+    fn resize(&mut self, len: usize) {
+        // Lines `Vec::resize` appends are zero; the lanes of the kept lines
+        // past `self.len` may be stale.
+        let stale = self.len.min(len)..len.min(self.lines.len() * LANES);
+        self.lines.resize(len.div_ceil(LANES), Line([0.0; LANES]));
+        self.len = len;
+        self[stale].fill(0.0);
+    }
+}
+
+impl Deref for Lines {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        // SAFETY: a `Line` is `LANES` initialised `f32`s with no padding
+        // (`repr(C)`, size asserted above), so the `lines.len()` lines are
+        // `lines.len() * LANES` contiguous `f32`s, aligned for `f32`, and
+        // `len <= lines.len() * LANES`. An empty `Vec`'s pointer is dangling
+        // but non-null and aligned, which a zero-length slice allows.
+        unsafe { slice::from_raw_parts(self.lines.as_ptr().cast::<f32>(), self.len) }
+    }
+}
+
+impl DerefMut for Lines {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        // SAFETY: as in `deref`; the slice borrows `self` mutably, so it is
+        // the only reference to the lines while it lives.
+        unsafe { slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast::<f32>(), self.len) }
+    }
+}
+
+impl Clone for Lines {
+    fn clone(&self) -> Self {
+        Self {
+            lines: self.lines.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.lines.clone_from(&source.lines);
+        self.len = source.len;
+    }
+}
+
+impl PartialEq for Lines {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Lines {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// A row-major dense matrix of `f32` values, stored in whole 64-byte cache
+/// lines so that its first value starts on a line (see the
+/// [module docs](self)).
 ///
 /// # Example
 ///
@@ -43,12 +158,13 @@ impl std::error::Error for ShapeError {}
 /// assert_eq!(m.rows(), 2);
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m[(1, 2)], 0.0);
+/// assert_eq!(m.as_slice().as_ptr() as usize % 64, 0);
 /// ```
 #[derive(Debug, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: Lines,
 }
 
 impl Clone for Matrix {
@@ -73,11 +189,7 @@ impl Clone for Matrix {
 impl Matrix {
     /// Creates a matrix of the given shape filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self::filled(rows, cols, 0.0)
     }
 
     /// Creates a matrix of the given shape filled with ones.
@@ -90,7 +202,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: Lines::filled(rows * cols, value),
         }
     }
 
@@ -103,7 +215,8 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
+    /// Creates a matrix from a row-major data vector, copied into
+    /// line-aligned storage.
     ///
     /// # Panics
     ///
@@ -117,7 +230,9 @@ impl Matrix {
             rows,
             cols
         );
-        Self { rows, cols, data }
+        let mut m = Self::zeros(rows, cols);
+        m.data.copy_from_slice(&data);
+        m
     }
 
     /// Creates a matrix from a slice of row slices.
@@ -126,29 +241,24 @@ impl Matrix {
     ///
     /// Panics if the rows have inconsistent lengths.
     pub fn from_rows(rows: &[&[f32]]) -> Self {
-        let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
+        let mut m = Self::zeros(rows.len(), c);
+        for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), c, "all rows must have the same length");
-            data.extend_from_slice(row);
+            m.row_mut(i).copy_from_slice(row);
         }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
+        m
     }
 
     /// Builds a matrix by evaluating `f(row, col)` for each element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut m = Self::zeros(rows, cols);
         for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
+            for (j, v) in m.row_mut(i).iter_mut().enumerate() {
+                *v = f(i, j);
             }
         }
-        Self { rows, cols, data }
+        m
     }
 
     /// Number of rows.
@@ -186,7 +296,7 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols);
     }
 
     /// Like [`Matrix::resize`] but leaving the contents unspecified: stale
@@ -198,7 +308,7 @@ impl Matrix {
     pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols);
     }
 
     /// Borrows the underlying row-major data.
@@ -290,16 +400,14 @@ impl Matrix {
 
     /// Elementwise map into a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let mut out = self.clone();
+        out.map_inplace(f);
+        out
     }
 
     /// In-place elementwise map.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data.iter_mut() {
             *x = f(*x);
         }
     }
@@ -317,16 +425,11 @@ impl Matrix {
                 rhs.shape()
             )));
         }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
+        let mut out = self.clone();
+        for (a, &b) in out.data.iter_mut().zip(rhs.as_slice()) {
+            *a = f(*a, b);
+        }
+        Ok(out)
     }
 
     /// Elementwise addition.
@@ -375,7 +478,7 @@ impl Matrix {
                 rhs.shape()
             )));
         }
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
+        for (a, b) in self.data.iter_mut().zip(rhs.as_slice()) {
             *a += alpha * b;
         }
         Ok(())
@@ -720,6 +823,120 @@ mod tests {
         let m = Matrix::identity(2);
         let s = format!("{m}");
         assert!(s.contains("Matrix 2x2"));
+    }
+
+    fn on_line(m: &Matrix) -> bool {
+        m.as_slice().as_ptr() as usize % 64 == 0
+    }
+
+    const SHAPES: [(usize, usize); 9] = [
+        (0, 0),
+        (0, 4),
+        (1, 1),
+        (1, 3),
+        (2, 5),
+        (3, 17),
+        (7, 9),
+        (16, 16),
+        (5, 33),
+    ];
+
+    #[test]
+    fn every_constructor_starts_on_a_cache_line() {
+        assert!(on_line(&Matrix::default()));
+        for (r, c) in SHAPES {
+            let values: Vec<f32> = (0..r * c).map(|v| v as f32).collect();
+            let rows: Vec<&[f32]> = values.chunks(c.max(1)).take(r).collect();
+            let m = Matrix::from_fn(r, c, |i, j| (i * c + j) as f32);
+            let built = [
+                Matrix::zeros(r, c),
+                Matrix::filled(r, c, 2.5),
+                Matrix::ones(r, c),
+                Matrix::identity(c),
+                Matrix::from_vec(r, c, values.clone()),
+                m.map(|x| x + 1.0),
+                m.zip_map(&m, |x, y| x * y).unwrap(),
+                m.transpose(),
+                m.clone(),
+            ];
+            assert!(on_line(&m), "from_fn {r}x{c}");
+            for (which, built) in built.iter().enumerate() {
+                assert!(on_line(built), "constructor {which} at {r}x{c}");
+            }
+            if r > 0 && c > 0 {
+                assert!(on_line(&Matrix::from_rows(&rows)), "from_rows {r}x{c}");
+                assert_eq!(Matrix::from_rows(&rows), m);
+            }
+            assert_eq!(Matrix::from_vec(r, c, values), m);
+        }
+    }
+
+    #[test]
+    fn every_resizer_starts_on_a_cache_line() {
+        let big = Matrix::from_fn(7, 9, |i, j| (i * 9 + j) as f32);
+        let small = Matrix::from_fn(2, 3, |i, j| (i * 3 + j) as f32 - 4.0);
+        for (r, c) in SHAPES {
+            let mut m = Matrix::from_fn(3, 5, |i, j| (i + j) as f32);
+            m.resize(r, c);
+            assert!(on_line(&m), "resize to {r}x{c}");
+            let mut m = Matrix::from_fn(3, 5, |i, j| (i + j) as f32);
+            m.resize_for_overwrite(r, c);
+            assert!(on_line(&m), "resize_for_overwrite to {r}x{c}");
+        }
+        let mut into_smaller = Matrix::zeros(1, 1);
+        into_smaller.clone_from(&big);
+        assert!(on_line(&into_smaller));
+        assert_eq!(into_smaller, big);
+        let mut into_larger = big.clone();
+        let ptr = into_larger.as_slice().as_ptr();
+        into_larger.clone_from(&small);
+        assert!(on_line(&into_larger));
+        assert_eq!(into_larger, small);
+        assert_eq!(into_larger.as_slice().as_ptr(), ptr, "capacity reused");
+    }
+
+    #[test]
+    fn resizing_within_capacity_keeps_the_buffer() {
+        let mut m = Matrix::zeros(8, 40);
+        let ptr = m.as_slice().as_ptr();
+        for (r, c) in [(3, 17), (8, 40), (1, 1), (0, 0), (5, 33), (2, 160)] {
+            m.resize(r, c);
+            assert_eq!(m.as_slice().as_ptr(), ptr, "resize to {r}x{c}");
+            m.resize_for_overwrite(c, r);
+            assert_eq!(
+                m.as_slice().as_ptr(),
+                ptr,
+                "resize_for_overwrite to {c}x{r}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_shrunk_matrix_reads_only_its_own_values() {
+        // Shrinking leaves the old values in the spare lanes of the last
+        // line: equality, `Debug` and the reductions must not see them.
+        let mut m = Matrix::from_fn(3, 17, |i, j| (i * 17 + j) as f32 + 0.5);
+        m.resize_for_overwrite(3, 5);
+        let fresh = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f32 + 0.5);
+        assert_eq!(m, fresh);
+        assert_eq!(format!("{m:?}"), format!("{fresh:?}"));
+        assert_eq!(m.sum().to_bits(), fresh.sum().to_bits());
+        assert_eq!(m.zero_fraction(), fresh.zero_fraction());
+        assert_eq!(m.transpose(), fresh.transpose());
+    }
+
+    #[test]
+    fn regrowing_after_a_shrink_zero_fills_as_vec_does() {
+        let values: Vec<f32> = (0..51).map(|v| v as f32 + 0.5).collect();
+        let mut m = Matrix::from_vec(3, 17, values.clone());
+        let mut v = values;
+        for (r, c) in [(3, 5), (3, 17), (1, 7), (4, 20), (2, 2), (2, 9)] {
+            m.resize_for_overwrite(r, c);
+            v.resize(r * c, 0.0);
+            assert_eq!(m.as_slice(), &v[..], "resize_for_overwrite to {r}x{c}");
+        }
+        m.resize(3, 17);
+        assert_eq!(m, Matrix::zeros(3, 17));
     }
 
     #[test]
