@@ -21,7 +21,7 @@
 //!
 //! plus the `simd` section: the dense / `A·Bᵀ` / `Aᵀ·B` / fused-ReLU kernels
 //! with the runtime dispatch forced to the scalar fallback versus the active
-//! vector level (AVX2 / AVX-512 / NEON), single-threaded; the recorded
+//! vector level (AVX2 / AVX-512), single-threaded; the recorded
 //! `a_bt_vs_a_b` section: `A·Bᵀ` (which packs `Bᵀ` per call) beside `A·B`
 //! in GFLOP/s at three backward-pass shapes, single-threaded; and the recorded
 //! `tile_size_ablation` section: the dp=2 tile pattern through the gather

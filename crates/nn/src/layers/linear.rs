@@ -242,18 +242,10 @@ impl Linear {
                 &mut self.ws.gather,
                 out,
             ),
-            ExecPath::Dense => match plan.bernoulli_mask() {
-                Some(mask) => gemm::gemm_bias_act_masked_into(
-                    input,
-                    weight,
-                    bias,
-                    mask,
-                    plan.scale(),
-                    act,
-                    out,
-                ),
-                None => gemm::gemm_bias_act_into(input, weight, bias, act, out),
-            },
+            ExecPath::Dense => {
+                let mask = plan.bernoulli_mask().map(|mask| (mask, plan.scale()));
+                gemm::gemm_bias_act_into(input, weight, bias, mask, act, out)
+            }
         }
         .expect("shapes agree and kept indices come from the plan");
         // Cache by copying into the warmed workspace buffers: no fresh heap

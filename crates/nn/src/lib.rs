@@ -17,8 +17,10 @@
 //!   kept weight tiles.
 //! * [`mlp::Mlp`] — the 4-layer MLP of §IV-A/B with per-layer dropout
 //!   schemes, softmax cross-entropy loss and SGD-with-momentum updates.
-//! * [`lstm`] — an LSTM language model (stacked cells, inter-layer dropout,
-//!   tied softmax projection) used for the §IV-C experiments.
+//! * [`lstm`] — an LSTM language model (an embedding table, stacked cells,
+//!   inter-layer dropout and a softmax projection that is its own
+//!   [`layers::Linear`], not tied to the embeddings) used for the §IV-C
+//!   experiments.
 //! * [`builder`] — fluent [`builder::NetworkBuilder`] / [`builder::LstmBuilder`]
 //!   with per-layer scheme overrides (Fig. 4's `(p1, p2)` pairs).
 //! * [`optimizer::Sgd`] — plain SGD with momentum (lr 0.01, momentum 0.9 for

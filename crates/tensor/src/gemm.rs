@@ -17,9 +17,9 @@
 //! Every product runs on one register-blocked micro-kernel,
 //! [`simd::gemm_axpy4`], that dispatches through [`crate::simd`] to
 //! runtime-detected bodies (AVX2 and AVX-512, with the scalar reference as
-//! fallback and on NEON — bitwise identical at every level, see the `simd`
-//! module docs). It holds a block of C (4 × 32 on AVX-512, 4 × 16 on AVX2)
-//! in registers across a 128-deep K panel, so a panel of B stays
+//! the fallback — bitwise identical at every level, see the `simd` module
+//! docs). It holds a block of C (4 × 32 on AVX-512, 4 × 16 on AVX2) in
+//! registers across a 128-deep K panel, so a panel of B stays
 //! cache-resident while every row block passes over it, and it reads A
 //! through a row and a K stride:
 //!
@@ -1111,38 +1111,48 @@ fn bias_act_epilogue(
     }
 }
 
-/// Fused dense whole-layer kernel, `C = act(A·W + bias)`, writing into `out`.
+/// Fused dense whole-layer kernel, `C = act(A·W + bias)`, or with
+/// `mask = Some((mask, scale))` `C = act((A·W + bias) ⊙ (mask · scale))`,
+/// writing into `out`.
 ///
-/// The bias add and activation run in the write-back loop of the packed GEMM
-/// — one pass over the output while it is cache-hot, instead of the
-/// GEMM → bias broadcast → activation map chain of separate kernels. Results
-/// are bitwise identical to that chain and thread-invariant like every other
-/// kernel here.
+/// The bias add, the per-output-column multiplier (the conventional
+/// Bernoulli-masked layer of the paper's Fig. 1(a)) and the activation run
+/// in the write-back loop of the packed GEMM — one pass over the output
+/// while it is cache-hot, instead of the GEMM → bias broadcast → mask →
+/// activation chain of separate kernels. Results are bitwise identical to
+/// that chain and thread-invariant like every other kernel here.
 ///
 /// # Errors
 ///
-/// Returns a [`GemmError`] if `a.cols() != w.rows()` or `bias` is not a
-/// `1 × w.cols()` row vector.
+/// Returns a [`GemmError`] if `a.cols() != w.rows()`, `bias` is not a
+/// `1 × w.cols()` row vector, or a mask's length is not `w.cols()`.
 pub fn gemm_bias_act_into(
     a: &Matrix,
     w: &Matrix,
     bias: &Matrix,
+    mask: Option<(&[f32], f32)>,
     act: Activation,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
     check_inner(a, w)?;
     let n = w.cols();
     check_bias(bias, n)?;
+    let mask_len = mask.map_or(n, |(mask, _)| mask.len());
+    if mask_len != n {
+        return Err(GemmError::new(format!(
+            "column mask length {mask_len} must match {n} output features"
+        )));
+    }
     let m = a.rows();
     out.resize(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         dense_rows(a, w, rows, chunk);
-        bias_act_epilogue(chunk, n, bias.row(0), None, act);
+        bias_act_epilogue(chunk, n, bias.row(0), mask, act);
     });
     Ok(())
 }
 
-/// Allocating variant of [`gemm_bias_act_into`].
+/// Allocating, unmasked variant of [`gemm_bias_act_into`].
 ///
 /// # Errors
 ///
@@ -1154,45 +1164,8 @@ pub fn gemm_bias_act(
     act: Activation,
 ) -> Result<Matrix, GemmError> {
     let mut out = Matrix::zeros(0, 0);
-    gemm_bias_act_into(a, w, bias, act, &mut out)?;
+    gemm_bias_act_into(a, w, bias, None, act, &mut out)?;
     Ok(out)
-}
-
-/// Fused dense whole-layer kernel with a per-output-column multiplier folded
-/// into the epilogue: `C = act((A·W + bias) ⊙ (mask · scale))` — the
-/// conventional Bernoulli-masked layer of the paper's Fig. 1(a) as a single
-/// launch (the mask multiply rides in the write-back instead of a separate
-/// elementwise kernel).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is not a
-/// `1 × w.cols()` row vector, or `mask.len() != w.cols()`.
-pub fn gemm_bias_act_masked_into(
-    a: &Matrix,
-    w: &Matrix,
-    bias: &Matrix,
-    mask: &[f32],
-    scale: f32,
-    act: Activation,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    if mask.len() != n {
-        return Err(GemmError::new(format!(
-            "column mask length {} must match {n} output features",
-            mask.len()
-        )));
-    }
-    let m = a.rows();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows(a, w, rows, chunk);
-        bias_act_epilogue(chunk, n, bias.row(0), Some((mask, scale)), act);
-    });
-    Ok(())
 }
 
 /// Reference implementation of tile dropout through explicit masking.
@@ -1393,13 +1366,13 @@ mod tests {
         assert_eq!(bits(&out), bits(&g_w_t), "G·Wᵀ, {shape}");
         let (bias, act) = (random_matrix(rng, 1, n), Activation::Relu);
         let mask: Vec<f32> = (0..n).map(|c| if c % 3 == 1 { 0.0 } else { 1.0 }).collect();
-        gemm_bias_act_into(&a, &b, &bias, act, &mut out).unwrap();
+        gemm_bias_act_into(&a, &b, &bias, None, act, &mut out).unwrap();
         let mut reference = dense.clone();
         bias_act_epilogue(reference.as_mut_slice(), n, bias.row(0), None, act);
         assert_eq!(bits(&out), bits(&reference), "fused, {shape}");
-        gemm_bias_act_masked_into(&a, &b, &bias, &mask, 2.0, act, &mut out).unwrap();
-        let mut reference = dense.clone();
         let masked = Some((mask.as_slice(), 2.0));
+        gemm_bias_act_into(&a, &b, &bias, masked, act, &mut out).unwrap();
+        let mut reference = dense.clone();
         bias_act_epilogue(reference.as_mut_slice(), n, bias.row(0), masked, act);
         assert_eq!(bits(&out), bits(&reference), "fused masked, {shape}");
         // The gather core with every index kept, gathering the output
@@ -1515,7 +1488,8 @@ mod tests {
             let out = gemm_bias_act(&a, &w, &bias, Activation::Relu).unwrap();
             assert_eq!(out.shape(), (m, 0));
             let mut out = Matrix::filled(3, 3, 1.0);
-            gemm_bias_act_masked_into(&a, &w, &bias, &[], 2.0, Activation::Relu, &mut out).unwrap();
+            let mask = Some((&[][..], 2.0));
+            gemm_bias_act_into(&a, &w, &bias, mask, Activation::Relu, &mut out).unwrap();
             assert_eq!(out.shape(), (m, 0));
         }
     }
@@ -2071,7 +2045,8 @@ mod tests {
             }
             reference.map_inplace(|v| act.apply(v));
             let mut fused = Matrix::zeros(0, 0);
-            gemm_bias_act_masked_into(&a, &w, &bias, &mask, scale, act, &mut fused).unwrap();
+            let masked = Some((mask.as_slice(), scale));
+            gemm_bias_act_into(&a, &w, &bias, masked, act, &mut fused).unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2201,20 +2176,13 @@ mod tests {
         let w = Matrix::zeros(3, 4);
         let bad_bias = Matrix::zeros(1, 5);
         let mut out = Matrix::zeros(0, 0);
-        assert!(gemm_bias_act_into(&a, &w, &bad_bias, Activation::Relu, &mut out).is_err());
-        assert!(gemm_bias_act_masked_into(
-            &a,
-            &w,
-            &Matrix::zeros(1, 4),
-            &[1.0; 3],
-            1.0,
-            Activation::Relu,
-            &mut out
-        )
-        .is_err());
+        let relu = Activation::Relu;
+        assert!(gemm_bias_act_into(&a, &w, &bad_bias, None, relu, &mut out).is_err());
+        let short_mask = Some((&[1.0; 3][..], 1.0));
+        let bias = Matrix::zeros(1, 4);
+        assert!(gemm_bias_act_into(&a, &w, &bias, short_mask, relu, &mut out).is_err());
         let mut scratch = GatherScratch::default();
         scratch.resolve_cols(&[0]);
-        let relu = Activation::Relu;
         assert!(gather_gemm_bias_act_into(
             &a,
             &w,

@@ -19,10 +19,11 @@
 //!   dimension of every GEMM entry point across workers; `TENSOR_THREADS=1`
 //!   pins execution fully serial, and results are bitwise identical for any
 //!   thread count.
-//! * [`simd`] — runtime-dispatched vector micro-kernels (AVX2 / AVX-512 /
-//!   NEON with a mandatory scalar fallback) every GEMM block kernel, fused
-//!   epilogue and polynomial `exp`/sigmoid/tanh routes through, with the
-//!   same bits at every level; `TENSOR_SIMD=0` forces the scalar bodies.
+//! * [`simd`] — runtime-dispatched vector micro-kernels (AVX2 / AVX-512,
+//!   with a mandatory scalar fallback) every GEMM block kernel, fused
+//!   epilogue and polynomial `exp`/sigmoid/tanh routes through: each
+//!   elementwise kernel is one scalar source compiled once per level, with
+//!   the same bits at every level; `TENSOR_SIMD=0` forces the Scalar level.
 //! * [`tune`] — a tuner that searches the pool's serial-fallback row
 //!   threshold and persists it to `TUNE_GEMM.json` (`TENSOR_TUNE_FILE`
 //!   points loads elsewhere).
@@ -49,8 +50,8 @@ pub mod tune;
 pub use gemm::{
     blocked_gemm, blocked_gemm_into, gather_backward_into, gather_gemm_bias_act_into,
     gather_gemm_into, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_at_b_into, gemm_bias_act,
-    gemm_bias_act_into, gemm_bias_act_masked_into, naive_gemm, row_compact_gemm, Activation,
-    GatherEpilogue, GatherScratch, GemmError,
+    gemm_bias_act_into, naive_gemm, row_compact_gemm, Activation, GatherEpilogue, GatherScratch,
+    GemmError,
 };
 pub use init::{gaussian, uniform, xavier_uniform};
 pub use matrix::{Matrix, ShapeError};

@@ -2,61 +2,71 @@
 //! loop, fused epilogue and elementwise `exp`, sigmoid and tanh routes
 //! through.
 //!
+//! # One source per kernel
+//!
+//! Each lane-independent kernel ([`axpy`], [`axpy4`], [`dot`], the epilogue
+//! helpers [`add_bias`], [`add_bias_mask_scale`] and [`scale_add_bias`],
+//! [`relu_slice`], and the transcendentals [`exp_slice`], [`sigmoid_slice`]
+//! and [`tanh_slice`]) is one `#[inline(always)]` scalar loop. One macro
+//! compiles that loop once per level under `#[target_feature]`, and the
+//! loop vectoriser writes each level's vector code from it:
+//!
+//! | level | instance compiled with |
+//! |---|---|
+//! | Scalar | `fma` where the CPU has FMA, the plain build elsewhere |
+//! | AVX2 | `avx2,fma` |
+//! | AVX-512 | `avx512f,fma` |
+//!
+//! Only the register-blocked GEMM bodies behind [`gemm_axpy4`] and the
+//! 8 × 8 register transpose behind [`transpose`] are written with
+//! `std::arch` intrinsics.
+//!
 //! # Dispatch
 //!
 //! The instruction set is picked once per process ([`detected_level`]) with
-//! `is_x86_feature_detected!` (both x86 vector levels require FMA; AVX-512
-//! means AVX-512F, only on toolchains ≥ 1.89, see the crate's `build.rs`);
-//! NEON is unconditional on aarch64 and the scalar
-//! loops remain the mandatory fallback everywhere else. The *active* level
+//! `is_x86_feature_detected!` (both vector levels require FMA; AVX-512
+//! means AVX-512F, only on toolchains ≥ 1.89, see the crate's `build.rs`).
+//! Every other architecture runs the Scalar level, which its compiler
+//! vectorises for its own baseline (NEON on aarch64). The *active* level
 //! ([`level`]) starts from the `TENSOR_SIMD` environment variable —
-//! `0`/`off`/`scalar` forces the scalar path, `avx2`/`avx512`/`neon`
-//! requests a specific ISA (clamped to what the host supports),
-//! `1`/`auto`/empty/unset selects the detected maximum, and any other value
-//! falls back to scalar (misconfiguration should be slow and correct, the
-//! same policy `TENSOR_THREADS` follows) — and can be overridden at runtime
-//! with [`set_level`] (used by the bench binaries' `--no-simd` flag).
+//! `0`/`off`/`scalar` forces the Scalar level, `avx2`/`avx512` requests a
+//! specific one (clamped to what the host supports), `1`/`auto`/empty/unset
+//! selects the detected maximum, and any other value falls back to Scalar
+//! (misconfiguration should be slow and correct, the same policy
+//! `TENSOR_THREADS` follows) — and can be overridden at runtime with
+//! [`set_level`] (used by the bench binaries' `--no-simd` flag).
 //!
 //! # Bitwise contract
 //!
-//! Every kernel gives the same bits at every level. The vector bodies of
-//! [`axpy`], [`axpy4`], [`dot`], the GEMM block kernel [`gemm_axpy4`], ReLU,
-//! every bias/mask/scale epilogue helper and the transcendentals
-//! ([`exp_slice`], [`sigmoid_slice`], [`tanh_slice`]) reproduce the scalar
-//! bodies **bitwise**:
+//! Every kernel gives the same bits at every level: each instance runs the
+//! same operations in the same order, and IEEE arithmetic rounds an
+//! operation alike in a vector lane and in a scalar register.
 //!
-//! * every product term is one fused multiply-add, `c ← fma(a, b, c)`,
-//!   rounded once. [`axpy`] is `c[j] = fma(alpha, b[j], c[j])`, [`axpy4`]
-//!   four `axpy`s in order, and each element of [`gemm_axpy4`] the chain
+//! * Every product term is one fused multiply-add, `c ← fma(a, b, c)`,
+//!   written `f32::mul_add`, which is exactly rounded, so every build gives
+//!   the same bits (without `fma` enabled it is a call to libm's `fmaf`,
+//!   about 30× slower, which is why the Scalar level runs an `fma`
+//!   instance). [`axpy`] is `c[j] = fma(alpha, b[j], c[j])`, [`axpy4`] four
+//!   `axpy`s in order, and each element of [`gemm_axpy4`] the chain
 //!   `c ← fma(a_p, b_p, c)` over `p` in K order. Its block of C stays in
 //!   registers across a 128-deep K panel; a sequential chain cannot change
 //!   at a panel edge or where a chunk of rows starts, so panels and pool
-//!   chunks are for cache reuse and threads only. `A·B`, `Aᵀ·B` and
-//!   `A·Bᵀ` all run on it, so the three product forms share one rule;
-//! * [`dot`] accumulates 8 independent lanes, lane `l` the chain
-//!   `fma(x[8t+l], y[8t+l], ·)` over `t` from `0.0`, then sums the lanes
-//!   `0..7` from `0.0` with plain adds and runs the tail as `fma` steps in
-//!   order. Under AVX-512 it stays on the 8-lane kernel (a 16-lane
-//!   reduction would reassociate the sum);
-//! * the scalar bodies are the reference, written with `f32::mul_add`,
-//!   which is exactly rounded, so every build of them gives the same bits.
-//!   The Scalar level runs them compiled with `fma` enabled where the CPU
-//!   has it (one instruction per term instead of a libm call) and the
-//!   plain build elsewhere. NEON runs them for the products (on aarch64
-//!   `mul_add` is one instruction; no NEON body exists, so its speed is
-//!   unmeasured);
-//! * everything else — the epilogues, ReLU and the transcendentals — issues
-//!   its multiplies and adds as separate instructions in the scalar order,
-//!   never fused;
-//! * ReLU is `max(v, 0.0)` in both worlds (`-0.0` inputs may normalise to
-//!   `+0.0` differently across ISAs);
-//! * the transcendentals are polynomials — a Cephes-style `exp`, which the
-//!   sigmoid runs on `−|x|`, and Eigen's rational tanh. Their scalar forms
-//!   ([`exp_approx`], [`sigmoid_approx`], [`tanh_approx`]) replay the
-//!   vector op sequence one element at a time; they are the Scalar and
-//!   NEON levels and the vector bodies' tails.
+//!   chunks are for cache reuse and threads only. `A·B`, `Aᵀ·B` and `A·Bᵀ`
+//!   all run on it, so the three product forms share one rule.
+//! * [`dot`] accumulates into a `[f32; 8]`: lane `l` is the chain
+//!   `fma(x[8t+l], y[8t+l], ·)` over `t` from `0.0`; the lanes are then
+//!   summed `0..7` from `0.0` with plain adds, and the tail runs as `fma`
+//!   steps in order. The array fixes that order in the source, so every
+//!   instance keeps it (a wider accumulator would reassociate the sum).
+//! * Everything else (the epilogues, ReLU and the transcendentals) issues
+//!   its multiplies and adds as separate operations, which the compiler
+//!   never fuses.
+//! * ReLU is `max(v, 0.0)` (a `-0.0` input may come out as either zero).
+//! * The transcendentals are polynomials: a Cephes-style `exp`, which the
+//!   sigmoid runs on `−|x|`, and Eigen's rational tanh, written once as
+//!   [`exp_approx`], [`sigmoid_approx`] and [`tanh_approx`].
 //!
-//! So `TENSOR_SIMD=0` selects the scalar bodies, not other numerics. The
+//! So `TENSOR_SIMD=0` selects the same source, not other numerics. The
 //! polynomials are a few ULP from `libm`: ≤ 16 ULP or 1e-6 absolute for
 //! sigmoid, ≤ 32 ULP or 1e-6 absolute for tanh (the latter dominated by
 //! the saturation clamp at |x| ≈ 7.9), and for `exp` over `[−88, 0]` ≤ 2 ULP
@@ -65,10 +75,10 @@
 //! −87.68 down.
 //!
 //! NaN in gives NaN out at every level: each clamp puts its bound first
-//! (`min(HI, x)`, which returns `x` when `x` is NaN), so no NaN is clamped
-//! into a number. [`exp_slice`] is meant for `x ≤ 0` (shifted logits and
-//! scores) and NaN; above about 88.38 it saturates at `exp(88.38)` rather
-//! than returning +inf.
+//! (`if HI < x { HI } else { x }`, which keeps `x` when `x` is NaN), so no
+//! NaN is clamped into a number. [`exp_slice`] is meant for `x ≤ 0`
+//! (shifted logits and scores) and NaN; above about 88.38 it saturates at
+//! `exp(88.38)` rather than returning +inf.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -81,15 +91,15 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SimdLevel {
-    /// Plain slice loops; the mandatory fallback and the `TENSOR_SIMD=0`
-    /// determinism anchor.
+    /// The scalar source (built with `fma` enabled where the CPU has it);
+    /// the `TENSOR_SIMD=0` determinism anchor and the only level off
+    /// x86-64.
     Scalar = 0,
-    /// 128-bit NEON (aarch64, where it is architecturally guaranteed).
-    Neon = 1,
-    /// 256-bit AVX2 (x86-64, runtime-detected).
-    Avx2 = 2,
-    /// 512-bit AVX-512F (x86-64, runtime-detected, toolchain ≥ 1.89).
-    Avx512 = 3,
+    /// 256-bit AVX2 with FMA (x86-64, runtime-detected).
+    Avx2 = 1,
+    /// 512-bit AVX-512F with FMA (x86-64, runtime-detected, toolchain
+    /// ≥ 1.89).
+    Avx512 = 2,
 }
 
 impl SimdLevel {
@@ -98,7 +108,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Neon => "neon",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
         }
@@ -110,7 +119,6 @@ impl SimdLevel {
         match value.trim().to_ascii_lowercase().as_str() {
             "" | "1" | "auto" | "native" => Some(None),
             "0" | "off" | "scalar" => Some(Some(SimdLevel::Scalar)),
-            "neon" => Some(Some(SimdLevel::Neon)),
             "avx2" => Some(Some(SimdLevel::Avx2)),
             "avx512" => Some(Some(SimdLevel::Avx512)),
             _ => None,
@@ -119,9 +127,8 @@ impl SimdLevel {
 
     fn from_u8(v: u8) -> SimdLevel {
         match v {
-            1 => SimdLevel::Neon,
-            2 => SimdLevel::Avx2,
-            3 => SimdLevel::Avx512,
+            1 => SimdLevel::Avx2,
+            2 => SimdLevel::Avx512,
             _ => SimdLevel::Scalar,
         }
     }
@@ -130,8 +137,9 @@ impl SimdLevel {
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        // Every product body issues FMA. No body uses a 128/256-bit EVEX
-        // form or ymm16–31, so AVX-512VL is not required.
+        // Every vector instance is compiled with FMA, the AVX-512 ones with
+        // AVX-512F alone (no 128/256-bit EVEX form, no ymm16–31), so
+        // AVX-512VL is not required.
         if !is_x86_feature_detected!("fma") {
             return SimdLevel::Scalar;
         }
@@ -145,11 +153,7 @@ fn detect() -> SimdLevel {
             SimdLevel::Scalar
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        SimdLevel::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         SimdLevel::Scalar
     }
@@ -162,19 +166,10 @@ pub fn detected_level() -> SimdLevel {
 }
 
 /// Clamps a requested level to what the host supports: an unsupported
-/// request degrades down its own ISA family (AVX-512 → AVX2 → scalar,
-/// NEON → scalar) rather than erroring, so `TENSOR_SIMD=avx512` on an
-/// AVX2-only machine still vectorises.
+/// request degrades (AVX-512 → AVX2 → Scalar) rather than erroring, so
+/// `TENSOR_SIMD=avx512` on an AVX2-only machine still vectorises.
 pub fn clamp_to_detected(requested: SimdLevel) -> SimdLevel {
-    let detected = detected_level();
-    match requested {
-        SimdLevel::Scalar => SimdLevel::Scalar,
-        SimdLevel::Neon if detected == SimdLevel::Neon => SimdLevel::Neon,
-        SimdLevel::Neon => SimdLevel::Scalar,
-        SimdLevel::Avx2 | SimdLevel::Avx512 if detected < SimdLevel::Avx2 => SimdLevel::Scalar,
-        SimdLevel::Avx2 => SimdLevel::Avx2,
-        SimdLevel::Avx512 => detected.min(SimdLevel::Avx512),
-    }
+    requested.min(detected_level())
 }
 
 const ACTIVE_UNSET: u8 = u8::MAX;
@@ -221,11 +216,11 @@ pub fn set_level(requested: SimdLevel) -> SimdLevel {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels (the dispatch fallback and the bitwise spec)
+// The scalar source: one body per kernel, compiled once per level
 // ---------------------------------------------------------------------------
 
-// The product bodies are `inline(always)` so that `scalar_fma` compiles the
-// same source with `fma` enabled.
+// Every body is `inline(always)`, so each `#[target_feature]` instance
+// compiles its own copy under its own features.
 mod scalar {
     #[inline(always)]
     pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
@@ -263,31 +258,52 @@ mod scalar {
         sum
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn add_bias(row: &mut [f32], bias: &[f32]) {
         for (v, &b) in row.iter_mut().zip(bias) {
             *v += b;
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn add_bias_mask_scale(row: &mut [f32], bias: &[f32], mask: &[f32], scale: f32) {
         for ((v, &b), &m) in row.iter_mut().zip(bias).zip(mask) {
             *v = (*v + b) * (m * scale);
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn scale_add_bias(row: &mut [f32], scale: f32, bias: &[f32]) {
         for (v, &b) in row.iter_mut().zip(bias) {
             *v = *v * scale + b;
         }
     }
 
-    #[inline]
-    pub fn relu(row: &mut [f32]) {
+    #[inline(always)]
+    pub fn relu_slice(row: &mut [f32]) {
         for v in row.iter_mut() {
             *v = v.max(0.0);
+        }
+    }
+
+    #[inline(always)]
+    pub fn exp_slice(row: &mut [f32]) {
+        for v in row.iter_mut() {
+            *v = super::exp_approx(*v);
+        }
+    }
+
+    #[inline(always)]
+    pub fn sigmoid_slice(row: &mut [f32]) {
+        for v in row.iter_mut() {
+            *v = super::sigmoid_approx(*v);
+        }
+    }
+
+    #[inline(always)]
+    pub fn tanh_slice(row: &mut [f32]) {
+        for v in row.iter_mut() {
+            *v = super::tanh_approx(*v);
         }
     }
 
@@ -332,69 +348,13 @@ mod scalar {
     }
 }
 
-/// The Scalar level's product bodies compiled with `fma` enabled: the same
-/// source as [`scalar`], so the same bits, with each `mul_add` one
-/// instruction instead of a call to libm's `fmaf`.
-#[cfg(target_arch = "x86_64")]
-mod scalar_fma {
-    use super::scalar;
-
-    /// # Safety
-    ///
-    /// The CPU supports FMA.
-    #[target_feature(enable = "fma")]
-    pub unsafe fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
-        scalar::axpy(c, alpha, b)
-    }
-
-    /// # Safety
-    ///
-    /// The CPU supports FMA.
-    #[target_feature(enable = "fma")]
-    pub unsafe fn axpy4(
-        c: &mut [f32],
-        alpha: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        scalar::axpy4(c, alpha, b0, b1, b2, b3)
-    }
-
-    /// # Safety
-    ///
-    /// The CPU supports FMA.
-    #[target_feature(enable = "fma")]
-    pub unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
-        scalar::dot(x, y)
-    }
-
-    /// # Safety
-    ///
-    /// The CPU supports FMA.
-    #[target_feature(enable = "fma")]
-    pub unsafe fn gemm_axpy4(
-        a: &[f32],
-        a_strides: [usize; 2],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        scalar::gemm_axpy4(a, a_strides, b, c, m, k, n)
-    }
-}
-
 /// Depth of the K panels [`gemm_axpy4`] walks: a `KC`-deep panel of B stays
 /// cache-resident while every row block of C passes over it (the CPU
 /// analogue of staging a tile in shared memory).
 const KC: usize = 128;
 
 // ---------------------------------------------------------------------------
-// Polynomial transcendentals (the Scalar and NEON levels and the vector
-// bodies' tails — every operation below has a lane-for-lane vector twin)
+// Polynomial transcendentals
 // ---------------------------------------------------------------------------
 
 /// Cephes f32 `exp` constants (the classic `exp_ps` kernel). Valid for the
@@ -431,16 +391,23 @@ mod tanh_consts {
     pub const B6: f32 = 1.198_258_4e-6;
 }
 
-/// Polynomial `exp`, the scalar replay of the vector kernel: identical op
-/// sequence (separate mul/add, floor-based range reduction, exponent-bit
-/// 2^n), so a scalar element rounds exactly like a vector lane. Meant for
-/// `x ≤ 0`; saturates at `exp(88.38)` above about 88.38, and maps NaN to
-/// NaN.
-#[inline]
+/// Polynomial `exp`, the body of [`exp_slice`] at every level: clamp,
+/// range reduction `n = floor(x·log2 e + 0.5)`, `r = x − n·ln 2` (in two
+/// steps), a Horner polynomial in `r`, times 2^n, each step a separate
+/// multiply or add. Meant for `x ≤ 0`; saturates at `exp(88.38)` above
+/// about 88.38, and maps NaN to NaN.
+///
+/// 2^n is built without a float-to-int conversion: adding `1.5·2^23` and
+/// the bias 127 to the integral float `n` leaves `n + 127` in the low
+/// mantissa bits, and the shift moves them into the exponent field. For
+/// every `n` the clamp admits (−127..=127) that gives the bits of
+/// `((n as i32 + 127) as u32) << 23`; the cast's saturating semantics kept
+/// the loop vectoriser off every `exp` and sigmoid loop. A NaN `x` leaves
+/// the polynomial NaN, so the product is NaN whatever 2^n's bits are.
+#[inline(always)]
 pub fn exp_approx(x: f32) -> f32 {
     use exp_consts::*;
-    // MINPS(HI, x) then MAXPS(LO, ·): the bound first, so a NaN `x` passes
-    // through, lane for lane like the vector kernel.
+    // The bound first, so a NaN `x` passes through both clamps.
     let x = if HI < x { HI } else { x };
     let x = if LO > x { LO } else { x };
     let fx = (x * LOG2EF + 0.5).floor();
@@ -453,14 +420,13 @@ pub fn exp_approx(x: f32) -> f32 {
     y = y * x + P4;
     y = y * x + P5;
     y = y * z + x + 1.0;
-    let n = fx as i32;
-    y * f32::from_bits(((n + 127) as u32) << 23)
+    y * f32::from_bits((fx + 12_582_912.0 + 127.0).to_bits() << 23)
 }
 
 /// Polynomial sigmoid: `t = exp(-|x|)`, `r = 1/(1+t)`, selecting `r` for
 /// `x ≥ 0` and `t·r` otherwise (avoids cancellation on the negative side);
 /// NaN maps to NaN.
-#[inline]
+#[inline(always)]
 pub fn sigmoid_approx(x: f32) -> f32 {
     let t = exp_approx(-x.abs());
     let r = 1.0 / (1.0 + t);
@@ -473,11 +439,10 @@ pub fn sigmoid_approx(x: f32) -> f32 {
 
 /// Polynomial tanh (Eigen rational form), clamped at the f32 saturation
 /// boundary; NaN maps to NaN.
-#[inline]
+#[inline(always)]
 pub fn tanh_approx(x: f32) -> f32 {
     use tanh_consts::*;
-    // MAXPS(−CLAMP, x) then MINPS(CLAMP, ·), NaN-preserving like
-    // [`exp_approx`].
+    // NaN-preserving clamps, the bound first like [`exp_approx`]'s.
     let x = if -CLAMP > x { -CLAMP } else { x };
     let x = if CLAMP < x { CLAMP } else { x };
     let z = x * x;
@@ -497,341 +462,12 @@ pub fn tanh_approx(x: f32) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 / AVX-512 kernels
+// The hand-written bodies: register-blocked GEMM and register transpose
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{exp_approx, exp_consts, sigmoid_approx, tanh_approx, tanh_consts};
     use std::arch::x86_64::*;
-
-    /// `c = fma(alpha, b, c)`, 8 lanes at a time.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_avx2(c: &mut [f32], alpha: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let va = _mm256_set1_ps(alpha);
-        let mut j = 0;
-        while j + 8 <= n {
-            let vb = _mm256_loadu_ps(b.as_ptr().add(j));
-            let vc = _mm256_loadu_ps(c.as_ptr().add(j));
-            _mm256_storeu_ps(c.as_mut_ptr().add(j), _mm256_fmadd_ps(va, vb, vc));
-            j += 8;
-        }
-        while j < n {
-            c[j] = alpha.mul_add(b[j], c[j]);
-            j += 1;
-        }
-    }
-
-    /// Four `fma` steps per element, in order.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy4_avx2(
-        c: &mut [f32],
-        alpha: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = c
-            .len()
-            .min(b0.len())
-            .min(b1.len())
-            .min(b2.len())
-            .min(b3.len());
-        let va0 = _mm256_set1_ps(alpha[0]);
-        let va1 = _mm256_set1_ps(alpha[1]);
-        let va2 = _mm256_set1_ps(alpha[2]);
-        let va3 = _mm256_set1_ps(alpha[3]);
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut vc = _mm256_loadu_ps(c.as_ptr().add(j));
-            vc = _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0.as_ptr().add(j)), vc);
-            vc = _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1.as_ptr().add(j)), vc);
-            vc = _mm256_fmadd_ps(va2, _mm256_loadu_ps(b2.as_ptr().add(j)), vc);
-            vc = _mm256_fmadd_ps(va3, _mm256_loadu_ps(b3.as_ptr().add(j)), vc);
-            _mm256_storeu_ps(c.as_mut_ptr().add(j), vc);
-            j += 8;
-        }
-        while j < n {
-            let t = alpha[1].mul_add(b1[j], alpha[0].mul_add(b0[j], c[j]));
-            c[j] = alpha[3].mul_add(b3[j], alpha[2].mul_add(b2[j], t));
-            j += 1;
-        }
-    }
-
-    /// 8-lane dot product: the vector accumulator *is* the scalar kernel's
-    /// `[f32; 8]` lane array, reduced in the same sequential lane order.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_avx2(x: &[f32], y: &[f32]) -> f32 {
-        let n = x.len().min(y.len());
-        let mut acc = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(j));
-            let vy = _mm256_loadu_ps(y.as_ptr().add(j));
-            acc = _mm256_fmadd_ps(vx, vy, acc);
-            j += 8;
-        }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut sum = 0.0;
-        for &lane in &lanes {
-            sum += lane;
-        }
-        while j < n {
-            sum = x[j].mul_add(y[j], sum);
-            j += 1;
-        }
-        sum
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_bias_avx2(row: &mut [f32], bias: &[f32]) {
-        let n = row.len().min(bias.len());
-        let mut j = 0;
-        while j + 8 <= n {
-            let v = _mm256_loadu_ps(row.as_ptr().add(j));
-            let b = _mm256_loadu_ps(bias.as_ptr().add(j));
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), _mm256_add_ps(v, b));
-            j += 8;
-        }
-        while j < n {
-            row[j] += bias[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_bias_mask_scale_avx2(
-        row: &mut [f32],
-        bias: &[f32],
-        mask: &[f32],
-        scale: f32,
-    ) {
-        let n = row.len().min(bias.len()).min(mask.len());
-        let vs = _mm256_set1_ps(scale);
-        let mut j = 0;
-        while j + 8 <= n {
-            let v = _mm256_loadu_ps(row.as_ptr().add(j));
-            let b = _mm256_loadu_ps(bias.as_ptr().add(j));
-            let m = _mm256_loadu_ps(mask.as_ptr().add(j));
-            let r = _mm256_mul_ps(_mm256_add_ps(v, b), _mm256_mul_ps(m, vs));
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), r);
-            j += 8;
-        }
-        while j < n {
-            row[j] = (row[j] + bias[j]) * (mask[j] * scale);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_add_bias_avx2(row: &mut [f32], scale: f32, bias: &[f32]) {
-        let n = row.len().min(bias.len());
-        let vs = _mm256_set1_ps(scale);
-        let mut j = 0;
-        while j + 8 <= n {
-            let v = _mm256_loadu_ps(row.as_ptr().add(j));
-            let b = _mm256_loadu_ps(bias.as_ptr().add(j));
-            let r = _mm256_add_ps(_mm256_mul_ps(v, vs), b);
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), r);
-            j += 8;
-        }
-        while j < n {
-            row[j] = row[j] * scale + bias[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn relu_avx2(row: &mut [f32]) {
-        let n = row.len();
-        let zero = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let v = _mm256_loadu_ps(row.as_ptr().add(j));
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), _mm256_max_ps(v, zero));
-            j += 8;
-        }
-        while j < n {
-            row[j] = row[j].max(0.0);
-            j += 1;
-        }
-    }
-
-    /// Vector twin of [`super::exp_approx`]: same clamp, range reduction,
-    /// Horner polynomial and exponent-bit 2^n, lane for lane. The clamp
-    /// bounds come first: MINPS/MAXPS return their second operand when
-    /// either is NaN, so a NaN lane stays NaN.
-    #[target_feature(enable = "avx2")]
-    unsafe fn exp_ps(x: __m256) -> __m256 {
-        use exp_consts::*;
-        let x = _mm256_max_ps(_mm256_set1_ps(LO), _mm256_min_ps(_mm256_set1_ps(HI), x));
-        let fx = _mm256_floor_ps(_mm256_add_ps(
-            _mm256_mul_ps(x, _mm256_set1_ps(LOG2EF)),
-            _mm256_set1_ps(0.5),
-        ));
-        let x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(C1)));
-        let x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(C2)));
-        let z = _mm256_mul_ps(x, x);
-        let mut y = _mm256_set1_ps(P0);
-        y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(P1));
-        y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(P2));
-        y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(P3));
-        y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(P4));
-        y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(P5));
-        y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), x), _mm256_set1_ps(1.0));
-        let n = _mm256_cvttps_epi32(fx);
-        let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-            n,
-            _mm256_set1_epi32(127),
-        )));
-        _mm256_mul_ps(y, pow2)
-    }
-
-    /// Polynomial `exp` of every element of `row` in place: 8-lane blocks
-    /// through [`exp_ps`], the tail through [`super::exp_approx`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn exp_avx2(row: &mut [f32]) {
-        let n = row.len();
-        let mut j = 0;
-        while j + 8 <= n {
-            let x = _mm256_loadu_ps(row.as_ptr().add(j));
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), exp_ps(x));
-            j += 8;
-        }
-        while j < n {
-            row[j] = exp_approx(row[j]);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sigmoid_avx2(row: &mut [f32]) {
-        let n = row.len();
-        let sign = _mm256_set1_ps(-0.0);
-        let one = _mm256_set1_ps(1.0);
-        let zero = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let x = _mm256_loadu_ps(row.as_ptr().add(j));
-            // t = exp(-|x|) via OR-ing the sign bit in.
-            let t = exp_ps(_mm256_or_ps(x, sign));
-            let r = _mm256_div_ps(one, _mm256_add_ps(one, t));
-            let neg = _mm256_mul_ps(t, r);
-            let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(x, zero);
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), _mm256_blendv_ps(neg, r, ge));
-            j += 8;
-        }
-        while j < n {
-            row[j] = sigmoid_approx(row[j]);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn tanh_avx2(row: &mut [f32]) {
-        use tanh_consts::*;
-        let n = row.len();
-        let clamp = _mm256_set1_ps(CLAMP);
-        let neg_clamp = _mm256_set1_ps(-CLAMP);
-        let mut j = 0;
-        while j + 8 <= n {
-            let x = _mm256_loadu_ps(row.as_ptr().add(j));
-            let x = _mm256_min_ps(clamp, _mm256_max_ps(neg_clamp, x));
-            let z = _mm256_mul_ps(x, x);
-            let mut p = _mm256_set1_ps(A13);
-            p = _mm256_add_ps(_mm256_mul_ps(z, p), _mm256_set1_ps(A11));
-            p = _mm256_add_ps(_mm256_mul_ps(z, p), _mm256_set1_ps(A9));
-            p = _mm256_add_ps(_mm256_mul_ps(z, p), _mm256_set1_ps(A7));
-            p = _mm256_add_ps(_mm256_mul_ps(z, p), _mm256_set1_ps(A5));
-            p = _mm256_add_ps(_mm256_mul_ps(z, p), _mm256_set1_ps(A3));
-            p = _mm256_add_ps(_mm256_mul_ps(z, p), _mm256_set1_ps(A1));
-            let p = _mm256_mul_ps(x, p);
-            let mut q = _mm256_set1_ps(B6);
-            q = _mm256_add_ps(_mm256_mul_ps(z, q), _mm256_set1_ps(B4));
-            q = _mm256_add_ps(_mm256_mul_ps(z, q), _mm256_set1_ps(B2));
-            q = _mm256_add_ps(_mm256_mul_ps(z, q), _mm256_set1_ps(B0));
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), _mm256_div_ps(p, q));
-            j += 8;
-        }
-        while j < n {
-            row[j] = tanh_approx(row[j]);
-            j += 1;
-        }
-    }
-
-    /// 16-lane axpy. Lane-wise `fma` has no cross-lane reduction, so any
-    /// width is bitwise identical to the scalar loop.
-    // The AVX-512 intrinsics stabilised in 1.89; `tensor_avx512` is only
-    // emitted by build.rs on rustc >= 1.89, so the MSRV lint cannot apply.
-    #[allow(clippy::incompatible_msrv)]
-    #[cfg(tensor_avx512)]
-    #[target_feature(enable = "avx512f,fma")]
-    pub unsafe fn axpy_avx512(c: &mut [f32], alpha: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let va = _mm512_set1_ps(alpha);
-        let mut j = 0;
-        while j + 16 <= n {
-            let vb = _mm512_loadu_ps(b.as_ptr().add(j));
-            let vc = _mm512_loadu_ps(c.as_ptr().add(j));
-            _mm512_storeu_ps(c.as_mut_ptr().add(j), _mm512_fmadd_ps(va, vb, vc));
-            j += 16;
-        }
-        while j < n {
-            c[j] = alpha.mul_add(b[j], c[j]);
-            j += 1;
-        }
-    }
-
-    /// 16-lane four-step update, one `fma` per step in order.
-    // See axpy_avx512: the build.rs cfg gate already guarantees rustc >= 1.89.
-    #[allow(clippy::incompatible_msrv)]
-    #[cfg(tensor_avx512)]
-    #[target_feature(enable = "avx512f,fma")]
-    pub unsafe fn axpy4_avx512(
-        c: &mut [f32],
-        alpha: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = c
-            .len()
-            .min(b0.len())
-            .min(b1.len())
-            .min(b2.len())
-            .min(b3.len());
-        let va0 = _mm512_set1_ps(alpha[0]);
-        let va1 = _mm512_set1_ps(alpha[1]);
-        let va2 = _mm512_set1_ps(alpha[2]);
-        let va3 = _mm512_set1_ps(alpha[3]);
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut vc = _mm512_loadu_ps(c.as_ptr().add(j));
-            vc = _mm512_fmadd_ps(va0, _mm512_loadu_ps(b0.as_ptr().add(j)), vc);
-            vc = _mm512_fmadd_ps(va1, _mm512_loadu_ps(b1.as_ptr().add(j)), vc);
-            vc = _mm512_fmadd_ps(va2, _mm512_loadu_ps(b2.as_ptr().add(j)), vc);
-            vc = _mm512_fmadd_ps(va3, _mm512_loadu_ps(b3.as_ptr().add(j)), vc);
-            _mm512_storeu_ps(c.as_mut_ptr().add(j), vc);
-            j += 16;
-        }
-        while j < n {
-            let t = alpha[1].mul_add(b1[j], alpha[0].mul_add(b0[j], c[j]));
-            c[j] = alpha[3].mul_add(b3[j], alpha[2].mul_add(b2[j], t));
-            j += 1;
-        }
-    }
-
-    // -----------------------------------------------------------------------
-    // Register-blocked GEMM bodies
-    // -----------------------------------------------------------------------
 
     /// Strides of one `axpy4`-form product: A's element `(r, p)` sits at
     /// `r * rs + p * ks`, and B and C share the row stride `ld` (= n).
@@ -867,7 +503,7 @@ mod x86 {
     }
 
     /// One `MR × 8·NV` block of C held in ymm registers across a `kc`-deep
-    /// K range: per element the `fma` chain of [`axpy_avx2`]. `MASKED`
+    /// K range: per element the `fma` chain of [`super::axpy`]. `MASKED`
     /// reads and writes only the lanes of `masks[v]` (a column fringe).
     ///
     /// # Safety
@@ -989,7 +625,7 @@ mod x86 {
     }
 
     /// One `MR` × `16·NV` block of C held in zmm registers across a
-    /// `kc`-deep K range: per element the `fma` chain of [`axpy_avx512`].
+    /// `kc`-deep K range: per element the `fma` chain of [`super::axpy`].
     /// Loads and stores are masked by `masks[v]` (all lanes inside the
     /// matrix; fewer on a column fringe).
     ///
@@ -1187,146 +823,98 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// NEON kernels
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::*;
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn relu_neon(row: &mut [f32]) {
-        let n = row.len();
-        let zero = vdupq_n_f32(0.0);
-        let mut j = 0;
-        while j + 4 <= n {
-            let v = vld1q_f32(row.as_ptr().add(j));
-            vst1q_f32(row.as_mut_ptr().add(j), vmaxq_f32(v, zero));
-            j += 4;
-        }
-        while j < n {
-            row[j] = row[j].max(0.0);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn add_bias_neon(row: &mut [f32], bias: &[f32]) {
-        let n = row.len().min(bias.len());
-        let mut j = 0;
-        while j + 4 <= n {
-            let v = vld1q_f32(row.as_ptr().add(j));
-            let b = vld1q_f32(bias.as_ptr().add(j));
-            vst1q_f32(row.as_mut_ptr().add(j), vaddq_f32(v, b));
-            j += 4;
-        }
-        while j < n {
-            row[j] += bias[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn add_bias_mask_scale_neon(
-        row: &mut [f32],
-        bias: &[f32],
-        mask: &[f32],
-        scale: f32,
-    ) {
-        let n = row.len().min(bias.len()).min(mask.len());
-        let vs = vdupq_n_f32(scale);
-        let mut j = 0;
-        while j + 4 <= n {
-            let v = vld1q_f32(row.as_ptr().add(j));
-            let b = vld1q_f32(bias.as_ptr().add(j));
-            let m = vld1q_f32(mask.as_ptr().add(j));
-            vst1q_f32(
-                row.as_mut_ptr().add(j),
-                vmulq_f32(vaddq_f32(v, b), vmulq_f32(m, vs)),
-            );
-            j += 4;
-        }
-        while j < n {
-            row[j] = (row[j] + bias[j]) * (mask[j] * scale);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn scale_add_bias_neon(row: &mut [f32], scale: f32, bias: &[f32]) {
-        let n = row.len().min(bias.len());
-        let vs = vdupq_n_f32(scale);
-        let mut j = 0;
-        while j + 4 <= n {
-            let v = vld1q_f32(row.as_ptr().add(j));
-            let b = vld1q_f32(bias.as_ptr().add(j));
-            vst1q_f32(row.as_mut_ptr().add(j), vaddq_f32(vmulq_f32(v, vs), b));
-            j += 4;
-        }
-        while j < n {
-            row[j] = row[j] * scale + bias[j];
-            j += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch points
 // ---------------------------------------------------------------------------
 
-/// `c[j] = fma(alpha, b[j], c[j])` over equal-length slices (the shorter
-/// length wins, like a `zip` loop).
-#[inline]
-pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
-    match level() {
-        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
-        SimdLevel::Avx512 => unsafe { x86::axpy_avx512(c, alpha, b) },
-        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
-        SimdLevel::Avx512 => unsafe { x86::axpy_avx2(c, alpha, b) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::axpy_avx2(c, alpha, b) },
-        // SAFETY: the guard checked FMA.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe {
-            scalar_fma::axpy(c, alpha, b)
-        },
-        _ => scalar::axpy(c, alpha, b),
-    }
+/// Defines the public entry point of each lane-independent kernel from its
+/// `scalar` body: the body compiled once per level under
+/// `#[target_feature]`, and the one mapping from the active level to those
+/// instances.
+macro_rules! kernels {
+    ($(
+        $(#[$doc:meta])*
+        pub fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;
+    )*) => {$(
+        $(#[$doc])*
+        #[inline]
+        pub fn $name($($arg: $ty),*) $(-> $ret)? {
+            /// # Safety
+            ///
+            /// The CPU supports FMA.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "fma")]
+            unsafe fn fma($($arg: $ty),*) $(-> $ret)? {
+                scalar::$name($($arg),*)
+            }
+            /// # Safety
+            ///
+            /// The CPU supports AVX2 and FMA.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                scalar::$name($($arg),*)
+            }
+            /// # Safety
+            ///
+            /// The CPU supports AVX-512F and FMA.
+            #[cfg(all(target_arch = "x86_64", tensor_avx512))]
+            #[target_feature(enable = "avx512f,fma")]
+            unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
+                scalar::$name($($arg),*)
+            }
+            // SAFETY: a level is active only where `detect` found its
+            // features (AVX-512 implies a toolchain with `tensor_avx512`),
+            // and the Scalar level's guard checks FMA.
+            match level() {
+                #[cfg(all(target_arch = "x86_64", tensor_avx512))]
+                SimdLevel::Avx512 => unsafe { avx512($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe {
+                    fma($($arg),*)
+                },
+                _ => scalar::$name($($arg),*),
+            }
+        }
+    )*};
 }
 
-/// Four [`axpy`]s in order: per element `c = fma(a_q, b_q[j], c)` for
-/// `q = 0..3`.
-#[inline]
-pub fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    match level() {
-        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
-        SimdLevel::Avx512 => unsafe { x86::axpy4_avx512(c, alpha, b0, b1, b2, b3) },
-        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
-        SimdLevel::Avx512 => unsafe { x86::axpy4_avx2(c, alpha, b0, b1, b2, b3) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::axpy4_avx2(c, alpha, b0, b1, b2, b3) },
-        // SAFETY: the guard checked FMA.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe {
-            scalar_fma::axpy4(c, alpha, b0, b1, b2, b3)
-        },
-        _ => scalar::axpy4(c, alpha, b0, b1, b2, b3),
-    }
-}
+kernels! {
+    /// `c[j] = fma(alpha, b[j], c[j])` over equal-length slices (the shorter
+    /// length wins, like a `zip` loop).
+    pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]);
 
-/// Dot product in the 8-lane `fma` accumulation order (see module docs);
-/// NEON keeps the scalar loop for the same reason AVX-512 delegates to the
-/// 8-lane AVX2 kernel — a 4-lane reduction would reassociate.
-#[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::dot_avx2(x, y) },
-        // SAFETY: the guard checked FMA.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe { scalar_fma::dot(x, y) },
-        _ => scalar::dot(x, y),
-    }
+    /// Four [`axpy`]s in order: per element `c = fma(a_q, b_q[j], c)` for
+    /// `q = 0..3`.
+    pub fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]);
+
+    /// Dot product in the 8-lane `fma` accumulation order (see module
+    /// docs).
+    pub fn dot(x: &[f32], y: &[f32]) -> f32;
+
+    /// `row[j] += bias[j]`.
+    pub fn add_bias(row: &mut [f32], bias: &[f32]);
+
+    /// `row[j] = (row[j] + bias[j]) * (mask[j] * scale)`.
+    pub fn add_bias_mask_scale(row: &mut [f32], bias: &[f32], mask: &[f32], scale: f32);
+
+    /// `row[j] = row[j] * scale + bias[j]` (the tile epilogue's order).
+    pub fn scale_add_bias(row: &mut [f32], scale: f32, bias: &[f32]);
+
+    /// Elementwise `max(v, 0.0)`.
+    pub fn relu_slice(row: &mut [f32]);
+
+    /// Elementwise polynomial `exp` ([`exp_approx`]). Callers pass `x ≤ 0`
+    /// (shifted logits and scores) or NaN; above about 88.38 the result
+    /// saturates at `exp(88.38)`, not +inf.
+    pub fn exp_slice(row: &mut [f32]);
+
+    /// Elementwise polynomial sigmoid ([`sigmoid_approx`]).
+    pub fn sigmoid_slice(row: &mut [f32]);
+
+    /// Elementwise polynomial tanh ([`tanh_approx`]).
+    pub fn tanh_slice(row: &mut [f32]);
 }
 
 /// `C += A·B`, a block of C held in registers across each K panel: `c` is
@@ -1366,26 +954,36 @@ pub fn gemm_axpy4(
         k.checked_mul(n).is_some_and(|len| len <= b.len()),
         "B must hold k × n values"
     );
+    /// The Scalar level's instance where the CPU has FMA.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "fma")]
+    unsafe fn fma(
+        a: &[f32],
+        s: [usize; 2],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        scalar::gemm_axpy4(a, s, b, c, m, k, n)
+    }
     let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    // SAFETY: a level is active only where `detect` found its features,
+    // the Scalar level's guard checks FMA, and the asserts above bound
+    // every element of A, B and C the bodies touch.
     match level() {
-        // SAFETY: the level is AVX-512 only when the CPU has AVX-512F (see
-        // `detect`), and the asserts above bound every element of A, B and
-        // C the body touches.
         #[cfg(all(target_arch = "x86_64", tensor_avx512))]
         SimdLevel::Avx512 => unsafe { x86::gemm_axpy4_avx512(pa, a_strides, pb, pc, m, k, n) },
-        // SAFETY: every vector level on x86-64 implies AVX2 and FMA (see
-        // `detect`), and the asserts above bound every element the body
-        // touches.
-        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
-        SimdLevel::Avx512 => unsafe { x86::gemm_axpy4_avx2(pa, a_strides, pb, pc, m, k, n) },
-        // SAFETY: as above — AVX2 and FMA are detected, the extents are
-        // asserted.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::gemm_axpy4_avx2(pa, a_strides, pb, pc, m, k, n) },
-        // SAFETY: the guard checked FMA.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Scalar if is_x86_feature_detected!("fma") => unsafe {
-            scalar_fma::gemm_axpy4(a, a_strides, b, c, m, k, n)
+            fma(a, a_strides, b, c, m, k, n)
         },
         _ => scalar::gemm_axpy4(a, a_strides, b, c, m, k, n),
     }
@@ -1393,7 +991,7 @@ pub fn gemm_axpy4(
 
 /// `dst = srcᵀ`: `src` is `rows × cols` and `dst` `cols × rows`, both
 /// row-major. It moves values without arithmetic, so every level gives the
-/// same bits; the x86 vector levels move 8 × 8 blocks through registers.
+/// same bits; the vector levels move 8 × 8 blocks through registers.
 ///
 /// # Panics
 ///
@@ -1403,106 +1001,13 @@ pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     assert_eq!(Some(src.len()), len, "src must hold rows × cols values");
     assert_eq!(dst.len(), src.len(), "dst must hold as many values as src");
     match level() {
-        // SAFETY: every vector level on x86-64 implies AVX (see `detect`),
-        // and both slices hold the `rows × cols` values the body touches.
+        // SAFETY: every vector level implies AVX (see `detect`), and both
+        // slices hold the `rows × cols` values the body touches.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
             x86::transpose_avx(src.as_ptr(), rows, cols, dst.as_mut_ptr())
         },
         _ => scalar::transpose(src, rows, cols, dst),
-    }
-}
-
-/// `row[j] += bias[j]`.
-#[inline]
-pub fn add_bias(row: &mut [f32], bias: &[f32]) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::add_bias_avx2(row, bias) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::add_bias_neon(row, bias) },
-        _ => scalar::add_bias(row, bias),
-    }
-}
-
-/// `row[j] = (row[j] + bias[j]) * (mask[j] * scale)`.
-#[inline]
-pub fn add_bias_mask_scale(row: &mut [f32], bias: &[f32], mask: &[f32], scale: f32) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
-            x86::add_bias_mask_scale_avx2(row, bias, mask, scale)
-        },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::add_bias_mask_scale_neon(row, bias, mask, scale) },
-        _ => scalar::add_bias_mask_scale(row, bias, mask, scale),
-    }
-}
-
-/// `row[j] = row[j] * scale + bias[j]` (the tile epilogue's order).
-#[inline]
-pub fn scale_add_bias(row: &mut [f32], scale: f32, bias: &[f32]) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
-            x86::scale_add_bias_avx2(row, scale, bias)
-        },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::scale_add_bias_neon(row, scale, bias) },
-        _ => scalar::scale_add_bias(row, scale, bias),
-    }
-}
-
-/// Elementwise `max(v, 0.0)` — scalar-exact at every level.
-#[inline]
-pub fn relu_slice(row: &mut [f32]) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::relu_avx2(row) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::relu_neon(row) },
-        _ => scalar::relu(row),
-    }
-}
-
-/// Elementwise polynomial `exp` ([`exp_approx`]), the same bits at every
-/// level: one AVX2 body serves both x86 levels, and Scalar and NEON run the
-/// scalar form. Callers pass `x ≤ 0` (shifted logits and scores) or NaN;
-/// above about 88.38 the result saturates at `exp(88.38)`, not +inf.
-#[inline]
-pub fn exp_slice(row: &mut [f32]) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every vector level on x86-64 implies AVX2 (see `detect`),
-        // and the body touches only `row`'s elements.
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::exp_avx2(row) },
-        _ => row.iter_mut().for_each(|v| *v = exp_approx(*v)),
-    }
-}
-
-/// Elementwise polynomial sigmoid ([`sigmoid_approx`]), the same bits at
-/// every level (see [`exp_slice`]).
-#[inline]
-pub fn sigmoid_slice(row: &mut [f32]) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every vector level on x86-64 implies AVX2 (see `detect`),
-        // and the body touches only `row`'s elements.
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::sigmoid_avx2(row) },
-        _ => row.iter_mut().for_each(|v| *v = sigmoid_approx(*v)),
-    }
-}
-
-/// Elementwise polynomial tanh ([`tanh_approx`]), the same bits at every
-/// level (see [`exp_slice`]).
-#[inline]
-pub fn tanh_slice(row: &mut [f32]) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every vector level on x86-64 implies AVX2 (see `detect`),
-        // and the body touches only `row`'s elements.
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::tanh_avx2(row) },
-        _ => row.iter_mut().for_each(|v| *v = tanh_approx(*v)),
     }
 }
 
@@ -1529,6 +1034,17 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every level; one the host lacks is clamped to the widest it has, so
+    /// a loop over these runs every instance the host supports.
+    const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+
+    /// Every length up to 70, then 100 and 1000: each instance's vectorised
+    /// main loop (up to 64 elements per step), its vectorised remainder and
+    /// its scalar remainder each run on some of them.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=70).chain([100, 1000])
+    }
+
     fn test_data(len: usize) -> Vec<f32> {
         // Deterministic, sign-mixed, non-trivial mantissas.
         (0..len)
@@ -1542,7 +1058,6 @@ pub(crate) mod tests {
         assert_eq!(SimdLevel::parse("off"), Some(Some(SimdLevel::Scalar)));
         assert_eq!(SimdLevel::parse("AVX2"), Some(Some(SimdLevel::Avx2)));
         assert_eq!(SimdLevel::parse("avx512"), Some(Some(SimdLevel::Avx512)));
-        assert_eq!(SimdLevel::parse("neon"), Some(Some(SimdLevel::Neon)));
         assert_eq!(SimdLevel::parse(""), Some(None));
         assert_eq!(SimdLevel::parse("auto"), Some(None));
         assert_eq!(SimdLevel::parse("bogus"), None);
@@ -1550,19 +1065,14 @@ pub(crate) mod tests {
 
     #[test]
     fn clamp_never_exceeds_detected() {
-        for requested in [
-            SimdLevel::Scalar,
-            SimdLevel::Neon,
-            SimdLevel::Avx2,
-            SimdLevel::Avx512,
-        ] {
+        for requested in LEVELS {
             let clamped = clamp_to_detected(requested);
             assert!(clamped <= detected_level(), "{requested:?} → {clamped:?}");
             assert_eq!(clamp_to_detected(clamped), clamped, "clamp is idempotent");
         }
     }
 
-    /// Every x86 vector body issues FMA, so a detected vector level
+    /// Every x86 vector instance issues FMA, so a detected vector level
     /// implies the CPU has it.
     #[test]
     fn a_detected_x86_vector_level_implies_fma() {
@@ -1586,7 +1096,7 @@ pub(crate) mod tests {
                     assert_eq!(v, src[i * cols + j], "reference at ({i}, {j})");
                 }
             }
-            for requested in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+            for requested in LEVELS {
                 with_level(requested, |actual| {
                     let mut dst = vec![f32::NAN; src.len()];
                     transpose(&src, rows, cols, &mut dst);
@@ -1598,8 +1108,8 @@ pub(crate) mod tests {
 
     #[test]
     fn detected_level_is_selectable() {
-        // The dispatch test of the satellite list: whatever the host
-        // detects must actually become the active level when requested.
+        // Whatever the host detects must actually become the active level
+        // when requested.
         let detected = detected_level();
         with_level(detected, |actual| {
             assert_eq!(actual, detected);
@@ -1609,42 +1119,41 @@ pub(crate) mod tests {
 
     #[test]
     fn vector_kernels_match_scalar_bitwise() {
-        // Odd lengths exercise every remainder tail.
-        for len in [1usize, 7, 8, 9, 16, 31, 64, 100] {
+        let alpha = [1.25, -0.5, 0.75, 2.0];
+        for len in lengths() {
             let b0 = test_data(len);
             let b1: Vec<f32> = b0.iter().map(|v| v * 0.5 + 1.0).collect();
             let b2: Vec<f32> = b0.iter().map(|v| v * -0.25 + 2.0).collect();
             let b3: Vec<f32> = b0.iter().map(|v| v * 2.0 - 3.0).collect();
-            let c0 = test_data(len);
+            let c0 = test_data(len + 5)[5..].to_vec();
 
             let mut expected_axpy = c0.clone();
             scalar::axpy(&mut expected_axpy, 1.25, &b0);
             let mut expected_axpy4 = c0.clone();
-            scalar::axpy4(
-                &mut expected_axpy4,
-                [1.25, -0.5, 0.75, 2.0],
-                &b0,
-                &b1,
-                &b2,
-                &b3,
-            );
+            scalar::axpy4(&mut expected_axpy4, alpha, &b0, &b1, &b2, &b3);
             let expected_dot = scalar::dot(&c0, &b0);
 
-            with_level(detected_level(), |_| {
-                let mut c = c0.clone();
-                axpy(&mut c, 1.25, &b0);
-                assert_eq!(c, expected_axpy, "axpy len {len}");
-                let mut c = c0.clone();
-                axpy4(&mut c, [1.25, -0.5, 0.75, 2.0], &b0, &b1, &b2, &b3);
-                assert_eq!(c, expected_axpy4, "axpy4 len {len}");
-                assert_eq!(dot(&c0, &b0), expected_dot, "dot len {len}");
-            });
+            for requested in LEVELS {
+                with_level(requested, |actual| {
+                    let mut c = c0.clone();
+                    axpy(&mut c, 1.25, &b0);
+                    assert_eq!(c, expected_axpy, "axpy len {len} at {actual:?}");
+                    let mut c = c0.clone();
+                    axpy4(&mut c, alpha, &b0, &b1, &b2, &b3);
+                    assert_eq!(c, expected_axpy4, "axpy4 len {len} at {actual:?}");
+                    assert_eq!(
+                        dot(&c0, &b0).to_bits(),
+                        expected_dot.to_bits(),
+                        "dot len {len} at {actual:?}"
+                    );
+                });
+            }
         }
     }
 
     #[test]
     fn epilogue_helpers_match_scalar_bitwise() {
-        for len in [1usize, 5, 8, 13, 40] {
+        for len in lengths() {
             let base = test_data(len);
             let bias = test_data(len + 3)[3..].to_vec();
             let mask: Vec<f32> = (0..len)
@@ -1659,22 +1168,24 @@ pub(crate) mod tests {
             let mut e4 = base.clone();
             scalar::scale_add_bias(&mut e4, scale, &bias);
             let mut e5 = base.clone();
-            scalar::relu(&mut e5);
+            scalar::relu_slice(&mut e5);
 
-            with_level(detected_level(), |_| {
-                let mut r = base.clone();
-                add_bias(&mut r, &bias);
-                assert_eq!(r, e1, "add_bias len {len}");
-                let mut r = base.clone();
-                add_bias_mask_scale(&mut r, &bias, &mask, scale);
-                assert_eq!(r, e2, "add_bias_mask_scale len {len}");
-                let mut r = base.clone();
-                scale_add_bias(&mut r, scale, &bias);
-                assert_eq!(r, e4, "scale_add_bias len {len}");
-                let mut r = base.clone();
-                relu_slice(&mut r);
-                assert_eq!(r, e5, "relu len {len}");
-            });
+            for requested in LEVELS {
+                with_level(requested, |actual| {
+                    let mut r = base.clone();
+                    add_bias(&mut r, &bias);
+                    assert_eq!(r, e1, "add_bias len {len} at {actual:?}");
+                    let mut r = base.clone();
+                    add_bias_mask_scale(&mut r, &bias, &mask, scale);
+                    assert_eq!(r, e2, "add_bias_mask_scale len {len} at {actual:?}");
+                    let mut r = base.clone();
+                    scale_add_bias(&mut r, scale, &bias);
+                    assert_eq!(r, e4, "scale_add_bias len {len} at {actual:?}");
+                    let mut r = base.clone();
+                    relu_slice(&mut r);
+                    assert_eq!(r, e5, "relu len {len} at {actual:?}");
+                });
+            }
         }
     }
 
@@ -1689,27 +1200,108 @@ pub(crate) mod tests {
 
     #[test]
     fn vector_transcendentals_match_their_scalar_tails_bitwise() {
-        // The vector body and the scalar tail must agree bitwise per
-        // element, or slicing/threading would change results.
-        let inputs: Vec<f32> = (-400..=400).map(|i| i as f32 * 0.025).collect();
-        with_level(detected_level(), |actual| {
-            if actual == SimdLevel::Scalar {
-                return; // nothing vectorised to compare
+        // Every element of a slice, in a vector lane or in a remainder,
+        // must equal the scalar form, or slicing and threading would
+        // change results. The inputs run over [−100, 100] in steps of 0.1,
+        // shuffled, across both clamps of `exp` and of tanh.
+        let inputs: Vec<f32> = (0..1000)
+            .map(|i| ((i * 7919) % 2001) as f32 * 0.1 - 100.0)
+            .collect();
+        for len in lengths() {
+            let x = &inputs[..len];
+            for requested in LEVELS {
+                with_level(requested, |actual| {
+                    let mut ex = x.to_vec();
+                    exp_slice(&mut ex);
+                    let mut sig = x.to_vec();
+                    sigmoid_slice(&mut sig);
+                    let mut tan = x.to_vec();
+                    tanh_slice(&mut tan);
+                    for (j, &x) in x.iter().enumerate() {
+                        let at = format!("{x} (index {j} of {len}) at {actual:?}");
+                        assert_eq!(ex[j].to_bits(), exp_approx(x).to_bits(), "exp {at}");
+                        assert_eq!(
+                            sig[j].to_bits(),
+                            sigmoid_approx(x).to_bits(),
+                            "sigmoid {at}"
+                        );
+                        assert_eq!(tan[j].to_bits(), tanh_approx(x).to_bits(), "tanh {at}");
+                    }
+                });
             }
-            for len in [3usize, 8, 11, 801] {
-                let mut ex = inputs[..len].to_vec();
-                exp_slice(&mut ex);
-                let mut sig = inputs[..len].to_vec();
-                sigmoid_slice(&mut sig);
-                let mut tan = inputs[..len].to_vec();
-                tanh_slice(&mut tan);
-                for (j, &x) in inputs[..len].iter().enumerate() {
-                    assert_eq!(ex[j], exp_approx(x), "exp lane/tail at {x}");
-                    assert_eq!(sig[j], sigmoid_approx(x), "sigmoid lane/tail at {x}");
-                    assert_eq!(tan[j], tanh_approx(x), "tanh lane/tail at {x}");
-                }
-            }
-        });
+        }
+    }
+
+    /// [`exp_approx`] as it built 2^n before, through the saturating
+    /// `fx as i32` cast: the reference for the exponent-bit construction.
+    fn exp_approx_cast(x: f32) -> f32 {
+        use exp_consts::*;
+        let x = if HI < x { HI } else { x };
+        let x = if LO > x { LO } else { x };
+        let fx = (x * LOG2EF + 0.5).floor();
+        let x = x - fx * C1 - fx * C2;
+        let z = x * x;
+        let mut y = P0;
+        y = y * x + P1;
+        y = y * x + P2;
+        y = y * x + P3;
+        y = y * x + P4;
+        y = y * x + P5;
+        y = y * z + x + 1.0;
+        let n = fx as i32;
+        y * f32::from_bits(((n + 127) as u32) << 23)
+    }
+
+    /// `exp_approx(x)` has the bits of [`exp_approx_cast`], or is NaN
+    /// where the cast form is.
+    fn assert_exp_matches_the_cast_form(x: f32) {
+        let (new, old) = (exp_approx(x), exp_approx_cast(x));
+        if old.is_nan() {
+            assert!(new.is_nan(), "exp_approx({x:e}) = {new:e}, want NaN");
+        } else {
+            assert_eq!(
+                new.to_bits(),
+                old.to_bits(),
+                "exp_approx({x:e} = {:#010x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn exponent_bits_equal_the_cast_form() {
+        // ±88.376_26 are the clamp bounds, where `fx` reaches ±127.
+        let specials = [
+            88.376_26,
+            -88.376_26,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for x in specials {
+            assert_exp_matches_the_cast_form(x);
+        }
+        assert!(exp_approx(f32::NAN).is_nan());
+        for bits in (0..=u32::MAX).step_by(4099) {
+            assert_exp_matches_the_cast_form(f32::from_bits(bits));
+        }
+    }
+
+    /// Every f32, a few minutes in a release build:
+    /// `cargo test --release -p tensor --lib -- --ignored every_f32`.
+    #[test]
+    #[ignore = "sweeps all 2^32 inputs"]
+    fn exponent_bits_equal_the_cast_form_for_every_f32() {
+        for bits in 0..=u32::MAX {
+            assert_exp_matches_the_cast_form(f32::from_bits(bits));
+        }
     }
 
     #[test]
@@ -1740,8 +1332,9 @@ pub(crate) mod tests {
 
     #[test]
     fn nan_stays_nan_and_special_values_match_at_every_level() {
-        // Two 8-lane blocks then a 3-element tail: every special value sits
-        // once in a vector lane and once in the tail.
+        // The specials repeated past every vector width, then a 3-element
+        // tail: every special value sits in a vector lane and in a
+        // remainder at every level.
         let specials = [
             f32::NAN,
             f32::INFINITY,
@@ -1752,8 +1345,7 @@ pub(crate) mod tests {
             -1e-40,
             -0.5,
         ];
-        let mut inputs = specials.to_vec();
-        inputs.extend_from_slice(&specials);
+        let mut inputs = specials.repeat(9);
         inputs.extend_from_slice(&[f32::NAN, -1e-40, f32::NEG_INFINITY]);
         type Kernel = (&'static str, fn(&mut [f32]), fn(f32) -> f32);
         let slices: [Kernel; 3] = [
@@ -1764,12 +1356,7 @@ pub(crate) mod tests {
         for (name, slice, approx) in slices {
             assert!(approx(f32::NAN).is_nan(), "{name}_approx(NaN)");
             let reference: Vec<u32> = inputs.iter().map(|&x| approx(x).to_bits()).collect();
-            for requested in [
-                SimdLevel::Scalar,
-                SimdLevel::Neon,
-                SimdLevel::Avx2,
-                SimdLevel::Avx512,
-            ] {
+            for requested in LEVELS {
                 with_level(requested, |actual| {
                     let mut row = inputs.clone();
                     slice(&mut row);
